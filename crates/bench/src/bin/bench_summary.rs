@@ -42,8 +42,9 @@
 //!   loop stops on residuals rather than solving exactly).
 //!
 //! `-- --smoke` runs the 3×5 case only, asserts lockstep backend cost
-//! agreement (dense-vs-banded ≤ 1e-8, banded-vs-sharded ≤ 1e-6) and
-//! writes nothing — the CI regression gate.
+//! agreement (dense-vs-banded ≤ 1e-8, banded-vs-sharded ≤ 1e-6) and that
+//! no fault-free end-to-end window records a cold fallback, and writes
+//! nothing — the CI regression gate.
 //!
 //! `--sizes 3x5,12x24` overrides the measured fleet sizes,
 //! `--max-dense-vars N` caps the dense backend (sizes whose ΔU variable
@@ -593,6 +594,21 @@ fn run_smoke() -> Result<(), idc_core::Error> {
     for backend in BACKENDS {
         let e = measure_end_to_end(n, c, backend, false)?;
         print_e2e_row(&e);
+        // The warm repair is feasible by construction on a feasible step,
+        // so a fault-free window never pays a cold fallback. The window's
+        // first step has no previous plan to shift, but it warm-starts from
+        // the repaired all-zero point and must pass too.
+        if e.stats.cold_fallbacks > 0 {
+            return Err(idc_core::Error::Config(format!(
+                "{} warm-start rejections forced cold fallbacks in the fault-free \
+                 {}x{} {} window of {} steps",
+                e.stats.cold_fallbacks,
+                e.n,
+                e.c,
+                backend_label(backend),
+                e.steps,
+            )));
+        }
     }
     let a = lockstep_agreement(n, c);
     println!(

@@ -16,6 +16,8 @@
 //!   (possibly budget-clamped) per-IDC power reference under workload
 //!   conservation, latency/capacity and non-negativity constraints, with
 //!   the input-rate penalty that smooths power demand,
+//! * [`warm_repair`] — the receding-horizon warm-start repair that keeps
+//!   every feasible MPC step warm-started, off the phase-1 LP,
 //! * [`sharded`] — the regional decomposition of that MPC: per-shard
 //!   banded subproblems coordinated by exchange ADMM on workload
 //!   conservation and projected dual ascent on the peak-power budget,
@@ -66,3 +68,4 @@ pub mod riccati;
 pub mod sharded;
 pub mod stability;
 pub mod statespace;
+pub mod warm_repair;

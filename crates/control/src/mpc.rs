@@ -34,6 +34,7 @@ use idc_shard::shift_horizon;
 
 use crate::riccati::{self, RiccatiSkeleton};
 use crate::sharded::{ShardedSkeleton, ShardedStep, WarmRejection};
+use crate::warm_repair::{self, RepairScratch};
 
 /// Which QP backend solves the condensed problem.
 ///
@@ -384,10 +385,11 @@ pub struct WarmStateData {
 /// Stateful across steps for performance only: it caches the condensed QP
 /// skeleton (rebuilt when the problem structure changes) and warm-starts
 /// the active-set solver from the previous step's shifted `ΔU` and active
-/// set, falling back to a cold solve whenever the warm point is infeasible
-/// for the new step. The *plan itself* is a pure function of the
-/// [`MpcProblem`] — the QP is strictly convex, so warm and cold solves
-/// agree on the unique minimizer — which keeps simulations deterministic.
+/// set, repaired by [`warm_repair`] into a point feasible for the new step
+/// whenever the step itself is feasible. The *plan itself* is a pure
+/// function of the [`MpcProblem`] — the QP is strictly convex, so warm and
+/// cold solves agree on the unique minimizer — which keeps simulations
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct MpcController {
     config: MpcConfig,
@@ -405,11 +407,8 @@ pub struct MpcController {
     warm_x: Vec<f64>,
     /// Scratch: the warm point in the banded backend's cumulative y-space.
     warm_y: Vec<f64>,
-    /// Scratch for the warm-point equality repair: running per-entry and
-    /// per-IDC cumulative allocations, and the distribution weights.
-    repair_cum_entry: Vec<f64>,
-    repair_cum_idc: Vec<f64>,
-    repair_weights: Vec<f64>,
+    /// Scratch for the warm-point repair.
+    repair: RepairScratch,
     /// Scratch: the previous active set re-indexed for the shifted horizon.
     seed: Vec<usize>,
     warm_solves: usize,
@@ -464,9 +463,7 @@ impl MpcController {
             in_rhs: Vec::new(),
             warm_x: Vec::new(),
             warm_y: Vec::new(),
-            repair_cum_entry: Vec::new(),
-            repair_cum_idc: Vec::new(),
-            repair_weights: Vec::new(),
+            repair: RepairScratch::default(),
             seed: Vec::new(),
             warm_solves: 0,
             cold_solves: 0,
@@ -725,8 +722,8 @@ impl MpcController {
 
         // ---- Warm start, shared by every backend: shift the previous
         // active set and ΔU for the receding horizon, then repair the
-        // shifted point back to exact feasibility. ----
-        let has_base = self.shift_and_repair_warm(problem, &lambda0, n, c);
+        // shifted point back to feasibility. ----
+        let has_base = self.shift_and_repair_warm(problem, n, c);
 
         if matches!(
             self.cache.as_ref().expect("refreshed above").skeleton,
@@ -768,6 +765,20 @@ impl MpcController {
                         solution = Some(sol);
                     }
                     Err(_) => {
+                        // The repair is feasible by construction whenever
+                        // every stage's demand fits the fleet, so a
+                        // rejection first checks the stage totals: an
+                        // over-capacity forecast is certified infeasible
+                        // without the phase-1 LP.
+                        if warm_repair::exceeds_fleet_capacity(
+                            &self.eq_rhs,
+                            &self.in_rhs,
+                            n,
+                            c,
+                            forecast_scale(problem),
+                        ) {
+                            return Err(Error::Infeasible);
+                        }
                         warm_failed = true;
                         // Diagnose *why* the repaired point was rejected so
                         // the policy layer can stream an anomaly record —
@@ -860,11 +871,7 @@ impl MpcController {
         let threads = default_threads();
         // The relative stopping rule is anchored to the forecast magnitude:
         // conservation rows and portal sums live in req/s of workload.
-        let scale = problem
-            .workload_forecast
-            .iter()
-            .flatten()
-            .fold(0.0f64, |a, &v| a.max(v.abs()));
+        let scale = forecast_scale(problem);
         let base_power_mw: f64 = (0..n)
             .map(|j| {
                 problem.b1_mw[j] * lambda0[j] + problem.b0_mw[j] * problem.servers_on[j] as f64
@@ -948,19 +955,12 @@ impl MpcController {
     }
 
     /// Shifts the previous step's active set and `ΔU` one stage for the
-    /// receding horizon and repairs the shifted point back to exact
-    /// feasibility (capacity projection plus conservation redistribution).
-    /// Returns whether a usable previous solution existed. Shared by every
-    /// backend; with no usable base the repair builds a feasible point
-    /// from all zeros, which lets even the "cold" solve skip the phase-1
-    /// LP.
-    fn shift_and_repair_warm(
-        &mut self,
-        problem: &MpcProblem,
-        lambda0: &[f64],
-        n: usize,
-        c: usize,
-    ) -> bool {
+    /// receding horizon and repairs the shifted point back to feasibility
+    /// with [`warm_repair::repair`]. Returns whether a usable previous
+    /// solution existed. Shared by every backend; with no usable base the
+    /// repair builds a feasible point from all zeros, which lets even the
+    /// "cold" solve skip the phase-1 LP.
+    fn shift_and_repair_warm(&mut self, problem: &MpcProblem, n: usize, c: usize) -> bool {
         let beta2 = self.config.control_horizon;
         let nc = n * c;
         let nb = problem.block_size();
@@ -1005,7 +1005,7 @@ impl MpcController {
         // Receding-horizon shift: drop the applied first block,
         // hold zero change in the newly revealed final block. With
         // no usable previous solution the base is all zeros and
-        // the repair below builds a feasible point from scratch.
+        // the repair builds a feasible point from scratch.
         self.warm_x.clear();
         self.warm_x.resize(nv, 0.0);
         if let (true, Some(w)) = (has_base, &self.warm) {
@@ -1014,156 +1014,7 @@ impl MpcController {
                     .copy_from_slice(&w.delta_u[(t + 1) * nb..(t + 2) * nb]);
             }
         }
-        // Storage repair: forward-simulate each IDC's battery under the
-        // shifted rate changes and clamp to the rate and SoC boxes. The
-        // policy nets and the simulator clamps the applied rates, so the
-        // shifted plan's implied rates can sit outside the new step's
-        // boxes (and an outage zeroes the caps outright); the clamps
-        // below rewrite the Δ entries to the nearest feasible schedule.
-        if let Some(st) = &problem.storage {
-            for j in 0..n {
-                let b1 = problem.b1_mw[j];
-                let (ec, ed, dt) = (
-                    st.charge_efficiency[j],
-                    st.discharge_efficiency[j],
-                    st.dt_hours,
-                );
-                let cap = st.capacity_mwh[j];
-                let mut soc = st.soc_mwh[j].min(cap);
-                // Cumulative rate changes in req/s-equivalent units.
-                let (mut cum_gc, mut cum_gd) = (0.0, 0.0);
-                for t in 0..beta2 {
-                    let mut c_mw = (st.prev_charge_mw[j]
-                        + b1 * (cum_gc + self.warm_x[t * nb + nc + j]))
-                        .clamp(0.0, st.max_charge_mw[j]);
-                    let mut d_mw = (st.prev_discharge_mw[j]
-                        + b1 * (cum_gd + self.warm_x[t * nb + nc + n + j]))
-                        .clamp(0.0, st.max_discharge_mw[j]);
-                    // SoC upper: charge only up to full...
-                    if soc + dt * (ec * c_mw - d_mw / ed) > cap {
-                        c_mw = (((cap - soc) / dt + d_mw / ed) / ec).clamp(0.0, st.max_charge_mw[j]);
-                    }
-                    // ...SoC lower: discharge only down to empty.
-                    if soc + dt * (ec * c_mw - d_mw / ed) < 0.0 {
-                        d_mw = (ed * (soc / dt + ec * c_mw)).clamp(0.0, st.max_discharge_mw[j]);
-                    }
-                    soc = (soc + dt * (ec * c_mw - d_mw / ed)).clamp(0.0, cap);
-                    let new_cum_gc = (c_mw - st.prev_charge_mw[j]) / b1;
-                    let new_cum_gd = (d_mw - st.prev_discharge_mw[j]) / b1;
-                    self.warm_x[t * nb + nc + j] = new_cum_gc - cum_gc;
-                    self.warm_x[t * nb + nc + n + j] = new_cum_gd - cum_gd;
-                    cum_gc = new_cum_gc;
-                    cum_gd = new_cum_gd;
-                }
-            }
-        }
-        // Repair the conservation equalities exactly. The
-        // discrepancy per (step, portal) is the forecast drift
-        // since the previous solve; it is distributed across IDCs
-        // proportionally to the slack that keeps the point
-        // feasible — capacity headroom when load is added, the
-        // distance to the non-negativity floor when load is
-        // removed. If no slack fits, `warm_start`'s feasibility
-        // check rejects the point and we solve cold.
-        self.repair_cum_entry.clear();
-        self.repair_cum_entry.resize(nc, 0.0);
-        self.repair_cum_idc.clear();
-        self.repair_cum_idc.resize(n, 0.0);
-        self.repair_weights.clear();
-        self.repair_weights.resize(n, 0.0);
-        for t in 0..beta2 {
-            for j in 0..n {
-                for i in 0..c {
-                    let v = self.warm_x[t * nb + j * c + i];
-                    self.repair_cum_entry[j * c + i] += v;
-                    self.repair_cum_idc[j] += v;
-                }
-            }
-            // Capacity projection: the slow loop may have turned
-            // servers off since the previous solve, leaving the
-            // shifted point above an IDC's shrunken capacity. Pull
-            // the excess off that IDC's entries (limited by their
-            // non-negativity slack); the equality repair below
-            // re-routes it to IDCs that still have headroom.
-            for j in 0..n {
-                let excess = self.repair_cum_idc[j] - (problem.capacities[j] - lambda0[j]);
-                if excess <= 0.0 {
-                    continue;
-                }
-                let slack_total: f64 = (0..c)
-                    .map(|i| {
-                        (self.repair_cum_entry[j * c + i] + problem.prev_input[j * c + i]).max(0.0)
-                    })
-                    .sum();
-                if slack_total <= 0.0 {
-                    continue;
-                }
-                let take = excess.min(slack_total);
-                for i in 0..c {
-                    let slack =
-                        (self.repair_cum_entry[j * c + i] + problem.prev_input[j * c + i]).max(0.0);
-                    let red = take * slack / slack_total;
-                    self.warm_x[t * nb + j * c + i] -= red;
-                    self.repair_cum_entry[j * c + i] -= red;
-                    self.repair_cum_idc[j] -= red;
-                }
-            }
-            for i in 0..c {
-                let cum_i: f64 = (0..n).map(|j| self.repair_cum_entry[j * c + i]).sum();
-                let d = self.eq_rhs[t * c + i] - cum_i;
-                if d == 0.0 {
-                    continue;
-                }
-                let mut total = 0.0;
-                for j in 0..n {
-                    let floor_dist =
-                        self.repair_cum_entry[j * c + i] + problem.prev_input[j * c + i];
-                    let slack = if d > 0.0 {
-                        // Keep entries sitting on their
-                        // non-negativity floor exactly there — the
-                        // MPC optimum is sparse and disturbing a
-                        // bound the seeded active set relies on
-                        // costs the solver one iteration per
-                        // constraint to re-discover.
-                        if floor_dist > 1e-6 {
-                            problem.capacities[j] - lambda0[j] - self.repair_cum_idc[j]
-                        } else {
-                            0.0
-                        }
-                    } else {
-                        floor_dist
-                    };
-                    self.repair_weights[j] = slack.max(0.0);
-                    total += self.repair_weights[j];
-                }
-                if d > 0.0 && total < d {
-                    // The already-serving IDCs cannot absorb the full
-                    // addition — distributing `d` over less than `d` of
-                    // headroom would overshoot a capacity face and poison
-                    // the warm point into a silent cold fallback. Spread
-                    // over *all* remaining capacity instead, accepting the
-                    // weaker seed to stay feasible.
-                    total = 0.0;
-                    for j in 0..n {
-                        self.repair_weights[j] =
-                            (problem.capacities[j] - lambda0[j] - self.repair_cum_idc[j]).max(0.0);
-                        total += self.repair_weights[j];
-                    }
-                }
-                if total <= 0.0 {
-                    // No slack anywhere: the step is near-infeasible
-                    // and the cold path should handle it.
-                    self.repair_weights.iter_mut().for_each(|w| *w = 1.0);
-                    total = n as f64;
-                }
-                for j in 0..n {
-                    let add = d * self.repair_weights[j] / total;
-                    self.warm_x[t * nb + j * c + i] += add;
-                    self.repair_cum_entry[j * c + i] += add;
-                    self.repair_cum_idc[j] += add;
-                }
-            }
-        }
+        warm_repair::repair(problem, &mut self.warm_x, &mut self.repair);
         has_base
     }
 
@@ -1482,6 +1333,16 @@ impl MpcController {
     }
 }
 
+/// The largest forecast magnitude (req/s): the scale of the conservation
+/// rows and portal sums, anchoring workload-relative tolerances.
+fn forecast_scale(problem: &MpcProblem) -> f64 {
+    problem
+        .workload_forecast
+        .iter()
+        .flatten()
+        .fold(0.0f64, |a, &v| a.max(v.abs()))
+}
+
 /// The SoC drift the previous rates alone would cause through the end of
 /// stage `t` (MWh): the constant part of the stored-energy expression that
 /// moves into the SoC rows' right-hand sides.
@@ -1737,6 +1598,7 @@ impl MpcPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// One portal with 10 000 req/s, two IDCs. IDC 0: µ=2-ish parameters,
     /// IDC 1 cheaper reference target.
@@ -2014,7 +1876,7 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_warm_start_falls_back_to_cold() {
+    fn overridden_input_still_warm_starts() {
         let mut controller = MpcController::new(MpcConfig::default());
         let mut problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
         let plan = controller.plan(&problem).unwrap();
@@ -2023,20 +1885,56 @@ mod tests {
         // The caller overrides the input state externally (the policy's
         // emergency fallback does exactly this). The remembered ΔU tail
         // keeps draining IDC 0, but IDC 0 now holds nothing, so the
-        // shifted warm point violates non-negativity — a violation the
-        // equality repair cannot see. The controller must reject the warm
-        // point and still produce a valid plan via the cold path.
+        // shifted point dips below the non-negativity floor. The repair
+        // clips it and re-routes the workload, so the step stays warm.
         problem.prev_input = vec![0.0, 10_000.0];
         let plan = controller.plan(&problem).unwrap();
-        assert!(!plan.warm_started(), "warm point should have been rejected");
+        assert!(plan.warm_started(), "the repaired point must be accepted");
+        assert!(plan.warm_rejections().is_empty());
+        assert_eq!(controller.solve_stats().cold_fallbacks, 0);
+        let cold = MpcController::new(MpcConfig::default())
+            .plan_cold(&problem)
+            .unwrap();
+        for (a, b) in plan.next_input().iter().zip(cold.next_input()) {
+            assert!((a - b).abs() <= 1e-6, "{a} vs {b}");
+        }
         let total: f64 = plan.next_input().iter().sum();
         assert!((total - 10_000.0).abs() < 1e-6, "total {total}");
         assert!(plan.next_input().iter().all(|&u| u >= 0.0));
+    }
 
-        // And the *next* step warm-starts again off the recovered state.
-        problem.prev_input = plan.next_input().to_vec();
+    #[test]
+    fn over_capacity_forecast_is_certified_without_the_lp() {
+        let mut controller = MpcController::new(MpcConfig::default());
+        let mut problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
         let plan = controller.plan(&problem).unwrap();
-        assert!(plan.warm_started(), "recovery step should warm start");
+        problem.prev_input = plan.next_input().to_vec();
+
+        // Stage 1 asks for more than the 26 500 req/s the fleet can serve.
+        // The stage totals certify the infeasibility: no cold solve (and
+        // so no phase-1 LP) runs.
+        let mut infeasible = problem.clone();
+        infeasible.workload_forecast[1] = vec![30_000.0];
+        let recorder = Arc::new(idc_obs::FlightRecorder::new(1024));
+        idc_obs::bind_thread_recorder(Some(Arc::clone(&recorder)));
+        let res = controller.plan(&infeasible);
+        idc_obs::bind_thread_recorder(None);
+        assert!(matches!(res, Err(Error::Infeasible)), "{res:?}");
+        let spans: Vec<String> = recorder
+            .snapshot()
+            .into_iter()
+            .map(|e| e.name.into())
+            .collect();
+        assert!(spans.iter().any(|s| s == "mpc.solve.warm"), "{spans:?}");
+        assert!(!spans.iter().any(|s| s == "mpc.solve.cold"), "{spans:?}");
+        assert_eq!(controller.solve_stats().cold_fallbacks, 0);
+
+        // The next feasible step plans normally, warm from the last plan.
+        let plan = controller.plan(&problem).unwrap();
+        assert!(plan.warm_started());
+        assert!(plan.warm_rejections().is_empty());
+        let total: f64 = plan.next_input().iter().sum();
+        assert!((total - 10_000.0).abs() < 1e-6, "total {total}");
     }
 
     #[test]

@@ -59,6 +59,7 @@ use idc_opt::{Error, Result};
 use idc_shard::{run_shards, ExchangeConsensus, OuterStats, Partition, PeakDual};
 
 use crate::mpc::{MpcConfig, MpcProblem};
+use crate::warm_repair;
 
 /// Worst per-family constraint violations of a rejected warm-start point.
 ///
@@ -889,17 +890,10 @@ impl ShardedSkeleton {
         );
         assert_eq!(step.warm_y.len(), beta2 * nc, "warm point length");
 
-        // Aggregate feasibility: with every portal routable to every IDC,
-        // the stage-t transportation problem is feasible exactly when the
-        // total demand fits the total capacity (the prev-input terms cancel
-        // between the y-space rhs families). This is the same verdict the
-        // monolithic phase-1 LP reaches, caught before any rounds run.
-        for t in 0..beta2 {
-            let demand: f64 = step.eq_rhs[t * c..(t + 1) * c].iter().sum();
-            let capacity: f64 = step.in_rhs[t * n..(t + 1) * n].iter().sum();
-            if demand > capacity + 1e-7 * step.scale.max(1.0) {
-                return Err(Error::Infeasible);
-            }
+        // Aggregate feasibility, caught before any rounds run: the same
+        // stage-total certificate the monolithic backends use.
+        if warm_repair::exceeds_fleet_capacity(step.eq_rhs, step.in_rhs, n, c, step.scale) {
+            return Err(Error::Infeasible);
         }
 
         // A previous solve that errored out mid-adaptation may have left

@@ -6,6 +6,7 @@ use idc_control::mpc::{MpcConfig, MpcController, MpcProblem, StorageProblem, War
 use idc_control::reference::{
     optimal_reference, price_greedy_reference, ReferenceSolution, ReferenceSolver,
 };
+use idc_control::sharded::WarmRejection;
 use idc_datacenter::allocation::Allocation;
 use idc_datacenter::idc::IdcConfig;
 use idc_datacenter::sleep::SleepController;
@@ -1216,19 +1217,7 @@ impl MpcPolicy {
             Ok(plan) => {
                 self.note_iteration_spike(ctx.step, plan.qp_iterations());
                 for r in plan.warm_rejections() {
-                    // A warm step paid a cold shard solve: always explain
-                    // why in the anomaly log (satellite contract — never a
-                    // silent cold fallback).
-                    idc_obs::record_anomaly(
-                        "warm_start_rejected",
-                        ctx.step as u64,
-                        &[
-                            ("shard", r.shard as f64),
-                            ("conservation", r.conservation),
-                            ("capacity", r.capacity),
-                            ("nonnegativity", r.nonnegativity),
-                        ],
-                    );
+                    record_warm_rejection(ctx.step as u64, r);
                 }
                 let u = plan.next_input().to_vec();
                 let allocation = Allocation::from_control_vector(c, n, &u)
@@ -1278,6 +1267,23 @@ impl MpcPolicy {
             Err(e) => Err(e.into()),
         }
     }
+}
+
+/// Streams a `warm_start_rejected` anomaly record: a warm step paid a cold
+/// solve, so the log always says why — the worst violation of every
+/// constraint family the repaired point missed.
+fn record_warm_rejection(step: u64, r: &WarmRejection) {
+    idc_obs::record_anomaly(
+        "warm_start_rejected",
+        step,
+        &[
+            ("shard", r.shard as f64),
+            ("conservation", r.conservation),
+            ("capacity", r.capacity),
+            ("nonnegativity", r.nonnegativity),
+            ("storage", r.storage),
+        ],
+    );
 }
 
 #[cfg(test)]
@@ -1638,5 +1644,38 @@ mod tests {
             .unwrap()
             .name()
             .contains("MPC"));
+    }
+
+    #[test]
+    fn warm_rejection_record_carries_the_storage_violation() {
+        let path =
+            std::env::temp_dir().join(format!("idc-warm-rejection-{}.jsonl", std::process::id()));
+        idc_obs::set_anomaly_log(&path).expect("temp anomaly log");
+        // A step number no other test in this process records at.
+        let step = 9_876_543;
+        record_warm_rejection(
+            step,
+            &WarmRejection {
+                shard: 0,
+                conservation: 0.0,
+                capacity: 0.0,
+                nonnegativity: 0.0,
+                storage: 0.125,
+            },
+        );
+        let log = std::fs::read_to_string(&path).expect("anomaly log readable");
+        let _ = std::fs::remove_file(&path);
+        let line = log
+            .lines()
+            .find(|l| {
+                l.contains("\"warm_start_rejected\"") && l.contains(&format!("\"step\":{step},"))
+            })
+            .expect("rejection record written");
+        let value = line
+            .split("\"storage\":")
+            .nth(1)
+            .and_then(|rest| rest.split([',', '}']).next())
+            .expect("storage field present");
+        assert_eq!(value.parse::<f64>().unwrap(), 0.125, "{line}");
     }
 }

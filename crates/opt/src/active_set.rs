@@ -19,8 +19,10 @@ use crate::{Error, Result};
 pub(crate) const TOL: f64 = 1e-8;
 
 /// Tolerance used to accept caller-supplied starting points and to decide
-/// which seeded constraints are still active at a warm-start point.
-pub(crate) const WARM_TOL: f64 = 1e-6;
+/// which seeded constraints are still active at a warm-start point. A
+/// warm point is accepted when every constraint holds within
+/// `WARM_TOL·(1 + ‖x‖∞)`.
+pub const WARM_TOL: f64 = 1e-6;
 
 /// Consecutive degenerate (zero-length, blocked) steps tolerated before the
 /// drop rule switches from Dantzig's most-negative multiplier to Bland's

@@ -470,9 +470,12 @@ impl BandedQp {
     }
 
     /// Phase 1: densifies the sparse rows and finds any feasible point via
-    /// the same split-variable LP the dense solver uses. Cold starts are
-    /// rare (once per problem-structure change), so the densification cost
-    /// is irrelevant.
+    /// the same split-variable LP the dense solver uses. The densified
+    /// tableau is large (about 6 MB at 768 variables), so this is a
+    /// last-resort path: the MPC controller warm-starts every feasible step
+    /// from a repaired point and certifies over-capacity steps from their
+    /// stage totals. On the `perfbench` workloads (`fleet_8x16`,
+    /// `paper_days`, `daemon_64`; seeds 1 and 2012) it runs on no step.
     fn find_feasible_point(&self) -> Result<Vec<f64>> {
         let n = self.num_vars();
         let mut lp = LinearProgram::minimize(vec![1.0; 2 * n]);

@@ -45,6 +45,7 @@ pub mod lsq;
 pub mod projgrad;
 pub mod qp;
 
+pub use active_set::WARM_TOL;
 pub use error::Error;
 pub use idc_obs::SolveStats;
 

