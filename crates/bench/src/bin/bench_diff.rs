@@ -12,9 +12,11 @@
 //! the two files; the comparison metrics are `warm_ms` for `single_step`
 //! rows, `warm_ms_per_step` for `end_to_end` and `storage_end_to_end`
 //! rows (warm solves are the steady-state cost of the controller, so
-//! they are what CI guards) and `solve_stats.iterations_per_step` of the
-//! same rows — iteration count is hardware-independent, so it catches
-//! active-set regressions that shared-runner timing noise would hide.
+//! they are what CI guards) and three hardware-free `solve_stats`
+//! counters of the same rows — `iterations_per_step`,
+//! `refinement_passes_per_step` and `refactorizations_per_step` — which
+//! catch active-set and factor-stability regressions that shared-runner
+//! timing noise would hide.
 //! Storage rows carry a ` +storage` key suffix so they never collide
 //! with the plain row at the same size and backend.
 //! `BENCH_runtime.json` documents (schema `bench.runtime.v1`, written by
@@ -24,7 +26,7 @@
 //! every other timing row); all are gated by `--threshold`.
 //! A row regresses when `current > baseline * (1 + threshold)`; both
 //! thresholds are relative (`--threshold`, default 0.10 = 10%, gates the
-//! timing rows; `--iters-threshold`, default 0.25, gates the iteration
+//! timing rows; `--iters-threshold`, default 0.25, gates the counter
 //! rows). Improvements and rows present on only one side are reported
 //! but never gated on.
 //!
@@ -34,8 +36,17 @@
 
 use serde::Value;
 
+/// The hardware-free `solve_stats` counters of the end-to-end rows, as
+/// `(table, key)`; each is gated at `--iters-threshold`.
+const COUNTER_GATES: [(&str, &str); 3] = [
+    ("iterations", "iterations_per_step"),
+    ("refinements", "refinement_passes_per_step"),
+    ("refactorizations", "refactorizations_per_step"),
+];
+
 /// A comparable row: table name, key, and the compared metric (warm
-/// wall-clock for the timing tables, a per-step count for `iterations`).
+/// wall-clock for the timing tables, a per-step count for the
+/// [`COUNTER_GATES`] tables).
 struct Row {
     table: &'static str,
     key: String,
@@ -46,10 +57,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench_diff BASELINE.json CURRENT.json [--threshold F] \
          [--iters-threshold F] [--warn-only]\n\
-         \x20 compares warm-step timings and iterations-per-step row by row;\n\
-         \x20 exits 1 when any timing row regresses by more than --threshold\n\
-         \x20 (default 0.10) or any iteration row by more than --iters-threshold\n\
-         \x20 (default 0.25), both relative"
+         \x20 compares warm-step timings and per-step solver counters (iterations,\n\
+         \x20 refinement passes, refactorizations) row by row; exits 1 when any\n\
+         \x20 timing row regresses by more than --threshold (default 0.10) or any\n\
+         \x20 counter row by more than --iters-threshold (default 0.25), both relative"
     );
     std::process::exit(2);
 }
@@ -115,17 +126,17 @@ fn rows(doc: &Value) -> Vec<Row> {
                 key.push_str(" +storage");
             }
             // The end-to-end rows carry nested solver introspection; gate
-            // on iterations per step too — it is hardware-independent, so
-            // it catches active-set regressions that timing noise hides.
-            if metric == "warm_ms_per_step" {
-                if let Some(iters) = item
-                    .get("solve_stats")
-                    .and_then(|stats| number(stats, "iterations_per_step"))
-                {
+            // its counters too — they are hardware-independent, so they
+            // catch solver regressions that timing noise hides.
+            let stats = item
+                .get("solve_stats")
+                .filter(|_| metric == "warm_ms_per_step");
+            for (counter, field) in COUNTER_GATES {
+                if let Some(count) = stats.and_then(|stats| number(stats, field)) {
                     out.push(Row {
-                        table: "iterations",
+                        table: counter,
                         key: key.clone(),
-                        warm_ms: iters,
+                        warm_ms: count,
                     });
                 }
             }
@@ -213,12 +224,12 @@ fn main() {
 
     println!(
         "## bench_diff — {baseline_path} -> {current_path} \
-         (timing threshold {:.0}%, iterations threshold {:.0}%)",
+         (timing threshold {:.0}%, counter threshold {:.0}%)",
         100.0 * threshold,
         100.0 * iters_threshold
     );
     println!(
-        "{:<12} {:<28} {:>12} {:>12} {:>9} {:>10}",
+        "{:<16} {:<28} {:>12} {:>12} {:>9} {:>10}",
         "table", "row", "base ms", "cur ms", "change", "status"
     );
     let mut regressions = 0usize;
@@ -228,7 +239,7 @@ fn main() {
             .find(|r| r.table == base_row.table && r.key == base_row.key)
         else {
             println!(
-                "{:<12} {:<28} {:>12.3} {:>12} {:>9} {:>10}",
+                "{:<16} {:<28} {:>12.3} {:>12} {:>9} {:>10}",
                 base_row.table, base_row.key, base_row.warm_ms, "-", "-", "MISSING"
             );
             continue;
@@ -238,7 +249,7 @@ fn main() {
         } else {
             0.0
         };
-        let row_threshold = if base_row.table == "iterations" {
+        let row_threshold = if COUNTER_GATES.iter().any(|&(t, _)| t == base_row.table) {
             iters_threshold
         } else {
             threshold
@@ -252,7 +263,7 @@ fn main() {
             "ok"
         };
         println!(
-            "{:<12} {:<28} {:>12.3} {:>12.3} {:>+8.1}% {:>10}",
+            "{:<16} {:<28} {:>12.3} {:>12.3} {:>+8.1}% {:>10}",
             base_row.table,
             base_row.key,
             base_row.warm_ms,
@@ -267,7 +278,7 @@ fn main() {
             .any(|r| r.table == cur_row.table && r.key == cur_row.key)
         {
             println!(
-                "{:<12} {:<28} {:>12} {:>12.3} {:>9} {:>10}",
+                "{:<16} {:<28} {:>12} {:>12.3} {:>9} {:>10}",
                 cur_row.table, cur_row.key, "-", cur_row.warm_ms, "-", "NEW"
             );
         }
@@ -285,6 +296,40 @@ fn main() {
             std::process::exit(1);
         }
     } else {
-        println!("bench_diff: no warm-step or iteration regressions");
+        println!("bench_diff: no warm-step or solver-counter regressions");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn end_to_end_rows_yield_timing_and_every_counter_gate() {
+        let doc: Value = serde_json::from_str(
+            r#"{"end_to_end": [{"idcs": 8, "portals": 15, "backend": "banded",
+                "warm_ms_per_step": 12.5,
+                "solve_stats": {"iterations_per_step": 23.5,
+                    "refinement_passes_per_step": 24.0,
+                    "refactorizations_per_step": 1.0}}],
+               "single_step": [{"idcs": 8, "portals": 15, "backend": "banded",
+                "warm_ms": 3.0, "solve_stats": {"iterations_per_step": 9.0}}]}"#,
+        )
+        .unwrap();
+        let found: Vec<(&str, String, f64)> = rows(&doc)
+            .into_iter()
+            .map(|r| (r.table, r.key, r.warm_ms))
+            .collect();
+        let key = "8x15 banded".to_string();
+        assert_eq!(
+            found,
+            vec![
+                ("single_step", key.clone(), 3.0),
+                ("iterations", key.clone(), 23.5),
+                ("refinements", key.clone(), 24.0),
+                ("refactorizations", key.clone(), 1.0),
+                ("end_to_end", key, 12.5),
+            ]
+        );
     }
 }

@@ -6,6 +6,7 @@
 //! as a side effect.
 
 use crate::gemm::gemm_ws;
+use crate::simd::{dispatch, Kernels};
 use crate::workspace::Workspace;
 use crate::{Error, Matrix, Result};
 
@@ -130,7 +131,10 @@ impl Cholesky {
 ///
 /// Storage is a packed row-major lower triangle (`row i` occupies
 /// `i·(i+1)/2 .. i·(i+1)/2 + i + 1`), so no O(n²) dense buffer is touched on
-/// append.
+/// append, and both triangular solves stream contiguous packed rows: the
+/// forward solve as row dots, the backward solve as a row sweep
+/// `x[..i] −= xᵢ·L[i, ..i]`. Both run on the [`simd`](crate::simd) dot/axpy
+/// kernels, with the AVX2 or portable path picked once per solve.
 #[derive(Debug, Clone, Default)]
 pub struct UpdatableCholesky {
     n: usize,
@@ -177,14 +181,7 @@ impl UpdatableCholesky {
         assert_eq!(col.len(), n + 1, "append column has wrong length");
         self.w.clear();
         self.w.extend_from_slice(&col[..n]);
-        for i in 0..n {
-            let row = &self.l[i * (i + 1) / 2..];
-            let mut acc = self.w[i];
-            for j in 0..i {
-                acc -= row[j] * self.w[j];
-            }
-            self.w[i] = acc / row[i];
-        }
+        forward_packed(&self.l, &mut self.w);
         let d2 = col[n] - self.w.iter().map(|v| v * v).sum::<f64>();
         if d2 <= 0.0 || d2 <= 1e-12 * col[n].abs() {
             return Err(Error::NotPositiveDefinite);
@@ -238,14 +235,7 @@ impl UpdatableCholesky {
             let off = j * n + j * (j + 1) / 2;
             let row = &mut b[j * n..(j + 1) * n];
             row.copy_from_slice(&cols[off..off + n]);
-            for i in 0..n {
-                let lrow = &self.l[i * (i + 1) / 2..];
-                let mut acc = row[i];
-                for p in 0..i {
-                    acc -= lrow[p] * row[p];
-                }
-                row[i] = acc / lrow[i];
-            }
+            forward_packed(&self.l, row);
         }
         // Schur complement S22 − L21·L21ᵀ via GEMM (upper triangle of the
         // scratch is written by GEMM but never read below).
@@ -356,29 +346,50 @@ impl UpdatableCholesky {
     }
 
     /// Solves `A·x = b` in place (`x` holds `b` on entry, the solution on
-    /// exit).
+    /// exit): forward substitution by row dots, then the backward solve as a
+    /// row sweep over the packed rows of `L`.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn solve_in_place(&self, x: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(x.len(), n, "dimension mismatch");
-        for i in 0..n {
-            let row = &self.l[i * (i + 1) / 2..];
-            let mut acc = x[i];
-            for j in 0..i {
-                acc -= row[j] * x[j];
-            }
-            x[i] = acc / row[i];
-        }
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in i + 1..n {
-                acc -= self.l[j * (j + 1) / 2 + i] * x[j];
-            }
-            x[i] = acc / self.l[i * (i + 1) / 2 + i];
-        }
+        assert_eq!(x.len(), self.n, "dimension mismatch");
+        solve_packed(&self.l, x);
+    }
+}
+
+dispatch! {
+    /// Forward substitution `L·y = b` in place against the leading
+    /// `x.len()` rows of a packed row-major lower factor.
+    fn forward_packed(l: &[f64], x: &mut [f64]) => forward_with
+}
+
+dispatch! {
+    /// Both triangular solves of `L·Lᵀ·x = b` in place, under one dispatch.
+    fn solve_packed(l: &[f64], x: &mut [f64]) => solve_with
+}
+
+/// Forward substitution as row dots: `xᵢ = (bᵢ − L[i, ..i]·x[..i]) / Lᵢᵢ`.
+#[inline(always)]
+fn forward_with<K: Kernels>(k: K, l: &[f64], x: &mut [f64]) {
+    for i in 0..x.len() {
+        let row = &l[i * (i + 1) / 2..][..=i];
+        let (done, rest) = x.split_at_mut(i);
+        rest[0] = (rest[0] - k.dot(&row[..i], done)) / row[i];
+    }
+}
+
+/// `L·y = b`, then `Lᵀ·x = y` as a row sweep: once `xᵢ` is final, its
+/// contribution `xᵢ·L[i, ..i]` leaves the entries above it in one axpy over
+/// the contiguous packed row (no strided column walk).
+#[inline(always)]
+fn solve_with<K: Kernels>(k: K, l: &[f64], x: &mut [f64]) {
+    forward_with(k, l, x);
+    for i in (0..x.len()).rev() {
+        let row = &l[i * (i + 1) / 2..][..=i];
+        let (above, rest) = x.split_at_mut(i);
+        rest[0] /= row[i];
+        k.axpy(-rest[0], &row[..i], above);
     }
 }
 
@@ -533,6 +544,76 @@ mod tests {
             up.solve_in_place(&mut x);
             let expect = Cholesky::factor(&a).unwrap().solve(&b).unwrap();
             assert!(vec_ops::approx_eq(&x, &expect, 1e-9), "split={split}");
+        }
+    }
+
+    /// Random append / blocked-append / interior-remove sequences ending at
+    /// dimension `m`, checked against a fresh dense factor of the surviving
+    /// principal submatrix. The sizes straddle the 16- and 4-wide kernel
+    /// blocks and their tails.
+    #[test]
+    fn mutated_factor_solves_match_dense_factor() {
+        let mut seed = 0x50_1ceu64;
+        let mut ws = Workspace::new();
+        for m in [1usize, 3, 16, 17, 64, 200] {
+            let pool = m + 12;
+            let a = random_spd(pool, &mut seed);
+            let mut up = UpdatableCholesky::new();
+            // `order[r]` is the row of `a` held in factor row `r`.
+            let mut order: Vec<usize> = Vec::new();
+            let mut unused: Vec<usize> = (0..pool).rev().collect();
+            let append_rows = |up: &mut UpdatableCholesky,
+                               order: &mut Vec<usize>,
+                               new: &[usize],
+                               ws: &mut Workspace| {
+                let mut cols = Vec::new();
+                for (j, &gi) in new.iter().enumerate() {
+                    let prefix = order.iter().chain(&new[..=j]);
+                    cols.extend(prefix.map(|&gj| a[(gi, gj)]));
+                }
+                if new.len() == 1 {
+                    up.append(&cols).unwrap();
+                } else {
+                    up.append_block(new.len(), &cols, ws).unwrap();
+                }
+                order.extend_from_slice(new);
+            };
+            for _ in 0..3 * m + 4 {
+                let op = (pseudo(&mut seed).abs() * 3.0) as usize;
+                if op == 2 && !order.is_empty() {
+                    let pos = ((pseudo(&mut seed).abs() * order.len() as f64) as usize)
+                        .min(order.len() - 1);
+                    up.remove(pos);
+                    unused.push(order.remove(pos));
+                } else if !unused.is_empty() {
+                    let want = if op == 1 { 1 + (m / 4).max(1) } else { 1 };
+                    let k = want.min(unused.len());
+                    let new: Vec<usize> = unused.split_off(unused.len() - k);
+                    append_rows(&mut up, &mut order, &new, &mut ws);
+                }
+            }
+            while order.len() > m {
+                up.remove(0);
+                unused.push(order.remove(0));
+            }
+            while order.len() < m {
+                let new = vec![unused.pop().unwrap()];
+                append_rows(&mut up, &mut order, &new, &mut ws);
+            }
+            assert_eq!(up.dim(), m);
+            let reduced = Matrix::from_fn(m, m, |i, j| a[(order[i], order[j])]);
+            let b: Vec<f64> = (0..m).map(|_| pseudo(&mut seed)).collect();
+            let mut x = b.clone();
+            up.solve_in_place(&mut x);
+            let expect = Cholesky::factor(&reduced).unwrap().solve(&b).unwrap();
+            let err = x
+                .iter()
+                .zip(&expect)
+                .fold(0.0f64, |e, (u, v)| e.max((u - v).abs()));
+            assert!(
+                err <= 1e-10 * vec_ops::norm_inf(&expect),
+                "m={m}: max error {err:.3e}"
+            );
         }
     }
 

@@ -16,6 +16,7 @@
 //! zero-padded during packing and written back partially, so arbitrary shapes
 //! (including non-multiples of the 4×8 tile) are supported.
 
+use crate::simd::avx2_available;
 use crate::workspace::Workspace;
 
 /// Rows per microkernel tile.
@@ -231,22 +232,6 @@ fn kernel_4x8_portable(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR
     acc[NR..2 * NR].copy_from_slice(&c1);
     acc[2 * NR..3 * NR].copy_from_slice(&c2);
     acc[3 * NR..4 * NR].copy_from_slice(&c3);
-}
-
-fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -12,7 +12,10 @@
 //! * the scaling-and-squaring [Padé matrix exponential](expm::expm) used for
 //!   zero-order-hold discretization of the continuous-time cost model
 //!   (`Φ = e^{A·Ts}`, paper eq. 23–25),
-//! * rank / norm utilities used by the controllability test of Sec. IV-C.
+//! * rank / norm utilities used by the controllability test of Sec. IV-C,
+//! * runtime-dispatched AVX2+FMA [`dot`/`axpy` kernels](simd) behind the
+//!   GEMM microkernel's feature check, which the working-set Cholesky
+//!   solves of the active-set QP loop run on.
 //!
 //! The crate is dependency-free and deterministic; all routines operate on
 //! `f64`.
@@ -43,6 +46,7 @@ pub mod lu;
 mod matrix;
 pub mod par;
 pub mod qr;
+pub mod simd;
 pub mod vec_ops;
 pub mod workspace;
 

@@ -19,7 +19,8 @@
 //!    *incrementally* under working-set changes via [`UpdatableCholesky`] —
 //!    O(m²) per add / drop instead of the O(m³) per-iteration refactor of
 //!    the dense path, and
-//! 3. ratio tests and right-hand sides use sparse row dots.
+//! 3. ratio tests, right-hand sides and the refinement residual `C_W·p`
+//!    use sparse row dots.
 //!
 //! The outer iteration is the exact same shared [`active_set`] loop the
 //! dense backend uses, so warm-start seeding, Dantzig/Bland switching and
@@ -29,7 +30,7 @@
 use idc_linalg::banded::{BlockTridiag, BlockTridiagChol};
 use idc_linalg::cholesky::UpdatableCholesky;
 use idc_linalg::workspace::Workspace;
-use idc_linalg::{vec_ops, Matrix};
+use idc_linalg::{simd, vec_ops, Matrix};
 
 use crate::active_set::{self, ActiveSetOps, WARM_TOL};
 use crate::linprog::LinearProgram;
@@ -104,12 +105,13 @@ pub struct BandedQpWorkspace {
     srhs: Vec<f64>,
     /// Multipliers.
     lam: Vec<f64>,
-    /// Refinement residual / correction scratch.
+    /// Refinement residual `C_W·p`, solved in place into the correction.
     resid: Vec<f64>,
     /// Gather buffer for a new factor row.
     col: Vec<f64>,
     /// Global constraint index of each working-system row, rebuilt once per
-    /// KKT step so the O(m²) gathers below skip the per-element mapping.
+    /// KKT step so the row sweeps and residual dots skip the per-element
+    /// mapping.
     cols: Vec<usize>,
     /// Working set buffer, reused across solves.
     working: Vec<usize>,
@@ -603,24 +605,31 @@ impl BandedOps<'_> {
         Ok(poison)
     }
 
-    /// One pass of iterative refinement of `lam` against the unfactored
-    /// Schur entries; returns `‖correction‖∞`.
-    fn refine_lambda(&mut self, m: usize) -> f64 {
+    /// Solves the working system from the current factor: `λ = S_W⁻¹·srhs`
+    /// and `p = t − Y_Wᵀλ` into `sol[..n]`, then one pass of iterative
+    /// refinement. The residual is taken from the step as `r = C_W·p`
+    /// (sparse row dots, O(nnz)); since `C_W·Y_Wᵀ = S_W`, it equals
+    /// `srhs − S_W·λ` without touching the m×m Schur block. The correction
+    /// `δ = S_W⁻¹·r` updates both `λ += δ` and `p −= Y_Wᵀδ`. Returns `‖δ‖∞`.
+    fn solve_refined(&mut self, sol: &mut Vec<f64>) -> f64 {
         let cache = self.qp.cache.as_ref().expect("prepared by warm_start");
-        self.ws.resid.clear();
-        for r in 0..m {
-            let srow = cache.s.row(self.ws.cols[r]);
-            let mut acc = self.ws.srhs[r];
-            for (&gq, &lq) in self.ws.cols.iter().zip(&self.ws.lam) {
-                acc -= srow[gq] * lq;
-            }
-            self.ws.resid.push(acc);
-        }
-        self.ws.factor.solve_in_place(&mut self.ws.resid);
-        for (l, &d) in self.ws.lam.iter_mut().zip(&self.ws.resid) {
+        let ws = &mut *self.ws;
+        ws.lam.clear();
+        ws.lam.extend_from_slice(&ws.srhs);
+        ws.factor.solve_in_place(&mut ws.lam);
+        sol.clear();
+        sol.extend_from_slice(&ws.t);
+        simd::axpy_rows(-1.0, &cache.yt, &ws.cols, &ws.lam, sol);
+        ws.resid.clear();
+        ws.resid
+            .extend(ws.cols.iter().map(|&gr| self.qp.crow(gr).dot(sol)));
+        ws.factor.solve_in_place(&mut ws.resid);
+        for (l, &d) in ws.lam.iter_mut().zip(&ws.resid) {
             *l += d;
         }
-        vec_ops::norm_inf(&self.ws.resid)
+        simd::axpy_rows(-1.0, &cache.yt, &ws.cols, &ws.resid, sol);
+        ws.refinements += 1;
+        vec_ops::norm_inf(&ws.resid)
     }
 }
 
@@ -686,10 +695,7 @@ impl ActiveSetOps for BandedOps<'_> {
     }
 
     fn kkt_step(&mut self, x: &[f64], working: &[usize], sol: &mut Vec<f64>) -> Result<()> {
-        let n = self.qp.num_vars();
-        let me = self.qp.a_eq.len();
-        let m = me + working.len();
-        let cache = self.qp.cache.as_ref().expect("prepared by warm_start");
+        let m = self.qp.a_eq.len() + working.len();
         // t = H̃⁻¹(−(Hx + g)) = −x − H̃⁻¹g, with H̃⁻¹g precomputed in
         // `begin` — no Hessian multiply or banded solve per iteration.
         self.ws.t.clear();
@@ -713,14 +719,10 @@ impl ActiveSetOps for BandedOps<'_> {
                 .srhs
                 .push(self.qp.crow(self.ws.cols[r]).dot(&self.ws.t));
         }
-        // λ from the incrementally maintained factor, plus one step of
-        // iterative refinement against the unfactored Schur entries — same
-        // conditioning safeguard as the dense path.
-        self.ws.lam.clear();
-        self.ws.lam.extend_from_slice(&self.ws.srhs);
-        self.ws.factor.solve_in_place(&mut self.ws.lam);
-        let correction = self.refine_lambda(m);
-        self.ws.refinements += 1;
+        // λ and p from the incrementally maintained factor, plus one step
+        // of iterative refinement against the residual of the step itself —
+        // same conditioning safeguard as the dense path.
+        let correction = self.solve_refined(sol);
         // Stability rebuild: a large correction means the up/downdated
         // factor has drifted from the true working block. Rebuild from
         // scratch and re-solve (once per KKT step). A poisoned build
@@ -730,22 +732,7 @@ impl ActiveSetOps for BandedOps<'_> {
         if poisoned || correction > REBUILD_TOL * (1.0 + vec_ops::norm_inf(&self.ws.lam)) {
             self.ws.factor.clear();
             self.ensure_factor(working)?;
-            self.ws.lam.clear();
-            self.ws.lam.extend_from_slice(&self.ws.srhs);
-            self.ws.factor.solve_in_place(&mut self.ws.lam);
-            self.refine_lambda(m);
-            self.ws.refinements += 1;
-        }
-        // p = t − Y_Rᵀλ, accumulated over contiguous rows of Yᵀ.
-        sol.extend_from_slice(&self.ws.t);
-        for r in 0..m {
-            let lam = self.ws.lam[r];
-            if lam != 0.0 {
-                let yrow = cache.yt.row(self.ws.cols[r]);
-                for (pi, &yi) in sol[..n].iter_mut().zip(yrow) {
-                    *pi -= lam * yi;
-                }
-            }
+            self.solve_refined(sol);
         }
         sol.extend_from_slice(&self.ws.lam);
         Ok(())
@@ -973,6 +960,47 @@ mod tests {
             "stats: {:?}",
             poisoned.stats()
         );
+    }
+
+    /// The refinement residual is taken from the step, `C_W·(t − Y_Wᵀλ)`;
+    /// pin that it equals the Schur-block form `srhs − S_W·λ` read from the
+    /// cached full Schur complement, for an arbitrary (not converged) λ.
+    #[test]
+    fn step_residual_matches_schur_residual() {
+        let mut seed = 0x7e51du64;
+        for &(nb, t) in &[(2usize, 3usize), (3, 4), (5, 6)] {
+            let (mut banded, _) = matched_pair(nb, t, &mut seed);
+            banded.prepare().unwrap();
+            let cache = banded.cache.as_ref().unwrap();
+            let n = banded.num_vars();
+            let me = banded.a_eq.len();
+            // Working system: every equality plus a seeded subset of bounds.
+            let mut cols: Vec<usize> = (0..me).collect();
+            cols.extend(
+                (0..banded.a_in.len())
+                    .filter(|i| i % 3 != 1)
+                    .map(|i| me + i),
+            );
+            let tvec: Vec<f64> = (0..n).map(|_| 2.0 * pseudo(&mut seed)).collect();
+            let lam: Vec<f64> = (0..cols.len()).map(|_| pseudo(&mut seed)).collect();
+            let srhs: Vec<f64> = cols.iter().map(|&gr| banded.crow(gr).dot(&tvec)).collect();
+            let mut p = tvec.clone();
+            simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &mut p);
+            let tol = 1e-10 * (1.0 + vec_ops::norm_inf(&srhs));
+            for (r, &gr) in cols.iter().enumerate() {
+                let from_step = banded.crow(gr).dot(&p);
+                let from_schur = srhs[r]
+                    - cols
+                        .iter()
+                        .zip(&lam)
+                        .map(|(&gq, &lq)| cache.s[(gr, gq)] * lq)
+                        .sum::<f64>();
+                assert!(
+                    (from_step - from_schur).abs() <= tol,
+                    "nb={nb} t={t} row {gr}: {from_step} vs {from_schur}"
+                );
+            }
+        }
     }
 
     #[test]
