@@ -1,11 +1,10 @@
 //! `bench_summary` — machine-readable before/after numbers for the MPC
 //! solve pipeline, written to `BENCH_mpc.json`.
 //!
-//! Measurements cover all three solver backends
-//! ([`SolverBackend::CondensedDense`], [`SolverBackend::BandedRiccati`],
-//! and [`SolverBackend::Sharded`] with 8 shards) on the synthetic
-//! price-flip fleets of `ext_scaling`, up to the 64×128 fleet only the
-//! sharded backend reaches within the step budget:
+//! Measurements cover both solver backends
+//! ([`SolverBackend::BandedRiccati`] and [`SolverBackend::Sharded`] with 8
+//! shards) on the synthetic price-flip fleets of `ext_scaling`, up to the
+//! 64×128 fleet only the sharded backend reaches within the step budget:
 //!
 //! * **single_step** — median wall-clock of one `MpcController::plan`
 //!   call, cold (controller reset before every call, so the structure
@@ -23,37 +22,31 @@
 //!   charge/discharge/SoC blocks and the demand-charge epigraph row.
 //!   Same schema as `end_to_end` (including `solve_stats`), so
 //!   `bench_diff` gates it alongside the plain rows.
-//! * **backend_agreement** — per fleet size, a *lockstep* comparison: one
-//!   trajectory is driven forward and at every step both backends solve
-//!   the *identical* `MpcProblem`; the reported figure is the maximum
-//!   per-step relative difference of the plans' predicted fleet power
-//!   cost. This isolates solver agreement (the two backends factor the
-//!   same strictly convex QP through entirely different structures) from
-//!   closed-loop divergence: independently-run windows drift apart at the
-//!   10⁻⁶..10⁻⁴ level because integer server counts in the sleep loop
-//!   amplify last-bit rounding — the same mechanism behind the nonzero
-//!   same-backend `cost_rel_diff` — which says nothing about the solvers.
+//! * **sharded_agreement** — per fleet size, a *lockstep* comparison: one
+//!   trajectory is driven forward by the banded plan and at every step the
+//!   sharded backend solves the *identical* `MpcProblem`; the reported
+//!   figure is the maximum per-step relative difference of the plans'
+//!   predicted fleet power cost, gated at ≤ 1e-6 (the consensus outer
+//!   loop stops on residuals rather than solving exactly). Lockstep
+//!   isolates solver agreement from closed-loop divergence:
+//!   independently-run windows drift apart at the 10⁻⁶..10⁻⁴ level because
+//!   integer server counts in the sleep loop amplify last-bit rounding —
+//!   the same mechanism behind the nonzero same-backend `cost_rel_diff` —
+//!   which says nothing about the solvers.
 //!
 //! Run with:
 //! `cargo run --release -p idc-bench --bin bench_summary [-- <output.json>]`
 //!
-//! * **sharded_agreement** — the same lockstep comparison between the
-//!   banded and sharded backends, gated at ≤ 1e-6 (the consensus outer
-//!   loop stops on residuals rather than solving exactly).
+//! `-- --smoke` runs the 3×5 case only, asserts lockstep banded-vs-sharded
+//! cost agreement (≤ 1e-6) and that no fault-free end-to-end window
+//! records a cold fallback, and writes nothing — the CI regression gate.
 //!
-//! `-- --smoke` runs the 3×5 case only, asserts lockstep backend cost
-//! agreement (dense-vs-banded ≤ 1e-8, banded-vs-sharded ≤ 1e-6) and that
-//! no fault-free end-to-end window records a cold fallback, and writes
-//! nothing — the CI regression gate.
-//!
-//! `--sizes 3x5,12x24` overrides the measured fleet sizes,
-//! `--max-dense-vars N` caps the dense backend (sizes whose ΔU variable
-//! count exceeds `N`, default 600, run without it), and `--max-step-ms M`
-//! (default 120000) is a per-step wall-clock budget: a cell whose cold or
-//! warm step overruns it is aborted, and a cell whose *projected* cold
-//! step (quadratic scaling from the backend's previous size — an
-//! underestimate of the observed growth) already busts the budget is
-//! skipped without paying the probe. Every cell not measured — dense cap,
+//! `--sizes 3x5,12x24` overrides the measured fleet sizes, and
+//! `--max-step-ms M` (default 120000) is a per-step wall-clock budget: a
+//! cell whose cold or warm step overruns it is aborted, and a cell whose
+//! *projected* cold step (quadratic scaling from the backend's previous
+//! size — an underestimate of the observed growth) already busts the
+//! budget is skipped without paying the probe. Every cell not measured —
 //! step budget, or an agreement row missing a backend — is recorded
 //! explicitly in the JSON `skipped` section instead of silently missing.
 
@@ -83,28 +76,20 @@ const SIZES: [(usize, usize); 7] = [
     (32, 64),
     (64, 128),
 ];
-const BACKENDS: [SolverBackend; 3] = [
-    SolverBackend::CondensedDense,
+const BACKENDS: [SolverBackend; 2] = [
     SolverBackend::BandedRiccati,
     SolverBackend::sharded(BENCH_SHARDS),
 ];
 /// Shard count of the sharded backend's bench rows (clamped to the fleet
 /// size on the small cases).
 const BENCH_SHARDS: usize = 8;
-/// Backend cost agreement required by the smoke gate (the two backends
-/// solve the same strictly convex QP).
-const AGREEMENT_TOL: f64 = 1e-8;
 /// Sharded-vs-monolithic plan cost agreement: the consensus outer loop
 /// stops on residuals, so the gate is looser than the direct-solver one
 /// but still far below any cost signal the paper's experiments read.
 const SHARDED_AGREEMENT_TOL: f64 = 1e-6;
-/// Default `--max-dense-vars`: the dense backend refactors an O(vars³)
-/// Hessian per cold solve, so the big fleets (12×24 = 864 vars,
-/// 32×64 = 6144 vars) run banded-only unless the cap is raised.
-const DEFAULT_MAX_DENSE_VARS: usize = 600;
 /// Default `--max-step-ms`: a cell whose cold or warm step exceeds this
 /// wall-clock budget is aborted and recorded as skipped instead of
-/// stretching the sweep by hours — the monolithic backends' cold solve
+/// stretching the sweep by hours — the monolithic backend's cold solve
 /// grows super-cubically in `N·C`, so the 64×128 fleet is only
 /// reachable by the sharded backend within the default budget (the
 /// 32×64 banded cold step, ~90 s, still fits).
@@ -118,13 +103,12 @@ const STORAGE_E2E_SIZE: (usize, usize) = (8, 15);
 
 fn backend_label(b: SolverBackend) -> &'static str {
     match b {
-        SolverBackend::CondensedDense => "condensed_dense",
         SolverBackend::BandedRiccati => "banded_riccati",
         SolverBackend::Sharded { .. } => "sharded",
     }
 }
 
-/// Shard count of a backend's rows: 0 for the monolithic backends, so the
+/// Shard count of a backend's rows: 0 for the monolithic backend, so the
 /// JSON key `size × backend × shards` stays total.
 fn backend_shards(b: SolverBackend) -> usize {
     match b {
@@ -253,8 +237,8 @@ fn measure_single_step(
     backend: SolverBackend,
     max_step_ms: f64,
 ) -> Result<SingleStepRow, String> {
-    // The dense cold path refactors an O((ncβ₂)³) Hessian per rep; keep
-    // the big fleets to a few reps so the sweep stays minutes, not hours.
+    // A cold step on the big fleets costs seconds; keep them to a few
+    // reps so the sweep stays minutes, not hours.
     let reps = if n * c >= 200 { 3 } else { 9 };
     let p = step_problem(n, c);
     let over = |kind: &str, ms: f64| {
@@ -368,75 +352,6 @@ fn measure_end_to_end(
     })
 }
 
-/// Per-size lockstep backend agreement: over one driven trajectory both
-/// backends solve identical problems every step; `rel_diff` is the
-/// maximum per-step relative difference of the plans' predicted fleet
-/// power cost, and the costs are the window sums of that per-plan cost.
-struct AgreementRow {
-    n: usize,
-    c: usize,
-    steps: usize,
-    dense_cost: f64,
-    banded_cost: f64,
-    rel_diff: f64,
-    /// Step index where `rel_diff` was attained, with the two per-plan
-    /// costs at that step — so a gate failure names the offending solve,
-    /// not just the aggregate maximum.
-    worst_step: usize,
-    worst_dense_cost: f64,
-    worst_banded_cost: f64,
-}
-
-/// Run both backends in lockstep over a price-flip-shaped window: the
-/// trajectory is advanced with the banded plan's `next_input`, so the
-/// dense backend sees the *same* `MpcProblem` at every step and any
-/// difference is pure solver disagreement (no closed-loop amplification).
-fn lockstep_agreement(n: usize, c: usize) -> AgreementRow {
-    const STEPS: usize = 25;
-    const FLIP_AT: usize = 10;
-    let mut dense = MpcController::new(mpc_config(SolverBackend::CondensedDense));
-    let mut banded = MpcController::new(mpc_config(SolverBackend::BandedRiccati));
-    let mut prev = vec![0.0; n * c];
-    for i in 0..c {
-        prev[(n - 1) * c + i] = 10_000.0;
-    }
-    let plan_cost = |p: &idc_control::mpc::MpcPlan| -> f64 {
-        p.predicted_power_mw()
-            .iter()
-            .map(|row| row.iter().sum::<f64>())
-            .sum()
-    };
-    let (mut dense_sum, mut banded_sum, mut max_rel) = (0.0f64, 0.0f64, 0.0f64);
-    let (mut worst_step, mut worst_dense, mut worst_banded) = (0usize, 0.0f64, 0.0f64);
-    for step in 0..STEPS {
-        let p = step_problem_at(n, c, prev.clone(), step >= FLIP_AT);
-        let pd = dense.plan(&p).expect("dense backend feasible");
-        let pb = banded.plan(&p).expect("banded backend feasible");
-        let (cd, cb) = (plan_cost(&pd), plan_cost(&pb));
-        dense_sum += cd;
-        banded_sum += cb;
-        let rel = (cd - cb).abs() / cd.abs().max(1e-12);
-        if rel > max_rel {
-            max_rel = rel;
-            worst_step = step;
-            worst_dense = cd;
-            worst_banded = cb;
-        }
-        prev = pb.next_input().to_vec();
-    }
-    AgreementRow {
-        n,
-        c,
-        steps: STEPS,
-        dense_cost: dense_sum,
-        banded_cost: banded_sum,
-        rel_diff: max_rel,
-        worst_step,
-        worst_dense_cost: worst_dense,
-        worst_banded_cost: worst_banded,
-    }
-}
-
 /// Sharded-vs-monolithic lockstep agreement: banded reference, banded
 /// plan drives the trajectory, and the sharded backend solves the same
 /// `MpcProblem` every step. `rel_diff` gates at [`SHARDED_AGREEMENT_TOL`]
@@ -508,27 +423,6 @@ struct SkipRow {
     reason: String,
 }
 
-/// The skip rows for one size the dense cap excludes: both dense
-/// measurement sections plus the lockstep agreement (which needs both
-/// backends to run).
-fn dense_cap_skips(n: usize, c: usize, max_dense_vars: usize) -> Vec<SkipRow> {
-    let vars = n * c * CONTROL_HORIZON;
-    let reason = format!("{vars} ΔU vars exceed --max-dense-vars {max_dense_vars}");
-    let row = |section, backend| SkipRow {
-        n,
-        c,
-        vars,
-        section,
-        backend,
-        reason: reason.clone(),
-    };
-    vec![
-        row("single_step", Some(SolverBackend::CondensedDense)),
-        row("end_to_end", Some(SolverBackend::CondensedDense)),
-        row("backend_agreement", None),
-    ]
-}
-
 /// Parses `--sizes 3x5,12x24` into `(idcs, portals)` pairs.
 fn parse_sizes(spec: &str) -> Result<Vec<(usize, usize)>, idc_core::Error> {
     spec.split(',')
@@ -590,7 +484,7 @@ fn print_e2e_row(e: &EndToEndRow) {
 
 fn run_smoke() -> Result<(), idc_core::Error> {
     let (n, c) = SIZES[0];
-    println!("## bench_summary --smoke — {n}×{c}, both backends");
+    println!("## bench_summary --smoke — {n}×{c}, banded and sharded backends");
     for backend in BACKENDS {
         let e = measure_end_to_end(n, c, backend, false)?;
         print_e2e_row(&e);
@@ -609,32 +503,6 @@ fn run_smoke() -> Result<(), idc_core::Error> {
                 e.steps,
             )));
         }
-    }
-    let a = lockstep_agreement(n, c);
-    println!(
-        "lockstep backend agreement over {} steps: dense {:.9} vs banded {:.9} \
-         (max step rel diff {:.3e} at step {})",
-        a.steps, a.dense_cost, a.banded_cost, a.rel_diff, a.worst_step
-    );
-    if a.rel_diff > AGREEMENT_TOL {
-        // Name the offending solve precisely: size, backend pair, step,
-        // and the two per-plan costs behind the relative difference.
-        return Err(idc_core::Error::Config(format!(
-            "backend cost disagreement on the {}x{} case: {} vs {} differ by \
-             rel {:.3e} (> {AGREEMENT_TOL:.0e}) at step {} of {} — \
-             {} cost {:.12e} vs {} cost {:.12e}",
-            a.n,
-            a.c,
-            backend_label(SolverBackend::CondensedDense),
-            backend_label(SolverBackend::BandedRiccati),
-            a.rel_diff,
-            a.worst_step,
-            a.steps,
-            backend_label(SolverBackend::CondensedDense),
-            a.worst_dense_cost,
-            backend_label(SolverBackend::BandedRiccati),
-            a.worst_banded_cost,
-        )));
     }
     let sa = lockstep_sharded_agreement(n, c);
     println!(
@@ -674,7 +542,6 @@ fn main() -> Result<(), idc_core::Error> {
     let mut trace_out: Option<String> = None;
     let mut out_path = "BENCH_mpc.json".to_string();
     let mut sizes: Vec<(usize, usize)> = SIZES.to_vec();
-    let mut max_dense_vars = DEFAULT_MAX_DENSE_VARS;
     let mut max_step_ms = DEFAULT_MAX_STEP_MS;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -689,11 +556,6 @@ fn main() -> Result<(), idc_core::Error> {
                 sizes = parse_sizes(&it.next().ok_or_else(|| {
                     idc_core::Error::Config("--sizes needs NxC,... pairs".to_string())
                 })?)?;
-            }
-            "--max-dense-vars" => {
-                max_dense_vars = it.next().and_then(|v| v.parse().ok()).ok_or_else(|| {
-                    idc_core::Error::Config("--max-dense-vars needs a number".to_string())
-                })?;
             }
             "--max-step-ms" => {
                 max_step_ms = it
@@ -718,7 +580,7 @@ fn main() -> Result<(), idc_core::Error> {
         return Ok(());
     }
 
-    println!("## bench_summary — cold vs warm MPC solve pipeline, both backends");
+    println!("## bench_summary — cold vs warm MPC solve pipeline, banded and sharded backends");
     println!(
         "{:>6} {:>8} {:>8} {:>16} | {:>17} {:>17} {:>8} {:>7}",
         "IDCs",
@@ -731,7 +593,6 @@ fn main() -> Result<(), idc_core::Error> {
         "warm %"
     );
 
-    let dense_fits = |n: usize, c: usize| n * c * CONTROL_HORIZON <= max_dense_vars;
     let mut single = Vec::new();
     let mut end_to_end = Vec::new();
     let mut skipped = Vec::new();
@@ -742,22 +603,7 @@ fn main() -> Result<(), idc_core::Error> {
     // skipped without paying a possibly hours-long probe solve.
     let mut last_cold: Vec<(SolverBackend, usize, f64)> = Vec::new();
     for &(n, c) in &sizes {
-        if !dense_fits(n, c) {
-            println!(
-                "{:>6} {:>8} {:>8} {:>16} | skipped ({} vars > --max-dense-vars {})",
-                n,
-                c,
-                n * c * CONTROL_HORIZON,
-                backend_label(SolverBackend::CondensedDense),
-                n * c * CONTROL_HORIZON,
-                max_dense_vars
-            );
-            skipped.extend(dense_cap_skips(n, c, max_dense_vars));
-        }
         for backend in BACKENDS {
-            if matches!(backend, SolverBackend::CondensedDense) && !dense_fits(n, c) {
-                continue;
-            }
             let vars = n * c * CONTROL_HORIZON;
             let projected = last_cold
                 .iter()
@@ -843,21 +689,6 @@ fn main() -> Result<(), idc_core::Error> {
         storage_rows.push(e);
     }
 
-    println!("\nbackend agreement (lockstep, identical problems per step):");
-    let mut agree = Vec::new();
-    for &(n, c) in &sizes {
-        if !dense_fits(n, c) {
-            println!("  {n:>2}×{c:<2}: skipped (dense backend over --max-dense-vars cap)");
-            continue;
-        }
-        let a = lockstep_agreement(n, c);
-        println!(
-            "  {:>2}×{:<2}: dense {:.9} vs banded {:.9} over {} steps \
-             (max step rel diff {:.3e} at step {})",
-            a.n, a.c, a.dense_cost, a.banded_cost, a.steps, a.rel_diff, a.worst_step
-        );
-        agree.push(a);
-    }
     println!("\nsharded agreement (lockstep vs banded, identical problems per step):");
     let mut shard_agree = Vec::new();
     for &(n, c) in &sizes {
@@ -869,7 +700,6 @@ fn main() -> Result<(), idc_core::Error> {
                 s.n == n
                     && s.c == c
                     && matches!(s.backend, SolverBackend::Sharded { .. }) == want_sharded
-                    && (want_sharded || matches!(s.backend, SolverBackend::BandedRiccati))
             })
         };
         if !(completed(false) && completed(true)) {
@@ -902,14 +732,7 @@ fn main() -> Result<(), idc_core::Error> {
         shard_agree.push(a);
     }
 
-    let json = render_json(
-        &single,
-        &end_to_end,
-        &storage_rows,
-        &agree,
-        &shard_agree,
-        &skipped,
-    );
+    let json = render_json(&single, &end_to_end, &storage_rows, &shard_agree, &skipped);
     std::fs::write(&out_path, &json)
         .map_err(|e| idc_core::Error::Config(format!("cannot write {out_path}: {e}")))?;
     println!("\nwrote {out_path}");
@@ -917,6 +740,61 @@ fn main() -> Result<(), idc_core::Error> {
         write_trace(path)?;
     }
     Ok(())
+}
+
+/// The checkout's commit, suffixed `-dirty` when tracked files carry
+/// uncommitted changes; `unknown` outside a git checkout.
+fn git_revision() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(sha)
+            if git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|changes| !changes.is_empty()) =>
+        {
+            format!("{sha}-dirty")
+        }
+        Some(sha) => sha,
+        None => "unknown".to_string(),
+    }
+}
+
+/// The host the numbers were measured on: CPU model, core count, the
+/// linalg worker threads and the SIMD path the kernels took.
+fn host_json() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|rest| rest.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    format!(
+        "{{\"git_sha\": \"{}\", \"cpu_model\": \"{}\", \"nproc\": {}, \
+         \"linalg_threads\": {}, \"simd\": \"{}\"}}",
+        git_revision(),
+        cpu.replace('"', "'"),
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+        idc_linalg::par::default_threads(),
+        simd_path(),
+    )
+}
+
+/// The kernel path `idc_linalg` picks on this CPU: it runs its AVX2 kernels
+/// exactly when both AVX2 and FMA are detected.
+fn simd_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        return "avx2+fma";
+    }
+    "portable"
 }
 
 /// Hand-rendered pretty JSON (the vendored `serde_json` emits compact
@@ -984,13 +862,13 @@ fn render_json(
     single: &[SingleStepRow],
     end_to_end: &[EndToEndRow],
     storage_rows: &[EndToEndRow],
-    agree: &[AgreementRow],
     shard_agree: &[ShardedAgreementRow],
     skipped: &[SkipRow],
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"generator\": \"cargo run --release -p idc-bench --bin bench_summary\",\n");
+    s.push_str(&format!("  \"host\": {},\n", host_json()));
     s.push_str("  \"units\": \"milliseconds of wall-clock per MPC control step\",\n");
     s.push_str("  \"modes\": {\n");
     s.push_str(
@@ -1003,10 +881,6 @@ fn render_json(
     );
     s.push_str("  },\n");
     s.push_str("  \"backends\": {\n");
-    s.push_str(
-        "    \"condensed_dense\": \"dense condensed Hessian over cumulative-sum lowering, \
-         Schur-complement KKT steps\",\n",
-    );
     s.push_str(
         "    \"banded_riccati\": \"block-tridiagonal Hessian in cumulative-input space, \
          banded Cholesky + Riccati-style block recursion, never forms the dense Hessian\",\n",
@@ -1064,27 +938,6 @@ fn render_json(
             },
             k.reason,
             if i + 1 < skipped.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(
-        "  \"backend_agreement_mode\": \"lockstep: one driven trajectory, both backends \
-         solve the identical MpcProblem at every step; rel_diff is the max per-step \
-         relative difference of the plans' predicted fleet power cost\",\n",
-    );
-    s.push_str("  \"backend_agreement\": [\n");
-    for (i, a) in agree.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"idcs\": {}, \"portals\": {}, \"lockstep_steps\": {}, \
-             \"dense_lockstep_cost\": {:.9}, \"banded_lockstep_cost\": {:.9}, \
-             \"max_step_rel_diff\": {:.3e}}}{}\n",
-            a.n,
-            a.c,
-            a.steps,
-            a.dense_cost,
-            a.banded_cost,
-            a.rel_diff,
-            if i + 1 < agree.len() { "," } else { "" }
         ));
     }
     s.push_str("  ],\n");

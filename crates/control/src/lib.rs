@@ -6,13 +6,10 @@
 //!   `Ẋ = AX + BU + FV`, `Y = WX` with state
 //!   `X = [C̄, E₁, …, E_N]` (paper eq. 19–20) and the controllability test
 //!   of Sec. IV-C,
-//! * [`condense`] — the stacked prediction operators `Θ`, `Ξ`, `Ω̄` of
-//!   eq. 39–41, built generically from any discretized pair and verified
-//!   against step-by-step simulation,
 //! * [`discretize`] — zero-order-hold discretization `Φ = e^{A·Ts}`,
 //!   `Ḡ = ∫e^{As}B ds`, `Γ = ∫e^{As}F ds` (paper eq. 23–25) via an
 //!   augmented matrix exponential,
-//! * [`mpc`] — the condensed constrained MPC of eq. 37–45: tracking the
+//! * [`mpc`] — the constrained MPC of eq. 37–45: tracking the
 //!   (possibly budget-clamped) per-IDC power reference under workload
 //!   conservation, latency/capacity and non-negativity constraints, with
 //!   the input-rate penalty that smooths power demand,
@@ -59,7 +56,6 @@
 
 #![warn(missing_docs)]
 
-pub mod condense;
 pub mod discretize;
 pub mod green;
 pub mod mpc;

@@ -24,11 +24,8 @@
 use std::time::Instant;
 
 use idc_linalg::par::default_threads;
-use idc_linalg::Matrix;
 use idc_obs::Span;
-use idc_opt::banded_qp::BandedQpWorkspace;
-use idc_opt::lsq::ConstrainedLeastSquares;
-use idc_opt::qp::{QpWorkspace, QuadraticProgram};
+use idc_opt::banded_qp::BandedWorkspace;
 use idc_opt::{Error, Result, SolveStats};
 use idc_shard::shift_horizon;
 
@@ -36,24 +33,19 @@ use crate::riccati::{self, RiccatiSkeleton};
 use crate::sharded::{ShardedSkeleton, ShardedStep, WarmRejection};
 use crate::warm_repair::{self, RepairScratch};
 
-/// Which QP backend solves the condensed problem.
+/// Which QP backend solves the MPC step.
 ///
-/// All backends minimize the same strictly convex objective over the same
+/// Both backends minimize the same strictly convex objective over the same
 /// constraints and agree on the unique minimizer to solver tolerance; they
-/// differ only in how the linear algebra is organised.
+/// differ in how the problem is decomposed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SolverBackend {
-    /// The original dense path: condense the least squares into a full
-    /// `nv × nv` Hessian, solve working-set systems by dense factorization.
-    /// Fastest at small fleet sizes.
-    #[default]
-    CondensedDense,
-    /// The block-banded path of [`crate::riccati`]: a cumulative-input
+    /// The monolithic path of [`crate::riccati`]: a cumulative-input
     /// change of variables makes the Hessian block-tridiagonal and every
     /// constraint row stage-local, so KKT steps cost `O(β₂·(NC)²)` via a
     /// Riccati-style block-Cholesky recursion and the working-set Schur
     /// complement is updated incrementally across active-set changes.
-    /// Orders of magnitude faster once `N·C·β₂` reaches a few hundred.
+    #[default]
     BandedRiccati,
     /// The regional decomposition of [`crate::sharded`]: the fleet is
     /// partitioned into contiguous IDC shards, each solving its own
@@ -120,8 +112,8 @@ pub struct MpcConfig {
     /// backend via projected dual ascent on the per-stage fleet total
     /// (paper eq. 31 at fleet scope). `None` (the default) prices no cap,
     /// which keeps the sharded backend exactly equivalent to the
-    /// monolithic ones; the monolithic backends ignore this field (they
-    /// shave peaks through the reference clamp instead).
+    /// monolithic one; the monolithic backend ignores this field (it
+    /// shaves peaks through the reference clamp instead).
     pub sharded_peak_budget_mw: Option<f64>,
 }
 
@@ -149,7 +141,7 @@ impl Default for MpcConfig {
 /// and the active-set iteration itself (`solve`) recur every step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanTimings {
-    /// Structure-cache rebuilds: least-squares lowering or banded assembly,
+    /// Structure-cache rebuilds: banded (or per-shard) QP assembly,
     /// excluding factorization.
     pub refresh_ns: u64,
     /// `prepare()` — Hessian factorization and the all-rows Schur
@@ -317,9 +309,9 @@ impl MpcProblem {
 /// rows depend only on the dimensions `(N, C)`, the per-IDC marginal power
 /// `b₁`, and the tracking multipliers — none of which change while the
 /// fleet operates in one regime. Rebuilding them every sampling period
-/// (and re-forming `H = 2(AᵀQA + R)`) dominated the solve time, so the
-/// controller caches the lowered [`QuadraticProgram`] and per step only
-/// refreshes the gradient and the constraint right-hand sides.
+/// (and refactoring the Hessian) would dominate the solve time, so the
+/// controller caches the assembled QP and per step only refreshes the
+/// gradient and the constraint right-hand sides.
 #[derive(Debug, Clone)]
 struct StructureCache {
     n: usize,
@@ -340,12 +332,6 @@ struct StructureCache {
 /// in place.
 #[derive(Debug, Clone)]
 enum Skeleton {
-    /// The weighted least-squares skeleton (per-step gradient refresh via
-    /// [`ConstrainedLeastSquares::gradient_into`]) and its lowered QP.
-    Dense {
-        lsq: ConstrainedLeastSquares,
-        qp: QuadraticProgram,
-    },
     /// The y-space block-banded QP of [`crate::riccati`].
     Banded(RiccatiSkeleton),
     /// The regional decomposition of [`crate::sharded`]: per-shard banded
@@ -359,7 +345,7 @@ struct WarmState {
     delta_u: Vec<f64>,
     active_set: Vec<usize>,
     /// Outer multipliers of the sharded backend (consensus duals then peak
-    /// duals); empty for the monolithic backends.
+    /// duals); empty for the monolithic backend.
     multipliers: Vec<f64>,
 }
 
@@ -375,7 +361,7 @@ pub struct WarmStateData {
     pub active_set: Vec<usize>,
     /// The sharded backend's outer multipliers (consensus conservation
     /// duals followed by peak-budget duals), empty for the monolithic
-    /// backends. Multiplier warm starts shape the outer iteration count,
+    /// backend. Multiplier warm starts shape the outer iteration count,
     /// so byte-identical checkpoint/restore must carry them.
     pub multipliers: Vec<f64>,
 }
@@ -395,8 +381,7 @@ pub struct MpcController {
     config: MpcConfig,
     cache: Option<StructureCache>,
     warm: Option<WarmState>,
-    ws: QpWorkspace,
-    bws: BandedQpWorkspace,
+    bws: BandedWorkspace,
     /// Scratch: stacked least-squares rhs `b` (tracking + smoothing rows).
     rhs: Vec<f64>,
     /// Scratch: QP gradient `g = −2AᵀQb`.
@@ -455,8 +440,7 @@ impl MpcController {
             config,
             cache: None,
             warm: None,
-            ws: QpWorkspace::new(),
-            bws: BandedQpWorkspace::new(),
+            bws: BandedWorkspace::new(),
             rhs: Vec::new(),
             grad: Vec::new(),
             eq_rhs: Vec::new(),
@@ -565,14 +549,13 @@ impl MpcController {
         self.solve_stats = SolveStats::default();
     }
 
-    /// Arms both backends' workspaces so the next solve's incremental
-    /// working-set factor build is deterministically poisoned, forcing the
-    /// solver's stability-rebuild path. Fault-injection plumbing for the
-    /// testkit's forced-refactorization fault kind; the resulting plan is
-    /// unchanged (the rebuild recovers exactly), only
+    /// Arms the banded workspace so the next monolithic solve's
+    /// incremental working-set factor build is deterministically poisoned,
+    /// forcing the solver's stability-rebuild path. Fault-injection
+    /// plumbing for the testkit's forced-refactorization fault kind; the
+    /// resulting plan is unchanged (the rebuild recovers exactly), only
     /// [`SolveStats::refactorizations`] moves.
     pub fn force_refactor_next(&mut self) {
-        self.ws.force_refactor_next();
         self.bws.force_refactor_next();
     }
 
@@ -584,7 +567,7 @@ impl MpcController {
     /// unchanged to solver tolerance — only
     /// [`SolveStats::outer_iterations`] moves. Fault-injection plumbing for
     /// the testkit's coordinator-stall fault kind; a no-op for the
-    /// monolithic backends.
+    /// monolithic backend.
     pub fn force_coordinator_stall_next(&mut self) {
         self.stall_next = true;
     }
@@ -672,8 +655,9 @@ impl MpcController {
             }
             for _t in 0..beta2 {
                 for j in 0..n {
-                    self.in_rhs
-                        .push((st.max_discharge_mw[j] - st.prev_discharge_mw[j]) / problem.b1_mw[j]);
+                    self.in_rhs.push(
+                        (st.max_discharge_mw[j] - st.prev_discharge_mw[j]) / problem.b1_mw[j],
+                    );
                 }
             }
             for _t in 0..beta2 {
@@ -701,12 +685,6 @@ impl MpcController {
         {
             let cache = self.cache.as_mut().expect("refreshed above");
             match &mut cache.skeleton {
-                Skeleton::Dense { lsq, qp } => {
-                    lsq.gradient_into(&self.rhs, &mut self.grad)?;
-                    qp.set_gradient(&self.grad)?;
-                    qp.set_equality_rhs(&self.eq_rhs)?;
-                    qp.set_inequality_rhs(&self.in_rhs)?;
-                }
                 Skeleton::Banded(skel) => {
                     skel.gradient_into(&self.rhs, &mut self.grad);
                     let qp = skel.qp_mut();
@@ -725,91 +703,57 @@ impl MpcController {
         // shifted point back to feasibility. ----
         let has_base = self.shift_and_repair_warm(problem, n, c);
 
-        if matches!(
-            self.cache.as_ref().expect("refreshed above").skeleton,
-            Skeleton::Sharded(_)
-        ) {
+        let cache = self.cache.as_mut().expect("refreshed above");
+        let Skeleton::Banded(skel) = &mut cache.skeleton else {
             return self.plan_sharded(problem, &lambda0, n, c, has_base, condense_start);
-        }
+        };
+        let qp = skel.qp_mut();
 
         // ---- Solve: warm-started from the repaired point (skipping the
         // phase-1 LP); by the full cold path as a last resort. ----
-        let mut warm_started = false;
-        let mut warm_failed = false;
-        let mut warm_rejection = None;
-        let cache = self.cache.as_mut().expect("refreshed above");
-        let mut solution = None;
-        {
-            self.timings.condense_ns += condense_start.elapsed().as_nanos() as u64;
-            {
-                let solve_start = Instant::now();
-                let span = Span::enter_cat("mpc.solve.warm", "solver");
-                let warm_res = match &mut cache.skeleton {
-                    Skeleton::Dense { qp, .. } => {
-                        qp.warm_start(&self.warm_x, &self.seed, &mut self.ws)
-                    }
-                    Skeleton::Banded(skel) => {
-                        // The banded backend optimizes cumulative changes;
-                        // convert the repaired warm point at the boundary.
-                        riccati::to_cumulative(nb, &self.warm_x, &mut self.warm_y);
-                        skel.qp_mut()
-                            .warm_start(&self.warm_y, &self.seed, &mut self.bws)
-                    }
-                    Skeleton::Sharded(_) => unreachable!("sharded solves returned above"),
-                };
-                drop(span);
-                self.timings.solve_ns += solve_start.elapsed().as_nanos() as u64;
-                match warm_res {
-                    Ok(sol) => {
-                        warm_started = has_base;
-                        solution = Some(sol);
-                    }
-                    Err(_) => {
-                        // The repair is feasible by construction whenever
-                        // every stage's demand fits the fleet, so a
-                        // rejection first checks the stage totals: an
-                        // over-capacity forecast is certified infeasible
-                        // without the phase-1 LP.
-                        if warm_repair::exceeds_fleet_capacity(
-                            &self.eq_rhs,
-                            &self.in_rhs,
-                            n,
-                            c,
-                            forecast_scale(problem),
-                        ) {
-                            return Err(Error::Infeasible);
-                        }
-                        warm_failed = true;
-                        // Diagnose *why* the repaired point was rejected so
-                        // the policy layer can stream an anomaly record —
-                        // a warm step must never pay a cold solve silently.
-                        warm_rejection = Some(warm_rejection_breakdown(
-                            &self.warm_x,
-                            &self.eq_rhs,
-                            &self.in_rhs,
-                            n,
-                            c,
-                            beta2,
-                            problem.storage.as_ref(),
-                        ));
-                    }
+        self.timings.condense_ns += condense_start.elapsed().as_nanos() as u64;
+        let solve_start = Instant::now();
+        let span = Span::enter_cat("mpc.solve.warm", "solver");
+        // The banded QP optimizes cumulative changes; convert the repaired
+        // warm point at the boundary.
+        riccati::to_cumulative(nb, &self.warm_x, &mut self.warm_y);
+        let warm_res = qp.warm_start(&self.warm_y, &self.seed, &mut self.bws);
+        drop(span);
+        self.timings.solve_ns += solve_start.elapsed().as_nanos() as u64;
+        let (solution, warm_started, warm_rejection) = match warm_res {
+            Ok(sol) => (sol, has_base, None),
+            Err(_) => {
+                // The repair is feasible by construction whenever every
+                // stage's demand fits the fleet, so a rejection first
+                // checks the stage totals: an over-capacity forecast is
+                // certified infeasible without the phase-1 LP.
+                if warm_repair::exceeds_fleet_capacity(
+                    &self.eq_rhs,
+                    &self.in_rhs,
+                    n,
+                    c,
+                    forecast_scale(problem),
+                ) {
+                    return Err(Error::Infeasible);
                 }
-            }
-        }
-        let is_banded = matches!(cache.skeleton, Skeleton::Banded(_));
-        let solution = match solution {
-            Some(sol) => sol,
-            None => {
+                // Diagnose *why* the repaired point was rejected so the
+                // policy layer can stream an anomaly record — a warm step
+                // must never pay a cold solve silently.
+                let rejection = warm_rejection_breakdown(
+                    &self.warm_x,
+                    &self.eq_rhs,
+                    &self.in_rhs,
+                    n,
+                    c,
+                    beta2,
+                    problem.storage.as_ref(),
+                );
                 let solve_start = Instant::now();
                 let span = Span::enter_cat("mpc.solve.cold", "solver");
-                let sol = match &mut cache.skeleton {
-                    Skeleton::Dense { qp, .. } => qp.solve_with(&mut self.ws),
-                    Skeleton::Banded(skel) => skel.qp_mut().solve_with(&mut self.bws),
-                    Skeleton::Sharded(_) => unreachable!("sharded solves returned above"),
-                };
+                let sol = qp.solve_with(&mut self.bws);
                 drop(span);
                 self.timings.solve_ns += solve_start.elapsed().as_nanos() as u64;
-                sol?
+                (sol?, false, Some(rejection))
             }
         };
         if warm_started {
@@ -818,17 +762,15 @@ impl MpcController {
             self.cold_solves += 1;
         }
         let mut step_stats = *solution.stats();
-        if warm_failed {
+        if warm_rejection.is_some() {
             step_stats.cold_fallbacks = 1;
         }
         self.solve_stats.merge(&step_stats);
         let iterations = solution.iterations();
         let active_set = solution.active_set().to_vec();
         let mut delta_u = solution.into_x();
-        if is_banded {
-            // Back from cumulative y-space to the stacked input changes.
-            riccati::to_deltas(nb, &mut delta_u);
-        }
+        // Back from cumulative y-space to the stacked input changes.
+        riccati::to_deltas(nb, &mut delta_u);
         self.warm = Some(WarmState {
             delta_u: delta_u.clone(),
             active_set,
@@ -1065,7 +1007,6 @@ impl MpcController {
         let refresh_start = Instant::now();
         let factor_before = self.timings.factor_ns;
         let skeleton = match self.config.backend {
-            SolverBackend::CondensedDense => self.build_dense_skeleton(problem, n, c)?,
             SolverBackend::BandedRiccati => {
                 let mut skel = RiccatiSkeleton::build(&self.config, problem)?;
                 let factor_start = Instant::now();
@@ -1099,152 +1040,6 @@ impl MpcController {
             skeleton,
         });
         Ok(())
-    }
-
-    /// Builds the dense condensed skeleton (least-squares rows lowered to a
-    /// [`QuadraticProgram`], Hessian factored).
-    fn build_dense_skeleton(
-        &mut self,
-        problem: &MpcProblem,
-        n: usize,
-        c: usize,
-    ) -> Result<Skeleton> {
-        let beta1 = self.config.prediction_horizon;
-        let beta2 = self.config.control_horizon;
-        let nc = n * c;
-        let nb = problem.block_size();
-        let nv = nb * beta2;
-        let storage = problem.storage.as_ref();
-
-        // ---- Least-squares rows: tracking then smoothing. Only the
-        // sparsity pattern and the weights matter here; the rhs is
-        // refreshed each step. With storage the per-IDC power row gains
-        // `+b₁·Δγc − b₁·Δγd` (rate changes in req/s equivalents, so the
-        // coefficient matches the workload entries'). ----
-        let rows = beta1 * n + beta2 * n;
-        let mut a = Matrix::zeros(rows, nv);
-        let mut weights = vec![0.0; rows];
-        for s in 0..beta1 {
-            for j in 0..n {
-                let row = s * n + j;
-                for t in 0..=s.min(beta2 - 1) {
-                    for i in 0..c {
-                        a[(row, t * nb + j * c + i)] = problem.b1_mw[j];
-                    }
-                    if storage.is_some() {
-                        a[(row, t * nb + nc + j)] = problem.b1_mw[j];
-                        a[(row, t * nb + nc + n + j)] = -problem.b1_mw[j];
-                    }
-                }
-                weights[row] = self.config.tracking_weight * problem.tracking_multiplier[j];
-            }
-        }
-        for t in 0..beta2 {
-            for j in 0..n {
-                let row = beta1 * n + t * n + j;
-                for i in 0..c {
-                    a[(row, t * nb + j * c + i)] = problem.b1_mw[j];
-                }
-                if storage.is_some() {
-                    a[(row, t * nb + nc + j)] = problem.b1_mw[j];
-                    a[(row, t * nb + nc + n + j)] = -problem.b1_mw[j];
-                }
-                weights[row] = self.config.smoothing_weight;
-            }
-        }
-
-        let mut lsq = ConstrainedLeastSquares::new(a, vec![0.0; rows])?
-            .residual_weights(weights)?
-            .regularization(vec![self.config.input_ridge; nv])?;
-
-        // ---- Constraint structure; rhs values are per-step. ----
-        // Workload conservation (paper eq. 45).
-        for t in 0..beta2 {
-            for i in 0..c {
-                let mut row = vec![0.0; nv];
-                for tp in 0..=t {
-                    for j in 0..n {
-                        row[tp * nb + j * c + i] = 1.0;
-                    }
-                }
-                lsq = lsq.equality(row, 0.0);
-            }
-        }
-        // Capacity / latency (paper eq. 43).
-        for t in 0..beta2 {
-            for j in 0..n {
-                let mut row = vec![0.0; nv];
-                for tp in 0..=t {
-                    for i in 0..c {
-                        row[tp * nb + j * c + i] = 1.0;
-                    }
-                }
-                lsq = lsq.inequality(row, 0.0);
-            }
-        }
-        // Non-negativity of U (paper eq. 44).
-        for t in 0..beta2 {
-            for idx in 0..nc {
-                let mut row = vec![0.0; nv];
-                for tp in 0..=t {
-                    row[tp * nb + idx] = -1.0;
-                }
-                lsq = lsq.inequality(row, 0.0);
-            }
-        }
-        if let Some(st) = storage {
-            // Charge rate box: ±cumulative Δγc against the per-step rhs.
-            for sign in [1.0, -1.0] {
-                for t in 0..beta2 {
-                    for j in 0..n {
-                        let mut row = vec![0.0; nv];
-                        for tp in 0..=t {
-                            row[tp * nb + nc + j] = sign;
-                        }
-                        lsq = lsq.inequality(row, 0.0);
-                    }
-                }
-            }
-            // Discharge rate box.
-            for sign in [1.0, -1.0] {
-                for t in 0..beta2 {
-                    for j in 0..n {
-                        let mut row = vec![0.0; nv];
-                        for tp in 0..=t {
-                            row[tp * nb + nc + n + j] = sign;
-                        }
-                        lsq = lsq.inequality(row, 0.0);
-                    }
-                }
-            }
-            // SoC box: the stored energy after stage t is linear in the
-            // rate changes — Δγc at stage q charges for the t−q+1 stages
-            // it stays applied (rows scaled by 1/(dt·b₁), so the
-            // coefficients are the bare efficiencies).
-            for sign in [1.0, -1.0] {
-                for t in 0..beta2 {
-                    for j in 0..n {
-                        let mut row = vec![0.0; nv];
-                        for q in 0..=t {
-                            let steps = (t - q + 1) as f64;
-                            row[q * nb + nc + j] = sign * st.charge_efficiency[j] * steps;
-                            row[q * nb + nc + n + j] =
-                                -sign * steps / st.discharge_efficiency[j];
-                        }
-                        lsq = lsq.inequality(row, 0.0);
-                    }
-                }
-            }
-        }
-
-        let mut qp = lsq.lower_to_qp()?;
-        // Hoist the Hessian factorization and the all-rows Schur complement
-        // out of the active-set iteration — the skeleton is solved once per
-        // sampling period for as long as the structure lasts.
-        let factor_start = Instant::now();
-        qp.prepare()?;
-        self.timings.factor_ns += factor_start.elapsed().as_nanos() as u64;
-        Ok(Skeleton::Dense { lsq, qp })
     }
 
     fn validate(&self, p: &MpcProblem, n: usize, c: usize) -> Result<()> {
@@ -1402,7 +1197,8 @@ fn warm_rejection_breakdown(
                 cum_gd[j] += warm_x[t * nb + nc + n + j];
                 soc_c[j] += cum_gc[j];
                 soc_d[j] += cum_gd[j];
-                let soc = st.charge_efficiency[j] * soc_c[j] - soc_d[j] / st.discharge_efficiency[j];
+                let soc =
+                    st.charge_efficiency[j] * soc_c[j] - soc_d[j] / st.discharge_efficiency[j];
                 let row = t * n + j;
                 rej.storage = rej
                     .storage
@@ -1488,7 +1284,8 @@ fn finish_plan(
             if let Some(st) = &problem.storage {
                 let mut net = st.prev_charge_mw[j] - st.prev_discharge_mw[j];
                 for t in 0..=s.min(beta2 - 1) {
-                    net += problem.b1_mw[j] * (delta_u[t * nb + nc + j] - delta_u[t * nb + nc + n + j]);
+                    net += problem.b1_mw[j]
+                        * (delta_u[t * nb + nc + j] - delta_u[t * nb + nc + n + j]);
                 }
                 p += net;
             }
@@ -1568,25 +1365,25 @@ impl MpcPlan {
     }
 
     /// Coordinator rounds of the sharded backend (0 for the monolithic
-    /// backends).
+    /// backend).
     pub fn outer_rounds(&self) -> u64 {
         self.outer_rounds
     }
 
     /// Penalty retunes applied by the sharded backend's residual
-    /// balancing during this solve (0 for the monolithic backends).
+    /// balancing during this solve (0 for the monolithic backend).
     pub fn rho_retunes(&self) -> u64 {
         self.rho_retunes
     }
 
     /// Final relative consensus primal residual of the sharded backend
-    /// (0.0 for the monolithic backends).
+    /// (0.0 for the monolithic backend).
     pub fn consensus_residual(&self) -> f64 {
         self.consensus_residual
     }
 
     /// Warm-start rejections this step, one per rejecting solver (the
-    /// monolithic backends report at most one, with `shard == 0`). Empty
+    /// monolithic backend reports at most one, with `shard == 0`). Empty
     /// whenever the warm path held — a non-empty list means a cold solve
     /// was paid and says which constraint family the shifted point
     /// violated.
@@ -1951,31 +1748,6 @@ mod tests {
     }
 
     #[test]
-    fn banded_backend_matches_dense_in_closed_loop() {
-        // Drive both backends through the same closed loop; the QP is
-        // strictly convex, so they must agree on the minimizer each step
-        // and both must settle into warm-started solves.
-        let mut dense = MpcController::new(MpcConfig::default());
-        let mut banded = MpcController::new(MpcConfig {
-            backend: SolverBackend::BandedRiccati,
-            ..MpcConfig::default()
-        });
-        let mut pd = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-        let mut pb = pd.clone();
-        for step in 0..6 {
-            let plan_d = dense.plan(&pd).unwrap();
-            let plan_b = banded.plan(&pb).unwrap();
-            for (a, b) in plan_d.next_input().iter().zip(plan_b.next_input()) {
-                assert!((a - b).abs() < 1e-4, "step {step}: {a} vs {b}");
-            }
-            pd.prev_input = plan_d.next_input().to_vec();
-            pb.prev_input = plan_b.next_input().to_vec();
-        }
-        assert_eq!(banded.warm_solves(), 5);
-        assert_eq!(banded.cold_solves(), 1);
-    }
-
-    #[test]
     fn banded_backend_handles_degenerate_peak_shaving() {
         let problem = MpcProblem {
             b1_mw: vec![6.75e-5, 0.000108, 7.714285714285714e-5],
@@ -2001,7 +1773,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_matches_dense_in_closed_loop() {
+    fn sharded_backend_matches_banded_in_closed_loop() {
         // The consensus outer loop stops at a workload-relative residual
         // and the final repair restores conservation exactly, so the
         // sharded plans must track the monolithic minimizer step for
@@ -2010,15 +1782,18 @@ mod tests {
         // entries are the loosest-determined quantity; plan cost agrees
         // orders of magnitude tighter) — and settle into warm starts on
         // both levels (active sets and multipliers).
-        let mut dense = MpcController::new(MpcConfig::default());
+        let mut banded = MpcController::new(MpcConfig {
+            backend: SolverBackend::BandedRiccati,
+            ..MpcConfig::default()
+        });
         let mut sharded = MpcController::new(MpcConfig {
             backend: SolverBackend::sharded(2),
             ..MpcConfig::default()
         });
-        let mut pd = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-        let mut ps = pd.clone();
+        let mut pb = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
+        let mut ps = pb.clone();
         for step in 0..6 {
-            let plan_d = dense.plan(&pd).unwrap();
+            let plan_b = banded.plan(&pb).unwrap();
             let plan_s = sharded.plan(&ps).unwrap();
             assert!(plan_s.outer_rounds() > 0, "step {step}: no outer rounds");
             assert!(
@@ -2026,7 +1801,7 @@ mod tests {
                 "step {step}: unexpected warm rejection {:?}",
                 plan_s.warm_rejections()
             );
-            for (a, b) in plan_d.next_input().iter().zip(plan_s.next_input()) {
+            for (a, b) in plan_b.next_input().iter().zip(plan_s.next_input()) {
                 assert!((a - b).abs() < 5e-6 * 10_000.0, "step {step}: {a} vs {b}");
             }
             let total: f64 = plan_s.next_input().iter().sum();
@@ -2034,7 +1809,7 @@ mod tests {
                 (total - 10_000.0).abs() < 1e-6,
                 "step {step}: total {total}"
             );
-            pd.prev_input = plan_d.next_input().to_vec();
+            pb.prev_input = plan_b.next_input().to_vec();
             ps.prev_input = plan_s.next_input().to_vec();
         }
         assert_eq!(sharded.warm_solves(), 5);
@@ -2046,15 +1821,18 @@ mod tests {
         // One shard degenerates to an augmented-Lagrangian solve of the
         // full problem (conservation enforced by the penalty + dual loop
         // instead of hard equality rows); the fixed point is the same.
-        let mut dense = MpcController::new(MpcConfig::default());
+        let mut banded = MpcController::new(MpcConfig {
+            backend: SolverBackend::BandedRiccati,
+            ..MpcConfig::default()
+        });
         let mut sharded = MpcController::new(MpcConfig {
             backend: SolverBackend::sharded(1),
             ..MpcConfig::default()
         });
         let problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-        let plan_d = dense.plan(&problem).unwrap();
+        let plan_b = banded.plan(&problem).unwrap();
         let plan_s = sharded.plan(&problem).unwrap();
-        for (a, b) in plan_d.next_input().iter().zip(plan_s.next_input()) {
+        for (a, b) in plan_b.next_input().iter().zip(plan_s.next_input()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
     }
@@ -2293,8 +2071,7 @@ mod tests {
     fn apply_rates(st: &mut StorageProblem, charge: &[f64], discharge: &[f64]) {
         for j in 0..st.soc_mwh.len() {
             st.soc_mwh[j] += st.dt_hours
-                * (st.charge_efficiency[j] * charge[j]
-                    - discharge[j] / st.discharge_efficiency[j]);
+                * (st.charge_efficiency[j] * charge[j] - discharge[j] / st.discharge_efficiency[j]);
             st.soc_mwh[j] = st.soc_mwh[j].clamp(0.0, st.capacity_mwh[j]);
             st.prev_charge_mw[j] = charge[j];
             st.prev_discharge_mw[j] = discharge[j];
@@ -2372,43 +2149,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn storage_banded_matches_dense_in_closed_loop() {
-        let mut dense = MpcController::new(MpcConfig::default());
-        let mut banded = MpcController::new(MpcConfig {
-            backend: SolverBackend::BandedRiccati,
-            ..MpcConfig::default()
-        });
-        let mut pd = two_idc_problem([10_000.0, 0.0], [1.0, 2.0]);
-        pd.storage = Some(test_storage(2));
-        let mut pb = pd.clone();
-        for step in 0..6 {
-            let plan_d = dense.plan(&pd).unwrap();
-            let plan_b = banded.plan(&pb).unwrap();
-            for (a, b) in plan_d.next_input().iter().zip(plan_b.next_input()) {
-                assert!((a - b).abs() < 1e-4, "step {step}: {a} vs {b}");
-            }
-            for j in 0..2 {
-                let da = plan_d.next_charge_mw()[j] - plan_d.next_discharge_mw()[j];
-                let db = plan_b.next_charge_mw()[j] - plan_b.next_discharge_mw()[j];
-                assert!((da - db).abs() < 1e-6, "step {step}: net rate {da} vs {db}");
-            }
-            pd.prev_input = plan_d.next_input().to_vec();
-            pb.prev_input = plan_b.next_input().to_vec();
-            let (cd, dd) = (
-                plan_d.next_charge_mw().to_vec(),
-                plan_d.next_discharge_mw().to_vec(),
-            );
-            apply_rates(pd.storage.as_mut().unwrap(), &cd, &dd);
-            let (cb, db) = (
-                plan_b.next_charge_mw().to_vec(),
-                plan_b.next_discharge_mw().to_vec(),
-            );
-            apply_rates(pb.storage.as_mut().unwrap(), &cb, &db);
-        }
-        assert_eq!(banded.warm_solves(), 5, "banded must stay warm");
     }
 
     #[test]
@@ -2512,7 +2252,10 @@ mod tests {
         assert!(plan.warm_started(), "outage must not force a cold solve");
         problem.storage = None;
         let plan = controller.plan(&problem).unwrap();
-        assert!(!plan.warm_started(), "layout change must drop the warm state");
+        assert!(
+            !plan.warm_started(),
+            "layout change must drop the warm state"
+        );
         let total: f64 = plan.next_input().iter().sum();
         assert!((total - 10_000.0).abs() < 1e-6);
     }

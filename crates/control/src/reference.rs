@@ -927,8 +927,8 @@ mod tests {
         let idcs = paper_idcs();
         let tariff = DemandCharge::typical_commercial();
         let peaks = [9.0, 0.0, 0.0]; // Michigan already peaked this period
-        let dc = optimal_with_demand_charge(&idcs, &PAPER_LOADS, &PRICES_6H, &tariff, &peaks)
-            .unwrap();
+        let dc =
+            optimal_with_demand_charge(&idcs, &PAPER_LOADS, &PRICES_6H, &tariff, &peaks).unwrap();
         for j in 0..3 {
             let m = dc.billed_peak_mw()[j];
             let p = dc.reference().power_mw()[j];
@@ -966,14 +966,12 @@ mod tests {
         // A ratchet at the plain peaks makes shaving pointless — the bill
         // is sunk, so the allocation returns to pure energy pricing.
         let ratchet: Vec<f64> = plain.power_mw().to_vec();
-        let sunk = optimal_with_demand_charge(&idcs, &PAPER_LOADS, &PRICES_7H, &tariff, &ratchet)
-            .unwrap();
+        let sunk =
+            optimal_with_demand_charge(&idcs, &PAPER_LOADS, &PRICES_7H, &tariff, &ratchet).unwrap();
         for (a, b) in sunk.reference().power_mw().iter().zip(plain.power_mw()) {
             assert!(*a <= b + 1e-6, "{a} vs {b}");
         }
-        assert!(
-            (sunk.reference().cost_rate_per_hour() - plain.cost_rate_per_hour()).abs() < 1e-6
-        );
+        assert!((sunk.reference().cost_rate_per_hour() - plain.cost_rate_per_hour()).abs() < 1e-6);
     }
 
     #[test]
@@ -985,7 +983,10 @@ mod tests {
         for prices in [PRICES_6H, PRICES_7H, PRICES_6H] {
             // Interleave plain and DC solves: separate caches, no eviction.
             let plain = solver.optimal(&idcs, &PAPER_LOADS, &prices).unwrap();
-            assert_eq!(plain, optimal_reference(&idcs, &PAPER_LOADS, &prices).unwrap());
+            assert_eq!(
+                plain,
+                optimal_reference(&idcs, &PAPER_LOADS, &prices).unwrap()
+            );
             let cached = solver
                 .optimal_with_demand_charge(&idcs, &PAPER_LOADS, &prices, &tariff, &peaks)
                 .unwrap();

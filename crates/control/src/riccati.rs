@@ -1,10 +1,11 @@
-//! Block-banded "Riccati" backend for the condensed MPC (paper eq. 42–45).
+//! Block-banded "Riccati" formulation of the MPC step (paper eq. 42–45).
 //!
-//! The dense backend condenses the tracking/smoothing least squares into an
-//! `nv × nv` Hessian (`nv = N·C·β₂`) whose cumulative-sum constraint rows are
-//! fully dense — every active-set iteration then pays `O(nv·m)` gathers and an
-//! `O(m³)` working-set factorization. This module removes that density at the
-//! source by a change of variables: instead of the stacked input *changes*
+//! Condensing the tracking/smoothing least squares over the stacked input
+//! changes gives a dense `nv × nv` Hessian (`nv = N·C·β₂`) whose
+//! cumulative-sum constraint rows are fully dense — every active-set
+//! iteration would pay `O(nv·m)` gathers and an `O(m³)` working-set
+//! factorization. This module removes that density at the source by a
+//! change of variables: instead of the stacked input *changes*
 //! `ΔU = (x_0, …, x_{β₂−1})` it optimizes the stacked *cumulative* changes
 //!
 //! ```text
@@ -26,13 +27,13 @@
 //! working-set Schur complement factored incrementally across active-set
 //! changes.
 //!
-//! Constraint rows are emitted in exactly the dense backend's order
-//! (conservation `t`-major × portal, then capacity `t`-major × IDC, then
-//! non-negativity `t`-major × entry), so warm-start active sets, the
-//! receding-horizon seed shift in [`crate::mpc`], and reported active sets
-//! are interchangeable between backends. The objective value also matches the
-//! dense lowering exactly (both drop the same `bᵀQb` constant), which is what
-//! the cross-backend equivalence tests assert.
+//! Constraint rows are emitted in the order the controller assembles their
+//! right-hand sides (conservation `t`-major × portal, then capacity
+//! `t`-major × IDC, then non-negativity `t`-major × entry, then the storage
+//! families), so warm-start active sets, the receding-horizon seed shift in
+//! [`crate::mpc`], and reported active sets share one indexing with the
+//! sharded backend. The objective is the eq. 42 least squares without its
+//! constant `bᵀQb`.
 
 use idc_linalg::banded::BlockTridiag;
 use idc_opt::banded_qp::{BandedQp, SparseRow};
@@ -42,9 +43,8 @@ use crate::mpc::{MpcConfig, MpcProblem};
 
 /// The banded QP skeleton for one problem structure `(N, C, b₁, multipliers)`.
 ///
-/// Mirrors the dense backend's cached `ConstrainedLeastSquares` +
-/// `QuadraticProgram` pair: built once per structure, then only the gradient
-/// and constraint right-hand sides are rewritten each sampling period.
+/// Built once per structure, then only the gradient and constraint
+/// right-hand sides are rewritten each sampling period.
 #[derive(Debug, Clone)]
 pub struct RiccatiSkeleton {
     qp: BandedQp,
@@ -143,8 +143,8 @@ impl RiccatiSkeleton {
         }
 
         let mut qp = BandedQp::new(h, vec![0.0; beta2 * nb])?;
-        // Constraint rows in the dense backend's exact order; rhs values
-        // are per-step and rewritten in place.
+        // Constraint rows in the controller's rhs order; rhs values are
+        // per-step and rewritten in place.
         for t in 0..beta2 {
             for i in 0..c {
                 let mut row = SparseRow::new();
@@ -169,7 +169,7 @@ impl RiccatiSkeleton {
             }
         }
         if let Some(st) = storage {
-            // Storage families in the dense backend's order. In y-space
+            // Storage families in the controller's rhs order. In y-space
             // the rate boxes are stage-local single entries (the
             // cumulative rate change at stage t IS y_t's rate entry); the
             // SoC rows sum the rate entries over stages ≤ t — multi-stage
@@ -177,8 +177,10 @@ impl RiccatiSkeleton {
             for sign in [1.0, -1.0] {
                 for t in 0..beta2 {
                     for j in 0..n {
-                        qp = qp
-                            .inequality(SparseRow::from_entries(vec![(t * nb + nc + j, sign)]), 0.0);
+                        qp = qp.inequality(
+                            SparseRow::from_entries(vec![(t * nb + nc + j, sign)]),
+                            0.0,
+                        );
                     }
                 }
             }
@@ -226,8 +228,7 @@ impl RiccatiSkeleton {
     }
 
     /// Computes the y-space gradient from the per-step tracking rhs rows
-    /// (`rhs[s·N + j] = reference − current power`, the same buffer the dense
-    /// backend lowers through `ConstrainedLeastSquares::gradient_into`).
+    /// (`rhs[s·N + j] = reference − current power`).
     ///
     /// `g_y[τ, j, i] = −2·b₁_j·Q·mult_j · Σ_{s: min(s,β₂−1)=τ} rhs[s·N+j]` —
     /// the smoothing rows have zero targets and contribute nothing.

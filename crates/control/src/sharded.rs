@@ -54,7 +54,7 @@ use std::sync::Arc;
 
 use idc_linalg::banded::BlockTridiag;
 use idc_obs::SolveStats;
-use idc_opt::banded_qp::{BandedQp, BandedQpWorkspace, SparseRow};
+use idc_opt::banded_qp::{BandedQp, BandedWorkspace, SparseRow};
 use idc_opt::{Error, Result};
 use idc_shard::{run_shards, ExchangeConsensus, OuterStats, Partition, PeakDual};
 
@@ -69,7 +69,7 @@ use crate::warm_repair;
 /// point violated.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WarmRejection {
-    /// Shard that rejected its warm point (0 for the monolithic backends).
+    /// Shard that rejected its warm point (0 for the monolithic backend).
     pub shard: usize,
     /// Worst workload-conservation equality violation (req/s).
     pub conservation: f64,
@@ -105,7 +105,7 @@ struct ShardCell {
     /// Restricted banded QP: exact local Hessian + `ρ·aaᵀ` penalty,
     /// capacity and non-negativity rows only.
     qp: BandedQp,
-    ws: BandedQpWorkspace,
+    ws: BandedWorkspace,
     /// Per-step tracking gradient for the local variables.
     base_grad: Vec<f64>,
     /// Per-round full gradient (base − ρ·Aᵀv + μ-priced power).
@@ -554,7 +554,7 @@ pub struct ShardedOutcome {
 }
 
 /// The sharded solver skeleton for one problem structure, cached by the
-/// controller exactly like the dense and banded skeletons.
+/// controller exactly like the banded skeleton.
 #[derive(Debug, Clone)]
 pub struct ShardedSkeleton {
     n: usize,
@@ -780,7 +780,7 @@ impl ShardedSkeleton {
             jlo,
             jhi,
             qp,
-            ws: BandedQpWorkspace::new(),
+            ws: BandedWorkspace::new(),
             base_grad: vec![0.0; beta2 * ncs],
             grad: vec![0.0; beta2 * ncs],
             v: vec![0.0; rows],
@@ -874,7 +874,7 @@ impl ShardedSkeleton {
     /// # Errors
     ///
     /// * [`Error::Infeasible`] when the stage demand exceeds the fleet
-    ///   capacity (matching the monolithic backends' phase-1 verdict), or
+    ///   capacity (matching the monolithic backend's phase-1 verdict), or
     ///   when the outer loop stalls far from primal feasibility.
     /// * Inner solver errors ([`Error::IterationLimit`],
     ///   [`Error::Numerical`]) surface from the first failing shard.
@@ -891,7 +891,7 @@ impl ShardedSkeleton {
         assert_eq!(step.warm_y.len(), beta2 * nc, "warm point length");
 
         // Aggregate feasibility, caught before any rounds run: the same
-        // stage-total certificate the monolithic backends use.
+        // stage-total certificate the monolithic backend uses.
         if warm_repair::exceeds_fleet_capacity(step.eq_rhs, step.in_rhs, n, c, step.scale) {
             return Err(Error::Infeasible);
         }

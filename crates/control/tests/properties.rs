@@ -1,8 +1,7 @@
 //! Property-based tests for the control substrate.
 
-use idc_control::condense::PredictionMatrices;
-use idc_control::discretize::{discretize, zoh};
-use idc_control::mpc::{MpcConfig, MpcController, MpcProblem, SolverBackend, StorageProblem};
+use idc_control::discretize::zoh;
+use idc_control::mpc::{MpcConfig, MpcController, MpcProblem, StorageProblem};
 use idc_control::reference::optimal_reference;
 use idc_control::statespace::CostStateSpace;
 use idc_control::warm_repair::{self, RepairScratch};
@@ -46,40 +45,6 @@ proptest! {
         }
     }
 
-    /// Condensed prediction equals step-by-step simulation for random
-    /// inputs (eq. 39 fidelity).
-    #[test]
-    fn condensation_equals_iteration(
-        du in prop::collection::vec(-50.0f64..50.0, 4),
-        u0 in 0.0f64..500.0,
-        v0 in 0.0f64..5_000.0,
-    ) {
-        let ss = CostStateSpace::new(&[40.0, 25.0], &[70e-6, 100e-6], &[150e-6, 150e-6], 1)
-            .unwrap();
-        let model = discretize(&ss, 0.01).unwrap();
-        let beta1 = 4;
-        let beta2 = 2;
-        let p = PredictionMatrices::build(&model, beta1, beta2).unwrap();
-        let x0 = vec![0.0; ss.state_dim()];
-        let u_prev = vec![u0; 2];
-        let v = vec![v0; 2];
-        let stacked = p.predict(&x0, &u_prev, &du, &v);
-
-        let mut x = x0.clone();
-        let mut u = u_prev.clone();
-        for s in 0..beta1 {
-            if s < beta2 {
-                u[0] += du[s * 2];
-                u[1] += du[s * 2 + 1];
-            }
-            x = model.step(&x, &u, &v);
-            for (i, &xi) in x.iter().enumerate() {
-                let got = stacked[s * ss.state_dim() + i];
-                prop_assert!((got - xi).abs() <= 1e-9 * xi.abs().max(1.0));
-            }
-        }
-    }
-
     /// The reference LP's cost never decreases when any single price rises
     /// (economic sanity: dearer electricity cannot make the optimum
     /// cheaper).
@@ -101,203 +66,6 @@ proptest! {
             after.cost_rate_per_hour(),
             before.cost_rate_per_hour()
         );
-    }
-
-    /// The two solver backends are interchangeable: on randomized fleets,
-    /// horizons and budget-style references they produce the same
-    /// closed-loop trajectory, with the fleet power cost agreeing to
-    /// ≤ 1e-8 relative. The condensed-dense path and the banded Riccati
-    /// path solve the same strictly convex QP through entirely different
-    /// factorizations, so this pins the y-space reformulation against the
-    /// x-space lowering.
-    #[test]
-    fn banded_backend_matches_dense_on_random_instances(
-        dims in prop::collection::vec(0usize..3, 4),
-        load_scale in 2_000.0f64..15_000.0,
-        ref_seed in prop::collection::vec(0.5f64..5.0, 4),
-        clamp_mask in prop::collection::vec(0usize..2, 4),
-        drift in 0.85f64..1.15,
-    ) {
-        // Fleet size, portal count and horizons from one draw (the shim
-        // proptest only supports small tuples).
-        let (n, c, beta2, extra) = (1 + dims[0], 1 + dims[1], 1 + dims[2], dims[3]);
-        let beta1 = beta2 + extra;
-        let b1_mw: Vec<f64> = (0..n).map(|j| 60e-6 + 15e-6 * j as f64).collect();
-        let total_load = load_scale * c as f64;
-        let mut prev = vec![0.0; n * c];
-        for i in 0..c {
-            // All load starts on the last IDC — the price-flip shape that
-            // forces a multi-step transfer.
-            prev[(n - 1) * c + i] = load_scale;
-        }
-        let mk_problem = |scale: f64, prev_input: Vec<f64>| MpcProblem {
-            b1_mw: b1_mw.clone(),
-            b0_mw: vec![150e-6; n],
-            servers_on: vec![20_000; n],
-            capacities: vec![total_load * 1.6 / n as f64; n],
-            prev_input,
-            workload_forecast: vec![vec![load_scale * scale; c]; beta2],
-            power_reference_mw: vec![
-                (0..n).map(|j| ref_seed[j % ref_seed.len()]).collect();
-                beta1
-            ],
-            // Budget-clamped IDCs carry the heavy peak-shaving weight.
-            tracking_multiplier: (0..n)
-                .map(|j| if clamp_mask[j % clamp_mask.len()] == 1 { 25.0 } else { 1.0 })
-                .collect(),
-            storage: None,
-        };
-        let config = |backend| MpcConfig {
-            prediction_horizon: beta1,
-            control_horizon: beta2,
-            backend,
-            ..MpcConfig::default()
-        };
-        let mut dense = MpcController::new(config(SolverBackend::CondensedDense));
-        let mut banded = MpcController::new(config(SolverBackend::BandedRiccati));
-        let mut prev_dense = prev.clone();
-        let mut prev_banded = prev;
-        for step in 0..3 {
-            // Drift the workload so warm starts see a moving problem, but
-            // keep it inside the 1.6× capacity margin.
-            let scale = drift.powi(step).min(1.5);
-            let pd = dense
-                .plan(&mk_problem(scale, prev_dense.clone()))
-                .unwrap();
-            let pb = banded
-                .plan(&mk_problem(scale, prev_banded.clone()))
-                .unwrap();
-            let cost = |p: &idc_control::mpc::MpcPlan| -> f64 {
-                p.predicted_power_mw()
-                    .iter()
-                    .map(|row| row.iter().sum::<f64>())
-                    .sum()
-            };
-            let (cd, cb) = (cost(&pd), cost(&pb));
-            prop_assert!(
-                (cd - cb).abs() <= 1e-8 * cd.abs().max(1e-12),
-                "step {step}: power cost {cd} vs {cb}"
-            );
-            for (i, (a, b)) in pd.next_input().iter().zip(pb.next_input()).enumerate() {
-                prop_assert!(
-                    (a - b).abs() <= 1e-5 * (1.0 + a.abs()),
-                    "step {step}, input {i}: {a} vs {b}"
-                );
-            }
-            prev_dense = pd.next_input().to_vec();
-            prev_banded = pb.next_input().to_vec();
-        }
-    }
-
-    /// Storage-enabled problems keep the backends interchangeable: with a
-    /// battery per IDC the stage blocks grow from `N·C` to `N·C + 2N`
-    /// (charge and discharge rate changes), yet on randomized capacities,
-    /// rates, efficiencies and initial charge the dense and banded paths
-    /// still agree on the fleet power cost to ≤ 1e-8 relative over a
-    /// lockstep closed loop — including the battery rate plans.
-    #[test]
-    fn storage_banded_matches_dense_on_random_instances(
-        dims in prop::collection::vec(0usize..3, 3),
-        load_scale in 2_000.0f64..12_000.0,
-        cap_mwh in 0.5f64..8.0,
-        rate_mw in 0.2f64..3.0,
-        eff in prop::collection::vec(0.85f64..1.0, 2),
-        // Two draws in one vector (the shim proptest caps tuple arity):
-        // initial SoC fraction and the reference scale offset.
-        fracs in prop::collection::vec(0.05f64..0.95, 2),
-    ) {
-        let soc_frac = fracs[0];
-        let ref_scale = 0.5 + fracs[1];
-        let (n, c, extra) = (1 + dims[0], 1 + dims[1], dims[2]);
-        let beta2 = 2;
-        let beta1 = beta2 + extra;
-        let dt = 1.0 / 12.0;
-        let b1_mw: Vec<f64> = (0..n).map(|j| 60e-6 + 15e-6 * j as f64).collect();
-        let total_load = load_scale * c as f64;
-        let mut prev = vec![0.0; n * c];
-        for i in 0..c {
-            prev[(n - 1) * c + i] = load_scale;
-        }
-        // The reference sits below the IT draw, so the optimizer has an
-        // incentive to dispatch the battery toward it.
-        let nominal_mw = |j: usize| 150e-6 * 20_000.0 + b1_mw[j] * total_load / n as f64;
-        let mk_problem = |prev_input: Vec<f64>, soc: Vec<f64>, pc: Vec<f64>, pd: Vec<f64>| {
-            MpcProblem {
-                b1_mw: b1_mw.clone(),
-                b0_mw: vec![150e-6; n],
-                servers_on: vec![20_000; n],
-                capacities: vec![total_load * 1.6 / n as f64; n],
-                prev_input,
-                workload_forecast: vec![vec![load_scale; c]; beta2],
-                power_reference_mw: vec![
-                    (0..n).map(|j| ref_scale * nominal_mw(j)).collect();
-                    beta1
-                ],
-                tracking_multiplier: MpcProblem::uniform_tracking(n),
-                storage: Some(StorageProblem {
-                    capacity_mwh: vec![cap_mwh; n],
-                    max_charge_mw: vec![rate_mw; n],
-                    max_discharge_mw: vec![rate_mw; n],
-                    charge_efficiency: vec![eff[0]; n],
-                    discharge_efficiency: vec![eff[1]; n],
-                    soc_mwh: soc,
-                    prev_charge_mw: pc,
-                    prev_discharge_mw: pd,
-                    dt_hours: dt,
-                }),
-            }
-        };
-        let config = |backend| MpcConfig {
-            prediction_horizon: beta1,
-            control_horizon: beta2,
-            backend,
-            ..MpcConfig::default()
-        };
-        let mut dense = MpcController::new(config(SolverBackend::CondensedDense));
-        let mut banded = MpcController::new(config(SolverBackend::BandedRiccati));
-        let mut prev_input = prev;
-        let mut soc = vec![cap_mwh * soc_frac; n];
-        let mut prev_c = vec![0.0; n];
-        let mut prev_d = vec![0.0; n];
-        for step in 0..3 {
-            let problem = mk_problem(
-                prev_input.clone(), soc.clone(), prev_c.clone(), prev_d.clone(),
-            );
-            let pd = dense.plan(&problem).unwrap();
-            let pb = banded.plan(&problem).unwrap();
-            let cost = |p: &idc_control::mpc::MpcPlan| -> f64 {
-                p.predicted_power_mw()
-                    .iter()
-                    .map(|row| row.iter().sum::<f64>())
-                    .sum()
-            };
-            let (cd, cb) = (cost(&pd), cost(&pb));
-            prop_assert!(
-                (cd - cb).abs() <= 1e-8 * cd.abs().max(1e-12),
-                "step {step}: power cost {cd} vs {cb}"
-            );
-            for (i, (a, b)) in pd
-                .next_charge_mw()
-                .iter()
-                .chain(pd.next_discharge_mw())
-                .zip(pb.next_charge_mw().iter().chain(pb.next_discharge_mw()))
-                .enumerate()
-            {
-                prop_assert!(
-                    (a - b).abs() <= 1e-5 * (1.0 + a.abs()),
-                    "step {step}, rate {i}: {a} vs {b}"
-                );
-            }
-            // Advance the loop with the banded plan through the physical
-            // battery dynamics.
-            prev_input = pb.next_input().to_vec();
-            prev_c = pb.next_charge_mw().to_vec();
-            prev_d = pb.next_discharge_mw().to_vec();
-            for j in 0..n {
-                let delta = eff[0] * prev_c[j] * dt - prev_d[j] * dt / eff[1];
-                soc[j] = (soc[j] + delta).clamp(0.0, cap_mwh);
-            }
-        }
     }
 
     /// MPC plans are insensitive to uniform scaling of both tracking and

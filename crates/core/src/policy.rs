@@ -267,7 +267,7 @@ pub struct MpcPolicyConfig {
     /// outer round: the shards re-solve against stale consensus targets and
     /// the multiplier update is skipped, as if a coordination message was
     /// dropped. The plan must still converge (or degrade cleanly through the
-    /// usual infeasibility path). No-op for the monolithic backends. Empty
+    /// usual infeasibility path). No-op for the monolithic backend. Empty
     /// in production; populated by the testkit's fault plans.
     pub forced_stall_steps: Vec<usize>,
     /// When `true`, every per-step [`MpcProblem`] the policy assembles is
@@ -616,11 +616,9 @@ impl MpcPolicy {
             charge_cap: vec![0.0; n],
             discharge_cap: vec![0.0; n],
         };
-        let (Some(fleet), Some(state), Some(ewma)) = (
-            &self.config.storage,
-            &self.storage_state,
-            &self.price_ewma,
-        ) else {
+        let (Some(fleet), Some(state), Some(ewma)) =
+            (&self.config.storage, &self.storage_state, &self.price_ewma)
+        else {
             return shaping;
         };
         if self.config.battery_outage_steps.contains(&ctx.step) {
@@ -874,8 +872,7 @@ impl MpcPolicy {
         let n_units = self.config.storage.as_ref().map(StorageFleet::num_idcs);
         let prev_rates = match (&snapshot.prev_charge_mw, &snapshot.prev_discharge_mw) {
             (Some(c), Some(d)) => {
-                if storage_state.is_none() || Some(c.len()) != n_units || Some(d.len()) != n_units
-                {
+                if storage_state.is_none() || Some(c.len()) != n_units || Some(d.len()) != n_units {
                     return Err(Error::Config(
                         "snapshot battery rates are inconsistent with the configured fleet".into(),
                     ));
@@ -1228,7 +1225,10 @@ impl MpcPolicy {
                 let mut charge_mw = Vec::new();
                 let mut discharge_mw = Vec::new();
                 if let Some(fleet) = &self.config.storage {
-                    let state = self.storage_state.as_mut().expect("initialized with storage");
+                    let state = self
+                        .storage_state
+                        .as_mut()
+                        .expect("initialized with storage");
                     for j in 0..n {
                         let applied = state.apply(
                             fleet,

@@ -33,7 +33,7 @@ pub struct WarmStartSnapshot {
     pub active_set: Vec<u64>,
     /// The sharded backend's outer coordination multipliers (consensus
     /// conservation duals followed by peak-budget duals); empty for the
-    /// monolithic backends. Defaults to empty when absent so snapshots
+    /// monolithic backend. Defaults to empty when absent so snapshots
     /// written before the sharded backend existed keep restoring.
     #[serde(default = "Vec::new")]
     pub multipliers: Vec<f64>,

@@ -134,10 +134,7 @@ fn demand_charge_accounting_is_consistent() {
     // The billed peak is exactly the maximum of the recorded grid draw.
     let peaks = result.billed_peak_mw().unwrap();
     for (j, &peak) in peaks.iter().enumerate() {
-        let observed = result
-            .power_mw(j)
-            .iter()
-            .fold(0.0f64, |acc, &p| acc.max(p));
+        let observed = result.power_mw(j).iter().fold(0.0f64, |acc, &p| acc.max(p));
         assert!(
             (peak - observed).abs() < 1e-12,
             "IDC {j} billed peak {peak} vs observed max {observed}"

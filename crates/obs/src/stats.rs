@@ -1,7 +1,7 @@
 //! Cumulative introspection counters for the active-set QP solver.
 
-/// Counters collected by the shared primal active-set loop and its two
-/// backends (condensed dense and banded Riccati).
+/// Counters collected by the primal active-set loop of the banded QP
+/// solver.
 ///
 /// All fields are cumulative over however many solves were merged in —
 /// [`merge`](Self::merge) is associative, so a controller can accumulate

@@ -1,18 +1,16 @@
-//! Backend-agnostic primal active-set iteration.
+//! The primal active-set iteration.
 //!
 //! The textbook loop (Nocedal & Wright, Alg. 16.3) — solve an
 //! equality-constrained subproblem, take the largest feasible step, add the
-//! blocking constraint or drop the most negative multiplier — is identical
-//! for the dense condensed QP and the banded Riccati backend; only the KKT
-//! subproblem solve differs. This module owns the loop and drives a backend
-//! through [`ActiveSetOps`], so Dantzig/Bland switching, degeneracy
-//! bookkeeping and warm-start seeding behave bit-for-bit the same regardless
-//! of how the linear algebra is organised.
+//! blocking constraint or drop the most negative multiplier. This module
+//! owns the loop (Dantzig/Bland switching, degeneracy bookkeeping,
+//! warm-start seeding) and drives the KKT subproblem solves of
+//! [`banded_qp`](crate::banded_qp) through [`ActiveSetOps`], which keeps the
+//! pivoting logic apart from the linear algebra.
 
 use idc_linalg::vec_ops;
 use idc_obs::SolveStats;
 
-use crate::qp::QpSolution;
 use crate::{Error, Result};
 
 /// Feasibility/optimality tolerance.
@@ -32,11 +30,10 @@ const DEGENERATE_PATIENCE: usize = 12;
 
 /// Backend interface for the shared active-set loop.
 ///
-/// `kkt_step` is the only expensive operation; the `on_*` hooks let a
+/// `kkt_step` is the only expensive operation; the `on_*` hooks let the
 /// backend maintain incremental factorizations of the working-set system —
-/// they are called *after* the working set has been mutated. The default
-/// no-op hooks suit backends (like the dense path) that refactor per
-/// iteration.
+/// they are called *after* the working set has been mutated. Additions need
+/// no hook: the backend extends its factor lazily in the next `kkt_step`.
 pub(crate) trait ActiveSetOps {
     /// Number of decision variables.
     fn num_vars(&self) -> usize;
@@ -57,32 +54,22 @@ pub(crate) trait ActiveSetOps {
     /// equalities first, then `working` in order).
     fn kkt_step(&mut self, x: &[f64], working: &[usize], sol: &mut Vec<f64>) -> Result<()>;
     /// Called once after warm-start seeding, before the first iteration.
-    fn begin(&mut self, _working: &[usize]) {}
-    /// Called after a blocking constraint was pushed onto `working`.
-    fn on_add(&mut self, _working: &[usize]) {}
+    fn begin(&mut self, working: &[usize]);
     /// Called after the entry at position `pos` was removed from `working`.
-    fn on_remove(&mut self, _working: &[usize], _pos: usize) {}
+    fn on_remove(&mut self, working: &[usize], pos: usize);
     /// Called after a degenerate-KKT recovery popped the last entry.
-    fn on_pop(&mut self, _working: &[usize]) {}
+    fn on_pop(&mut self, working: &[usize]);
     /// Iterative-refinement passes performed since the last call (the loop
-    /// drains this once per solve, on success). Backends without a
-    /// refinement counter report zero.
-    fn take_refinements(&mut self) -> u64 {
-        0
-    }
+    /// drains this once per solve, on success).
+    fn take_refinements(&mut self) -> u64;
     /// Whether the loop must admit/drop at most one constraint per outer
     /// iteration. Batched pivoting is the default; the single-pivot mode is
     /// the reference semantics used by differential tests.
-    fn single_pivot(&self) -> bool {
-        false
-    }
+    fn single_pivot(&self) -> bool;
     /// Drains the backend's incremental-factor counters accumulated since
     /// [`begin`](Self::begin): `(refactorizations, updates_applied,
-    /// downdates_applied)`. Backends without an incremental factor report
-    /// zeros.
-    fn take_factor_stats(&mut self) -> (u64, u64, u64) {
-        (0, 0, 0)
-    }
+    /// downdates_applied)`.
+    fn take_factor_stats(&mut self) -> (u64, u64, u64);
 }
 
 /// Core active-set loop from a feasible `x0`, with the working set seeded
@@ -313,7 +300,6 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                 working.push(i);
                 in_working[i] = true;
                 stats.constraints_added += 1;
-                ops.on_add(working);
                 if batch_pivots {
                     // Admit every constraint that became (numerically)
                     // tight at the new iterate, not just the single
@@ -329,7 +315,6 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                             working.push(j);
                             in_working[j] = true;
                             stats.constraints_added += 1;
-                            ops.on_add(working);
                         }
                     }
                 }
@@ -368,4 +353,65 @@ fn finish<O: ActiveSetOps>(
         working.to_vec(),
         stats,
     ))
+}
+
+/// A solved quadratic program.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QpSolution {
+    x: Vec<f64>,
+    objective: f64,
+    iterations: usize,
+    active_set: Vec<usize>,
+    stats: SolveStats,
+}
+
+impl QpSolution {
+    /// Assembles a solution from the active-set loop's results.
+    pub(crate) fn from_parts(
+        x: Vec<f64>,
+        objective: f64,
+        iterations: usize,
+        active_set: Vec<usize>,
+        stats: SolveStats,
+    ) -> Self {
+        QpSolution {
+            x,
+            objective,
+            iterations,
+            active_set,
+            stats,
+        }
+    }
+
+    /// The optimal point.
+    pub fn x(&self) -> &[f64] {
+        &self.x
+    }
+
+    /// The optimal objective value.
+    pub fn objective(&self) -> f64 {
+        self.objective
+    }
+
+    /// Number of active-set iterations performed.
+    pub fn iterations(&self) -> usize {
+        self.iterations
+    }
+
+    /// Indices of the inequality constraints active at the optimum.
+    pub fn active_set(&self) -> &[usize] {
+        &self.active_set
+    }
+
+    /// Introspection counters collected during this solve (iteration,
+    /// churn, seeding and refinement detail beyond
+    /// [`iterations`](Self::iterations)).
+    pub fn stats(&self) -> &SolveStats {
+        &self.stats
+    }
+
+    /// Consumes the solution, returning the optimal point.
+    pub fn into_x(self) -> Vec<f64> {
+        self.x
+    }
 }

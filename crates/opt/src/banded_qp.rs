@@ -1,6 +1,6 @@
 //! Structure-exploiting active-set solver for block-tridiagonal QPs.
 //!
-//! Solves the same canonical problem as [`qp`](crate::qp) —
+//! Solves the canonical convex QP
 //!
 //! ```text
 //! minimize    ½ xᵀH x + gᵀx          (H symmetric positive definite)
@@ -8,7 +8,7 @@
 //!             A_in x ≤ b_in
 //! ```
 //!
-//! — but never forms a dense Hessian: `H` is a stagewise
+//! without ever forming a dense Hessian: `H` is a stagewise
 //! [`BlockTridiag`] (the shape of the MPC problem in cumulative-input
 //! coordinates) and every constraint row is sparse (stage-local). Three
 //! structural savings follow:
@@ -17,25 +17,27 @@
 //!    ([`BlockTridiagChol`]) instead of O((β·nb)²) dense back-substitution,
 //! 2. the working-set Schur complement `S_W = C_W H⁻¹ C_Wᵀ` is maintained
 //!    *incrementally* under working-set changes via [`UpdatableCholesky`] —
-//!    O(m²) per add / drop instead of the O(m³) per-iteration refactor of
-//!    the dense path, and
+//!    O(m²) per add / drop instead of an O(m³) per-iteration refactor, and
 //! 3. ratio tests, right-hand sides and the refinement residual `C_W·p`
 //!    use sparse row dots.
 //!
-//! The outer iteration is the exact same shared [`active_set`] loop the
-//! dense backend uses, so warm-start seeding, Dantzig/Bland switching and
-//! degeneracy recovery are identical — both backends converge to the same
-//! optimum and expose interchangeable [`QpSolution`]s.
+//! The outer iteration is the textbook primal active-set loop of
+//! [`active_set`]: warm-start seeding, Dantzig/Bland switching and
+//! degeneracy recovery live there, the KKT step solves live here.
 
 use idc_linalg::banded::{BlockTridiag, BlockTridiagChol};
 use idc_linalg::cholesky::UpdatableCholesky;
 use idc_linalg::workspace::Workspace;
 use idc_linalg::{simd, vec_ops, Matrix};
 
-use crate::active_set::{self, ActiveSetOps, WARM_TOL};
+use crate::active_set::{self, ActiveSetOps, QpSolution, WARM_TOL};
 use crate::linprog::LinearProgram;
-use crate::qp::{QpSolution, REBUILD_TOL};
 use crate::{Error, Result};
+
+/// Relative size of the iterative-refinement correction above which the
+/// incrementally up/downdated working-set factor is judged to have drifted
+/// and is rebuilt from scratch.
+const REBUILD_TOL: f64 = 1e-6;
 
 /// A sparse constraint row: sorted-by-construction `(index, value)` pairs.
 ///
@@ -93,7 +95,7 @@ impl SparseRow {
 /// per-iteration vectors, so a steady-state warm-started solve performs no
 /// heap allocation.
 #[derive(Debug, Clone, Default)]
-pub struct BandedQpWorkspace {
+pub struct BandedWorkspace {
     /// Incremental Cholesky factor of the working-set Schur block `S_W`.
     factor: UpdatableCholesky,
     /// `H̃⁻¹·g`, computed once per solve — the Newton point at any iterate
@@ -133,7 +135,7 @@ pub struct BandedQpWorkspace {
     force_refactor: bool,
 }
 
-impl BandedQpWorkspace {
+impl BandedWorkspace {
     /// Creates an empty workspace; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
@@ -162,9 +164,9 @@ struct BandedCache {
 
 /// A convex QP with block-tridiagonal Hessian and sparse constraint rows.
 ///
-/// Mirrors the [`QuadraticProgram`](crate::qp::QuadraticProgram) API
-/// (builder, rhs/gradient retargeting, warm starts) but scales as
-/// O(β·nb³ + m²·iters) per solve instead of O((β·nb)³ + m³·iters).
+/// Built once per problem structure, then retargeted per solve (gradient
+/// and right-hand sides) and warm-started; a solve costs
+/// O(β·nb³ + m²·iters) instead of the dense O((β·nb)³ + m³·iters).
 #[derive(Debug, Clone)]
 pub struct BandedQp {
     h: BlockTridiag,
@@ -224,8 +226,8 @@ impl BandedQp {
         self
     }
 
-    /// Overrides the iteration budget (same scaling default as the dense
-    /// solver: `max(500, 4·(variables + constraints))`).
+    /// Overrides the iteration budget (the default scales as
+    /// `max(500, 4·(variables + constraints))`).
     pub fn max_iterations(mut self, max_iter: usize) -> Self {
         self.max_iter = max_iter;
         self
@@ -233,8 +235,7 @@ impl BandedQp {
 
     /// Restricts the active-set loop to one constraint add/drop per outer
     /// iteration (the textbook reference semantics; batched pivoting is the
-    /// default). Mirrors
-    /// [`QuadraticProgram::single_pivot`](crate::qp::QuadraticProgram::single_pivot).
+    /// default).
     pub fn single_pivot(mut self, yes: bool) -> Self {
         self.single_pivot = yes;
         self
@@ -365,9 +366,9 @@ impl BandedQp {
         // Factor H exactly when possible — the KKT step then reconstructs
         // the Newton point as `t = −x − H⁻¹g` without ever multiplying by
         // H, which keeps the per-iteration cost O(n + m²). Only when the
-        // exact factorization breaks down fall back to the dense path's
-        // tiny ridge (the solve then optimizes the εI-perturbed problem,
-        // indistinguishable at solver tolerance).
+        // exact factorization breaks down fall back to a tiny ridge (the
+        // solve then optimizes the εI-perturbed problem, indistinguishable
+        // at solver tolerance).
         if chol.refactor(&self.h, &mut pool).is_err() {
             let mut ridged = self.h.clone();
             for t in 0..ridged.nblocks() {
@@ -420,7 +421,7 @@ impl BandedQp {
     /// * [`Error::DimensionMismatch`] on malformed constraint rows.
     /// * [`Error::Numerical`] if the Hessian or a KKT system is singular
     ///   beyond recovery.
-    pub fn solve_with(&mut self, ws: &mut BandedQpWorkspace) -> Result<QpSolution> {
+    pub fn solve_with(&mut self, ws: &mut BandedWorkspace) -> Result<QpSolution> {
         self.validate()?;
         let x0 = self.find_feasible_point()?;
         self.warm_start(&x0, &[], ws)
@@ -429,9 +430,6 @@ impl BandedQp {
     /// Warm-started solve: starts from `x0` with the working set seeded
     /// from `active_set` (typically the previous solve's
     /// [`QpSolution::active_set`]), reusing `ws`'s scratch memory.
-    ///
-    /// Active-set index semantics match the dense solver exactly, so seeds
-    /// recorded by one backend can be replayed against the other.
     ///
     /// # Errors
     ///
@@ -442,7 +440,7 @@ impl BandedQp {
         &mut self,
         x0: &[f64],
         active_set: &[usize],
-        ws: &mut BandedQpWorkspace,
+        ws: &mut BandedWorkspace,
     ) -> Result<QpSolution> {
         self.validate()?;
         if x0.len() != self.num_vars() {
@@ -472,8 +470,8 @@ impl BandedQp {
     }
 
     /// Phase 1: densifies the sparse rows and finds any feasible point via
-    /// the same split-variable LP the dense solver uses. The densified
-    /// tableau is large (about 6 MB at 768 variables), so this is a
+    /// a split-variable LP (`x = x⁺ − x⁻`, minimizing `Σ(x⁺ + x⁻)`). The
+    /// densified tableau is large (about 6 MB at 768 variables), so this is a
     /// last-resort path: the MPC controller warm-starts every feasible step
     /// from a repaired point and certifies over-capacity steps from their
     /// stage totals. On the `perfbench` workloads (`fleet_8x16`,
@@ -508,7 +506,7 @@ impl BandedQp {
 /// incrementally across iterations through the `on_*` hooks.
 struct BandedOps<'a> {
     qp: &'a BandedQp,
-    ws: &'a mut BandedQpWorkspace,
+    ws: &'a mut BandedWorkspace,
 }
 
 impl BandedOps<'_> {
@@ -720,8 +718,7 @@ impl ActiveSetOps for BandedOps<'_> {
                 .push(self.qp.crow(self.ws.cols[r]).dot(&self.ws.t));
         }
         // λ and p from the incrementally maintained factor, plus one step
-        // of iterative refinement against the residual of the step itself —
-        // same conditioning safeguard as the dense path.
+        // of iterative refinement against the residual of the step itself.
         let correction = self.solve_refined(sol);
         // Stability rebuild: a large correction means the up/downdated
         // factor has drifted from the true working block. Rebuild from
@@ -758,7 +755,7 @@ impl ActiveSetOps for BandedOps<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qp::QuadraticProgram;
+    use idc_linalg::lu::Lu;
 
     fn pseudo(seed: &mut u64) -> f64 {
         *seed ^= *seed << 13;
@@ -767,8 +764,12 @@ mod tests {
         ((seed.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
     }
 
-    /// Random SPD block-tridiagonal Hessian plus its dense mirror.
-    fn random_h(nb: usize, t: usize, seed: &mut u64) -> (BlockTridiag, Matrix) {
+    fn assert_near(a: f64, b: f64) {
+        assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+    }
+
+    /// Random SPD block-tridiagonal Hessian.
+    fn random_h(nb: usize, t: usize, seed: &mut u64) -> BlockTridiag {
         let mut h = BlockTridiag::new(nb, t);
         for bt in 0..t.saturating_sub(1) {
             for v in h.sub_mut(bt) {
@@ -786,8 +787,13 @@ mod tests {
                 d[i * nb + i] = 2.0 * nb as f64 + pseudo(seed).abs();
             }
         }
-        let n = nb * t;
-        let mut dense = Matrix::zeros(n, n);
+        h
+    }
+
+    /// Dense copy of a block-tridiagonal matrix.
+    fn densify(h: &BlockTridiag) -> Matrix {
+        let (nb, t) = (h.nb(), h.nblocks());
+        let mut dense = Matrix::zeros(nb * t, nb * t);
         for bt in 0..t {
             for i in 0..nb {
                 for j in 0..nb {
@@ -804,69 +810,185 @@ mod tests {
                 }
             }
         }
-        (h, dense)
+        dense
     }
 
-    /// Builds matched banded/dense problem instances with stage-local
-    /// equality rows and bound-style inequalities.
-    fn matched_pair(nb: usize, t: usize, seed: &mut u64) -> (BandedQp, QuadraticProgram) {
-        let (h, dense) = random_h(nb, t, seed);
+    /// A random problem with stage-local equality rows and bound-style
+    /// inequalities.
+    fn random_problem(nb: usize, t: usize, seed: &mut u64) -> BandedQp {
+        let h = random_h(nb, t, seed);
         let n = nb * t;
-        let g: Vec<f64> = (0..n).map(|_| 3.0 * pseudo(seed)).collect();
-        let mut banded = BandedQp::new(h, g.clone()).unwrap();
-        let mut densified = QuadraticProgram::new(dense, g).unwrap();
+        let g: Vec<f64> = (0..n).map(|_| 8.0 * pseudo(seed)).collect();
+        let mut qp = BandedQp::new(h, g).unwrap();
         // One stage-sum equality per stage.
         for bt in 0..t {
             let row = SparseRow::from_entries((0..nb).map(|i| (bt * nb + i, 1.0)).collect());
-            let rhs = 0.5 * pseudo(seed);
-            let mut dr = vec![0.0; n];
-            for &(i, c) in row.entries() {
-                dr[i] = c;
-            }
-            banded = banded.equality(row, rhs);
-            densified = densified.equality(dr, rhs);
+            qp = qp.equality(row, 0.15 * pseudo(seed));
         }
-        // Upper bounds on every variable (loose enough to stay feasible,
-        // tight enough that some bind at the optimum).
+        // Upper bounds on every variable: each stage's bounds sum past the
+        // largest equality level (feasible), yet some bind at the optimum.
         for i in 0..n {
-            let b = 0.2 + 0.3 * pseudo(seed).abs();
-            banded = banded.inequality(SparseRow::from_entries(vec![(i, 1.0)]), b);
-            let mut dr = vec![0.0; n];
-            dr[i] = 1.0;
-            densified = densified.inequality(dr, b);
+            let b = 0.1 + 0.2 * pseudo(seed).abs();
+            qp = qp.inequality(SparseRow::from_entries(vec![(i, 1.0)]), b);
         }
-        (banded, densified)
+        qp
+    }
+
+    /// A one-stage problem `min ½xᵀHx + gᵀx` over a dense Hessian.
+    fn one_block(h: &[&[f64]], g: Vec<f64>) -> BandedQp {
+        let nb = g.len();
+        let mut bt = BlockTridiag::new(nb, 1);
+        for (i, row) in h.iter().enumerate() {
+            bt.diag_mut(0)[i * nb..(i + 1) * nb].copy_from_slice(row);
+        }
+        BandedQp::new(bt, g).unwrap()
+    }
+
+    /// The same problem posed densely: one block holding every variable,
+    /// so its Hessian factor and Schur complement share no band structure
+    /// with the original's.
+    fn densified(qp: &BandedQp) -> BandedQp {
+        let n = qp.num_vars();
+        let h = densify(&qp.h);
+        let mut one = BlockTridiag::new(n, 1);
+        for i in 0..n {
+            for j in 0..n {
+                one.diag_mut(0)[i * n + j] = h[(i, j)];
+            }
+        }
+        let mut dense = BandedQp::new(one, qp.g.clone()).unwrap();
+        for (crow, &b) in qp.a_eq.iter().zip(&qp.b_eq) {
+            dense = dense.equality(crow.clone(), b);
+        }
+        for (crow, &b) in qp.a_in.iter().zip(&qp.b_in) {
+            dense = dense.inequality(crow.clone(), b);
+        }
+        dense
+    }
+
+    /// A sparse row from dense coefficients.
+    fn row(coeffs: &[f64]) -> SparseRow {
+        SparseRow::from_entries(
+            coeffs
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c != 0.0)
+                .map(|(i, &c)| (i, c))
+                .collect(),
+        )
+    }
+
+    /// Optimality certificate that shares nothing with the active-set
+    /// loop: at the returned active set `W`, solve the dense KKT system
+    /// `[H Eᵀ A_Wᵀ; E 0 0; A_W 0 0]·[x; ν; λ] = [−g; b_eq; b_W]` by LU, then
+    /// require that it reproduces the returned point, that the
+    /// stationarity residual `Hx + g + Eᵀν + A_Wᵀλ` vanishes there, that
+    /// every working multiplier is non-negative and that the point is
+    /// primal feasible.
+    fn assert_kkt(qp: &BandedQp, sol: &QpSolution) {
+        let n = qp.num_vars();
+        let me = qp.a_eq.len();
+        let w = sol.active_set();
+        let dim = n + me + w.len();
+        let h = densify(&qp.h);
+        let mut kkt = Matrix::zeros(dim, dim);
+        let mut rhs = vec![0.0; dim];
+        for i in 0..n {
+            for j in 0..n {
+                kkt[(i, j)] = h[(i, j)];
+            }
+            rhs[i] = -qp.g[i];
+        }
+        let rows = qp
+            .a_eq
+            .iter()
+            .zip(&qp.b_eq)
+            .chain(w.iter().map(|&i| (&qp.a_in[i], &qp.b_in[i])));
+        for (r, (crow, &b)) in rows.enumerate() {
+            for &(i, c) in crow.entries() {
+                kkt[(n + r, i)] += c;
+                kkt[(i, n + r)] += c;
+            }
+            rhs[n + r] = b;
+        }
+        let z = Lu::factor(&kkt).unwrap().solve(&rhs).unwrap();
+        let x = sol.x();
+        let scale = 1.0 + vec_ops::norm_inf(&z);
+        for i in 0..n {
+            assert!(
+                (z[i] - x[i]).abs() <= 1e-7 * scale,
+                "x[{i}]: {} vs {}",
+                z[i],
+                x[i]
+            );
+            let stationarity: f64 = (0..n).map(|j| h[(i, j)] * x[j]).sum::<f64>()
+                + qp.g[i]
+                + (n..dim).map(|r| kkt[(r, i)] * z[r]).sum::<f64>();
+            assert!(
+                stationarity.abs() <= 1e-7 * scale,
+                "stationarity[{i}] = {stationarity}"
+            );
+        }
+        for (k, &lam) in z[n + me..].iter().enumerate() {
+            assert!(
+                lam >= -1e-7 * scale,
+                "multiplier of constraint {} is {lam}",
+                w[k]
+            );
+        }
+        assert!(qp.is_feasible(x, 1e-9), "primal infeasible: {x:?}");
     }
 
     #[test]
-    fn agrees_with_dense_backend_on_random_problems() {
+    fn satisfies_kkt_certificate_on_random_problems() {
         let mut seed = 0xdead_beefu64;
+        let mut binding = 0;
         for &(nb, t) in &[(2usize, 2usize), (3, 3), (4, 5)] {
-            let (mut banded, densified) = matched_pair(nb, t, &mut seed);
-            let mut ws = BandedQpWorkspace::new();
-            let sb = banded.solve_with(&mut ws).unwrap();
-            let sd = densified.solve().unwrap();
-            let denom = 1.0 + sd.objective().abs();
-            assert!(
-                (sb.objective() - sd.objective()).abs() / denom <= 1e-8,
-                "nb={nb} t={t}: banded {} vs dense {}",
-                sb.objective(),
-                sd.objective()
-            );
-            for (a, b) in sb.x().iter().zip(sd.x()) {
-                assert!((a - b).abs() < 1e-6, "nb={nb} t={t}");
-            }
+            let mut qp = random_problem(nb, t, &mut seed);
+            let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+            assert_kkt(&qp, &sol);
+            binding += sol.active_set().len();
         }
+        assert!(
+            binding > 0,
+            "no bound binds: the certificate saw no multipliers"
+        );
+    }
+
+    #[test]
+    fn warm_start_replays_cold_active_set() {
+        let mut seed = 0x1357u64;
+        let mut qp = random_problem(3, 4, &mut seed);
+        let mut ws = BandedWorkspace::new();
+        let cold = qp.solve_with(&mut ws).unwrap();
+        let warm = qp.warm_start(cold.x(), cold.active_set(), &mut ws).unwrap();
+        assert!((warm.objective() - cold.objective()).abs() < 1e-8);
+        assert!(
+            warm.iterations() <= 3,
+            "warm restart took {}",
+            warm.iterations()
+        );
+        assert_eq!(warm.active_set(), cold.active_set());
+        // Garbage seed entries (out of range, duplicated) are tolerated.
+        let mut sloppy_seed = vec![999];
+        sloppy_seed.extend(cold.active_set().iter().flat_map(|&i| [i, i]));
+        let sloppy = qp.warm_start(cold.x(), &sloppy_seed, &mut ws).unwrap();
+        assert!((sloppy.objective() - cold.objective()).abs() < 1e-8);
     }
 
     #[test]
     fn warm_start_replays_dense_active_set() {
         let mut seed = 0x1357u64;
-        let (mut banded, densified) = matched_pair(3, 4, &mut seed);
-        let dense_sol = densified.solve().unwrap();
-        let mut ws = BandedQpWorkspace::new();
+        let mut banded = random_problem(3, 4, &mut seed);
+        let mut dense = densified(&banded);
+        let dense_sol = dense.solve_with(&mut BandedWorkspace::new()).unwrap();
+        assert_kkt(&dense, &dense_sol);
         let warm = banded
-            .warm_start(dense_sol.x(), dense_sol.active_set(), &mut ws)
+            .warm_start(
+                dense_sol.x(),
+                dense_sol.active_set(),
+                &mut BandedWorkspace::new(),
+            )
             .unwrap();
         assert!((warm.objective() - dense_sol.objective()).abs() < 1e-8);
         assert!(
@@ -880,32 +1002,37 @@ mod tests {
     #[test]
     fn workspace_reuse_and_rhs_retargeting() {
         let mut seed = 0x2468u64;
-        let (mut banded, mut densified) = matched_pair(2, 3, &mut seed);
-        let mut ws = BandedQpWorkspace::new();
-        let first = banded.solve_with(&mut ws).unwrap();
-        // Retarget gradient and rhs on both, resolve warm from the previous
-        // optimum's active set, and compare again.
-        let n = banded.num_vars();
+        let mut qp = random_problem(2, 3, &mut seed);
+        let mut ws = BandedWorkspace::new();
+        let first = qp.solve_with(&mut ws).unwrap();
+        // Retarget gradient and rhs, resolve warm from the previous
+        // optimum's active set, and compare with a fresh cold solve.
+        let n = qp.num_vars();
         let g2: Vec<f64> = (0..n).map(|_| 2.0 * pseudo(&mut seed)).collect();
-        banded.set_gradient(&g2).unwrap();
-        densified.set_gradient(&g2).unwrap();
-        let eq2: Vec<f64> = (0..3).map(|_| 0.3 * pseudo(&mut seed)).collect();
-        banded.set_equality_rhs(&eq2).unwrap();
-        densified.set_equality_rhs(&eq2).unwrap();
-        let sd = densified.solve().unwrap();
-        let sb = banded
-            .warm_start(sd.x(), first.active_set(), &mut ws)
+        qp.set_gradient(&g2).unwrap();
+        let eq2: Vec<f64> = (0..3).map(|_| 0.15 * pseudo(&mut seed)).collect();
+        qp.set_equality_rhs(&eq2).unwrap();
+        let fresh = qp.clone().solve_with(&mut BandedWorkspace::new()).unwrap();
+        let sb = qp
+            .warm_start(fresh.x(), first.active_set(), &mut ws)
             .unwrap();
-        assert!((sb.objective() - sd.objective()).abs() / (1.0 + sd.objective().abs()) <= 1e-8);
+        assert!(
+            (sb.objective() - fresh.objective()).abs() / (1.0 + fresh.objective().abs()) <= 1e-8
+        );
+        assert_kkt(&qp, &sb);
+        // Length mismatches are rejected.
+        assert!(qp.set_gradient(&[1.0]).is_err());
+        assert!(qp.set_equality_rhs(&[]).is_err());
+        assert!(qp.set_inequality_rhs(&[1.0]).is_err());
     }
 
     #[test]
     fn infeasible_start_and_bad_rows_are_rejected() {
-        let (h, _) = random_h(2, 2, &mut 5u64);
+        let h = random_h(2, 2, &mut 5u64);
         let mut qp = BandedQp::new(h, vec![0.0; 4])
             .unwrap()
             .inequality(SparseRow::from_entries(vec![(0, 1.0)]), 1.0);
-        let mut ws = BandedQpWorkspace::new();
+        let mut ws = BandedWorkspace::new();
         assert!(matches!(
             qp.warm_start(&[5.0, 0.0, 0.0, 0.0], &[], &mut ws),
             Err(Error::Infeasible)
@@ -914,7 +1041,7 @@ mod tests {
             qp.warm_start(&[0.0], &[], &mut ws),
             Err(Error::DimensionMismatch { .. })
         ));
-        let (h2, _) = random_h(2, 2, &mut 6u64);
+        let h2 = random_h(2, 2, &mut 6u64);
         let mut bad = BandedQp::new(h2, vec![0.0; 4])
             .unwrap()
             .inequality(SparseRow::from_entries(vec![(9, 1.0)]), 1.0);
@@ -925,12 +1052,125 @@ mod tests {
     }
 
     #[test]
+    fn dimension_mismatches_are_rejected() {
+        let h = BlockTridiag::new(2, 1);
+        assert!(matches!(
+            BandedQp::new(h.clone(), vec![0.0]),
+            Err(Error::DimensionMismatch { .. })
+        ));
+        let mut qp = one_block(&[&[1.0, 0.0], &[0.0, 1.0]], vec![0.0, 0.0])
+            .equality(SparseRow::from_entries(vec![(2, 1.0)]), 0.0);
+        assert!(matches!(
+            qp.solve_with(&mut BandedWorkspace::new()),
+            Err(Error::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn nocedal_wright_example_16_4() {
+        // min (x0−1)² + (x1−2.5)²
+        // s.t. −x0 + 2x1 ≤ 2; x0 + 2x1 ≤ 6; x0 − 2x1 ≤ 2; x ≥ 0.
+        // Optimum (1.4, 1.7) with the first constraint active.
+        let mut qp = one_block(&[&[2.0, 0.0], &[0.0, 2.0]], vec![-2.0, -5.0])
+            .inequality(row(&[-1.0, 2.0]), 2.0)
+            .inequality(row(&[1.0, 2.0]), 6.0)
+            .inequality(row(&[1.0, -2.0]), 2.0)
+            .inequality(row(&[-1.0, 0.0]), 0.0)
+            .inequality(row(&[0.0, -1.0]), 0.0);
+        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        assert_near(sol.x()[0], 1.4);
+        assert_near(sol.x()[1], 1.7);
+        assert_eq!(sol.active_set(), &[0]);
+        assert_kkt(&qp, &sol);
+        // The textbook start: x0 = (2, 0) with constraints 3 and 5 (here 2
+        // and 4) working. Both must be dropped on the way to the optimum.
+        let textbook = qp
+            .warm_start(&[2.0, 0.0], &[2, 4], &mut BandedWorkspace::new())
+            .unwrap();
+        assert_near(textbook.x()[0], 1.4);
+        assert_near(textbook.x()[1], 1.7);
+        assert!(
+            textbook.stats().constraints_dropped >= 2,
+            "stats: {:?}",
+            textbook.stats()
+        );
+        assert_kkt(&qp, &textbook);
+    }
+
+    #[test]
+    fn degenerate_dependent_row_cannot_livelock_the_loop() {
+        // Regression: a row numerically dependent on the working set
+        // (here row 1 ≈ row 0 + noise) that is tight with a tiny negative
+        // slack blocks with alpha = 0, breaks the working-set KKT
+        // factorization when admitted, and is popped — then immediately
+        // re-selected by the ratio test, forever. The accumulated ban set
+        // must break the cycle and let the solve finish at the true
+        // optimum governed by the independent constraints.
+        let mut qp = one_block(&[&[2.0, 0.0], &[0.0, 2.0]], vec![0.0, -2000.0])
+            .inequality(row(&[1.0, 0.0]), 0.0)
+            .inequality(row(&[1.0, 1e-10]), -1e-12)
+            .inequality(row(&[0.0, 1.0]), 500.0);
+        let sol = qp
+            .warm_start(&[0.0, 0.0], &[0], &mut BandedWorkspace::new())
+            .unwrap();
+        assert_near(sol.x()[1], 500.0);
+        assert!(sol.x()[0].abs() < 1e-6, "{}", sol.x()[0]);
+        // The livelock geometry must actually have been exercised.
+        assert!(
+            sol.stats().degenerate_pops >= 1,
+            "expected a degenerate-KKT pop, stats: {:?}",
+            sol.stats()
+        );
+    }
+
+    #[test]
+    fn infeasible_constraints_are_reported() {
+        // x = 3 and x ≤ 1 cannot both hold.
+        let mut qp = one_block(&[&[2.0]], vec![0.0])
+            .equality(row(&[1.0]), 3.0)
+            .inequality(row(&[1.0]), 1.0);
+        assert!(matches!(
+            qp.solve_with(&mut BandedWorkspace::new()),
+            Err(Error::Infeasible)
+        ));
+    }
+
+    #[test]
+    fn negative_rhs_feasible_point_found() {
+        // Feasible region entirely in the negative half-line: x ≤ −1,
+        // min (x+3)², so the phase-1 point must leave the origin.
+        let mut qp = one_block(&[&[2.0]], vec![6.0]).inequality(row(&[1.0]), -1.0);
+        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        assert_near(sol.x()[0], -3.0);
+    }
+
+    #[test]
+    fn kkt_conditions_hold_at_solution() {
+        let mut qp = one_block(&[&[4.0, 1.0], &[1.0, 3.0]], vec![1.0, -2.0])
+            .inequality(row(&[1.0, 0.0]), 0.3)
+            .inequality(row(&[0.0, 1.0]), 0.4)
+            .equality(row(&[1.0, 1.0]), 0.5);
+        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        assert_kkt(&qp, &sol);
+        // The certificate agrees with feasible perturbations along the
+        // equality manifold: none improves the objective.
+        let x = sol.x();
+        let base = qp.objective_at(x);
+        for eps in [1e-4, -1e-4] {
+            let trial = [x[0] + eps, x[1] - eps];
+            if qp.is_feasible(&trial, 1e-9) {
+                assert!(qp.objective_at(&trial) >= base - 1e-9);
+            }
+        }
+    }
+
+    #[test]
     fn batched_and_single_pivot_reach_same_optimum() {
         let mut seed = 0xace1u64;
-        let (mut batched, _) = matched_pair(3, 4, &mut seed);
+        let mut batched = random_problem(3, 4, &mut seed);
         let mut single = batched.clone().single_pivot(true);
-        let sb = batched.solve_with(&mut BandedQpWorkspace::new()).unwrap();
-        let ss = single.solve_with(&mut BandedQpWorkspace::new()).unwrap();
+        let sb = batched.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let ss = single.solve_with(&mut BandedWorkspace::new()).unwrap();
         assert!(
             (sb.objective() - ss.objective()).abs() / (1.0 + ss.objective().abs()) <= 1e-8,
             "batched {} vs single-pivot {}",
@@ -943,13 +1183,11 @@ mod tests {
     #[test]
     fn forced_refactorization_triggers_stability_rebuild() {
         let mut seed = 0x97531u64;
-        let (mut banded, _) = matched_pair(3, 3, &mut seed);
-        let mut ws = BandedQpWorkspace::new();
-        let cold = banded.solve_with(&mut ws).unwrap();
+        let mut qp = random_problem(3, 3, &mut seed);
+        let mut ws = BandedWorkspace::new();
+        let cold = qp.solve_with(&mut ws).unwrap();
         ws.force_refactor_next();
-        let poisoned = banded
-            .warm_start(cold.x(), cold.active_set(), &mut ws)
-            .unwrap();
+        let poisoned = qp.warm_start(cold.x(), cold.active_set(), &mut ws).unwrap();
         assert!(
             (poisoned.objective() - cold.objective()).abs()
                 <= 1e-8 * (1.0 + cold.objective().abs())
@@ -969,7 +1207,7 @@ mod tests {
     fn step_residual_matches_schur_residual() {
         let mut seed = 0x7e51du64;
         for &(nb, t) in &[(2usize, 3usize), (3, 4), (5, 6)] {
-            let (mut banded, _) = matched_pair(nb, t, &mut seed);
+            let mut banded = random_problem(nb, t, &mut seed);
             banded.prepare().unwrap();
             let cache = banded.cache.as_ref().unwrap();
             let n = banded.num_vars();
@@ -1008,7 +1246,7 @@ mod tests {
         let mut h = BlockTridiag::new(2, 1);
         h.diag_mut(0).copy_from_slice(&[2.0, 0.0, 0.0, 2.0]);
         let mut qp = BandedQp::new(h, vec![-6.0, 2.0]).unwrap();
-        let sol = qp.solve_with(&mut BandedQpWorkspace::new()).unwrap();
+        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
         assert!((sol.x()[0] - 3.0).abs() < 1e-8);
         assert!((sol.x()[1] + 1.0).abs() < 1e-8);
         assert!(sol.active_set().is_empty());

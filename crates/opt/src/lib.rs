@@ -1,20 +1,19 @@
-//! From-scratch dense optimization solvers for the `idc-mpc` workspace.
+//! From-scratch optimization solvers for the `idc-mpc` workspace.
 //!
 //! The ICDCS 2012 paper needs two optimizers:
 //!
 //! 1. a **linear program** for the MPC control reference (paper eq. 46 — the
 //!    Rao et al. INFOCOM'10 instantaneous cost minimum), solved here by a
 //!    [two-phase primal simplex](linprog) with Bland's anti-cycling rule;
-//! 2. a **convex quadratic program** for the condensed MPC problem
-//!    (paper eq. 42–45 — a constrained least-squares problem in `ΔU`),
-//!    solved here by a [primal active-set method](qp) on LU-factored KKT
-//!    systems, with a [penalized projected-gradient](projgrad) alternative
-//!    used for ablation benchmarks.
+//! 2. a **convex quadratic program** for the MPC step (paper eq. 42–45),
+//!    solved here by a primal active-set method over a
+//!    [block-tridiagonal Hessian with sparse constraint rows](banded_qp):
+//!    the working-set Schur complement is updated incrementally and each
+//!    KKT step costs a banded Cholesky solve.
 //!
 //! The Rust convex-optimization crate ecosystem is thin, which is why these
 //! solvers are implemented from scratch on top of [`idc_linalg`]. They are
-//! dense and deterministic — appropriate for the problem sizes of the paper
-//! (tens to a few hundred variables).
+//! deterministic: identical inputs give bit-identical solutions.
 //!
 //! # Example: the paper's reference LP in miniature
 //!
@@ -41,11 +40,10 @@ mod active_set;
 pub mod banded_qp;
 mod error;
 pub mod linprog;
-pub mod lsq;
-pub mod projgrad;
-pub mod qp;
+#[cfg(test)]
+mod qp;
 
-pub use active_set::WARM_TOL;
+pub use active_set::{QpSolution, WARM_TOL};
 pub use error::Error;
 pub use idc_obs::SolveStats;
 

@@ -1,16 +1,113 @@
 //! Property-based tests for the optimization solvers.
 
 use idc_linalg::banded::BlockTridiag;
+use idc_linalg::lu::Lu;
 use idc_linalg::{vec_ops, Matrix};
-use idc_opt::banded_qp::{BandedQp, BandedQpWorkspace, SparseRow};
+use idc_opt::banded_qp::{BandedQp, BandedWorkspace, SparseRow};
 use idc_opt::linprog::LinearProgram;
-use idc_opt::projgrad::project_simplex;
-use idc_opt::qp::{QpWorkspace, QuadraticProgram};
+use idc_opt::QpSolution;
 use proptest::prelude::*;
 
 /// Strategy: a strictly-positive diagonal Hessian of dimension `n`.
 fn pd_diag(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.5f64..5.0, n)
+}
+
+/// A dense constraint row `aᵀx (= or ≤) b`.
+type Row = (Vec<f64>, f64);
+
+/// A convex QP over a diagonal Hessian, kept in dense form so the
+/// optimality certificate below can be checked without the solver.
+struct DiagQp {
+    hdiag: Vec<f64>,
+    g: Vec<f64>,
+    eq: Vec<Row>,
+    ineq: Vec<Row>,
+}
+
+impl DiagQp {
+    /// The same program as a banded QP: `blocks` stages of
+    /// `n / blocks` variables with a block-diagonal Hessian.
+    fn banded(&self, blocks: usize, single_pivot: bool) -> BandedQp {
+        let nb = self.g.len() / blocks;
+        let mut h = BlockTridiag::new(nb, blocks);
+        for (i, &d) in self.hdiag.iter().enumerate() {
+            h.diag_mut(i / nb)[(i % nb) * nb + i % nb] = d;
+        }
+        let sparse = |a: &[f64]| {
+            SparseRow::from_entries(
+                a.iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c != 0.0)
+                    .map(|(i, &c)| (i, c))
+                    .collect(),
+            )
+        };
+        let mut qp = BandedQp::new(h, self.g.clone())
+            .unwrap()
+            .single_pivot(single_pivot);
+        for (a, b) in &self.eq {
+            qp = qp.equality(sparse(a), *b);
+        }
+        for (a, b) in &self.ineq {
+            qp = qp.inequality(sparse(a), *b);
+        }
+        qp
+    }
+
+    /// KKT certificate at the solver's active set `W`: the dense system
+    /// `[H Eᵀ A_Wᵀ; E 0 0; A_W 0 0]·[x; ν; λ] = [−g; b_eq; b_W]`, solved by
+    /// LU, must reproduce the returned point with `λ_W ≥ 0`, and the point
+    /// must be primal feasible.
+    fn certify(&self, sol: &QpSolution) -> Result<(), String> {
+        let n = self.g.len();
+        let rows: Vec<&Row> = self
+            .eq
+            .iter()
+            .chain(sol.active_set().iter().map(|&i| &self.ineq[i]))
+            .collect();
+        let dim = n + rows.len();
+        let mut kkt = Matrix::zeros(dim, dim);
+        let mut rhs = vec![0.0; dim];
+        for i in 0..n {
+            kkt[(i, i)] = self.hdiag[i];
+            rhs[i] = -self.g[i];
+        }
+        for (r, (a, b)) in rows.iter().enumerate() {
+            for (i, &c) in a.iter().enumerate() {
+                kkt[(n + r, i)] = c;
+                kkt[(i, n + r)] = c;
+            }
+            rhs[n + r] = *b;
+        }
+        let z = Lu::factor(&kkt)
+            .and_then(|lu| lu.solve(&rhs))
+            .map_err(|e| format!("singular working-set KKT system: {e}"))?;
+        let x = sol.x();
+        let tol = 1e-7 * (1.0 + vec_ops::norm_inf(&z));
+        if !vec_ops::approx_eq(&z[..n], x, tol) {
+            return Err(format!("KKT point {:?} vs solver {x:?}", &z[..n]));
+        }
+        if let Some(lam) = z[n + self.eq.len()..].iter().find(|&&l| l < -tol) {
+            return Err(format!("negative working multiplier {lam}"));
+        }
+        let value = |a: &[f64]| vec_ops::dot(a, x);
+        let feasible = self.eq.iter().all(|(a, b)| (value(a) - b).abs() <= tol)
+            && self.ineq.iter().all(|(a, b)| value(a) <= b + tol);
+        if !feasible {
+            return Err(format!("primal infeasible point {x:?}"));
+        }
+        Ok(())
+    }
+}
+
+/// A dense row with `coeff` at each of `at`.
+fn unit_row(n: usize, at: &[usize], coeff: f64) -> Vec<f64> {
+    let mut row = vec![0.0; n];
+    for &i in at {
+        row[i] = coeff;
+    }
+    row
 }
 
 proptest! {
@@ -63,21 +160,23 @@ proptest! {
         prop_assert!(x.iter().all(|&v| v >= -1e-9));
     }
 
-    /// The QP optimum must satisfy its constraints and weakly beat feasible
-    /// perturbations (local optimality certificate for a convex problem).
+    /// The QP optimum must pass the KKT certificate and weakly beat
+    /// feasible perturbations (local optimality for a convex problem).
     #[test]
     fn qp_optimum_is_feasible_and_locally_optimal(
         hdiag in pd_diag(3),
         g in prop::collection::vec(-3.0f64..3.0, 3),
         cap in 0.5f64..3.0,
     ) {
-        let qp = QuadraticProgram::new(Matrix::diag(&hdiag), g)
-            .unwrap()
-            .equality(vec![1.0, 1.0, 1.0], 1.0)
-            .inequality(vec![1.0, 0.0, 0.0], cap)
-            .inequality(vec![-1.0, 0.0, 0.0], cap);
-        let sol = qp.solve().unwrap();
-        prop_assert!(qp.is_feasible(sol.x(), 1e-6));
+        let dense = DiagQp {
+            hdiag,
+            g,
+            eq: vec![(vec![1.0, 1.0, 1.0], 1.0)],
+            ineq: vec![(unit_row(3, &[0], 1.0), cap), (unit_row(3, &[0], -1.0), cap)],
+        };
+        let mut qp = dense.banded(1, false);
+        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        prop_assert!(dense.certify(&sol).is_ok(), "{:?}", dense.certify(&sol));
         let base = sol.objective();
         // Perturb along the equality manifold.
         for (i, j) in [(0usize, 1usize), (1, 2), (0, 2)] {
@@ -130,62 +229,35 @@ proptest! {
         );
     }
 
-    /// Simplex projection is idempotent and 1-Lipschitz (non-expansive).
-    #[test]
-    fn simplex_projection_properties(
-        v in prop::collection::vec(-5.0f64..5.0, 4),
-        w in prop::collection::vec(-5.0f64..5.0, 4),
-        total in 0.1f64..10.0,
-    ) {
-        let pv = project_simplex(&v, total);
-        prop_assert!((vec_ops::sum(&pv) - total).abs() < 1e-9);
-        prop_assert!(pv.iter().all(|&x| x >= 0.0));
-        // Idempotence.
-        let ppv = project_simplex(&pv, total);
-        prop_assert!(vec_ops::approx_eq(&pv, &ppv, 1e-9));
-        // Non-expansiveness.
-        let pw = project_simplex(&w, total);
-        let d_proj = vec_ops::norm2(&vec_ops::sub(&pv, &pw));
-        let d_orig = vec_ops::norm2(&vec_ops::sub(&v, &w));
-        prop_assert!(d_proj <= d_orig + 1e-9);
-    }
-
     /// Warm-started solves seeded with a perturbed previous optimum and a
     /// possibly-stale active set land on the cold solve's answer — same
     /// minimizer, objective and final active set — on random
-    /// product-of-simplices QPs, on both the dense-KKT and the
-    /// Schur-prepared solve paths. This is the contract the MPC's
-    /// shift-and-repair warm start relies on.
+    /// product-of-simplices QPs (one simplex per stage), and both pass the
+    /// KKT certificate. This is the contract the MPC's shift-and-repair
+    /// warm start relies on.
     #[test]
     fn qp_warm_start_matches_cold_solve(
         hdiag in pd_diag(6),
         g in prop::collection::vec(-2.0f64..2.0, 6),
         blend in 0.0f64..1.0,
     ) {
-        let build = || {
-            let mut qp = QuadraticProgram::new(Matrix::diag(&hdiag), g.clone()).unwrap();
-            for b in 0..2 {
-                let mut row = vec![0.0; 6];
-                for k in 0..3 {
-                    row[3 * b + k] = 1.0;
-                }
-                qp = qp.equality(row, 1.0);
-                for k in 0..3 {
-                    let mut nn = vec![0.0; 6];
-                    nn[3 * b + k] = -1.0;
-                    qp = qp.inequality(nn, 0.0);
-                }
+        let mut dense = DiagQp { hdiag, g, eq: Vec::new(), ineq: Vec::new() };
+        for b in 0..2 {
+            dense.eq.push((unit_row(6, &[3 * b, 3 * b + 1, 3 * b + 2], 1.0), 1.0));
+            for k in 0..3 {
+                dense.ineq.push((unit_row(6, &[3 * b + k], -1.0), 0.0));
             }
-            qp
-        };
-        let qp = build();
-        let cold = qp.solve().unwrap();
+        }
+        let mut qp = dense.banded(2, false);
+        let mut ws = BandedWorkspace::new();
+        let cold = qp.solve_with(&mut ws).unwrap();
+        prop_assert!(dense.certify(&cold).is_ok(), "{:?}", dense.certify(&cold));
         // A feasible stand-in for the receding-horizon shift: blend the
         // optimum toward the simplex centers (stays on the equality
         // manifold and nonnegative), seeding with the now-stale set.
         let x0: Vec<f64> = cold.x().iter().map(|&x| (1.0 - blend) * x + blend / 3.0).collect();
-        let mut ws = QpWorkspace::new();
         let warm = qp.warm_start(&x0, cold.active_set(), &mut ws).unwrap();
+        prop_assert!(dense.certify(&warm).is_ok(), "{:?}", dense.certify(&warm));
         let obj_tol = 1e-8 * (1.0 + cold.objective().abs());
         prop_assert!(
             (warm.objective() - cold.objective()).abs() <= obj_tol,
@@ -195,51 +267,7 @@ proptest! {
             vec_ops::approx_eq(warm.x(), cold.x(), 1e-6),
             "warm x {:?} vs cold {:?}", warm.x(), cold.x()
         );
-        let mut cold_set = cold.active_set().to_vec();
-        cold_set.sort_unstable();
-        let mut warm_set = warm.active_set().to_vec();
-        warm_set.sort_unstable();
-        prop_assert_eq!(cold_set.clone(), warm_set);
-        // The Schur-prepared fast path reaches the same answer.
-        let mut prepared = build();
-        prepared.prepare().unwrap();
-        let fast = prepared.warm_start(&x0, cold.active_set(), &mut ws).unwrap();
-        prop_assert!(
-            (fast.objective() - cold.objective()).abs() <= obj_tol,
-            "prepared objective {} vs cold {}", fast.objective(), cold.objective()
-        );
-        prop_assert!(vec_ops::approx_eq(fast.x(), cold.x(), 1e-6));
-        let mut fast_set = fast.active_set().to_vec();
-        fast_set.sort_unstable();
-        prop_assert_eq!(cold_set, fast_set);
-    }
-
-    /// Active-set QP and projected-gradient agree on simplex-constrained
-    /// problems (the MPC ablation pairing).
-    #[test]
-    fn qp_and_projgrad_agree_on_simplex(
-        hdiag in pd_diag(3),
-        g in prop::collection::vec(-2.0f64..2.0, 3),
-    ) {
-        let h = Matrix::diag(&hdiag);
-        let exact = QuadraticProgram::new(h.clone(), g.clone())
-            .unwrap()
-            .equality(vec![1.0, 1.0, 1.0], 1.0)
-            .inequality(vec![-1.0, 0.0, 0.0], 0.0)
-            .inequality(vec![0.0, -1.0, 0.0], 0.0)
-            .inequality(vec![0.0, 0.0, -1.0], 0.0)
-            .solve()
-            .unwrap();
-        let approx = idc_opt::projgrad::ProjectedGradientQp::new(h, g)
-            .unwrap()
-            .simplex_block(0, 3, 1.0)
-            .max_iterations(20000)
-            .solve()
-            .unwrap();
-        prop_assert!(
-            vec_ops::approx_eq(exact.x(), &approx, 1e-4),
-            "exact {:?} vs approx {:?}", exact.x(), approx
-        );
+        prop_assert_eq!(cold.active_set(), warm.active_set());
     }
 }
 
@@ -268,29 +296,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Batched pivoting (multiple working-set changes per outer iteration)
-    /// must reach the same optimum as the classical single-pivot loop on
-    /// random dense QPs.
+    /// must reach the same certified optimum as the classical single-pivot
+    /// loop on random box-constrained QPs.
     #[test]
     fn qp_batched_and_single_pivot_agree(
         hdiag in pd_diag(4),
         g in prop::collection::vec(-3.0f64..3.0, 4),
         cap in 0.3f64..2.0,
     ) {
-        let build = || {
-            let mut qp = QuadraticProgram::new(Matrix::diag(&hdiag), g.clone())
-                .unwrap()
-                .equality(vec![1.0; 4], 1.0);
-            for j in 0..4 {
-                let mut row = vec![0.0; 4];
-                row[j] = 1.0;
-                qp = qp.inequality(row.clone(), cap);
-                row[j] = -1.0;
-                qp = qp.inequality(row, cap);
-            }
-            qp
-        };
-        let batched = build().solve().unwrap();
-        let single = build().single_pivot(true).solve().unwrap();
+        let mut dense = DiagQp { hdiag, g, eq: vec![(vec![1.0; 4], 1.0)], ineq: Vec::new() };
+        for j in 0..4 {
+            dense.ineq.push((unit_row(4, &[j], 1.0), cap));
+            dense.ineq.push((unit_row(4, &[j], -1.0), cap));
+        }
+        let mut ws = BandedWorkspace::new();
+        let batched = dense.banded(1, false).solve_with(&mut ws).unwrap();
+        let single = dense.banded(1, true).solve_with(&mut ws).unwrap();
         prop_assert!(
             (batched.objective() - single.objective()).abs()
                 <= 1e-8 * (1.0 + single.objective().abs()),
@@ -298,7 +319,8 @@ proptest! {
             batched.objective(),
             single.objective()
         );
-        prop_assert!(build().is_feasible(batched.x(), 1e-7));
+        prop_assert!(dense.certify(&batched).is_ok(), "{:?}", dense.certify(&batched));
+        prop_assert!(dense.certify(&single).is_ok(), "{:?}", dense.certify(&single));
     }
 
     /// Same batched ≡ single-pivot equivalence for the banded backend.
@@ -325,7 +347,7 @@ proptest! {
             }
             qp
         };
-        let mut ws = BandedQpWorkspace::new();
+        let mut ws = BandedWorkspace::new();
         let batched = build(false).solve_with(&mut ws).unwrap();
         let single = build(true).solve_with(&mut ws).unwrap();
         prop_assert!(

@@ -101,8 +101,10 @@ pub struct RuntimeSnapshot {
     pub step: u64,
     /// Staleness ceiling in ticks before degrading to the fallback plan.
     pub max_staleness_ticks: u64,
-    /// Solver-backend label (`None` = the paper-tuned default backend).
-    /// See [`crate::stepper::parse_backend`] for the accepted labels.
+    /// Solver-backend label (`None` = the paper-tuned default, the banded
+    /// backend). See [`crate::stepper::parse_backend`] for the accepted
+    /// labels; restoring a snapshot whose label is not accepted fails with
+    /// [`Error::Config`](crate::Error::Config).
     pub backend: Option<String>,
     /// Per-tick, per-feed admission bound (0 = unbounded).
     pub ingest_bound: u64,

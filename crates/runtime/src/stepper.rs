@@ -57,8 +57,9 @@ pub struct StepperConfig {
     /// Fault schedule for the price feed.
     pub price_faults: FeedFaults,
     /// Solver-backend label (see [`parse_backend`]); `None` keeps the
-    /// paper-tuned default. Part of the checkpoint identity: a tenant
-    /// restored from a snapshot re-solves on the backend it ran on.
+    /// paper-tuned default, the banded backend. Part of the checkpoint
+    /// identity: a tenant restored from a snapshot re-solves on the backend
+    /// it ran on, and a label this build does not know fails the restore.
     pub backend: Option<String>,
     /// Per-tick, per-feed admission bound (0 = unbounded). Applied after
     /// overload amplification, before held-value ingest.
@@ -85,12 +86,12 @@ impl StepperConfig {
     }
 }
 
-/// Parses a solver-backend label: `dense` (condensed dense active-set,
-/// the default), `banded` (banded Riccati) or `sharded[N]` (ADMM-style
-/// consensus across `N` shards). Returns `None` for anything else.
+/// Parses a solver-backend label: `banded` (banded Riccati, the default)
+/// or `sharded[N]` (ADMM-style consensus across `N` shards). Returns
+/// `None` for anything else — including `dense`, the label of a retired
+/// backend, which is rejected rather than remapped.
 pub fn parse_backend(label: &str) -> Option<SolverBackend> {
     match label {
-        "dense" => Some(SolverBackend::CondensedDense),
         "banded" => Some(SolverBackend::BandedRiccati),
         _ => {
             let shards: usize = label
@@ -316,7 +317,7 @@ impl Stepper {
             ),
             (
                 "idc_outer_iterations_total",
-                "Sharded-backend outer coordination rounds (zero for monolithic backends).",
+                "Sharded-backend outer coordination rounds (zero for the monolithic backend).",
             ),
             (
                 "idc_consensus_residual_nano",
@@ -854,13 +855,19 @@ mod tests {
     #[test]
     fn backend_labels_parse_and_select_the_solver() {
         use idc_core::SolverBackend;
-        assert_eq!(parse_backend("dense"), Some(SolverBackend::CondensedDense));
         assert_eq!(parse_backend("banded"), Some(SolverBackend::BandedRiccati));
         assert!(matches!(
             parse_backend("sharded[3]"),
             Some(SolverBackend::Sharded { shards: 3, .. })
         ));
-        for bad in ["", "Dense", "sharded[0]", "sharded[x]", "sharded[2"] {
+        for bad in [
+            "",
+            "dense",
+            "Dense",
+            "sharded[0]",
+            "sharded[x]",
+            "sharded[2",
+        ] {
             assert_eq!(parse_backend(bad), None, "{bad:?} parsed");
         }
         let err = Stepper::new(StepperConfig {

@@ -14,6 +14,7 @@ use idc_runtime::http::MetricsServer;
 use idc_runtime::metrics::MetricsRegistry;
 use idc_runtime::snapshot::RuntimeSnapshot;
 use idc_runtime::stepper::{Stepper, StepperConfig};
+use idc_runtime::Error;
 use idc_testkit::equivalence::bitwise_f64;
 use proptest::prelude::*;
 
@@ -99,6 +100,30 @@ proptest! {
 
 /// A stepper wired to a registry and served over HTTP exposes the expected
 /// keys with values consistent with the stepper's own accounting.
+/// A checkpoint written under the retired `dense` backend label must fail
+/// to restore with a configuration error naming the label — never resume
+/// silently on some other backend.
+#[test]
+fn snapshot_with_retired_dense_backend_fails_to_restore() {
+    let mut stepper = Stepper::new(StepperConfig {
+        backend: Some("banded".into()),
+        ..StepperConfig::fault_free("smoothing", 2012)
+    })
+    .unwrap();
+    for _ in 0..3 {
+        stepper.step_once().unwrap();
+    }
+    let mut snapshot = stepper.snapshot();
+    snapshot.backend = Some("dense".into());
+    let json = snapshot.to_json().unwrap();
+    let snapshot = RuntimeSnapshot::from_json(&json).unwrap();
+    match Stepper::restore(&snapshot) {
+        Err(Error::Config(msg)) => assert_eq!(msg, "unknown backend 'dense'"),
+        Err(e) => panic!("wrong error for a dense checkpoint: {e}"),
+        Ok(_) => panic!("a dense checkpoint must not restore"),
+    }
+}
+
 #[test]
 fn metrics_endpoint_reflects_stepper_state() {
     let mut stepper = Stepper::new(StepperConfig::fault_free("smoothing", 2012)).unwrap();

@@ -242,7 +242,8 @@ impl StorageState {
         if d * ts_hours / unit.discharge_efficiency > soc {
             d = soc * unit.discharge_efficiency / ts_hours;
         }
-        let delta = unit.charge_efficiency * c * ts_hours - d * ts_hours / unit.discharge_efficiency;
+        let delta =
+            unit.charge_efficiency * c * ts_hours - d * ts_hours / unit.discharge_efficiency;
         self.soc_mwh[j] = (soc + delta).clamp(0.0, unit.capacity_mwh);
         // Losses: grid energy in minus stored gain, plus stored spend
         // minus load energy out.

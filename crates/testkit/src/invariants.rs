@@ -370,9 +370,9 @@ pub fn check_run(scenario: &Scenario, result: &SimulationResult, tol: &Tolerance
                     });
                 }
                 report.checks += 1;
-                expected +=
-                    (unit.charge_efficiency * charge[k] - discharge[k] / unit.discharge_efficiency)
-                        * ts;
+                expected += (unit.charge_efficiency * charge[k]
+                    - discharge[k] / unit.discharge_efficiency)
+                    * ts;
                 let drift = (s - expected).abs();
                 if drift > 1e-9 {
                     report.violations.push(Violation {

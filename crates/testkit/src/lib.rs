@@ -15,7 +15,7 @@
 //!   two-phase simplex, textbook primal active-set QP, plain Gaussian
 //!   elimination; no caching, no warm starts, no shared code with
 //!   `idc-opt`) that re-solve per-step problems captured from real runs
-//!   and must agree with both production backends to 1e-8.
+//!   and must agree with the production banded backend to 1e-8.
 //! * [`faults`] — seeded, byte-reproducible [`faults::FaultPlan`]s that
 //!   perturb scenarios (price spikes, hold-last-value dropouts, prediction
 //!   error scaling, forced solver failures) and check the policy degrades

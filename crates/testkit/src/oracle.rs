@@ -3,12 +3,15 @@
 //! Small, deliberately naive reference solvers that share **no code** with
 //! `idc-opt`: a full-tableau two-phase simplex with Bland's rule for the
 //! reference LP (paper eq. 46) and a textbook primal active-set method
-//! with dense Gaussian-elimination KKT solves for the condensed MPC QP
-//! (paper eq. 42–45). No caching, no warm starts, no factorization reuse —
-//! every call rebuilds and re-solves from scratch. Production results must
-//! agree with these to `1e-8` on the physically meaningful quantities
-//! (objective value and horizon power), which is how solver refactors are
-//! caught before they silently shift trajectories.
+//! with dense Gaussian-elimination KKT solves for the MPC QP (paper
+//! eq. 42–45, with the battery terms when the step carries storage). No
+//! caching, no warm starts, no factorization reuse — every call rebuilds
+//! and re-solves from scratch. The production MPC has one monolithic QP
+//! path (the banded backend), so these oracles are its only independent
+//! reference: production results must agree with them to `1e-8` on the
+//! physically meaningful quantities (objective value and horizon power),
+//! which is how solver refactors are caught before they silently shift
+//! trajectories.
 
 use idc_control::mpc::{MpcConfig, MpcProblem};
 use idc_datacenter::idc::IdcConfig;
@@ -361,43 +364,77 @@ struct LsRow {
     w: f64,
 }
 
-/// All least-squares rows of paper eq. 42: per-IDC power tracking over the
-/// prediction horizon, then per-IDC power-change smoothing over the
-/// control horizon.
-fn ls_rows(config: &MpcConfig, problem: &MpcProblem) -> Vec<LsRow> {
+/// The stacked decision vector's stage block: `N·C` workload changes, then
+/// with storage `N` charge-rate and `N` discharge-rate changes — the layout
+/// of [`MpcPlan::delta_u`](idc_control::mpc::MpcPlan::delta_u). A rate
+/// change of `x` moves the rate by `b₁_j·x` MW (req/s-equivalent units).
+fn stage_block(problem: &MpcProblem) -> usize {
+    let n = problem.num_idcs();
+    n * problem.num_portals() + problem.storage.as_ref().map_or(0, |_| 2 * n)
+}
+
+/// Coefficients of IDC `j`'s grid-power change through control stage `t`
+/// (MW): `b₁_j` on each of its workload changes and, with storage, `+b₁_j`
+/// on its charge-rate and `−b₁_j` on its discharge-rate changes, summed
+/// over the stages `≤ t` when `cumulative`, else stage `t` only.
+fn power_change_row(
+    problem: &MpcProblem,
+    nv: usize,
+    j: usize,
+    t: usize,
+    cumulative: bool,
+) -> Vec<f64> {
     let n = problem.num_idcs();
     let c = problem.num_portals();
-    let nc = n * c;
+    let nb = stage_block(problem);
+    let b1 = problem.b1_mw[j];
+    let mut a = vec![0.0; nv];
+    let first = if cumulative { 0 } else { t };
+    for tp in first..=t {
+        for i in 0..c {
+            a[tp * nb + j * c + i] = b1;
+        }
+        if problem.storage.is_some() {
+            a[tp * nb + n * c + j] = b1;
+            a[tp * nb + n * c + n + j] = -b1;
+        }
+    }
+    a
+}
+
+/// IDC `j`'s current grid draw (MW): IT power plus the previous period's
+/// net battery rate.
+fn current_grid_mw(problem: &MpcProblem, j: usize) -> f64 {
+    let lambda: f64 = problem.current_idc_workloads()[j];
+    let it = problem.b1_mw[j] * lambda + problem.b0_mw[j] * problem.servers_on[j] as f64;
+    it + problem
+        .storage
+        .as_ref()
+        .map_or(0.0, |st| st.prev_charge_mw[j] - st.prev_discharge_mw[j])
+}
+
+/// All least-squares rows of paper eq. 42: per-IDC grid-power tracking
+/// over the prediction horizon, then per-IDC grid-power-change smoothing
+/// over the control horizon.
+fn ls_rows(config: &MpcConfig, problem: &MpcProblem) -> Vec<LsRow> {
+    let n = problem.num_idcs();
     let beta1 = config.prediction_horizon;
     let beta2 = config.control_horizon;
-    let nv = nc * beta2;
-    let lambda0 = problem.current_idc_workloads();
+    let nv = stage_block(problem) * beta2;
     let mut rows = Vec::with_capacity((beta1 + beta2) * n);
     for s in 0..beta1 {
         for j in 0..n {
-            let mut a = vec![0.0; nv];
-            for t in 0..=s.min(beta2 - 1) {
-                for i in 0..c {
-                    a[t * nc + j * c + i] = problem.b1_mw[j];
-                }
-            }
-            let current_p =
-                problem.b1_mw[j] * lambda0[j] + problem.b0_mw[j] * problem.servers_on[j] as f64;
             rows.push(LsRow {
-                a,
-                b: problem.power_reference_mw[s][j] - current_p,
+                a: power_change_row(problem, nv, j, s.min(beta2 - 1), true),
+                b: problem.power_reference_mw[s][j] - current_grid_mw(problem, j),
                 w: config.tracking_weight * problem.tracking_multiplier[j],
             });
         }
     }
     for t in 0..beta2 {
         for j in 0..n {
-            let mut a = vec![0.0; nv];
-            for i in 0..c {
-                a[t * nc + j * c + i] = problem.b1_mw[j];
-            }
             rows.push(LsRow {
-                a,
+                a: power_change_row(problem, nv, j, t, false),
                 b: 0.0,
                 w: config.smoothing_weight,
             });
@@ -406,15 +443,47 @@ fn ls_rows(config: &MpcConfig, problem: &MpcProblem) -> Vec<LsRow> {
     rows
 }
 
+/// An affine quantity `aᵀx + k` of the decision vector.
+struct Affine {
+    a: Vec<f64>,
+    k: f64,
+}
+
+impl Affine {
+    fn constant(nv: usize, k: f64) -> Self {
+        Affine {
+            a: vec![0.0; nv],
+            k,
+        }
+    }
+}
+
+/// Appends the rows of `lo ≤ aᵀx + k ≤ hi` (either side may be infinite),
+/// divided by `unit` so every row reads in req/s or req/s equivalents.
+fn push_box(rows: &mut Vec<Vec<f64>>, rhs: &mut Vec<f64>, q: &Affine, lo: f64, hi: f64, unit: f64) {
+    if hi.is_finite() {
+        rows.push(q.a.iter().map(|v| v / unit).collect());
+        rhs.push((hi - q.k) / unit);
+    }
+    if lo.is_finite() {
+        rows.push(q.a.iter().map(|v| -v / unit).collect());
+        rhs.push((q.k - lo) / unit);
+    }
+}
+
 /// Assembles the dense QP: `H = 2(Σ w·a·aᵀ + ridge·I)`, `g = −2Σ w·b·a`,
-/// cumulative conservation equalities (eq. 45) and cumulative capacity /
-/// non-negativity inequalities (eq. 43–44).
+/// conservation equalities (eq. 45), capacity and non-negativity
+/// inequalities (eq. 43–44) on the allocation after each control stage,
+/// and with storage the battery's physical limits after each stage: both
+/// rates inside `[0, max]` and the state of charge
+/// `soc + dt·Σ(η_c·charge − discharge/η_d)` inside `[0, capacity]`.
 fn build_qp(config: &MpcConfig, problem: &MpcProblem) -> QpData {
     let n = problem.num_idcs();
     let c = problem.num_portals();
     let nc = n * c;
+    let nb = stage_block(problem);
     let beta2 = config.control_horizon;
-    let nv = nc * beta2;
+    let nv = nb * beta2;
     let lambda0 = problem.current_idc_workloads();
 
     let mut h = vec![vec![0.0; nv]; nv];
@@ -443,7 +512,7 @@ fn build_qp(config: &MpcConfig, problem: &MpcProblem) -> QpData {
             let mut row = vec![0.0; nv];
             for tp in 0..=t {
                 for j in 0..n {
-                    row[tp * nc + j * c + i] = 1.0;
+                    row[tp * nb + j * c + i] = 1.0;
                 }
             }
             let prev: f64 = (0..n).map(|j| problem.prev_input[j * c + i]).sum();
@@ -451,28 +520,57 @@ fn build_qp(config: &MpcConfig, problem: &MpcProblem) -> QpData {
             eq_rhs.push(problem.workload_forecast[t][i] - prev);
         }
     }
-    let mut ub_rows = Vec::with_capacity(beta2 * (n + nc));
-    let mut ub_rhs = Vec::with_capacity(beta2 * (n + nc));
+    let mut ub_rows = Vec::new();
+    let mut ub_rhs = Vec::new();
     for t in 0..beta2 {
         for j in 0..n {
-            let mut row = vec![0.0; nv];
+            let mut load = Affine::constant(nv, lambda0[j]);
             for tp in 0..=t {
                 for i in 0..c {
-                    row[tp * nc + j * c + i] = 1.0;
+                    load.a[tp * nb + j * c + i] = 1.0;
                 }
             }
-            ub_rows.push(row);
-            ub_rhs.push(problem.capacities[j] - lambda0[j]);
+            let (rows, rhs) = (&mut ub_rows, &mut ub_rhs);
+            push_box(
+                rows,
+                rhs,
+                &load,
+                f64::NEG_INFINITY,
+                problem.capacities[j],
+                1.0,
+            );
         }
     }
     for t in 0..beta2 {
         for idx in 0..nc {
-            let mut row = vec![0.0; nv];
+            let mut u = Affine::constant(nv, problem.prev_input[idx]);
             for tp in 0..=t {
-                row[tp * nc + idx] = -1.0;
+                u.a[tp * nb + idx] = 1.0;
             }
-            ub_rows.push(row);
-            ub_rhs.push(problem.prev_input[idx]);
+            push_box(&mut ub_rows, &mut ub_rhs, &u, 0.0, f64::INFINITY, 1.0);
+        }
+    }
+    if let Some(st) = &problem.storage {
+        for j in 0..n {
+            let b1 = problem.b1_mw[j];
+            let mut charge = Affine::constant(nv, st.prev_charge_mw[j]);
+            let mut discharge = Affine::constant(nv, st.prev_discharge_mw[j]);
+            let mut soc = Affine::constant(nv, st.soc_mwh[j]);
+            for t in 0..beta2 {
+                // The rates in force during stage t (MW) ...
+                charge.a[t * nb + nc + j] = b1;
+                discharge.a[t * nb + nc + n + j] = b1;
+                // ... move the stored energy over the stage (MWh).
+                let (ec, ed) = (st.charge_efficiency[j], st.discharge_efficiency[j]);
+                for (v, (cv, dv)) in soc.a.iter_mut().zip(charge.a.iter().zip(&discharge.a)) {
+                    *v += st.dt_hours * (ec * cv - dv / ed);
+                }
+                soc.k += st.dt_hours * (ec * charge.k - discharge.k / ed);
+                let (rows, rhs) = (&mut ub_rows, &mut ub_rhs);
+                push_box(rows, rhs, &charge, 0.0, st.max_charge_mw[j], b1);
+                push_box(rows, rhs, &discharge, 0.0, st.max_discharge_mw[j], b1);
+                push_box(rows, rhs, &soc, 0.0, st.capacity_mwh[j], st.dt_hours * b1);
+            }
         }
     }
     QpData {
@@ -485,17 +583,19 @@ fn build_qp(config: &MpcConfig, problem: &MpcProblem) -> QpData {
     }
 }
 
-/// Builds a feasible stacked `ΔU` directly: each control step greedily
-/// refills the forecast portal workloads across IDCs in index order within
-/// their capacities, then converts the absolute allocations to input
-/// changes. Returns `None` when a step's total forecast exceeds the total
-/// capacity (the QP is infeasible).
+/// Builds a feasible stacked decision vector directly: each control step
+/// greedily refills the forecast portal workloads across IDCs in index
+/// order within their capacities, then converts the absolute allocations
+/// to input changes; batteries idle (both rates zero from the first stage
+/// on), which keeps the state of charge where it is. Returns `None` when a
+/// step's total forecast exceeds the total capacity (the QP is infeasible).
 fn feasible_start(config: &MpcConfig, problem: &MpcProblem) -> Option<Vec<f64>> {
     let n = problem.num_idcs();
     let c = problem.num_portals();
     let nc = n * c;
+    let nb = stage_block(problem);
     let beta2 = config.control_horizon;
-    let mut x = vec![0.0; nc * beta2];
+    let mut x = vec![0.0; nb * beta2];
     let mut prev_u = problem.prev_input.clone();
     for t in 0..beta2 {
         let forecast = &problem.workload_forecast[t];
@@ -522,9 +622,15 @@ fn feasible_start(config: &MpcConfig, problem: &MpcProblem) -> Option<Vec<f64>> 
             }
         }
         for idx in 0..nc {
-            x[t * nc + idx] = u_t[idx] - prev_u[idx];
+            x[t * nb + idx] = u_t[idx] - prev_u[idx];
         }
         prev_u = u_t;
+    }
+    if let Some(st) = &problem.storage {
+        for j in 0..n {
+            x[nc + j] = -st.prev_charge_mw[j] / problem.b1_mw[j];
+            x[nc + n + j] = -st.prev_discharge_mw[j] / problem.b1_mw[j];
+        }
     }
     Some(x)
 }
@@ -674,32 +780,29 @@ pub fn qp_objective(config: &MpcConfig, problem: &MpcProblem, delta_u: &[f64]) -
         + config.input_ridge * delta_u.iter().map(|v| v * v).sum::<f64>()
 }
 
-/// The summed predicted per-IDC power over the prediction horizon implied
-/// by `delta_u` — the same scalar `bench_summary` uses for backend
+/// The summed predicted per-IDC grid power over the prediction horizon
+/// implied by `delta_u` — the same scalar `bench_summary` uses for backend
 /// agreement, comparable across solvers at `1e-8` relative.
 pub fn horizon_power_sum_mw(config: &MpcConfig, problem: &MpcProblem, delta_u: &[f64]) -> f64 {
-    let n = problem.num_idcs();
-    let c = problem.num_portals();
-    let nc = n * c;
     let beta2 = config.control_horizon;
-    let lambda0 = problem.current_idc_workloads();
+    let nv = delta_u.len();
     let mut total = 0.0;
     for s in 0..config.prediction_horizon {
-        for j in 0..n {
-            let mut lam = lambda0[j];
-            for t in 0..=s.min(beta2 - 1) {
-                for i in 0..c {
-                    lam += delta_u[t * nc + j * c + i];
-                }
-            }
-            total += problem.b1_mw[j] * lam + problem.b0_mw[j] * problem.servers_on[j] as f64;
+        for j in 0..problem.num_idcs() {
+            let change: f64 = power_change_row(problem, nv, j, s.min(beta2 - 1), true)
+                .iter()
+                .zip(delta_u)
+                .map(|(a, v)| a * v)
+                .sum();
+            total += current_grid_mw(problem, j) + change;
         }
     }
     total
 }
 
 /// `true` when `delta_u` satisfies every constraint of the captured
-/// problem within `tol` (req/s).
+/// problem within `tol` (req/s, or req/s equivalents for the battery
+/// rows).
 pub fn qp_feasible(config: &MpcConfig, problem: &MpcProblem, delta_u: &[f64], tol: f64) -> bool {
     let data = build_qp(config, problem);
     let value = |row: &[f64]| -> f64 { row.iter().zip(delta_u).map(|(a, v)| a * v).sum() };

@@ -1,7 +1,7 @@
 //! Sharded-vs-monolithic equivalence gate.
 //!
 //! The sharded backend decomposes the *same* strictly convex QP the
-//! monolithic backends solve, so with the peak budget off its fixed point
+//! monolithic backend solves, so with the peak budget off its fixed point
 //! is the unique monolithic minimizer: on randomized small fleets the plan
 //! cost (total predicted power over the horizon) must agree to a relative
 //! 1e-6, and the served split itself must agree to consensus tolerance.

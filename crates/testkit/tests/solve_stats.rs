@@ -37,40 +37,42 @@ fn capture_problems() -> (MpcConfig, Vec<MpcProblem>) {
 #[test]
 fn cold_solve_stats_match_reported_iterations_on_replayed_problems() {
     let (mpc, problems) = capture_problems();
-    for backend in [SolverBackend::CondensedDense, SolverBackend::BandedRiccati] {
-        for (idx, problem) in problems.iter().enumerate().step_by(5) {
-            let tag = format!("{backend:?} step {idx}");
-            let oracle = replay_qp(&mpc, problem)
-                .unwrap_or_else(|| panic!("{tag}: oracle failed on a captured problem"));
-            assert!(oracle.iterations > 0, "{tag}: oracle reported zero work");
+    let mpc = MpcConfig {
+        backend: SolverBackend::BandedRiccati,
+        ..mpc
+    };
+    for (idx, problem) in problems.iter().enumerate().step_by(5) {
+        let tag = format!("step {idx}");
+        let oracle = replay_qp(&mpc, problem)
+            .unwrap_or_else(|| panic!("{tag}: oracle failed on a captured problem"));
+        assert!(oracle.iterations > 0, "{tag}: oracle reported zero work");
 
-            let mut controller = MpcController::new(MpcConfig { backend, ..mpc });
-            let before = controller.solve_stats();
-            assert_eq!(before, SolveStats::default(), "{tag}: fresh controller");
-            let plan = controller
-                .plan_cold(problem)
-                .unwrap_or_else(|e| panic!("{tag}: production solve failed: {e}"));
-            let stats = controller.solve_stats();
+        let mut controller = MpcController::new(mpc);
+        let before = controller.solve_stats();
+        assert_eq!(before, SolveStats::default(), "{tag}: fresh controller");
+        let plan = controller
+            .plan_cold(problem)
+            .unwrap_or_else(|e| panic!("{tag}: production solve failed: {e}"));
+        let stats = controller.solve_stats();
 
-            assert_eq!(stats.solves, 1, "{tag}: one plan, one solve");
-            assert_eq!(
-                stats.iterations,
-                plan.qp_iterations() as u64,
-                "{tag}: accumulated iterations must equal the plan's report"
-            );
-            assert_eq!(
-                stats.cold_fallbacks, 0,
-                "{tag}: cold plan is not a fallback"
-            );
-            assert_eq!(
-                stats.seed_offered, 0,
-                "{tag}: cold plan offers no warm seed"
-            );
-            assert!(
-                stats.constraints_added + stats.seed_accepted >= stats.constraints_dropped,
-                "{tag}: cannot drop constraints that never entered the working set"
-            );
-        }
+        assert_eq!(stats.solves, 1, "{tag}: one plan, one solve");
+        assert_eq!(
+            stats.iterations,
+            plan.qp_iterations() as u64,
+            "{tag}: accumulated iterations must equal the plan's report"
+        );
+        assert_eq!(
+            stats.cold_fallbacks, 0,
+            "{tag}: cold plan is not a fallback"
+        );
+        assert_eq!(
+            stats.seed_offered, 0,
+            "{tag}: cold plan offers no warm seed"
+        );
+        assert!(
+            stats.constraints_added + stats.seed_accepted >= stats.constraints_dropped,
+            "{tag}: cannot drop constraints that never entered the working set"
+        );
     }
 }
 
@@ -78,37 +80,37 @@ fn cold_solve_stats_match_reported_iterations_on_replayed_problems() {
 fn warm_replay_accumulates_and_reports_seed_survival() {
     let (mpc, problems) = capture_problems();
     assert!(problems.len() >= 3, "need a few steps to warm-start across");
-    for backend in [SolverBackend::CondensedDense, SolverBackend::BandedRiccati] {
-        let tag = format!("{backend:?}");
-        let mut controller = MpcController::new(MpcConfig { backend, ..mpc });
-        let mut reported: u64 = 0;
-        for problem in &problems[..3] {
-            let plan = controller
-                .plan(problem)
-                .unwrap_or_else(|e| panic!("{tag}: warm solve failed: {e}"));
-            reported += plan.qp_iterations() as u64;
-        }
-        let stats = controller.solve_stats();
-        assert_eq!(stats.solves, 3, "{tag}: three plans, three solves");
-        assert_eq!(
-            stats.iterations, reported,
-            "{tag}: accumulated iterations must equal the sum of per-plan reports"
-        );
-        assert!(
-            stats.seed_accepted <= stats.seed_offered,
-            "{tag}: cannot accept more seed constraints than were offered"
-        );
-        let survival = stats.seed_survival();
-        assert!(
-            (0.0..=1.0).contains(&survival),
-            "{tag}: survival fraction out of range: {survival}"
-        );
-
-        controller.reset_solve_stats();
-        assert_eq!(
-            controller.solve_stats(),
-            SolveStats::default(),
-            "{tag}: reset must zero the counters"
-        );
+    let mut controller = MpcController::new(MpcConfig {
+        backend: SolverBackend::BandedRiccati,
+        ..mpc
+    });
+    let mut reported: u64 = 0;
+    for problem in &problems[..3] {
+        let plan = controller
+            .plan(problem)
+            .unwrap_or_else(|e| panic!("warm solve failed: {e}"));
+        reported += plan.qp_iterations() as u64;
     }
+    let stats = controller.solve_stats();
+    assert_eq!(stats.solves, 3, "three plans, three solves");
+    assert_eq!(
+        stats.iterations, reported,
+        "accumulated iterations must equal the sum of per-plan reports"
+    );
+    assert!(
+        stats.seed_accepted <= stats.seed_offered,
+        "cannot accept more seed constraints than were offered"
+    );
+    let survival = stats.seed_survival();
+    assert!(
+        (0.0..=1.0).contains(&survival),
+        "survival fraction out of range: {survival}"
+    );
+
+    controller.reset_solve_stats();
+    assert_eq!(
+        controller.solve_stats(),
+        SolveStats::default(),
+        "reset must zero the counters"
+    );
 }
