@@ -392,6 +392,8 @@ pub struct MpcController {
     warm_x: Vec<f64>,
     /// Scratch: the warm point in the banded backend's cumulative y-space.
     warm_y: Vec<f64>,
+    /// Scratch: `warm_y` permuted into the banded QP's variable order.
+    warm_q: Vec<f64>,
     /// Scratch for the warm-point repair.
     repair: RepairScratch,
     /// Scratch: the previous active set re-indexed for the shifted horizon.
@@ -447,6 +449,7 @@ impl MpcController {
             in_rhs: Vec::new(),
             warm_x: Vec::new(),
             warm_y: Vec::new(),
+            warm_q: Vec::new(),
             repair: RepairScratch::default(),
             seed: Vec::new(),
             warm_solves: 0,
@@ -707,17 +710,18 @@ impl MpcController {
         let Skeleton::Banded(skel) = &mut cache.skeleton else {
             return self.plan_sharded(problem, &lambda0, n, c, has_base, condense_start);
         };
-        let qp = skel.qp_mut();
 
         // ---- Solve: warm-started from the repaired point (skipping the
         // phase-1 LP); by the full cold path as a last resort. ----
         self.timings.condense_ns += condense_start.elapsed().as_nanos() as u64;
         let solve_start = Instant::now();
         let span = Span::enter_cat("mpc.solve.warm", "solver");
-        // The banded QP optimizes cumulative changes; convert the repaired
-        // warm point at the boundary.
+        // The banded QP optimizes cumulative changes in its IDC-major
+        // order; convert the repaired warm point at the boundary.
         riccati::to_cumulative(nb, &self.warm_x, &mut self.warm_y);
-        let warm_res = qp.warm_start(&self.warm_y, &self.seed, &mut self.bws);
+        skel.to_qp_order(&self.warm_y, &mut self.warm_q);
+        let qp = skel.qp_mut();
+        let warm_res = qp.warm_start(&self.warm_q, &self.seed, &mut self.bws);
         drop(span);
         self.timings.solve_ns += solve_start.elapsed().as_nanos() as u64;
         let (solution, warm_started, warm_rejection) = match warm_res {
@@ -767,13 +771,15 @@ impl MpcController {
         }
         self.solve_stats.merge(&step_stats);
         let iterations = solution.iterations();
-        let active_set = solution.active_set().to_vec();
-        let mut delta_u = solution.into_x();
-        // Back from cumulative y-space to the stacked input changes.
-        riccati::to_deltas(nb, &mut delta_u);
+        // Back from the QP order and cumulative y-space to the stacked
+        // input changes, reusing the previous warm point's buffer.
+        let mut warm_delta = self.warm.take().map(|w| w.delta_u).unwrap_or_default();
+        skel.to_stage_order(solution.x(), &mut warm_delta);
+        riccati::to_deltas(nb, &mut warm_delta);
+        let delta_u = warm_delta.clone();
         self.warm = Some(WarmState {
-            delta_u: delta_u.clone(),
-            active_set,
+            delta_u: warm_delta,
+            active_set: solution.active_set().to_vec(),
             multipliers: Vec::new(),
         });
 

@@ -1,11 +1,15 @@
 //! Symmetric block-tridiagonal matrices and their in-place block Cholesky.
 //!
-//! The stagewise MPC problem in cumulative-input coordinates has a Hessian
-//! that couples only neighbouring stages, i.e. it is symmetric
-//! block-tridiagonal with `β₂` diagonal blocks of size `C·N × C·N`. Factoring
-//! it block-row by block-row is the matrix form of the Riccati backward
-//! recursion: O(β₂) stages of O(nb³) work instead of the O((β₂·nb)³) dense
-//! factorization of the condensed Hessian.
+//! The MPC problem in cumulative-input coordinates has a Hessian that
+//! couples only neighbouring stages of the same IDC. Ordered IDC-major, it
+//! is symmetric block-tridiagonal with `N·β₂` diagonal blocks of size `C`
+//! (`C + 2` with storage), and the subdiagonal block between one IDC's last
+//! stage and the next IDC's first stage is zero. Factoring it block-row by
+//! block-row is the matrix form of the Riccati backward recursion: O(N·β₂)
+//! blocks of O(nb³) work instead of the O((N·β₂·C)³) dense factorization of
+//! the condensed Hessian. A zero subdiagonal block gives a zero factor block
+//! `M_t`, so the factor (and every solve through it) keeps such a
+//! block-diagonal split exact.
 //!
 //! [`BlockTridiag`] stores only the diagonal and subdiagonal blocks;
 //! [`BlockTridiagChol`] owns reusable factor storage so repeated

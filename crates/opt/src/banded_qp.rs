@@ -8,18 +8,23 @@
 //!             A_in x ≤ b_in
 //! ```
 //!
-//! without ever forming a dense Hessian: `H` is a stagewise
-//! [`BlockTridiag`] (the shape of the MPC problem in cumulative-input
-//! coordinates) and every constraint row is sparse (stage-local). Three
-//! structural savings follow:
+//! without ever forming a dense Hessian: `H` is a [`BlockTridiag`] (the
+//! shape of the MPC problem in cumulative-input coordinates) and every
+//! constraint row is sparse (stage-local). Four structural savings follow:
 //!
 //! 1. `H⁻¹·v` costs O(β·nb²) through the block Cholesky / Riccati recursion
 //!    ([`BlockTridiagChol`]) instead of O((β·nb)²) dense back-substitution,
 //! 2. the working-set Schur complement `S_W = C_W H⁻¹ C_Wᵀ` is maintained
 //!    *incrementally* under working-set changes via [`UpdatableCholesky`] —
-//!    O(m²) per add / drop instead of an O(m³) per-iteration refactor, and
+//!    O(m²) per add / drop instead of an O(m³) per-iteration refactor,
 //! 3. ratio tests, right-hand sides and the refinement residual `C_W·p`
-//!    use sparse row dots.
+//!    use sparse row dots, and
+//! 4. each row of `Y = H̃⁻¹Cᵀ` carries the span outside which it is exactly
+//!    zero, so the `p −= Y_Wᵀλ` sweeps and the Schur fill touch only that
+//!    span. When `H` splits into independent chains of blocks (the MPC
+//!    Hessian ordered IDC-major: one chain per IDC), a row that touches
+//!    one chain keeps its `Y` row inside that chain; a coupled `H` simply
+//!    gives full spans.
 //!
 //! The outer iteration is the textbook primal active-set loop of
 //! [`active_set`]: warm-start seeding, Dantzig/Bland switching and
@@ -158,6 +163,11 @@ struct BandedCache {
     /// `Y` stored transposed: row `r` is `H̃⁻¹·c_rᵀ` (shape `mt × n`), so
     /// the step `p = t − Y_Rᵀλ` accumulates over contiguous rows.
     yt: Matrix,
+    /// Nonzero span `lo..hi` of each `yt` row: every entry outside it is
+    /// an exact zero. When `H̃` splits into independent chains of blocks
+    /// and row `r` touches one chain, so does `H̃⁻¹c_rᵀ`, and the `p`
+    /// sweeps and the Schur fill skip the rest.
+    spans: Vec<(usize, usize)>,
     /// Full Schur complement `C·H̃⁻¹·Cᵀ` over all constraint rows.
     s: Matrix,
 }
@@ -391,15 +401,39 @@ impl BandedQp {
         if mt > 0 {
             chol.solve_rows_in_place(yt.as_mut_slice(), mt, &mut pool);
         }
+        let spans: Vec<(usize, usize)> = (0..mt).map(|r| nonzero_span(yt.row(r))).collect();
+        // S[r, q] = c_q·Y_r is an exact zero when row q has no entry inside
+        // Y_r's span; skip those dots.
+        let extents: Vec<(usize, usize)> = (0..mt)
+            .map(|q| {
+                let e = self.crow(q).entries();
+                let lo = e.iter().map(|&(i, _)| i).min().unwrap_or(0);
+                let hi = e.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
+                (lo, hi)
+            })
+            .collect();
         let mut s = Matrix::zeros(mt, mt);
         for r in 0..mt {
             let yrow = yt.row(r);
-            for q in 0..mt {
-                s[(r, q)] = self.crow(q).dot(yrow);
+            let (lo, hi) = spans[r];
+            for (q, &(qlo, qhi)) in extents.iter().enumerate() {
+                if qlo < hi && lo < qhi {
+                    s[(r, q)] = self.crow(q).dot(yrow);
+                }
             }
         }
-        self.cache = Some(BandedCache { chol, yt, s });
+        self.cache = Some(BandedCache { chol, yt, spans, s });
         Ok(())
+    }
+
+    /// The Hessian `H`.
+    pub fn hessian(&self) -> &BlockTridiag {
+        &self.h
+    }
+
+    /// The constraint rows in global order: equalities, then inequalities.
+    pub fn rows(&self) -> impl Iterator<Item = &SparseRow> {
+        self.a_eq.iter().chain(&self.a_in)
     }
 
     /// Constraint row `gr` in global ordering (equalities first).
@@ -495,6 +529,18 @@ impl BandedQp {
         }
         let z = lp.solve()?.into_x();
         Ok((0..n).map(|i| z[i] - z[n + i]).collect())
+    }
+}
+
+/// The range `lo..hi` from the first to one past the last nonzero of `row`
+/// (`(0, 0)` for an all-zero row).
+fn nonzero_span(row: &[f64]) -> (usize, usize) {
+    match row.iter().position(|&v| v != 0.0) {
+        Some(lo) => (
+            lo,
+            row.iter().rposition(|&v| v != 0.0).map_or(lo, |h| h + 1),
+        ),
+        None => (0, 0),
     }
 }
 
@@ -617,7 +663,7 @@ impl BandedOps<'_> {
         ws.factor.solve_in_place(&mut ws.lam);
         sol.clear();
         sol.extend_from_slice(&ws.t);
-        simd::axpy_rows(-1.0, &cache.yt, &ws.cols, &ws.lam, sol);
+        simd::axpy_rows(-1.0, &cache.yt, &ws.cols, &ws.lam, &cache.spans, sol);
         ws.resid.clear();
         ws.resid
             .extend(ws.cols.iter().map(|&gr| self.qp.crow(gr).dot(sol)));
@@ -625,7 +671,7 @@ impl BandedOps<'_> {
         for (l, &d) in ws.lam.iter_mut().zip(&ws.resid) {
             *l += d;
         }
-        simd::axpy_rows(-1.0, &cache.yt, &ws.cols, &ws.resid, sol);
+        simd::axpy_rows(-1.0, &cache.yt, &ws.cols, &ws.resid, &cache.spans, sol);
         ws.refinements += 1;
         vec_ops::norm_inf(&ws.resid)
     }
@@ -1223,7 +1269,7 @@ mod tests {
             let lam: Vec<f64> = (0..cols.len()).map(|_| pseudo(&mut seed)).collect();
             let srhs: Vec<f64> = cols.iter().map(|&gr| banded.crow(gr).dot(&tvec)).collect();
             let mut p = tvec.clone();
-            simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &mut p);
+            simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &cache.spans, &mut p);
             let tol = 1e-10 * (1.0 + vec_ops::norm_inf(&srhs));
             for (r, &gr) in cols.iter().enumerate() {
                 let from_step = banded.crow(gr).dot(&p);
@@ -1239,6 +1285,113 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A separable problem: `groups` independent chains of `len` blocks
+    /// (the subdiagonal block between chains is zero), coupled only by
+    /// one-entry-per-chain equality rows, plus chain-local sums and bounds.
+    fn block_diagonal_problem(nb: usize, groups: usize, len: usize, seed: &mut u64) -> BandedQp {
+        let mut h = random_h(nb, groups * len, seed);
+        for g in 1..groups {
+            h.sub_mut(g * len - 1).fill(0.0);
+        }
+        let n = nb * groups * len;
+        let chain = nb * len;
+        let grad: Vec<f64> = (0..n).map(|_| 8.0 * pseudo(seed)).collect();
+        let mut qp = BandedQp::new(h, grad).unwrap();
+        for k in 0..chain {
+            let row = SparseRow::from_entries((0..groups).map(|g| (g * chain + k, 1.0)).collect());
+            qp = qp.equality(row, 0.3 * pseudo(seed));
+        }
+        for g in 0..groups {
+            let row = SparseRow::from_entries((0..nb).map(|i| (g * chain + i, 1.0)).collect());
+            qp = qp.inequality(row, 0.2);
+        }
+        for i in 0..n {
+            let b = 0.1 + 0.2 * pseudo(seed).abs();
+            qp = qp.inequality(SparseRow::from_entries(vec![(i, 1.0)]), b);
+        }
+        qp
+    }
+
+    /// `S` from a dot with every row, spans ignored.
+    fn full_schur(qp: &BandedQp) -> Matrix {
+        let cache = qp.cache.as_ref().unwrap();
+        let mt = cache.yt.rows();
+        Matrix::from_fn(mt, mt, |r, q| qp.crow(q).dot(cache.yt.row(r)))
+    }
+
+    #[test]
+    fn separable_hessian_gives_exact_zeros_outside_each_span() {
+        let mut seed = 0x5a7au64;
+        let (nb, groups, len) = (3, 4, 3);
+        let chain = nb * len;
+        let mut qp = block_diagonal_problem(nb, groups, len, &mut seed);
+        qp.prepare().unwrap();
+        let me = qp.a_eq.len();
+        let cache = qp.cache.as_ref().unwrap();
+        let n = qp.num_vars();
+        for (r, &(lo, hi)) in cache.spans.iter().enumerate() {
+            let row = cache.yt.row(r);
+            assert!(lo < hi, "row {r} has an empty span");
+            assert!(row[..lo].iter().chain(&row[hi..]).all(|&v| v == 0.0));
+            if r < me {
+                // Coupling rows reach every chain.
+                assert_eq!((lo, hi), (0, n), "row {r}");
+            } else {
+                // A chain-local row stays inside its chain.
+                let g = qp.crow(r).entries()[0].0 / chain;
+                assert!(g * chain <= lo && hi <= (g + 1) * chain, "row {r}");
+            }
+        }
+        // The Schur fill skips only exact zeros.
+        let full = full_schur(&qp);
+        assert!(cache
+            .s
+            .as_slice()
+            .iter()
+            .zip(full.as_slice())
+            .all(|(a, b)| a == b));
+        // The span sweep equals the full-row sweep up to the sign of zero.
+        let cols: Vec<usize> = (0..cache.yt.rows()).filter(|r| r % 5 != 2).collect();
+        let lam: Vec<f64> = cols.iter().map(|_| pseudo(&mut seed)).collect();
+        let t0: Vec<f64> = (0..n).map(|_| pseudo(&mut seed)).collect();
+        let full_spans = vec![(0, n); cache.yt.rows()];
+        let (mut spanned, mut swept) = (t0.clone(), t0);
+        simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &cache.spans, &mut spanned);
+        simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &full_spans, &mut swept);
+        assert!(spanned.iter().zip(&swept).all(|(a, b)| a == b));
+        // And the solve through the spans satisfies the KKT certificate.
+        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        assert!(!sol.active_set().is_empty());
+        assert_kkt(&qp, &sol);
+    }
+
+    #[test]
+    fn coupled_hessian_gets_full_spans() {
+        let mut seed = 0xc0u64;
+        let mut qp = random_problem(3, 4, &mut seed);
+        qp.prepare().unwrap();
+        let cache = qp.cache.as_ref().unwrap();
+        let n = qp.num_vars();
+        assert!(
+            cache.spans.iter().all(|&s| s == (0, n)),
+            "{:?}",
+            cache.spans
+        );
+        let full = full_schur(&qp);
+        assert_eq!(cache.s.as_slice(), full.as_slice());
+        let cols: Vec<usize> = (0..cache.yt.rows()).collect();
+        let lam: Vec<f64> = cols.iter().map(|_| pseudo(&mut seed)).collect();
+        let mut p = vec![0.5; n];
+        simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &cache.spans, &mut p);
+        let mut by_row = vec![0.5; n];
+        for (&r, &l) in cols.iter().zip(&lam) {
+            simd::axpy_rows(-1.0, &cache.yt, &[r], &[l], &cache.spans, &mut by_row);
+        }
+        assert_eq!(p, by_row);
+        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        assert_kkt(&qp, &sol);
     }
 
     #[test]
