@@ -12,11 +12,13 @@
 //! the two files; the comparison metrics are `warm_ms` for `single_step`
 //! rows, `warm_ms_per_step` for `end_to_end` and `storage_end_to_end`
 //! rows (warm solves are the steady-state cost of the controller, so
-//! they are what CI guards) and three hardware-free `solve_stats`
+//! they are what CI guards) and six hardware-free `solve_stats`
 //! counters of the same rows — `iterations_per_step`,
-//! `refinement_passes_per_step` and `refactorizations_per_step` — which
+//! `refinement_passes_per_step`, `refactorizations_per_step`,
+//! `cold_fallbacks`, `degenerate_pops` and `bland_switches` — which
 //! catch active-set and factor-stability regressions that shared-runner
-//! timing noise would hide.
+//! timing noise would hide. The last three are zero in a healthy run: a
+//! counter that is zero in the baseline fails on any occurrence.
 //! Storage rows carry a ` +storage` key suffix so they never collide
 //! with the plain row at the same size and backend.
 //! `BENCH_runtime.json` documents (schema `bench.runtime.v1`, written by
@@ -37,15 +39,38 @@
 use serde::Value;
 
 /// The hardware-free `solve_stats` counters of the end-to-end rows, as
-/// `(table, key)`; each is gated at `--iters-threshold`.
-const COUNTER_GATES: [(&str, &str); 3] = [
+/// `(table, key)`; each is gated at `--iters-threshold`. The last three are
+/// zero in a healthy run, so any occurrence over a zero baseline fails
+/// (see [`relative_change`]).
+const COUNTER_GATES: [(&str, &str); 6] = [
     ("iterations", "iterations_per_step"),
     ("refinements", "refinement_passes_per_step"),
     ("refactorizations", "refactorizations_per_step"),
+    ("cold_fallbacks", "cold_fallbacks"),
+    ("degenerate_pops", "degenerate_pops"),
+    ("bland_switches", "bland_switches"),
 ];
 
+/// Whether `table` holds one of the [`COUNTER_GATES`] counters.
+fn is_counter(table: &str) -> bool {
+    COUNTER_GATES.iter().any(|&(t, _)| t == table)
+}
+
+/// Relative change `cur/base − 1` of a row. Over a zero baseline, a
+/// counter that became nonzero is an unbounded regression; any other zero
+/// baseline compares as unchanged.
+fn relative_change(table: &str, base: f64, cur: f64) -> f64 {
+    if base > 0.0 {
+        cur / base - 1.0
+    } else if is_counter(table) && cur > 0.0 {
+        f64::INFINITY
+    } else {
+        0.0
+    }
+}
+
 /// A comparable row: table name, key, and the compared metric (warm
-/// wall-clock for the timing tables, a per-step count for the
+/// wall-clock for the timing tables, a count for the
 /// [`COUNTER_GATES`] tables).
 struct Row {
     table: &'static str,
@@ -57,8 +82,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench_diff BASELINE.json CURRENT.json [--threshold F] \
          [--iters-threshold F] [--warn-only]\n\
-         \x20 compares warm-step timings and per-step solver counters (iterations,\n\
-         \x20 refinement passes, refactorizations) row by row; exits 1 when any\n\
+         \x20 compares warm-step timings and solver counters (iterations, refinement\n\
+         \x20 passes, refactorizations, cold fallbacks, degenerate pops, Bland\n\
+         \x20 switches) row by row; exits 1 when any\n\
          \x20 timing row regresses by more than --threshold (default 0.10) or any\n\
          \x20 counter row by more than --iters-threshold (default 0.25), both relative"
     );
@@ -244,12 +270,8 @@ fn main() {
             );
             continue;
         };
-        let rel = if base_row.warm_ms > 0.0 {
-            cur_row.warm_ms / base_row.warm_ms - 1.0
-        } else {
-            0.0
-        };
-        let row_threshold = if COUNTER_GATES.iter().any(|&(t, _)| t == base_row.table) {
+        let rel = relative_change(base_row.table, base_row.warm_ms, cur_row.warm_ms);
+        let row_threshold = if is_counter(base_row.table) {
             iters_threshold
         } else {
             threshold
@@ -331,5 +353,38 @@ mod tests {
                 ("end_to_end", key, 12.5),
             ]
         );
+    }
+
+    #[test]
+    fn zero_baseline_counter_that_becomes_nonzero_regresses() {
+        let doc = |fallbacks: u32| -> Value {
+            serde_json::from_str(&format!(
+                r#"{{"end_to_end": [{{"idcs": 3, "portals": 5, "backend": "banded",
+                    "warm_ms_per_step": 0.05,
+                    "solve_stats": {{"cold_fallbacks": {fallbacks},
+                        "degenerate_pops": 0, "bland_switches": 0}}}}]}}"#
+            ))
+            .unwrap()
+        };
+        let counter = |doc: &Value, table: &str| {
+            rows(doc)
+                .into_iter()
+                .find(|r| r.table == table)
+                .map(|r| r.warm_ms)
+                .unwrap()
+        };
+        let (base, cur) = (doc(0), doc(1));
+        let rel = relative_change(
+            "cold_fallbacks",
+            counter(&base, "cold_fallbacks"),
+            counter(&cur, "cold_fallbacks"),
+        );
+        assert!(rel > 0.25, "{rel}");
+        for table in ["cold_fallbacks", "degenerate_pops", "bland_switches"] {
+            let zero = counter(&base, table);
+            assert_eq!(relative_change(table, zero, zero), 0.0);
+        }
+        // A zero timing baseline still compares as unchanged.
+        assert_eq!(relative_change("end_to_end", 0.0, 1.0), 0.0);
     }
 }

@@ -322,6 +322,7 @@ pub fn to_deltas(nc: usize, y: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::mpc::StorageProblem;
+    use idc_linalg::Matrix;
 
     /// Three IDCs with distinct `b₁` and multipliers, two portals, β₂ = 3
     /// of β₁ = 5, optionally with batteries of distinct efficiencies.
@@ -588,6 +589,110 @@ mod tests {
         to_deltas(2, &mut y);
         for (a, b) in y.iter().zip(&x) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    /// Every inequality row of the skeleton stays inside one IDC, so the
+    /// banded QP derives one chain per IDC (the storage SoC rows span
+    /// stages, not IDCs). Solving through the per-chain working-set factor
+    /// then matches the same QP posed as one dense block, and passes an
+    /// independent KKT certificate.
+    #[test]
+    fn skeleton_has_one_chain_per_idc_and_solves_like_one_dense_block() {
+        use idc_linalg::lu::Lu;
+        use idc_opt::banded_qp::BandedWorkspace;
+
+        let config = MpcConfig::default();
+        let beta2 = config.control_horizon;
+        for storage in [false, true] {
+            let p = problem(storage);
+            let mut skel = RiccatiSkeleton::build(&config, &p).unwrap();
+            let qp = skel.qp_mut();
+            qp.prepare().unwrap();
+            let per_idc = beta2 * qp.hessian().nb();
+            let me = beta2 * p.num_portals();
+            let rows: Vec<SparseRow> = qp.rows().cloned().collect();
+            let chains = qp.inequality_chains().unwrap().to_vec();
+            assert_eq!(chains.len(), rows.len() - me);
+            for (row, &c) in rows[me..].iter().zip(&chains) {
+                let idc = row.entries()[0].0 / per_idc;
+                assert!(row.entries().iter().all(|&(k, _)| k / per_idc == idc));
+                assert_eq!(c, idc, "storage={storage} row {row:?}");
+            }
+
+            // Data around a strictly feasible x0 (distinct slacks, so the
+            // optimum's active set has no ties), with a gradient that
+            // drives the optimum onto some of the inequalities.
+            let n = qp.num_vars();
+            let x0: Vec<f64> = (0..n).map(|k| ((k * 7 % 11) as f64 - 5.0) * 0.1).collect();
+            let g: Vec<f64> = (0..n).map(|k| 4.0 * ((k * 5 % 13) as f64 - 6.0)).collect();
+            let b_eq: Vec<f64> = rows[..me].iter().map(|r| r.dot(&x0)).collect();
+            let b_in: Vec<f64> = rows[me..]
+                .iter()
+                .enumerate()
+                .map(|(i, r)| r.dot(&x0) + 0.05 + 0.01 * (i % 7) as f64)
+                .collect();
+            qp.set_gradient(&g).unwrap();
+            qp.set_equality_rhs(&b_eq).unwrap();
+            qp.set_inequality_rhs(&b_in).unwrap();
+            let sol = qp
+                .warm_start(&x0, &[], &mut BandedWorkspace::new())
+                .unwrap();
+
+            let h = densify(qp.hessian());
+            let mut one = BlockTridiag::new(n, 1);
+            for (i, hrow) in h.iter().enumerate() {
+                one.diag_mut(0)[i * n..(i + 1) * n].copy_from_slice(hrow);
+            }
+            let mut dense = BandedQp::new(one, g.clone()).unwrap();
+            for (row, &b) in rows[..me].iter().zip(&b_eq) {
+                dense = dense.equality(row.clone(), b);
+            }
+            for (row, &b) in rows[me..].iter().zip(&b_in) {
+                dense = dense.inequality(row.clone(), b);
+            }
+            let dense_sol = dense
+                .warm_start(&x0, &[], &mut BandedWorkspace::new())
+                .unwrap();
+            assert!(!sol.active_set().is_empty());
+            assert_eq!(
+                sol.active_set(),
+                dense_sol.active_set(),
+                "storage={storage}"
+            );
+            let scale = 1.0 + dense_sol.objective().abs();
+            assert!((sol.objective() - dense_sol.objective()).abs() <= 1e-8 * scale);
+
+            // KKT certificate at the returned active set W:
+            // [H Cᵀ; C 0]·[x; μ] = [−g; b] over the equalities and W, solved
+            // by LU, reproduces x with μ_W ≥ 0.
+            let working: Vec<(&SparseRow, f64)> = rows[..me]
+                .iter()
+                .zip(b_eq.iter().copied())
+                .chain(sol.active_set().iter().map(|&i| (&rows[me + i], b_in[i])))
+                .collect();
+            let dim = n + working.len();
+            let mut kkt = Matrix::zeros(dim, dim);
+            let mut rhs = vec![0.0; dim];
+            for i in 0..n {
+                for j in 0..n {
+                    kkt[(i, j)] = h[i][j];
+                }
+                rhs[i] = -g[i];
+            }
+            for (r, (row, b)) in working.iter().enumerate() {
+                for &(i, c) in row.entries() {
+                    kkt[(n + r, i)] += c;
+                    kkt[(i, n + r)] += c;
+                }
+                rhs[n + r] = *b;
+            }
+            let z = Lu::factor(&kkt).unwrap().solve(&rhs).unwrap();
+            let zscale = 1.0 + z.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (zi, xi) in z[..n].iter().zip(sol.x()) {
+                assert!((zi - xi).abs() <= 1e-7 * zscale, "{zi} vs {xi}");
+            }
+            assert!(z[n + me..].iter().all(|&mu| mu >= -1e-7 * zscale));
         }
     }
 

@@ -122,12 +122,14 @@ impl Cholesky {
 /// An incrementally maintained Cholesky factor with O(n²) row append and
 /// O((n−k)²) row removal.
 ///
-/// The active-set QP loop grows and shrinks the working-set Schur complement
-/// `S_W = C_W·H⁻¹·C_Wᵀ` by one row per iteration. Refactoring from scratch is
-/// O(n³) per iteration; this type instead maintains the packed lower factor
-/// `L` of `S_W` under single row/column appends (one triangular solve),
-/// end truncations (free), and interior removals (a Givens-style rank-1
-/// update of the trailing block).
+/// Refactoring from scratch is O(n³); this type instead maintains the
+/// packed lower factor `L` of a matrix `A = L·Lᵀ` under single row/column
+/// appends (one triangular solve), end truncations (free), interior
+/// removals (a Givens-style rank-1 update of the trailing block), and
+/// rank-1 updates `A ± v·vᵀ`. It is the building block of
+/// [`ArrowheadCholesky`], the active-set QP loop's working-set factor: one
+/// `UpdatableCholesky` per independent chain of working rows, plus one for
+/// the equality rows that couple them.
 ///
 /// Storage is a packed row-major lower triangle (`row i` occupies
 /// `i·(i+1)/2 .. i·(i+1)/2 + i + 1`), so no O(n²) dense buffer is touched on
@@ -140,8 +142,13 @@ pub struct UpdatableCholesky {
     n: usize,
     /// Packed row-major lower-triangular factor.
     l: Vec<f64>,
-    /// Scratch for appends/removals.
+    /// Reciprocals of the diagonal of `L`, so the triangular solves'
+    /// serial chains multiply instead of divide.
+    inv: Vec<f64>,
+    /// Scratch for appends, removals and rank-1 changes.
     w: Vec<f64>,
+    /// Second scratch vector (the downdate's rotation cosines).
+    v: Vec<f64>,
 }
 
 impl UpdatableCholesky {
@@ -154,11 +161,25 @@ impl UpdatableCholesky {
     pub fn clear(&mut self) {
         self.n = 0;
         self.l.clear();
+        self.inv.clear();
     }
 
     /// Current factored dimension.
     pub fn dim(&self) -> usize {
         self.n
+    }
+
+    /// Row `i` of `L` up to and including the diagonal.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.l[i * (i + 1) / 2..][..=i]
+    }
+
+    /// Recomputes the diagonal reciprocals from row `from` on.
+    fn refresh_inv(&mut self, from: usize) {
+        self.inv.truncate(from);
+        for i in from..self.n {
+            self.inv.push(1.0 / self.l[i * (i + 1) / 2 + i]);
+        }
     }
 
     /// Appends one symmetric row/column to the factored matrix.
@@ -181,13 +202,15 @@ impl UpdatableCholesky {
         assert_eq!(col.len(), n + 1, "append column has wrong length");
         self.w.clear();
         self.w.extend_from_slice(&col[..n]);
-        forward_packed(&self.l, &mut self.w);
+        forward_packed(&self.l, &self.inv, &mut self.w);
         let d2 = col[n] - self.w.iter().map(|v| v * v).sum::<f64>();
         if d2 <= 0.0 || d2 <= 1e-12 * col[n].abs() {
             return Err(Error::NotPositiveDefinite);
         }
+        let d = d2.sqrt();
         self.l.extend_from_slice(&self.w);
-        self.l.push(d2.sqrt());
+        self.l.push(d);
+        self.inv.push(1.0 / d);
         self.n += 1;
         Ok(())
     }
@@ -235,7 +258,7 @@ impl UpdatableCholesky {
             let off = j * n + j * (j + 1) / 2;
             let row = &mut b[j * n..(j + 1) * n];
             row.copy_from_slice(&cols[off..off + n]);
-            forward_packed(&self.l, row);
+            forward_packed(&self.l, &self.inv, row);
         }
         // Schur complement S22 − L21·L21ᵀ via GEMM (upper triangle of the
         // scratch is written by GEMM but never read below).
@@ -273,6 +296,7 @@ impl UpdatableCholesky {
                 self.l.extend_from_slice(&s22[j * k..j * k + j + 1]);
             }
             self.n += k;
+            self.refresh_inv(n);
         }
         ws.put(b);
         ws.put(s22);
@@ -292,6 +316,7 @@ impl UpdatableCholesky {
         assert!(new_dim <= self.n, "truncate beyond current dimension");
         self.n = new_dim;
         self.l.truncate(new_dim * (new_dim + 1) / 2);
+        self.inv.truncate(new_dim);
     }
 
     /// Removes interior row/column `k` of the factored matrix.
@@ -304,16 +329,42 @@ impl UpdatableCholesky {
     ///
     /// Panics if `k >= self.dim()`.
     pub fn remove(&mut self, k: usize) {
+        self.remove_carrying(k, &mut Vec::new(), &mut []);
+    }
+
+    /// [`remove`](Self::remove) for a factor that continues below with
+    /// `h = z.len()` carried rows `C` (`h × n`, stored column-major in
+    /// `carried`: column `c` is `carried[c·h..(c+1)·h]`), i.e. the lower
+    /// block-triangular factor `[L 0; C L₂]` of a larger matrix.
+    ///
+    /// Column `k` leaves `carried` with row `k`, and the Givens rotations
+    /// that restore the trailing block are applied to the carried columns
+    /// too, so the coupling `L·Cᵀ` of the kept rows is preserved exactly.
+    /// What the rotations push out of `C` is left in `z`: the carried rows'
+    /// Gram matrix `C·Cᵀ` shrinks by `z·zᵀ`, which the caller must add to
+    /// `L₂·L₂ᵀ` (a rank-1 [`update`](Self::update)). With `h = 0` this is
+    /// exactly [`remove`](Self::remove).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.dim()` or `carried.len() != self.dim()·z.len()`.
+    pub fn remove_carrying(&mut self, k: usize, carried: &mut Vec<f64>, z: &mut [f64]) {
         let n = self.n;
+        let h = z.len();
         assert!(k < n, "remove index out of bounds");
+        assert_eq!(carried.len(), n * h, "carried columns have wrong length");
+        z.copy_from_slice(&carried[k * h..(k + 1) * h]);
+        carried.copy_within((k + 1) * h.., k * h);
+        carried.truncate((n - 1) * h);
         if k == n - 1 {
             self.truncate(n - 1);
             return;
         }
         // Save the deleted column below the diagonal, then shift rows up.
-        self.w.clear();
+        let mut w = std::mem::take(&mut self.w);
+        w.clear();
         for i in k + 1..n {
-            self.w.push(self.l[i * (i + 1) / 2 + k]);
+            w.push(self.l[i * (i + 1) / 2 + k]);
         }
         for i in k + 1..n {
             let old = i * (i + 1) / 2;
@@ -326,23 +377,75 @@ impl UpdatableCholesky {
         self.n = n - 1;
         self.l.truncate(self.n * (self.n + 1) / 2);
         // Rank-1 update of the trailing block: A' = L₃₃L₃₃ᵀ + wwᵀ.
-        let m = self.n - k;
-        for t in 0..m {
-            let row = k + t;
-            let dpos = row * (row + 1) / 2 + row;
-            let lkk = self.l[dpos];
-            let x = self.w[t];
-            let r = lkk.hypot(x);
-            let c = r / lkk;
-            let s = x / lkk;
-            self.l[dpos] = r;
-            for i in t + 1..m {
-                let pos = (k + i) * (k + i + 1) / 2 + row;
-                let updated = (self.l[pos] + s * self.w[i]) / c;
-                self.l[pos] = updated;
-                self.w[i] = c * self.w[i] - s * updated;
+        rotate_in_packed(&mut self.l, k, &mut w, carried, z);
+        self.w = w;
+        self.refresh_inv(k);
+    }
+
+    /// Rank-1 update: refactors `A + v·vᵀ` in place by Givens rotations,
+    /// O(n²). Always succeeds (the sum stays positive definite).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != self.dim()`.
+    pub fn update(&mut self, v: &[f64]) {
+        assert_eq!(v.len(), self.n, "update vector has wrong length");
+        let mut w = std::mem::take(&mut self.w);
+        w.clear();
+        w.extend_from_slice(v);
+        rotate_in_packed(&mut self.l, 0, &mut w, &mut [], &mut []);
+        self.w = w;
+        self.refresh_inv(0);
+    }
+
+    /// Rank-1 downdate: refactors `A − v·vᵀ` in place, O(n²), as LINPACK
+    /// `dchdd` (Gill, Golub, Murray & Saunders, 1974): `p = L⁻¹v`, then
+    /// rotations that fold `p` into `L`.
+    ///
+    /// `1 − ‖p‖²` is the determinant ratio `det(A − vvᵀ)/det(A)`. The
+    /// downdate is refused unless it exceeds both `0` and `min_ratio` — the
+    /// caller's bound on how close to singular the result may come.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NotPositiveDefinite`] with the factor **unchanged**
+    /// when the ratio test fails; nothing is written before the test.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != self.dim()`.
+    pub fn downdate(&mut self, v: &[f64], min_ratio: f64) -> Result<()> {
+        let n = self.n;
+        assert_eq!(v.len(), n, "downdate vector has wrong length");
+        let mut s = std::mem::take(&mut self.w);
+        s.clear();
+        s.extend_from_slice(v);
+        forward_packed(&self.l, &self.inv, &mut s);
+        let ratio = 1.0 - s.iter().map(|p| p * p).sum::<f64>();
+        let result = if ratio > 0.0 && ratio > min_ratio {
+            // Rotations from the last entry of p to the first, turning
+            // (p, √ratio) into (0, 1); `s` ends up holding the sines.
+            let mut c = std::mem::take(&mut self.v);
+            c.clear();
+            c.resize(n, 0.0);
+            // dchdd scales each pair by `alpha + |pᵢ|` against overflow;
+            // here `alpha ≤ 1` and `|pᵢ| < 1`, so the plain norm is safe.
+            let mut alpha = ratio.sqrt();
+            for i in (0..n).rev() {
+                let norm = (alpha * alpha + s[i] * s[i]).sqrt();
+                c[i] = alpha / norm;
+                s[i] /= norm;
+                alpha = norm;
             }
-        }
+            downdate_packed(&mut self.l, &c, &mut s);
+            self.v = c;
+            self.refresh_inv(0);
+            Ok(())
+        } else {
+            Err(Error::NotPositiveDefinite)
+        };
+        self.w = s;
+        result
     }
 
     /// Solves `A·x = b` in place (`x` holds `b` on entry, the solution on
@@ -354,42 +457,490 @@ impl UpdatableCholesky {
     /// Panics if `x.len() != self.dim()`.
     pub fn solve_in_place(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n, "dimension mismatch");
-        solve_packed(&self.l, x);
+        solve_packed(&self.l, &self.inv, x);
+    }
+
+    /// Forward substitution only: `x ← L⁻¹·x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
+    pub fn forward_in_place(&self, x: &mut [f64]) {
+        assert_eq!(x.len(), self.n, "dimension mismatch");
+        forward_packed(&self.l, &self.inv, x);
+    }
+
+    /// Backward substitution only: `x ← L⁻ᵀ·x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
+    pub fn backward_in_place(&self, x: &mut [f64]) {
+        assert_eq!(x.len(), self.n, "dimension mismatch");
+        backward_packed(&self.l, &self.inv, x);
+    }
+}
+
+/// Cholesky factor of a symmetric positive-definite matrix with arrowhead
+/// block structure: `K` diagonal blocks `D_j` that only couple to each other
+/// through a dense trailing block `G`,
+///
+/// ```text
+///     ⎡ D₀            F₀ᵀ   ⎤            ⎡ L₀               ⎤
+/// A = ⎢     ⋱         ⋮     ⎥,       L = ⎢     ⋱            ⎥
+///     ⎢        D_K−1  F_K−1ᵀ⎥            ⎢        L_K−1     ⎥
+///     ⎣ F₀  …  F_K−1  G     ⎦            ⎣ M₀  …  M_K−1  L_G ⎦
+/// ```
+///
+/// with `L_j = chol(D_j)`, `M_j = F_j·L_j⁻ᵀ` and
+/// `L_G = chol(G − Σ_j M_j·M_jᵀ)`. In the active-set QP the blocks are the
+/// working inequality rows of each independent Hessian chain and the tail
+/// is the equality rows, so no work is spent on the exact zeros between
+/// chains: a chain row's append costs a solve in its own `L_j`, one new
+/// `M_j` column and a rank-1 downdate of `L_G`; a removal rotates only its
+/// own chain (and `M_j`'s columns) and rank-1 updates `L_G`.
+///
+/// Each `L_j` and `L_G` is an [`UpdatableCholesky`]; `M_j` is stored
+/// column-major, one column of height `dim(G)` per row of chain `j`.
+/// Vectors are ordered `[chain 0 | … | chain K−1 | tail]`.
+///
+/// The factor is built from scratch by [`build_chain`](Self::build_chain)
+/// for every chain followed by [`build_tail`](Self::build_tail), then kept
+/// current by [`append`](Self::append) and [`remove`](Self::remove).
+#[derive(Debug, Clone, Default)]
+pub struct ArrowheadCholesky {
+    chains: Vec<ArrowChain>,
+    /// Factor `L_G` of the tail's Schur complement.
+    tail: UpdatableCholesky,
+    /// Tail dimension `dim(G)`, the height of every coupling column.
+    h: usize,
+    /// Whether [`build_tail`](Self::build_tail) has run since the reset.
+    built: bool,
+    /// Scratch for a removal's leftover coupling column.
+    z: Vec<f64>,
+    /// Scratch pool for the blocked builds.
+    ws: Workspace,
+}
+
+/// One diagonal block of an [`ArrowheadCholesky`].
+#[derive(Debug, Clone, Default)]
+struct ArrowChain {
+    /// `L_j`.
+    l: UpdatableCholesky,
+    /// `M_j`, column-major: column `c` (chain row `c`) is
+    /// `coupling[c·h..(c+1)·h]`.
+    coupling: Vec<f64>,
+}
+
+impl ArrowheadCholesky {
+    /// Creates an empty factor with no chains and an empty tail.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Empties the factor and sets its shape: `chains` empty diagonal
+    /// blocks and a tail of dimension `tail`, not yet built. Keeps
+    /// allocations.
+    pub fn reset(&mut self, chains: usize, tail: usize) {
+        self.chains.truncate(chains);
+        for chain in &mut self.chains {
+            chain.l.clear();
+            chain.coupling.clear();
+        }
+        self.chains.resize_with(chains, ArrowChain::default);
+        self.tail.clear();
+        self.h = tail;
+        self.built = false;
+    }
+
+    /// Whether the tail has been built, so the factor can be appended to
+    /// and solved with.
+    pub fn is_built(&self) -> bool {
+        self.built
+    }
+
+    /// Dimension of chain `j`'s block.
+    pub fn chain_dim(&self, j: usize) -> usize {
+        self.chains[j].l.dim()
+    }
+
+    /// Total factored dimension (the tail counts once built).
+    pub fn dim(&self) -> usize {
+        let chains: usize = self.chains.iter().map(|c| c.l.dim()).sum();
+        chains + if self.built { self.h } else { 0 }
+    }
+
+    /// Factors chain `j`'s block from scratch: `cols` holds `D_j` in
+    /// [`UpdatableCholesky::append_block`] layout (`k` rows of the packed
+    /// lower triangle) and `coupling` holds `F_j` column-major (`k` columns
+    /// of height `dim(G)`: the tail entries of each chain row). `L_j` comes
+    /// from the blocked append and `M_j` by forward substitution over its
+    /// columns.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NotPositiveDefinite`] (chain left empty) on a pivot that
+    /// fails the relative test of [`UpdatableCholesky::append`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tail is already built, the chain is not empty, or a
+    /// buffer has the wrong length.
+    pub fn build_chain(
+        &mut self,
+        j: usize,
+        k: usize,
+        cols: &[f64],
+        coupling: &[f64],
+    ) -> Result<()> {
+        assert!(!self.built, "build_chain after build_tail");
+        assert_eq!(
+            coupling.len(),
+            k * self.h,
+            "coupling block has wrong length"
+        );
+        let chain = &mut self.chains[j];
+        assert_eq!(chain.l.dim(), 0, "build_chain on a non-empty chain");
+        chain.l.append_block(k, cols, &mut self.ws)?;
+        chain.coupling.clear();
+        chain.coupling.extend_from_slice(coupling);
+        couple_packed(&chain.l.l, &chain.l.inv, &mut chain.coupling, self.h, 0);
+        Ok(())
+    }
+
+    /// Builds the tail `L_G = chol(G − Σ_j M_j·M_jᵀ)` from `g`, the packed
+    /// lower triangle of `G` (row `e` holds `e + 1` entries). Each pivot
+    /// must pass [`UpdatableCholesky::append`]'s relative test against the
+    /// diagonal of `G` itself.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NotPositiveDefinite`] (tail left unbuilt) when the Schur
+    /// complement is not safely positive definite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tail is already built or `g` has the wrong length.
+    pub fn build_tail(&mut self, g: &[f64]) -> Result<()> {
+        let h = self.h;
+        assert!(!self.built, "tail already built");
+        assert_eq!(g.len(), h * (h + 1) / 2, "tail block has wrong length");
+        let mut schur = self.ws.take(g.len());
+        schur.copy_from_slice(g);
+        for chain in &self.chains {
+            gram_downdate_packed(&mut schur, &chain.coupling, h);
+        }
+        self.tail.clear();
+        let mut result = self.tail.append_block(h, &schur, &mut self.ws);
+        if result.is_ok() {
+            let small = (0..h).any(|e| {
+                let d = self.tail.row(e)[e];
+                d * d <= 1e-12 * g[e * (e + 1) / 2 + e].abs()
+            });
+            if small {
+                self.tail.clear();
+                result = Err(Error::NotPositiveDefinite);
+            }
+        }
+        self.ws.put(schur);
+        self.built = result.is_ok();
+        result
+    }
+
+    /// Appends one row to the end of chain `j`: `col` is its
+    /// [`UpdatableCholesky::append`] column within the chain (length
+    /// `chain_dim(j) + 1`, the diagonal last) and `coupling` its `dim(G)`
+    /// tail entries.
+    ///
+    /// The dense-equivalent pivot — the new row's Schur complement against
+    /// every other row, tail included — is `d²·(1 − ‖L_G⁻¹m‖²)`, with `d²`
+    /// the chain pivot and `m` the new `M_j` column. The row is rejected
+    /// when that pivot is at most `1e-12·a(new, new)`, the test
+    /// [`UpdatableCholesky::append`] applies to a dense factor holding the
+    /// same rows.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NotPositiveDefinite`] with the factor **unchanged** when the
+    /// pivot test fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tail is not built or a buffer has the wrong length.
+    pub fn append(&mut self, j: usize, col: &[f64], coupling: &[f64]) -> Result<()> {
+        let h = self.h;
+        assert!(self.built, "append before build_tail");
+        assert_eq!(coupling.len(), h, "coupling column has wrong length");
+        let chain = &mut self.chains[j];
+        let b = chain.l.dim();
+        chain.l.append(col)?;
+        let d = chain.l.row(b)[b];
+        chain.coupling.extend_from_slice(coupling);
+        couple_packed(&chain.l.l, &chain.l.inv, &mut chain.coupling, h, b);
+        let min_ratio = 1e-12 * col[b].abs() / (d * d);
+        let result = self.tail.downdate(&chain.coupling[b * h..], min_ratio);
+        if result.is_err() {
+            chain.coupling.truncate(b * h);
+            chain.l.truncate(b);
+        }
+        result
+    }
+
+    /// Removes row `k` of chain `j`: the chain's rotations also rotate
+    /// `M_j`'s columns, and what they push out of `M_j` re-enters the tail
+    /// as a rank-1 update of `L_G`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tail is not built or `k >= chain_dim(j)`.
+    pub fn remove(&mut self, j: usize, k: usize) {
+        assert!(self.built, "remove before build_tail");
+        let chain = &mut self.chains[j];
+        self.z.clear();
+        self.z.resize(self.h, 0.0);
+        chain.l.remove_carrying(k, &mut chain.coupling, &mut self.z);
+        self.tail.update(&self.z);
+    }
+
+    /// Solves `A·x = b` in place, `x` ordered `[chain 0 | … | tail]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tail is not built or `x.len() != self.dim()`.
+    pub fn solve_in_place(&self, x: &mut [f64]) {
+        assert!(self.built, "solve before build_tail");
+        assert_eq!(x.len(), self.dim(), "dimension mismatch");
+        solve_arrowhead(self, x);
     }
 }
 
 dispatch! {
     /// Forward substitution `L·y = b` in place against the leading
     /// `x.len()` rows of a packed row-major lower factor.
-    fn forward_packed(l: &[f64], x: &mut [f64]) => forward_with
+    fn forward_packed(l: &[f64], inv: &[f64], x: &mut [f64]) => forward_with
+}
+
+dispatch! {
+    /// Backward substitution `Lᵀ·y = b` in place against the leading
+    /// `x.len()` rows of a packed row-major lower factor.
+    fn backward_packed(l: &[f64], inv: &[f64], x: &mut [f64]) => backward_with
 }
 
 dispatch! {
     /// Both triangular solves of `L·Lᵀ·x = b` in place, under one dispatch.
-    fn solve_packed(l: &[f64], x: &mut [f64]) => solve_with
+    fn solve_packed(l: &[f64], inv: &[f64], x: &mut [f64]) => solve_with
 }
 
-/// Forward substitution as row dots: `xᵢ = (bᵢ − L[i, ..i]·x[..i]) / Lᵢᵢ`.
+dispatch! {
+    /// Both triangular solves of an [`ArrowheadCholesky`], under one
+    /// dispatch.
+    fn solve_arrowhead(f: &ArrowheadCholesky, x: &mut [f64]) => arrowhead_solve_with
+}
+
+dispatch! {
+    /// Rank-1 update of the trailing block from row `k` of a packed factor
+    /// (with its carried columns), by Givens rotations down the columns.
+    fn rotate_in_packed(l: &mut [f64], k: usize, w: &mut [f64], carried: &mut [f64], z: &mut [f64]) => rotate_in_with
+}
+
+dispatch! {
+    /// Applies a downdate's rotations to a packed factor.
+    fn downdate_packed(l: &mut [f64], c: &[f64], s: &mut [f64]) => downdate_with
+}
+
+dispatch! {
+    /// Forward substitution of coupling columns `from..` against a packed
+    /// factor.
+    fn couple_packed(l: &[f64], inv: &[f64], coupling: &mut [f64], h: usize, from: usize) => couple_with
+}
+
+dispatch! {
+    /// Subtracts the Gram matrix of coupling columns from a packed lower
+    /// triangle.
+    fn gram_downdate_packed(g: &mut [f64], coupling: &[f64], h: usize) => gram_downdate_with
+}
+
+/// Forward substitution as row dots: `xᵢ = (bᵢ − L[i, ..i]·x[..i]) / Lᵢᵢ`,
+/// the division taken as a multiply by `inv[i] = 1/Lᵢᵢ`.
 #[inline(always)]
-fn forward_with<K: Kernels>(k: K, l: &[f64], x: &mut [f64]) {
+fn forward_with<K: Kernels>(k: K, l: &[f64], inv: &[f64], x: &mut [f64]) {
     for i in 0..x.len() {
-        let row = &l[i * (i + 1) / 2..][..=i];
+        let row = &l[i * (i + 1) / 2..][..i];
         let (done, rest) = x.split_at_mut(i);
-        rest[0] = (rest[0] - k.dot(&row[..i], done)) / row[i];
+        rest[0] = (rest[0] - k.dot(row, done)) * inv[i];
     }
 }
 
-/// `L·y = b`, then `Lᵀ·x = y` as a row sweep: once `xᵢ` is final, its
-/// contribution `xᵢ·L[i, ..i]` leaves the entries above it in one axpy over
-/// the contiguous packed row (no strided column walk).
+/// `Lᵀ·x = y` as a row sweep: once `xᵢ` is final, its contribution
+/// `xᵢ·L[i, ..i]` leaves the entries above it in one axpy over the
+/// contiguous packed row (no strided column walk).
 #[inline(always)]
-fn solve_with<K: Kernels>(k: K, l: &[f64], x: &mut [f64]) {
-    forward_with(k, l, x);
+fn backward_with<K: Kernels>(k: K, l: &[f64], inv: &[f64], x: &mut [f64]) {
     for i in (0..x.len()).rev() {
-        let row = &l[i * (i + 1) / 2..][..=i];
+        let row = &l[i * (i + 1) / 2..][..i];
         let (above, rest) = x.split_at_mut(i);
-        rest[0] /= row[i];
-        k.axpy(-rest[0], &row[..i], above);
+        rest[0] *= inv[i];
+        k.axpy(-rest[0], row, above);
+    }
+}
+
+/// `L·y = b`, then `Lᵀ·x = y`.
+#[inline(always)]
+fn solve_with<K: Kernels>(k: K, l: &[f64], inv: &[f64], x: &mut [f64]) {
+    forward_with(k, l, inv, x);
+    backward_with(k, l, inv, x);
+}
+
+/// Block forward substitution down the arrowhead (each chain, then the
+/// tail less `Σ M_j·y_j`), the tail's full solve, and block backward
+/// substitution (each chain less `M_jᵀ·x_G`).
+#[inline(always)]
+fn arrowhead_solve_with<K: Kernels>(k: K, f: &ArrowheadCholesky, x: &mut [f64]) {
+    let h = f.h;
+    let (body, tail) = x.split_at_mut(x.len() - h);
+    let mut off = 0;
+    for chain in &f.chains {
+        let xj = &mut body[off..off + chain.l.n];
+        forward_with(k, &chain.l.l, &chain.l.inv, xj);
+        if h > 0 {
+            let mut cols = chain.coupling.chunks_exact(h).zip(xj.iter());
+            loop {
+                match [cols.next(), cols.next(), cols.next(), cols.next()] {
+                    [Some(c0), Some(c1), Some(c2), Some(c3)] => {
+                        k.axpy4([-c0.1, -c1.1, -c2.1, -c3.1], [c0.0, c1.0, c2.0, c3.0], tail)
+                    }
+                    rest => {
+                        for (col, &v) in rest.into_iter().flatten() {
+                            k.axpy(-v, col, tail);
+                        }
+                        break;
+                    }
+                }
+            }
+        }
+        off += chain.l.n;
+    }
+    solve_with(k, &f.tail.l, &f.tail.inv, tail);
+    if h > 0 {
+        let mut off = 0;
+        for chain in &f.chains {
+            let xj = &mut body[off..off + chain.l.n];
+            for (col, v) in chain.coupling.chunks_exact(h).zip(xj.iter_mut()) {
+                *v -= k.dot(col, tail);
+            }
+            off += chain.l.n;
+        }
+    }
+    let mut off = 0;
+    for chain in &f.chains {
+        backward_with(k, &chain.l.l, &chain.l.inv, &mut body[off..off + chain.l.n]);
+        off += chain.l.n;
+    }
+}
+
+/// Adds `w·wᵀ` to the trailing block that starts at row `k` (`w` holds its
+/// `n − k` entries and is consumed): column by column, a Givens rotation
+/// folds `w`'s leading entry into the diagonal and is applied to the rest
+/// of the column, then to carried column `k + t` and the carried leftover
+/// `z` (see [`UpdatableCholesky::remove_carrying`]).
+#[inline(always)]
+fn rotate_in_with<K: Kernels>(
+    _k: K,
+    l: &mut [f64],
+    k: usize,
+    w: &mut [f64],
+    carried: &mut [f64],
+    z: &mut [f64],
+) {
+    let h = z.len();
+    let m = w.len();
+    for t in 0..m {
+        let row = k + t;
+        let dpos = row * (row + 1) / 2 + row;
+        let lkk = l[dpos];
+        let x = w[t];
+        let r = (lkk * lkk + x * x).sqrt();
+        let c = r / lkk;
+        let s = x / lkk;
+        let inv_c = lkk / r;
+        l[dpos] = r;
+        let mut pos = dpos;
+        for i in t + 1..m {
+            pos += k + i;
+            let updated = (l[pos] + s * w[i]) * inv_c;
+            l[pos] = updated;
+            w[i] = c * w[i] - s * updated;
+        }
+        let col = &mut carried[row * h..(row + 1) * h];
+        for (ce, ze) in col.iter_mut().zip(z.iter_mut()) {
+            let updated = (*ce + s * *ze) * inv_c;
+            *ce = updated;
+            *ze = c * *ze - s * updated;
+        }
+    }
+}
+
+/// The application half of LINPACK `dchdd`: row `j` of `L` (column `j` of
+/// `R = Lᵀ`) is swept from its diagonal back to column 0, rotation `i`
+/// mixing `L[j, i]` with the row's running carry. Done column by column
+/// here so the rows' independent carries pipeline; the arithmetic per entry
+/// is the row sweep's. Rotation `i`'s sine is read before column `i` is
+/// swept and never again, so its slot in `s` then holds row `i`'s carry.
+#[inline(always)]
+fn downdate_with<K: Kernels>(_k: K, l: &mut [f64], c: &[f64], s: &mut [f64]) {
+    let n = c.len();
+    for i in (0..n).rev() {
+        let (ci, si) = (c[i], s[i]);
+        s[i] = 0.0;
+        for (j, carry) in s.iter_mut().enumerate().skip(i) {
+            let pos = j * (j + 1) / 2 + i;
+            let r = l[pos];
+            let t = ci * *carry + si * r;
+            l[pos] = ci * r - si * *carry;
+            *carry = t;
+        }
+    }
+}
+
+/// Forward substitution of the coupling columns `from..`:
+/// `m_i = (f_i − Σ_{c<i} L[i, c]·m_c) / L[i, i]`, turning the raw tail
+/// entries `F` of each chain row into `M = F·L⁻ᵀ` in place.
+#[inline(always)]
+fn couple_with<K: Kernels>(
+    k: K,
+    l: &[f64],
+    inv: &[f64],
+    coupling: &mut [f64],
+    h: usize,
+    from: usize,
+) {
+    if h == 0 {
+        return;
+    }
+    for i in from..coupling.len() / h {
+        let row = &l[i * (i + 1) / 2..][..i];
+        let (done, rest) = coupling.split_at_mut(i * h);
+        let mi = &mut rest[..h];
+        for (col, &lic) in done.chunks_exact(h).zip(row) {
+            k.axpy(-lic, col, mi);
+        }
+        for v in mi.iter_mut() {
+            *v *= inv[i];
+        }
+    }
+}
+
+/// `G −= Σ_c m_c·m_cᵀ` on a packed lower triangle, one packed row per
+/// axpy.
+#[inline(always)]
+fn gram_downdate_with<K: Kernels>(k: K, g: &mut [f64], coupling: &[f64], h: usize) {
+    if h == 0 {
+        return;
+    }
+    for col in coupling.chunks_exact(h) {
+        for e in 0..h {
+            k.axpy(-col[e], &col[..=e], &mut g[e * (e + 1) / 2..][..=e]);
+        }
     }
 }
 
@@ -647,6 +1198,247 @@ mod tests {
         let mut x = vec![8.0];
         up.solve_in_place(&mut x);
         assert!((x[0] - 2.0).abs() < 1e-15);
+    }
+
+    /// `L·Lᵀ` of a packed factor, densely.
+    fn gram(up: &UpdatableCholesky) -> Matrix {
+        let n = up.dim();
+        Matrix::from_fn(n, n, |i, j| {
+            (0..=i.min(j)).map(|k| up.row(i)[k] * up.row(j)[k]).sum()
+        })
+    }
+
+    #[test]
+    fn rank_one_update_and_downdate_match_dense_reference() {
+        let mut seed = 0x0dd5u64;
+        for n in [1usize, 2, 5, 17] {
+            let a = random_spd(n, &mut seed);
+            let v: Vec<f64> = (0..n).map(|_| pseudo(&mut seed)).collect();
+            let plus = Matrix::from_fn(n, n, |i, j| a[(i, j)] + v[i] * v[j]);
+            let mut up = updatable_from(&a);
+            up.update(&v);
+            assert!((&gram(&up) - &plus).unwrap().norm_max() < 1e-12 * plus.norm_max());
+            // Downdating the update returns to A.
+            up.downdate(&v, 0.0).unwrap();
+            assert!((&gram(&up) - &a).unwrap().norm_max() < 1e-12 * plus.norm_max());
+            // A downdate that stays positive definite matches A − vvᵀ.
+            let small: Vec<f64> = v.iter().map(|x| 0.5 * x).collect();
+            let minus = Matrix::from_fn(n, n, |i, j| a[(i, j)] - small[i] * small[j]);
+            let mut down = updatable_from(&a);
+            down.downdate(&small, 0.0).unwrap();
+            assert!((&gram(&down) - &minus).unwrap().norm_max() < 1e-12 * a.norm_max());
+            let b: Vec<f64> = (0..n).map(|_| pseudo(&mut seed)).collect();
+            let mut x = b.clone();
+            down.solve_in_place(&mut x);
+            let expect = crate::lu::solve(&minus, &b).unwrap();
+            assert!(vec_ops::approx_eq(&x, &expect, 1e-9), "n={n}");
+        }
+    }
+
+    #[test]
+    fn downdate_refuses_indefinite_result_and_keeps_factor() {
+        let mut seed = 0xdecu64;
+        let n = 6;
+        let a = random_spd(n, &mut seed);
+        let mut up = updatable_from(&a);
+        let before = up.l.clone();
+        // v = L·e₀·√2 gives ‖L⁻¹v‖² = 2: A − vvᵀ is indefinite.
+        let v: Vec<f64> = (0..n).map(|i| up.row(i)[0] * 2f64.sqrt()).collect();
+        assert!(matches!(
+            up.downdate(&v, 0.0),
+            Err(Error::NotPositiveDefinite)
+        ));
+        assert_eq!(up.l, before);
+        // Exactly singular (ratio 0) is refused too, and a ratio bound
+        // above the true ratio refuses a definite result.
+        let unit: Vec<f64> = (0..n).map(|i| up.row(i)[0]).collect();
+        assert!(up.downdate(&unit, 0.0).is_err());
+        let half: Vec<f64> = unit.iter().map(|x| 0.5 * x).collect();
+        assert!(up.downdate(&half, 0.8).is_err());
+        assert_eq!(up.l, before);
+        up.downdate(&half, 0.7).unwrap();
+    }
+
+    #[test]
+    fn split_solves_compose_to_full_solve() {
+        let mut seed = 0x5b117u64;
+        let a = random_spd(9, &mut seed);
+        let up = updatable_from(&a);
+        let b: Vec<f64> = (0..9).map(|_| pseudo(&mut seed)).collect();
+        let (mut full, mut split) = (b.clone(), b);
+        up.solve_in_place(&mut full);
+        up.forward_in_place(&mut split);
+        up.backward_in_place(&mut split);
+        assert_eq!(full, split);
+    }
+
+    /// Vectors spanning an arrowhead Gram matrix: chain `j`'s rows live on
+    /// their own coordinates `[j·dim, (j+1)·dim)`, tail rows on all of them.
+    struct ArrowPool {
+        chains: Vec<Vec<Vec<f64>>>,
+        tail: Vec<Vec<f64>>,
+    }
+
+    impl ArrowPool {
+        fn random(chains: usize, per_chain: usize, tail: usize, seed: &mut u64) -> Self {
+            let dim = per_chain + tail + 2;
+            let width = chains * dim;
+            let chain_rows = (0..chains)
+                .map(|j| {
+                    (0..per_chain)
+                        .map(|_| {
+                            let mut v = vec![0.0; width];
+                            for x in &mut v[j * dim..(j + 1) * dim] {
+                                *x = pseudo(seed);
+                            }
+                            v
+                        })
+                        .collect()
+                })
+                .collect();
+            let tail = (0..tail)
+                .map(|_| (0..width).map(|_| pseudo(seed)).collect())
+                .collect();
+            ArrowPool {
+                chains: chain_rows,
+                tail,
+            }
+        }
+
+        fn dot(a: &[f64], b: &[f64]) -> f64 {
+            a.iter().zip(b).map(|(x, y)| x * y).sum()
+        }
+
+        /// Appends chain `j`'s pool row `r` behind `held[j]`.
+        fn append(
+            &self,
+            f: &mut ArrowheadCholesky,
+            held: &mut [Vec<usize>],
+            j: usize,
+            r: usize,
+        ) -> Result<()> {
+            let v = &self.chains[j][r];
+            let mut col: Vec<f64> = held[j]
+                .iter()
+                .map(|&q| Self::dot(v, &self.chains[j][q]))
+                .collect();
+            col.push(Self::dot(v, v));
+            let coupling: Vec<f64> = self.tail.iter().map(|t| Self::dot(v, t)).collect();
+            f.append(j, &col, &coupling)?;
+            held[j].push(r);
+            Ok(())
+        }
+
+        /// The held rows, in factor order.
+        fn rows<'a>(&'a self, held: &[Vec<usize>]) -> Vec<&'a [f64]> {
+            let mut rows: Vec<&[f64]> = Vec::new();
+            for (j, h) in held.iter().enumerate() {
+                rows.extend(h.iter().map(|&r| self.chains[j][r].as_slice()));
+            }
+            rows.extend(self.tail.iter().map(|t| t.as_slice()));
+            rows
+        }
+
+        fn gram(&self, held: &[Vec<usize>]) -> Matrix {
+            let rows = self.rows(held);
+            Matrix::from_fn(rows.len(), rows.len(), |i, j| Self::dot(rows[i], rows[j]))
+        }
+
+        /// A dense factor of the same rows in the same order.
+        fn dense(&self, held: &[Vec<usize>]) -> UpdatableCholesky {
+            updatable_from(&self.gram(held))
+        }
+
+        fn tail_packed(&self) -> Vec<f64> {
+            let mut g = Vec::new();
+            for (e, t) in self.tail.iter().enumerate() {
+                g.extend(self.tail[..=e].iter().map(|u| Self::dot(t, u)));
+            }
+            g
+        }
+    }
+
+    #[test]
+    fn arrowhead_appends_and_removes_match_dense_factor() {
+        let mut seed = 0xa770u64;
+        let pool = ArrowPool::random(3, 6, 4, &mut seed);
+        let mut f = ArrowheadCholesky::new();
+        f.reset(3, 4);
+        f.build_tail(&pool.tail_packed()).unwrap();
+        let mut held = vec![Vec::new(); 3];
+        for r in 0..5 {
+            for j in 0..3 {
+                pool.append(&mut f, &mut held, j, r).unwrap();
+            }
+        }
+        f.remove(1, 2);
+        held[1].remove(2);
+        f.remove(0, 4); // the last row of a chain
+        held[0].remove(4);
+        for k in (0..5).rev() {
+            f.remove(2, k); // empties chain 2
+        }
+        held[2].clear();
+        pool.append(&mut f, &mut held, 2, 5).unwrap();
+        assert_eq!(f.chain_dim(2), 1);
+        let a = pool.gram(&held);
+        let b: Vec<f64> = (0..a.rows()).map(|_| pseudo(&mut seed)).collect();
+        let mut x = b.clone();
+        f.solve_in_place(&mut x);
+        let expect = crate::lu::solve(&a, &b).unwrap();
+        assert!(vec_ops::approx_eq(&x, &expect, 1e-9));
+    }
+
+    /// A row that lies in the span of the tail rows plus its own chain's
+    /// held rows is rejected by the arrowhead append with the factor
+    /// unchanged, exactly where a dense factor holding the same rows (the
+    /// new one last) rejects it; a row just off that span is accepted by
+    /// both.
+    #[test]
+    fn arrowhead_rejects_dependent_row_where_dense_factor_does() {
+        let mut seed = 0xdeb7u64;
+        let mut pool = ArrowPool::random(2, 4, 3, &mut seed);
+        // Confine tail row 0 to chain 1's coordinates, so a chain-1 row can
+        // depend on it.
+        let dim = pool.chains[1][0].len() / 2;
+        pool.tail[0][..dim].fill(0.0);
+        let mut f = ArrowheadCholesky::new();
+        f.reset(2, 3);
+        f.build_tail(&pool.tail_packed()).unwrap();
+        let mut held = vec![Vec::new(); 2];
+        for r in 0..3 {
+            pool.append(&mut f, &mut held, 0, r).unwrap();
+            pool.append(&mut f, &mut held, 1, r).unwrap();
+        }
+        for eps in [0.0, 1e-3] {
+            let mut row: Vec<f64> = (0..2 * dim)
+                .map(|i| pool.chains[1][0][i] + pool.chains[1][2][i] - 0.7 * pool.tail[0][i])
+                .collect();
+            row[dim + 1] += eps;
+            pool.chains[1][3] = row;
+            let v = &pool.chains[1][3];
+            let mut col: Vec<f64> = pool
+                .rows(&held)
+                .iter()
+                .map(|r| ArrowPool::dot(v, r))
+                .collect();
+            col.push(ArrowPool::dot(v, v));
+            let dense_ok = pool.dense(&held).append(&col).is_ok();
+            let before = (f.dim(), f.chains[1].clone(), f.tail.l.clone());
+            let arrow = pool.append(&mut f, &mut held, 1, 3);
+            assert_eq!(arrow.is_ok(), dense_ok, "eps={eps}");
+            assert_eq!(arrow.is_ok(), eps > 0.0, "eps={eps}");
+            if arrow.is_err() {
+                let after = (f.dim(), f.chains[1].clone(), f.tail.l.clone());
+                assert_eq!(after.0, before.0);
+                assert_eq!(after.1.l.l, before.1.l.l);
+                assert_eq!(after.1.coupling, before.1.coupling);
+                assert_eq!(after.2, before.2);
+            } else {
+                f.remove(1, 3);
+                held[1].pop();
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the dense linear-algebra kernels.
 
 use idc_linalg::banded::{BlockTridiag, BlockTridiagChol};
-use idc_linalg::cholesky::UpdatableCholesky;
+use idc_linalg::cholesky::{ArrowheadCholesky, UpdatableCholesky};
 use idc_linalg::gemm::{gemm, gemm_ws};
 use idc_linalg::workspace::Workspace;
 use idc_linalg::{expm::expm, lu::Lu, qr, vec_ops, Matrix};
@@ -309,6 +309,153 @@ proptest! {
             prop_assert!(
                 (xr - xb).abs() <= 1e-8 * (1.0 + xr.abs()),
                 "row-by-row {xr} vs blocked {xb}"
+            );
+        }
+    }
+}
+
+/// Row vectors whose Gram matrix has arrowhead structure: chain `j`'s rows
+/// live on chain `j`'s three shared coordinates plus one private coordinate
+/// each, tail rows on every shared coordinate plus a private one. The
+/// private coordinates keep the Gram matrix well conditioned.
+struct ArrowRows {
+    /// `chains[j][r]`: pool row `r` of chain `j`.
+    chains: Vec<Vec<Vec<f64>>>,
+    tail: Vec<Vec<f64>>,
+}
+
+impl ArrowRows {
+    const SHARED: usize = 3;
+    const POOL: usize = 6;
+
+    fn new(nchains: usize, ntail: usize, data: &[f64]) -> Self {
+        let width = nchains * (Self::SHARED + Self::POOL) + ntail;
+        let mut next = data.iter().cycle();
+        let mut draw = || *next.next().expect("cycled");
+        let mut private = nchains * Self::SHARED;
+        let mut row = |shared: std::ops::Range<usize>, draw: &mut dyn FnMut() -> f64| {
+            let mut v = vec![0.0; width];
+            for x in &mut v[shared] {
+                *x = draw();
+            }
+            v[private] = 1.5 + draw().abs();
+            private += 1;
+            v
+        };
+        let chains = (0..nchains)
+            .map(|j| {
+                (0..Self::POOL)
+                    .map(|_| row(j * Self::SHARED..(j + 1) * Self::SHARED, &mut draw))
+                    .collect()
+            })
+            .collect();
+        let tail = (0..ntail)
+            .map(|_| row(0..nchains * Self::SHARED, &mut draw))
+            .collect();
+        ArrowRows { chains, tail }
+    }
+
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
+
+    /// Chain `j`'s append column for pool row `r` behind `held`, and its
+    /// tail couplings.
+    fn column(&self, j: usize, held: &[usize], r: usize) -> (Vec<f64>, Vec<f64>) {
+        let v = &self.chains[j][r];
+        let mut col: Vec<f64> = held
+            .iter()
+            .map(|&q| Self::dot(v, &self.chains[j][q]))
+            .collect();
+        col.push(Self::dot(v, v));
+        (col, self.tail.iter().map(|t| Self::dot(v, t)).collect())
+    }
+
+    /// The Gram matrix of the held rows in factor order.
+    fn gram(&self, held: &[Vec<usize>]) -> Matrix {
+        let mut rows: Vec<&[f64]> = Vec::new();
+        for (j, h) in held.iter().enumerate() {
+            rows.extend(h.iter().map(|&r| self.chains[j][r].as_slice()));
+        }
+        rows.extend(self.tail.iter().map(Vec::as_slice));
+        Matrix::from_fn(rows.len(), rows.len(), |a, b| Self::dot(rows[a], rows[b]))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The arrowhead factor after a from-scratch build and random
+    /// interleaved appends and removes — interior rows, the last row of a
+    /// chain, whole chains emptied and refilled — solves like a dense LU of
+    /// the same matrix.
+    #[test]
+    fn arrowhead_updates_match_dense_solve(
+        nchains in 1usize..4,
+        ntail in 0usize..4,
+        init in prop::collection::vec(0usize..4, 3),
+        data in prop::collection::vec(-1.0f64..1.0, 64),
+        ops in prop::collection::vec((0usize..4, 0usize..8, 0usize..8), 1..40),
+        b in vector(40),
+    ) {
+        let rows = ArrowRows::new(nchains, ntail, &data);
+        let mut f = ArrowheadCholesky::new();
+        f.reset(nchains, ntail);
+        let mut held: Vec<Vec<usize>> = init[..nchains].iter().map(|&k| (0..k).collect()).collect();
+        for (j, h) in held.iter().enumerate() {
+            let mut cols = Vec::new();
+            let mut coupling = Vec::new();
+            for (a, &r) in h.iter().enumerate() {
+                let (col, c) = rows.column(j, &h[..a], r);
+                cols.extend(col);
+                coupling.extend(c);
+            }
+            f.build_chain(j, h.len(), &cols, &coupling).unwrap();
+        }
+        let mut g = Vec::new();
+        for (e, t) in rows.tail.iter().enumerate() {
+            g.extend(rows.tail[..=e].iter().map(|u| ArrowRows::dot(t, u)));
+        }
+        f.build_tail(&g).unwrap();
+        for (op, a, pick) in ops {
+            let j = a % nchains;
+            let len = held[j].len();
+            match op {
+                0 => {
+                    if let Some(r) = (0..ArrowRows::POOL).find(|r| !held[j].contains(r)) {
+                        let (col, c) = rows.column(j, &held[j], r);
+                        f.append(j, &col, &c).unwrap();
+                        held[j].push(r);
+                    }
+                }
+                1 if len > 0 => {
+                    f.remove(j, pick % len);
+                    held[j].remove(pick % len);
+                }
+                2 if len > 0 => {
+                    f.remove(j, len - 1);
+                    held[j].pop();
+                }
+                3 => {
+                    for k in (0..len).rev() {
+                        f.remove(j, if pick % 2 == 0 { k } else { 0 });
+                    }
+                    held[j].clear();
+                }
+                _ => {}
+            }
+            prop_assert_eq!(f.chain_dim(j), held[j].len());
+        }
+        let a = rows.gram(&held);
+        let m = a.rows();
+        prop_assume!(m > 0);
+        let mut x = b[..m].to_vec();
+        f.solve_in_place(&mut x);
+        let expect = Lu::factor(&a).unwrap().solve(&b[..m]).unwrap();
+        for (xi, ei) in x.iter().zip(&expect) {
+            prop_assert!(
+                (xi - ei).abs() <= 1e-9 * (1.0 + ei.abs()),
+                "arrowhead {xi} vs dense LU {ei}"
             );
         }
     }

@@ -15,8 +15,15 @@
 //! 1. `H⁻¹·v` costs O(β·nb²) through the block Cholesky / Riccati recursion
 //!    ([`BlockTridiagChol`]) instead of O((β·nb)²) dense back-substitution,
 //! 2. the working-set Schur complement `S_W = C_W H⁻¹ C_Wᵀ` is maintained
-//!    *incrementally* under working-set changes via [`UpdatableCholesky`] —
-//!    O(m²) per add / drop instead of an O(m³) per-iteration refactor,
+//!    *incrementally* under working-set changes, and per independent chain
+//!    of Hessian blocks: an inequality row that touches one chain has
+//!    exact zeros in `S_W` against every other chain's rows, so `S_W` is an
+//!    arrowhead matrix whose only dense block is the equality rows, and
+//!    [`ArrowheadCholesky`] keeps one small factor per chain plus the
+//!    equalities' reduced Schur complement. An add or drop costs
+//!    O(b_j² + m_E·b_j + m_E²) for a chain of `b_j` working rows and `m_E`
+//!    equalities, instead of a dense O(m²) — and a coupled `H` is one chain,
+//!    which is the dense cost again,
 //! 3. ratio tests, right-hand sides and the refinement residual `C_W·p`
 //!    use sparse row dots, and
 //! 4. each row of `Y = H̃⁻¹Cᵀ` carries the span outside which it is exactly
@@ -31,7 +38,7 @@
 //! degeneracy recovery live there, the KKT step solves live here.
 
 use idc_linalg::banded::{BlockTridiag, BlockTridiagChol};
-use idc_linalg::cholesky::UpdatableCholesky;
+use idc_linalg::cholesky::ArrowheadCholesky;
 use idc_linalg::workspace::Workspace;
 use idc_linalg::{simd, vec_ops, Matrix};
 
@@ -101,31 +108,43 @@ impl SparseRow {
 /// heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct BandedWorkspace {
-    /// Incremental Cholesky factor of the working-set Schur block `S_W`.
-    factor: UpdatableCholesky,
+    /// Incremental arrowhead factor of the working-set Schur block `S_W`,
+    /// in *factor order*: chain 0's working inequalities, …, the last
+    /// chain's, then the equalities.
+    factor: ArrowheadCholesky,
+    /// The working inequalities the factor holds, in working order. Always
+    /// a prefix of the working set: rows are appended in working order and
+    /// leave with their working-set entry.
+    held: Vec<usize>,
+    /// Each chain's held inequalities in factor order, which is also their
+    /// relative working order.
+    chain_rows: Vec<Vec<usize>>,
+    /// Per-chain cursor for mapping factor-order multipliers back to
+    /// working order.
+    cursor: Vec<usize>,
     /// `H̃⁻¹·g`, computed once per solve — the Newton point at any iterate
     /// is then `t = −x − H̃⁻¹g` with no Hessian multiply.
     tg: Vec<f64>,
     /// Newton point `t = H̃⁻¹·(−(Hx + g))`.
     t: Vec<f64>,
-    /// Schur right-hand side `C_W·t`.
-    srhs: Vec<f64>,
-    /// Multipliers.
+    /// Schur right-hand side `C_W·t`, solved in place into the multipliers
+    /// (factor order).
     lam: Vec<f64>,
     /// Refinement residual `C_W·p`, solved in place into the correction.
     resid: Vec<f64>,
-    /// Gather buffer for a new factor row.
+    /// Gather buffer for factor rows (a chain block, a row's chain column,
+    /// or the equalities' block).
     col: Vec<f64>,
-    /// Global constraint index of each working-system row, rebuilt once per
-    /// KKT step so the row sweeps and residual dots skip the per-element
-    /// mapping.
+    /// Gather buffer for a chain block's equality couplings.
+    coupling: Vec<f64>,
+    /// Global constraint index of each working-system row in factor order,
+    /// rebuilt once per KKT step so the row sweeps and residual dots skip
+    /// the per-element mapping.
     cols: Vec<usize>,
     /// Working set buffer, reused across solves.
     working: Vec<usize>,
     /// `[p; multipliers]` buffer, reused across solves.
     sol: Vec<f64>,
-    /// Linalg scratch pool for block factor updates.
-    fws: Workspace,
     /// Iterative-refinement passes since `begin` (introspection only;
     /// drained into [`crate::SolveStats`] per solve).
     refinements: u64,
@@ -170,6 +189,11 @@ struct BandedCache {
     spans: Vec<(usize, usize)>,
     /// Full Schur complement `C·H̃⁻¹·Cᵀ` over all constraint rows.
     s: Matrix,
+    /// Independent Hessian chain of each inequality row: `S` is exactly
+    /// zero between inequality rows of different chains.
+    chains: Vec<usize>,
+    /// Number of chains.
+    nchains: usize,
 }
 
 /// A convex QP with block-tridiagonal Hessian and sparse constraint rows.
@@ -422,8 +446,83 @@ impl BandedQp {
                 }
             }
         }
-        self.cache = Some(BandedCache { chol, yt, spans, s });
+        let (chains, nchains) = self.inequality_chain_ids();
+        self.cache = Some(BandedCache {
+            chol,
+            yt,
+            spans,
+            s,
+            chains,
+            nchains,
+        });
         Ok(())
+    }
+
+    /// Splits the inequality rows into independent chains. A chain is a
+    /// maximal run of Hessian blocks joined by nonzero subdiagonal blocks;
+    /// runs that one inequality row spans are merged (union-find). Then
+    /// `H̃⁻¹` is block diagonal over the chains, and so is the inequality
+    /// part of `S = C·H̃⁻¹·Cᵀ`. Returns each row's chain, numbered in
+    /// block order, and the chain count (at least 1; an empty row joins
+    /// chain 0).
+    fn inequality_chain_ids(&self) -> (Vec<usize>, usize) {
+        let nb = self.h.nb();
+        let mut run = Vec::with_capacity(self.h.nblocks());
+        let mut runs = 0;
+        for t in 0..self.h.nblocks() {
+            if t == 0 || self.h.sub(t - 1).iter().all(|&v| v == 0.0) {
+                runs += 1;
+            }
+            run.push(runs - 1);
+        }
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        let mut parent: Vec<usize> = (0..runs).collect();
+        for row in &self.a_in {
+            let mut blocks = row.entries().iter().map(|&(i, _)| run[i / nb]);
+            if let Some(first) = blocks.next() {
+                let mut root = find(&mut parent, first);
+                for r in blocks {
+                    let other = find(&mut parent, r);
+                    if other != root {
+                        let (lo, hi) = (root.min(other), root.max(other));
+                        parent[hi] = lo;
+                        root = lo;
+                    }
+                }
+            }
+        }
+        let mut label = vec![usize::MAX; runs];
+        let mut nchains = 0;
+        for r in 0..runs {
+            if find(&mut parent, r) == r {
+                label[r] = nchains;
+                nchains += 1;
+            }
+        }
+        let chains = self
+            .a_in
+            .iter()
+            .map(|row| {
+                row.entries()
+                    .first()
+                    .map_or(0, |&(i, _)| label[find(&mut parent, run[i / nb])])
+            })
+            .collect();
+        (chains, nchains.max(1))
+    }
+
+    /// The independent Hessian chain of each inequality row, as derived by
+    /// [`prepare`](Self::prepare) (`None` before it): the working-set
+    /// factor keeps one block per chain. Rows of different chains have
+    /// exact zeros between them in the Schur complement `C·H̃⁻¹·Cᵀ`.
+    pub fn inequality_chains(&self) -> Option<&[usize]> {
+        self.cache.as_ref().map(|c| c.chains.as_slice())
     }
 
     /// The Hessian `H`.
@@ -555,93 +654,57 @@ struct BandedOps<'a> {
     ws: &'a mut BandedWorkspace,
 }
 
-impl BandedOps<'_> {
-    /// Maps a working-system row to its global constraint index.
-    fn gcol(&self, working: &[usize], r: usize) -> usize {
-        let me = self.qp.a_eq.len();
-        if r < me {
-            r
-        } else {
-            me + working[r - me]
+impl<'a> BandedOps<'a> {
+    fn cache(&self) -> &'a BandedCache {
+        self.qp.cache.as_ref().expect("prepared by warm_start")
+    }
+
+    /// Empties the working-set factor (it holds nothing, not even the
+    /// equalities, until the next build).
+    fn reset_factor(&mut self) {
+        let nchains = self.cache().nchains;
+        let ws = &mut *self.ws;
+        ws.factor.reset(nchains, self.qp.a_eq.len());
+        ws.held.clear();
+        ws.chain_rows.resize_with(nchains, Vec::new);
+        for rows in &mut ws.chain_rows {
+            rows.clear();
         }
     }
 
-    /// Extends the incremental factor until it covers every row of the
-    /// current working system, gathering new rows from the precomputed
+    /// Extends the incremental factor until it holds every row of the
+    /// current working system, gathering entries from the precomputed
     /// Schur complement.
     ///
-    /// A build from dimension zero counts as a refactorization; appends to
-    /// an existing factor count as incremental updates. Multi-row growth
-    /// (batched pivoting admits several constraints per outer iteration)
-    /// goes through the blocked append, falling back to row-by-row on
-    /// failure so the error points at the first bad row. Returns whether a
-    /// pending poison was consumed by this build (the caller must then
-    /// rebuild before using the factor's solution).
+    /// A build of an empty factor counts as a refactorization: every chain
+    /// block and then the equalities' block in one blocked pass each,
+    /// falling back to the equalities plus row-by-row appends on failure so
+    /// the error points at the first bad row. Appends to a built factor go
+    /// one row at a time, in working order, and count as incremental
+    /// updates. Returns whether a pending poison was consumed by this build
+    /// (the caller must then rebuild before using the factor's solution).
     fn ensure_factor(&mut self, working: &[usize]) -> Result<bool> {
-        let me = self.qp.a_eq.len();
-        let target = me + working.len();
-        let cache = self.qp.cache.as_ref().expect("prepared by warm_start");
-        // Consume a pending poison request: corrupt the first row appended
-        // in this build so the caller's stability-rebuild path must fire
+        // Consume a pending poison request: corrupt the first row of a
+        // fresh build so the caller's stability-rebuild path must fire
         // (deterministic fault injection).
-        let poison = self.ws.force_refactor && target > 0;
+        let poison = self.ws.force_refactor && self.qp.a_eq.len() + working.len() > 0;
         if poison {
             self.ws.force_refactor = false;
-            if self.ws.factor.dim() >= target {
-                self.ws.factor.clear();
-            }
+            self.reset_factor();
         }
-        let dim = self.ws.factor.dim();
-        if dim >= target {
-            return Ok(false);
-        }
-        let from_scratch = dim == 0;
+        let from_scratch = !self.ws.factor.is_built();
         if from_scratch {
             self.ws.refactorizations += 1;
+            if self.build_blocked(working, poison).is_ok() {
+                return Ok(poison);
+            }
+            // Start over from the equalities alone; the appends below then
+            // stop at the first bad row.
+            self.reset_factor();
+            self.build_blocked(&[], false).map_err(Error::from)?;
         }
-        if target - dim > 1 && !poison {
-            self.ws.col.clear();
-            for r in dim..target {
-                let srow = cache.s.row(self.gcol(working, r));
-                for q in 0..=r {
-                    self.ws.col.push(srow[self.gcol(working, q)]);
-                }
-            }
-            if self
-                .ws
-                .factor
-                .append_block(target - dim, &self.ws.col, &mut self.ws.fws)
-                .is_ok()
-            {
-                if !from_scratch {
-                    self.ws.updates += (target - dim) as u64;
-                }
-                return Ok(false);
-            }
-            // Blocked append commits nothing on failure — fall through to
-            // per-row appends so the error points at the first bad row.
-        }
-        let mut poison_next = poison;
-        while self.ws.factor.dim() < target {
-            let r = self.ws.factor.dim();
-            let gr = self.gcol(working, r);
-            let srow = cache.s.row(gr);
-            self.ws.col.clear();
-            for q in 0..r {
-                self.ws.col.push(srow[self.gcol(working, q)]);
-            }
-            self.ws.col.push(srow[gr]);
-            if poison_next {
-                // Double the diagonal: stays positive definite (the solve
-                // cannot fail) but is wrong by O(1) — the caller rebuilds
-                // before any step direction is taken from this factor.
-                let last = self.ws.col.len() - 1;
-                self.ws.col[last] *= 2.0;
-                poison_next = false;
-            }
-            // A failed append leaves the prefix factor intact; surfacing
-            // Numerical makes the outer loop pop the degenerate addition.
-            self.ws.factor.append(&self.ws.col).map_err(Error::from)?;
+        while self.ws.held.len() < working.len() {
+            self.append_row(working[self.ws.held.len()])?;
             if !from_scratch {
                 self.ws.updates += 1;
             }
@@ -649,17 +712,85 @@ impl BandedOps<'_> {
         Ok(poison)
     }
 
-    /// Solves the working system from the current factor: `λ = S_W⁻¹·srhs`
+    /// Builds the empty factor over `working` in blocked passes (over the
+    /// equalities alone when `working` is empty). A poisoned
+    /// build doubles the diagonal of the first working-system row (the
+    /// first equality, else the first working inequality): the factor stays
+    /// positive definite, so nothing fails, but it is wrong by O(1).
+    fn build_blocked(&mut self, working: &[usize], poison: bool) -> idc_linalg::Result<()> {
+        let me = self.qp.a_eq.len();
+        let cache = self.cache();
+        let ws = &mut *self.ws;
+        for &i in working {
+            ws.chain_rows[cache.chains[i]].push(i);
+        }
+        for (j, rows) in ws.chain_rows.iter().enumerate() {
+            if rows.is_empty() {
+                continue;
+            }
+            ws.col.clear();
+            ws.coupling.clear();
+            for (a, &i) in rows.iter().enumerate() {
+                let srow = cache.s.row(me + i);
+                ws.col.extend(rows[..=a].iter().map(|&q| srow[me + q]));
+                ws.coupling.extend_from_slice(&srow[..me]);
+            }
+            if poison && me == 0 && rows[0] == working[0] {
+                ws.col[0] *= 2.0;
+            }
+            ws.factor
+                .build_chain(j, rows.len(), &ws.col, &ws.coupling)?;
+        }
+        ws.col.clear();
+        for e in 0..me {
+            ws.col.extend_from_slice(&cache.s.row(e)[..=e]);
+        }
+        if poison && me > 0 {
+            ws.col[0] *= 2.0;
+        }
+        ws.factor.build_tail(&ws.col)?;
+        ws.held.extend_from_slice(working);
+        Ok(())
+    }
+
+    /// Appends working inequality `i` to the end of its chain.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Numerical`] with the factor unchanged when the row is
+    /// numerically dependent on the rows held (the outer loop then pops the
+    /// degenerate addition).
+    fn append_row(&mut self, i: usize) -> Result<()> {
+        let me = self.qp.a_eq.len();
+        let cache = self.cache();
+        let ws = &mut *self.ws;
+        let j = cache.chains[i];
+        let srow = cache.s.row(me + i);
+        ws.col.clear();
+        ws.col
+            .extend(ws.chain_rows[j].iter().map(|&q| srow[me + q]));
+        ws.col.push(srow[me + i]);
+        ws.factor
+            .append(j, &ws.col, &srow[..me])
+            .map_err(Error::from)?;
+        ws.chain_rows[j].push(i);
+        ws.held.push(i);
+        Ok(())
+    }
+
+    /// Solves the working system from the current factor: `λ = S_W⁻¹·C_W·t`
     /// and `p = t − Y_Wᵀλ` into `sol[..n]`, then one pass of iterative
-    /// refinement. The residual is taken from the step as `r = C_W·p`
-    /// (sparse row dots, O(nnz)); since `C_W·Y_Wᵀ = S_W`, it equals
-    /// `srhs − S_W·λ` without touching the m×m Schur block. The correction
-    /// `δ = S_W⁻¹·r` updates both `λ += δ` and `p −= Y_Wᵀδ`. Returns `‖δ‖∞`.
+    /// refinement, all in factor order. The residual is taken from the step
+    /// as `r = C_W·p` (sparse row dots, O(nnz)); since `C_W·Y_Wᵀ = S_W`, it
+    /// equals `C_W·t − S_W·λ` without touching the Schur block. The
+    /// correction `δ = S_W⁻¹·r` updates both `λ += δ` and `p −= Y_Wᵀδ`.
+    /// Returns `‖δ‖∞`.
     fn solve_refined(&mut self, sol: &mut Vec<f64>) -> f64 {
-        let cache = self.qp.cache.as_ref().expect("prepared by warm_start");
+        let cache = self.cache();
         let ws = &mut *self.ws;
         ws.lam.clear();
-        ws.lam.extend_from_slice(&ws.srhs);
+        ws.lam
+            .extend(ws.cols.iter().map(|&gr| self.qp.crow(gr).dot(&ws.t)));
         ws.factor.solve_in_place(&mut ws.lam);
         sol.clear();
         sol.extend_from_slice(&ws.t);
@@ -713,33 +844,38 @@ impl ActiveSetOps for BandedOps<'_> {
         self.ws.downdates = 0;
         // (`force_refactor` deliberately survives: it is armed between
         // solves and consumed by the first factor build.)
-        self.ws.factor.clear();
+        self.reset_factor();
         // One banded solve per call amortizes the Newton point across the
         // whole active-set iteration: t(x) = −x − H̃⁻¹g for the fixed g.
-        let cache = self.qp.cache.as_ref().expect("prepared by warm_start");
+        let cache = self.cache();
         self.ws.tg.clear();
         self.ws.tg.extend_from_slice(&self.qp.g);
         cache.chol.solve_in_place(&mut self.ws.tg);
     }
 
     fn on_remove(&mut self, _working: &[usize], pos: usize) {
-        let row = self.qp.a_eq.len() + pos;
-        if self.ws.factor.dim() > row {
-            self.ws.factor.remove(row);
-            self.ws.downdates += 1;
+        if pos >= self.ws.held.len() {
+            return;
         }
+        let i = self.ws.held.remove(pos);
+        let j = self.cache().chains[i];
+        let rows = &mut self.ws.chain_rows[j];
+        let k = rows
+            .iter()
+            .position(|&q| q == i)
+            .expect("a held row is in its chain");
+        rows.remove(k);
+        self.ws.factor.remove(j, k);
+        self.ws.downdates += 1;
     }
 
     fn on_pop(&mut self, working: &[usize]) {
-        let target = self.qp.a_eq.len() + working.len();
-        if self.ws.factor.dim() > target {
-            self.ws.factor.truncate(target);
-            self.ws.downdates += 1;
-        }
+        // The popped entry sat at position `working.len()`.
+        self.on_remove(working, working.len());
     }
 
     fn kkt_step(&mut self, x: &[f64], working: &[usize], sol: &mut Vec<f64>) -> Result<()> {
-        let m = self.qp.a_eq.len() + working.len();
+        let me = self.qp.a_eq.len();
         // t = H̃⁻¹(−(Hx + g)) = −x − H̃⁻¹g, with H̃⁻¹g precomputed in
         // `begin` — no Hessian multiply or banded solve per iteration.
         self.ws.t.clear();
@@ -747,22 +883,17 @@ impl ActiveSetOps for BandedOps<'_> {
             .t
             .extend(x.iter().zip(&self.ws.tg).map(|(&xi, &ti)| -xi - ti));
         sol.clear();
-        if m == 0 {
+        if me + working.len() == 0 {
             sol.extend_from_slice(&self.ws.t);
             return Ok(());
         }
         let poisoned = self.ensure_factor(working)?;
-        self.ws.cols.clear();
-        for r in 0..m {
-            self.ws.cols.push(self.gcol(working, r));
+        let ws = &mut *self.ws;
+        ws.cols.clear();
+        for rows in &ws.chain_rows {
+            ws.cols.extend(rows.iter().map(|&i| me + i));
         }
-        // Schur rhs: C_W·t (sparse dots).
-        self.ws.srhs.clear();
-        for r in 0..m {
-            self.ws
-                .srhs
-                .push(self.qp.crow(self.ws.cols[r]).dot(&self.ws.t));
-        }
+        ws.cols.extend(0..me);
         // λ and p from the incrementally maintained factor, plus one step
         // of iterative refinement against the residual of the step itself.
         let correction = self.solve_refined(sol);
@@ -771,13 +902,30 @@ impl ActiveSetOps for BandedOps<'_> {
         // scratch and re-solve (once per KKT step). A poisoned build
         // rebuilds unconditionally — one refinement pass shrinks the
         // multiplier error but need not reach solver tolerance, and inexact
-        // λ makes the step leave the equality manifold.
+        // λ makes the step leave the equality manifold. The rebuilt factor
+        // holds the same rows in the same order, so `cols` stands.
         if poisoned || correction > REBUILD_TOL * (1.0 + vec_ops::norm_inf(&self.ws.lam)) {
-            self.ws.factor.clear();
+            self.reset_factor();
             self.ensure_factor(working)?;
             self.solve_refined(sol);
         }
-        sol.extend_from_slice(&self.ws.lam);
+        // Multipliers leave in working order: equalities (the factor's
+        // tail), then each working inequality from its chain's block.
+        let chains = &self.cache().chains;
+        let ws = &mut *self.ws;
+        let nin = working.len();
+        sol.extend_from_slice(&ws.lam[nin..]);
+        ws.cursor.clear();
+        let mut start = 0;
+        for rows in &ws.chain_rows {
+            ws.cursor.push(start);
+            start += rows.len();
+        }
+        for &i in working {
+            let at = &mut ws.cursor[chains[i]];
+            sol.push(ws.lam[*at]);
+            *at += 1;
+        }
         Ok(())
     }
 
@@ -1392,6 +1540,63 @@ mod tests {
         assert_eq!(p, by_row);
         let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
         assert_kkt(&qp, &sol);
+    }
+
+    #[test]
+    fn chains_follow_hessian_blocks_and_merge_across_spanning_rows() {
+        let mut seed = 0xc4a1u64;
+        let (nb, groups, len) = (2, 3, 2);
+        let chain = nb * len;
+        let separable = block_diagonal_problem(nb, groups, len, &mut seed);
+        let mut qp = separable.clone();
+        assert!(qp.inequality_chains().is_none());
+        qp.prepare().unwrap();
+        // One chain per group of blocks, numbered in block order.
+        let chains = qp.inequality_chains().unwrap();
+        for (row, &c) in qp.a_in.iter().zip(chains) {
+            assert_eq!(c, row.entries()[0].0 / chain);
+        }
+        assert_eq!(qp.cache.as_ref().unwrap().nchains, groups);
+        // A row spanning groups 0 and 2 merges them; group 1 keeps its own.
+        let mut merged = separable.inequality(
+            SparseRow::from_entries(vec![(1, 1.0), (2 * chain, 1.0)]),
+            1.0,
+        );
+        merged.prepare().unwrap();
+        let chains = merged.inequality_chains().unwrap();
+        for (row, &c) in merged.a_in.iter().zip(chains) {
+            let group = row.entries()[0].0 / chain;
+            assert_eq!(c, usize::from(group == 1), "row {row:?}");
+        }
+        assert_eq!(merged.cache.as_ref().unwrap().nchains, 2);
+        // A coupled Hessian is one chain.
+        let mut coupled = random_problem(3, 4, &mut seed);
+        coupled.prepare().unwrap();
+        assert!(coupled.inequality_chains().unwrap().iter().all(|&c| c == 0));
+        assert_eq!(coupled.cache.as_ref().unwrap().nchains, 1);
+    }
+
+    /// The per-chain working-set factor against the same problem posed as
+    /// one dense block (a single chain, so a single dense Schur factor).
+    #[test]
+    fn per_chain_factor_solves_like_one_dense_block() {
+        let mut seed = 0xb10c5u64;
+        for &(nb, groups, len) in &[(2usize, 3usize, 2usize), (3, 4, 3), (2, 6, 1)] {
+            let mut qp = block_diagonal_problem(nb, groups, len, &mut seed);
+            let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+            assert_kkt(&qp, &sol);
+            assert!(!sol.active_set().is_empty());
+            let mut dense = densified(&qp);
+            let dense_sol = dense.solve_with(&mut BandedWorkspace::new()).unwrap();
+            assert_eq!(sol.active_set(), dense_sol.active_set());
+            assert!(
+                (sol.objective() - dense_sol.objective()).abs()
+                    <= 1e-8 * (1.0 + dense_sol.objective().abs()),
+                "{} vs {}",
+                sol.objective(),
+                dense_sol.objective()
+            );
+        }
     }
 
     #[test]
