@@ -6,10 +6,8 @@
 //!     BASELINE.json CURRENT.json [--threshold F] [--iters-threshold F] [--warn-only]
 //! ```
 //!
-//! Rows are keyed by `(idcs, portals, backend, shards)` — the shard
-//! count suffixes the key (e.g. `64x128 sharded[8]`) so sharded rows at
-//! different shard counts never silently compare — and matched across
-//! the two files; the comparison metrics are `warm_ms` for `single_step`
+//! Rows are keyed by `(idcs, portals, backend)` and matched across the
+//! two files; the comparison metrics are `warm_ms` for `single_step`
 //! rows, `warm_ms_per_step` for `end_to_end` and `storage_end_to_end`
 //! rows (warm solves are the steady-state cost of the controller, so
 //! they are what CI guards) and six hardware-free `solve_stats`
@@ -138,16 +136,7 @@ fn rows(doc: &Value) -> Vec<Row> {
             let Some(warm_ms) = number(item, metric) else {
                 continue;
             };
-            // Key by size × backend × shards: a row measured at a
-            // different shard count is a different experiment, not a
-            // regression candidate. Monolithic rows (shards 0 or the
-            // field absent in pre-sharding baselines) keep the bare key.
-            let shards = number(item, "shards").unwrap_or(0.0) as u64;
-            let mut key = if shards > 0 {
-                format!("{}x{} {backend}[{shards}]", idcs as u64, portals as u64)
-            } else {
-                format!("{}x{} {backend}", idcs as u64, portals as u64)
-            };
+            let mut key = format!("{}x{} {backend}", idcs as u64, portals as u64);
             if table == "storage_end_to_end" {
                 key.push_str(" +storage");
             }

@@ -1,10 +1,9 @@
 //! `bench_summary` — machine-readable before/after numbers for the MPC
 //! solve pipeline, written to `BENCH_mpc.json`.
 //!
-//! Measurements cover both solver backends
-//! ([`SolverBackend::BandedRiccati`] and [`SolverBackend::Sharded`] with 8
-//! shards) on the synthetic price-flip fleets of `ext_scaling`, up to the
-//! 64×128 fleet only the sharded backend reaches within the step budget:
+//! Measurements cover the banded Riccati solver on the synthetic
+//! price-flip fleets of `ext_scaling`, from the paper's 3×5 fleet up to
+//! 12×24:
 //!
 //! * **single_step** — median wall-clock of one `MpcController::plan`
 //!   call, cold (controller reset before every call, so the structure
@@ -17,42 +16,33 @@
 //!   wall-clock breakdown of the warm run (refresh / factor / condense /
 //!   solve / reference / simulate).
 //! * **storage_end_to_end** — one storage-enabled cell at the paper-scale
-//!   8×15 size (banded backend): a battery per IDC plus the typical
-//!   commercial demand-charge tariff, so the QP carries the enlarged
+//!   8×15 size: a battery per IDC plus the typical commercial
+//!   demand-charge tariff, so the QP carries the enlarged
 //!   charge/discharge/SoC blocks and the demand-charge epigraph row.
 //!   Same schema as `end_to_end` (including `solve_stats`), so
 //!   `bench_diff` gates it alongside the plain rows.
-//! * **sharded_agreement** — per fleet size, a *lockstep* comparison: one
-//!   trajectory is driven forward by the banded plan and at every step the
-//!   sharded backend solves the *identical* `MpcProblem`; the reported
-//!   figure is the maximum per-step relative difference of the plans'
-//!   predicted fleet power cost, gated at ≤ 1e-6 (the consensus outer
-//!   loop stops on residuals rather than solving exactly). Lockstep
-//!   isolates solver agreement from closed-loop divergence:
-//!   independently-run windows drift apart at the 10⁻⁶..10⁻⁴ level because
-//!   integer server counts in the sleep loop amplify last-bit rounding —
-//!   the same mechanism behind the nonzero same-backend `cost_rel_diff` —
-//!   which says nothing about the solvers.
 //!
 //! Run with:
 //! `cargo run --release -p idc-bench --bin bench_summary [-- <output.json>]`
 //!
-//! `-- --smoke` runs the 3×5 case only, asserts lockstep banded-vs-sharded
-//! cost agreement (≤ 1e-6) and that no fault-free end-to-end window
-//! records a cold fallback, and writes nothing — the CI regression gate.
+//! `-- --smoke` runs the 3×5 end-to-end window only, fails if that
+//! fault-free window records a cold fallback, and writes nothing — the CI
+//! cold-fallback gate.
 //!
-//! `--sizes 3x5,12x24` overrides the measured fleet sizes, and
-//! `--max-step-ms M` (default 120000) is a per-step wall-clock budget: a
-//! cell whose cold or warm step overruns it is aborted, and a cell whose
-//! *projected* cold step (quadratic scaling from the backend's previous
+//! With no flags the sweep measures the five committed sizes (3×5, 4×8,
+//! 6×12, 8×15, 12×24), so `bench_summary BENCH_mpc.json` regenerates the
+//! committed artifact. `--sizes 3x5,12x24` overrides the measured fleet
+//! sizes, and `--max-step-ms M` (default 120000) is a per-step wall-clock
+//! budget: a cell whose cold or warm step overruns it is aborted, and a
+//! cell whose *projected* cold step (quadratic scaling from the previous
 //! size — an underestimate of the observed growth) already busts the
-//! budget is skipped without paying the probe. Every cell not measured —
-//! step budget, or an agreement row missing a backend — is recorded
-//! explicitly in the JSON `skipped` section instead of silently missing.
+//! budget is skipped without paying the probe. Every cell not measured is
+//! recorded explicitly in the JSON `skipped` section instead of silently
+//! missing.
 
 use std::time::Instant;
 
-use idc_control::mpc::{MpcConfig, MpcController, MpcProblem, SolverBackend};
+use idc_control::mpc::{MpcConfig, MpcController, MpcProblem};
 use idc_core::metrics::{PhaseBreakdown, SolveStats};
 use idc_core::policy::{MpcPolicy, MpcPolicyConfig};
 use idc_core::scenario::{PricingSpec, Scenario};
@@ -67,55 +57,22 @@ use idc_market::tariff::DemandCharge;
 use idc_market::trace::PriceTrace;
 use idc_storage::{paper_test_battery, StorageFleet};
 
-const SIZES: [(usize, usize); 7] = [
-    (3, 5),
-    (4, 8),
-    (6, 12),
-    (8, 15),
-    (12, 24),
-    (32, 64),
-    (64, 128),
-];
-const BACKENDS: [SolverBackend; 2] = [
-    SolverBackend::BandedRiccati,
-    SolverBackend::sharded(BENCH_SHARDS),
-];
-/// Shard count of the sharded backend's bench rows (clamped to the fleet
-/// size on the small cases).
-const BENCH_SHARDS: usize = 8;
-/// Sharded-vs-monolithic plan cost agreement: the consensus outer loop
-/// stops on residuals, so the gate is looser than the direct-solver one
-/// but still far below any cost signal the paper's experiments read.
-const SHARDED_AGREEMENT_TOL: f64 = 1e-6;
+/// The committed sizes of `BENCH_mpc.json`.
+const SIZES: [(usize, usize); 5] = [(3, 5), (4, 8), (6, 12), (8, 15), (12, 24)];
 /// Default `--max-step-ms`: a cell whose cold or warm step exceeds this
 /// wall-clock budget is aborted and recorded as skipped instead of
-/// stretching the sweep by hours — the monolithic backend's cold solve
-/// grows super-cubically in `N·C`, so the 64×128 fleet is only
-/// reachable by the sharded backend within the default budget (the
-/// 32×64 banded cold step, ~90 s, still fits).
+/// stretching the sweep by hours — the cold solve grows super-cubically in
+/// `N·C`, so sizes past the committed ones can take minutes per step.
 const DEFAULT_MAX_STEP_MS: f64 = 120_000.0;
+/// The `backend` field of every row: the banded Riccati solver, the only
+/// backend. Kept in the schema because `bench_diff` keys rows on it.
+const BACKEND_LABEL: &str = "banded_riccati";
 /// ΔU horizon used by `MpcConfig::default()` (sizes are capped by
 /// `n·c·horizon` before any controller exists).
 const CONTROL_HORIZON: usize = 3;
 /// Fleet size of the storage-enabled end-to-end cell: the paper-scale
 /// 8×15 case with a battery per IDC and a demand-charge tariff.
 const STORAGE_E2E_SIZE: (usize, usize) = (8, 15);
-
-fn backend_label(b: SolverBackend) -> &'static str {
-    match b {
-        SolverBackend::BandedRiccati => "banded_riccati",
-        SolverBackend::Sharded { .. } => "sharded",
-    }
-}
-
-/// Shard count of a backend's rows: 0 for the monolithic backend, so the
-/// JSON key `size × backend × shards` stays total.
-fn backend_shards(b: SolverBackend) -> usize {
-    match b {
-        SolverBackend::Sharded { shards, .. } => shards,
-        _ => 0,
-    }
-}
 
 /// A synthetic fleet of `n` IDCs × `c` portals sized like the paper's
 /// (same construction as `ext_scaling`).
@@ -197,7 +154,6 @@ struct SingleStepRow {
     n: usize,
     c: usize,
     vars: usize,
-    backend: SolverBackend,
     cold_ms: f64,
     warm_ms: f64,
 }
@@ -206,7 +162,6 @@ struct EndToEndRow {
     n: usize,
     c: usize,
     vars: usize,
-    backend: SolverBackend,
     cold_ms_per_step: f64,
     warm_ms_per_step: f64,
     warm_solve_fraction: f64,
@@ -219,24 +174,12 @@ struct EndToEndRow {
     steps: usize,
 }
 
-fn mpc_config(backend: SolverBackend) -> MpcConfig {
-    MpcConfig {
-        backend,
-        ..MpcConfig::default()
-    }
-}
-
-/// Measures one size×backend single-step cell, or aborts it with a skip
+/// Measures one size's single-step cell, or aborts it with a skip
 /// reason the moment any step overruns the `--max-step-ms` budget — the
 /// remaining reps and the end-to-end window behind them would multiply
 /// the overrun, and an explicit skip record reads better than an
 /// hours-long sweep.
-fn measure_single_step(
-    n: usize,
-    c: usize,
-    backend: SolverBackend,
-    max_step_ms: f64,
-) -> Result<SingleStepRow, String> {
+fn measure_single_step(n: usize, c: usize, max_step_ms: f64) -> Result<SingleStepRow, String> {
     // A cold step on the big fleets costs seconds; keep them to a few
     // reps so the sweep stays minutes, not hours.
     let reps = if n * c >= 200 { 3 } else { 9 };
@@ -244,7 +187,7 @@ fn measure_single_step(
     let over = |kind: &str, ms: f64| {
         format!("{kind} step took {ms:.0} ms, over --max-step-ms {max_step_ms:.0}")
     };
-    let mut controller = MpcController::new(mpc_config(backend));
+    let mut controller = MpcController::new(MpcConfig::default());
     let mut cold = Vec::with_capacity(reps);
     for _ in 0..reps {
         controller.reset();
@@ -256,7 +199,7 @@ fn measure_single_step(
         }
         cold.push(ms);
     }
-    let mut controller = MpcController::new(mpc_config(backend));
+    let mut controller = MpcController::new(MpcConfig::default());
     controller.plan(&p).expect("feasible"); // prime cache + warm state
     let mut warm = Vec::with_capacity(reps);
     for _ in 0..reps {
@@ -272,18 +215,12 @@ fn measure_single_step(
         n,
         c,
         vars: n * c * controller.config().control_horizon,
-        backend,
         cold_ms: median_ms(&mut cold),
         warm_ms: median_ms(&mut warm),
     })
 }
 
-fn measure_end_to_end(
-    n: usize,
-    c: usize,
-    backend: SolverBackend,
-    storage: bool,
-) -> Result<EndToEndRow, idc_core::Error> {
+fn measure_end_to_end(n: usize, c: usize, storage: bool) -> Result<EndToEndRow, idc_core::Error> {
     let sim = Simulator::new();
     let ts = 30.0 / 3600.0;
     let mut per_mode = [0.0f64; 2];
@@ -315,7 +252,6 @@ fn measure_end_to_end(
         }
         let mut policy = MpcPolicy::new(MpcPolicyConfig {
             solver_reuse,
-            mpc: mpc_config(backend),
             storage: scenario.storage().cloned(),
             demand_charge: scenario.demand_charge().copied(),
             ..MpcPolicyConfig::default()
@@ -340,7 +276,6 @@ fn measure_end_to_end(
         n,
         c,
         vars: n * c * 3,
-        backend,
         cold_ms_per_step: per_mode[0],
         warm_ms_per_step: per_mode[1],
         warm_solve_fraction: warm_fraction,
@@ -352,65 +287,6 @@ fn measure_end_to_end(
     })
 }
 
-/// Sharded-vs-monolithic lockstep agreement: banded reference, banded
-/// plan drives the trajectory, and the sharded backend solves the same
-/// `MpcProblem` every step. `rel_diff` gates at [`SHARDED_AGREEMENT_TOL`]
-/// in the smoke run and the CI `shard-equivalence` step.
-struct ShardedAgreementRow {
-    n: usize,
-    c: usize,
-    shards: usize,
-    steps: usize,
-    banded_cost: f64,
-    sharded_cost: f64,
-    rel_diff: f64,
-    worst_step: usize,
-}
-
-fn lockstep_sharded_agreement(n: usize, c: usize) -> ShardedAgreementRow {
-    const STEPS: usize = 25;
-    const FLIP_AT: usize = 10;
-    let backend = SolverBackend::sharded(BENCH_SHARDS);
-    let mut banded = MpcController::new(mpc_config(SolverBackend::BandedRiccati));
-    let mut sharded = MpcController::new(mpc_config(backend));
-    let mut prev = vec![0.0; n * c];
-    for i in 0..c {
-        prev[(n - 1) * c + i] = 10_000.0;
-    }
-    let plan_cost = |p: &idc_control::mpc::MpcPlan| -> f64 {
-        p.predicted_power_mw()
-            .iter()
-            .map(|row| row.iter().sum::<f64>())
-            .sum()
-    };
-    let (mut banded_sum, mut sharded_sum, mut max_rel) = (0.0f64, 0.0f64, 0.0f64);
-    let mut worst_step = 0usize;
-    for step in 0..STEPS {
-        let p = step_problem_at(n, c, prev.clone(), step >= FLIP_AT);
-        let pb = banded.plan(&p).expect("banded backend feasible");
-        let ps = sharded.plan(&p).expect("sharded backend feasible");
-        let (cb, cs) = (plan_cost(&pb), plan_cost(&ps));
-        banded_sum += cb;
-        sharded_sum += cs;
-        let rel = (cb - cs).abs() / cb.abs().max(1e-12);
-        if rel > max_rel {
-            max_rel = rel;
-            worst_step = step;
-        }
-        prev = pb.next_input().to_vec();
-    }
-    ShardedAgreementRow {
-        n,
-        c,
-        shards: BENCH_SHARDS,
-        steps: STEPS,
-        banded_cost: banded_sum,
-        sharded_cost: sharded_sum,
-        rel_diff: max_rel,
-        worst_step,
-    }
-}
-
 /// A measurement cell deliberately not run, recorded in the JSON so a
 /// missing row reads as a decision, not an omission.
 struct SkipRow {
@@ -419,7 +295,6 @@ struct SkipRow {
     vars: usize,
     /// JSON section the cell would have landed in.
     section: &'static str,
-    backend: Option<SolverBackend>,
     reason: String,
 }
 
@@ -447,18 +322,17 @@ fn phase_ms(ns: u64, steps: usize) -> f64 {
 
 fn print_e2e_row(e: &EndToEndRow) {
     println!(
-        "{:>6} {:>8} {:>8} {:>16} | {:>17.2} {:>17.2} {:>7.1}x {:>7.1}",
+        "{:>6} {:>8} {:>8} | {:>17.2} {:>17.2} {:>7.1}x {:>7.1}",
         e.n,
         e.c,
         e.vars,
-        backend_label(e.backend),
         e.cold_ms_per_step,
         e.warm_ms_per_step,
         e.cold_ms_per_step / e.warm_ms_per_step.max(1e-9),
         100.0 * e.warm_solve_fraction,
     );
     println!(
-        "{:>41} | per step: refresh {:.3} factor {:.3} condense {:.3} solve {:.3} \
+        "{:>24} | per step: refresh {:.3} factor {:.3} condense {:.3} solve {:.3} \
          reference {:.3} simulate {:.3} ms",
         "phases",
         phase_ms(e.phases.refresh_ns, e.steps),
@@ -470,7 +344,7 @@ fn print_e2e_row(e: &EndToEndRow) {
     );
     let per_step = |v: u64| v as f64 / e.steps.max(1) as f64;
     println!(
-        "{:>41} | per step: iters {:.2} churn {:.2} refine {:.2} | seed survival \
+        "{:>24} | per step: iters {:.2} churn {:.2} refine {:.2} | seed survival \
          {:.3} bland {} cold-fallbacks {}",
         "solver",
         per_step(e.stats.iterations),
@@ -484,45 +358,18 @@ fn print_e2e_row(e: &EndToEndRow) {
 
 fn run_smoke() -> Result<(), idc_core::Error> {
     let (n, c) = SIZES[0];
-    println!("## bench_summary --smoke — {n}×{c}, banded and sharded backends");
-    for backend in BACKENDS {
-        let e = measure_end_to_end(n, c, backend, false)?;
-        print_e2e_row(&e);
-        // The warm repair is feasible by construction on a feasible step,
-        // so a fault-free window never pays a cold fallback. The window's
-        // first step has no previous plan to shift, but it warm-starts from
-        // the repaired all-zero point and must pass too.
-        if e.stats.cold_fallbacks > 0 {
-            return Err(idc_core::Error::Config(format!(
-                "{} warm-start rejections forced cold fallbacks in the fault-free \
-                 {}x{} {} window of {} steps",
-                e.stats.cold_fallbacks,
-                e.n,
-                e.c,
-                backend_label(backend),
-                e.steps,
-            )));
-        }
-    }
-    let sa = lockstep_sharded_agreement(n, c);
-    println!(
-        "lockstep sharded agreement over {} steps ({} shards): banded {:.9} vs \
-         sharded {:.9} (max step rel diff {:.3e} at step {})",
-        sa.steps, sa.shards, sa.banded_cost, sa.sharded_cost, sa.rel_diff, sa.worst_step
-    );
-    if sa.rel_diff > SHARDED_AGREEMENT_TOL {
+    println!("## bench_summary --smoke — {n}×{c} end-to-end window");
+    let e = measure_end_to_end(n, c, false)?;
+    print_e2e_row(&e);
+    // The warm repair is feasible by construction on a feasible step, so a
+    // fault-free window never pays a cold fallback. The window's first step
+    // has no previous plan to shift, but it warm-starts from the repaired
+    // all-zero point and must pass too.
+    if e.stats.cold_fallbacks > 0 {
         return Err(idc_core::Error::Config(format!(
-            "sharded backend cost disagreement on the {}x{} case ({} shards): \
-             banded {:.12e} vs sharded {:.12e} differ by rel {:.3e} \
-             (> {SHARDED_AGREEMENT_TOL:.0e}) at step {} of {}",
-            sa.n,
-            sa.c,
-            sa.shards,
-            sa.banded_cost,
-            sa.sharded_cost,
-            sa.rel_diff,
-            sa.worst_step,
-            sa.steps,
+            "{} warm-start rejections forced cold fallbacks in the fault-free \
+             {}x{} window of {} steps",
+            e.stats.cold_fallbacks, e.n, e.c, e.steps,
         )));
     }
     println!("smoke OK");
@@ -580,98 +427,61 @@ fn main() -> Result<(), idc_core::Error> {
         return Ok(());
     }
 
-    println!("## bench_summary — cold vs warm MPC solve pipeline, banded and sharded backends");
+    println!("## bench_summary — cold vs warm MPC solve pipeline");
     println!(
-        "{:>6} {:>8} {:>8} {:>16} | {:>17} {:>17} {:>8} {:>7}",
-        "IDCs",
-        "portals",
-        "ΔU vars",
-        "backend",
-        "e2e cold ms/step",
-        "e2e warm ms/step",
-        "speedup",
-        "warm %"
+        "{:>6} {:>8} {:>8} | {:>17} {:>17} {:>8} {:>7}",
+        "IDCs", "portals", "ΔU vars", "e2e cold ms/step", "e2e warm ms/step", "speedup", "warm %"
     );
 
     let mut single = Vec::new();
     let mut end_to_end = Vec::new();
     let mut skipped = Vec::new();
-    // Last completed single-step cell per backend, as (ΔU vars, cold
-    // ms): sizes run in ascending order, so a quadratic projection from
-    // the previous size *under*-estimates the observed super-cubic cold
-    // growth — if even that projection busts the budget, the cell is
-    // skipped without paying a possibly hours-long probe solve.
-    let mut last_cold: Vec<(SolverBackend, usize, f64)> = Vec::new();
+    // Last completed single-step cell, as (ΔU vars, cold ms): sizes run in
+    // ascending order, so a quadratic projection from the previous size
+    // *under*-estimates the observed super-cubic cold growth — if even
+    // that projection busts the budget, the cell is skipped without paying
+    // a possibly hours-long probe solve.
+    let mut last_cold: Option<(usize, f64)> = None;
     for &(n, c) in &sizes {
-        for backend in BACKENDS {
-            let vars = n * c * CONTROL_HORIZON;
-            let projected = last_cold
-                .iter()
-                .find(|(b, ..)| backend_label(*b) == backend_label(backend))
-                .map(|&(_, pvars, pcold)| {
-                    let ratio = vars as f64 / pvars.max(1) as f64;
-                    (pcold * ratio * ratio, pvars)
-                });
-            if let Some((est, pvars)) = projected.filter(|&(est, _)| est > max_step_ms) {
-                let reason = format!(
-                    "projected cold step ~{est:.0} ms (quadratic scaling from the \
-                     {pvars}-var cell) over --max-step-ms {max_step_ms:.0}"
-                );
+        let vars = n * c * CONTROL_HORIZON;
+        let projected = last_cold.map(|(pvars, pcold)| {
+            let ratio = vars as f64 / pvars.max(1) as f64;
+            (pcold * ratio * ratio, pvars)
+        });
+        let measured = match projected.filter(|&(est, _)| est > max_step_ms) {
+            Some((est, pvars)) => Err(format!(
+                "projected cold step ~{est:.0} ms (quadratic scaling from the \
+                 {pvars}-var cell) over --max-step-ms {max_step_ms:.0}"
+            )),
+            None => measure_single_step(n, c, max_step_ms),
+        };
+        match measured {
+            Ok(s) => {
+                let e = measure_end_to_end(n, c, false)?;
+                print_e2e_row(&e);
                 println!(
-                    "{:>6} {:>8} {:>8} {:>16} | skipped ({reason})",
-                    n,
-                    c,
-                    vars,
-                    backend_label(backend),
+                    "{:>24} | single step: cold {:.3} ms, warm {:.3} ms ({:.1}x)",
+                    "1-step",
+                    s.cold_ms,
+                    s.warm_ms,
+                    s.cold_ms / s.warm_ms.max(1e-9),
                 );
+                last_cold = Some((s.vars, s.cold_ms));
+                single.push(s);
+                end_to_end.push(e);
+            }
+            Err(reason) => {
+                println!("{n:>6} {c:>8} {vars:>8} | skipped ({reason})");
+                // The end-to-end window replays hundreds of such steps, so
+                // it inherits the single-step verdict.
                 for section in ["single_step", "end_to_end"] {
                     skipped.push(SkipRow {
                         n,
                         c,
                         vars,
                         section,
-                        backend: Some(backend),
                         reason: reason.clone(),
                     });
-                }
-                continue;
-            }
-            match measure_single_step(n, c, backend, max_step_ms) {
-                Ok(s) => {
-                    let e = measure_end_to_end(n, c, backend, false)?;
-                    print_e2e_row(&e);
-                    println!(
-                        "{:>41} | single step: cold {:.3} ms, warm {:.3} ms ({:.1}x)",
-                        "1-step",
-                        s.cold_ms,
-                        s.warm_ms,
-                        s.cold_ms / s.warm_ms.max(1e-9),
-                    );
-                    last_cold.retain(|(b, ..)| backend_label(*b) != backend_label(backend));
-                    last_cold.push((backend, s.vars, s.cold_ms));
-                    single.push(s);
-                    end_to_end.push(e);
-                }
-                Err(reason) => {
-                    println!(
-                        "{:>6} {:>8} {:>8} {:>16} | skipped ({reason})",
-                        n,
-                        c,
-                        n * c * CONTROL_HORIZON,
-                        backend_label(backend),
-                    );
-                    // The end-to-end window replays hundreds of such
-                    // steps, so it inherits the single-step verdict.
-                    for section in ["single_step", "end_to_end"] {
-                        skipped.push(SkipRow {
-                            n,
-                            c,
-                            vars: n * c * CONTROL_HORIZON,
-                            section,
-                            backend: Some(backend),
-                            reason: reason.clone(),
-                        });
-                    }
                 }
             }
         }
@@ -683,56 +493,13 @@ fn main() -> Result<(), idc_core::Error> {
     let mut storage_rows = Vec::new();
     {
         let (n, c) = STORAGE_E2E_SIZE;
-        println!("\nstorage-enabled end-to-end (battery + demand charge, banded backend):");
-        let e = measure_end_to_end(n, c, SolverBackend::BandedRiccati, true)?;
+        println!("\nstorage-enabled end-to-end (battery + demand charge):");
+        let e = measure_end_to_end(n, c, true)?;
         print_e2e_row(&e);
         storage_rows.push(e);
     }
 
-    println!("\nsharded agreement (lockstep vs banded, identical problems per step):");
-    let mut shard_agree = Vec::new();
-    for &(n, c) in &sizes {
-        // The comparison replays both backends in lockstep, so it only
-        // runs where both finished their single-step cells within the
-        // wall-clock budget.
-        let completed = |want_sharded: bool| {
-            single.iter().any(|s| {
-                s.n == n
-                    && s.c == c
-                    && matches!(s.backend, SolverBackend::Sharded { .. }) == want_sharded
-            })
-        };
-        if !(completed(false) && completed(true)) {
-            println!("  {n:>2}×{c:<2}: skipped (banded or sharded cell over --max-step-ms)");
-            skipped.push(SkipRow {
-                n,
-                c,
-                vars: n * c * CONTROL_HORIZON,
-                section: "sharded_agreement",
-                backend: None,
-                reason: format!(
-                    "banded or sharded single-step cell over --max-step-ms {max_step_ms:.0}"
-                ),
-            });
-            continue;
-        }
-        let a = lockstep_sharded_agreement(n, c);
-        println!(
-            "  {:>2}×{:<2}: banded {:.9} vs sharded {:.9} over {} steps, {} shards \
-             (max step rel diff {:.3e} at step {})",
-            a.n, a.c, a.banded_cost, a.sharded_cost, a.steps, a.shards, a.rel_diff, a.worst_step
-        );
-        if a.rel_diff > SHARDED_AGREEMENT_TOL {
-            return Err(idc_core::Error::Config(format!(
-                "sharded backend cost disagreement on the {n}x{c} case: rel {:.3e} \
-                 (> {SHARDED_AGREEMENT_TOL:.0e}) at step {} of {}",
-                a.rel_diff, a.worst_step, a.steps,
-            )));
-        }
-        shard_agree.push(a);
-    }
-
-    let json = render_json(&single, &end_to_end, &storage_rows, &shard_agree, &skipped);
+    let json = render_json(&single, &end_to_end, &storage_rows, &skipped);
     std::fs::write(&out_path, &json)
         .map_err(|e| idc_core::Error::Config(format!("cannot write {out_path}: {e}")))?;
     println!("\nwrote {out_path}");
@@ -804,14 +571,13 @@ fn simd_path() -> &'static str {
 fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
     s.push_str(&format!(
         "    {{\"idcs\": {}, \"portals\": {}, \"delta_u_vars\": {}, \"backend\": \"{}\", \
-         \"shards\": {}, \"cold_ms_per_step\": {:.3}, \"warm_ms_per_step\": {:.3}, \
+         \"cold_ms_per_step\": {:.3}, \"warm_ms_per_step\": {:.3}, \
          \"speedup\": {:.2}, \"warm_solve_fraction\": {:.3}, \"cost_rel_diff\": {:.3e}, \
          \"warm_total_cost\": {:.9},\n",
         r.n,
         r.c,
         r.vars,
-        backend_label(r.backend),
-        backend_shards(r.backend),
+        BACKEND_LABEL,
         r.cold_ms_per_step,
         r.warm_ms_per_step,
         r.cold_ms_per_step / r.warm_ms_per_step.max(1e-9),
@@ -838,8 +604,7 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
          \"refinement_passes_per_step\": {:.3}, \"refactorizations_per_step\": {:.3}, \
          \"updates_applied_per_step\": {:.3}, \"downdates_applied_per_step\": {:.3}, \
          \"working_set_delta_per_step\": {:.3}, \"warm_seed_survival\": {:.4}, \
-         \"cold_fallbacks\": {}, \"outer_rounds_per_step\": {:.3}, \
-         \"consensus_residual_nano\": {}}}}}{}\n",
+         \"cold_fallbacks\": {}}}}}{}\n",
         per_step(r.stats.iterations),
         per_step(r.stats.constraints_added),
         per_step(r.stats.constraints_dropped),
@@ -852,8 +617,6 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
         per_step(r.stats.working_set_delta),
         r.stats.seed_survival(),
         r.stats.cold_fallbacks,
-        per_step(r.stats.outer_iterations),
-        r.stats.consensus_residual_nano,
         if last { "" } else { "," }
     ));
 }
@@ -862,7 +625,6 @@ fn render_json(
     single: &[SingleStepRow],
     end_to_end: &[EndToEndRow],
     storage_rows: &[EndToEndRow],
-    shard_agree: &[ShardedAgreementRow],
     skipped: &[SkipRow],
 ) -> String {
     let mut s = String::new();
@@ -883,24 +645,18 @@ fn render_json(
     s.push_str("  \"backends\": {\n");
     s.push_str(
         "    \"banded_riccati\": \"block-tridiagonal Hessian in cumulative-input space, \
-         banded Cholesky + Riccati-style block recursion, never forms the dense Hessian\",\n",
-    );
-    s.push_str(
-        "    \"sharded\": \"fleet partitioned into regional shards, per-shard banded MPC \
-         subproblems coordinated by exchange-ADMM on workload conservation and the peak \
-         budget; shards field gives the shard count (0 = monolithic)\"\n",
+         banded Cholesky + Riccati-style block recursion, never forms the dense Hessian\"\n",
     );
     s.push_str("  },\n");
     s.push_str("  \"single_step\": [\n");
     for (i, r) in single.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"idcs\": {}, \"portals\": {}, \"delta_u_vars\": {}, \"backend\": \"{}\", \
-             \"shards\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
+             \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
             r.n,
             r.c,
             r.vars,
-            backend_label(r.backend),
-            backend_shards(r.backend),
+            BACKEND_LABEL,
             r.cold_ms,
             r.warm_ms,
             r.cold_ms / r.warm_ms.max(1e-9),
@@ -927,39 +683,13 @@ fn render_json(
     for (i, k) in skipped.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"idcs\": {}, \"portals\": {}, \"delta_u_vars\": {}, \"section\": \"{}\", \
-             \"backend\": {}, \"reason\": \"{}\"}}{}\n",
+             \"reason\": \"{}\"}}{}\n",
             k.n,
             k.c,
             k.vars,
             k.section,
-            match k.backend {
-                Some(b) => format!("\"{}\"", backend_label(b)),
-                None => "null".to_string(),
-            },
             k.reason,
             if i + 1 < skipped.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(
-        "  \"sharded_agreement_mode\": \"lockstep: the banded plan drives the trajectory \
-         and the sharded backend solves the identical MpcProblem at every step; rel_diff \
-         gates at 1e-6 in CI (shard-equivalence)\",\n",
-    );
-    s.push_str("  \"sharded_agreement\": [\n");
-    for (i, a) in shard_agree.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"idcs\": {}, \"portals\": {}, \"shards\": {}, \"lockstep_steps\": {}, \
-             \"banded_lockstep_cost\": {:.9}, \"sharded_lockstep_cost\": {:.9}, \
-             \"max_step_rel_diff\": {:.3e}}}{}\n",
-            a.n,
-            a.c,
-            a.shards,
-            a.steps,
-            a.banded_cost,
-            a.sharded_cost,
-            a.rel_diff,
-            if i + 1 < shard_agree.len() { "," } else { "" }
         ));
     }
     s.push_str("  ]\n}\n");

@@ -2,8 +2,8 @@
 //!
 //! Runs every batch fault kind (price spike, hold-last-value dropout,
 //! amplified prediction error, forced solver failure, forced factor
-//! refactorization, coordinator stall, battery outage) across a fixed
-//! seed set on the paper's smoothing scenario. Each cell is executed **twice** and the two
+//! refactorization, battery outage) across a fixed seed set on the
+//! paper's smoothing scenario. Each cell is executed **twice** and the two
 //! trajectories compared field-for-field: a deterministic harness must
 //! reproduce byte-identically or the cell fails. Cells also fail on hard
 //! invariant violations; budget overshoot and fallback activations are

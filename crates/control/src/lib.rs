@@ -15,9 +15,6 @@
 //!   the input-rate penalty that smooths power demand,
 //! * [`warm_repair`] — the receding-horizon warm-start repair that keeps
 //!   every feasible MPC step warm-started, off the phase-1 LP,
-//! * [`sharded`] — the regional decomposition of that MPC: per-shard
-//!   banded subproblems coordinated by exchange ADMM on workload
-//!   conservation and projected dual ascent on the peak-power budget,
 //! * [`green`] — the green-aware reference LP (renewables-first load
 //!   placement, the Liu et al. \[6\] extension),
 //! * [`mod@reference`] — the control-reference optimizer (paper eq. 46, the
@@ -61,7 +58,6 @@ pub mod green;
 pub mod mpc;
 pub mod reference;
 pub mod riccati;
-pub mod sharded;
 pub mod stability;
 pub mod statespace;
 pub mod warm_repair;

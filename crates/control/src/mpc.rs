@@ -23,21 +23,14 @@
 
 use std::time::Instant;
 
-use idc_linalg::par::default_threads;
 use idc_obs::Span;
 use idc_opt::banded_qp::BandedWorkspace;
 use idc_opt::{Error, Result, SolveStats};
-use idc_shard::shift_horizon;
 
 use crate::riccati::{self, RiccatiSkeleton};
-use crate::sharded::{ShardedSkeleton, ShardedStep, WarmRejection};
 use crate::warm_repair::{self, RepairScratch};
 
 /// Which QP backend solves the MPC step.
-///
-/// Both backends minimize the same strictly convex objective over the same
-/// constraints and agree on the unique minimizer to solver tolerance; they
-/// differ in how the problem is decomposed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SolverBackend {
     /// The monolithic path of [`crate::riccati`]: a cumulative-input
@@ -47,47 +40,6 @@ pub enum SolverBackend {
     /// complement is updated incrementally across active-set changes.
     #[default]
     BandedRiccati,
-    /// The regional decomposition of [`crate::sharded`]: the fleet is
-    /// partitioned into contiguous IDC shards, each solving its own
-    /// warm-started banded QP over only its local variables, coordinated
-    /// by exchange ADMM on cross-region workload conservation (and
-    /// projected dual ascent on the optional global peak-power budget).
-    /// Subproblem cost drops quadratically with the shard count, so this
-    /// is the only backend that scales past a few thousand variables.
-    Sharded {
-        /// Number of regional shards (clamped to `[1, N]`).
-        shards: usize,
-        /// Consensus penalty relative to the objective's mean curvature.
-        rho: f64,
-        /// Coordinator round budget per step.
-        max_outer: usize,
-        /// Relative residual tolerance of the outer stopping rule.
-        tol: f64,
-    },
-}
-
-impl SolverBackend {
-    /// The sharded backend with default coordination tuning: the penalty
-    /// matched to the objective's own curvature, a round budget sized for
-    /// cold starts, and a residual tolerance far below the cross-backend
-    /// equivalence gate.
-    pub const fn sharded(shards: usize) -> Self {
-        SolverBackend::Sharded {
-            shards,
-            rho: 1.0,
-            max_outer: 400,
-            // Workload-relative residual tolerance: the conservation gap
-            // is repaired exactly after the loop, so its plan-cost effect
-            // is quadratically small — a 1e-6 residual measures as a
-            // ~1e-9 relative cost difference against the monolithic
-            // backend, three orders below the 1e-6 equivalence gate.
-            // Each decade of extra tightness costs ~50 consensus rounds
-            // per step on the transport-fiber tail, and below ~1e-8 the
-            // inner solver's noise floor makes the residual
-            // uncertifiable.
-            tol: 1e-6,
-        }
-    }
 }
 
 /// Tuning of the MPC controller.
@@ -108,13 +60,6 @@ pub struct MpcConfig {
     pub input_ridge: f64,
     /// QP backend selection.
     pub backend: SolverBackend,
-    /// Optional global peak-power budget (MW) enforced by the sharded
-    /// backend via projected dual ascent on the per-stage fleet total
-    /// (paper eq. 31 at fleet scope). `None` (the default) prices no cap,
-    /// which keeps the sharded backend exactly equivalent to the
-    /// monolithic one; the monolithic backend ignores this field (it
-    /// shaves peaks through the reference clamp instead).
-    pub sharded_peak_budget_mw: Option<f64>,
 }
 
 impl Default for MpcConfig {
@@ -126,7 +71,6 @@ impl Default for MpcConfig {
             smoothing_weight: 4.0,
             input_ridge: 1e-9,
             backend: SolverBackend::default(),
-            sharded_peak_budget_mw: None,
         }
     }
 }
@@ -141,8 +85,8 @@ impl Default for MpcConfig {
 /// and the active-set iteration itself (`solve`) recur every step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanTimings {
-    /// Structure-cache rebuilds: banded (or per-shard) QP assembly,
-    /// excluding factorization.
+    /// Structure-cache rebuilds: banded QP assembly, excluding
+    /// factorization.
     pub refresh_ns: u64,
     /// `prepare()` — Hessian factorization and the all-rows Schur
     /// complement precompute.
@@ -324,19 +268,9 @@ struct StructureCache {
     /// sides), so a battery outage — zeroed rate caps — reuses the
     /// skeleton. `None` when the problem carries no storage.
     storage_key: Option<(Vec<f64>, Vec<f64>)>,
-    skeleton: Skeleton,
-}
-
-/// The backend-specific solver skeleton held by the structure cache; per
-/// step only the gradient and the constraint right-hand sides are rewritten
-/// in place.
-#[derive(Debug, Clone)]
-enum Skeleton {
-    /// The y-space block-banded QP of [`crate::riccati`].
-    Banded(RiccatiSkeleton),
-    /// The regional decomposition of [`crate::sharded`]: per-shard banded
-    /// QPs plus the consensus coordinator state.
-    Sharded(ShardedSkeleton),
+    /// The y-space block-banded QP of [`crate::riccati`]; per step only the
+    /// gradient and the constraint right-hand sides are rewritten in place.
+    skeleton: RiccatiSkeleton,
 }
 
 /// The previous step's solution, kept to warm-start the next solve.
@@ -344,26 +278,17 @@ enum Skeleton {
 struct WarmState {
     delta_u: Vec<f64>,
     active_set: Vec<usize>,
-    /// Outer multipliers of the sharded backend (consensus duals then peak
-    /// duals); empty for the monolithic backend.
-    multipliers: Vec<f64>,
 }
 
 /// The warm-start state as plain exportable data: the stacked input
-/// changes `ΔU` of the previous solve, the indices of its active
-/// constraint set, and (sharded backend only) the outer coordination
-/// multipliers. See [`MpcController::warm_state`].
+/// changes `ΔU` of the previous solve and the indices of its active
+/// constraint set. See [`MpcController::warm_state`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmStateData {
     /// The previous solve's stacked `ΔU` (length `n·c·β₂`).
     pub delta_u: Vec<f64>,
     /// Indices of the constraints active at the previous solution.
     pub active_set: Vec<usize>,
-    /// The sharded backend's outer multipliers (consensus conservation
-    /// duals followed by peak-budget duals), empty for the monolithic
-    /// backend. Multiplier warm starts shape the outer iteration count,
-    /// so byte-identical checkpoint/restore must carry them.
-    pub multipliers: Vec<f64>,
 }
 
 /// The receding-horizon controller.
@@ -402,8 +327,6 @@ pub struct MpcController {
     cold_solves: usize,
     timings: PlanTimings,
     solve_stats: SolveStats,
-    /// Fault injection: drop the next solve's second coordinator round.
-    stall_next: bool,
 }
 
 impl MpcController {
@@ -424,20 +347,6 @@ impl MpcController {
                 && config.input_ridge > 0.0,
             "weights must be non-negative and the ridge positive"
         );
-        if let SolverBackend::Sharded {
-            shards,
-            rho,
-            max_outer,
-            tol,
-        } = config.backend
-        {
-            assert!(shards > 0, "at least one shard required");
-            assert!(
-                rho > 0.0 && tol > 0.0,
-                "sharded penalty and tolerance must be positive"
-            );
-            assert!(max_outer > 0, "at least one coordinator round required");
-        }
         MpcController {
             config,
             cache: None,
@@ -456,7 +365,6 @@ impl MpcController {
             cold_solves: 0,
             timings: PlanTimings::default(),
             solve_stats: SolveStats::default(),
-            stall_next: false,
         }
     }
 
@@ -496,7 +404,6 @@ impl MpcController {
         self.warm.as_ref().map(|w| WarmStateData {
             delta_u: w.delta_u.clone(),
             active_set: w.active_set.clone(),
-            multipliers: w.multipliers.clone(),
         })
     }
 
@@ -507,7 +414,6 @@ impl MpcController {
         self.warm = state.map(|w| WarmState {
             delta_u: w.delta_u,
             active_set: w.active_set,
-            multipliers: w.multipliers,
         });
     }
 
@@ -560,19 +466,6 @@ impl MpcController {
     /// [`SolveStats::refactorizations`] moves.
     pub fn force_refactor_next(&mut self) {
         self.bws.force_refactor_next();
-    }
-
-    /// Drops one coordinator round of the next sharded solve: the shards
-    /// re-solve against stale targets and that round's dual update plus
-    /// residual check are lost, as if the coordinator's exchange stalled in
-    /// flight. The outer loop must converge anyway (the following round
-    /// resumes from unchanged multipliers), so the resulting plan is
-    /// unchanged to solver tolerance — only
-    /// [`SolveStats::outer_iterations`] moves. Fault-injection plumbing for
-    /// the testkit's coordinator-stall fault kind; a no-op for the
-    /// monolithic backend.
-    pub fn force_coordinator_stall_next(&mut self) {
-        self.stall_next = true;
     }
 
     /// Solves one receding-horizon step and returns the plan.
@@ -686,30 +579,20 @@ impl MpcController {
             }
         }
         {
-            let cache = self.cache.as_mut().expect("refreshed above");
-            match &mut cache.skeleton {
-                Skeleton::Banded(skel) => {
-                    skel.gradient_into(&self.rhs, &mut self.grad);
-                    let qp = skel.qp_mut();
-                    qp.set_gradient(&self.grad)?;
-                    qp.set_equality_rhs(&self.eq_rhs)?;
-                    qp.set_inequality_rhs(&self.in_rhs)?;
-                }
-                // No monolithic QP: the sharded solver scatters the rhs
-                // buffers to its cells inside `ShardedSkeleton::solve`.
-                Skeleton::Sharded(_) => {}
-            }
+            let skel = &mut self.cache.as_mut().expect("refreshed above").skeleton;
+            skel.gradient_into(&self.rhs, &mut self.grad);
+            let qp = skel.qp_mut();
+            qp.set_gradient(&self.grad)?;
+            qp.set_equality_rhs(&self.eq_rhs)?;
+            qp.set_inequality_rhs(&self.in_rhs)?;
         }
 
-        // ---- Warm start, shared by every backend: shift the previous
-        // active set and ΔU for the receding horizon, then repair the
-        // shifted point back to feasibility. ----
+        // ---- Warm start: shift the previous active set and ΔU for the
+        // receding horizon, then repair the shifted point back to
+        // feasibility. ----
         let has_base = self.shift_and_repair_warm(problem, n, c);
 
-        let cache = self.cache.as_mut().expect("refreshed above");
-        let Skeleton::Banded(skel) = &mut cache.skeleton else {
-            return self.plan_sharded(problem, &lambda0, n, c, has_base, condense_start);
-        };
+        let skel = &mut self.cache.as_mut().expect("refreshed above").skeleton;
 
         // ---- Solve: warm-started from the repaired point (skipping the
         // phase-1 LP); by the full cold path as a last resort. ----
@@ -780,7 +663,6 @@ impl MpcController {
         self.warm = Some(WarmState {
             delta_u: warm_delta,
             active_set: solution.active_set().to_vec(),
-            multipliers: Vec::new(),
         });
 
         Ok(finish_plan(
@@ -793,121 +675,16 @@ impl MpcController {
             delta_u,
             iterations,
             warm_started,
-            0,
-            0,
-            0.0,
-            warm_rejection.into_iter().collect(),
-        ))
-    }
-
-    /// The sharded solve path of [`plan`](Self::plan): resume the outer
-    /// multipliers (horizon-shifted), run the consensus loop over the
-    /// per-shard warm solves, and persist both warm-start levels.
-    fn plan_sharded(
-        &mut self,
-        problem: &MpcProblem,
-        lambda0: &[f64],
-        n: usize,
-        c: usize,
-        has_base: bool,
-        condense_start: Instant,
-    ) -> Result<MpcPlan> {
-        let beta1 = self.config.prediction_horizon;
-        let beta2 = self.config.control_horizon;
-        let nc = n * c;
-        let drop_round = std::mem::take(&mut self.stall_next);
-        let threads = default_threads();
-        // The relative stopping rule is anchored to the forecast magnitude:
-        // conservation rows and portal sums live in req/s of workload.
-        let scale = forecast_scale(problem);
-        let base_power_mw: f64 = (0..n)
-            .map(|j| {
-                problem.b1_mw[j] * lambda0[j] + problem.b0_mw[j] * problem.servers_on[j] as f64
-            })
-            .sum();
-        riccati::to_cumulative(nc, &self.warm_x, &mut self.warm_y);
-
-        let cache = self.cache.as_mut().expect("refreshed above");
-        let Skeleton::Sharded(skel) = &mut cache.skeleton else {
-            unreachable!("plan_sharded is only entered with a sharded skeleton")
-        };
-        // Resume the outer multipliers from the previous step, shifted one
-        // stage for the receding horizon (the duals priced at new stage `t`
-        // are the old stage-`t+1` duals, final stage repeated) — the outer
-        // analogue of the active-set seed shift.
-        let mlen = skel.multiplier_len();
-        let mult_shifted = match (&self.warm, has_base) {
-            (Some(w), true) if w.multipliers.len() == mlen => {
-                let (crows, prows) = skel.multiplier_stage_lens();
-                let mut m = w.multipliers.clone();
-                shift_horizon(&mut m[..beta2 * crows], crows);
-                if prows > 0 {
-                    shift_horizon(&mut m[beta2 * crows..], prows);
-                }
-                Some(m)
-            }
-            _ => None,
-        };
-        self.timings.condense_ns += condense_start.elapsed().as_nanos() as u64;
-
-        let solve_start = Instant::now();
-        let span = Span::enter_cat("mpc.solve.sharded", "solver");
-        let outcome = skel.solve(&ShardedStep {
-            eq_rhs: &self.eq_rhs,
-            in_rhs: &self.in_rhs,
-            tracking_rhs: &self.rhs,
-            warm_y: &self.warm_y,
-            seed: &self.seed,
-            multipliers: mult_shifted.as_deref(),
-            base_power_mw,
-            scale,
-            drop_round,
-            threads,
-        });
-        drop(span);
-        self.timings.solve_ns += solve_start.elapsed().as_nanos() as u64;
-        let outcome = outcome?;
-
-        // A shard-level warm rejection pays a local cold solve, never a
-        // silent global one; it still demotes the step's warm accounting.
-        let warm_started = has_base && outcome.fallbacks == 0;
-        if warm_started {
-            self.warm_solves += 1;
-        } else {
-            self.cold_solves += 1;
-        }
-        self.solve_stats.merge(&outcome.stats);
-        let mut delta_u = outcome.y;
-        riccati::to_deltas(nc, &mut delta_u);
-        self.warm = Some(WarmState {
-            delta_u: delta_u.clone(),
-            active_set: outcome.active_set,
-            multipliers: outcome.multipliers,
-        });
-
-        Ok(finish_plan(
-            problem,
-            lambda0,
-            beta1,
-            beta2,
-            n,
-            c,
-            delta_u,
-            outcome.iterations,
-            warm_started,
-            outcome.outer.rounds,
-            outcome.outer.rho_retunes,
-            outcome.outer.primal_residual,
-            outcome.rejections,
+            warm_rejection,
         ))
     }
 
     /// Shifts the previous step's active set and `ΔU` one stage for the
     /// receding horizon and repairs the shifted point back to feasibility
     /// with [`warm_repair::repair`]. Returns whether a usable previous
-    /// solution existed. Shared by every backend; with no usable base the
-    /// repair builds a feasible point from all zeros, which lets even the
-    /// "cold" solve skip the phase-1 LP.
+    /// solution existed. With no usable base the repair builds a feasible
+    /// point from all zeros, which lets even the "cold" solve skip the
+    /// phase-1 LP.
     fn shift_and_repair_warm(&mut self, problem: &MpcProblem, n: usize, c: usize) -> bool {
         let beta2 = self.config.control_horizon;
         let nc = n * c;
@@ -1011,30 +788,11 @@ impl MpcController {
         }
 
         let refresh_start = Instant::now();
-        let factor_before = self.timings.factor_ns;
-        let skeleton = match self.config.backend {
-            SolverBackend::BandedRiccati => {
-                let mut skel = RiccatiSkeleton::build(&self.config, problem)?;
-                let factor_start = Instant::now();
-                skel.qp_mut().prepare()?;
-                self.timings.factor_ns += factor_start.elapsed().as_nanos() as u64;
-                Skeleton::Banded(skel)
-            }
-            SolverBackend::Sharded {
-                shards,
-                rho,
-                max_outer,
-                tol,
-            } => {
-                let mut skel =
-                    ShardedSkeleton::build(&self.config, problem, shards, rho, max_outer, tol)?;
-                let factor_start = Instant::now();
-                skel.prepare(default_threads())?;
-                self.timings.factor_ns += factor_start.elapsed().as_nanos() as u64;
-                Skeleton::Sharded(skel)
-            }
-        };
-        let factored = self.timings.factor_ns - factor_before;
+        let mut skeleton = RiccatiSkeleton::build(&self.config, problem)?;
+        let factor_start = Instant::now();
+        skeleton.qp_mut().prepare()?;
+        let factored = factor_start.elapsed().as_nanos() as u64;
+        self.timings.factor_ns += factored;
         self.timings.refresh_ns +=
             (refresh_start.elapsed().as_nanos() as u64).saturating_sub(factored);
         self.cache = Some(StructureCache {
@@ -1082,11 +840,6 @@ impl MpcController {
             return fail("tracking_multiplier must hold one non-negative value per IDC".into());
         }
         if let Some(st) = &p.storage {
-            if matches!(self.config.backend, SolverBackend::Sharded { .. }) {
-                return fail(
-                    "storage-enabled problems are not supported by the sharded backend".into(),
-                );
-            }
             if st.capacity_mwh.len() != n
                 || st.max_charge_mw.len() != n
                 || st.max_discharge_mw.len() != n
@@ -1131,6 +884,36 @@ impl MpcController {
             }
         }
         Ok(())
+    }
+}
+
+/// Worst per-family constraint violations of a rejected warm-start point.
+///
+/// Attached to plans (and streamed as a `warm_start_rejected` anomaly by the
+/// policy layer) whenever a warm solve would silently have fallen back to a
+/// cold one — the breakdown says *which* constraint family the shifted
+/// point violated.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WarmRejection {
+    /// Worst workload-conservation equality violation (req/s).
+    pub conservation: f64,
+    /// Worst capacity overshoot (req/s).
+    pub capacity: f64,
+    /// Worst non-negativity undershoot (req/s).
+    pub nonnegativity: f64,
+    /// Worst storage-family violation — charge/discharge rate boxes and
+    /// SoC bounds, in the controller's req/s-equivalent rate units (0.0
+    /// for problems without storage).
+    pub storage: f64,
+}
+
+impl WarmRejection {
+    /// The largest violation across families.
+    pub fn worst(&self) -> f64 {
+        self.conservation
+            .max(self.capacity)
+            .max(self.nonnegativity)
+            .max(self.storage)
     }
 }
 
@@ -1221,9 +1004,7 @@ fn warm_rejection_breakdown(
 }
 
 /// Assembles the plan from the solved `ΔU`: the applied first block and the
-/// predicted per-IDC power trajectory. Shared by the monolithic and sharded
-/// solve paths.
-#[allow(clippy::too_many_arguments)]
+/// predicted per-IDC power trajectory.
 fn finish_plan(
     problem: &MpcProblem,
     lambda0: &[f64],
@@ -1234,10 +1015,7 @@ fn finish_plan(
     delta_u: Vec<f64>,
     qp_iterations: usize,
     warm_started: bool,
-    outer_rounds: u64,
-    rho_retunes: u64,
-    consensus_residual: f64,
-    warm_rejections: Vec<WarmRejection>,
+    warm_rejection: Option<WarmRejection>,
 ) -> MpcPlan {
     let nc = n * c;
     let nb = problem.block_size();
@@ -1308,10 +1086,7 @@ fn finish_plan(
         predicted_power_mw,
         qp_iterations,
         warm_started,
-        outer_rounds,
-        rho_retunes,
-        consensus_residual,
-        warm_rejections,
+        warm_rejection,
     }
 }
 
@@ -1325,10 +1100,7 @@ pub struct MpcPlan {
     predicted_power_mw: Vec<Vec<f64>>,
     qp_iterations: usize,
     warm_started: bool,
-    outer_rounds: u64,
-    rho_retunes: u64,
-    consensus_residual: f64,
-    warm_rejections: Vec<WarmRejection>,
+    warm_rejection: Option<WarmRejection>,
 }
 
 impl MpcPlan {
@@ -1370,31 +1142,11 @@ impl MpcPlan {
         self.warm_started
     }
 
-    /// Coordinator rounds of the sharded backend (0 for the monolithic
-    /// backend).
-    pub fn outer_rounds(&self) -> u64 {
-        self.outer_rounds
-    }
-
-    /// Penalty retunes applied by the sharded backend's residual
-    /// balancing during this solve (0 for the monolithic backend).
-    pub fn rho_retunes(&self) -> u64 {
-        self.rho_retunes
-    }
-
-    /// Final relative consensus primal residual of the sharded backend
-    /// (0.0 for the monolithic backend).
-    pub fn consensus_residual(&self) -> f64 {
-        self.consensus_residual
-    }
-
-    /// Warm-start rejections this step, one per rejecting solver (the
-    /// monolithic backend reports at most one, with `shard == 0`). Empty
-    /// whenever the warm path held — a non-empty list means a cold solve
-    /// was paid and says which constraint family the shifted point
-    /// violated.
-    pub fn warm_rejections(&self) -> &[WarmRejection] {
-        &self.warm_rejections
+    /// Why this step's warm start was rejected, if it was: `None`
+    /// whenever the warm path held. `Some` means a cold solve was paid and
+    /// says which constraint family the shifted point violated.
+    pub fn warm_rejection(&self) -> Option<&WarmRejection> {
+        self.warm_rejection.as_ref()
     }
 }
 
@@ -1693,7 +1445,7 @@ mod tests {
         problem.prev_input = vec![0.0, 10_000.0];
         let plan = controller.plan(&problem).unwrap();
         assert!(plan.warm_started(), "the repaired point must be accepted");
-        assert!(plan.warm_rejections().is_empty());
+        assert!(plan.warm_rejection().is_none());
         assert_eq!(controller.solve_stats().cold_fallbacks, 0);
         let cold = MpcController::new(MpcConfig::default())
             .plan_cold(&problem)
@@ -1735,7 +1487,7 @@ mod tests {
         // The next feasible step plans normally, warm from the last plan.
         let plan = controller.plan(&problem).unwrap();
         assert!(plan.warm_started());
-        assert!(plan.warm_rejections().is_empty());
+        assert!(plan.warm_rejection().is_none());
         let total: f64 = plan.next_input().iter().sum();
         assert!((total - 10_000.0).abs() < 1e-6, "total {total}");
     }
@@ -1779,226 +1531,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_matches_banded_in_closed_loop() {
-        // The consensus outer loop stops at a workload-relative residual
-        // and the final repair restores conservation exactly, so the
-        // sharded plans must track the monolithic minimizer step for
-        // step — per entry to within a few× the backend tolerance on the
-        // 10k req/s scale (the portal-split directions are near-flat, so
-        // entries are the loosest-determined quantity; plan cost agrees
-        // orders of magnitude tighter) — and settle into warm starts on
-        // both levels (active sets and multipliers).
-        let mut banded = MpcController::new(MpcConfig {
-            backend: SolverBackend::BandedRiccati,
-            ..MpcConfig::default()
-        });
-        let mut sharded = MpcController::new(MpcConfig {
-            backend: SolverBackend::sharded(2),
-            ..MpcConfig::default()
-        });
-        let mut pb = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-        let mut ps = pb.clone();
-        for step in 0..6 {
-            let plan_b = banded.plan(&pb).unwrap();
-            let plan_s = sharded.plan(&ps).unwrap();
-            assert!(plan_s.outer_rounds() > 0, "step {step}: no outer rounds");
-            assert!(
-                plan_s.warm_rejections().is_empty(),
-                "step {step}: unexpected warm rejection {:?}",
-                plan_s.warm_rejections()
-            );
-            for (a, b) in plan_b.next_input().iter().zip(plan_s.next_input()) {
-                assert!((a - b).abs() < 5e-6 * 10_000.0, "step {step}: {a} vs {b}");
-            }
-            let total: f64 = plan_s.next_input().iter().sum();
-            assert!(
-                (total - 10_000.0).abs() < 1e-6,
-                "step {step}: total {total}"
-            );
-            pb.prev_input = plan_b.next_input().to_vec();
-            ps.prev_input = plan_s.next_input().to_vec();
-        }
-        assert_eq!(sharded.warm_solves(), 5);
-        assert_eq!(sharded.cold_solves(), 1);
-    }
-
-    #[test]
-    fn sharded_single_shard_still_converges() {
-        // One shard degenerates to an augmented-Lagrangian solve of the
-        // full problem (conservation enforced by the penalty + dual loop
-        // instead of hard equality rows); the fixed point is the same.
-        let mut banded = MpcController::new(MpcConfig {
-            backend: SolverBackend::BandedRiccati,
-            ..MpcConfig::default()
-        });
-        let mut sharded = MpcController::new(MpcConfig {
-            backend: SolverBackend::sharded(1),
-            ..MpcConfig::default()
-        });
-        let problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-        let plan_b = banded.plan(&problem).unwrap();
-        let plan_s = sharded.plan(&problem).unwrap();
-        for (a, b) in plan_b.next_input().iter().zip(plan_s.next_input()) {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn sharded_backend_handles_degenerate_peak_shaving() {
-        let problem = MpcProblem {
-            b1_mw: vec![6.75e-5, 0.000108, 7.714285714285714e-5],
-            b0_mw: vec![0.00015, 0.00015, 0.00015],
-            servers_on: vec![9002, 40000, 20000],
-            capacities: vec![18003.0, 49999.0, 34999.0],
-            prev_input: vec![
-                0.0, 0.0, 0.0, 0.0, 15002.0, 0.0, 10001.0, 15000.0, 20000.0, 4998.0, 30000.0,
-                4999.0, 0.0, 0.0, 0.0,
-            ],
-            workload_forecast: vec![vec![30000.0, 15000.0, 15000.0, 20000.0, 20000.0]; 3],
-            power_reference_mw: vec![vec![5.13, 10.26, 1.6289828571428573]; 5],
-            tracking_multiplier: vec![25.0, 25.0, 1.0],
-            storage: None,
-        };
-        let mut controller = MpcController::new(MpcConfig {
-            backend: SolverBackend::sharded(3),
-            ..MpcConfig::default()
-        });
-        let plan = controller.plan(&problem).expect("must terminate");
-        let total: f64 = plan.next_input().iter().sum();
-        assert!((total - 100_000.0).abs() < 1e-3, "total {total}");
-    }
-
-    #[test]
-    fn sharded_plans_are_bitwise_reproducible() {
-        // Two identical closed loops must produce byte-identical plans —
-        // the determinism the cross-process and cross-thread-count
-        // reproducibility gates build on.
-        let run = || {
-            let mut controller = MpcController::new(MpcConfig {
-                backend: SolverBackend::sharded(2),
-                ..MpcConfig::default()
-            });
-            let mut problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-            let mut plans = Vec::new();
-            for _ in 0..4 {
-                let plan = controller.plan(&problem).unwrap();
-                problem.prev_input = plan.next_input().to_vec();
-                plans.push(plan);
-            }
-            plans
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sharded_infeasible_capacity_is_reported() {
-        let mut problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-        // Total capacity is 26 500; demand 30 000 cannot be served.
-        problem.workload_forecast = vec![vec![30_000.0]; 3];
-        let mut controller = MpcController::new(MpcConfig {
-            backend: SolverBackend::sharded(2),
-            ..MpcConfig::default()
-        });
-        assert!(matches!(controller.plan(&problem), Err(Error::Infeasible)));
-    }
-
-    #[test]
-    fn sharded_coordinator_stall_converges_to_the_same_plan() {
-        let mut baseline = MpcController::new(MpcConfig {
-            backend: SolverBackend::sharded(2),
-            ..MpcConfig::default()
-        });
-        let mut stalled = MpcController::new(MpcConfig {
-            backend: SolverBackend::sharded(2),
-            ..MpcConfig::default()
-        });
-        let mut pb = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-        let mut ps = pb.clone();
-        for step in 0..3 {
-            if step == 1 {
-                stalled.force_coordinator_stall_next();
-            }
-            let plan_b = baseline.plan(&pb).unwrap();
-            let plan_s = stalled.plan(&ps).unwrap();
-            for (a, b) in plan_b.next_input().iter().zip(plan_s.next_input()) {
-                assert!((a - b).abs() < 1e-3, "step {step}: {a} vs {b}");
-            }
-            let total: f64 = plan_s.next_input().iter().sum();
-            assert!(
-                (total - 10_000.0).abs() < 1e-6,
-                "step {step}: total {total}"
-            );
-            pb.prev_input = plan_b.next_input().to_vec();
-            ps.prev_input = plan_s.next_input().to_vec();
-        }
-    }
-
-    #[test]
-    fn sharded_warm_state_roundtrip_is_exact() {
-        // Checkpoint/restore must carry the outer multipliers: a restored
-        // controller has to replay the remaining steps byte-identically.
-        let mut problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-        let config = MpcConfig {
-            backend: SolverBackend::sharded(2),
-            ..MpcConfig::default()
-        };
-        let mut original = MpcController::new(config);
-        for _ in 0..2 {
-            let plan = original.plan(&problem).unwrap();
-            problem.prev_input = plan.next_input().to_vec();
-        }
-        let saved = original.warm_state().expect("warm state exists");
-        assert!(!saved.multipliers.is_empty(), "multipliers must persist");
-
-        let mut restored = MpcController::new(config);
-        restored.restore_warm_state(Some(saved));
-        let plan_o = original.plan(&problem).unwrap();
-        let plan_r = restored.plan(&problem).unwrap();
-        assert_eq!(plan_o, plan_r);
-        assert_eq!(original.warm_state(), restored.warm_state());
-    }
-
-    #[test]
-    fn sharded_peak_budget_holds_total_power_below_cap() {
-        // Reference wants everything on the expensive IDC 1; an
-        // unconstrained solve would push total fleet power to ~3.78 MW.
-        // With a 3.6 MW budget the peak duals must re-route load back to
-        // IDC 0 until every stage's total fits the cap.
-        let reference = [
-            150.0e-6 * 8_000.0,
-            108.0e-6 * 10_000.0 + 150.0e-6 * 10_000.0,
-        ];
-        let budget = 3.6;
-        let mut controller = MpcController::new(MpcConfig {
-            backend: SolverBackend::sharded(2),
-            sharded_peak_budget_mw: Some(budget),
-            ..MpcConfig::default()
-        });
-        let mut problem = two_idc_problem([10_000.0, 0.0], reference);
-        for _ in 0..8 {
-            let plan = controller.plan(&problem).unwrap();
-            problem.prev_input = plan.next_input().to_vec();
-        }
-        let plan = controller.plan(&problem).unwrap();
-        for (s, per_idc) in plan.predicted_power_mw().iter().enumerate() {
-            let total: f64 = per_idc.iter().sum();
-            assert!(
-                total <= budget + 1e-3,
-                "stage {s}: total power {total} exceeds budget {budget}"
-            );
-        }
-        // The budget binds (the unconstrained optimum is above the cap), so
-        // the converged allocation should sit near the budget, not far
-        // below it.
-        let stage0: f64 = plan.predicted_power_mw()[0].iter().sum();
-        assert!(
-            stage0 > budget - 0.2,
-            "stage 0 power {stage0} too far below cap"
-        );
-    }
-
-    #[test]
     fn repair_survives_partial_serving_headroom() {
         // Regression for the silent cold fallbacks: IDC 0 serves nearly at
         // capacity while IDC 1 idles. A forecast jump larger than IDC 0's
@@ -2018,7 +1550,7 @@ mod tests {
             plan.warm_started(),
             "repair must keep the step warm when serving headroom is partial"
         );
-        assert!(plan.warm_rejections().is_empty());
+        assert!(plan.warm_rejection().is_none());
         let total: f64 = plan.next_input().iter().sum();
         assert!((total - 12_000.0).abs() < 1e-6, "total {total}");
     }
@@ -2204,20 +1736,6 @@ mod tests {
         for (a, b) in plan.next_input().iter().zip(base.next_input()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn sharded_backend_rejects_storage() {
-        let mut controller = MpcController::new(MpcConfig {
-            backend: SolverBackend::sharded(2),
-            ..MpcConfig::default()
-        });
-        let mut problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-        problem.storage = Some(test_storage(2));
-        assert!(matches!(
-            controller.plan(&problem),
-            Err(Error::DimensionMismatch { .. })
-        ));
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //! right-hand sides (conservation `t`-major × portal, then capacity
 //! `t`-major × IDC, then non-negativity `t`-major × entry, then the storage
 //! families), so warm-start active sets, the receding-horizon seed shift in
-//! [`crate::mpc`], and reported active sets share one indexing with the
-//! sharded backend; only their column indices follow the QP layout. The
+//! [`crate::mpc`], and reported active sets share one indexing; only their
+//! column indices follow the QP layout. The
 //! objective is the eq. 42 least squares without its constant `bᵀQb`.
 
 use idc_linalg::banded::BlockTridiag;

@@ -2,11 +2,12 @@
 
 use std::time::Instant;
 
-use idc_control::mpc::{MpcConfig, MpcController, MpcProblem, StorageProblem, WarmStateData};
+use idc_control::mpc::{
+    MpcConfig, MpcController, MpcProblem, StorageProblem, WarmRejection, WarmStateData,
+};
 use idc_control::reference::{
     optimal_reference, price_greedy_reference, ReferenceSolution, ReferenceSolver,
 };
-use idc_control::sharded::WarmRejection;
 use idc_datacenter::allocation::Allocation;
 use idc_datacenter::idc::IdcConfig;
 use idc_datacenter::sleep::SleepController;
@@ -263,13 +264,6 @@ pub struct MpcPolicyConfig {
     /// this exercises the rebuild machinery without a fallback. Empty in
     /// production; populated by the testkit's fault plans.
     pub forced_refactor_steps: Vec<usize>,
-    /// Steps at which the sharded backend's coordinator *stalls* for one
-    /// outer round: the shards re-solve against stale consensus targets and
-    /// the multiplier update is skipped, as if a coordination message was
-    /// dropped. The plan must still converge (or degrade cleanly through the
-    /// usual infeasibility path). No-op for the monolithic backend. Empty
-    /// in production; populated by the testkit's fault plans.
-    pub forced_stall_steps: Vec<usize>,
     /// When `true`, every per-step [`MpcProblem`] the policy assembles is
     /// kept in a log ([`MpcPolicy::recorded_problems`]) so differential
     /// oracles can re-solve them offline. Off by default.
@@ -303,7 +297,6 @@ impl Default for MpcPolicyConfig {
             solver_reuse: true,
             forced_failure_steps: Vec::new(),
             forced_refactor_steps: Vec::new(),
-            forced_stall_steps: Vec::new(),
             record_problems: false,
             storage: None,
             demand_charge: None,
@@ -794,7 +787,6 @@ impl MpcPolicy {
             warm_start: self.controller.warm_state().map(|w| WarmStartSnapshot {
                 delta_u: w.delta_u,
                 active_set: w.active_set.iter().map(|&i| i as u64).collect(),
-                multipliers: w.multipliers,
             }),
             warm_solves: warm as u64,
             cold_solves: cold as u64,
@@ -915,7 +907,6 @@ impl MpcPolicy {
             .restore_warm_state(snapshot.warm_start.as_ref().map(|w| WarmStateData {
                 delta_u: w.delta_u.clone(),
                 active_set: w.active_set.iter().map(|&i| i as usize).collect(),
-                multipliers: w.multipliers.clone(),
             }));
         self.controller
             .restore_solve_counters(snapshot.warm_solves as usize, snapshot.cold_solves as usize);
@@ -1204,16 +1195,10 @@ impl MpcPolicy {
             idc_obs::record_anomaly("injected_forced_refactorization", ctx.step as u64, &[]);
             self.controller.force_refactor_next();
         }
-        if self.config.forced_stall_steps.contains(&ctx.step) {
-            // Injected coordinator stall: the sharded backend drops one
-            // outer coordination round and must converge anyway.
-            idc_obs::record_anomaly("injected_coordinator_stall", ctx.step as u64, &[]);
-            self.controller.force_coordinator_stall_next();
-        }
         match self.controller.plan(&problem) {
             Ok(plan) => {
                 self.note_iteration_spike(ctx.step, plan.qp_iterations());
-                for r in plan.warm_rejections() {
+                if let Some(r) = plan.warm_rejection() {
                     record_warm_rejection(ctx.step as u64, r);
                 }
                 let u = plan.next_input().to_vec();
@@ -1277,7 +1262,6 @@ fn record_warm_rejection(step: u64, r: &WarmRejection) {
         "warm_start_rejected",
         step,
         &[
-            ("shard", r.shard as f64),
             ("conservation", r.conservation),
             ("capacity", r.capacity),
             ("nonnegativity", r.nonnegativity),
@@ -1656,7 +1640,6 @@ mod tests {
         record_warm_rejection(
             step,
             &WarmRejection {
-                shard: 0,
                 conservation: 0.0,
                 capacity: 0.0,
                 nonnegativity: 0.0,

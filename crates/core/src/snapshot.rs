@@ -31,12 +31,6 @@ pub struct WarmStartSnapshot {
     pub delta_u: Vec<f64>,
     /// Indices of the constraints active at the previous solution.
     pub active_set: Vec<u64>,
-    /// The sharded backend's outer coordination multipliers (consensus
-    /// conservation duals followed by peak-budget duals); empty for the
-    /// monolithic backend. Defaults to empty when absent so snapshots
-    /// written before the sharded backend existed keep restoring.
-    #[serde(default = "Vec::new")]
-    pub multipliers: Vec<f64>,
 }
 
 /// The complete evolving state of a [`crate::policy::MpcPolicy`] as plain

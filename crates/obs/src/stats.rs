@@ -37,12 +37,6 @@
 /// * `working_set_delta` — symmetric difference between the seeded initial
 ///   working set and the converged final one, summed over solves; per-solve
 ///   this is the gauge of how much the active set actually moved.
-/// * `outer_iterations` — consensus-ADMM coordinator rounds (sharded backend
-///   only; zero for monolithic solves), summed over steps.
-/// * `consensus_residual_nano` — final relative consensus primal residual of
-///   each sharded step, in nano-units (`round(residual · 1e9)`), summed over
-///   steps; a per-step delta (via [`since`](Self::since)) recovers the
-///   step's own stopping residual.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Active-set solves merged into this total.
@@ -73,10 +67,6 @@ pub struct SolveStats {
     pub downdates_applied: u64,
     /// Symmetric difference between seeded and converged working sets.
     pub working_set_delta: u64,
-    /// Consensus-ADMM coordinator rounds (sharded backend only).
-    pub outer_iterations: u64,
-    /// Final relative consensus primal residual per step, in nano-units.
-    pub consensus_residual_nano: u64,
 }
 
 impl SolveStats {
@@ -96,8 +86,6 @@ impl SolveStats {
         self.updates_applied += other.updates_applied;
         self.downdates_applied += other.downdates_applied;
         self.working_set_delta += other.working_set_delta;
-        self.outer_iterations += other.outer_iterations;
-        self.consensus_residual_nano += other.consensus_residual_nano;
     }
 
     /// Field-wise saturating difference `self - earlier`, for per-step
@@ -130,12 +118,6 @@ impl SolveStats {
             working_set_delta: self
                 .working_set_delta
                 .saturating_sub(earlier.working_set_delta),
-            outer_iterations: self
-                .outer_iterations
-                .saturating_sub(earlier.outer_iterations),
-            consensus_residual_nano: self
-                .consensus_residual_nano
-                .saturating_sub(earlier.consensus_residual_nano),
         }
     }
 
@@ -186,8 +168,6 @@ mod tests {
             updates_applied: 7,
             downdates_applied: 3,
             working_set_delta: 5,
-            outer_iterations: 4,
-            consensus_residual_nano: 12,
         };
         let b = SolveStats {
             solves: 1,

@@ -409,9 +409,4 @@ impl QpSolution {
     pub fn stats(&self) -> &SolveStats {
         &self.stats
     }
-
-    /// Consumes the solution, returning the optimal point.
-    pub fn into_x(self) -> Vec<f64> {
-        self.x
-    }
 }

@@ -300,17 +300,6 @@ impl BandedQp {
         Ok(())
     }
 
-    /// Applies an in-place update to the Hessian and drops the prepared
-    /// factorizations; the next solve (or an explicit [`Self::prepare`])
-    /// refactors against the updated curvature. Constraints, gradient, and
-    /// right-hand sides are untouched, so the feasibility of a warm point
-    /// survives the update. Used by the sharded backend's penalty
-    /// adaptation, which retunes the consensus `ρ·aaᵀ` term mid-solve.
-    pub fn update_hessian(&mut self, update: impl FnOnce(&mut BlockTridiag)) {
-        update(&mut self.h);
-        self.cache = None;
-    }
-
     /// Replaces the equality right-hand sides, keeping the rows.
     ///
     /// # Errors

@@ -121,8 +121,7 @@ OPTIONS:
   --workload-delay N     workload-feed max delivery delay in ticks (default: 0)
   --price-drop P         price-feed drop probability in [0,1] (default: 0)
   --price-delay N        price-feed max delivery delay in ticks (default: 0)
-  --backend LABEL        solver backend: dense | banded | sharded[N]
-                         (default: dense)
+  --backend LABEL        solver backend: banded (default: banded)
   --ingest-bound N       per-tick, per-feed admission bound; overflow is
                          shed and counted (default: 0 = unbounded)
   --tenants N            multi-tenant mode: host N heterogeneous control

@@ -20,7 +20,7 @@
 //!
 //! # Multi-tenant mode (`--tenants N`)
 //!
-//! Hosts `N` heterogeneous tenants (mixed fleet sizes, solver backends,
+//! Hosts `N` heterogeneous tenants (mixed fleet sizes, backend labels,
 //! fault and overload plans from [`derive_tenants`]) on the shared worker
 //! pool at maximum clock speed, covering weeks of simulated control time
 //! in aggregate. Unless `--resume` is given, the soak first runs with a

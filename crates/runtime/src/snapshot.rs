@@ -28,6 +28,12 @@ use crate::error::Error;
 /// * v2 — multi-tenant daemon: solver-backend label, bounded-ingest
 ///   admission state (bound + per-feed shed counters) and the
 ///   burst-overload schedule joined the stepper's resume state.
+///
+/// Removing a field is compatible and needs no bump: the derive ignores
+/// unknown keys. So v2 checkpoints whose warm start still carries the
+/// retired sharded backend's `multipliers` list keep restoring; one whose
+/// backend label is `sharded[N]` fails at restore with
+/// [`Error::Config`](crate::Error::Config) naming the label.
 pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Serializable [`crate::feed::OverloadFaults`] parameters.

@@ -86,25 +86,12 @@ impl StepperConfig {
     }
 }
 
-/// Parses a solver-backend label: `banded` (banded Riccati, the default)
-/// or `sharded[N]` (ADMM-style consensus across `N` shards). Returns
-/// `None` for anything else — including `dense`, the label of a retired
-/// backend, which is rejected rather than remapped.
+/// Parses a solver-backend label: `banded` (banded Riccati, the default
+/// and only backend). Returns `None` for anything else — including `dense`
+/// and `sharded[N]`, the labels of retired backends, which are rejected
+/// rather than remapped.
 pub fn parse_backend(label: &str) -> Option<SolverBackend> {
-    match label {
-        "banded" => Some(SolverBackend::BandedRiccati),
-        _ => {
-            let shards: usize = label
-                .strip_prefix("sharded[")?
-                .strip_suffix(']')?
-                .parse()
-                .ok()?;
-            if shards == 0 {
-                return None;
-            }
-            Some(SolverBackend::sharded(shards))
-        }
-    }
+    (label == "banded").then_some(SolverBackend::BandedRiccati)
 }
 
 /// Builds the paper-tuned policy for `scenario`, optionally overriding
@@ -314,14 +301,6 @@ impl Stepper {
             (
                 "idc_qp_cold_fallbacks_total",
                 "Warm-start attempts that failed and re-solved cold.",
-            ),
-            (
-                "idc_outer_iterations_total",
-                "Sharded-backend outer coordination rounds (zero for the monolithic backend).",
-            ),
-            (
-                "idc_consensus_residual_nano",
-                "Last sharded solve's consensus primal residual, in nano-units (req/s scale).",
             ),
             (
                 "idc_qp_warm_seed_survival",
@@ -593,8 +572,6 @@ impl Stepper {
         m.set_counter("idc_qp_downdates_applied_total", stats.downdates_applied);
         m.set_counter("idc_qp_working_set_delta", stats.working_set_delta);
         m.set_counter("idc_qp_cold_fallbacks_total", stats.cold_fallbacks);
-        m.set_counter("idc_outer_iterations_total", stats.outer_iterations);
-        m.set_counter("idc_consensus_residual_nano", stats.consensus_residual_nano);
         m.set_gauge("idc_qp_warm_seed_survival", stats.seed_survival());
         m.set_gauge("idc_accumulated_cost_dollars", self.accumulated_cost);
         m.set_gauge("idc_feed_staleness_ticks", staleness as f64);
@@ -856,14 +833,11 @@ mod tests {
     fn backend_labels_parse_and_select_the_solver() {
         use idc_core::SolverBackend;
         assert_eq!(parse_backend("banded"), Some(SolverBackend::BandedRiccati));
-        assert!(matches!(
-            parse_backend("sharded[3]"),
-            Some(SolverBackend::Sharded { shards: 3, .. })
-        ));
         for bad in [
             "",
             "dense",
             "Dense",
+            "sharded[3]",
             "sharded[0]",
             "sharded[x]",
             "sharded[2",

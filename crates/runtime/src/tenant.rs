@@ -100,15 +100,15 @@ const DERIVE_MIX: [&str; 10] = [
 ];
 
 /// Derives `n` heterogeneous tenant specs from `base_seed`: scenario keys
-/// cycle through [`DERIVE_MIX`], solver backends cycle
-/// default/banded/sharded, every third tenant runs under transport
-/// feed faults, and every fifth under a
+/// cycle through [`DERIVE_MIX`], solver-backend labels alternate between
+/// the default and an explicit `banded`, every third tenant runs under
+/// transport feed faults, and every fifth under a
 /// [`FaultKind::TenantOverload`]-derived burst schedule with a matching
 /// ingest bound. `num_steps` overrides every tenant's run length (useful
 /// for multi-week soaks and fast tests alike). Deterministic: the same
 /// `(n, base_seed, num_steps)` always derives the same population.
 pub fn derive_tenants(n: usize, base_seed: u64, num_steps: Option<usize>) -> Vec<TenantSpec> {
-    let backends: [Option<&str>; 3] = [None, Some("banded"), Some("sharded[2]")];
+    let backends: [Option<&str>; 2] = [None, Some("banded")];
     (0..n)
         .map(|i| {
             let seed = base_seed.wrapping_add((i as u64).wrapping_mul(7919));

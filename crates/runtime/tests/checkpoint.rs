@@ -124,6 +124,47 @@ fn snapshot_with_retired_dense_backend_fails_to_restore() {
     }
 }
 
+/// Version-2 checkpoints written while the retired sharded backend existed
+/// carry a `multipliers` list in their warm start, and may name that
+/// backend. The extra key is ignored, so a banded checkpoint resumes
+/// byte-identically; a `sharded[N]` checkpoint fails to restore with a
+/// configuration error naming the label.
+#[test]
+fn v2_snapshot_with_sharded_era_fields_restores_or_names_the_label() {
+    let mut live = Stepper::new(StepperConfig {
+        backend: Some("banded".into()),
+        ..StepperConfig::fault_free("smoothing", 2012)
+    })
+    .unwrap();
+    for _ in 0..5 {
+        live.step_once().unwrap();
+    }
+    let json = live.snapshot().to_json().unwrap();
+    assert!(json.contains("\"warm_start\":{") && json.contains("\"backend\":\"banded\""));
+    let legacy = json.replace(
+        "\"warm_start\":{",
+        "\"warm_start\":{\"multipliers\":[0.25,-1.5,3.0],",
+    );
+
+    let mut resumed = Stepper::restore(&RuntimeSnapshot::from_json(&legacy).unwrap()).unwrap();
+    assert_eq!(resumed.snapshot(), live.snapshot());
+    while live.step_once().unwrap() {
+        assert!(resumed.step_once().unwrap());
+    }
+    assert!(!resumed.step_once().unwrap());
+    assert_eq!(
+        resumed.snapshot().to_json().unwrap(),
+        live.snapshot().to_json().unwrap()
+    );
+
+    let sharded = legacy.replace("\"backend\":\"banded\"", "\"backend\":\"sharded[2]\"");
+    match Stepper::restore(&RuntimeSnapshot::from_json(&sharded).unwrap()) {
+        Err(Error::Config(msg)) => assert_eq!(msg, "unknown backend 'sharded[2]'"),
+        Err(e) => panic!("wrong error for a sharded checkpoint: {e}"),
+        Ok(_) => panic!("a sharded checkpoint must not restore"),
+    }
+}
+
 #[test]
 fn metrics_endpoint_reflects_stepper_state() {
     let mut stepper = Stepper::new(StepperConfig::fault_free("smoothing", 2012)).unwrap();

@@ -9,7 +9,6 @@
 //! never panic, and either keep the trajectory invariants or surface the
 //! violations in a [`Report`].
 
-use idc_control::mpc::SolverBackend;
 use idc_core::policy::{MpcPolicy, MpcPolicyConfig};
 use idc_core::scenario::{PricingSpec, Scenario};
 use idc_core::simulation::{SimulationResult, Simulator};
@@ -40,14 +39,6 @@ pub enum FaultKind {
     /// take its stability-rebuild path, with the plan unchanged (no
     /// fallback).
     ForcedRefactorization,
-    /// A dropped coordination round in the sharded backend at 2–4 derived
-    /// steps: the shards re-solve against stale consensus targets for one
-    /// outer round (as if the coordinator's multiplier broadcast was lost)
-    /// and must still converge — or degrade cleanly through the usual
-    /// infeasibility fallback. The derived tuning switches the policy to
-    /// [`idc_control::mpc::SolverBackend::Sharded`] so the fault has a
-    /// coordinator to stall.
-    CoordinatorStall,
     /// Burst feed arrivals exceeding a tenant's per-tick admission bound:
     /// on derived ticks the feed delivers a burst of duplicate
     /// observations, forcing the host's bounded ingest to shed the excess
@@ -67,13 +58,12 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in matrix order.
-    pub const ALL: [FaultKind; 8] = [
+    pub const ALL: [FaultKind; 7] = [
         FaultKind::PriceSpike,
         FaultKind::PriceDropout,
         FaultKind::PredictionError,
         FaultKind::SolverFailure,
         FaultKind::ForcedRefactorization,
-        FaultKind::CoordinatorStall,
         FaultKind::TenantOverload,
         FaultKind::BatteryOutage,
     ];
@@ -95,7 +85,6 @@ impl FaultKind {
             FaultKind::PredictionError => "prediction-error",
             FaultKind::SolverFailure => "solver-failure",
             FaultKind::ForcedRefactorization => "forced-refactorization",
-            FaultKind::CoordinatorStall => "coordinator-stall",
             FaultKind::TenantOverload => "tenant-overload",
             FaultKind::BatteryOutage => "battery-outage",
         }
@@ -262,9 +251,7 @@ impl FaultPlan {
                     .with_workload_noise(std, noise_seed)
                     .with_name(format!("{}+{}#{}", base.name(), self.kind, self.seed))
             }
-            FaultKind::SolverFailure
-            | FaultKind::ForcedRefactorization
-            | FaultKind::CoordinatorStall => {
+            FaultKind::SolverFailure | FaultKind::ForcedRefactorization => {
                 let steps = base.num_steps();
                 if steps < 3 {
                     return None;
@@ -278,17 +265,10 @@ impl FaultPlan {
                     }
                 }
                 drawn.sort_unstable();
-                match self.kind {
-                    FaultKind::SolverFailure => config.forced_failure_steps = drawn,
-                    FaultKind::ForcedRefactorization => config.forced_refactor_steps = drawn,
-                    _ => {
-                        // A stall needs a coordinator: run the sharded
-                        // backend (2–4 derived shards) and drop an outer
-                        // round at each drawn step.
-                        let shards = 2 + (rng.random::<u64>() % 3) as usize;
-                        config.mpc.backend = SolverBackend::sharded(shards);
-                        config.forced_stall_steps = drawn;
-                    }
+                if self.kind == FaultKind::SolverFailure {
+                    config.forced_failure_steps = drawn;
+                } else {
+                    config.forced_refactor_steps = drawn;
                 }
                 base.clone()
                     .with_name(format!("{}+{}#{}", base.name(), self.kind, self.seed))
@@ -474,47 +454,6 @@ mod tests {
             run.fallback_steps
         );
         assert!(run.report.hard_clean(), "{}", run.report.render());
-    }
-
-    #[test]
-    fn coordinator_stall_switches_backend_and_derives_steps() {
-        let base = smoothing_scenario();
-        for seed in 0..10 {
-            let (_, config) = FaultPlan::new(FaultKind::CoordinatorStall, seed)
-                .apply(&base)
-                .unwrap();
-            assert!(config.forced_failure_steps.is_empty());
-            assert!(config.forced_refactor_steps.is_empty());
-            let steps = &config.forced_stall_steps;
-            assert!((2..=4).contains(&steps.len()), "{steps:?}");
-            assert!(steps.windows(2).all(|w| w[0] < w[1]), "{steps:?}");
-            assert!(steps.iter().all(|&s| s >= 1 && s < base.num_steps()));
-            match config.mpc.backend {
-                SolverBackend::Sharded { shards, .. } => {
-                    assert!((2..=4).contains(&shards), "shards {shards}")
-                }
-                other => panic!("expected sharded backend, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn coordinator_stall_run_converges_and_reproduces() {
-        let base = smoothing_scenario();
-        let plan = FaultPlan::new(FaultKind::CoordinatorStall, 5);
-        let run = plan.run(&base).unwrap();
-        // The dropped round is absorbed by the remaining outer iterations:
-        // the plan must converge with no graceful degradation, and the
-        // trajectory invariants must hold.
-        assert!(
-            run.fallback_steps.is_empty(),
-            "fallbacks at {:?}",
-            run.fallback_steps
-        );
-        assert!(run.report.hard_clean(), "{}", run.report.render());
-        // Byte-identical on a re-run (the stall is deterministic).
-        let again = plan.run(&base).unwrap();
-        assert_eq!(run.result, again.result);
     }
 
     #[test]
