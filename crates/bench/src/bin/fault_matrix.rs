@@ -73,22 +73,6 @@ fn main() -> Result<(), idc_core::Error> {
     );
     let mut failures = Vec::new();
     for kind in FaultKind::ALL {
-        if kind.runtime_layer() {
-            // Delivery-layer faults have no batch expression; the online
-            // soak harness (`runtime_soak --tenants`) is their matrix.
-            println!(
-                "{:<18} {:>8} {:>12} {:>6} {:>6} {:>10} {:>12} {:>9}",
-                kind.label(),
-                "-",
-                "skipped",
-                "-",
-                "-",
-                "-",
-                "runtime",
-                "-"
-            );
-            continue;
-        }
         for seed in seeds.iter().copied() {
             let plan = FaultPlan::new(kind, seed);
             let cell_span =

@@ -21,6 +21,7 @@ use idc_control::reference::optimal_reference;
 use idc_datacenter::fleet::IdcFleet;
 use idc_market::trace::{prices_at_hour, PriceTrace};
 
+use crate::plant::ADMISSION_HEADROOM;
 use crate::{Error, Result};
 
 /// How deferred (batch) workload is scheduled.
@@ -197,7 +198,7 @@ pub fn simulate_day(
             }
         }
         // Opportunistic release when the hour is cheap.
-        let headroom = (capacity * 0.999 - interactive_rate - release).max(0.0);
+        let headroom = (capacity * ADMISSION_HEADROOM - interactive_rate - release).max(0.0);
         if hourly_index[hour] <= threshold {
             let backlog: f64 = queue.iter().map(|c| c.volume).sum();
             release += (backlog - release).min(headroom).max(0.0);
@@ -245,8 +246,11 @@ pub fn simulate_day(
     let leftover: f64 = queue.iter().map(|c| c.volume).sum();
     if leftover > 1e-9 {
         let prices = prices_at_hour(traces, 23.0);
-        let reference =
-            optimal_reference(fleet.idcs(), &[leftover.min(capacity * 0.999)], &prices)?;
+        let reference = optimal_reference(
+            fleet.idcs(),
+            &[leftover.min(capacity * ADMISSION_HEADROOM)],
+            &prices,
+        )?;
         total_cost += reference.cost_rate_per_hour();
         for c in &queue {
             delay_volume += c.volume * (23usize.saturating_sub(c.arrival_hour)) as f64;

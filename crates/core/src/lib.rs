@@ -18,6 +18,9 @@
 //! * [`policy`] — the [`policy::MpcPolicy`] (the paper's contribution) and
 //!   the [`policy::OptimalPolicy`] baselines (the true eq. 46 LP and the
 //!   price-greedy variant the paper's plots follow),
+//! * [`plant`] — the per-step plant kernel (admission, decision
+//!   validation, battery, metering, cost and demand-charge accounting)
+//!   shared by the batch simulator and the online runtime,
 //! * [`simulation`] — a deterministic discrete-time simulator producing
 //!   per-IDC power / server / cost trajectories,
 //! * [`metrics`] — cost, demand-volatility, peak and budget-violation
@@ -56,6 +59,7 @@ pub mod delay_tolerant;
 mod error;
 pub mod feed;
 pub mod metrics;
+pub mod plant;
 pub mod policy;
 pub mod report;
 pub mod scenario;

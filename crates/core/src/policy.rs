@@ -305,6 +305,20 @@ impl Default for MpcPolicyConfig {
     }
 }
 
+impl MpcPolicyConfig {
+    /// The tuning of [`MpcPolicy::paper_tuned`]: the defaults plus the
+    /// scenario's budgets, storage fleet and demand-charge tariff. Callers
+    /// that adjust one knob (a solver backend, a fault plan) start here.
+    pub fn paper_tuned(scenario: &Scenario) -> Self {
+        MpcPolicyConfig {
+            budgets: scenario.budgets().cloned(),
+            storage: scenario.storage().cloned(),
+            demand_charge: scenario.demand_charge().copied(),
+            ..MpcPolicyConfig::default()
+        }
+    }
+}
+
 /// EWMA smoothing factor for the arbitrage price baseline. At 5-minute
 /// steps this gives a half-life of about three hours, so the baseline
 /// stays close to the daily mean while hourly real-time-price moves show
@@ -437,12 +451,7 @@ impl MpcPolicy {
     ///
     /// Propagates [`MpcPolicy::new`] failures.
     pub fn paper_tuned(scenario: &Scenario) -> Result<Self> {
-        MpcPolicy::new(MpcPolicyConfig {
-            budgets: scenario.budgets().cloned(),
-            storage: scenario.storage().cloned(),
-            demand_charge: scenario.demand_charge().copied(),
-            ..MpcPolicyConfig::default()
-        })
+        MpcPolicy::new(MpcPolicyConfig::paper_tuned(scenario))
     }
 
     /// The tuning in use.

@@ -1,23 +1,26 @@
 //! The deterministic discrete-time simulator behind Figs. 4–7.
 //!
 //! Each sampling period the simulator (1) draws the offered portal
-//! workloads (optionally noisy), (2) evaluates the pricing model — feeding
-//! back the previous step's per-IDC power draw, so demand-responsive
-//! pricing closes the demand↔price loop of the paper's introduction,
-//! (3) asks the policy for a decision and (4) records power, servers,
-//! latency and accumulated cost.
+//! workloads (optionally noisy) and admits them through the
+//! [`Plant`], (2) evaluates the pricing model — feeding back the
+//! previous step's per-IDC power draw, so demand-responsive pricing closes
+//! the demand↔price loop of the paper's introduction, (3) asks the policy
+//! for a decision, has the plant apply and meter it, and (4) records power,
+//! servers, battery and accumulated cost. Admission, validation, the
+//! battery, metering and the bill all live in [`crate::plant`], shared
+//! with the online runtime.
 
 use rand::{rngs::StdRng, SeedableRng};
 
 use idc_timeseries::standard_normal;
 
-use idc_datacenter::idc::LatencyStatus;
 use idc_datacenter::power::{power_stats, PowerStats};
 use idc_storage::StorageState;
 
+use crate::plant::Plant;
 use crate::policy::{Policy, StepContext};
 use crate::scenario::Scenario;
-use crate::{Error, Result};
+use crate::Result;
 
 /// The recorded trajectory of one policy on one scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -269,8 +272,9 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// * [`Error::Config`] when a decision violates basic invariants
-    ///   (wrong dimensions, lost workload beyond tolerance).
+    /// * [`crate::Error::Config`] when a decision violates the plant's
+    ///   invariants (wrong dimensions, lost workload beyond tolerance,
+    ///   battery rates the plant cannot apply).
     /// * Policy errors are propagated.
     pub fn run(&self, scenario: &Scenario, policy: &mut dyn Policy) -> Result<SimulationResult> {
         let fleet = scenario.fleet();
@@ -301,35 +305,16 @@ impl Simulator {
         let mut prices_seen = Vec::with_capacity(steps);
         let mut times_min = Vec::with_capacity(steps);
         let mut cost_cumulative = Vec::with_capacity(steps);
-        let mut cost = 0.0;
         let mut offered_log = self.validate.then(|| Vec::with_capacity(steps));
         let mut allocation_log = self.validate.then(|| Vec::with_capacity(steps));
-        let mut latency_ok = 0usize;
-        let mut last_power = vec![0.0; n];
-        let mut offered_volume = 0.0;
-        let mut shed_volume = 0.0;
-        // Battery plant: the simulator owns the authoritative SoC and
-        // applies commanded rates through the same clamped dynamics the
-        // policy's belief uses, so the two agree on deterministic runs.
-        let mut storage_state = scenario.storage().map(StorageState::of);
-        let mut soc_log = storage_state
-            .as_ref()
-            .map(|_| vec![Vec::with_capacity(steps); n]);
-        let mut charge_log = storage_state
-            .as_ref()
-            .map(|_| vec![Vec::with_capacity(steps); n]);
-        let mut discharge_log = storage_state
-            .as_ref()
-            .map(|_| vec![Vec::with_capacity(steps); n]);
-        // Demand-charge meter: running per-IDC billed peaks of grid draw,
-        // accrued at the tariff's hourly weight.
-        let tariff = scenario.demand_charge().copied();
-        let mut dc_cumulative = tariff.map(|_| Vec::with_capacity(steps));
-        let mut dc_peaks = vec![0.0f64; n];
-        let mut dc_total = 0.0;
-        // Admission-control ceiling: slightly inside the fleet's capacity
-        // so the controllability condition of Sec. IV-B keeps holding.
-        let admission_cap = fleet.total_capacity() * 0.999;
+        let mut plant = Plant::new(scenario);
+        // Storage and tariff logs exist only when the plant has a battery
+        // or a meter to report.
+        let battery_log = || vec![Vec::with_capacity(steps); n];
+        let mut soc_log = plant.battery().map(|_| battery_log());
+        let mut charge_log = plant.battery().map(|_| battery_log());
+        let mut discharge_log = plant.battery().map(|_| battery_log());
+        let mut dc_cumulative = plant.demand_charge().map(|_| Vec::with_capacity(steps));
 
         for k in 0..steps {
             let hour = scenario.start_hour() + k as f64 * ts;
@@ -346,19 +331,8 @@ impl Simulator {
                     v.max(0.0)
                 })
                 .collect();
-            // Admission control: proportional shedding when the offered
-            // volume exceeds what the fleet can serve within its latency
-            // bounds (the paper assumes Σ L ≤ Σ λ̄; real front ends shed).
-            let total_offered: f64 = offered.iter().sum();
-            offered_volume += total_offered;
-            if total_offered > admission_cap {
-                let scale = admission_cap / total_offered;
-                for v in &mut offered {
-                    *v *= scale;
-                }
-                shed_volume += total_offered - admission_cap;
-            }
-            let prices = scenario.pricing().prices(hour, &last_power);
+            plant.admit(&mut offered);
+            let prices = scenario.pricing().prices(hour, plant.last_power_mw());
             let ctx = StepContext {
                 step: k,
                 hour,
@@ -368,86 +342,38 @@ impl Simulator {
                 idcs: fleet.idcs(),
             };
             let decision = policy.decide(&ctx)?;
-
-            // ---- Validate the decision. ----
-            if decision.servers_on.len() != n
-                || decision.allocation.idcs() != n
-                || decision.allocation.portals() != offered.len()
-            {
-                return Err(Error::Config(format!(
-                    "policy '{}' returned a decision with wrong dimensions",
-                    policy.name()
-                )));
-            }
-            if !decision.allocation.conserves_workload(&offered, 1e-3) {
-                return Err(Error::Config(format!(
-                    "policy '{}' lost workload at step {k}",
-                    policy.name()
-                )));
-            }
-            for rates in [&decision.charge_mw, &decision.discharge_mw] {
-                let len_ok = rates.is_empty() || (storage_state.is_some() && rates.len() == n);
-                if !len_ok || rates.iter().any(|r| !r.is_finite()) {
-                    return Err(Error::Config(format!(
-                        "policy '{}' returned battery rates the scenario's plant cannot apply",
-                        policy.name()
-                    )));
-                }
-            }
+            let applied = plant.step(scenario, k, policy.name(), &offered, &prices, &decision)?;
 
             // ---- Record. ----
             if let Some(log) = offered_log.as_mut() {
-                log.push(offered.clone());
+                log.push(offered);
             }
             if let Some(log) = allocation_log.as_mut() {
                 log.push(decision.allocation.to_control_vector());
             }
-            let mut per_idc = fleet.per_idc_power_mw(&decision.servers_on, &decision.allocation);
-            if let Some(state) = storage_state.as_mut() {
-                // Apply the commanded rates through the clamped battery
-                // dynamics, then meter *grid* draw = IT power + charge −
-                // discharge. Only this branch touches the power series, so
-                // storage-free runs stay byte-identical.
-                let battery_fleet = scenario.storage().expect("state implies fleet");
-                for j in 0..n {
-                    let c_cmd = decision.charge_mw.get(j).copied().unwrap_or(0.0);
-                    let d_cmd = decision.discharge_mw.get(j).copied().unwrap_or(0.0);
-                    let applied = state.apply(battery_fleet, j, c_cmd, d_cmd, ts);
-                    per_idc[j] = (per_idc[j] + applied.charge_mw - applied.discharge_mw).max(0.0);
-                    soc_log.as_mut().expect("storage logs")[j].push(state.soc_mwh()[j]);
-                    charge_log.as_mut().expect("storage logs")[j].push(applied.charge_mw);
-                    discharge_log.as_mut().expect("storage logs")[j].push(applied.discharge_mw);
+            if let (Some(state), Some(soc), Some(charge), Some(discharge)) = (
+                plant.battery(),
+                soc_log.as_mut(),
+                charge_log.as_mut(),
+                discharge_log.as_mut(),
+            ) {
+                for (j, rates) in applied.iter().enumerate() {
+                    soc[j].push(state.soc_mwh()[j]);
+                    charge[j].push(rates.charge_mw);
+                    discharge[j].push(rates.discharge_mw);
                 }
             }
             for j in 0..n {
-                power_mw[j].push(per_idc[j]);
+                power_mw[j].push(plant.last_power_mw()[j]);
                 servers[j].push(decision.servers_on[j]);
                 workload[j].push(decision.allocation.idc_total(j));
-                if fleet.idcs()[j]
-                    .latency_status(decision.servers_on[j], decision.allocation.idc_total(j))
-                    == LatencyStatus::WithinBound
-                {
-                    latency_ok += 1;
-                }
             }
-            cost += per_idc
-                .iter()
-                .zip(&prices)
-                .map(|(&p, &pr)| p * pr * ts)
-                .sum::<f64>();
-            cost_cumulative.push(cost);
-            if let (Some(tariff), Some(series)) = (&tariff, dc_cumulative.as_mut()) {
-                for (peak, &p) in dc_peaks.iter_mut().zip(&per_idc) {
-                    if p > *peak {
-                        *peak = p;
-                    }
-                }
-                dc_total += tariff.hourly_weight() * dc_peaks.iter().sum::<f64>() * ts;
-                series.push(dc_total);
+            cost_cumulative.push(plant.accumulated_cost());
+            if let (Some(series), Some(total)) = (dc_cumulative.as_mut(), plant.demand_charge()) {
+                series.push(total);
             }
             prices_seen.push(prices);
             times_min.push(k as f64 * ts * 60.0);
-            last_power = per_idc;
         }
 
         Ok(SimulationResult {
@@ -460,19 +386,15 @@ impl Simulator {
             workload,
             prices: prices_seen,
             cost_cumulative,
-            latency_ok_fraction: latency_ok as f64 / (steps * n) as f64,
-            shed_fraction: if offered_volume > 0.0 {
-                shed_volume / offered_volume
-            } else {
-                0.0
-            },
+            latency_ok_fraction: plant.latency_ok() as f64 / (steps * n) as f64,
+            shed_fraction: plant.shed_fraction(),
             offered: offered_log,
             allocations: allocation_log,
-            storage_loss_mwh: storage_state.as_ref().map(StorageState::total_loss_mwh),
+            storage_loss_mwh: plant.battery().map(StorageState::total_loss_mwh),
             soc_mwh: soc_log,
             charge_mw: charge_log,
             discharge_mw: discharge_log,
-            billed_peak_mw: dc_cumulative.as_ref().map(|_| dc_peaks),
+            billed_peak_mw: plant.billed_peak_mw().map(<[f64]>::to_vec),
             demand_charge_cumulative: dc_cumulative,
         })
     }

@@ -75,3 +75,42 @@ pub struct MpcPolicySnapshot {
     #[serde(default = "Vec::new")]
     pub peak_so_far_mw: Vec<f64>,
 }
+
+/// The battery part of a [`PlantSnapshot`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BatterySnapshot {
+    /// Per-IDC state of charge (MWh).
+    pub soc_mwh: Vec<f64>,
+    /// Conversion losses accumulated over the run (MWh).
+    pub loss_mwh: f64,
+}
+
+/// The demand-charge part of a [`PlantSnapshot`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DemandMeterSnapshot {
+    /// Per-IDC billed peaks of grid draw so far (MW).
+    pub billed_peak_mw: Vec<f64>,
+    /// Amortized demand charge accrued so far ($).
+    pub accrued_dollars: f64,
+}
+
+/// The complete accounting state of a [`crate::plant::Plant`] as plain
+/// data, so [`crate::plant::Plant::restore`] resumes its metering
+/// bit-for-bit.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PlantSnapshot {
+    /// Previous step's per-IDC grid draw (MW), the pricing feedback input.
+    pub last_power_mw: Vec<f64>,
+    /// Energy cost accumulated so far ($).
+    pub accumulated_cost: f64,
+    /// Count of (IDC, step) pairs that met the latency bound.
+    pub latency_ok: u64,
+    /// Total offered request volume seen.
+    pub offered_volume: f64,
+    /// Request volume shed by admission control.
+    pub shed_volume: f64,
+    /// Battery state; `None` when the scenario has no storage.
+    pub battery: Option<BatterySnapshot>,
+    /// Demand-charge meter; `None` when the scenario has no tariff.
+    pub demand_meter: Option<DemandMeterSnapshot>,
+}

@@ -19,7 +19,7 @@
 use idc_core::feed::{Observation, PriceFeed, WorkloadFeed};
 use idc_core::scenario::{PricingSpec, Scenario, WorkloadProfile};
 use idc_timeseries::standard_normal;
-use rand::{rngs::StdRng, RngCore, SeedableRng};
+use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
 use crate::snapshot::{FeedCursorSnap, FeedFaultsSnap, OverloadSnap, PendingSnap};
 
@@ -195,6 +195,29 @@ impl OverloadFaults {
             burst_per_mille: burst_per_mille.min(1000),
             burst_factor,
         }
+    }
+
+    /// A tenant-overload plan derived from `seed`: a schedule bursting on
+    /// 20–40 % of ticks, and the per-tick, per-feed ingest bound (2–4) its
+    /// host should enforce. Every burst appends more duplicates than the
+    /// bound admits, so every burst tick sheds — yet, since duplicates
+    /// trail the genuine arrivals, the admitted trajectory is the
+    /// unbursted one. Deterministic in `seed`, and decorrelated from other
+    /// seeded streams by a label salt.
+    pub fn derived(seed: u64) -> (Self, usize) {
+        let salt = b"tenant-overload".iter().fold(0u64, |h, &b| {
+            h.wrapping_mul(0x100_0000_01b3).wrapping_add(u64::from(b))
+        });
+        let mut rng = StdRng::seed_from_u64(seed ^ salt);
+        // Top 53 bits only, like every schedule seed (see `SEED_MASK`).
+        let schedule_seed = rng.random::<u64>() >> 11;
+        let burst_per_mille = 200 + (rng.random::<u64>() % 201) as u16;
+        let ingest_bound = 2 + (rng.random::<u64>() % 3) as usize;
+        let burst_factor = ingest_bound as u16 + 4 + (rng.random::<u64>() % 5) as u16;
+        (
+            OverloadFaults::new(schedule_seed, burst_per_mille, burst_factor),
+            ingest_bound,
+        )
     }
 
     /// Whether any tick can burst.
@@ -570,6 +593,48 @@ mod tests {
 
         // The quiet schedule never bursts.
         assert!((0..500).all(|t| OverloadFaults::none().burst_at(t) == 0));
+    }
+
+    #[test]
+    fn overload_params_are_in_range_and_decorrelated() {
+        let mut seen = std::collections::HashSet::new();
+        for seed in 0..50 {
+            let (faults, bound) = OverloadFaults::derived(seed);
+            let state = faults.state();
+            assert!((200..=400).contains(&state.burst_per_mille), "{state:?}");
+            assert!((2..=4).contains(&bound), "{state:?}");
+            // Every burst tick must overflow the bound.
+            assert!(state.burst_factor > bound as u64, "{state:?}");
+            seen.insert(state.seed);
+        }
+        // Burst schedules across plan seeds are (overwhelmingly) distinct.
+        assert!(
+            seen.len() > 45,
+            "only {} distinct schedule seeds",
+            seen.len()
+        );
+    }
+
+    #[test]
+    fn derived_overload_plans_are_pinned_per_seed() {
+        // (seed → schedule seed, burst ‰, burst factor, ingest bound) as
+        // first derived for the tenant soak; multi-tenant soak checkpoints
+        // and bench rows depend on these staying put.
+        for (seed, schedule_seed, per_mille, factor, bound) in [
+            (0, 5_108_246_616_555_616, 215, 10, 2),
+            (1, 3_469_182_327_255_315, 374, 9, 2),
+            (2012, 5_281_044_395_964_411, 398, 10, 2),
+            (0xFEED, 433_828_024_280_329, 295, 8, 2),
+            (2012 + 4 * 7919, 7_737_447_489_745_825, 300, 8, 4),
+        ] {
+            let (faults, ingest_bound) = OverloadFaults::derived(seed);
+            assert_eq!(
+                faults,
+                OverloadFaults::new(schedule_seed, per_mille, factor)
+            );
+            assert_eq!(ingest_bound, bound, "seed {seed}");
+            assert_eq!(OverloadFaults::derived(seed), (faults, ingest_bound));
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! a run bit-for-bit: the scenario identity (registry key + seed + length,
 //! never the bulky scenario itself), the step cursor, feed cursors (RNG
 //! draw counts and in-flight backlogs), the held last-value observations,
-//! the plant accounting (accumulated cost, shed volume, trajectories) and
-//! the full [`MpcPolicySnapshot`](idc_core::snapshot::MpcPolicySnapshot).
+//! the [`Plant`](idc_core::plant::Plant)'s accounting (accumulated cost,
+//! shed volume, battery, demand-charge meter), the trajectories and the
+//! full [`MpcPolicySnapshot`](idc_core::snapshot::MpcPolicySnapshot).
 //!
 //! Snapshots are written atomically: serialize to `<path>.tmp`, fsync,
 //! rename over `<path>`. A reader therefore sees either the previous
@@ -19,7 +20,7 @@
 use std::fs;
 use std::path::Path;
 
-use idc_core::snapshot::MpcPolicySnapshot;
+use idc_core::snapshot::{BatterySnapshot, DemandMeterSnapshot, MpcPolicySnapshot, PlantSnapshot};
 use serde::{Deserialize, Serialize};
 
 use crate::error::Error;
@@ -28,13 +29,22 @@ use crate::error::Error;
 /// * v2 — multi-tenant daemon: solver-backend label, bounded-ingest
 ///   admission state (bound + per-feed shed counters) and the
 ///   burst-overload schedule joined the stepper's resume state.
+/// * v3 — the shared plant kernel: the battery (state of charge,
+///   conversion loss) and the demand-charge meter (billed peaks, accrued
+///   charge) joined the resume state. A v2 checkpoint still restores when
+///   its scenario has neither — its plant fields read as absent — but one
+///   of a storage or tariffed scenario is refused: that trajectory was
+///   metered without the plant.
 ///
 /// Removing a field is compatible and needs no bump: the derive ignores
 /// unknown keys. So v2 checkpoints whose warm start still carries the
 /// retired sharded backend's `multipliers` list keep restoring; one whose
 /// backend label is `sharded[N]` fails at restore with
 /// [`Error::Config`](crate::Error::Config) naming the label.
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 3;
+
+/// Oldest format [`RuntimeSnapshot::validate`] accepts.
+const OLDEST_RESTORABLE_VERSION: u64 = 2;
 
 /// Serializable [`crate::feed::OverloadFaults`] parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -142,6 +152,11 @@ pub struct RuntimeSnapshot {
     pub offered_volume: f64,
     /// Request volume shed by admission control.
     pub shed_volume: f64,
+    /// The plant's battery; `None` without storage (and in v2 checkpoints).
+    pub battery: Option<BatterySnapshot>,
+    /// The plant's demand-charge meter; `None` without a tariff (and in v2
+    /// checkpoints).
+    pub demand_meter: Option<DemandMeterSnapshot>,
     /// Steps served by the degraded fallback path.
     pub degraded_steps: u64,
     /// `[idc][step]` power trajectory so far (MW).
@@ -162,9 +177,10 @@ impl RuntimeSnapshot {
     ///
     /// Returns [`Error::Snapshot`] describing the first inconsistency.
     pub fn validate(&self) -> std::result::Result<(), Error> {
-        if self.version != SNAPSHOT_VERSION {
+        if !(OLDEST_RESTORABLE_VERSION..=SNAPSHOT_VERSION).contains(&self.version) {
             return Err(Error::Snapshot(format!(
-                "unsupported snapshot version {} (expected {SNAPSHOT_VERSION})",
+                "unsupported snapshot version {} (expected \
+                 {OLDEST_RESTORABLE_VERSION}..={SNAPSHOT_VERSION})",
                 self.version
             )));
         }
@@ -214,6 +230,20 @@ impl RuntimeSnapshot {
             return Err(Error::Snapshot("non-finite value in snapshot".into()));
         }
         Ok(())
+    }
+
+    /// The plant's accounting state, for
+    /// [`Plant::restore`](idc_core::plant::Plant::restore).
+    pub fn plant(&self) -> PlantSnapshot {
+        PlantSnapshot {
+            last_power_mw: self.last_power_mw.clone(),
+            accumulated_cost: self.accumulated_cost,
+            latency_ok: self.latency_ok,
+            offered_volume: self.offered_volume,
+            shed_volume: self.shed_volume,
+            battery: self.battery.clone(),
+            demand_meter: self.demand_meter.clone(),
+        }
     }
 
     /// Serializes to a JSON string (bit-exact for every finite `f64`).

@@ -1,16 +1,21 @@
-//! The event-driven online stepper: the batch simulator's per-step dynamics
-//! re-expressed over streaming feeds, with held-last-value staleness
+//! The event-driven online stepper: a thin loop around the shared
+//! [`Plant`] over streaming feeds, with held-last-value staleness
 //! handling, checkpoint/restore and metrics.
 //!
 //! # Batch equivalence
 //!
-//! With fault-free feeds, [`Stepper`] reproduces
-//! [`idc_core::simulation::Simulator::run`] *bit for bit*: the workload
-//! feed draws noise in the batch simulator's exact RNG order, the price
-//! feed closes the same demand→price feedback loop on the previous step's
-//! power, and the accounting (admission control, latency classification,
-//! cost integration) is the same arithmetic in the same order. The
-//! `runtime_soak` bin asserts this equivalence on a full simulated day.
+//! The stepper and [`idc_core::simulation::Simulator::run`] differ only in
+//! where a step's inputs come from. Everything a decision does to the
+//! fleet — admission control, decision validation, the battery, grid-draw
+//! metering, latency classification, energy cost and the demand-charge
+//! meter — is one [`Plant`] kernel both loops call, and both build the
+//! controller with [`MpcPolicyConfig::paper_tuned`]. With fault-free feeds
+//! the inputs agree too: the workload feed draws noise in the batch
+//! simulator's exact RNG order and the price feed closes the same
+//! demand→price feedback loop on the plant's previous grid draw. So a
+//! fault-free online run reproduces the batch run *bit for bit* on every
+//! registry scenario, storage and demand charges included; the stepper's
+//! tests and the `runtime_soak` bin assert it key by key.
 //!
 //! # Staleness policy
 //!
@@ -27,10 +32,10 @@ use std::time::Instant;
 
 use idc_core::clock::Clock;
 use idc_core::feed::{BoundedIngest, Observation, PriceFeed, WorkloadFeed};
+use idc_core::plant::Plant;
 use idc_core::policy::{MpcPolicy, MpcPolicyConfig, Policy, StepContext};
 use idc_core::scenario::Scenario;
 use idc_core::SolverBackend;
-use idc_datacenter::idc::LatencyStatus;
 
 use crate::error::Error;
 use crate::feed::{FeedFaults, OverloadFaults, TracePriceFeed, TraceWorkloadFeed};
@@ -94,13 +99,10 @@ pub fn parse_backend(label: &str) -> Option<SolverBackend> {
     (label == "banded").then_some(SolverBackend::BandedRiccati)
 }
 
-/// Builds the paper-tuned policy for `scenario`, optionally overriding
-/// the solver backend by label.
-fn build_policy(scenario: &Scenario, backend: Option<&str>) -> Result<MpcPolicy> {
-    let mut config = MpcPolicyConfig {
-        budgets: scenario.budgets().cloned(),
-        ..MpcPolicyConfig::default()
-    };
+/// The paper-tuned policy for `scenario` — the batch simulator's
+/// controller — with the solver backend optionally overridden by label.
+fn paper_tuned_policy(scenario: &Scenario, backend: Option<&str>) -> Result<MpcPolicy> {
+    let mut config = MpcPolicyConfig::paper_tuned(scenario);
     if let Some(label) = backend {
         config.mpc.backend = parse_backend(label)
             .ok_or_else(|| Error::Config(format!("unknown backend '{label}'")))?;
@@ -162,11 +164,7 @@ pub struct Stepper {
     held_offered: Held,
     held_prices: Held,
     step: u64,
-    last_power_mw: Vec<f64>,
-    accumulated_cost: f64,
-    latency_ok: u64,
-    offered_volume: f64,
-    shed_volume: f64,
+    plant: Plant,
     degraded_steps: u64,
     power_mw: Vec<Vec<f64>>,
     servers: Vec<Vec<u64>>,
@@ -196,7 +194,7 @@ impl Stepper {
             .pricing()
             .prices(scenario.init_hour(), &vec![0.0; n]);
 
-        let mut policy = build_policy(&scenario, config.backend.as_deref())?;
+        let mut policy = paper_tuned_policy(&scenario, config.backend.as_deref())?;
         let init_ctx = StepContext {
             step: 0,
             hour: scenario.init_hour(),
@@ -227,11 +225,7 @@ impl Stepper {
                 updated_tick: None,
             },
             step: 0,
-            last_power_mw: vec![0.0; n],
-            accumulated_cost: 0.0,
-            latency_ok: 0,
-            offered_volume: 0.0,
-            shed_volume: 0.0,
+            plant: Plant::new(&scenario),
             degraded_steps: 0,
             power_mw: vec![Vec::new(); n],
             servers: vec![Vec::new(); n],
@@ -311,6 +305,14 @@ impl Stepper {
                 "Electricity cost accumulated over the run.",
             ),
             (
+                "idc_demand_charge_dollars",
+                "Amortized demand charge accrued over the run (tariffed scenarios only).",
+            ),
+            (
+                "idc_battery_soc_mwh",
+                "Per-IDC battery state of charge (storage scenarios only).",
+            ),
+            (
                 "idc_feed_staleness_ticks",
                 "Age of the oldest held feed value at the last step.",
             ),
@@ -368,9 +370,14 @@ impl Stepper {
         self.step >= self.num_steps()
     }
 
-    /// Accumulated electricity cost so far ($).
+    /// Accumulated electricity cost so far ($), demand charges excluded.
     pub fn accumulated_cost(&self) -> f64 {
-        self.accumulated_cost
+        self.plant.accumulated_cost()
+    }
+
+    /// The plant's accounting: grid draw, battery, demand-charge meter.
+    pub fn plant(&self) -> &Plant {
+        &self.plant
     }
 
     /// Cumulative cost after each executed step.
@@ -415,7 +422,7 @@ impl Stepper {
         if denom == 0 {
             return 1.0;
         }
-        self.latency_ok as f64 / denom as f64
+        self.plant.latency_ok() as f64 / denom as f64
     }
 
     /// The controller driving this run.
@@ -428,9 +435,9 @@ impl Stepper {
     ///
     /// # Errors
     ///
-    /// Propagates policy failures and rejects decisions that violate the
-    /// same invariants the batch simulator enforces (dimension mismatch,
-    /// lost workload).
+    /// Propagates policy failures and the plant's rejection of invalid
+    /// decisions (dimension mismatch, lost workload, battery rates the
+    /// plant cannot apply).
     pub fn step_once(&mut self) -> Result<bool> {
         if self.is_finished() {
             return Ok(false);
@@ -449,23 +456,13 @@ impl Stepper {
         self.config.overload.amplify(k, &mut workload_batch);
         self.held_offered
             .ingest(self.workload_ingest.admit(workload_batch));
-        let mut price_batch = self.price_feed.poll(k, hour, &self.last_power_mw);
+        let mut price_batch = self.price_feed.poll(k, hour, self.plant.last_power_mw());
         self.config.overload.amplify(k, &mut price_batch);
         self.held_prices
             .ingest(self.price_ingest.admit(price_batch));
 
-        // ---- Offered workload + admission control (batch-identical). ----
         let mut offered = self.held_offered.value.clone();
-        let total_offered: f64 = offered.iter().sum();
-        self.offered_volume += total_offered;
-        let admission_cap = fleet.total_capacity() * 0.999;
-        if total_offered > admission_cap {
-            let scale = admission_cap / total_offered;
-            for v in &mut offered {
-                *v *= scale;
-            }
-            self.shed_volume += total_offered - admission_cap;
-        }
+        self.plant.admit(&mut offered);
         let prices = self.held_prices.value.clone();
 
         // ---- Staleness gate. ----
@@ -490,42 +487,19 @@ impl Stepper {
             self.policy.decide(&ctx)?
         };
 
-        // ---- Validate (same invariants as the batch simulator). ----
-        if decision.servers_on.len() != n
-            || decision.allocation.idcs() != n
-            || decision.allocation.portals() != offered.len()
-        {
-            return Err(Error::Core(idc_core::Error::Config(format!(
-                "policy '{}' returned a decision with wrong dimensions",
-                self.policy.name()
-            ))));
-        }
-        if !decision.allocation.conserves_workload(&offered, 1e-3) {
-            return Err(Error::Core(idc_core::Error::Config(format!(
-                "policy '{}' lost workload at step {k}",
-                self.policy.name()
-            ))));
-        }
-
-        // ---- Account (batch-identical arithmetic and order). ----
-        let per_idc = fleet.per_idc_power_mw(&decision.servers_on, &decision.allocation);
+        self.plant.step(
+            &self.scenario,
+            k as usize,
+            self.policy.name(),
+            &offered,
+            &prices,
+            &decision,
+        )?;
         for j in 0..n {
-            self.power_mw[j].push(per_idc[j]);
+            self.power_mw[j].push(self.plant.last_power_mw()[j]);
             self.servers[j].push(decision.servers_on[j]);
-            if fleet.idcs()[j]
-                .latency_status(decision.servers_on[j], decision.allocation.idc_total(j))
-                == LatencyStatus::WithinBound
-            {
-                self.latency_ok += 1;
-            }
         }
-        self.accumulated_cost += per_idc
-            .iter()
-            .zip(&prices)
-            .map(|(&p, &pr)| p * pr * ts)
-            .sum::<f64>();
-        self.cost_cumulative.push(self.accumulated_cost);
-        self.last_power_mw = per_idc;
+        self.cost_cumulative.push(self.plant.accumulated_cost());
         self.step += 1;
 
         if let Some(m) = self.metrics.clone() {
@@ -573,7 +547,13 @@ impl Stepper {
         m.set_counter("idc_qp_working_set_delta", stats.working_set_delta);
         m.set_counter("idc_qp_cold_fallbacks_total", stats.cold_fallbacks);
         m.set_gauge("idc_qp_warm_seed_survival", stats.seed_survival());
-        m.set_gauge("idc_accumulated_cost_dollars", self.accumulated_cost);
+        m.set_gauge(
+            "idc_accumulated_cost_dollars",
+            self.plant.accumulated_cost(),
+        );
+        if let Some(dollars) = self.plant.demand_charge() {
+            m.set_gauge("idc_demand_charge_dollars", dollars);
+        }
         m.set_gauge("idc_feed_staleness_ticks", staleness as f64);
         let (w_shed, p_shed) = self.shed_observations();
         m.set_counter("idc_feed_shed_total", w_shed + p_shed);
@@ -582,8 +562,14 @@ impl Stepper {
         for (j, idc) in self.scenario.fleet().idcs().iter().enumerate() {
             m.set_gauge(
                 &format!("idc_power_mw{{idc=\"{}\"}}", idc.name()),
-                self.last_power_mw[j],
+                self.plant.last_power_mw()[j],
             );
+            if let Some(battery) = self.plant.battery() {
+                m.set_gauge(
+                    &format!("idc_battery_soc_mwh{{idc=\"{}\"}}", idc.name()),
+                    battery.soc_mwh()[j],
+                );
+            }
             m.set_gauge(
                 &format!("idc_servers_on{{idc=\"{}\"}}", idc.name()),
                 *self.servers[j].last().unwrap_or(&0) as f64,
@@ -613,6 +599,7 @@ impl Stepper {
     /// stepper whose remaining trajectory is bit-for-bit the one this
     /// stepper would produce.
     pub fn snapshot(&self) -> RuntimeSnapshot {
+        let plant = self.plant.snapshot();
         RuntimeSnapshot {
             version: SNAPSHOT_VERSION,
             scenario_key: self.config.scenario_key.clone(),
@@ -631,11 +618,13 @@ impl Stepper {
             price_feed: self.price_feed.state(),
             held_offered: self.held_offered.snap(),
             held_prices: self.held_prices.snap(),
-            last_power_mw: self.last_power_mw.clone(),
-            accumulated_cost: self.accumulated_cost,
-            latency_ok: self.latency_ok,
-            offered_volume: self.offered_volume,
-            shed_volume: self.shed_volume,
+            last_power_mw: plant.last_power_mw,
+            accumulated_cost: plant.accumulated_cost,
+            latency_ok: plant.latency_ok,
+            offered_volume: plant.offered_volume,
+            shed_volume: plant.shed_volume,
+            battery: plant.battery,
+            demand_meter: plant.demand_meter,
             degraded_steps: self.degraded_steps,
             power_mw: self.power_mw.clone(),
             servers: self.servers.clone(),
@@ -684,15 +673,15 @@ impl Stepper {
                     config.scenario_key
                 ))
             })?;
-        let n = scenario.fleet().num_idcs();
-        if snapshot.last_power_mw.len() != n {
-            return Err(Error::Snapshot(format!(
-                "snapshot has {} IDCs but scenario '{}' has {n}",
-                snapshot.last_power_mw.len(),
-                config.scenario_key
-            )));
-        }
-        let mut policy = build_policy(&scenario, config.backend.as_deref())?;
+        // The plant first: a v2 checkpoint of a storage or tariffed
+        // scenario was metered without it and must not resume.
+        let plant = Plant::restore(&scenario, &snapshot.plant()).map_err(|e| {
+            Error::Snapshot(format!(
+                "v{} checkpoint of '{}' does not fit its scenario: {e}",
+                snapshot.version, config.scenario_key
+            ))
+        })?;
+        let mut policy = paper_tuned_policy(&scenario, config.backend.as_deref())?;
         policy.restore(&snapshot.policy)?;
         let workload_feed =
             TraceWorkloadFeed::from_state(&scenario, workload_faults, &snapshot.workload_feed);
@@ -709,11 +698,7 @@ impl Stepper {
             held_offered: Held::from_snap(&snapshot.held_offered),
             held_prices: Held::from_snap(&snapshot.held_prices),
             step: snapshot.step,
-            last_power_mw: snapshot.last_power_mw.clone(),
-            accumulated_cost: snapshot.accumulated_cost,
-            latency_ok: snapshot.latency_ok,
-            offered_volume: snapshot.offered_volume,
-            shed_volume: snapshot.shed_volume,
+            plant,
             degraded_steps: snapshot.degraded_steps,
             power_mw: snapshot.power_mw.clone(),
             servers: snapshot.servers.clone(),
@@ -739,34 +724,64 @@ mod tests {
 
     #[test]
     fn fault_free_run_matches_batch_simulator_bit_for_bit() {
-        let config = StepperConfig::fault_free("smoothing", 2012);
-        let mut stepper = Stepper::new(config).unwrap();
-        stepper.run(&mut SimClock).unwrap();
-        assert_eq!(stepper.degraded_steps(), 0);
+        // Every registry scenario, capped so a debug-build run stays quick;
+        // 24 steps cross the 7H price flip and ratchet the billed peaks.
+        const STEPS: usize = 24;
+        for key in crate::registry::SCENARIO_KEYS {
+            let config = StepperConfig {
+                num_steps: Some(STEPS),
+                ..StepperConfig::fault_free(key, 2012)
+            };
+            let mut stepper = Stepper::new(config).unwrap();
+            stepper.run(&mut SimClock).unwrap();
+            assert_eq!(stepper.degraded_steps(), 0, "{key}");
 
-        let scenario = crate::registry::scenario_by_key("smoothing", 2012, None).unwrap();
-        let mut policy = MpcPolicy::paper_tuned(&scenario).unwrap();
-        let batch = Simulator::new().run(&scenario, &mut policy).unwrap();
+            let scenario = crate::registry::scenario_by_key(key, 2012, Some(STEPS)).unwrap();
+            let mut policy = MpcPolicy::paper_tuned(&scenario).unwrap();
+            let batch = Simulator::new().run(&scenario, &mut policy).unwrap();
 
-        assert_eq!(
-            stepper.cost_cumulative().len(),
-            batch.cost_cumulative().len()
-        );
-        for (a, b) in stepper
-            .cost_cumulative()
-            .iter()
-            .zip(batch.cost_cumulative())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for j in 0..3 {
-            assert_eq!(stepper.power_mw(j).len(), batch.power_mw(j).len());
-            for (a, b) in stepper.power_mw(j).iter().zip(batch.power_mw(j)) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(stepper.cost_cumulative()),
+                bits(batch.cost_cumulative()),
+                "{key}: cost"
+            );
+            for j in 0..batch.num_idcs() {
+                assert_eq!(
+                    bits(stepper.power_mw(j)),
+                    bits(batch.power_mw(j)),
+                    "{key}: power[{j}]"
+                );
+                assert_eq!(stepper.servers(j), batch.servers(j), "{key}: servers[{j}]");
             }
-            assert_eq!(stepper.servers(j), batch.servers(j));
+            assert_eq!(
+                stepper.latency_ok_fraction(),
+                batch.latency_ok_fraction(),
+                "{key}"
+            );
+            let plant = stepper.plant();
+            assert_eq!(
+                plant.demand_charge().is_some(),
+                scenario.demand_charge().is_some()
+            );
+            assert_eq!(
+                plant.demand_charge().unwrap_or(0.0).to_bits(),
+                batch.total_demand_charge().to_bits(),
+                "{key}: demand charge"
+            );
+            assert_eq!(plant.battery().is_some(), scenario.storage().is_some());
+            if let Some(battery) = plant.battery() {
+                let batch_soc: Vec<f64> = (0..batch.num_idcs())
+                    .map(|j| *batch.soc_mwh(j).unwrap().last().unwrap())
+                    .collect();
+                assert_eq!(bits(battery.soc_mwh()), bits(&batch_soc), "{key}: soc");
+                assert_eq!(
+                    battery.total_loss_mwh().to_bits(),
+                    batch.storage_loss_mwh().unwrap().to_bits(),
+                    "{key}: loss"
+                );
+            }
         }
-        assert_eq!(stepper.latency_ok_fraction(), batch.latency_ok_fraction());
     }
 
     #[test]

@@ -41,7 +41,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use idc_core::clock::{Clock, WallClock};
-use idc_testkit::faults::{FaultKind, FaultPlan};
 use serde::Serialize;
 
 use crate::error::Error;
@@ -83,10 +82,12 @@ impl TenantSpec {
     }
 }
 
-/// Scenario keys cycled by [`derive_tenants`]: the seven canned scenarios
-/// interleaved with parametric scaled fleets, so a derived population
-/// mixes sizes (2×2 up to 5×4), market models and fault layers.
-const DERIVE_MIX: [&str; 10] = [
+/// Scenario keys cycled by [`derive_tenants`]: nine of the canned
+/// scenarios — the battery (`storage_peak_shaving`) and the billed-peak
+/// tariff (`demand_charge`) among them — interleaved with parametric
+/// scaled fleets, so a derived population mixes sizes (2×2 up to 5×4),
+/// market models, plant features and fault layers.
+const DERIVE_MIX: [&str; 12] = [
     "smoothing",
     "noisy_day",
     "scaled_4x3",
@@ -97,14 +98,16 @@ const DERIVE_MIX: [&str; 10] = [
     "scaled_5x4",
     "smoothing_table_ii",
     "smoothing_faulty_price",
+    "storage_peak_shaving",
+    "demand_charge",
 ];
 
 /// Derives `n` heterogeneous tenant specs from `base_seed`: scenario keys
 /// cycle through [`DERIVE_MIX`], solver-backend labels alternate between
 /// the default and an explicit `banded`, every third tenant runs under
-/// transport feed faults, and every fifth under a
-/// [`FaultKind::TenantOverload`]-derived burst schedule with a matching
-/// ingest bound. `num_steps` overrides every tenant's run length (useful
+/// transport feed faults, and every fifth under an
+/// [`OverloadFaults::derived`] burst schedule with its matching ingest
+/// bound. `num_steps` overrides every tenant's run length (useful
 /// for multi-week soaks and fast tests alike). Deterministic: the same
 /// `(n, base_seed, num_steps)` always derives the same population.
 pub fn derive_tenants(n: usize, base_seed: u64, num_steps: Option<usize>) -> Vec<TenantSpec> {
@@ -121,12 +124,7 @@ pub fn derive_tenants(n: usize, base_seed: u64, num_steps: Option<usize>) -> Vec
                 config.price_faults = FeedFaults::new(seed ^ 0xBEEF, 0.10, 2);
             }
             if i % 5 == 4 {
-                let plan = FaultPlan::new(FaultKind::TenantOverload, seed);
-                let p = plan
-                    .overload_params()
-                    .expect("TenantOverload plans always derive params");
-                config.overload = OverloadFaults::new(p.seed, p.burst_per_mille, p.burst_factor);
-                config.ingest_bound = p.ingest_bound;
+                (config.overload, config.ingest_bound) = OverloadFaults::derived(seed);
             }
             TenantSpec {
                 id: format!("t-{i:03}"),

@@ -5,14 +5,17 @@
 //! step — through a full JSON round trip — restores a stepper whose
 //! remaining trajectory is bit-for-bit the uninterrupted one, under
 //! arbitrary fault schedules. Corrupt and truncated snapshots must be
-//! rejected with a clean error, never a panic.
+//! rejected with a clean error, never a panic. The plant's battery and
+//! demand-charge meter resume byte-identically too, and version-2
+//! checkpoints (written before the plant joined the resume state) restore
+//! exactly when their scenario has neither.
 
 use std::sync::Arc;
 
 use idc_runtime::feed::FeedFaults;
 use idc_runtime::http::MetricsServer;
 use idc_runtime::metrics::MetricsRegistry;
-use idc_runtime::snapshot::RuntimeSnapshot;
+use idc_runtime::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
 use idc_runtime::stepper::{Stepper, StepperConfig};
 use idc_runtime::Error;
 use idc_testkit::equivalence::bitwise_f64;
@@ -98,8 +101,130 @@ proptest! {
     }
 }
 
-/// A stepper wired to a registry and served over HTTP exposes the expected
-/// keys with values consistent with the stepper's own accounting.
+/// Runs `key` (capped at `steps`) under light feed faults, kills it at
+/// `kill_step`, resumes from a JSON round trip and checks the two runs end
+/// in equal snapshots. Returns the final snapshot.
+fn kill_and_resume(key: &str, steps: usize, kill_step: u64) -> RuntimeSnapshot {
+    let cfg = StepperConfig {
+        num_steps: Some(steps),
+        workload_faults: FeedFaults::new(11, 0.1, 1),
+        price_faults: FeedFaults::new(13, 0.1, 1),
+        max_staleness_ticks: 1,
+        ..StepperConfig::fault_free(key, 2012)
+    };
+    let mut live = Stepper::new(cfg).unwrap();
+    for _ in 0..kill_step {
+        live.step_once().unwrap();
+    }
+    let json = live.snapshot().to_json().unwrap();
+    let mut resumed = Stepper::restore(&RuntimeSnapshot::from_json(&json).unwrap()).unwrap();
+    while live.step_once().unwrap() {
+        assert!(resumed.step_once().unwrap());
+    }
+    assert!(!resumed.step_once().unwrap());
+    let end = live.snapshot();
+    assert_eq!(resumed.snapshot(), end, "{key}: resumed run diverged");
+    end
+}
+
+/// A battery tenant killed mid-run resumes with its state of charge,
+/// conversion losses and trajectory intact.
+#[test]
+fn storage_tenant_resumes_mid_run_byte_identically() {
+    let end = kill_and_resume("storage_peak_shaving", 25, 12);
+    let battery = end
+        .battery
+        .expect("storage scenario checkpoints its battery");
+    assert_eq!(battery.soc_mwh.len(), 3);
+    assert!(battery.loss_mwh > 0.0, "battery never moved");
+    assert!(end.demand_meter.is_none());
+}
+
+/// A tariffed tenant killed mid-run resumes with its billed peaks and
+/// accrued demand charge intact.
+#[test]
+fn demand_charge_tenant_resumes_mid_run_byte_identically() {
+    let end = kill_and_resume("demand_charge", 40, 17);
+    let meter = end
+        .demand_meter
+        .expect("tariffed scenario checkpoints its meter");
+    assert!(meter.accrued_dollars > 0.0);
+    assert!(meter.billed_peak_mw.iter().all(|&p| p > 0.0));
+    assert!(end.battery.is_none());
+}
+
+/// The snapshot of `key` at step 5, rewritten as a version-2 checkpoint:
+/// the version says 2 and the plant's battery and meter are absent.
+fn as_v2(key: &str) -> String {
+    let mut live = Stepper::new(StepperConfig {
+        num_steps: Some(12),
+        ..StepperConfig::fault_free(key, 2012)
+    })
+    .unwrap();
+    for _ in 0..5 {
+        live.step_once().unwrap();
+    }
+    let mut snapshot = live.snapshot();
+    snapshot.battery = None;
+    snapshot.demand_meter = None;
+    let json = snapshot.to_json().unwrap();
+    let current = format!("\"version\":{SNAPSHOT_VERSION},");
+    assert!(json.contains(&current));
+    for absent in ["\"battery\":null,", "\"demand_meter\":null,"] {
+        assert!(json.contains(absent), "{absent} not serialized");
+    }
+    json.replace(&current, "\"version\":2,")
+        .replace("\"battery\":null,", "")
+        .replace("\"demand_meter\":null,", "")
+}
+
+/// A v2 checkpoint of a storage-free, tariff-free scenario restores with
+/// an empty plant and resumes byte-identically.
+#[test]
+fn v2_checkpoint_without_plant_features_resumes_byte_identically() {
+    let legacy = as_v2("smoothing");
+    let snapshot = RuntimeSnapshot::from_json(&legacy).unwrap();
+    assert_eq!(snapshot.version, 2);
+    let mut resumed = Stepper::restore(&snapshot).unwrap();
+    let mut live = Stepper::new(StepperConfig {
+        num_steps: Some(12),
+        ..StepperConfig::fault_free("smoothing", 2012)
+    })
+    .unwrap();
+    for _ in 0..5 {
+        live.step_once().unwrap();
+    }
+    assert_eq!(resumed.snapshot(), live.snapshot());
+    while live.step_once().unwrap() {
+        assert!(resumed.step_once().unwrap());
+    }
+    assert_eq!(
+        resumed.snapshot().to_json().unwrap(),
+        live.snapshot().to_json().unwrap()
+    );
+}
+
+/// A v2 checkpoint of a storage or demand-charge scenario was metered
+/// without the plant: restoring it fails and names the missing state.
+#[test]
+fn v2_checkpoint_of_a_plant_scenario_names_the_missing_state() {
+    for (key, missing) in [
+        ("storage_peak_shaving", "battery state"),
+        ("demand_charge", "demand-charge meter"),
+        ("storage_plus_shifting", "battery state"),
+    ] {
+        let snapshot = RuntimeSnapshot::from_json(&as_v2(key)).unwrap();
+        match Stepper::restore(&snapshot) {
+            Err(Error::Snapshot(msg)) => {
+                assert!(msg.contains(missing), "{key}: {msg}");
+                assert!(msg.contains("v2"), "{key}: {msg}");
+            }
+            Err(e) => panic!("{key}: wrong error for a v2 plant checkpoint: {e}"),
+            Ok(_) => panic!("{key}: a v2 plant checkpoint must not restore"),
+        }
+    }
+}
+
 /// A checkpoint written under the retired `dense` backend label must fail
 /// to restore with a configuration error naming the label — never resume
 /// silently on some other backend.
@@ -165,6 +290,8 @@ fn v2_snapshot_with_sharded_era_fields_restores_or_names_the_label() {
     }
 }
 
+/// A stepper wired to a registry and served over HTTP exposes the expected
+/// keys with values consistent with the stepper's own accounting.
 #[test]
 fn metrics_endpoint_reflects_stepper_state() {
     let mut stepper = Stepper::new(StepperConfig::fault_free("smoothing", 2012)).unwrap();
@@ -198,6 +325,10 @@ fn metrics_endpoint_reflects_stepper_state() {
     ] {
         assert!(response.contains(key), "missing {key} in:\n{response}");
     }
+    // A storage-free, tariff-free tenant publishes no plant series.
+    for key in ["idc_battery_soc_mwh", "idc_demand_charge_dollars"] {
+        assert!(!response.contains(key), "unexpected {key} in:\n{response}");
+    }
     let cost_line = response
         .lines()
         .find(|l| l.starts_with("idc_accumulated_cost_dollars"))
@@ -209,4 +340,36 @@ fn metrics_endpoint_reflects_stepper_state() {
         .parse()
         .unwrap();
     assert_eq!(cost, stepper.accumulated_cost());
+}
+
+/// A tenant with a battery and a tariff publishes its per-IDC state of
+/// charge and its accrued demand charge, described, at the plant's values.
+#[test]
+fn plant_tenant_publishes_battery_and_demand_charge_series() {
+    let mut stepper = Stepper::new(StepperConfig {
+        num_steps: Some(6),
+        ..StepperConfig::fault_free("storage_plus_shifting", 2012)
+    })
+    .unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    stepper.attach_metrics(Arc::clone(&registry));
+    stepper.run(&mut idc_core::clock::SimClock).unwrap();
+
+    let plant = stepper.plant();
+    assert_eq!(
+        registry.gauge("idc_demand_charge_dollars"),
+        plant.demand_charge()
+    );
+    let soc = plant.battery().unwrap().soc_mwh();
+    for (j, idc) in stepper.scenario().fleet().idcs().iter().enumerate() {
+        let key = format!("idc_battery_soc_mwh{{idc=\"{}\"}}", idc.name());
+        assert_eq!(registry.gauge(&key), Some(soc[j]), "{key}");
+    }
+    let text = registry.render_prometheus();
+    for base in ["idc_battery_soc_mwh", "idc_demand_charge_dollars"] {
+        assert!(
+            text.contains(&format!("# HELP {base}")),
+            "{base} undescribed"
+        );
+    }
 }

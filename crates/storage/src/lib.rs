@@ -185,7 +185,15 @@ impl StorageState {
     /// entry is non-finite or outside its unit's `[0, capacity]`. The loss
     /// accumulator restarts at zero — losses are reporting, not dynamics.
     pub fn with_soc(fleet: &StorageFleet, soc_mwh: Vec<f64>) -> Option<Self> {
-        if soc_mwh.len() != fleet.num_idcs() {
+        Self::resume(fleet, soc_mwh, 0.0)
+    }
+
+    /// Like [`with_soc`](Self::with_soc), but also resumes the loss
+    /// accumulator at `total_loss_mwh` (a plant checkpoint reports losses
+    /// over the whole run). Returns `None` additionally when the loss is
+    /// negative or non-finite.
+    pub fn resume(fleet: &StorageFleet, soc_mwh: Vec<f64>, total_loss_mwh: f64) -> Option<Self> {
+        if soc_mwh.len() != fleet.num_idcs() || !(total_loss_mwh >= 0.0) {
             return None;
         }
         for (s, u) in soc_mwh.iter().zip(fleet.units()) {
@@ -193,9 +201,9 @@ impl StorageState {
                 return None;
             }
         }
-        Some(StorageState {
+        total_loss_mwh.is_finite().then_some(StorageState {
             soc_mwh,
-            total_loss_mwh: 0.0,
+            total_loss_mwh,
         })
     }
 

@@ -39,15 +39,6 @@ pub enum FaultKind {
     /// take its stability-rebuild path, with the plan unchanged (no
     /// fallback).
     ForcedRefactorization,
-    /// Burst feed arrivals exceeding a tenant's per-tick admission bound:
-    /// on derived ticks the feed delivers a burst of duplicate
-    /// observations, forcing the host's bounded ingest to shed the excess
-    /// and bump its shed counters. This is a *runtime-layer* fault — it
-    /// perturbs observation **delivery** to an online control loop, not
-    /// the scenario or the policy, so [`FaultPlan::apply`] returns `None`
-    /// and batch harnesses skip it; online hosts consume the derived
-    /// [`FaultPlan::overload_params`] instead.
-    TenantOverload,
     /// A battery/UPS outage: at 2–4 derived steps the storage actuator is
     /// unavailable and the policy must command zero rates (the gated QP
     /// caps collapse to zero) while the workload controller carries on. If
@@ -58,24 +49,14 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in matrix order.
-    pub const ALL: [FaultKind; 7] = [
+    pub const ALL: [FaultKind; 6] = [
         FaultKind::PriceSpike,
         FaultKind::PriceDropout,
         FaultKind::PredictionError,
         FaultKind::SolverFailure,
         FaultKind::ForcedRefactorization,
-        FaultKind::TenantOverload,
         FaultKind::BatteryOutage,
     ];
-
-    /// Whether this kind perturbs the *online delivery layer* rather than
-    /// the scenario/policy pair. Runtime-layer kinds cannot be expressed
-    /// on a batch simulation ([`FaultPlan::apply`] returns `None`); batch
-    /// fault matrices should skip them explicitly rather than treat the
-    /// `None` as a misconfigured base.
-    pub fn runtime_layer(&self) -> bool {
-        matches!(self, FaultKind::TenantOverload)
-    }
 
     /// Stable lowercase label (used in CI matrix output and parsing).
     pub fn label(&self) -> &'static str {
@@ -85,7 +66,6 @@ impl FaultKind {
             FaultKind::PredictionError => "prediction-error",
             FaultKind::SolverFailure => "solver-failure",
             FaultKind::ForcedRefactorization => "forced-refactorization",
-            FaultKind::TenantOverload => "tenant-overload",
             FaultKind::BatteryOutage => "battery-outage",
         }
     }
@@ -100,29 +80,6 @@ impl std::fmt::Display for FaultKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// Derived parameters of a [`FaultKind::TenantOverload`] plan, consumed
-/// by an online host's feed layer: on roughly `burst_per_mille`/1000 of
-/// ticks (drawn from a stream derived from `seed`) the feed delivers
-/// `burst_factor` duplicate observations *after* the genuine arrivals,
-/// and the host admits at most `ingest_bound` observations per feed per
-/// tick. `burst_factor > ingest_bound` always, so every burst tick sheds
-/// — and because the duplicates trail the genuine arrivals, a
-/// prefix-keeping bounded ingest sheds *only* duplicates on fault-free
-/// ticks, leaving the admitted trajectory byte-identical to the
-/// unbursted run while the shed counters prove the overload happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OverloadParams {
-    /// Seed of the burst-schedule stream (derived, not the plan seed).
-    pub seed: u64,
-    /// Per-mille probability that a tick bursts (200–400).
-    pub burst_per_mille: u16,
-    /// Duplicate observations appended on a burst tick; always exceeds
-    /// `ingest_bound`.
-    pub burst_factor: u16,
-    /// Per-tick, per-feed admission bound the host should enforce (2–4).
-    pub ingest_bound: usize,
 }
 
 /// A seeded, reproducible fault to apply to a base scenario.
@@ -171,47 +128,15 @@ impl FaultPlan {
         StdRng::seed_from_u64(self.seed ^ salt)
     }
 
-    /// Derives the burst/admission parameters of a
-    /// [`FaultKind::TenantOverload`] plan. `None` for every other kind.
-    /// Deterministic in the plan.
-    pub fn overload_params(&self) -> Option<OverloadParams> {
-        if self.kind != FaultKind::TenantOverload {
-            return None;
-        }
-        let mut rng = self.stream();
-        // Top 53 bits only: schedule seeds live in checkpoints, whose JSON
-        // number space is f64 — a full-range u64 would not round-trip.
-        let seed = rng.random::<u64>() >> 11;
-        let burst_per_mille = 200 + (rng.random::<u64>() % 201) as u16;
-        let ingest_bound = 2 + (rng.random::<u64>() % 3) as usize;
-        // Always over the bound: every burst tick must shed.
-        let burst_factor = ingest_bound as u16 + 4 + (rng.random::<u64>() % 5) as u16;
-        Some(OverloadParams {
-            seed,
-            burst_per_mille,
-            burst_factor,
-            ingest_bound,
-        })
-    }
-
     /// Derives the perturbed `(scenario, policy tuning)` pair from `base`.
     ///
     /// Deterministic: the same plan and base always produce identical
     /// output. Returns `None` when the fault does not apply to the base
     /// (price faults need trace-driven pricing, solver faults need at
-    /// least three steps, runtime-layer faults never apply — see
-    /// [`FaultKind::runtime_layer`]).
+    /// least three steps).
     pub fn apply(&self, base: &Scenario) -> Option<(Scenario, MpcPolicyConfig)> {
-        if self.kind.runtime_layer() {
-            return None;
-        }
         let mut rng = self.stream();
-        let mut config = MpcPolicyConfig {
-            budgets: base.budgets().cloned(),
-            storage: base.storage().cloned(),
-            demand_charge: base.demand_charge().copied(),
-            ..MpcPolicyConfig::default()
-        };
+        let mut config = MpcPolicyConfig::paper_tuned(base);
         let scenario = match self.kind {
             FaultKind::PriceSpike | FaultKind::PriceDropout => {
                 let trace = base.pricing().base_trace()?.clone();
@@ -300,8 +225,6 @@ impl FaultPlan {
                 config.battery_outage_steps = drawn;
                 scenario.with_name(format!("{}+{}#{}", base.name(), self.kind, self.seed))
             }
-            // Handled by the runtime_layer early return above.
-            FaultKind::TenantOverload => return None,
         };
         Some((scenario, config))
     }
@@ -352,46 +275,11 @@ mod tests {
         let base = smoothing_scenario();
         for kind in FaultKind::ALL {
             let plan = FaultPlan::new(kind, 11);
-            if kind.runtime_layer() {
-                // Delivery-layer faults have no batch expression; their
-                // derived parameters must still be reproducible.
-                assert!(plan.apply(&base).is_none());
-                assert_eq!(plan.overload_params(), plan.overload_params());
-                continue;
-            }
             let a = plan.apply(&base).unwrap();
             let b = plan.apply(&base).unwrap();
             assert_eq!(a.0.name(), b.0.name());
             assert_eq!(a.1, b.1, "{kind}: derived configs differ");
         }
-    }
-
-    #[test]
-    fn overload_params_are_in_range_and_decorrelated() {
-        let mut seen = std::collections::HashSet::new();
-        for seed in 0..50 {
-            let params = FaultPlan::new(FaultKind::TenantOverload, seed)
-                .overload_params()
-                .unwrap();
-            assert!((200..=400).contains(&params.burst_per_mille), "{params:?}");
-            assert!((2..=4).contains(&params.ingest_bound), "{params:?}");
-            // Every burst tick must overflow the bound.
-            assert!(
-                usize::from(params.burst_factor) > params.ingest_bound,
-                "{params:?}"
-            );
-            seen.insert(params.seed);
-        }
-        // Burst schedules across plan seeds are (overwhelmingly) distinct.
-        assert!(
-            seen.len() > 45,
-            "only {} distinct schedule seeds",
-            seen.len()
-        );
-        // Non-overload plans derive nothing.
-        assert!(FaultPlan::new(FaultKind::PriceSpike, 1)
-            .overload_params()
-            .is_none());
     }
 
     #[test]

@@ -14,11 +14,7 @@ const SEEDS: [u64; 3] = [7, 2012, 0xFEED];
 fn every_fault_cell_is_reproducible_and_degrades_gracefully() {
     let base = smoothing_scenario();
     let mut cells = 0usize;
-    let batch_kinds: Vec<FaultKind> = FaultKind::ALL
-        .into_iter()
-        .filter(|k| !k.runtime_layer())
-        .collect();
-    for kind in batch_kinds.iter().copied() {
+    for kind in FaultKind::ALL {
         for seed in SEEDS {
             let plan = FaultPlan::new(kind, seed);
             let first = plan.run(&base).expect("fault run");
@@ -45,25 +41,7 @@ fn every_fault_cell_is_reproducible_and_degrades_gracefully() {
             cells += 1;
         }
     }
-    assert_eq!(cells, batch_kinds.len() * SEEDS.len());
-}
-
-#[test]
-fn runtime_layer_kinds_have_no_batch_expression_but_reproducible_params() {
-    // Delivery-layer faults (tenant overload) perturb an online host's
-    // feed ingest, not a batch simulation: `apply`/`run` must refuse them
-    // while the derived burst parameters stay seed-reproducible — the
-    // online soak harness is what actually exercises them.
-    let base = smoothing_scenario();
-    for kind in FaultKind::ALL.into_iter().filter(|k| k.runtime_layer()) {
-        for seed in SEEDS {
-            let plan = FaultPlan::new(kind, seed);
-            assert!(plan.apply(&base).is_none(), "{kind} applied to a batch");
-            assert!(plan.run(&base).is_err(), "{kind} ran as a batch");
-            let params = plan.overload_params().expect("overload params");
-            assert_eq!(Some(params), plan.overload_params());
-        }
-    }
+    assert_eq!(cells, FaultKind::ALL.len() * SEEDS.len());
 }
 
 #[test]
@@ -140,7 +118,7 @@ fn fault_kinds_actually_change_the_trajectory() {
 #[test]
 fn distinct_seeds_give_distinct_disturbances() {
     let base = smoothing_scenario();
-    for kind in FaultKind::ALL.into_iter().filter(|k| !k.runtime_layer()) {
+    for kind in FaultKind::ALL {
         let a = FaultPlan::new(kind, SEEDS[0]).run(&base).expect("run");
         let b = FaultPlan::new(kind, SEEDS[1]).run(&base).expect("run");
         assert_ne!(
