@@ -3,14 +3,14 @@
 //!
 //! Extends the eq. 46 LP with per-region renewable generation: power drawn
 //! up to the renewable profile is free ("green"), the excess ("brown")
-//! pays the LMP. The LP then chases *momentarily green* regions in
+//! pays the LMP. The optimum then chases *momentarily green* regions in
 //! addition to cheap ones — answering \[6\]'s question of whether
 //! geographic load balancing can reduce brown-energy use.
 //!
 //! Formulation (variables `λij`, `m_j`, `brown_j`):
 //!
 //! ```text
-//! min  Σ_j Pr_j·brown_j + ε·Σ_j Pr_j·P_j(λ_j, m_j)
+//! min  Σ_j Pr_j·brown_j + ε·Σ_j |Pr_j|·P_j(λ_j, m_j)
 //! s.t. P_j(λ_j, m_j) − brown_j ≤ G_j          (brown covers the excess)
 //!      Σ_j λij = L_i,  λ_j ≤ µ_j m_j − 1/D_j,  m_j ≤ M_j,  all ≥ 0
 //! ```
@@ -18,11 +18,21 @@
 //! The `ε` term (ε = 1e-3) breaks the degeneracy of fully-green regions
 //! (otherwise any `m` between the required count and `M_j` would be
 //! optimal) while leaving the brown-cost ordering untouched.
+//!
+//! Every term grows with `P_j`, so `m_j` sits at its latency floor and
+//! IDC `j`'s cost is convex and piecewise linear in its total `Λ_j`: with
+//! `a_j` the power per request at the floor, a request costs
+//! `ε|Pr_j|·a_j` while the power stays under the renewable level `G_j` and
+//! `(max(Pr_j, 0) + ε|Pr_j|)·a_j` above it. The
+//! [merit-order fill](crate::reference) over those pieces is exact.
 
 use idc_datacenter::idc::IdcConfig;
 use idc_market::renewable::RenewableProfile;
-use idc_opt::linprog::LinearProgram;
 use idc_opt::{Error, Result};
+
+use crate::reference::{
+    crossing, floor_servers, idc_power_mw, merit_order, push_piece, validate_inputs, PowerCurve,
+};
 
 /// Tie-break weight on total power (see module docs).
 const EPSILON: f64 = 1e-3;
@@ -87,11 +97,14 @@ impl GreenReferenceSolution {
     }
 }
 
-/// Solves the green-aware reference LP at `hour` (profiles are hourly).
+/// Solves the green-aware reference problem at `hour` (profiles are
+/// hourly).
 ///
 /// # Errors
 ///
-/// * [`Error::DimensionMismatch`] on inconsistent input lengths.
+/// * [`Error::DimensionMismatch`] on inconsistent input lengths, a
+///   non-finite price, a negative or non-finite workload, or a negative or
+///   non-finite renewable availability.
 /// * [`Error::Infeasible`] when the workload exceeds fleet capacity.
 pub fn green_aware_reference(
     idcs: &[IdcConfig],
@@ -100,71 +113,54 @@ pub fn green_aware_reference(
     renewables: &[RenewableProfile],
     hour: f64,
 ) -> Result<GreenReferenceSolution> {
-    let n = idcs.len();
-    let c = offered.len();
-    if n == 0 || c == 0 || prices.len() != n || renewables.len() != n {
+    validate_inputs(idcs, offered, prices)?;
+    if renewables.len() != idcs.len() {
         return Err(Error::DimensionMismatch {
             what: format!(
-                "{n} IDCs, {c} portals, {} prices, {} renewable profiles",
-                prices.len(),
-                renewables.len()
+                "{} renewable profiles for {} IDCs",
+                renewables.len(),
+                idcs.len()
             ),
         });
     }
-
-    // Variables: λ (NC, IDC-major), m (N), brown (N).
-    let nv = n * c + 2 * n;
-    let b1 = |j: usize| idcs[j].pue() * idcs[j].server().b1() / 1e6;
-    let b0 = |j: usize| idcs[j].pue() * idcs[j].server().b0() / 1e6;
-
-    let mut cost = vec![0.0; nv];
-    for j in 0..n {
-        for i in 0..c {
-            cost[j * c + i] = EPSILON * prices[j].abs() * b1(j);
-        }
-        cost[n * c + j] = EPSILON * prices[j].abs() * b0(j);
-        cost[n * c + n + j] = prices[j].max(0.0); // brown pays the LMP
+    let available: Vec<f64> = renewables
+        .iter()
+        .map(|r| r.available_at_hour(hour))
+        .collect();
+    if available.iter().any(|g| !g.is_finite() || *g < 0.0) {
+        return Err(Error::DimensionMismatch {
+            what: "renewable availability must be finite and non-negative".into(),
+        });
     }
-    let mut lp = LinearProgram::minimize(cost);
 
-    for i in 0..c {
-        let mut row = vec![0.0; nv];
-        for j in 0..n {
-            row[j * c + i] = 1.0;
-        }
-        lp = lp.equality(row, offered[i]);
-    }
+    let mut pieces = Vec::with_capacity(2 * idcs.len());
     for (j, idc) in idcs.iter().enumerate() {
-        // Capacity: Σ λij − µ m ≤ −1/D.
-        let mut row = vec![0.0; nv];
-        for i in 0..c {
-            row[j * c + i] = 1.0;
-        }
-        row[n * c + j] = -idc.service_rate();
-        lp = lp.inequality(row, -1.0 / idc.latency_bound());
-        // Installed bound.
-        let mut row = vec![0.0; nv];
-        row[n * c + j] = 1.0;
-        lp = lp.inequality(row, idc.total_servers() as f64);
-        // Brown covers the excess: b1 λ + b0 m − brown ≤ G.
-        let mut row = vec![0.0; nv];
-        for i in 0..c {
-            row[j * c + i] = b1(j);
-        }
-        row[n * c + j] = b0(j);
-        row[n * c + n + j] = -1.0;
-        lp = lp.inequality(row, renewables[j].available_at_hour(hour));
+        let curve = PowerCurve::of(idc);
+        let cap = idc.max_workload();
+        let x = crossing(available[j], curve.p0, curve.a, 0.0, cap);
+        let tie_break = EPSILON * prices[j].abs();
+        push_piece(&mut pieces, j, 0.0, x, tie_break * curve.a);
+        push_piece(
+            &mut pieces,
+            j,
+            x,
+            cap,
+            (prices[j].max(0.0) + tie_break) * curve.a,
+        );
     }
-
-    let x = lp.solve()?.into_x();
-    let allocation = x[..n * c].to_vec();
-    let servers = x[n * c..n * c + n].to_vec();
-    let brown_mw = x[n * c + n..].to_vec();
-    let power_mw: Vec<f64> = (0..n)
-        .map(|j| {
-            let lam: f64 = allocation[j * c..(j + 1) * c].iter().sum();
-            b1(j) * lam + b0(j) * servers[j]
-        })
+    let (totals, allocation) = merit_order(idcs, offered, pieces)?;
+    let servers: Vec<f64> = idcs
+        .iter()
+        .zip(&totals)
+        .map(|(idc, &load)| floor_servers(idc, load))
+        .collect();
+    let power_mw: Vec<f64> = (0..idcs.len())
+        .map(|j| idc_power_mw(&idcs[j], totals[j], servers[j]))
+        .collect();
+    let brown_mw: Vec<f64> = power_mw
+        .iter()
+        .zip(&available)
+        .map(|(&p, &g)| (p - g).max(0.0))
         .collect();
     let green_mw: Vec<f64> = power_mw
         .iter()
@@ -275,6 +271,27 @@ mod tests {
         let idcs = paper_idcs();
         assert!(matches!(
             green_aware_reference(&idcs, &LOADS, &PRICES_6H, &[RenewableProfile::none()], 6.0),
+            Err(Error::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn non_finite_prices_and_negative_loads_are_rejected() {
+        let idcs = paper_idcs();
+        assert!(matches!(
+            green_aware_reference(
+                &idcs,
+                &LOADS,
+                &[f64::NAN, 30.26, 19.06],
+                &no_renewables(),
+                6.0
+            ),
+            Err(Error::DimensionMismatch { .. })
+        ));
+        let mut negative = LOADS;
+        negative[2] = -1.0;
+        assert!(matches!(
+            green_aware_reference(&idcs, &negative, &PRICES_6H, &no_renewables(), 6.0),
             Err(Error::DimensionMismatch { .. })
         ));
     }

@@ -13,13 +13,13 @@
 //!   (possibly budget-clamped) per-IDC power reference under workload
 //!   conservation, latency/capacity and non-negativity constraints, with
 //!   the input-rate penalty that smooths power demand,
-//! * [`warm_repair`] — the receding-horizon warm-start repair that keeps
-//!   every feasible MPC step warm-started, off the phase-1 LP,
-//! * [`green`] — the green-aware reference LP (renewables-first load
+//! * [`warm_repair`] — the receding-horizon warm-start repair that builds
+//!   the feasible start of every MPC solve, warm or cold,
+//! * [`green`] — the green-aware reference (renewables-first load
 //!   placement, the Liu et al. \[6\] extension),
 //! * [`mod@reference`] — the control-reference optimizer (paper eq. 46, the
-//!   Rao et al. INFOCOM'10 LP) and the peak-shaving clamp
-//!   `P_r = min(P_ro, P_rb)` of Sec. IV-D,
+//!   Rao et al. INFOCOM'10 LP, solved exactly by a merit-order fill) and
+//!   the peak-shaving clamp `P_r = min(P_ro, P_rb)` of Sec. IV-D,
 //! * [`stability`] — empirical closed-loop contraction checks in the
 //!   spirit of the constrained-MPC stability argument (Mayne et al. \[21\].).
 //!

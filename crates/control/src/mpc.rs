@@ -5,7 +5,7 @@
 //! eq. 42:
 //!
 //! * **tracking term** — per-IDC power over the prediction horizon β₁ must
-//!   follow the control reference (the LP optimum of eq. 46, clamped to the
+//!   follow the control reference (the optimum of eq. 46, clamped to the
 //!   power budget for peak shaving, Sec. IV-D);
 //! * **smoothing term** — per-IDC power *change* per control step is
 //!   penalized (the paper's `R`-weighted input penalty: "the power demand
@@ -594,8 +594,8 @@ impl MpcController {
 
         let skel = &mut self.cache.as_mut().expect("refreshed above").skeleton;
 
-        // ---- Solve: warm-started from the repaired point (skipping the
-        // phase-1 LP); by the full cold path as a last resort. ----
+        // ---- Solve: warm-started from the repaired point; once more from
+        // the repaired zero point if that start is rejected. ----
         self.timings.condense_ns += condense_start.elapsed().as_nanos() as u64;
         let solve_start = Instant::now();
         let span = Span::enter_cat("mpc.solve.warm", "solver");
@@ -603,17 +603,18 @@ impl MpcController {
         // order; convert the repaired warm point at the boundary.
         riccati::to_cumulative(nb, &self.warm_x, &mut self.warm_y);
         skel.to_qp_order(&self.warm_y, &mut self.warm_q);
-        let qp = skel.qp_mut();
-        let warm_res = qp.warm_start(&self.warm_q, &self.seed, &mut self.bws);
+        let warm_res = skel
+            .qp_mut()
+            .warm_start(&self.warm_q, &self.seed, &mut self.bws);
         drop(span);
         self.timings.solve_ns += solve_start.elapsed().as_nanos() as u64;
         let (solution, warm_started, warm_rejection) = match warm_res {
             Ok(sol) => (sol, has_base, None),
-            Err(_) => {
+            Err(err) => {
                 // The repair is feasible by construction whenever every
                 // stage's demand fits the fleet, so a rejection first
                 // checks the stage totals: an over-capacity forecast is
-                // certified infeasible without the phase-1 LP.
+                // certified infeasible outright.
                 if warm_repair::exceeds_fleet_capacity(
                     &self.eq_rhs,
                     &self.in_rhs,
@@ -622,6 +623,12 @@ impl MpcController {
                     forecast_scale(problem),
                 ) {
                     return Err(Error::Infeasible);
+                }
+                // Without a base the start already was the repaired zero
+                // point, so there is nothing to retry from: its error
+                // stands (`Infeasible` when the start itself was rejected).
+                if !has_base {
+                    return Err(err);
                 }
                 // Diagnose *why* the repaired point was rejected so the
                 // policy layer can stream an anomaly record — a warm step
@@ -635,9 +642,14 @@ impl MpcController {
                     beta2,
                     problem.storage.as_ref(),
                 );
+                // Cold retry: the repaired zero point, with no seed.
                 let solve_start = Instant::now();
                 let span = Span::enter_cat("mpc.solve.cold", "solver");
-                let sol = qp.solve_with(&mut self.bws);
+                self.warm_x.fill(0.0);
+                warm_repair::repair(problem, &mut self.warm_x, &mut self.repair);
+                riccati::to_cumulative(nb, &self.warm_x, &mut self.warm_y);
+                skel.to_qp_order(&self.warm_y, &mut self.warm_q);
+                let sol = skel.qp_mut().warm_start(&self.warm_q, &[], &mut self.bws);
                 drop(span);
                 self.timings.solve_ns += solve_start.elapsed().as_nanos() as u64;
                 (sol?, false, Some(rejection))
@@ -683,8 +695,7 @@ impl MpcController {
     /// receding horizon and repairs the shifted point back to feasibility
     /// with [`warm_repair::repair`]. Returns whether a usable previous
     /// solution existed. With no usable base the repair builds a feasible
-    /// point from all zeros, which lets even the "cold" solve skip the
-    /// phase-1 LP.
+    /// point from all zeros, which is where a cold solve starts.
     fn shift_and_repair_warm(&mut self, problem: &MpcProblem, n: usize, c: usize) -> bool {
         let beta2 = self.config.control_horizon;
         let nc = n * c;
@@ -1466,8 +1477,7 @@ mod tests {
         problem.prev_input = plan.next_input().to_vec();
 
         // Stage 1 asks for more than the 26 500 req/s the fleet can serve.
-        // The stage totals certify the infeasibility: no cold solve (and
-        // so no phase-1 LP) runs.
+        // The stage totals certify the infeasibility: no cold retry runs.
         let mut infeasible = problem.clone();
         infeasible.workload_forecast[1] = vec![30_000.0];
         let recorder = Arc::new(idc_obs::FlightRecorder::new(1024));
@@ -1490,6 +1500,37 @@ mod tests {
         assert!(plan.warm_rejection().is_none());
         let total: f64 = plan.next_input().iter().sum();
         assert!((total - 10_000.0).abs() < 1e-6, "total {total}");
+    }
+
+    #[test]
+    fn idc_without_servers_is_infeasible_from_the_repaired_point() {
+        // IDC 0 has no server on, so its capacity is φ₀ = −1/D₀ and no
+        // allocation satisfies it, yet every stage's total still fits the
+        // fleet: the stage-total certificate cannot fire.
+        let mut problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
+        let mut controller = MpcController::new(MpcConfig::default());
+        let plan = controller.plan(&problem).unwrap();
+        problem.prev_input = plan.next_input().to_vec();
+        problem.servers_on[0] = 0;
+        problem.capacities[0] = -1_000.0;
+        problem.capacities[1] = 12_000.0;
+        problem.workload_forecast = vec![vec![10_000.0]; 3];
+        // With a base: the shifted point and then, in the cold retry, the
+        // repaired zero point are rejected.
+        let recorder = Arc::new(idc_obs::FlightRecorder::new(1024));
+        idc_obs::bind_thread_recorder(Some(Arc::clone(&recorder)));
+        let res = controller.plan(&problem);
+        idc_obs::bind_thread_recorder(None);
+        assert!(matches!(res, Err(Error::Infeasible)), "{res:?}");
+        let spans: Vec<String> = recorder
+            .snapshot()
+            .into_iter()
+            .map(|e| e.name.into())
+            .collect();
+        assert!(spans.iter().any(|s| s == "mpc.solve.cold"), "{spans:?}");
+        // Without one: the repaired zero point is the only start.
+        let res = MpcController::new(MpcConfig::default()).plan(&problem);
+        assert!(matches!(res, Err(Error::Infeasible)), "{res:?}");
     }
 
     #[test]

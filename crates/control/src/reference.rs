@@ -12,6 +12,37 @@
 //!                 0 ≤ m_j ≤ M_j,  λij ≥ 0
 //! ```
 //!
+//! # Solving it by merit order
+//!
+//! Portals are interchangeable: only the conservation rows mention them.
+//! So IDC `j`'s cost depends only on its total `Λ_j`, and once `m_j` is
+//! chosen optimally for that total it is convex and piecewise linear in
+//! it, with at most three pieces. The optimum therefore fills the offered
+//! load into the pieces of every IDC in ascending order of marginal cost
+//! ($/h per req/s), each up to its width. This greedy fill is exact, not
+//! a heuristic, and needs no LP. With `a_j = b1_j + b0_j/µ_j` the power
+//! per request when `m_j` sits at its latency floor `(Λ_j + 1/D_j)/µ_j`:
+//!
+//! * `Pr_j ≥ 0`: `m_j` sits at its floor and every request costs
+//!   `Pr_j·a_j`;
+//! * `Pr_j < 0`: the operator is paid to consume, so `m_j = M_j` and a
+//!   request costs `Pr_j·b1_j`.
+//!
+//! The billed-peak demand charge ([`optimal_with_demand_charge`]) and the
+//! renewable-aware reference ([`crate::green`]) add one or two breakpoints
+//! per IDC; their pieces are listed where they are built.
+//!
+//! Ties in marginal cost go to the lower IDC index, then to the cheaper
+//! piece of the same IDC.
+//!
+//! # The portal split
+//!
+//! The per-IDC totals are unique when every price is positive and no two
+//! marginal costs tie; the per-portal split `λij` is not unique in
+//! general. Every reference here uses one rule, the northwest corner: the
+//! IDCs take their totals in merit order, each draining the portals in
+//! index order.
+//!
 //! Peak shaving (Sec. IV-D) replaces the reference power with
 //! `P_r = min(P_ro, P_rb)` where `P_rb` is the grid power budget — the MPC
 //! then tracks the clamped value, keeping demand under the budget.
@@ -19,7 +50,6 @@
 use idc_datacenter::idc::IdcConfig;
 use idc_datacenter::queueing;
 use idc_market::tariff::DemandCharge;
-use idc_opt::linprog::{LinearProgram, LpWorkspace};
 use idc_opt::{Error, Result};
 
 /// The optimizer's output: the cost-minimal operating point.
@@ -29,10 +59,6 @@ pub struct ReferenceSolution {
     servers: Vec<f64>,
     power_mw: Vec<f64>,
     cost_rate_per_hour: f64,
-    /// Dual of each IDC's `m_j ≤ M_j` row ($/h per extra installed
-    /// server; ≤ 0, and 0 where the bound is slack). Empty for solutions
-    /// not produced by the LP (the greedy reference).
-    server_shadow: Vec<f64>,
 }
 
 impl ReferenceSolution {
@@ -65,15 +91,6 @@ impl ReferenceSolution {
         self.cost_rate_per_hour
     }
 
-    /// Marginal value of installed capacity: `server_shadow()[j]` is the
-    /// change in optimal cost rate per additional installed server at IDC
-    /// `j` (≤ 0; 0 where `M_j` is not binding). Answers "where should the
-    /// operator build out?". Empty for the greedy reference, which carries
-    /// no dual information.
-    pub fn server_shadow(&self) -> &[f64] {
-        &self.server_shadow
-    }
-
     /// Per-IDC workload totals `λ_j` at the optimum.
     pub fn idc_workloads(&self, num_portals: usize) -> Vec<f64> {
         self.allocation
@@ -98,13 +115,15 @@ impl ReferenceSolution {
     }
 }
 
-/// Solves the reference LP (paper eq. 46) for the given IDCs, offered
-/// portal workloads and regional prices ($/MWh).
+/// Solves the reference problem (paper eq. 46) for the given IDCs, offered
+/// portal workloads and regional prices ($/MWh), by the merit-order fill
+/// of the [module docs](self).
 ///
 /// # Errors
 ///
-/// * [`Error::DimensionMismatch`] when `prices.len() != idcs.len()` or any
-///   input is empty.
+/// * [`Error::DimensionMismatch`] when `prices.len() != idcs.len()`, any
+///   input is empty, a price is not finite or a workload is negative or
+///   not finite.
 /// * [`Error::Infeasible`] when the offered workload exceeds the fleet's
 ///   latency-bounded capacity (the controllability condition fails).
 ///
@@ -128,143 +147,8 @@ pub fn optimal_reference(
     offered: &[f64],
     prices: &[f64],
 ) -> Result<ReferenceSolution> {
-    ReferenceSolver::new().optimal(idcs, offered, prices)
-}
-
-/// A stateful eq. 46 solver that reuses its LP structure and simplex
-/// workspace across calls.
-///
-/// For a fixed fleet the reference LP's constraint matrix never changes —
-/// only the objective (prices) and the equality right-hand sides (offered
-/// workloads) do. A policy solving the reference every sampling period
-/// (β₁ + 1 times per step with anticipatory references) should hold one of
-/// these instead of calling [`optimal_reference`], which rebuilds the LP
-/// and reallocates the simplex tableau from scratch on every call. Results
-/// are bit-identical either way — the cache changes where the numbers are
-/// stored, not what is computed.
-#[derive(Debug, Clone, Default)]
-pub struct ReferenceSolver {
-    ws: LpWorkspace,
-    cache: Option<LpCache>,
-    /// Separate cache for the demand-charge variant — its variable layout
-    /// (`[λ, m, M]`) and row set differ from the plain eq. 46 LP, so the
-    /// two must not evict each other when a policy interleaves them.
-    dc_cache: Option<LpCache>,
-}
-
-/// A built reference LP plus the fleet fingerprint it corresponds to.
-#[derive(Debug, Clone)]
-struct LpCache {
-    lp: LinearProgram,
-    /// Everything the constraint structure depends on: dimensions and the
-    /// per-IDC parameters baked into rows/bounds. Cost coefficients and
-    /// equality RHS are excluded — they are rewritten in place per call.
-    key: FleetKey,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct FleetKey {
-    n: usize,
-    c: usize,
-    per_idc: Vec<[f64; 6]>,
-}
-
-impl FleetKey {
-    fn of(idcs: &[IdcConfig], c: usize) -> Self {
-        FleetKey {
-            n: idcs.len(),
-            c,
-            per_idc: idcs
-                .iter()
-                .map(|idc| {
-                    [
-                        idc.service_rate(),
-                        idc.latency_bound(),
-                        idc.total_servers() as f64,
-                        idc.pue(),
-                        idc.server().b1(),
-                        idc.server().b0(),
-                    ]
-                })
-                .collect(),
-        }
-    }
-}
-
-impl ReferenceSolver {
-    /// Creates a solver with empty caches; they fill on first use.
-    pub fn new() -> Self {
-        ReferenceSolver::default()
-    }
-
-    /// Solves the reference LP (paper eq. 46), reusing cached structure.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`optimal_reference`].
-    pub fn optimal(
-        &mut self,
-        idcs: &[IdcConfig],
-        offered: &[f64],
-        prices: &[f64],
-    ) -> Result<ReferenceSolution> {
-        let n = idcs.len();
-        let c = offered.len();
-        if n == 0 || c == 0 || prices.len() != n {
-            return Err(Error::DimensionMismatch {
-                what: format!(
-                    "{n} IDCs, {c} portals, {} prices — all must be positive and consistent",
-                    prices.len()
-                ),
-            });
-        }
-        validate_finite(prices, offered)?;
-
-        let key = FleetKey::of(idcs, c);
-        let rebuild = !matches!(&self.cache, Some(cached) if cached.key == key);
-        if rebuild {
-            self.cache = Some(LpCache {
-                lp: build_reference_lp(idcs, c),
-                key,
-            });
-        }
-        let lp = &mut self.cache.as_mut().expect("cache filled above").lp;
-
-        // Re-price and update demands in place; constraint rows are fixed.
-        let cost = lp.cost_mut();
-        for j in 0..n {
-            let b1_mw = idcs[j].pue() * idcs[j].server().b1() / 1e6;
-            let b0_mw = idcs[j].pue() * idcs[j].server().b0() / 1e6;
-            for i in 0..c {
-                cost[j * c + i] = prices[j] * b1_mw;
-            }
-            cost[n * c + j] = prices[j] * b0_mw;
-        }
-        lp.eq_rhs_mut().copy_from_slice(offered);
-
-        let solution = lp.solve_with(&mut self.ws)?;
-        // Inequality rows were added as: n capacity rows, then n installed
-        // bounds — the latter's duals are the build-out shadow prices.
-        let server_shadow = solution.duals_ub()[n..2 * n].to_vec();
-        let x = solution.x();
-        let allocation = x[..n * c].to_vec();
-        let servers = x[n * c..].to_vec();
-        let power_mw: Vec<f64> = (0..n)
-            .map(|j| {
-                let lam: f64 = allocation[j * c..(j + 1) * c].iter().sum();
-                idcs[j].pue() * (idcs[j].server().b1() * lam + idcs[j].server().b0() * servers[j])
-                    / 1e6
-            })
-            .collect();
-        let cost_rate_per_hour = power_mw.iter().zip(prices).map(|(&p, &pr)| p * pr).sum();
-        Ok(ReferenceSolution {
-            allocation,
-            servers,
-            power_mw,
-            cost_rate_per_hour,
-            server_shadow,
-        })
-    }
+    validate_inputs(idcs, offered, prices)?;
+    Ok(solve_epigraph(idcs, offered, prices, 0.0, &vec![0.0; idcs.len()])?.reference)
 }
 
 /// The demand-charge-aware optimum: the eq. 46 operating point plus the
@@ -296,15 +180,41 @@ impl DemandChargeSolution {
     }
 
     /// Combined energy + amortized demand rate, in $/hour — the objective
-    /// the epigraph LP actually minimized.
+    /// of the epigraph problem.
     pub fn total_rate_per_hour(&self) -> f64 {
         self.reference.cost_rate_per_hour + self.demand_rate_per_hour
     }
 }
 
-/// Solves the demand-charge-aware reference LP once, building the
-/// structure from scratch. Stateful callers should use
-/// [`ReferenceSolver::optimal_with_demand_charge`].
+/// Solves the demand-charge-aware reference problem.
+///
+/// Extends eq. 46 with one epigraph variable `M_j` per IDC (the billed
+/// peak, per Wang et al. arXiv:1308.0585):
+///
+/// ```text
+/// min  Σ_j Pr_j·P_j(λ_j, m_j) + Σ_j w·M_j
+/// s.t. eq. 46 rows, plus
+///      P_j(λ_j, m_j) − M_j ≤ 0          (epigraph)
+///      M_j ≥ peak_so_far_j              (the period peak ratchets)
+/// ```
+///
+/// where `w` is the tariff's [`DemandCharge::hourly_weight`]. While the
+/// running peak exceeds the power an IDC would draw anyway, the `M_j`
+/// floor binds and routing load there costs no demand charge — the fill
+/// uses the ratchet before demand charges start steering load elsewhere.
+///
+/// Each IDC's cost is still convex and piecewise linear in its total, so
+/// the merit-order fill of the [module docs](self) stays exact. With the
+/// power `P_j` held at the running peak `P̂_j` at the breakpoints, its
+/// pieces are:
+///
+/// * `Pr_j ≥ 0`: `m_j` at its floor; `Pr_j·a_j` up to `P̂_j`, then
+///   `(Pr_j + w)·a_j`;
+/// * `Pr_j < 0 < Pr_j + w`: `Pr_j·b1_j` with `m_j = M_j` until the power
+///   reaches `P̂_j`, then 0 while `m_j` drops to hold the power at `P̂_j`,
+///   then `(Pr_j + w)·a_j` once `m_j` is at its floor;
+/// * `Pr_j + w ≤ 0`: `m_j = M_j`; `Pr_j·b1_j` up to `P̂_j`, then
+///   `(Pr_j + w)·b1_j`.
 ///
 /// # Errors
 ///
@@ -318,229 +228,105 @@ pub fn optimal_with_demand_charge(
     tariff: &DemandCharge,
     peak_so_far_mw: &[f64],
 ) -> Result<DemandChargeSolution> {
-    ReferenceSolver::new().optimal_with_demand_charge(idcs, offered, prices, tariff, peak_so_far_mw)
+    validate_inputs(idcs, offered, prices)?;
+    if peak_so_far_mw.len() != idcs.len() {
+        return Err(Error::DimensionMismatch {
+            what: format!("{} peaks for {} IDCs", peak_so_far_mw.len(), idcs.len()),
+        });
+    }
+    if peak_so_far_mw.iter().any(|p| !p.is_finite() || *p < 0.0) {
+        return Err(Error::DimensionMismatch {
+            what: "running peaks must be finite and non-negative".into(),
+        });
+    }
+    solve_epigraph(
+        idcs,
+        offered,
+        prices,
+        tariff.hourly_weight(),
+        peak_so_far_mw,
+    )
 }
 
-impl ReferenceSolver {
-    /// Solves the demand-charge-aware reference LP, reusing cached
-    /// structure.
-    ///
-    /// Extends eq. 46 with one epigraph variable `M_j` per IDC (the billed
-    /// peak, per Wang et al. arXiv:1308.0585):
-    ///
-    /// ```text
-    /// min  Σ_j Pr_j·P_j(λ_j, m_j) + Σ_j w_j·M_j
-    /// s.t. eq. 46 rows, plus
-    ///      P_j(λ_j, m_j) − M_j ≤ 0          (epigraph)
-    ///      M_j ≥ peak_so_far_j              (the period peak ratchets)
-    /// ```
-    ///
-    /// where `w_j` is the tariff's [`DemandCharge::hourly_weight`]. While
-    /// the running peak exceeds the power an IDC would draw anyway, the
-    /// `M_j` floor is binding and the marginal demand-charge price of
-    /// routing load there is zero — the LP happily fills up to the ratchet
-    /// before demand charges start steering load elsewhere.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`optimal_with_demand_charge`].
-    pub fn optimal_with_demand_charge(
-        &mut self,
-        idcs: &[IdcConfig],
-        offered: &[f64],
-        prices: &[f64],
-        tariff: &DemandCharge,
-        peak_so_far_mw: &[f64],
-    ) -> Result<DemandChargeSolution> {
-        let n = idcs.len();
-        let c = offered.len();
-        if n == 0 || c == 0 || prices.len() != n || peak_so_far_mw.len() != n {
-            return Err(Error::DimensionMismatch {
-                what: format!(
-                    "{n} IDCs, {c} portals, {} prices, {} peaks — all must be positive and consistent",
-                    prices.len(),
-                    peak_so_far_mw.len()
-                ),
-            });
+/// The epigraph problem of [`optimal_with_demand_charge`] at demand weight
+/// `weight` ($/MW/h); plain eq. 46 is `weight = 0`. Inputs are validated.
+fn solve_epigraph(
+    idcs: &[IdcConfig],
+    offered: &[f64],
+    prices: &[f64],
+    weight: f64,
+    peaks: &[f64],
+) -> Result<DemandChargeSolution> {
+    let mut pieces = Vec::with_capacity(3 * idcs.len());
+    for (j, idc) in idcs.iter().enumerate() {
+        let (pr, peak) = (prices[j], peaks[j]);
+        let curve = PowerCurve::of(idc);
+        let cap = idc.max_workload();
+        // Load at which each power line reaches the running peak.
+        let at_floor = |lo| crossing(peak, curve.p0, curve.a, lo, cap);
+        let at_max = crossing(peak, curve.b0 * curve.m_max, curve.b1, 0.0, cap);
+        if pr >= 0.0 {
+            let x = at_floor(0.0);
+            push_piece(&mut pieces, j, 0.0, x, pr * curve.a);
+            push_piece(&mut pieces, j, x, cap, (pr + weight) * curve.a);
+        } else if pr + weight > 0.0 {
+            let x = at_floor(at_max);
+            push_piece(&mut pieces, j, 0.0, at_max, pr * curve.b1);
+            push_piece(&mut pieces, j, at_max, x, 0.0);
+            push_piece(&mut pieces, j, x, cap, (pr + weight) * curve.a);
+        } else {
+            push_piece(&mut pieces, j, 0.0, at_max, pr * curve.b1);
+            push_piece(&mut pieces, j, at_max, cap, (pr + weight) * curve.b1);
         }
-        validate_finite(prices, offered)?;
-        if peak_so_far_mw.iter().any(|p| !p.is_finite() || *p < 0.0) {
-            return Err(Error::DimensionMismatch {
-                what: "running peaks must be finite and non-negative".into(),
-            });
-        }
-
-        let key = FleetKey::of(idcs, c);
-        let rebuild = !matches!(&self.dc_cache, Some(cached) if cached.key == key);
-        if rebuild {
-            self.dc_cache = Some(LpCache {
-                lp: build_demand_charge_lp(idcs, c),
-                key,
-            });
-        }
-        let lp = &mut self.dc_cache.as_mut().expect("cache filled above").lp;
-
-        // Re-price in place. Variables: [λ (n·c), m (n), M (n)].
-        let weight = tariff.hourly_weight();
-        let cost = lp.cost_mut();
-        for j in 0..n {
-            let b1_mw = idcs[j].pue() * idcs[j].server().b1() / 1e6;
-            let b0_mw = idcs[j].pue() * idcs[j].server().b0() / 1e6;
-            for i in 0..c {
-                cost[j * c + i] = prices[j] * b1_mw;
+    }
+    let (totals, allocation) = merit_order(idcs, offered, pieces)?;
+    let servers: Vec<f64> = idcs
+        .iter()
+        .enumerate()
+        .map(|(j, idc)| {
+            let (pr, load) = (prices[j], totals[j]);
+            let curve = PowerCurve::of(idc);
+            let floor = floor_servers(idc, load);
+            if pr >= 0.0 {
+                floor
+            } else if pr + weight <= 0.0 {
+                curve.m_max
+            } else if curve.b0 > 0.0 {
+                // Hold the power at the running peak where the servers
+                // allow it.
+                ((peaks[j] - curve.b1 * load) / curve.b0)
+                    .min(curve.m_max)
+                    .max(floor)
+            } else {
+                floor
             }
-            cost[n * c + j] = prices[j] * b0_mw;
-            cost[n * c + n + j] = weight;
-        }
-        lp.eq_rhs_mut().copy_from_slice(offered);
-        // Inequality rows: [latency (n) | installed (n) | epigraph (n) |
-        // peak floor (n)] — only the floor moves between calls.
-        let ineq = lp.ineq_rhs_mut();
-        for j in 0..n {
-            ineq[3 * n + j] = -peak_so_far_mw[j];
-        }
-
-        let solution = lp.solve_with(&mut self.ws)?;
-        let server_shadow = solution.duals_ub()[n..2 * n].to_vec();
-        let x = solution.x();
-        let allocation = x[..n * c].to_vec();
-        let servers = x[n * c..n * c + n].to_vec();
-        let billed_peak_mw = x[n * c + n..].to_vec();
-        let power_mw: Vec<f64> = (0..n)
-            .map(|j| {
-                let lam: f64 = allocation[j * c..(j + 1) * c].iter().sum();
-                idcs[j].pue() * (idcs[j].server().b1() * lam + idcs[j].server().b0() * servers[j])
-                    / 1e6
-            })
-            .collect();
-        let cost_rate_per_hour = power_mw.iter().zip(prices).map(|(&p, &pr)| p * pr).sum();
-        let demand_rate_per_hour = billed_peak_mw.iter().map(|&m| weight * m).sum();
-        Ok(DemandChargeSolution {
-            reference: ReferenceSolution {
-                allocation,
-                servers,
-                power_mw,
-                cost_rate_per_hour,
-                server_shadow,
-            },
-            billed_peak_mw,
-            demand_rate_per_hour,
         })
-    }
-}
-
-/// Builds the demand-charge epigraph LP structure. Cost coefficients, the
-/// equality RHS and the peak-floor RHS are rewritten per call.
-fn build_demand_charge_lp(idcs: &[IdcConfig], c: usize) -> LinearProgram {
-    let n = idcs.len();
-    // Variables: [λ (IDC-major, n·c), m (n), M (n)].
-    let nv = n * c + 2 * n;
-    let mut lp = LinearProgram::minimize(vec![0.0; nv]);
-
-    // Conservation per portal: Σ_j λij = L_i.
-    for i in 0..c {
-        let mut row = vec![0.0; nv];
-        for j in 0..n {
-            row[j * c + i] = 1.0;
-        }
-        lp = lp.equality(row, 0.0);
-    }
-    // Latency/capacity per IDC: Σ_i λij − µ_j m_j ≤ −1/D_j.
-    for (j, idc) in idcs.iter().enumerate() {
-        let mut row = vec![0.0; nv];
-        for i in 0..c {
-            row[j * c + i] = 1.0;
-        }
-        row[n * c + j] = -idc.service_rate();
-        lp = lp.inequality(row, -1.0 / idc.latency_bound());
-    }
-    // Installed bound: m_j ≤ M_j (installed servers).
-    for (j, idc) in idcs.iter().enumerate() {
-        let mut row = vec![0.0; nv];
-        row[n * c + j] = 1.0;
-        lp = lp.inequality(row, idc.total_servers() as f64);
-    }
-    // Epigraph: P_j(λ, m) − M_j ≤ 0, with P in MW.
-    for (j, idc) in idcs.iter().enumerate() {
-        let b1_mw = idc.pue() * idc.server().b1() / 1e6;
-        let b0_mw = idc.pue() * idc.server().b0() / 1e6;
-        let mut row = vec![0.0; nv];
-        for i in 0..c {
-            row[j * c + i] = b1_mw;
-        }
-        row[n * c + j] = b0_mw;
-        row[n * c + n + j] = -1.0;
-        lp = lp.inequality(row, 0.0);
-    }
-    // Ratchet floor: −M_j ≤ −peak_so_far_j (rewritten per call).
-    for j in 0..n {
-        let mut row = vec![0.0; nv];
-        row[n * c + n + j] = -1.0;
-        lp = lp.inequality(row, 0.0);
-    }
-    lp
-}
-
-/// Builds the eq. 46 constraint structure for a fleet. Cost coefficients
-/// and equality RHS are left zero — [`ReferenceSolver::optimal`] fills
-/// them in per call.
-fn build_reference_lp(idcs: &[IdcConfig], c: usize) -> LinearProgram {
-    let n = idcs.len();
-    // Variables: [λ_11…λ_C1, …, λ_1N…λ_CN, m_1…m_N] (IDC-major λ).
-    let nv = n * c + n;
-    let mut lp = LinearProgram::minimize(vec![0.0; nv]);
-
-    // Conservation per portal: Σ_j λij = L_i.
-    for i in 0..c {
-        let mut row = vec![0.0; nv];
-        for j in 0..n {
-            row[j * c + i] = 1.0;
-        }
-        lp = lp.equality(row, 0.0);
-    }
-    // Latency/capacity per IDC: Σ_i λij − µ_j m_j ≤ −1/D_j.
-    for (j, idc) in idcs.iter().enumerate() {
-        let mut row = vec![0.0; nv];
-        for i in 0..c {
-            row[j * c + i] = 1.0;
-        }
-        row[n * c + j] = -idc.service_rate();
-        lp = lp.inequality(row, -1.0 / idc.latency_bound());
-    }
-    // Installed bound: m_j ≤ M_j.
-    for (j, idc) in idcs.iter().enumerate() {
-        let mut row = vec![0.0; nv];
-        row[n * c + j] = 1.0;
-        lp = lp.inequality(row, idc.total_servers() as f64);
-    }
-    lp
-}
-
-/// Rejects non-finite prices or negative/non-finite workloads before they
-/// can poison a solver.
-fn validate_finite(prices: &[f64], offered: &[f64]) -> Result<()> {
-    if prices.iter().any(|p| !p.is_finite()) {
-        return Err(Error::DimensionMismatch {
-            what: "prices must be finite".into(),
-        });
-    }
-    if offered.iter().any(|l| !l.is_finite() || *l < 0.0) {
-        return Err(Error::DimensionMismatch {
-            what: "offered workloads must be finite and non-negative".into(),
-        });
-    }
-    Ok(())
+        .collect();
+    let reference = solution(idcs, prices, &totals, allocation, servers);
+    let billed_peak_mw: Vec<f64> = reference
+        .power_mw
+        .iter()
+        .zip(peaks)
+        .map(|(&p, &peak)| p.max(peak))
+        .collect();
+    let demand_rate_per_hour = billed_peak_mw.iter().map(|&m| weight * m).sum();
+    Ok(DemandChargeSolution {
+        reference,
+        billed_peak_mw,
+        demand_rate_per_hour,
+    })
 }
 
 /// The *price-greedy* reference: fills IDCs in ascending order of raw
 /// regional price, each to its latency-bounded capacity.
 ///
-/// This is **not** the optimum of eq. 46 — the LP weighs price by the
-/// power drawn per request (`Pr_j · peak/µ_j`) — but it is the policy the
+/// This is **not** the optimum of eq. 46 — that weighs price by the power
+/// drawn per request (`Pr_j · peak/µ_j`) — but it is the policy the
 /// paper's plotted "optimal method" trajectories actually follow (its
 /// Figs. 4–7 allocations track raw price rank, e.g. Minnesota saturated at
 /// 6H despite having the highest energy-per-request). The reproduction
-/// harness runs both and reports the gap.
+/// harness runs both and reports the gap. It is the merit-order fill with
+/// one piece per IDC, priced at the raw price, and the same portal split.
 ///
 /// # Errors
 ///
@@ -552,41 +338,88 @@ pub fn price_greedy_reference(
     offered: &[f64],
     prices: &[f64],
 ) -> Result<ReferenceSolution> {
-    let n = idcs.len();
-    let c = offered.len();
-    if n == 0 || c == 0 || prices.len() != n {
-        return Err(Error::DimensionMismatch {
-            what: format!(
-                "{n} IDCs, {c} portals, {} prices — all must be positive and consistent",
-                prices.len()
-            ),
+    validate_inputs(idcs, offered, prices)?;
+    let mut pieces = Vec::with_capacity(idcs.len());
+    for (j, idc) in idcs.iter().enumerate() {
+        push_piece(&mut pieces, j, 0.0, idc.max_workload(), prices[j]);
+    }
+    let (totals, allocation) = merit_order(idcs, offered, pieces)?;
+    // Eq. 35 with the latency head-room — kept even at zero load, exactly
+    // as eq. 30 requires, so greedy and optimal deployments are
+    // comparable.
+    let servers = idcs
+        .iter()
+        .zip(&totals)
+        .map(|(idc, &load)| floor_servers(idc, load))
+        .collect();
+    Ok(solution(idcs, prices, &totals, allocation, servers))
+}
+
+/// One linear piece of an IDC's cost in its total load: `width` req/s at
+/// `slope` $/h per req/s.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Piece {
+    idc: usize,
+    width: f64,
+    slope: f64,
+}
+
+/// Appends IDC `idc`'s piece over the load range `from..to` at `slope`,
+/// unless the range is empty.
+pub(crate) fn push_piece(pieces: &mut Vec<Piece>, idc: usize, from: f64, to: f64, slope: f64) {
+    if to > from {
+        pieces.push(Piece {
+            idc,
+            width: to - from,
+            slope,
         });
     }
-    validate_finite(prices, offered)?;
+}
+
+/// The merit-order fill: sorts `pieces` stably by slope (ties to the lower
+/// IDC, then the lower piece, which is the order they were pushed in),
+/// fills the offered load into them cheapest first and splits each IDC's
+/// total over the portals by the northwest-corner rule of the
+/// [module docs](self). Returns the per-IDC totals and the IDC-major
+/// allocation `λij`.
+///
+/// # Errors
+///
+/// [`Error::Infeasible`] when the offered load exceeds the fleet's
+/// latency-bounded capacity.
+pub(crate) fn merit_order(
+    idcs: &[IdcConfig],
+    offered: &[f64],
+    mut pieces: Vec<Piece>,
+) -> Result<(Vec<f64>, Vec<f64>)> {
+    let n = idcs.len();
+    let c = offered.len();
     let total: f64 = offered.iter().sum();
     let capacity: f64 = idcs.iter().map(|i| i.max_workload()).sum();
     if total > capacity {
         return Err(Error::Infeasible);
     }
+    pieces.sort_by(|a, b| a.slope.partial_cmp(&b.slope).expect("finite slopes"));
 
-    // IDC indices in ascending price order.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| prices[a].partial_cmp(&prices[b]).expect("finite prices"));
-
-    // Per-IDC targets: cheapest first, each filled to capacity.
-    let mut targets = vec![0.0; n];
+    let mut totals = vec![0.0; n];
     let mut remaining = total;
-    for &j in &order {
-        let take = remaining.min(idcs[j].max_workload());
-        targets[j] = take;
+    for p in &pieces {
+        let take = remaining.min(p.width);
+        totals[p.idc] += take;
         remaining -= take;
     }
 
-    // Split the targets back over portals in portal order.
+    // Northwest corner: IDCs in merit order (of their cheapest piece),
+    // each draining the portals in index order.
     let mut allocation = vec![0.0; n * c];
-    let mut portal_left: Vec<f64> = offered.to_vec();
-    for &j in &order {
-        let mut need = targets[j];
+    let mut portal_left = offered.to_vec();
+    let mut placed = vec![false; n];
+    for p in &pieces {
+        let j = p.idc;
+        if std::mem::replace(&mut placed[j], true) {
+            continue;
+        }
+        let mut need = totals[j];
         for i in 0..c {
             if need <= 0.0 {
                 break;
@@ -597,35 +430,106 @@ pub fn price_greedy_reference(
             need -= take;
         }
     }
+    Ok((totals, allocation))
+}
 
-    // Eq. 35 with the latency head-room — kept even at zero load, exactly
-    // as the LP's eq. 30 requires, so greedy and LP deployments are
-    // comparable.
-    let servers: Vec<f64> = (0..n)
-        .map(|j| {
-            queueing::fractional_servers_for_latency(
-                targets[j],
-                idcs[j].service_rate(),
-                idcs[j].latency_bound(),
-            )
-            .min(idcs[j].total_servers() as f64)
-        })
-        .collect();
-    let power_mw: Vec<f64> = (0..n)
-        .map(|j| {
-            idcs[j].pue()
-                * (idcs[j].server().b1() * targets[j] + idcs[j].server().b0() * servers[j])
-                / 1e6
-        })
+/// An IDC's power coefficients in MW (facility overhead included).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PowerCurve {
+    /// MW per req/s served.
+    pub(crate) b1: f64,
+    /// MW per server ON.
+    pub(crate) b0: f64,
+    /// MW per req/s with the servers at their latency floor.
+    pub(crate) a: f64,
+    /// MW at zero load with the servers at their latency floor.
+    pub(crate) p0: f64,
+    /// Installed servers `M_j`.
+    pub(crate) m_max: f64,
+}
+
+impl PowerCurve {
+    pub(crate) fn of(idc: &IdcConfig) -> Self {
+        let b1 = idc.pue() * idc.server().b1() / 1e6;
+        let b0 = idc.pue() * idc.server().b0() / 1e6;
+        PowerCurve {
+            b1,
+            b0,
+            a: b1 + b0 / idc.service_rate(),
+            p0: idc_power_mw(idc, 0.0, floor_servers(idc, 0.0)),
+            m_max: idc.total_servers() as f64,
+        }
+    }
+}
+
+/// The load in `[lo, hi]` at which the power line `intercept + slope·Λ`
+/// reaches `level`: `hi` when it stays below, `lo` when it starts at or
+/// above it.
+pub(crate) fn crossing(level: f64, intercept: f64, slope: f64, lo: f64, hi: f64) -> f64 {
+    if slope > 0.0 {
+        ((level - intercept) / slope).max(lo).min(hi)
+    } else if intercept < level {
+        hi
+    } else {
+        lo
+    }
+}
+
+/// Eq. 35's latency floor `(Λ + 1/D)/µ`, capped at the installed count.
+pub(crate) fn floor_servers(idc: &IdcConfig, load: f64) -> f64 {
+    queueing::fractional_servers_for_latency(load, idc.service_rate(), idc.latency_bound())
+        .min(idc.total_servers() as f64)
+}
+
+/// IDC power in MW at `load` req/s with `servers` ON.
+pub(crate) fn idc_power_mw(idc: &IdcConfig, load: f64, servers: f64) -> f64 {
+    idc.pue() * (idc.server().b1() * load + idc.server().b0() * servers) / 1e6
+}
+
+/// Assembles a solution from a fill and its server counts.
+fn solution(
+    idcs: &[IdcConfig],
+    prices: &[f64],
+    totals: &[f64],
+    allocation: Vec<f64>,
+    servers: Vec<f64>,
+) -> ReferenceSolution {
+    let power_mw: Vec<f64> = (0..idcs.len())
+        .map(|j| idc_power_mw(&idcs[j], totals[j], servers[j]))
         .collect();
     let cost_rate_per_hour = power_mw.iter().zip(prices).map(|(&p, &pr)| p * pr).sum();
-    Ok(ReferenceSolution {
+    ReferenceSolution {
         allocation,
         servers,
         power_mw,
         cost_rate_per_hour,
-        server_shadow: Vec::new(),
-    })
+    }
+}
+
+/// Rejects inconsistent dimensions, non-finite prices and
+/// negative/non-finite workloads before they reach the fill.
+pub(crate) fn validate_inputs(idcs: &[IdcConfig], offered: &[f64], prices: &[f64]) -> Result<()> {
+    let n = idcs.len();
+    let c = offered.len();
+    if n == 0 || c == 0 || prices.len() != n {
+        return Err(Error::DimensionMismatch {
+            what: format!(
+                "{n} IDCs, {c} portals, {} prices — all must be positive and consistent",
+                prices.len()
+            ),
+        });
+    }
+    if prices.iter().any(|p| !p.is_finite()) {
+        return Err(Error::DimensionMismatch {
+            what: "prices must be finite".into(),
+        });
+    }
+    if offered.iter().any(|l| !l.is_finite() || *l < 0.0) {
+        return Err(Error::DimensionMismatch {
+            what: "offered workloads must be finite and non-negative".into(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -642,7 +546,7 @@ mod tests {
         let idcs = paper_idcs();
         let sol = optimal_reference(&idcs, &PAPER_LOADS, &PRICES_6H).unwrap();
         let lam = sol.idc_workloads(5);
-        // The true LP ranks by Pr_j · (peak power / µ_j) — cost per unit of
+        // Eq. 46 ranks by Pr_j · (peak power / µ_j) — cost per unit of
         // workload — not by raw price: WI (3104) < MI (6165) < MN (6899).
         // Wisconsin and Michigan saturate their latency-bounded capacities
         // (34 000 and 59 000); Minnesota takes the remaining 7 000.
@@ -667,7 +571,7 @@ mod tests {
 
     #[test]
     fn six_to_seven_hour_transition_reshuffles_everything() {
-        // The 6H→7H price flip makes the LP move most of the load — the
+        // The 6H→7H price flip makes the optimum move most of the load — the
         // violent step the MPC is built to smooth.
         let idcs = paper_idcs();
         let at6 = optimal_reference(&idcs, &PAPER_LOADS, &PRICES_6H).unwrap();
@@ -683,7 +587,7 @@ mod tests {
         let idcs = paper_idcs();
         let sol = optimal_reference(&idcs, &PAPER_LOADS, &PRICES_6H).unwrap();
         // At the optimum m_j = λ_j/µ_j + 1/(µ_j·D_j) exactly (for positive
-        // prices the LP pushes m down to the constraint).
+        // prices m sits at its latency floor).
         let lam = sol.idc_workloads(5);
         for j in 0..3 {
             let expected = lam[j] / idcs[j].service_rate()
@@ -737,87 +641,6 @@ mod tests {
             "{} vs {prop_cost}",
             sol.cost_rate_per_hour()
         );
-    }
-
-    #[test]
-    fn server_shadow_prices_identify_the_buildout_target() {
-        let idcs = paper_idcs();
-        let sol = optimal_reference(&idcs, &PAPER_LOADS, &PRICES_6H).unwrap();
-        let shadow = sol.server_shadow();
-        // At 6H, Wisconsin and Michigan saturate their installed capacity
-        // (binding M) — extra servers there save money; Minnesota has
-        // slack capacity — zero marginal value.
-        assert!(shadow[2] < -1e-6, "WI shadow {shadow:?}");
-        assert!(shadow[0] < -1e-6, "MI shadow {shadow:?}");
-        assert!(shadow[1].abs() < 1e-9, "MN shadow {shadow:?}");
-        // Wisconsin (cheapest per request) is the best build-out target.
-        assert!(shadow[2] < shadow[0], "{shadow:?}");
-        // Greedy solutions carry no duals.
-        let greedy = price_greedy_reference(&idcs, &PAPER_LOADS, &PRICES_6H).unwrap();
-        assert!(greedy.server_shadow().is_empty());
-    }
-
-    #[test]
-    fn stateful_solver_matches_fresh_solves_across_price_flips() {
-        let idcs = paper_idcs();
-        let mut solver = ReferenceSolver::new();
-        // Interleave the 6H/7H regimes: the cached LP must be re-priced
-        // correctly every call, not just on the first.
-        for prices in [PRICES_6H, PRICES_7H, PRICES_6H, PRICES_7H] {
-            let cached = solver.optimal(&idcs, &PAPER_LOADS, &prices).unwrap();
-            let fresh = optimal_reference(&idcs, &PAPER_LOADS, &prices).unwrap();
-            assert_eq!(cached, fresh);
-        }
-        // Changing the offered workload only touches the equality RHS.
-        let half: Vec<f64> = PAPER_LOADS.iter().map(|l| l / 2.0).collect();
-        let cached = solver.optimal(&idcs, &half, &PRICES_6H).unwrap();
-        assert_eq!(cached, optimal_reference(&idcs, &half, &PRICES_6H).unwrap());
-    }
-
-    #[test]
-    fn stateful_solver_rebuilds_on_fleet_or_shape_change() {
-        let idcs = paper_idcs();
-        let mut solver = ReferenceSolver::new();
-        solver.optimal(&idcs, &PAPER_LOADS, &PRICES_6H).unwrap();
-        // Different portal count → different variable layout.
-        let one_portal = solver.optimal(&idcs, &[100_000.0], &PRICES_6H).unwrap();
-        assert_eq!(
-            one_portal,
-            optimal_reference(&idcs, &[100_000.0], &PRICES_6H).unwrap()
-        );
-        // Different fleet (subset) → different constraint rows.
-        let two = &idcs[..2];
-        let smaller = solver.optimal(two, &[50_000.0], &PRICES_6H[..2]).unwrap();
-        assert_eq!(
-            smaller,
-            optimal_reference(two, &[50_000.0], &PRICES_6H[..2]).unwrap()
-        );
-        // And back to the full fleet without stale structure.
-        let back = solver.optimal(&idcs, &PAPER_LOADS, &PRICES_7H).unwrap();
-        assert_eq!(
-            back,
-            optimal_reference(&idcs, &PAPER_LOADS, &PRICES_7H).unwrap()
-        );
-    }
-
-    #[test]
-    fn stateful_solver_validates_like_the_free_function() {
-        let mut solver = ReferenceSolver::new();
-        let idcs = paper_idcs();
-        assert!(matches!(
-            solver.optimal(&idcs, &[1.0], &[1.0, 2.0]),
-            Err(Error::DimensionMismatch { .. })
-        ));
-        assert!(solver.optimal(&[], &[1.0], &[]).is_err());
-        assert!(solver
-            .optimal(&idcs, &[1.0], &[f64::NAN, 1.0, 1.0])
-            .is_err());
-        assert!(matches!(
-            solver.optimal(&idcs, &[150_000.0], &PRICES_6H),
-            Err(Error::Infeasible)
-        ));
-        // Errors leave the solver usable.
-        assert!(solver.optimal(&idcs, &PAPER_LOADS, &PRICES_6H).is_ok());
     }
 
     #[test]
@@ -975,32 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn stateful_demand_charge_matches_fresh_and_coexists_with_plain() {
-        let idcs = paper_idcs();
-        let tariff = DemandCharge::typical_commercial();
-        let mut solver = ReferenceSolver::new();
-        let mut peaks = vec![0.0; 3];
-        for prices in [PRICES_6H, PRICES_7H, PRICES_6H] {
-            // Interleave plain and DC solves: separate caches, no eviction.
-            let plain = solver.optimal(&idcs, &PAPER_LOADS, &prices).unwrap();
-            assert_eq!(
-                plain,
-                optimal_reference(&idcs, &PAPER_LOADS, &prices).unwrap()
-            );
-            let cached = solver
-                .optimal_with_demand_charge(&idcs, &PAPER_LOADS, &prices, &tariff, &peaks)
-                .unwrap();
-            let fresh =
-                optimal_with_demand_charge(&idcs, &PAPER_LOADS, &prices, &tariff, &peaks).unwrap();
-            assert_eq!(cached, fresh);
-            // Ratchet the running peaks like a billing period would.
-            for (p, &m) in peaks.iter_mut().zip(cached.reference().power_mw()) {
-                *p = p.max(m);
-            }
-        }
-    }
-
-    #[test]
     fn demand_charge_validates_peaks() {
         let idcs = paper_idcs();
         let tariff = DemandCharge::typical_commercial();
@@ -1027,9 +824,69 @@ mod tests {
     }
 
     #[test]
+    fn equal_marginal_costs_fill_the_lower_idc_first() {
+        // Three copies of one IDC at one price: every piece ties, so the
+        // fill saturates IDC 0, then IDC 1, and leaves IDC 2 idle.
+        let idc = paper_idcs()[0].clone();
+        let idcs = vec![idc.clone(), idc.clone(), idc];
+        let cap = idcs[0].max_workload();
+        let offered = [0.75 * cap, 0.75 * cap];
+        for sol in [
+            optimal_reference(&idcs, &offered, &[40.0; 3]).unwrap(),
+            price_greedy_reference(&idcs, &offered, &[40.0; 3]).unwrap(),
+        ] {
+            let lam = sol.idc_workloads(2);
+            assert_eq!(lam, vec![cap, 0.5 * cap, 0.0]);
+        }
+    }
+
+    #[test]
+    fn portal_split_is_the_northwest_corner_in_merit_order() {
+        // 6H, greedy order WI, MN, MI: Wisconsin drains portals 0 and 1
+        // (30 000 + 4 000 of 15 000), Minnesota the rest of portal 1 and
+        // portals 2–3 up to its 49 000, Michigan the remainder.
+        let idcs = paper_idcs();
+        let sol = price_greedy_reference(&idcs, &PAPER_LOADS, &PRICES_6H).unwrap();
+        let a = sol.allocation();
+        assert_eq!(&a[10..15], &[30_000.0, 4_000.0, 0.0, 0.0, 0.0]);
+        assert_eq!(&a[5..10], &[0.0, 11_000.0, 15_000.0, 20_000.0, 3_000.0]);
+        assert_eq!(&a[0..5], &[0.0, 0.0, 0.0, 0.0, 17_000.0]);
+        // Eq. 46 ranks WI, MI, MN at 6H, and splits in that order.
+        let sol = optimal_reference(&idcs, &PAPER_LOADS, &PRICES_6H).unwrap();
+        let a = sol.allocation();
+        assert_eq!(&a[10..15], &[30_000.0, 4_000.0, 0.0, 0.0, 0.0]);
+        assert_eq!(&a[0..5], &[0.0, 11_000.0, 15_000.0, 20_000.0, 13_000.0]);
+        assert_eq!(&a[5..10], &[0.0, 0.0, 0.0, 0.0, 7_000.0]);
+    }
+
+    #[test]
+    fn negative_price_under_a_tariff_holds_power_at_the_ratchet() {
+        // Paid to consume, but a fresh MW of peak costs more than the
+        // credit: Wisconsin runs every server until its power reaches the
+        // running peak (at 12 963 req/s), then sheds servers to hold the
+        // power there (until 24 014 req/s, where they reach their floor).
+        let idcs = paper_idcs();
+        let tariff = DemandCharge::new(50_000.0, 720.0).unwrap();
+        let prices = [43.26, 30.26, -21.3];
+        assert!(prices[2] + tariff.hourly_weight() > 0.0);
+        let peaks = [0.0, 0.0, 4.0];
+        let dc = optimal_with_demand_charge(&idcs, &[20_000.0], &prices, &tariff, &peaks).unwrap();
+        let wi = &idcs[2];
+        assert_eq!(dc.reference().idc_workloads(1), vec![0.0, 0.0, 20_000.0]);
+        let m = dc.reference().servers()[2];
+        assert!(
+            m < wi.total_servers() as f64 - 1.0,
+            "m {m} at the installed count"
+        );
+        assert!(m > floor_servers(wi, 20_000.0) + 1.0, "m {m} at its floor");
+        assert!((dc.reference().power_mw()[2] - 4.0).abs() < 1e-9);
+        assert!((dc.billed_peak_mw()[2] - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn negative_price_turns_everything_on() {
-        // Wisconsin's Fig. 2 negative-price dip: the LP runs all servers
-        // there (being paid to consume).
+        // Wisconsin's Fig. 2 negative-price dip: the optimum runs all
+        // servers there (being paid to consume).
         let idcs = paper_idcs();
         let sol = optimal_reference(&idcs, &PAPER_LOADS, &[43.26, 30.26, -21.3]).unwrap();
         assert!((sol.servers()[2] - 20_000.0).abs() < 1e-6);

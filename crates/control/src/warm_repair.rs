@@ -8,7 +8,7 @@
 //! moves server counts) and new battery state. [`repair`] rewrites the
 //! shifted point, stage by stage, into one that satisfies every constraint
 //! of the new step, so the solver never has to find a feasible point
-//! itself — the dense phase-1 LP behind a cold solve stays off the step.
+//! itself. A cold solve starts from the repair of the zero point.
 //!
 //! # The repair
 //!
@@ -49,9 +49,11 @@
 //! exact feasibility.
 //!
 //! A step that breaks the capacity premise is infeasible; the controller
-//! certifies that with [`exceeds_fleet_capacity`] on the stage totals and
-//! keeps the phase-1 LP only as the last-resort certificate for data
-//! outside the premise (negative forecasts, say).
+//! certifies that with [`exceeds_fleet_capacity`] on the stage totals.
+//! For data outside the premise — a negative capacity `φ_j = −1/D_j` on an
+//! IDC with no server on, say — the repaired point stays infeasible, the
+//! solver rejects it as a start, and the controller reports the step
+//! infeasible.
 
 use crate::mpc::MpcProblem;
 

@@ -16,7 +16,7 @@
 //! * [`config`] — the evaluation setups of Tables I–III, both as printed
 //!   and in the calibrated variant that matches the plotted figures,
 //! * [`policy`] — the [`policy::MpcPolicy`] (the paper's contribution) and
-//!   the [`policy::OptimalPolicy`] baselines (the true eq. 46 LP and the
+//!   the [`policy::OptimalPolicy`] baselines (the exact eq. 46 optimum and the
 //!   price-greedy variant the paper's plots follow),
 //! * [`plant`] — the per-step plant kernel (admission, decision
 //!   validation, battery, metering, cost and demand-charge accounting)

@@ -6,7 +6,7 @@ use idc_control::mpc::{
     MpcConfig, MpcController, MpcProblem, StorageProblem, WarmRejection, WarmStateData,
 };
 use idc_control::reference::{
-    optimal_reference, price_greedy_reference, ReferenceSolution, ReferenceSolver,
+    optimal_reference, optimal_with_demand_charge, price_greedy_reference, ReferenceSolution,
 };
 use idc_datacenter::allocation::Allocation;
 use idc_datacenter::idc::IdcConfig;
@@ -74,7 +74,8 @@ pub trait Policy {
 /// Which reference problem defines "optimal".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReferenceKind {
-    /// The true LP of paper eq. 46 (cost per request = `Pr_j·peak/µ_j`).
+    /// The exact optimum of paper eq. 46 (cost per request =
+    /// `Pr_j·peak/µ_j`), by merit order.
     LpOptimal,
     /// Greedy filling by raw regional price — the policy the paper's
     /// plotted "optimal method" trajectories follow.
@@ -98,44 +99,14 @@ impl ReferenceKind {
             ReferenceKind::PriceGreedy => price_greedy_reference(idcs, offered, prices),
         }
     }
-
-    /// Solves the associated reference problem through a stateful
-    /// [`ReferenceSolver`], reusing its cached LP structure and simplex
-    /// workspace (no-op for the LP-free greedy reference). Same results as
-    /// [`ReferenceKind::solve`], without the per-call allocations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the optimizer's failure modes (infeasibility etc.).
-    pub fn solve_with(
-        &self,
-        solver: &mut ReferenceSolver,
-        idcs: &[IdcConfig],
-        offered: &[f64],
-        prices: &[f64],
-    ) -> idc_opt::Result<ReferenceSolution> {
-        match self {
-            ReferenceKind::LpOptimal => solver.optimal(idcs, offered, prices),
-            ReferenceKind::PriceGreedy => price_greedy_reference(idcs, offered, prices),
-        }
-    }
 }
 
 /// The baseline of Rao et al. (INFOCOM'10): re-solve the instantaneous
 /// cost minimum every step and jump straight to it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimalPolicy {
     kind: ReferenceKind,
     name: String,
-    solver: ReferenceSolver,
-}
-
-impl PartialEq for OptimalPolicy {
-    /// Two baselines are equal when they solve the same reference problem;
-    /// the solver's scratch caches carry no behavioural state.
-    fn eq(&self, other: &Self) -> bool {
-        self.kind == other.kind
-    }
 }
 
 impl OptimalPolicy {
@@ -148,7 +119,6 @@ impl OptimalPolicy {
         OptimalPolicy {
             kind,
             name: name.into(),
-            solver: ReferenceSolver::new(),
         }
     }
 
@@ -164,9 +134,7 @@ impl Policy for OptimalPolicy {
     }
 
     fn decide(&mut self, ctx: &StepContext<'_>) -> Result<Decision> {
-        let reference =
-            self.kind
-                .solve_with(&mut self.solver, ctx.idcs, &ctx.offered, &ctx.prices)?;
+        let reference = self.kind.solve(ctx.idcs, &ctx.offered, &ctx.prices)?;
         let servers_on = reference.servers_ceil(ctx.idcs);
         let allocation = Allocation::from_control_vector(
             ctx.offered.len(),
@@ -273,7 +241,7 @@ pub struct MpcPolicyConfig {
     /// An inert fleet is normalized to `None` at construction.
     pub storage: Option<StorageFleet>,
     /// Billed-peak demand charge. When set, the reference is solved with
-    /// the demand-charge-aware epigraph LP against the period's running
+    /// the demand-charge-aware epigraph problem against the period's running
     /// peaks instead of [`reference`](Self::reference)'s plain problem.
     pub demand_charge: Option<DemandCharge>,
     /// Steps at which every battery's charge/discharge rate caps are
@@ -355,9 +323,6 @@ pub struct MpcPolicy {
     config: MpcPolicyConfig,
     controller: MpcController,
     predictors: Vec<WorkloadPredictor>,
-    /// Reference-LP solver with cached structure and simplex workspace,
-    /// reused across every reference solve the policy performs.
-    ref_solver: ReferenceSolver,
     /// `(U(k−1), m(k−1))` once initialized.
     state: Option<(Vec<f64>, Vec<u64>)>,
     /// Total wall-clock nanoseconds spent inside [`Policy::decide`].
@@ -386,7 +351,7 @@ pub struct MpcPolicy {
     /// signal rather than dragging the baseline with them.
     price_ewma: Option<Vec<f64>>,
     /// Per-IDC running billed peak of *grid* draw this billing period
-    /// (MW), fed to the demand-charge epigraph LP and to the peak-shaving
+    /// (MW), fed to the demand-charge epigraph problem and to the peak-shaving
     /// reference shaping.
     peak_so_far_mw: Vec<f64>,
 }
@@ -429,7 +394,6 @@ impl MpcPolicy {
             config,
             controller,
             predictors: Vec::new(),
-            ref_solver: ReferenceSolver::new(),
             state: None,
             decide_ns: 0,
             problem_log: Vec::new(),
@@ -542,24 +506,21 @@ impl MpcPolicy {
         ((budget_mw / per_server_mw).floor().max(0.0) as u64).min(idc.total_servers())
     }
 
-    /// Solves the operating-point reference: the demand-charge epigraph LP
-    /// against the billing period's running peaks when a tariff is
+    /// Solves the operating-point reference: the demand-charge epigraph
+    /// problem against the billing period's running peaks when a tariff is
     /// configured, the configured plain reference otherwise.
     fn reference_for(
-        &mut self,
+        &self,
         idcs: &[IdcConfig],
         offered: &[f64],
         prices: &[f64],
     ) -> idc_opt::Result<ReferenceSolution> {
         match self.config.demand_charge {
-            Some(tariff) => self
-                .ref_solver
-                .optimal_with_demand_charge(idcs, offered, prices, &tariff, &self.peak_so_far_mw)
-                .map(|s| s.reference().clone()),
-            None => self
-                .config
-                .reference
-                .solve_with(&mut self.ref_solver, idcs, offered, prices),
+            Some(tariff) => {
+                optimal_with_demand_charge(idcs, offered, prices, &tariff, &self.peak_so_far_mw)
+                    .map(|s| s.reference().clone())
+            }
+            None => self.config.reference.solve(idcs, offered, prices),
         }
     }
 

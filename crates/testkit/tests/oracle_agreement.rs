@@ -5,16 +5,23 @@
 //! the brute-force cost bounded without ever sampling the same steps twice
 //! across runs.
 
+use idc_control::green::green_aware_reference;
 use idc_control::mpc::{
     MpcConfig, MpcController, MpcPlan, MpcProblem, SolverBackend, StorageProblem,
 };
+use idc_control::reference::{optimal_reference, optimal_with_demand_charge};
 use idc_core::policy::{MpcPolicy, MpcPolicyConfig};
 use idc_core::scenario::{
     peak_shaving_scenario, smoothing_scenario, storage_peak_shaving_scenario, Scenario,
 };
 use idc_core::simulation::Simulator;
+use idc_datacenter::idc::IdcConfig;
+use idc_datacenter::server::ServerSpec;
+use idc_market::renewable::RenewableProfile;
+use idc_market::tariff::DemandCharge;
 use idc_testkit::oracle::{
-    horizon_power_sum_mw, qp_feasible, qp_objective, reference_lp_oracle, replay_qp, AGREEMENT_TOL,
+    demand_charge_lp_oracle, green_lp_oracle, horizon_power_sum_mw, qp_feasible, qp_objective,
+    reference_lp_oracle, replay_qp, LpPoint, AGREEMENT_TOL, GREEN_EPSILON,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
@@ -162,6 +169,172 @@ fn lp_oracle_agrees_with_production_reference_on_simulated_prices() {
             oracle.objective,
             prod.cost_rate_per_hour()
         );
+    }
+}
+
+/// Agreement demanded between the merit-order references and the LP
+/// oracles: relative on the objective, × fleet capacity on the totals.
+const REFERENCE_TOL: f64 = 1e-9;
+
+/// One random reference instance: 2–12 IDCs, 3–19 portals, offered load
+/// 5–95 % of the fleet's capacity, prices in [−10, 90] $/MWh with about
+/// one in six exactly zero, and per IDC a running peak and a renewable
+/// level anywhere between zero and its full-load power.
+struct ReferenceInstance {
+    idcs: Vec<IdcConfig>,
+    offered: Vec<f64>,
+    prices: Vec<f64>,
+    peaks_mw: Vec<f64>,
+    renewable_mw: Vec<f64>,
+    capacity: f64,
+}
+
+fn reference_instance(seed: u64) -> ReferenceInstance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = 2 + (rng.random::<u64>() % 11) as usize;
+    let c = 3 + (rng.random::<u64>() % 17) as usize;
+    let idcs: Vec<IdcConfig> = (0..n)
+        .map(|j| {
+            let idle = rng.random_range(50.0, 200.0);
+            let peak = idle + rng.random_range(20.0, 200.0);
+            let server = ServerSpec::new(idle, peak, rng.random_range(0.5, 3.0)).unwrap();
+            let servers = 5_000 + rng.random::<u64>() % 40_000;
+            IdcConfig::new(
+                format!("idc-{j}"),
+                servers,
+                server,
+                rng.random_range(0.001, 0.01),
+            )
+            .unwrap()
+            .with_pue(rng.random_range(1.0, 1.8))
+            .unwrap()
+        })
+        .collect();
+    let capacity: f64 = idcs.iter().map(IdcConfig::max_workload).sum();
+    let load = capacity * rng.random_range(0.05, 0.95);
+    let weights: Vec<f64> = (0..c).map(|_| rng.random_range(0.1, 1.0)).collect();
+    let total_weight: f64 = weights.iter().sum();
+    let offered = weights.iter().map(|w| load * w / total_weight).collect();
+    let prices = (0..n)
+        .map(|_| {
+            if rng.random::<u64>() % 6 == 0 {
+                0.0
+            } else {
+                rng.random_range(-10.0, 90.0)
+            }
+        })
+        .collect();
+    let full_power: Vec<f64> = idcs
+        .iter()
+        .map(|idc| {
+            idc.pue()
+                * (idc.server().b1() * idc.max_workload()
+                    + idc.server().b0() * idc.total_servers() as f64)
+                / 1e6
+        })
+        .collect();
+    let peaks_mw = full_power
+        .iter()
+        .map(|p| p * rng.random_range(0.0, 1.0))
+        .collect();
+    let renewable_mw = full_power
+        .iter()
+        .map(|p| p * rng.random_range(0.0, 1.0))
+        .collect();
+    ReferenceInstance {
+        idcs,
+        offered,
+        prices,
+        peaks_mw,
+        renewable_mw,
+        capacity,
+    }
+}
+
+/// Checks a merit-order reference against its LP oracle: the objectives
+/// agree to [`REFERENCE_TOL`] relative and, where every price is positive
+/// (so the per-IDC totals are unique), so do the totals, to
+/// [`REFERENCE_TOL`] × fleet capacity. With a price at or below zero, ties
+/// leave the totals free at equal cost.
+fn check_reference(
+    inst: &ReferenceInstance,
+    objective: f64,
+    totals: &[f64],
+    oracle: Option<LpPoint>,
+) -> Result<(), String> {
+    let oracle = oracle.ok_or("oracle LP failed on a feasible instance")?;
+    let rel = rel_diff(objective, oracle.objective);
+    if rel > REFERENCE_TOL {
+        return Err(format!(
+            "objective {objective:.12e} vs oracle {:.12e} (rel {rel:.3e})",
+            oracle.objective
+        ));
+    }
+    if inst.prices.iter().all(|&p| p > 0.0) {
+        let c = inst.offered.len();
+        for (j, &total) in totals.iter().enumerate() {
+            let lp: f64 = oracle.x[j * c..(j + 1) * c].iter().sum();
+            if (total - lp).abs() > REFERENCE_TOL * inst.capacity {
+                return Err(format!("IDC {j}: total {total} vs oracle {lp}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Plain eq. 46: the merit-order fill against the oracle's simplex.
+    #[test]
+    fn merit_order_reference_matches_lp_oracle(seed in 0u64..u64::MAX) {
+        let inst = reference_instance(seed);
+        let sol = optimal_reference(&inst.idcs, &inst.offered, &inst.prices).unwrap();
+        let oracle = reference_lp_oracle(&inst.idcs, &inst.offered, &inst.prices);
+        let totals = sol.idc_workloads(inst.offered.len());
+        let checked = check_reference(&inst, sol.cost_rate_per_hour(), &totals, oracle);
+        prop_assert!(checked.is_ok(), "seed {seed}: {:?}", checked);
+    }
+
+    /// The demand-charge epigraph, at tariff weights from zero to well
+    /// past the largest price, so that every piece shape occurs.
+    #[test]
+    fn merit_order_demand_charge_matches_epigraph_oracle(
+        seed in 0u64..u64::MAX,
+        rate in 0.0f64..60_000.0,
+    ) {
+        let inst = reference_instance(seed);
+        let tariff = DemandCharge::new(rate, 720.0).unwrap();
+        let sol = optimal_with_demand_charge(
+            &inst.idcs, &inst.offered, &inst.prices, &tariff, &inst.peaks_mw,
+        )
+        .unwrap();
+        let oracle = demand_charge_lp_oracle(
+            &inst.idcs, &inst.offered, &inst.prices, tariff.hourly_weight(), &inst.peaks_mw,
+        );
+        let totals = sol.reference().idc_workloads(inst.offered.len());
+        let checked = check_reference(&inst, sol.total_rate_per_hour(), &totals, oracle);
+        prop_assert!(checked.is_ok(), "seed {seed}, rate {rate}: {:?}", checked);
+    }
+
+    /// The green-aware reference with flat renewable profiles.
+    #[test]
+    fn merit_order_green_reference_matches_green_oracle(seed in 0u64..u64::MAX) {
+        let inst = reference_instance(seed);
+        let profiles: Vec<RenewableProfile> = inst
+            .renewable_mw
+            .iter()
+            .map(|&g| RenewableProfile::new(vec![g; 24]).unwrap())
+            .collect();
+        let sol =
+            green_aware_reference(&inst.idcs, &inst.offered, &inst.prices, &profiles, 12.0).unwrap();
+        let objective = sol.brown_cost_rate()
+            + GREEN_EPSILON
+                * sol.power_mw().iter().zip(&inst.prices).map(|(p, pr)| p * pr.abs()).sum::<f64>();
+        let oracle = green_lp_oracle(&inst.idcs, &inst.offered, &inst.prices, &inst.renewable_mw);
+        let totals = sol.idc_workloads(inst.offered.len());
+        let checked = check_reference(&inst, objective, &totals, oracle);
+        prop_assert!(checked.is_ok(), "seed {seed}: {:?}", checked);
     }
 }
 

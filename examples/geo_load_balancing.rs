@@ -1,7 +1,7 @@
 //! Geographic load balancing over a full day of real-time prices.
 //!
 //! Walks the 24-hour Oct-3-2011 price traces hour by hour, solving both
-//! control-reference problems — the true eq. 46 LP and the price-greedy
+//! control-reference problems — the exact eq. 46 optimum and the price-greedy
 //! heuristic the paper's plots follow — and reports where each puts the
 //! workload, what it costs, and the cumulative gap between the two.
 //!
@@ -73,22 +73,6 @@ fn main() -> Result<(), idc_core::Error> {
             fleet.idcs()[j].total_servers(),
             fleet.idcs()[j].service_rate()
         );
-    }
-
-    // Where should the operator build out? Sum each IDC's capacity shadow
-    // price ($/h per installed server) across the day.
-    let mut buildout = vec![0.0; fleet.num_idcs()];
-    for h in 0..24 {
-        let prices: Vec<f64> = traces.iter().map(|t| t.price_at_hour(h as f64)).collect();
-        let lp = optimal_reference(fleet.idcs(), &offered, &prices)?;
-        for (acc, &s) in buildout.iter_mut().zip(lp.server_shadow()) {
-            *acc += s;
-        }
-    }
-    println!();
-    println!("marginal value of one extra installed server ($/day, from LP shadow prices):");
-    for (j, name) in names.iter().enumerate() {
-        println!("  {name:>10}: {:.4}", -buildout[j]);
     }
     Ok(())
 }
