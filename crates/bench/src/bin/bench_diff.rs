@@ -1,5 +1,5 @@
 //! `bench_diff` — compares two `BENCH_mpc.json` (or `BENCH_runtime.json`)
-//! files and flags warm-step performance regressions.
+//! files and flags step-timing and solver-counter regressions.
 //!
 //! ```text
 //! cargo run -p idc-bench --bin bench_diff -- \
@@ -7,10 +7,12 @@
 //! ```
 //!
 //! Rows are keyed by `(idcs, portals, backend)` and matched across the
-//! two files; the comparison metrics are `warm_ms` for `single_step`
-//! rows, `warm_ms_per_step` for `end_to_end` and `storage_end_to_end`
-//! rows (warm solves are the steady-state cost of the controller, so
-//! they are what CI guards) and six hardware-free `solve_stats`
+//! two files; the comparison metrics are `warm_ms` and `cold_ms` for
+//! `single_step` rows (the cold step carries the structure build and the
+//! solver's `prepare`, which warm steps skip; its gated row is
+//! `single_cold`), `warm_ms_per_step` for `end_to_end` and
+//! `storage_end_to_end` rows (warm solves are the steady-state cost of the
+//! controller) and six hardware-free `solve_stats`
 //! counters of the same rows — `iterations_per_step`,
 //! `refinement_passes_per_step`, `refactorizations_per_step`,
 //! `cold_fallbacks`, `degenerate_pops` and `bland_switches` — which
@@ -67,24 +69,24 @@ fn relative_change(table: &str, base: f64, cur: f64) -> f64 {
     }
 }
 
-/// A comparable row: table name, key, and the compared metric (warm
+/// A comparable row: table name, key, and the compared metric (step
 /// wall-clock for the timing tables, a count for the
 /// [`COUNTER_GATES`] tables).
 struct Row {
     table: &'static str,
     key: String,
-    warm_ms: f64,
+    value: f64,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: bench_diff BASELINE.json CURRENT.json [--threshold F] \
          [--iters-threshold F] [--warn-only]\n\
-         \x20 compares warm-step timings and solver counters (iterations, refinement\n\
-         \x20 passes, refactorizations, cold fallbacks, degenerate pops, Bland\n\
-         \x20 switches) row by row; exits 1 when any\n\
-         \x20 timing row regresses by more than --threshold (default 0.10) or any\n\
-         \x20 counter row by more than --iters-threshold (default 0.25), both relative"
+         \x20 compares warm- and cold-step timings and solver counters (iterations,\n\
+         \x20 refinement passes, refactorizations, cold fallbacks, degenerate pops,\n\
+         \x20 Bland switches) row by row; exits 1 when any timing row regresses by\n\
+         \x20 more than --threshold (default 0.10) or any counter row by more than\n\
+         \x20 --iters-threshold (default 0.25), both relative"
     );
     std::process::exit(2);
 }
@@ -117,10 +119,16 @@ fn text<'v>(value: &'v Value, key: &str) -> Option<&'v str> {
 /// Extracts the comparable rows of one `BENCH_mpc.json` document.
 fn rows(doc: &Value) -> Vec<Row> {
     let mut out = Vec::new();
-    for (table, metric) in [
-        ("single_step", "warm_ms"),
-        ("end_to_end", "warm_ms_per_step"),
-        ("storage_end_to_end", "warm_ms_per_step"),
+    // (document table, compared metric, row table)
+    for (table, metric, label) in [
+        ("single_step", "warm_ms", "single_step"),
+        ("single_step", "cold_ms", "single_cold"),
+        ("end_to_end", "warm_ms_per_step", "end_to_end"),
+        (
+            "storage_end_to_end",
+            "warm_ms_per_step",
+            "storage_end_to_end",
+        ),
     ] {
         let Some(Value::Array(items)) = doc.get(table) else {
             continue;
@@ -133,7 +141,7 @@ fn rows(doc: &Value) -> Vec<Row> {
             ) else {
                 continue;
             };
-            let Some(warm_ms) = number(item, metric) else {
+            let Some(value) = number(item, metric) else {
                 continue;
             };
             let mut key = format!("{}x{} {backend}", idcs as u64, portals as u64);
@@ -151,14 +159,14 @@ fn rows(doc: &Value) -> Vec<Row> {
                     out.push(Row {
                         table: counter,
                         key: key.clone(),
-                        warm_ms: count,
+                        value: count,
                     });
                 }
             }
             out.push(Row {
-                table,
+                table: label,
                 key,
-                warm_ms,
+                value,
             });
         }
     }
@@ -177,7 +185,7 @@ fn rows(doc: &Value) -> Vec<Row> {
             out.push(Row {
                 table: "runtime",
                 key: format!("{tenant} {scenario} {backend}"),
-                warm_ms: p99,
+                value: p99,
             });
         }
     }
@@ -187,7 +195,7 @@ fn rows(doc: &Value) -> Vec<Row> {
                 out.push(Row {
                     table: "runtime_agg",
                     key: metric.to_string(),
-                    warm_ms: ms,
+                    value: ms,
                 });
             }
         }
@@ -196,7 +204,7 @@ fn rows(doc: &Value) -> Vec<Row> {
                 out.push(Row {
                     table: "runtime_agg",
                     key: "step_ms".to_string(),
-                    warm_ms: 1000.0 / sps,
+                    value: 1000.0 / sps,
                 });
             }
         }
@@ -255,11 +263,11 @@ fn main() {
         else {
             println!(
                 "{:<16} {:<28} {:>12.3} {:>12} {:>9} {:>10}",
-                base_row.table, base_row.key, base_row.warm_ms, "-", "-", "MISSING"
+                base_row.table, base_row.key, base_row.value, "-", "-", "MISSING"
             );
             continue;
         };
-        let rel = relative_change(base_row.table, base_row.warm_ms, cur_row.warm_ms);
+        let rel = relative_change(base_row.table, base_row.value, cur_row.value);
         let row_threshold = if is_counter(base_row.table) {
             iters_threshold
         } else {
@@ -277,8 +285,8 @@ fn main() {
             "{:<16} {:<28} {:>12.3} {:>12.3} {:>+8.1}% {:>10}",
             base_row.table,
             base_row.key,
-            base_row.warm_ms,
-            cur_row.warm_ms,
+            base_row.value,
+            cur_row.value,
             100.0 * rel,
             status
         );
@@ -290,7 +298,7 @@ fn main() {
         {
             println!(
                 "{:<16} {:<28} {:>12} {:>12.3} {:>9} {:>10}",
-                cur_row.table, cur_row.key, "-", cur_row.warm_ms, "-", "NEW"
+                cur_row.table, cur_row.key, "-", cur_row.value, "-", "NEW"
             );
         }
     }
@@ -307,7 +315,7 @@ fn main() {
             std::process::exit(1);
         }
     } else {
-        println!("bench_diff: no warm-step or solver-counter regressions");
+        println!("bench_diff: no step-timing or solver-counter regressions");
     }
 }
 
@@ -324,18 +332,20 @@ mod tests {
                     "refinement_passes_per_step": 24.0,
                     "refactorizations_per_step": 1.0}}],
                "single_step": [{"idcs": 8, "portals": 15, "backend": "banded",
-                "warm_ms": 3.0, "solve_stats": {"iterations_per_step": 9.0}}]}"#,
+                "cold_ms": 40.0, "warm_ms": 3.0,
+                "solve_stats": {"iterations_per_step": 9.0}}]}"#,
         )
         .unwrap();
         let found: Vec<(&str, String, f64)> = rows(&doc)
             .into_iter()
-            .map(|r| (r.table, r.key, r.warm_ms))
+            .map(|r| (r.table, r.key, r.value))
             .collect();
         let key = "8x15 banded".to_string();
         assert_eq!(
             found,
             vec![
                 ("single_step", key.clone(), 3.0),
+                ("single_cold", key.clone(), 40.0),
                 ("iterations", key.clone(), 23.5),
                 ("refinements", key.clone(), 24.0),
                 ("refactorizations", key.clone(), 1.0),
@@ -359,7 +369,7 @@ mod tests {
             rows(doc)
                 .into_iter()
                 .find(|r| r.table == table)
-                .map(|r| r.warm_ms)
+                .map(|r| r.value)
                 .unwrap()
         };
         let (base, cur) = (doc(0), doc(1));

@@ -88,8 +88,8 @@ pub struct PlanTimings {
     /// Structure-cache rebuilds: banded QP assembly, excluding
     /// factorization.
     pub refresh_ns: u64,
-    /// `prepare()` — Hessian factorization and the all-rows Schur
-    /// complement precompute.
+    /// `prepare()` — Hessian factorization, the per-chain `Y = H⁻¹Cᵀ`
+    /// rows and the Schur blocks the working-set factor reads.
     pub factor_ns: u64,
     /// Per-step condensing: gradient and constraint-rhs refresh, active-set
     /// seed re-indexing, and the warm-point shift/repair.

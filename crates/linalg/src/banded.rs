@@ -28,7 +28,7 @@ const BLOCK_MIN: usize = 128;
 const PANEL: usize = 48;
 /// Rows per chunk when banding row-parallel work across threads.
 const ROW_BAND: usize = 64;
-/// Right-hand sides per chunk in [`BlockTridiagChol::solve_rows_in_place`].
+/// Right-hand sides per chunk in [`BlockTridiagChol::solve_rows_with_threads`].
 const RHS_BAND: usize = 32;
 
 /// A symmetric block-tridiagonal matrix stored as flat row-major blocks.
@@ -191,6 +191,11 @@ impl BlockTridiagChol {
         self.nb * self.nblocks
     }
 
+    /// Number of diagonal blocks (0 before the first refactor).
+    pub fn nblocks(&self) -> usize {
+        self.nblocks
+    }
+
     /// Factors `a`, reusing all internal storage from previous calls.
     ///
     /// Delegates to [`refactor_with_threads`](Self::refactor_with_threads)
@@ -338,15 +343,32 @@ impl BlockTridiagChol {
         }
     }
 
-    /// Solves `A·yᵣ = xᵣ` for `nrhs` independent right-hand sides stored as
-    /// the rows of the row-major `nrhs × dim` buffer `x`, in place, with
-    /// [`default_threads`] workers.
-    pub fn solve_rows_in_place(&self, x: &mut [f64], nrhs: usize, ws: &mut Workspace) {
-        self.solve_rows_with_threads(x, nrhs, ws, default_threads());
+    /// Solves `nrhs` right-hand sides stored as the rows of the row-major
+    /// `nrhs × (count·nb)` buffer `x`, in place, against the diagonal blocks
+    /// `first..first + count` of the factor, with [`default_threads`]
+    /// workers. See [`solve_rows_with_threads`](Self::solve_rows_with_threads).
+    pub fn solve_rows_in_place(
+        &self,
+        x: &mut [f64],
+        nrhs: usize,
+        first: usize,
+        count: usize,
+        ws: &mut Workspace,
+    ) {
+        self.solve_rows_with_threads(x, nrhs, first, count, ws, default_threads());
     }
 
-    /// Multi-right-hand-side [`solve_in_place`](Self::solve_in_place): each
-    /// row of the row-major `nrhs × dim` buffer `x` is an independent RHS.
+    /// Multi-right-hand-side [`solve_in_place`](Self::solve_in_place) over
+    /// the block range `first..first + count`: each row of the row-major
+    /// `nrhs × (count·nb)` buffer `x` is an independent RHS on those blocks.
+    ///
+    /// The full range (`0`, [`nblocks`](Self::nblocks)) solves with `A`.
+    /// When `A` splits at both ends of the range — zero subdiagonal blocks
+    /// into `first` and out of `first + count − 1`, so the factor's `M`
+    /// blocks there are exactly zero — a range solve equals the full solve
+    /// of a right-hand side that is zero outside the range, bitwise on the
+    /// range, and the full solve is `±0` everywhere else. An independent
+    /// chain of Hessian blocks is solved at its own width this way.
     ///
     /// Stage-coupling corrections are batched through GEMM and right-hand
     /// sides are banded across up to `threads` scoped threads; the result is
@@ -356,41 +378,45 @@ impl BlockTridiagChol {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != nrhs · dim` or the factor is empty.
+    /// Panics if the range runs past the factor, if
+    /// `x.len() != nrhs · count · nb`, or if the factor is empty.
     pub fn solve_rows_with_threads(
         &self,
         x: &mut [f64],
         nrhs: usize,
+        first: usize,
+        count: usize,
         ws: &mut Workspace,
         threads: usize,
     ) {
-        let (nb, t) = (self.nb, self.nblocks);
-        assert!(t > 0, "solve on empty factor");
-        let dim = nb * t;
+        let nb = self.nb;
+        assert!(self.nblocks > 0, "solve on empty factor");
+        assert!(
+            count > 0 && first + count <= self.nblocks,
+            "block range {first}+{count} outside {} blocks",
+            self.nblocks
+        );
+        let (t, dim) = (count, nb * count);
         assert_eq!(x.len(), nrhs * dim, "dimension mismatch");
         if nrhs == 0 {
             return;
         }
         let s = nb * nb;
+        // The range's own factor blocks: `L` of blocks first.., and the `M`
+        // blocks coupling consecutive blocks inside it.
+        let l = &self.l[first * s..(first + t) * s];
+        let m = &self.m[first * s..(first + t - 1) * s];
         // Shared read-only transposes: Mᵀ blocks for the forward corrections,
         // Lᵀ blocks for the blocked forward triangular solves.
         let mut mts = ws.take((t - 1) * s);
         for bt in 0..t - 1 {
-            transpose_into(
-                nb,
-                &self.m[bt * s..(bt + 1) * s],
-                &mut mts[bt * s..(bt + 1) * s],
-            );
+            transpose_into(nb, &m[bt * s..(bt + 1) * s], &mut mts[bt * s..(bt + 1) * s]);
         }
         let mut lts = ws.take(t * s);
         for bt in 0..t {
-            transpose_into(
-                nb,
-                &self.l[bt * s..(bt + 1) * s],
-                &mut lts[bt * s..(bt + 1) * s],
-            );
+            transpose_into(nb, &l[bt * s..(bt + 1) * s], &mut lts[bt * s..(bt + 1) * s]);
         }
-        let (lblk, mblk, mtref, ltref) = (&self.l, &self.m, &mts, &lts);
+        let (lblk, mblk, mtref, ltref) = (l, m, &mts, &lts);
         par_chunks_mut(x, RHS_BAND * dim, threads, |_, rows| {
             let band = rows.len() / dim;
             let mut local = Workspace::new();
@@ -898,9 +924,9 @@ mod tests {
             chol.refactor(&a, &mut ws).unwrap();
             let rhs: Vec<f64> = (0..nrhs * dim).map(|_| pseudo(&mut seed)).collect();
             let mut batch = rhs.clone();
-            chol.solve_rows_with_threads(&mut batch, nrhs, &mut ws, 1);
+            chol.solve_rows_with_threads(&mut batch, nrhs, 0, t, &mut ws, 1);
             let mut batch_par = rhs.clone();
-            chol.solve_rows_with_threads(&mut batch_par, nrhs, &mut ws, 3);
+            chol.solve_rows_with_threads(&mut batch_par, nrhs, 0, t, &mut ws, 3);
             assert_eq!(batch, batch_par, "nb={nb}: thread count changed bits");
             for r in 0..nrhs {
                 let mut x = rhs[r * dim..(r + 1) * dim].to_vec();
@@ -908,6 +934,43 @@ mod tests {
                 for (u, v) in batch[r * dim..(r + 1) * dim].iter().zip(&x) {
                     assert!((u - v).abs() < 1e-9 * (1.0 + v.abs()), "nb={nb} r={r}");
                 }
+            }
+        }
+    }
+
+    /// Blocks `2..5` form an independent chain (zero subdiagonal blocks on
+    /// both sides): a range solve over them equals the full solve of the
+    /// same right-hand sides bitwise on the range, and the full solve is
+    /// zero outside it.
+    #[test]
+    fn range_solve_matches_full_solve_on_an_independent_chain() {
+        let mut seed = 0x5a11_ce55u64;
+        for &nb in &[5usize, BLOCK_MIN + 2] {
+            let (t, first, count) = (7, 2, 3);
+            let mut a = random_spd(nb, t, &mut seed);
+            a.sub_mut(first - 1).fill(0.0);
+            a.sub_mut(first + count - 1).fill(0.0);
+            let (dim, width, nrhs) = (nb * t, nb * count, 37);
+            let mut chol = BlockTridiagChol::new();
+            let mut ws = Workspace::new();
+            chol.refactor(&a, &mut ws).unwrap();
+            let mut ranged: Vec<f64> = (0..nrhs * width).map(|_| pseudo(&mut seed)).collect();
+            let mut full = vec![0.0; nrhs * dim];
+            for r in 0..nrhs {
+                full[r * dim + first * nb..r * dim + (first + count) * nb]
+                    .copy_from_slice(&ranged[r * width..(r + 1) * width]);
+            }
+            chol.solve_rows_with_threads(&mut ranged, nrhs, first, count, &mut ws, 2);
+            chol.solve_rows_in_place(&mut full, nrhs, 0, t, &mut ws);
+            for r in 0..nrhs {
+                let row = &full[r * dim..(r + 1) * dim];
+                let (lo, hi) = (first * nb, (first + count) * nb);
+                assert_eq!(
+                    &row[lo..hi],
+                    &ranged[r * width..(r + 1) * width],
+                    "nb={nb} r={r}"
+                );
+                assert!(row[..lo].iter().chain(&row[hi..]).all(|&v| v == 0.0));
             }
         }
     }

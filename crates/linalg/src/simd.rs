@@ -22,7 +22,7 @@
 //! multiply-add), so results agree to rounding, not bitwise; each host is
 //! deterministic on its own.
 
-use crate::Matrix;
+use crate::SpanRows;
 
 /// Whether this CPU supports AVX2 and FMA. The single detection point for
 /// every SIMD kernel in the crate (GEMM microkernel included); the answer
@@ -152,25 +152,20 @@ dispatch! {
     /// coefficient are skipped; the rest are added in order, with the same
     /// roundings as one axpy per row.
     ///
-    /// `spans[r] = (lo, hi)` declares that row `r` of `a` is zero outside
-    /// the columns `lo..hi`, and only that range is swept. A group of four
+    /// Each row is swept over its stored span only. A group of four
     /// consecutive rows with the same span shares one fused pass; any other
-    /// group is swept row by row. With every span `(0, a.cols())` this is
-    /// the plain fused sweep. Entries outside a span contribute `α·0`, so a
-    /// sweep over correct spans equals the full-row sweep up to the sign of
-    /// zero.
+    /// group is swept row by row. Entries outside a span contribute `α·0`,
+    /// so the sweep equals the full-row sweep up to the sign of zero.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` and `coeffs` differ in length, if `spans.len()`
-    /// differs from `a.rows()`, if `y.len()` differs from `a.cols()`, or if
-    /// a row index or span is out of bounds.
+    /// Panics if `rows` and `coeffs` differ in length, if `y.len()` differs
+    /// from `a.cols()`, or if a row index is out of bounds.
     pub fn axpy_rows(
         alpha: f64,
-        a: &Matrix,
+        a: &SpanRows,
         rows: &[usize],
         coeffs: &[f64],
-        spans: &[(usize, usize)],
         y: &mut [f64],
     ) => axpy_rows_with
 }
@@ -179,24 +174,19 @@ dispatch! {
 fn axpy_rows_with<K: Kernels>(
     k: K,
     alpha: f64,
-    a: &Matrix,
+    a: &SpanRows,
     rows: &[usize],
     coeffs: &[f64],
-    spans: &[(usize, usize)],
     y: &mut [f64],
 ) {
     assert_eq!(rows.len(), coeffs.len(), "axpy_rows: length mismatch");
-    assert_eq!(spans.len(), a.rows(), "axpy_rows: span count mismatch");
     assert_eq!(y.len(), a.cols(), "axpy_rows: width mismatch");
     let mut terms = rows
         .iter()
         .zip(coeffs)
         .filter(|&(_, &c)| c != 0.0)
-        .map(|(&r, &c)| {
-            // (coefficient, first column, the row's nonzero span)
-            let (lo, hi) = spans[r];
-            (alpha * c, lo, &a.row(r)[lo..hi])
-        });
+        // (coefficient, first column, the row's stored span)
+        .map(|(&r, &c)| (alpha * c, a.span(r).0, a.row(r)));
     loop {
         match [terms.next(), terms.next(), terms.next(), terms.next()] {
             [Some(t0), Some(t1), Some(t2), Some(t3)] => {
@@ -414,6 +404,7 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matrix;
 
     fn pseudo(seed: &mut u64) -> f64 {
         *seed ^= *seed << 13;
@@ -479,7 +470,6 @@ mod tests {
 
     const ROWS: [usize; 9] = [7, 0, 3, 3, 8, 1, 5, 2, 4];
     const COEFFS: [f64; 9] = [0.5, -1.25, 0.0, 2.0, 1.0, -0.75, 0.3, 1.5, -2.0];
-    const FULL: [(usize, usize); 9] = [(0, 23); 9];
 
     fn sweep_operands() -> (Matrix, Vec<f64>) {
         let mut seed = 0x5eedu64;
@@ -488,12 +478,28 @@ mod tests {
         (a, y0)
     }
 
+    /// `a`'s rows, each stored over `spans[r]`.
+    fn trimmed(a: &Matrix, spans: &[(usize, usize)]) -> SpanRows {
+        let mut rows = SpanRows::new(a.rows(), a.cols());
+        for (r, &(lo, hi)) in spans.iter().enumerate() {
+            rows.set_row(r, lo, &a.row(r)[lo..hi]);
+        }
+        rows
+    }
+
     /// Runs the fused sweep on kernel set `k`, checks that it rounds
     /// exactly like one axpy per nonzero row, and returns the result.
     fn fused_sweep<K: Kernels>(k: K) -> Vec<f64> {
         let (a, y0) = sweep_operands();
         let mut fused = y0.clone();
-        axpy_rows_with(k, -2.0, &a, &ROWS, &COEFFS, &FULL, &mut fused);
+        axpy_rows_with(
+            k,
+            -2.0,
+            &trimmed(&a, &[(0, 23); 9]),
+            &ROWS,
+            &COEFFS,
+            &mut fused,
+        );
         let mut each = y0;
         for (&r, &c) in ROWS.iter().zip(&COEFFS) {
             if c != 0.0 {
@@ -514,13 +520,14 @@ mod tests {
         }
         // The dispatched entry point takes the best path this CPU has.
         let (a, mut y) = sweep_operands();
-        axpy_rows(-2.0, &a, &ROWS, &COEFFS, &FULL, &mut y);
+        axpy_rows(-2.0, &trimmed(&a, &[(0, 23); 9]), &ROWS, &COEFFS, &mut y);
         assert_eq!(y, best);
     }
 
     /// Rows zeroed outside their spans (shared spans, so some groups fuse,
-    /// plus singletons, an empty span and spans with odd tails): the span
-    /// sweep equals the full-row sweep bitwise, up to the sign of zero.
+    /// plus singletons, an empty span and spans with odd tails): the sweep
+    /// over the trimmed rows equals the full-row sweep bitwise, up to the
+    /// sign of zero.
     fn span_sweep_matches_full_rows<K: Kernels>(k: K) {
         let spans = [
             (4, 13),
@@ -544,9 +551,16 @@ mod tests {
             }
         }
         let mut full = y0.clone();
-        axpy_rows_with(k, -1.5, &a, &rows, &coeffs, &FULL, &mut full);
+        axpy_rows_with(
+            k,
+            -1.5,
+            &trimmed(&a, &[(0, 23); 9]),
+            &rows,
+            &coeffs,
+            &mut full,
+        );
         let mut spanned = y0;
-        axpy_rows_with(k, -1.5, &a, &rows, &coeffs, &spans, &mut spanned);
+        axpy_rows_with(k, -1.5, &trimmed(&a, &spans), &rows, &coeffs, &mut spanned);
         for (i, (s, f)) in spanned.iter().zip(&full).enumerate() {
             assert!(s == f, "entry {i}: {s} vs {f}");
         }

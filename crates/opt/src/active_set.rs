@@ -47,8 +47,9 @@ pub(crate) trait ActiveSetOps {
     fn in_dot(&self, i: usize, v: &[f64]) -> f64;
     /// Right-hand side of inequality `i`.
     fn in_rhs(&self, i: usize) -> f64;
-    /// Objective value at `x`.
-    fn objective_at(&self, x: &[f64]) -> f64;
+    /// Objective value at `x` (takes `&mut self` so backends can evaluate
+    /// it in their own scratch).
+    fn objective_at(&mut self, x: &[f64]) -> f64;
     /// Solves the equality-constrained subproblem at `x` for the working
     /// set, leaving `[p; multipliers]` in `sol` (multipliers ordered
     /// equalities first, then `working` in order).
@@ -72,25 +73,57 @@ pub(crate) trait ActiveSetOps {
     fn take_factor_stats(&mut self) -> (u64, u64, u64);
 }
 
+/// Every buffer of [`solve_from_feasible`], owned by the caller so a
+/// workspace recycles them across solves: a steady-state solve allocates
+/// only the [`QpSolution`] it returns.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LoopScratch {
+    /// The working set.
+    working: Vec<usize>,
+    /// `[p; multipliers]` of the latest KKT step.
+    sol: Vec<f64>,
+    /// The iterate.
+    x: Vec<f64>,
+    /// Membership mask mirroring `working` — the ratio test consults it
+    /// once per inequality per iteration, where a linear scan of the
+    /// working set would cost O(m·num_in) per iteration.
+    in_working: Vec<bool>,
+    /// Snapshot of the accepted seed, so the converged set can be diffed
+    /// into the `working_set_delta` gauge.
+    seeded: Vec<bool>,
+    /// Constraints popped by degenerate-KKT recoveries since the iterate
+    /// last made progress (see the recovery arm of the loop).
+    banned: Vec<bool>,
+    /// Batched pivoting: working-set positions with negative multipliers.
+    drops: Vec<usize>,
+    /// Batched pivoting: `(index, a·p, slack)` ratio-test candidates.
+    adds: Vec<(usize, f64, f64)>,
+}
+
 /// Core active-set loop from a feasible `x0`, with the working set seeded
 /// from `seed` (invalid or inactive entries are skipped).
-///
-/// `working` and `sol` are caller-owned scratch so workspaces can recycle
-/// them across solves.
 pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
     ops: &mut O,
     x0: &[f64],
     seed: &[usize],
-    working: &mut Vec<usize>,
-    sol: &mut Vec<f64>,
+    scratch: &mut LoopScratch,
 ) -> Result<QpSolution> {
+    let LoopScratch {
+        working,
+        sol,
+        x,
+        in_working,
+        seeded,
+        banned,
+        drops,
+        adds,
+    } = scratch;
     let n = ops.num_vars();
-    let mut x = x0.to_vec();
+    x.clear();
+    x.extend_from_slice(x0);
     working.clear();
-    // Membership mask mirroring `working` — the ratio test consults it once
-    // per inequality per iteration, where a linear scan of the working set
-    // would cost O(m·num_in) per iteration.
-    let mut in_working = vec![false; ops.num_in()];
+    in_working.clear();
+    in_working.resize(ops.num_in(), false);
     let mut stats = SolveStats {
         solves: 1,
         seed_offered: seed.len() as u64,
@@ -112,9 +145,8 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
         }
     }
     stats.seed_accepted = working.len() as u64;
-    // Snapshot of the accepted seed so the converged set can be diffed into
-    // the `working_set_delta` gauge.
-    let seeded_mask = in_working.clone();
+    seeded.clear();
+    seeded.extend_from_slice(in_working);
     ops.begin(working);
     let mut iterations = 0;
     let mut degenerate_streak = 0usize;
@@ -129,17 +161,14 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
     // solves, which never trip the latch.
     let mut bland_latched = false;
     let budget = ops.iteration_budget();
-    // Scratch for batched pivoting: working-set positions with negative
-    // multipliers, and (index, a·p, slack) ratio-test candidates.
-    let mut drop_buf: Vec<usize> = Vec::new();
-    let mut add_buf: Vec<(usize, f64, f64)> = Vec::new();
     // Constraints popped by degenerate-KKT recoveries since the iterate
     // last made progress, excluded from the ratio test while their a·p is
     // at noise level (see the recovery arm below). The set accumulates —
     // a single-slot ban merely rotates a livelock through two or more
     // mutually dependent rows — and clears whenever the iterate moves
     // materially or a multiplier drop changes the working set.
-    let mut banned = vec![false; ops.num_in()];
+    banned.clear();
+    banned.resize(ops.num_in(), false);
     let mut any_banned = false;
 
     loop {
@@ -147,7 +176,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
             return Err(Error::IterationLimit { iterations: budget });
         }
         iterations += 1;
-        match ops.kkt_step(&x, working, sol) {
+        match ops.kkt_step(x, working, sol) {
             Ok(()) => {}
             Err(Error::Numerical(_)) if !working.is_empty() => {
                 // Degenerate working set — drop the most recent addition
@@ -173,7 +202,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
         // workload-sized variables (O(1e4)) a step of 1e-8 is numerical
         // noise, not progress.
         let p_norm = vec_ops::norm_inf(p);
-        let x_scale = TOL * (1.0 + vec_ops::norm_inf(&x));
+        let x_scale = TOL * (1.0 + vec_ops::norm_inf(x));
         // Batched (blocked Dantzig) pivoting is the default; Bland's
         // anti-cycling rule and the differential-test reference mode are
         // strictly single-pivot.
@@ -196,28 +225,20 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                 any_banned = false;
             }
             if batch_pivots {
-                drop_buf.clear();
-                drop_buf.extend(
+                drops.clear();
+                drops.extend(
                     ineq_mult
                         .iter()
                         .enumerate()
                         .filter(|(_, &m)| m < -TOL)
                         .map(|(k, _)| k),
                 );
-                if drop_buf.is_empty() {
-                    return finish(
-                        ops,
-                        x,
-                        iterations,
-                        working,
-                        &in_working,
-                        &seeded_mask,
-                        stats,
-                    );
+                if drops.is_empty() {
+                    return finish(ops, x, iterations, working, in_working, seeded, stats);
                 }
                 // Highest position first, so earlier positions stay valid
                 // across the removals.
-                for &k in drop_buf.iter().rev() {
+                for &k in drops.iter().rev() {
                     in_working[working.remove(k)] = false;
                     stats.constraints_dropped += 1;
                     ops.on_remove(working, k);
@@ -231,15 +252,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                 };
                 match worst {
                     None => {
-                        return finish(
-                            ops,
-                            x,
-                            iterations,
-                            working,
-                            &in_working,
-                            &seeded_mask,
-                            stats,
-                        );
+                        return finish(ops, x, iterations, working, in_working, seeded, stats);
                     }
                     Some((idx, _)) => {
                         in_working[working.remove(idx)] = false;
@@ -252,7 +265,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
             // Ratio test against inactive inequality constraints.
             let mut alpha = 1.0;
             let mut blocking = None;
-            add_buf.clear();
+            adds.clear();
             for i in 0..ops.num_in() {
                 if in_working[i] {
                     continue;
@@ -266,14 +279,14 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                     if banned[i] && ap <= WARM_TOL * (1.0 + p_norm) {
                         continue;
                     }
-                    let slack = ops.in_rhs(i) - ops.in_dot(i, &x);
+                    let slack = ops.in_rhs(i) - ops.in_dot(i, x);
                     let ai = (slack / ap).max(0.0);
                     if ai < alpha {
                         alpha = ai;
                         blocking = Some(i);
                     }
                     if batch_pivots {
-                        add_buf.push((i, ap, slack));
+                        adds.push((i, ap, slack));
                     }
                 }
             }
@@ -295,7 +308,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                 banned.fill(false);
                 any_banned = false;
             }
-            vec_ops::axpy(alpha, p, &mut x);
+            vec_ops::axpy(alpha, p, x);
             if let Some(i) = blocking {
                 working.push(i);
                 in_working[i] = true;
@@ -307,7 +320,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                     // the one-at-a-time crawl on warm-started transients.
                     // The working set is kept strictly smaller than the
                     // free directions so the KKT system stays solvable.
-                    for &(j, ap, slack) in add_buf.iter() {
+                    for &(j, ap, slack) in adds.iter() {
                         if ops.num_eq() + working.len() >= n {
                             break;
                         }
@@ -326,14 +339,14 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
 /// Builds the optimal [`QpSolution`] once no negative multipliers remain.
 fn finish<O: ActiveSetOps>(
     ops: &mut O,
-    x: Vec<f64>,
+    x: &[f64],
     iterations: usize,
     working: &mut [usize],
     in_working: &[bool],
     seeded_mask: &[bool],
     mut stats: SolveStats,
 ) -> Result<QpSolution> {
-    let objective = ops.objective_at(&x);
+    let objective = ops.objective_at(x);
     working.sort_unstable();
     stats.iterations = iterations as u64;
     stats.refinement_passes = ops.take_refinements();
@@ -347,7 +360,7 @@ fn finish<O: ActiveSetOps>(
         .filter(|(s, w)| s != w)
         .count() as u64;
     Ok(QpSolution::from_parts(
-        x,
+        x.to_vec(),
         objective,
         iterations,
         working.to_vec(),

@@ -23,15 +23,20 @@
 //!    equalities' reduced Schur complement. An add or drop costs
 //!    O(b_j² + m_E·b_j + m_E²) for a chain of `b_j` working rows and `m_E`
 //!    equalities, instead of a dense O(m²) — and a coupled `H` is one chain,
-//!    which is the dense cost again,
+//!    which is the dense cost again. `prepare` fills and stores only what
+//!    that factor reads of the full `S = C H⁻¹ Cᵀ`: one square block per
+//!    chain, each inequality's equality couplings and the equalities'
+//!    lower triangle,
 //! 3. ratio tests, right-hand sides and the refinement residual `C_W·p`
 //!    use sparse row dots, and
-//! 4. each row of `Y = H̃⁻¹Cᵀ` carries the span outside which it is exactly
-//!    zero, so the `p −= Y_Wᵀλ` sweeps and the Schur fill touch only that
-//!    span. When `H` splits into independent chains of blocks (the MPC
-//!    Hessian ordered IDC-major: one chain per IDC), a row that touches
-//!    one chain keeps its `Y` row inside that chain; a coupled `H` simply
-//!    gives full spans.
+//! 4. each row of `Y = H̃⁻¹Cᵀ` is stored only over the span outside which
+//!    it is exactly zero, so the `p −= Y_Wᵀλ` sweeps and the Schur fill
+//!    touch only that span. When `H` splits into independent chains of
+//!    blocks (the MPC Hessian ordered IDC-major: one chain per IDC), a row
+//!    that touches one chain keeps its `Y` row inside that chain, and
+//!    `prepare` solves each chain's inequality rows as one batch over that
+//!    chain's blocks alone; only the equality rows, which couple the
+//!    chains, sweep every block. A coupled `H` simply gives full spans.
 //!
 //! The outer iteration is the textbook primal active-set loop of
 //! [`active_set`]: warm-start seeding, Dantzig/Bland switching and
@@ -40,9 +45,9 @@
 use idc_linalg::banded::{BlockTridiag, BlockTridiagChol};
 use idc_linalg::cholesky::ArrowheadCholesky;
 use idc_linalg::workspace::Workspace;
-use idc_linalg::{simd, vec_ops, Matrix};
+use idc_linalg::{simd, vec_ops, SpanRows};
 
-use crate::active_set::{self, ActiveSetOps, QpSolution, WARM_TOL};
+use crate::active_set::{self, ActiveSetOps, LoopScratch, QpSolution, WARM_TOL};
 use crate::{Error, Result};
 
 /// Relative size of the iterative-refinement correction above which the
@@ -90,21 +95,13 @@ impl SparseRow {
     fn max_index(&self) -> Option<usize> {
         self.entries.iter().map(|&(i, _)| i).max()
     }
-
-    /// Scatters the row into a dense zeroed buffer.
-    fn scatter_into(&self, out: &mut [f64]) {
-        out.fill(0.0);
-        for &(i, c) in &self.entries {
-            out[i] += c;
-        }
-    }
 }
 
 /// Reusable scratch memory for [`BandedQp`] solves.
 ///
 /// Holds the incrementally maintained working-set Cholesky factor plus all
-/// per-iteration vectors, so a steady-state warm-started solve performs no
-/// heap allocation.
+/// per-iteration vectors, so a steady-state warm-started solve allocates
+/// only the point and active set of the [`QpSolution`] it returns.
 #[derive(Debug, Clone, Default)]
 pub struct BandedWorkspace {
     /// Incremental arrowhead factor of the working-set Schur block `S_W`,
@@ -140,10 +137,10 @@ pub struct BandedWorkspace {
     /// rebuilt once per KKT step so the row sweeps and residual dots skip
     /// the per-element mapping.
     cols: Vec<usize>,
-    /// Working set buffer, reused across solves.
-    working: Vec<usize>,
-    /// `[p; multipliers]` buffer, reused across solves.
-    sol: Vec<f64>,
+    /// `H·x`, for the objective at the optimum.
+    hx: Vec<f64>,
+    /// The active-set loop's own buffers, reused across solves.
+    scratch: LoopScratch,
     /// Iterative-refinement passes since `begin` (introspection only;
     /// drained into [`crate::SolveStats`] per solve).
     refinements: u64,
@@ -178,21 +175,60 @@ impl BandedWorkspace {
 struct BandedCache {
     /// Block Cholesky factor of `H + εI`.
     chol: BlockTridiagChol,
-    /// `Y` stored transposed: row `r` is `H̃⁻¹·c_rᵀ` (shape `mt × n`), so
-    /// the step `p = t − Y_Rᵀλ` accumulates over contiguous rows.
-    yt: Matrix,
-    /// Nonzero span `lo..hi` of each `yt` row: every entry outside it is
-    /// an exact zero. When `H̃` splits into independent chains of blocks
-    /// and row `r` touches one chain, so does `H̃⁻¹c_rᵀ`, and the `p`
-    /// sweeps and the Schur fill skip the rest.
-    spans: Vec<(usize, usize)>,
-    /// Full Schur complement `C·H̃⁻¹·Cᵀ` over all constraint rows.
-    s: Matrix,
+    /// `Y` stored by constraint rows: row `r` is `H̃⁻¹·c_rᵀ`, kept only over
+    /// the span outside which it is exactly zero, so the step
+    /// `p = t − Y_Rᵀλ` accumulates over short contiguous rows. When `H̃`
+    /// splits into independent chains of blocks and row `r` touches one
+    /// chain, so does its `Y` row.
+    y: SpanRows,
+    /// The entries of `S = C·H̃⁻¹·Cᵀ` the working-set factor reads.
+    s: SchurBlocks,
     /// Independent Hessian chain of each inequality row: `S` is exactly
     /// zero between inequality rows of different chains.
     chains: Vec<usize>,
     /// Number of chains.
     nchains: usize,
+}
+
+/// The parts of the Schur complement `S = C·H̃⁻¹·Cᵀ` that the arrowhead
+/// working-set factor reads, entry `(r, q)` being `c_q·Y_r`: the
+/// equalities' lower triangle, each inequality's couplings to the
+/// equalities, and one square block per chain over its inequality rows.
+/// Every other entry is either never read (the equality × inequality
+/// triangle, mirrored by the couplings) or exactly zero (inequality pairs
+/// of different chains).
+#[derive(Debug, Clone, Default)]
+struct SchurBlocks {
+    /// `S[e, f]` for `f ≤ e`, packed by rows.
+    eq: Vec<f64>,
+    /// `S[m_E + i, 0..m_E]` of inequality `i`, at `i·m_E`.
+    coupling: Vec<f64>,
+    /// Each chain's block `S[m_E + i, m_E + q]` over its inequality rows
+    /// in index order, row-major.
+    blocks: Vec<f64>,
+    /// Start of each chain's block in `blocks` and the chain's row count.
+    block_at: Vec<(usize, usize)>,
+    /// Position of each inequality among its chain's rows.
+    local: Vec<usize>,
+}
+
+impl SchurBlocks {
+    /// Inequality `i`'s couplings to the equalities.
+    fn coupling(&self, i: usize, me: usize) -> &[f64] {
+        &self.coupling[i * me..(i + 1) * me]
+    }
+
+    /// `S[m_E + i, m_E + q]` for inequalities `i` and `q` of chain `j`.
+    fn pair(&self, j: usize, i: usize, q: usize) -> f64 {
+        let (at, len) = self.block_at[j];
+        self.blocks[at + self.local[i] * len + self.local[q]]
+    }
+
+    /// Number of stored entries.
+    #[cfg(test)]
+    fn stored(&self) -> usize {
+        self.eq.len() + self.coupling.len() + self.blocks.len()
+    }
 }
 
 /// A convex QP with block-tridiagonal Hessian and sparse constraint rows.
@@ -345,9 +381,15 @@ impl BandedQp {
 
     /// Objective value `½xᵀHx + gᵀx`.
     pub fn objective_at(&self, x: &[f64]) -> f64 {
-        let mut hx = vec![0.0; self.num_vars()];
-        self.h.mul_vec_into(x, &mut hx);
-        0.5 * vec_ops::dot(x, &hx) + vec_ops::dot(&self.g, x)
+        self.objective_in(x, &mut Vec::new())
+    }
+
+    /// [`objective_at`](Self::objective_at) with `H·x` formed in `hx`.
+    fn objective_in(&self, x: &[f64], hx: &mut Vec<f64>) -> f64 {
+        hx.clear();
+        hx.resize(self.num_vars(), 0.0);
+        self.h.mul_vec_into(x, hx);
+        0.5 * vec_ops::dot(x, hx) + vec_ops::dot(&self.g, x)
     }
 
     fn validate(&self) -> Result<()> {
@@ -365,8 +407,13 @@ impl BandedQp {
         Ok(())
     }
 
-    /// Precomputes the block Cholesky of `H + εI`, `Y = H̃⁻¹Cᵀ` (stored
-    /// transposed) and the full Schur complement `S = C·H̃⁻¹·Cᵀ`.
+    /// Precomputes the block Cholesky of `H + εI`, the rows of
+    /// `Y = H̃⁻¹Cᵀ` and the parts of the Schur complement `S = C·H̃⁻¹·Cᵀ`
+    /// that the working-set factor reads.
+    ///
+    /// The equality rows couple the chains and are solved as one batch over
+    /// every Hessian block; each chain's inequality rows are solved as one
+    /// batch over that chain's blocks only.
     ///
     /// Called automatically by the solve entry points when needed; the cache
     /// survives gradient/rhs retargeting and is dropped when constraint rows
@@ -379,7 +426,7 @@ impl BandedQp {
     pub fn prepare(&mut self) -> Result<()> {
         self.validate()?;
         let n = self.num_vars();
-        let mt = self.a_eq.len() + self.a_in.len();
+        let (me, mi) = (self.a_eq.len(), self.a_in.len());
         let mut pool = Workspace::new();
         let mut chol = match self.cache.take() {
             Some(c) => c.chol,
@@ -402,43 +449,36 @@ impl BandedQp {
             }
             chol.refactor(&ridged, &mut pool)?;
         }
-        // All constraint rows are solved as one batched multi-RHS sweep:
-        // the stage-coupling corrections go through GEMM and the rows are
-        // banded across worker threads, instead of mt separate banded
-        // triangular solves.
-        let mut yt = Matrix::zeros(mt, n);
-        for r in 0..mt {
-            self.crow(r).scatter_into(yt.row_mut(r));
+        let (chains, ranges) = self.inequality_chain_ids();
+        let nchains = ranges.len();
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); nchains];
+        for (i, &j) in chains.iter().enumerate() {
+            members[j].push(i);
         }
-        if mt > 0 {
-            chol.solve_rows_in_place(yt.as_mut_slice(), mt, &mut pool);
+        // Each batch is one multi-RHS sweep: the stage-coupling corrections
+        // go through GEMM and the rows are banded across worker threads.
+        // A chain's range is bounded by zero subdiagonal blocks, so its
+        // rows solve at the chain's width exactly as they would at full
+        // width (the rest of a full-width row is ±0).
+        let mut y = SpanRows::new(me + mi, n);
+        let mut buf = Vec::new();
+        let equalities: Vec<usize> = (0..me).collect();
+        self.solve_batch(
+            &chol,
+            &equalities,
+            (0, chol.nblocks()),
+            &mut buf,
+            &mut pool,
+            &mut y,
+        );
+        for (rows, &range) in members.iter().zip(&ranges) {
+            let global: Vec<usize> = rows.iter().map(|&i| me + i).collect();
+            self.solve_batch(&chol, &global, range, &mut buf, &mut pool, &mut y);
         }
-        let spans: Vec<(usize, usize)> = (0..mt).map(|r| nonzero_span(yt.row(r))).collect();
-        // S[r, q] = c_q·Y_r is an exact zero when row q has no entry inside
-        // Y_r's span; skip those dots.
-        let extents: Vec<(usize, usize)> = (0..mt)
-            .map(|q| {
-                let e = self.crow(q).entries();
-                let lo = e.iter().map(|&(i, _)| i).min().unwrap_or(0);
-                let hi = e.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
-                (lo, hi)
-            })
-            .collect();
-        let mut s = Matrix::zeros(mt, mt);
-        for r in 0..mt {
-            let yrow = yt.row(r);
-            let (lo, hi) = spans[r];
-            for (q, &(qlo, qhi)) in extents.iter().enumerate() {
-                if qlo < hi && lo < qhi {
-                    s[(r, q)] = self.crow(q).dot(yrow);
-                }
-            }
-        }
-        let (chains, nchains) = self.inequality_chain_ids();
+        let s = self.schur_blocks(&y, &members);
         self.cache = Some(BandedCache {
             chol,
-            yt,
-            spans,
+            y,
             s,
             chains,
             nchains,
@@ -446,23 +486,94 @@ impl BandedQp {
         Ok(())
     }
 
+    /// Solves the constraint rows `rows` (global indices) against the
+    /// factor's blocks `first..end` as one batch, storing each `Y` row over
+    /// its nonzero span. Every row's entries must lie inside the range.
+    fn solve_batch(
+        &self,
+        chol: &BlockTridiagChol,
+        rows: &[usize],
+        (first, end): (usize, usize),
+        buf: &mut Vec<f64>,
+        pool: &mut Workspace,
+        y: &mut SpanRows,
+    ) {
+        if rows.is_empty() {
+            return;
+        }
+        let nb = self.h.nb();
+        let (off, width) = (first * nb, (end - first) * nb);
+        buf.clear();
+        buf.resize(rows.len() * width, 0.0);
+        for (row, &r) in buf.chunks_exact_mut(width).zip(rows) {
+            for &(i, c) in self.crow(r).entries() {
+                row[i - off] += c;
+            }
+        }
+        chol.solve_rows_in_place(buf, rows.len(), first, end - first, pool);
+        for (row, &r) in buf.chunks_exact(width).zip(rows) {
+            let (lo, hi) = nonzero_span(row);
+            y.set_row(r, off + lo, &row[lo..hi]);
+        }
+    }
+
+    /// Fills the Schur entries the working-set factor reads (see
+    /// [`SchurBlocks`]) from the `Y` rows, given each chain's inequality
+    /// rows in index order. Each dot `S[r, q] = c_q·Y_r` runs over row
+    /// `q`'s entries inside `Y_r`'s span; the others meet exact zeros.
+    fn schur_blocks(&self, y: &SpanRows, members: &[Vec<usize>]) -> SchurBlocks {
+        let me = self.a_eq.len();
+        let entry = |r: usize, q: usize| -> f64 {
+            let (lo, hi) = y.span(r);
+            let yrow = y.row(r);
+            self.crow(q)
+                .entries()
+                .iter()
+                .filter(|&&(i, _)| lo <= i && i < hi)
+                .map(|&(i, c)| c * yrow[i - lo])
+                .sum()
+        };
+        let mut s = SchurBlocks {
+            local: vec![0; self.a_in.len()],
+            ..SchurBlocks::default()
+        };
+        for e in 0..me {
+            s.eq.extend((0..=e).map(|f| entry(e, f)));
+        }
+        for i in 0..self.a_in.len() {
+            s.coupling.extend((0..me).map(|e| entry(me + i, e)));
+        }
+        for rows in members {
+            s.block_at.push((s.blocks.len(), rows.len()));
+            for (k, &i) in rows.iter().enumerate() {
+                s.local[i] = k;
+                s.blocks.extend(rows.iter().map(|&q| entry(me + i, me + q)));
+            }
+        }
+        s
+    }
+
     /// Splits the inequality rows into independent chains. A chain is a
     /// maximal run of Hessian blocks joined by nonzero subdiagonal blocks;
     /// runs that one inequality row spans are merged (union-find). Then
     /// `H̃⁻¹` is block diagonal over the chains, and so is the inequality
     /// part of `S = C·H̃⁻¹·Cᵀ`. Returns each row's chain, numbered in
-    /// block order, and the chain count (at least 1; an empty row joins
-    /// chain 0).
-    fn inequality_chain_ids(&self) -> (Vec<usize>, usize) {
+    /// block order (an empty row joins chain 0), and each chain's block
+    /// range `first..end`, from its first run's first block to its last
+    /// run's end (at least one chain). A merged chain's range also covers
+    /// the runs between its own; its rows are zero there.
+    fn inequality_chain_ids(&self) -> (Vec<usize>, Vec<(usize, usize)>) {
         let nb = self.h.nb();
         let mut run = Vec::with_capacity(self.h.nblocks());
-        let mut runs = 0;
+        let mut run_ends = Vec::new();
         for t in 0..self.h.nblocks() {
-            if t == 0 || self.h.sub(t - 1).iter().all(|&v| v == 0.0) {
-                runs += 1;
+            if t > 0 && self.h.sub(t - 1).iter().all(|&v| v == 0.0) {
+                run_ends.push(t);
             }
-            run.push(runs - 1);
+            run.push(run_ends.len());
         }
+        run_ends.push(self.h.nblocks());
+        let runs = run_ends.len();
         fn find(parent: &mut [usize], mut x: usize) -> usize {
             while parent[x] != x {
                 parent[x] = parent[parent[x]];
@@ -485,12 +596,17 @@ impl BandedQp {
                 }
             }
         }
+        // Roots are the smallest run of their chain, so labelling in run
+        // order numbers the chains in block order.
         let mut label = vec![usize::MAX; runs];
-        let mut nchains = 0;
+        let mut ranges: Vec<(usize, usize)> = Vec::new();
         for r in 0..runs {
-            if find(&mut parent, r) == r {
-                label[r] = nchains;
-                nchains += 1;
+            let root = find(&mut parent, r);
+            if root == r {
+                label[r] = ranges.len();
+                ranges.push((if r == 0 { 0 } else { run_ends[r - 1] }, run_ends[r]));
+            } else {
+                ranges[label[root]].1 = run_ends[r];
             }
         }
         let chains = self
@@ -502,7 +618,7 @@ impl BandedQp {
                     .map_or(0, |&(i, _)| label[find(&mut parent, run[i / nb])])
             })
             .collect();
-        (chains, nchains.max(1))
+        (chains, ranges)
     }
 
     /// The independent Hessian chain of each inequality row, as derived by
@@ -570,14 +686,12 @@ impl BandedQp {
         if self.cache.is_none() {
             self.prepare()?;
         }
-        let mut working = std::mem::take(&mut ws.working);
-        let mut sol = std::mem::take(&mut ws.sol);
+        let mut scratch = std::mem::take(&mut ws.scratch);
         let result = {
             let mut ops = BandedOps { qp: self, ws };
-            active_set::solve_from_feasible(&mut ops, x0, active_set, &mut working, &mut sol)
+            active_set::solve_from_feasible(&mut ops, x0, active_set, &mut scratch)
         };
-        ws.working = working;
-        ws.sol = sol;
+        ws.scratch = scratch;
         result
     }
 }
@@ -625,7 +739,7 @@ impl<'a> BandedOps<'a> {
 
     /// Extends the incremental factor until it holds every row of the
     /// current working system, gathering entries from the precomputed
-    /// Schur complement.
+    /// Schur blocks.
     ///
     /// A build of an empty factor counts as a refactorization: every chain
     /// block and then the equalities' block in one blocked pass each,
@@ -682,9 +796,9 @@ impl<'a> BandedOps<'a> {
             ws.col.clear();
             ws.coupling.clear();
             for (a, &i) in rows.iter().enumerate() {
-                let srow = cache.s.row(me + i);
-                ws.col.extend(rows[..=a].iter().map(|&q| srow[me + q]));
-                ws.coupling.extend_from_slice(&srow[..me]);
+                ws.col
+                    .extend(rows[..=a].iter().map(|&q| cache.s.pair(j, i, q)));
+                ws.coupling.extend_from_slice(cache.s.coupling(i, me));
             }
             if poison && me == 0 && rows[0] == working[0] {
                 ws.col[0] *= 2.0;
@@ -693,9 +807,7 @@ impl<'a> BandedOps<'a> {
                 .build_chain(j, rows.len(), &ws.col, &ws.coupling)?;
         }
         ws.col.clear();
-        for e in 0..me {
-            ws.col.extend_from_slice(&cache.s.row(e)[..=e]);
-        }
+        ws.col.extend_from_slice(&cache.s.eq);
         if poison && me > 0 {
             ws.col[0] *= 2.0;
         }
@@ -716,13 +828,12 @@ impl<'a> BandedOps<'a> {
         let cache = self.cache();
         let ws = &mut *self.ws;
         let j = cache.chains[i];
-        let srow = cache.s.row(me + i);
         ws.col.clear();
         ws.col
-            .extend(ws.chain_rows[j].iter().map(|&q| srow[me + q]));
-        ws.col.push(srow[me + i]);
+            .extend(ws.chain_rows[j].iter().map(|&q| cache.s.pair(j, i, q)));
+        ws.col.push(cache.s.pair(j, i, i));
         ws.factor
-            .append(j, &ws.col, &srow[..me])
+            .append(j, &ws.col, cache.s.coupling(i, me))
             .map_err(Error::from)?;
         ws.chain_rows[j].push(i);
         ws.held.push(i);
@@ -745,7 +856,7 @@ impl<'a> BandedOps<'a> {
         ws.factor.solve_in_place(&mut ws.lam);
         sol.clear();
         sol.extend_from_slice(&ws.t);
-        simd::axpy_rows(-1.0, &cache.yt, &ws.cols, &ws.lam, &cache.spans, sol);
+        simd::axpy_rows(-1.0, &cache.y, &ws.cols, &ws.lam, sol);
         ws.resid.clear();
         ws.resid
             .extend(ws.cols.iter().map(|&gr| self.qp.crow(gr).dot(sol)));
@@ -753,7 +864,7 @@ impl<'a> BandedOps<'a> {
         for (l, &d) in ws.lam.iter_mut().zip(&ws.resid) {
             *l += d;
         }
-        simd::axpy_rows(-1.0, &cache.yt, &ws.cols, &ws.resid, &cache.spans, sol);
+        simd::axpy_rows(-1.0, &cache.y, &ws.cols, &ws.resid, sol);
         ws.refinements += 1;
         vec_ops::norm_inf(&ws.resid)
     }
@@ -784,8 +895,8 @@ impl ActiveSetOps for BandedOps<'_> {
         self.qp.b_in[i]
     }
 
-    fn objective_at(&self, x: &[f64]) -> f64 {
-        self.qp.objective_at(x)
+    fn objective_at(&mut self, x: &[f64]) -> f64 {
+        self.qp.objective_in(x, &mut self.ws.hx)
     }
 
     fn begin(&mut self, _working: &[usize]) {
@@ -901,6 +1012,7 @@ impl ActiveSetOps for BandedOps<'_> {
 mod tests {
     use super::*;
     use idc_linalg::lu::Lu;
+    use idc_linalg::Matrix;
 
     fn pseudo(seed: &mut u64) -> f64 {
         *seed ^= *seed << 13;
@@ -1381,7 +1493,8 @@ mod tests {
 
     /// The refinement residual is taken from the step, `C_W·(t − Y_Wᵀλ)`;
     /// pin that it equals the Schur-block form `srhs − S_W·λ` read from the
-    /// cached full Schur complement, for an arbitrary (not converged) λ.
+    /// full-width reference Schur complement, for an arbitrary (not
+    /// converged) λ.
     #[test]
     fn step_residual_matches_schur_residual() {
         let mut seed = 0x7e51du64;
@@ -1389,6 +1502,7 @@ mod tests {
             let mut banded = random_problem(nb, t, &mut seed);
             banded.prepare().unwrap();
             let cache = banded.cache.as_ref().unwrap();
+            let (_, s) = reference(&banded);
             let n = banded.num_vars();
             let me = banded.a_eq.len();
             // Working system: every equality plus a seeded subset of bounds.
@@ -1402,7 +1516,7 @@ mod tests {
             let lam: Vec<f64> = (0..cols.len()).map(|_| pseudo(&mut seed)).collect();
             let srhs: Vec<f64> = cols.iter().map(|&gr| banded.crow(gr).dot(&tvec)).collect();
             let mut p = tvec.clone();
-            simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &cache.spans, &mut p);
+            simd::axpy_rows(-1.0, &cache.y, &cols, &lam, &mut p);
             let tol = 1e-10 * (1.0 + vec_ops::norm_inf(&srhs));
             for (r, &gr) in cols.iter().enumerate() {
                 let from_step = banded.crow(gr).dot(&p);
@@ -1410,7 +1524,7 @@ mod tests {
                     - cols
                         .iter()
                         .zip(&lam)
-                        .map(|(&gq, &lq)| cache.s[(gr, gq)] * lq)
+                        .map(|(&gq, &lq)| s[(gr, gq)] * lq)
                         .sum::<f64>();
                 assert!(
                     (from_step - from_schur).abs() <= tol,
@@ -1450,11 +1564,107 @@ mod tests {
         qp
     }
 
-    /// `S` from a dot with every row, spans ignored.
-    fn full_schur(qp: &BandedQp) -> Matrix {
+    /// The full-width reference: every constraint row solved in one sweep
+    /// over all Hessian blocks into a dense `Yᵀ`, and the dense `S` from a
+    /// dot of every constraint row with every `Y` row.
+    fn reference(qp: &BandedQp) -> (Matrix, Matrix) {
+        let chol = &qp.cache.as_ref().unwrap().chol;
+        let mt = qp.a_eq.len() + qp.a_in.len();
+        let mut yt = Matrix::zeros(mt, qp.num_vars());
+        for r in 0..mt {
+            for &(i, c) in qp.crow(r).entries() {
+                yt[(r, i)] += c;
+            }
+        }
+        if mt > 0 {
+            let mut pool = Workspace::new();
+            chol.solve_rows_in_place(yt.as_mut_slice(), mt, 0, chol.nblocks(), &mut pool);
+        }
+        let s = Matrix::from_fn(mt, mt, |r, q| qp.crow(q).dot(yt.row(r)));
+        (yt, s)
+    }
+
+    /// Prepares `qp` and checks the cache against [`reference`]: each
+    /// stored `Y` row is the reference row over its exact nonzero span, and
+    /// every stored Schur entry equals the reference entry, both up to the
+    /// sign of zero; inequality pairs of different chains are exact zeros in
+    /// the reference; and the cache stores exactly the compact count.
+    fn assert_prepare_matches_reference(qp: &mut BandedQp) {
+        qp.prepare().unwrap();
         let cache = qp.cache.as_ref().unwrap();
-        let mt = cache.yt.rows();
-        Matrix::from_fn(mt, mt, |r, q| qp.crow(q).dot(cache.yt.row(r)))
+        let (yt, s) = reference(qp);
+        let (me, mi) = (qp.a_eq.len(), qp.a_in.len());
+        let mut spans = 0;
+        for r in 0..me + mi {
+            let (lo, hi) = cache.y.span(r);
+            let full = yt.row(r);
+            assert_eq!((lo, hi), nonzero_span(full), "row {r}");
+            assert!(full[..lo].iter().chain(&full[hi..]).all(|&v| v == 0.0));
+            assert!(cache
+                .y
+                .row(r)
+                .iter()
+                .zip(&full[lo..hi])
+                .all(|(a, b)| a == b));
+            spans += hi - lo;
+        }
+        let eq = &cache.s.eq;
+        for e in 0..me {
+            for f in 0..=e {
+                assert!(eq[e * (e + 1) / 2 + f] == s[(e, f)], "S[{e}, {f}]");
+            }
+        }
+        let mut blocks = vec![0; cache.nchains];
+        for i in 0..mi {
+            let j = cache.chains[i];
+            blocks[j] += 1;
+            for e in 0..me {
+                assert!(
+                    cache.s.coupling(i, me)[e] == s[(me + i, e)],
+                    "S[in {i}, {e}]"
+                );
+            }
+            for q in 0..mi {
+                let full = s[(me + i, me + q)];
+                if cache.chains[q] == j {
+                    assert!(cache.s.pair(j, i, q) == full, "S[in {i}, in {q}]");
+                } else {
+                    assert!(full == 0.0, "S[in {i}, in {q}] crosses chains");
+                }
+            }
+        }
+        let compact =
+            spans + mi * me + blocks.iter().map(|b| b * b).sum::<usize>() + me * (me + 1) / 2;
+        assert_eq!(cache.y.stored() + cache.s.stored(), compact);
+    }
+
+    #[test]
+    fn prepare_matches_full_width_reference() {
+        let mut seed = 0x9e7au64;
+        let (nb, groups, len) = (3, 4, 3);
+        let separable = block_diagonal_problem(nb, groups, len, &mut seed);
+        assert_prepare_matches_reference(&mut separable.clone());
+        // A row spanning groups 0 and 2 merges them into one chain whose
+        // block range covers group 1 too.
+        let chain = nb * len;
+        let mut merged = separable.clone().inequality(
+            SparseRow::from_entries(vec![(1, 1.0), (2 * chain, 1.0)]),
+            1.0,
+        );
+        assert_prepare_matches_reference(&mut merged);
+        // A coupled Hessian is one chain.
+        assert_prepare_matches_reference(&mut random_problem(3, 4, &mut seed));
+        // No inequalities: only the equalities' sweep and triangle.
+        let mut equalities = BandedQp::new(separable.h.clone(), separable.g.clone()).unwrap();
+        for (row, &b) in separable.a_eq.iter().zip(&separable.b_eq) {
+            equalities = equalities.equality(row.clone(), b);
+        }
+        assert_prepare_matches_reference(&mut equalities);
+        // An empty inequality row joins chain 0 with an empty span.
+        let mut empty = separable.inequality(SparseRow::new(), 1.0);
+        assert_prepare_matches_reference(&mut empty);
+        let cache = empty.cache.as_ref().unwrap();
+        assert_eq!(cache.y.span(cache.y.rows() - 1), (0, 0));
     }
 
     #[test]
@@ -1463,14 +1673,14 @@ mod tests {
         let (nb, groups, len) = (3, 4, 3);
         let chain = nb * len;
         let mut qp = block_diagonal_problem(nb, groups, len, &mut seed);
-        qp.prepare().unwrap();
+        assert_prepare_matches_reference(&mut qp);
         let me = qp.a_eq.len();
         let cache = qp.cache.as_ref().unwrap();
         let n = qp.num_vars();
-        for (r, &(lo, hi)) in cache.spans.iter().enumerate() {
-            let row = cache.yt.row(r);
+        let mt = cache.y.rows();
+        for r in 0..mt {
+            let (lo, hi) = cache.y.span(r);
             assert!(lo < hi, "row {r} has an empty span");
-            assert!(row[..lo].iter().chain(&row[hi..]).all(|&v| v == 0.0));
             if r < me {
                 // Coupling rows reach every chain.
                 assert_eq!((lo, hi), (0, n), "row {r}");
@@ -1480,22 +1690,18 @@ mod tests {
                 assert!(g * chain <= lo && hi <= (g + 1) * chain, "row {r}");
             }
         }
-        // The Schur fill skips only exact zeros.
-        let full = full_schur(&qp);
-        assert!(cache
-            .s
-            .as_slice()
-            .iter()
-            .zip(full.as_slice())
-            .all(|(a, b)| a == b));
         // The span sweep equals the full-row sweep up to the sign of zero.
-        let cols: Vec<usize> = (0..cache.yt.rows()).filter(|r| r % 5 != 2).collect();
+        let (yt, _) = reference(&qp);
+        let mut full_rows = SpanRows::new(mt, n);
+        for r in 0..mt {
+            full_rows.set_row(r, 0, yt.row(r));
+        }
+        let cols: Vec<usize> = (0..mt).filter(|r| r % 5 != 2).collect();
         let lam: Vec<f64> = cols.iter().map(|_| pseudo(&mut seed)).collect();
         let t0: Vec<f64> = (0..n).map(|_| pseudo(&mut seed)).collect();
-        let full_spans = vec![(0, n); cache.yt.rows()];
         let (mut spanned, mut swept) = (t0.clone(), t0);
-        simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &cache.spans, &mut spanned);
-        simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &full_spans, &mut swept);
+        simd::axpy_rows(-1.0, &cache.y, &cols, &lam, &mut spanned);
+        simd::axpy_rows(-1.0, &full_rows, &cols, &lam, &mut swept);
         assert!(spanned.iter().zip(&swept).all(|(a, b)| a == b));
         // And the solve through the spans satisfies the KKT certificate.
         let sol = cold_solve(&mut qp, &mut BandedWorkspace::new());
@@ -1507,23 +1713,18 @@ mod tests {
     fn coupled_hessian_gets_full_spans() {
         let mut seed = 0xc0u64;
         let mut qp = random_problem(3, 4, &mut seed);
-        qp.prepare().unwrap();
+        assert_prepare_matches_reference(&mut qp);
         let cache = qp.cache.as_ref().unwrap();
         let n = qp.num_vars();
-        assert!(
-            cache.spans.iter().all(|&s| s == (0, n)),
-            "{:?}",
-            cache.spans
-        );
-        let full = full_schur(&qp);
-        assert_eq!(cache.s.as_slice(), full.as_slice());
-        let cols: Vec<usize> = (0..cache.yt.rows()).collect();
+        let mt = cache.y.rows();
+        assert!((0..mt).all(|r| cache.y.span(r) == (0, n)));
+        let cols: Vec<usize> = (0..mt).collect();
         let lam: Vec<f64> = cols.iter().map(|_| pseudo(&mut seed)).collect();
         let mut p = vec![0.5; n];
-        simd::axpy_rows(-1.0, &cache.yt, &cols, &lam, &cache.spans, &mut p);
+        simd::axpy_rows(-1.0, &cache.y, &cols, &lam, &mut p);
         let mut by_row = vec![0.5; n];
         for (&r, &l) in cols.iter().zip(&lam) {
-            simd::axpy_rows(-1.0, &cache.yt, &[r], &[l], &cache.spans, &mut by_row);
+            simd::axpy_rows(-1.0, &cache.y, &[r], &[l], &mut by_row);
         }
         assert_eq!(p, by_row);
         let sol = cold_solve(&mut qp, &mut BandedWorkspace::new());
