@@ -3,9 +3,9 @@
 //!
 //! The structs here are *plain data*: no solver scratch, no wall-clock
 //! timings, nothing derivable deterministically from the problem. They
-//! capture exactly what [`crate::policy::MpcPolicy::decide`] reads or
-//! writes across steps, so `restore` + `decide` reproduces an
-//! uninterrupted run bit-for-bit.
+//! capture exactly what [`MpcPolicy`](crate::policy::MpcPolicy)'s
+//! `decide` reads or writes across steps, so `restore` + `decide`
+//! reproduces an uninterrupted run bit-for-bit.
 //!
 //! Kept in a module of its own (rather than next to the policy) because
 //! the serde derives expand unqualified `Result`/`Error` paths and must

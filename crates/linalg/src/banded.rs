@@ -212,12 +212,12 @@ impl BlockTridiagChol {
 
     /// Factors `a` using up to `threads` scoped worker threads.
     ///
-    /// Small blocks (`nb <` [`BLOCK_MIN`]) take the scalar stage recursion;
-    /// larger blocks use a blocked right-looking Cholesky and blocked
-    /// triangular solves whose O(nb³) inner products all route through the
-    /// packed GEMM microkernel. Work is banded over rows with a static
-    /// partition, so the factor is **bitwise identical for every value of
-    /// `threads`** (see [`crate::par`]).
+    /// Small blocks (`nb` below `BLOCK_MIN` = 128) take the scalar stage
+    /// recursion; larger blocks use a blocked right-looking Cholesky and
+    /// blocked triangular solves whose O(nb³) inner products all route
+    /// through the packed GEMM microkernel. Work is banded over rows with a
+    /// static partition, so the factor is **bitwise identical for every
+    /// value of `threads`** (see [`crate::par`]).
     ///
     /// # Errors
     ///

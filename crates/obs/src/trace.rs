@@ -4,7 +4,8 @@
 //! timestamps, wrapped in `{"traceEvents":[...]}` — the JSON object form
 //! both viewers accept. Rendering is hand-rolled (std-only crate); names
 //! are JSON-escaped and timestamps come pre-sorted from
-//! [`FlightRecorder::snapshot`], so `ts` is monotonically non-decreasing.
+//! [`FlightRecorder::snapshot`](crate::FlightRecorder::snapshot), so `ts`
+//! is monotonically non-decreasing.
 
 use crate::recorder::{global_recorder, TraceEvent};
 

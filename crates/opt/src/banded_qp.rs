@@ -39,11 +39,12 @@
 //!    chains, sweep every block. A coupled `H` simply gives full spans.
 //!
 //! The outer iteration is the textbook primal active-set loop of
-//! [`active_set`]: warm-start seeding, Dantzig/Bland switching and
+//! `active_set`: warm-start seeding, Dantzig/Bland switching and
 //! degeneracy recovery live there, the KKT step solves live here.
 
 use idc_linalg::banded::{BlockTridiag, BlockTridiagChol};
 use idc_linalg::cholesky::ArrowheadCholesky;
+use idc_linalg::par::default_threads;
 use idc_linalg::workspace::Workspace;
 use idc_linalg::{simd, vec_ops, SpanRows};
 
@@ -456,10 +457,13 @@ impl BandedQp {
             members[j].push(i);
         }
         // Each batch is one multi-RHS sweep: the stage-coupling corrections
-        // go through GEMM and the rows are banded across worker threads.
-        // A chain's range is bounded by zero subdiagonal blocks, so its
-        // rows solve at the chain's width exactly as they would at full
-        // width (the rest of a full-width row is ±0).
+        // go through GEMM. The equality rows, which span every block, are
+        // banded across worker threads; a chain's batch is small enough
+        // that spawning threads for it costs more than it saves, so it runs
+        // on the caller's thread (the solve is bitwise independent of the
+        // thread count). A chain's range is bounded by zero subdiagonal
+        // blocks, so its rows solve at the chain's width exactly as they
+        // would at full width (the rest of a full-width row is ±0).
         let mut y = SpanRows::new(me + mi, n);
         let mut buf = Vec::new();
         let equalities: Vec<usize> = (0..me).collect();
@@ -467,13 +471,13 @@ impl BandedQp {
             &chol,
             &equalities,
             (0, chol.nblocks()),
-            &mut buf,
-            &mut pool,
+            default_threads(),
+            (&mut buf, &mut pool),
             &mut y,
         );
         for (rows, &range) in members.iter().zip(&ranges) {
             let global: Vec<usize> = rows.iter().map(|&i| me + i).collect();
-            self.solve_batch(&chol, &global, range, &mut buf, &mut pool, &mut y);
+            self.solve_batch(&chol, &global, range, 1, (&mut buf, &mut pool), &mut y);
         }
         let s = self.schur_blocks(&y, &members);
         self.cache = Some(BandedCache {
@@ -487,15 +491,16 @@ impl BandedQp {
     }
 
     /// Solves the constraint rows `rows` (global indices) against the
-    /// factor's blocks `first..end` as one batch, storing each `Y` row over
-    /// its nonzero span. Every row's entries must lie inside the range.
+    /// factor's blocks `first..end` as one batch on up to `threads`
+    /// threads, storing each `Y` row over its nonzero span. Every row's
+    /// entries must lie inside the range.
     fn solve_batch(
         &self,
         chol: &BlockTridiagChol,
         rows: &[usize],
         (first, end): (usize, usize),
-        buf: &mut Vec<f64>,
-        pool: &mut Workspace,
+        threads: usize,
+        (buf, pool): (&mut Vec<f64>, &mut Workspace),
         y: &mut SpanRows,
     ) {
         if rows.is_empty() {
@@ -510,7 +515,7 @@ impl BandedQp {
                 row[i - off] += c;
             }
         }
-        chol.solve_rows_in_place(buf, rows.len(), first, end - first, pool);
+        chol.solve_rows_with_threads(buf, rows.len(), first, end - first, pool, threads);
         for (row, &r) in buf.chunks_exact(width).zip(rows) {
             let (lo, hi) = nonzero_span(row);
             y.set_row(r, off + lo, &row[lo..hi]);
@@ -708,7 +713,7 @@ fn nonzero_span(row: &[f64]) -> (usize, usize) {
     }
 }
 
-/// Banded backend for the shared [`active_set`] loop.
+/// Banded backend for the shared `active_set` loop.
 ///
 /// The Newton point `t = H̃⁻¹(−(Hx+g))` is recomputed each iteration through
 /// the O(β·nb²) banded solve (cheap enough that incremental tracking is not

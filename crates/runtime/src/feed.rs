@@ -1,17 +1,17 @@
 //! Trace-backed feed adapters with deterministic fault injection.
 //!
-//! These implement [`idc_core::feed`]'s traits on top of a
-//! [`Scenario`](idc_core::scenario::Scenario): the workload feed *publishes*
-//! one sample per fast tick (drawing workload noise at publish time, in the
-//! exact RNG order of the batch simulator), and the price feed publishes the
-//! scenario pricing evaluated at the consumer's own last power draw. A
+//! These implement [`idc_core::feed`]'s traits on top of a [`Scenario`]:
+//! the workload feed *publishes* one sample per fast tick (drawing workload
+//! noise at publish time, in the exact RNG order of the batch simulator),
+//! and the price feed publishes the scenario pricing evaluated at the
+//! consumer's own last power draw. A
 //! [`FeedFaults`] schedule then decides, per published sample, whether it is
 //! delivered on time, `d` ticks late, or never — a deterministic pure
 //! function of `(fault seed, tick)`, so a checkpointed run replays the same
 //! fault pattern after restore.
 //!
 //! Price faults compose with `idc-market`'s tariff-level faults: a scenario
-//! whose [`PricingSpec`](idc_core::scenario::PricingSpec) wraps
+//! whose [`PricingSpec`] wraps
 //! `idc_market::fault::FaultyTracePricing` corrupts the price *values*,
 //! while [`FeedFaults`] corrupts their *delivery* — the two layers model
 //! market-side and transport-side failures respectively.

@@ -9,6 +9,12 @@
 //! compaction can never leave the lineage without its newest restorable
 //! state, whatever instant the process is killed at.
 //!
+//! A lineage is plain data (a directory and a retention count) and
+//! `record` takes `&self`, so the tenant manager's checkpoint writer
+//! threads share it with the worker that hosts the tenant. Each tenant's
+//! records run on one writer, one at a time and in step order, so the
+//! compaction scan never races another record into the same directory.
+//!
 //! [`open`](CheckpointLineage::open) garbage-collects the wreckage of a
 //! kill: `.tmp` partials (a rename that never happened) are removed, and
 //! corrupt or truncated `ckpt-*.json` files are removed and logged —
@@ -48,8 +54,8 @@ impl CheckpointLineage {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when the directory cannot be created or
-    /// scanned.
+    /// Returns [`Error::Io`](crate::Error::Io) when the directory cannot be
+    /// created or scanned.
     pub fn open(dir: impl Into<PathBuf>, keep_last: usize) -> Result<Self> {
         let lineage = CheckpointLineage {
             dir: dir.into(),
@@ -106,7 +112,8 @@ impl CheckpointLineage {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when the directory cannot be scanned.
+    /// Returns [`Error::Io`](crate::Error::Io) when the directory cannot be
+    /// scanned.
     pub fn steps(&self) -> Result<Vec<u64>> {
         Ok(self.scan()?.into_iter().map(|(step, _)| step).collect())
     }
@@ -140,7 +147,8 @@ impl CheckpointLineage {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when the directory cannot be scanned.
+    /// Returns [`Error::Io`](crate::Error::Io) when the directory cannot be
+    /// scanned.
     pub fn latest_restorable(&self) -> Result<Option<(u64, RuntimeSnapshot)>> {
         for (step, path) in self.scan()?.into_iter().rev() {
             match RuntimeSnapshot::read(&path) {

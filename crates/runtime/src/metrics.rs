@@ -3,7 +3,8 @@
 //!
 //! Hand-rolled and std-only by design (the build environment vendors no
 //! metrics crates). Thread-safe behind a single mutex — the write rates
-//! here are one control step per sampling period, not a hot path. Metric
+//! here are one control step per sampling period, not a hot path — and a
+//! write to an existing key allocates nothing. Metric
 //! keys may carry a Prometheus label suffix directly in the name (e.g.
 //! `idc_power_mw{idc="Michigan"}`); the renderer emits one `# TYPE` line
 //! per base name.
@@ -104,6 +105,19 @@ pub struct MetricsRegistry {
     inner: Mutex<Inner>,
 }
 
+/// The entry for `key`, inserted with `init()` when absent. Looks up by
+/// `&str`, so only the first call for a key allocates it.
+fn entry<'m, V>(
+    map: &'m mut BTreeMap<String, V>,
+    key: &str,
+    init: impl FnOnce() -> V,
+) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), init());
+    }
+    map.get_mut(key).expect("present or just inserted")
+}
+
 /// The base name of a possibly-labelled metric key.
 fn base_name(key: &str) -> &str {
     key.split('{').next().unwrap_or(key)
@@ -118,20 +132,20 @@ impl MetricsRegistry {
     /// Adds `v` to the counter `key`, creating it at zero first.
     pub fn inc_counter(&self, key: &str, v: u64) {
         let mut inner = self.inner.lock().expect("metrics mutex");
-        *inner.counters.entry(key.to_string()).or_insert(0) += v;
+        *entry(&mut inner.counters, key, || 0) += v;
     }
 
     /// Sets the counter `key` to an absolute cumulative value (for
     /// counters whose source is itself cumulative, e.g. solver totals).
     pub fn set_counter(&self, key: &str, v: u64) {
         let mut inner = self.inner.lock().expect("metrics mutex");
-        inner.counters.insert(key.to_string(), v);
+        *entry(&mut inner.counters, key, || 0) = v;
     }
 
     /// Sets the gauge `key`.
     pub fn set_gauge(&self, key: &str, v: f64) {
         let mut inner = self.inner.lock().expect("metrics mutex");
-        inner.gauges.insert(key.to_string(), v);
+        *entry(&mut inner.gauges, key, || 0.0) = v;
     }
 
     /// Registers `# HELP` text for the metric base name `base` (pass the
@@ -145,11 +159,10 @@ impl MetricsRegistry {
     /// first use (later calls ignore `bounds`).
     pub fn observe(&self, key: &str, bounds: &[f64], v: f64) {
         let mut inner = self.inner.lock().expect("metrics mutex");
-        inner
-            .histograms
-            .entry(key.to_string())
-            .or_insert_with(|| Histogram::new(bounds.to_vec()))
-            .observe(v);
+        entry(&mut inner.histograms, key, || {
+            Histogram::new(bounds.to_vec())
+        })
+        .observe(v);
     }
 
     /// Current value of a counter, if present.

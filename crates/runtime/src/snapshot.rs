@@ -6,7 +6,7 @@
 //! draw counts and in-flight backlogs), the held last-value observations,
 //! the [`Plant`](idc_core::plant::Plant)'s accounting (accumulated cost,
 //! shed volume, battery, demand-charge meter), the trajectories and the
-//! full [`MpcPolicySnapshot`](idc_core::snapshot::MpcPolicySnapshot).
+//! full [`MpcPolicySnapshot`].
 //!
 //! Snapshots are written atomically: serialize to `<path>.tmp`, fsync,
 //! rename over `<path>`. A reader therefore sees either the previous
@@ -40,7 +40,7 @@ use crate::error::Error;
 /// unknown keys. So v2 checkpoints whose warm start still carries the
 /// retired sharded backend's `multipliers` list keep restoring; one whose
 /// backend label is `sharded[N]` fails at restore with
-/// [`Error::Config`](crate::Error::Config) naming the label.
+/// [`Error::Config`] naming the label.
 pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// Oldest format [`RuntimeSnapshot::validate`] accepts.
@@ -120,7 +120,7 @@ pub struct RuntimeSnapshot {
     /// Solver-backend label (`None` = the paper-tuned default, the banded
     /// backend). See [`crate::stepper::parse_backend`] for the accepted
     /// labels; restoring a snapshot whose label is not accepted fails with
-    /// [`Error::Config`](crate::Error::Config).
+    /// [`Error::Config`].
     pub backend: Option<String>,
     /// Per-tick, per-feed admission bound (0 = unbounded).
     pub ingest_bound: u64,
