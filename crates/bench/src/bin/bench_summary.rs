@@ -533,8 +533,8 @@ fn git_revision() -> String {
     }
 }
 
-/// The host the numbers were measured on: CPU model, core count, the
-/// linalg worker threads and the SIMD path the kernels took.
+/// The host the numbers were measured on: CPU model, core count and the
+/// SIMD path the kernels took.
 fn host_json() -> String {
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
@@ -545,12 +545,10 @@ fn host_json() -> String {
         })
         .unwrap_or_else(|| "unknown".to_string());
     format!(
-        "{{\"git_sha\": \"{}\", \"cpu_model\": \"{}\", \"nproc\": {}, \
-         \"linalg_threads\": {}, \"simd\": \"{}\"}}",
+        "{{\"git_sha\": \"{}\", \"cpu_model\": \"{}\", \"nproc\": {}, \"simd\": \"{}\"}}",
         git_revision(),
         cpu.replace('"', "'"),
         std::thread::available_parallelism().map_or(0, |n| n.get()),
-        idc_linalg::par::default_threads(),
         simd_path(),
     )
 }

@@ -10,7 +10,7 @@
 //! battery, metering and the bill all live in [`crate::plant`], shared
 //! with the online runtime.
 
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use idc_timeseries::standard_normal;
 
@@ -19,7 +19,7 @@ use idc_storage::StorageState;
 
 use crate::plant::Plant;
 use crate::policy::{Policy, StepContext};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, WorkloadProfile};
 use crate::Result;
 
 /// The recorded trajectory of one policy on one scenario.
@@ -242,6 +242,67 @@ impl SimulationResult {
     }
 }
 
+/// The scenario's offered-workload process: the fleet's base portal
+/// workloads scaled by the workload profile, times `1 + σ·N(0, 1)` per
+/// portal when the scenario is noisy, clamped at zero. The batch simulator
+/// and the online runtime's workload feed both draw through it, so one
+/// seeded stream gives both the same workloads bit for bit.
+#[derive(Debug, Clone)]
+pub struct WorkloadProcess {
+    base: Vec<f64>,
+    profile: WorkloadProfile,
+    noise_std: f64,
+    start_hour: f64,
+    ts_hours: f64,
+}
+
+impl WorkloadProcess {
+    /// The workload process of `scenario`.
+    pub fn new(scenario: &Scenario) -> Self {
+        WorkloadProcess {
+            base: scenario.fleet().offered_workloads(),
+            profile: scenario.workload_profile().clone(),
+            noise_std: scenario.workload_noise_std(),
+            start_hour: scenario.start_hour(),
+            ts_hours: scenario.ts_hours(),
+        }
+    }
+
+    /// The offered workload of every portal at step `k`. Takes one normal
+    /// draw per portal from `rng` when the scenario is noisy, none
+    /// otherwise.
+    pub fn draw<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<f64> {
+        let hour = self.start_hour + k as f64 * self.ts_hours;
+        let factor = self.profile.factor_at_step(k, hour);
+        self.base
+            .iter()
+            .map(|&l| {
+                let mut v = l * factor;
+                if self.noise_std > 0.0 {
+                    v *= 1.0 + self.noise_std * standard_normal(rng);
+                }
+                v.max(0.0)
+            })
+            .collect()
+    }
+}
+
+/// The context a policy is initialized with before step 0: the init-hour
+/// prices with zero own-load feedback and the base offered workloads.
+pub fn initial_context(scenario: &Scenario) -> StepContext<'_> {
+    let fleet = scenario.fleet();
+    StepContext {
+        step: 0,
+        hour: scenario.init_hour(),
+        dt_hours: scenario.ts_hours(),
+        prices: scenario
+            .pricing()
+            .prices(scenario.init_hour(), &vec![0.0; fleet.num_idcs()]),
+        offered: fleet.offered_workloads(),
+        idcs: fleet.idcs(),
+    }
+}
+
 /// The simulator. Stateless; a single instance can run many
 /// (scenario, policy) pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -282,22 +343,8 @@ impl Simulator {
         let steps = scenario.num_steps();
         let ts = scenario.ts_hours();
         let mut rng = StdRng::seed_from_u64(scenario.seed());
-        let base_offered = fleet.offered_workloads();
-
-        // Initialize the policy at the init-hour prices with zero own-load
-        // feedback.
-        let init_prices = scenario
-            .pricing()
-            .prices(scenario.init_hour(), &vec![0.0; n]);
-        let init_ctx = StepContext {
-            step: 0,
-            hour: scenario.init_hour(),
-            dt_hours: ts,
-            prices: init_prices,
-            offered: base_offered.clone(),
-            idcs: fleet.idcs(),
-        };
-        policy.initialize(&init_ctx)?;
+        let process = WorkloadProcess::new(scenario);
+        policy.initialize(&initial_context(scenario))?;
 
         let mut power_mw = vec![Vec::with_capacity(steps); n];
         let mut servers = vec![Vec::with_capacity(steps); n];
@@ -318,19 +365,7 @@ impl Simulator {
 
         for k in 0..steps {
             let hour = scenario.start_hour() + k as f64 * ts;
-            // Offered workload: profile-modulated, optionally noisy,
-            // clamped non-negative.
-            let profile_factor = scenario.workload_profile().factor_at_step(k, hour);
-            let mut offered: Vec<f64> = base_offered
-                .iter()
-                .map(|&l| {
-                    let mut v = l * profile_factor;
-                    if scenario.workload_noise_std() > 0.0 {
-                        v *= 1.0 + scenario.workload_noise_std() * standard_normal(&mut rng);
-                    }
-                    v.max(0.0)
-                })
-                .collect();
+            let mut offered = process.draw(k, &mut rng);
             plant.admit(&mut offered);
             let prices = scenario.pricing().prices(hour, plant.last_power_mw());
             let ctx = StepContext {

@@ -18,7 +18,6 @@
 //! [`gemm`](crate::gemm) microkernel.
 
 use crate::gemm::gemm_ws;
-use crate::par::{default_threads, par_chunks_mut, par_gemm};
 use crate::workspace::Workspace;
 use crate::{Error, Result};
 
@@ -26,9 +25,9 @@ use crate::{Error, Result};
 const BLOCK_MIN: usize = 128;
 /// Column-panel width for the blocked Cholesky and triangular solves.
 const PANEL: usize = 48;
-/// Rows per chunk when banding row-parallel work across threads.
+/// Rows per chunk of the blocked row-panel work.
 const ROW_BAND: usize = 64;
-/// Right-hand sides per chunk in [`BlockTridiagChol::solve_rows_with_threads`].
+/// Right-hand sides per chunk in [`BlockTridiagChol::solve_rows_in_place`].
 const RHS_BAND: usize = 32;
 
 /// A symmetric block-tridiagonal matrix stored as flat row-major blocks.
@@ -198,37 +197,16 @@ impl BlockTridiagChol {
 
     /// Factors `a`, reusing all internal storage from previous calls.
     ///
-    /// Delegates to [`refactor_with_threads`](Self::refactor_with_threads)
-    /// with [`default_threads`] workers; the result is bitwise independent of
-    /// the thread count.
+    /// Small blocks (`nb` below `BLOCK_MIN` = 128) take the scalar stage
+    /// recursion; larger blocks use a blocked right-looking Cholesky and
+    /// blocked triangular solves whose O(nb³) inner products all route
+    /// through the packed GEMM microkernel.
     ///
     /// # Errors
     ///
     /// Returns [`Error::NotPositiveDefinite`] if a stage block loses positive
     /// definiteness during the recursion.
     pub fn refactor(&mut self, a: &BlockTridiag, ws: &mut Workspace) -> Result<()> {
-        self.refactor_with_threads(a, ws, default_threads())
-    }
-
-    /// Factors `a` using up to `threads` scoped worker threads.
-    ///
-    /// Small blocks (`nb` below `BLOCK_MIN` = 128) take the scalar stage
-    /// recursion; larger blocks use a blocked right-looking Cholesky and
-    /// blocked triangular solves whose O(nb³) inner products all route
-    /// through the packed GEMM microkernel. Work is banded over rows with a
-    /// static partition, so the factor is **bitwise identical for every
-    /// value of `threads`** (see [`crate::par`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotPositiveDefinite`] if a stage block loses positive
-    /// definiteness during the recursion.
-    pub fn refactor_with_threads(
-        &mut self,
-        a: &BlockTridiag,
-        ws: &mut Workspace,
-        threads: usize,
-    ) -> Result<()> {
         let (nb, t) = (a.nb(), a.nblocks());
         let s = nb * nb;
         self.nb = nb;
@@ -247,7 +225,7 @@ impl BlockTridiagChol {
 
         self.l[..s].copy_from_slice(a.diag(0));
         if blocked {
-            chol_in_place_blocked(nb, &mut self.l[..s], threads, ws)?;
+            chol_in_place_blocked(nb, &mut self.l[..s], ws)?;
         } else {
             chol_in_place(nb, &mut self.l[..s])?;
         }
@@ -260,11 +238,10 @@ impl BlockTridiagChol {
             mblk.copy_from_slice(a.sub(bt - 1));
             if blocked {
                 transpose_into(nb, lprev, &mut self.lt_scratch);
-                let ltprev = &self.lt_scratch;
-                par_chunks_mut(mblk, ROW_BAND * nb, threads, |_, rows| {
-                    let mut local = Workspace::new();
-                    trsm_rows_lower(rows.len() / nb, nb, lprev, ltprev, rows, nb, &mut local);
-                });
+                for rows in mblk.chunks_mut(ROW_BAND * nb) {
+                    let nrows = rows.len() / nb;
+                    trsm_rows_lower(nrows, nb, lprev, &self.lt_scratch, rows, nb, ws);
+                }
             } else {
                 for r in 0..nb {
                     forward_subst(nb, lprev, &mut mblk[r * nb..(r + 1) * nb]);
@@ -274,7 +251,7 @@ impl BlockTridiagChol {
             let lcur = &mut rest_l[..s];
             lcur.copy_from_slice(a.diag(bt));
             transpose_into(nb, mblk, &mut self.mt_scratch);
-            par_gemm(
+            gemm_ws(
                 nb,
                 nb,
                 nb,
@@ -286,11 +263,10 @@ impl BlockTridiagChol {
                 1.0,
                 lcur,
                 nb,
-                if blocked { threads } else { 1 },
                 ws,
             );
             if blocked {
-                chol_in_place_blocked(nb, lcur, threads, ws)?;
+                chol_in_place_blocked(nb, lcur, ws)?;
             } else {
                 chol_in_place(nb, lcur)?;
             }
@@ -343,21 +319,6 @@ impl BlockTridiagChol {
         }
     }
 
-    /// Solves `nrhs` right-hand sides stored as the rows of the row-major
-    /// `nrhs × (count·nb)` buffer `x`, in place, against the diagonal blocks
-    /// `first..first + count` of the factor, with [`default_threads`]
-    /// workers. See [`solve_rows_with_threads`](Self::solve_rows_with_threads).
-    pub fn solve_rows_in_place(
-        &self,
-        x: &mut [f64],
-        nrhs: usize,
-        first: usize,
-        count: usize,
-        ws: &mut Workspace,
-    ) {
-        self.solve_rows_with_threads(x, nrhs, first, count, ws, default_threads());
-    }
-
     /// Multi-right-hand-side [`solve_in_place`](Self::solve_in_place) over
     /// the block range `first..first + count`: each row of the row-major
     /// `nrhs × (count·nb)` buffer `x` is an independent RHS on those blocks.
@@ -370,24 +331,22 @@ impl BlockTridiagChol {
     /// range, and the full solve is `±0` everywhere else. An independent
     /// chain of Hessian blocks is solved at its own width this way.
     ///
-    /// Stage-coupling corrections are batched through GEMM and right-hand
-    /// sides are banded across up to `threads` scoped threads; the result is
-    /// bitwise independent of `threads` (static row partition), though not
-    /// bitwise identical to per-row [`solve_in_place`](Self::solve_in_place)
-    /// calls (different reduction order).
+    /// Stage-coupling corrections are batched through GEMM over bands of
+    /// right-hand sides, so the result is not bitwise identical to per-row
+    /// [`solve_in_place`](Self::solve_in_place) calls (different reduction
+    /// order).
     ///
     /// # Panics
     ///
     /// Panics if the range runs past the factor, if
     /// `x.len() != nrhs · count · nb`, or if the factor is empty.
-    pub fn solve_rows_with_threads(
+    pub fn solve_rows_in_place(
         &self,
         x: &mut [f64],
         nrhs: usize,
         first: usize,
         count: usize,
         ws: &mut Workspace,
-        threads: usize,
     ) {
         let nb = self.nb;
         assert!(self.nblocks > 0, "solve on empty factor");
@@ -416,11 +375,9 @@ impl BlockTridiagChol {
         for bt in 0..t {
             transpose_into(nb, &l[bt * s..(bt + 1) * s], &mut lts[bt * s..(bt + 1) * s]);
         }
-        let (lblk, mblk, mtref, ltref) = (l, m, &mts, &lts);
-        par_chunks_mut(x, RHS_BAND * dim, threads, |_, rows| {
+        let mut cloc = ws.take(RHS_BAND.min(nrhs) * nb);
+        for rows in x.chunks_mut(RHS_BAND * dim) {
             let band = rows.len() / dim;
-            let mut local = Workspace::new();
-            let mut cloc = local.take(band * nb);
             // Forward sweep: L Y = B, rows as right-hand sides.
             for bt in 0..t {
                 if bt > 0 {
@@ -433,12 +390,12 @@ impl BlockTridiagChol {
                         -1.0,
                         &rows[(bt - 1) * nb..],
                         dim,
-                        &mtref[(bt - 1) * s..bt * s],
+                        &mts[(bt - 1) * s..bt * s],
                         nb,
                         0.0,
                         &mut cloc,
                         nb,
-                        &mut local,
+                        ws,
                     );
                     for r in 0..band {
                         for c in 0..nb {
@@ -449,11 +406,11 @@ impl BlockTridiagChol {
                 trsm_rows_lower(
                     band,
                     nb,
-                    &lblk[bt * s..(bt + 1) * s],
-                    &ltref[bt * s..(bt + 1) * s],
+                    &l[bt * s..(bt + 1) * s],
+                    &lts[bt * s..(bt + 1) * s],
                     &mut rows[bt * nb..],
                     dim,
-                    &mut local,
+                    ws,
                 );
             }
             // Backward sweep: Lᵀ X = Y.
@@ -467,12 +424,12 @@ impl BlockTridiagChol {
                         -1.0,
                         &rows[(bt + 1) * nb..],
                         dim,
-                        &mblk[bt * s..(bt + 1) * s],
+                        &m[bt * s..(bt + 1) * s],
                         nb,
                         0.0,
                         &mut cloc,
                         nb,
-                        &mut local,
+                        ws,
                     );
                     for r in 0..band {
                         for c in 0..nb {
@@ -483,14 +440,14 @@ impl BlockTridiagChol {
                 trsm_rows_lower_transposed(
                     band,
                     nb,
-                    &lblk[bt * s..(bt + 1) * s],
+                    &l[bt * s..(bt + 1) * s],
                     &mut rows[bt * nb..],
                     dim,
-                    &mut local,
+                    ws,
                 );
             }
-            local.put(cloc);
-        });
+        }
+        ws.put(cloc);
         ws.put(mts);
         ws.put(lts);
     }
@@ -552,16 +509,9 @@ fn transpose_into(n: usize, src: &[f64], dst: &mut [f64]) {
 /// row-major `n×n` block.
 ///
 /// The diagonal panel is factored scalar; the O(n³) trailing update runs
-/// through the packed GEMM microkernel, banded over row panels across up to
-/// `threads` scoped threads. Each row panel's output depends only on its own
-/// rows plus shared read-only panels, so the factor is bitwise independent
-/// of `threads`.
-pub(crate) fn chol_in_place_blocked(
-    n: usize,
-    a: &mut [f64],
-    threads: usize,
-    ws: &mut Workspace,
-) -> Result<()> {
+/// through the packed GEMM microkernel, one call per band of `ROW_BAND`
+/// rows.
+pub(crate) fn chol_in_place_blocked(n: usize, a: &mut [f64], ws: &mut Workspace) -> Result<()> {
     if n < BLOCK_MIN {
         return chol_in_place(n, a);
     }
@@ -591,21 +541,19 @@ pub(crate) fn chol_in_place_blocked(
         if r0 == n {
             break;
         }
-        // Panel solve L21 ← A21·L11⁻ᵀ, row-parallel.
+        // Panel solve L21 ← A21·L11⁻ᵀ, row by row.
         let (head, tail) = a.split_at_mut(r0 * n);
         let panel = &head[k0 * n..];
-        par_chunks_mut(tail, ROW_BAND * n, threads, |_, rows| {
-            for rr in rows.chunks_mut(n) {
-                for i in 0..w {
-                    let mut acc = rr[k0 + i];
-                    for j in 0..i {
-                        acc -= panel[i * n + k0 + j] * rr[k0 + j];
-                    }
-                    rr[k0 + i] = acc / panel[i * n + k0 + i];
+        for rr in tail.chunks_mut(n) {
+            for i in 0..w {
+                let mut acc = rr[k0 + i];
+                for j in 0..i {
+                    acc -= panel[i * n + k0 + j] * rr[k0 + j];
                 }
+                rr[k0 + i] = acc / panel[i * n + k0 + i];
             }
-        });
-        // Bt = L21ᵀ, shared read-only by every trailing row panel.
+        }
+        // Bt = L21ᵀ, read by every trailing row band.
         let ncols_total = n - r0;
         for (rr, row) in tail.chunks_exact(n).enumerate() {
             for c in 0..w {
@@ -616,13 +564,10 @@ pub(crate) fn chol_in_place_blocked(
         // the panel's lower-triangle columns (plus the few upper-triangle
         // entries inside the panel's diagonal block, which stay
         // insignificant — only the lower triangle of `a` is read).
-        let btref = &bt;
-        par_chunks_mut(tail, ROW_BAND * n, threads, |idx, rows| {
+        let mut aloc = ws.take(ROW_BAND.min(ncols_total) * w);
+        for (idx, rows) in tail.chunks_mut(ROW_BAND * n).enumerate() {
             let nrows = rows.len() / n;
-            let band_r0 = r0 + idx * ROW_BAND;
-            let ncols = band_r0 + nrows - r0;
-            let mut local = Workspace::new();
-            let mut aloc = local.take(nrows * w);
+            let ncols = idx * ROW_BAND + nrows;
             for (rr, row) in rows.chunks_exact(n).enumerate() {
                 aloc[rr * w..(rr + 1) * w].copy_from_slice(&row[k0..k0 + w]);
             }
@@ -633,15 +578,15 @@ pub(crate) fn chol_in_place_blocked(
                 -1.0,
                 &aloc,
                 w,
-                btref,
+                &bt,
                 ncols_total,
                 1.0,
                 &mut rows[r0..],
                 n,
-                &mut local,
+                ws,
             );
-            local.put(aloc);
-        });
+        }
+        ws.put(aloc);
     }
     ws.put(bt);
     result
@@ -887,28 +832,12 @@ mod tests {
         let b: Vec<f64> = (0..nb * t).map(|_| pseudo(&mut seed)).collect();
         let mut chol = BlockTridiagChol::new();
         let mut ws = Workspace::new();
-        chol.refactor_with_threads(&a, &mut ws, 2).unwrap();
+        chol.refactor(&a, &mut ws).unwrap();
         let mut x = b.clone();
         chol.solve_in_place(&mut x);
         let expect = Lu::factor(&dense).unwrap().solve(&b).unwrap();
         for (u, v) in x.iter().zip(&expect) {
             assert!((u - v).abs() < 1e-9 * (1.0 + v.abs()));
-        }
-    }
-
-    #[test]
-    fn refactor_is_bitwise_independent_of_thread_count() {
-        let mut seed = 0x7ead_5afeu64;
-        let (nb, t) = (BLOCK_MIN + 9, 3);
-        let a = random_spd(nb, t, &mut seed);
-        let mut ws = Workspace::new();
-        let mut serial = BlockTridiagChol::new();
-        serial.refactor_with_threads(&a, &mut ws, 1).unwrap();
-        for threads in [2, 3, 5] {
-            let mut par = BlockTridiagChol::new();
-            par.refactor_with_threads(&a, &mut ws, threads).unwrap();
-            assert_eq!(par.l, serial.l, "threads={threads}");
-            assert_eq!(par.m, serial.m, "threads={threads}");
         }
     }
 
@@ -924,10 +853,7 @@ mod tests {
             chol.refactor(&a, &mut ws).unwrap();
             let rhs: Vec<f64> = (0..nrhs * dim).map(|_| pseudo(&mut seed)).collect();
             let mut batch = rhs.clone();
-            chol.solve_rows_with_threads(&mut batch, nrhs, 0, t, &mut ws, 1);
-            let mut batch_par = rhs.clone();
-            chol.solve_rows_with_threads(&mut batch_par, nrhs, 0, t, &mut ws, 3);
-            assert_eq!(batch, batch_par, "nb={nb}: thread count changed bits");
+            chol.solve_rows_in_place(&mut batch, nrhs, 0, t, &mut ws);
             for r in 0..nrhs {
                 let mut x = rhs[r * dim..(r + 1) * dim].to_vec();
                 chol.solve_in_place(&mut x);
@@ -960,7 +886,7 @@ mod tests {
                 full[r * dim + first * nb..r * dim + (first + count) * nb]
                     .copy_from_slice(&ranged[r * width..(r + 1) * width]);
             }
-            chol.solve_rows_with_threads(&mut ranged, nrhs, first, count, &mut ws, 2);
+            chol.solve_rows_in_place(&mut ranged, nrhs, first, count, &mut ws);
             chol.solve_rows_in_place(&mut full, nrhs, 0, t, &mut ws);
             for r in 0..nrhs {
                 let row = &full[r * dim..(r + 1) * dim];

@@ -44,7 +44,6 @@ pub mod expm;
 pub mod gemm;
 pub mod lu;
 mod matrix;
-pub mod par;
 pub mod simd;
 mod span_rows;
 pub mod vec_ops;

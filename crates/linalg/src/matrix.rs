@@ -124,15 +124,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a single-row matrix from a vector.
-    pub fn row_matrix(v: &[f64]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: v.len(),
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -161,11 +152,6 @@ impl Matrix {
     /// Mutable borrow of the underlying row-major data.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the row-major data vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrow of row `i` as a slice.
@@ -234,44 +220,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Transposed matrix–vector product `selfᵀ * v` without forming the
-    /// transpose.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `v.len() != self.rows()`.
-    pub fn tr_mul_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.rows {
-            return Err(Error::DimensionMismatch {
-                op: "tr_mul_vec",
-                lhs: (self.cols, self.rows),
-                rhs: (v.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            let row = self.row(i);
-            let vi = v[i];
-            for (o, a) in out.iter_mut().zip(row) {
-                *o += a * vi;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Reshapes `self` to `rows × cols` with every entry zero, reusing the
-    /// existing allocation when its capacity suffices.
-    ///
-    /// This is the entry point for workspace reuse: hot loops keep one
-    /// `Matrix` alive and `resize_zeroed` it each iteration instead of
-    /// constructing a fresh [`Matrix::zeros`].
-    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
-    }
-
     /// Makes `self` an exact copy of `other`, reusing the allocation.
     pub fn copy_from(&mut self, other: &Matrix) {
         self.rows = other.rows;
@@ -313,7 +261,10 @@ impl Matrix {
         // comfortably within L2 alongside the output tile.
         const KB: usize = 64;
         const JB: usize = 256;
-        out.resize_zeroed(self.rows, other.cols);
+        out.rows = self.rows;
+        out.cols = other.cols;
+        out.data.clear();
+        out.data.resize(self.rows * other.cols, 0.0);
         for k0 in (0..self.cols).step_by(KB) {
             let k1 = (k0 + KB).min(self.cols);
             for j0 in (0..other.cols).step_by(JB) {
@@ -331,50 +282,6 @@ impl Matrix {
                         }
                     }
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Returns `self * otherᵀ` without forming the transpose.
-    ///
-    /// Both operands are traversed row-wise (each output entry is a dot
-    /// product of two rows), so this is the cache-friendly way to multiply
-    /// by a matrix that is conceptually transposed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `self.cols() != other.cols()`.
-    pub fn mul_mat_transpose(&self, other: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.mul_mat_transpose_into(other, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes `self * otherᵀ` into `out`, reusing `out`'s allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `self.cols() != other.cols()`.
-    pub fn mul_mat_transpose_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
-        if self.cols != other.cols {
-            return Err(Error::DimensionMismatch {
-                op: "mul_t",
-                lhs: self.shape(),
-                rhs: (other.cols, other.rows),
-            });
-        }
-        out.resize_zeroed(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let dest = out.row_mut(i);
-            for (j, d) in dest.iter_mut().enumerate() {
-                let brow = other.row(j);
-                let mut acc = 0.0;
-                for (a, b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                *d = acc;
             }
         }
         Ok(())
@@ -404,61 +311,6 @@ impl Matrix {
             *o = acc;
         }
         Ok(())
-    }
-
-    /// Writes `selfᵀ * v` into `out`, reusing `out`'s allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `v.len() != self.rows()`.
-    pub fn tr_mul_vec_into(&self, v: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        if v.len() != self.rows {
-            return Err(Error::DimensionMismatch {
-                op: "tr_mul_vec",
-                lhs: (self.cols, self.rows),
-                rhs: (v.len(), 1),
-            });
-        }
-        out.clear();
-        out.resize(self.cols, 0.0);
-        for i in 0..self.rows {
-            let row = self.row(i);
-            let vi = v[i];
-            for (o, a) in out.iter_mut().zip(row) {
-                *o += a * vi;
-            }
-        }
-        Ok(())
-    }
-
-    /// Returns `selfᵀ * other` without forming the transpose.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `self.rows() != other.rows()`.
-    pub fn tr_mul_mat(&self, other: &Matrix) -> Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(Error::DimensionMismatch {
-                op: "tr_mul",
-                lhs: (self.cols, self.rows),
-                rhs: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            let arow = self.row(k);
-            let brow = other.row(k);
-            for (i, &aki) in arow.iter().enumerate() {
-                if aki == 0.0 {
-                    continue;
-                }
-                let dest = out.row_mut(i);
-                for (d, &b) in dest.iter_mut().zip(brow) {
-                    *d += aki * b;
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Element-wise map, returning a new matrix.
@@ -528,29 +380,6 @@ impl Matrix {
             self.cols
         );
         Matrix::from_fn(nr, nc, |i, j| self[(r0 + i, c0 + j)])
-    }
-
-    /// Stacks `top` above `bottom`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if the column counts differ.
-    pub fn vstack(top: &Matrix, bottom: &Matrix) -> Result<Matrix> {
-        if top.cols != bottom.cols {
-            return Err(Error::DimensionMismatch {
-                op: "vstack",
-                lhs: top.shape(),
-                rhs: bottom.shape(),
-            });
-        }
-        let mut data = Vec::with_capacity(top.data.len() + bottom.data.len());
-        data.extend_from_slice(&top.data);
-        data.extend_from_slice(&bottom.data);
-        Ok(Matrix {
-            rows: top.rows + bottom.rows,
-            cols: top.cols,
-            data,
-        })
     }
 
     /// Places `left` and `right` side by side.
@@ -781,7 +610,6 @@ mod tests {
         assert_eq!(Matrix::identity(4).trace(), 4.0);
         assert_eq!(Matrix::diag(&[1.0, 2.0])[(1, 1)], 2.0);
         assert_eq!(Matrix::column(&[1.0, 2.0, 3.0]).shape(), (3, 1));
-        assert_eq!(Matrix::row_matrix(&[1.0, 2.0, 3.0]).shape(), (1, 3));
         assert_eq!(Matrix::filled(2, 2, 7.0)[(0, 1)], 7.0);
     }
 
@@ -855,19 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_mat_transpose_matches_explicit_transpose() {
-        let a = Matrix::from_fn(4, 6, |i, j| (i * 6 + j) as f64 * 0.25 - 2.0);
-        let b = Matrix::from_fn(5, 6, |i, j| ((i + 2 * j) % 7) as f64 - 3.0);
-        let fast = a.mul_mat_transpose(&b).unwrap();
-        let slow = a.mul_mat(&b.transpose()).unwrap();
-        assert_eq!(fast, slow);
-        let mut out = Matrix::filled(1, 1, f64::NAN);
-        a.mul_mat_transpose_into(&b, &mut out).unwrap();
-        assert_eq!(out, slow);
-        assert!(a.mul_mat_transpose(&Matrix::zeros(5, 7)).is_err());
-    }
-
-    #[test]
     fn vec_into_variants_match_allocating_versions() {
         let a = Matrix::from_fn(3, 2, |i, j| (i + 3 * j) as f64);
         let v3 = [1.0, -1.0, 2.0];
@@ -875,37 +690,7 @@ mod tests {
         let mut out = vec![f64::NAN; 9];
         a.mul_vec_into(&v2, &mut out).unwrap();
         assert_eq!(out, a.mul_vec(&v2).unwrap());
-        a.tr_mul_vec_into(&v3, &mut out).unwrap();
-        assert_eq!(out, a.tr_mul_vec(&v3).unwrap());
         assert!(a.mul_vec_into(&v3, &mut out).is_err());
-        assert!(a.tr_mul_vec_into(&v2, &mut out).is_err());
-    }
-
-    #[test]
-    fn resize_zeroed_clears_and_reshapes() {
-        let mut m = m22(1.0, 2.0, 3.0, 4.0);
-        m.resize_zeroed(1, 3);
-        assert_eq!(m, Matrix::zeros(1, 3));
-        m.resize_zeroed(3, 3);
-        assert_eq!(m, Matrix::zeros(3, 3));
-    }
-
-    #[test]
-    fn tr_mul_equals_explicit_transpose_product() {
-        let a = Matrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64);
-        let b = Matrix::from_fn(3, 4, |i, j| (i + j) as f64 * 0.5);
-        let fast = a.tr_mul_mat(&b).unwrap();
-        let slow = a.transpose().mul_mat(&b).unwrap();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn tr_mul_vec_equals_explicit_transpose_product() {
-        let a = Matrix::from_fn(3, 2, |i, j| (i + 3 * j) as f64);
-        let v = [1.0, -1.0, 2.0];
-        let fast = a.tr_mul_vec(&v).unwrap();
-        let slow = a.transpose().mul_vec(&v).unwrap();
-        assert_eq!(fast, slow);
     }
 
     #[test]
@@ -925,9 +710,6 @@ mod tests {
     fn stacking_roundtrips_through_blocks() {
         let a = m22(1.0, 2.0, 3.0, 4.0);
         let b = m22(5.0, 6.0, 7.0, 8.0);
-        let v = Matrix::vstack(&a, &b).unwrap();
-        assert_eq!(v.shape(), (4, 2));
-        assert_eq!(v.block(2, 0, 2, 2), b);
         let h = Matrix::hstack(&a, &b).unwrap();
         assert_eq!(h.shape(), (2, 4));
         assert_eq!(h.block(0, 2, 2, 2), b);
@@ -936,8 +718,6 @@ mod tests {
     #[test]
     fn stacking_rejects_mismatched_shapes() {
         let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(2, 3);
-        assert!(Matrix::vstack(&a, &b).is_err());
         let c = Matrix::zeros(3, 2);
         assert!(Matrix::hstack(&a, &c).is_err());
     }

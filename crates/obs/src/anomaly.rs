@@ -10,6 +10,7 @@
 //! no clock is read) unless a path was configured, so fault-free golden
 //! runs are untouched.
 
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
@@ -22,8 +23,31 @@ use crate::trace::escape_json;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<File>> = Mutex::new(None);
 
+/// This thread's tenant tag. The buffer keeps its capacity across scopes.
+struct TenantTag {
+    buf: String,
+    set: bool,
+}
+
+impl TenantTag {
+    fn current(&self) -> Option<&str> {
+        self.set.then_some(self.buf.as_str())
+    }
+
+    fn replace(&mut self, tag: Option<&str>) {
+        self.buf.clear();
+        self.buf.push_str(tag.unwrap_or_default());
+        self.set = tag.is_some();
+    }
+}
+
 thread_local! {
-    static TENANT: std::cell::RefCell<Option<String>> = const { std::cell::RefCell::new(None) };
+    static TENANT: RefCell<TenantTag> = const {
+        RefCell::new(TenantTag {
+            buf: String::new(),
+            set: false,
+        })
+    };
 }
 
 /// Tags every [`record_anomaly`] call made *from this thread* with
@@ -32,9 +56,17 @@ thread_local! {
 /// scope is a property of the thread's current slice of work, not of the
 /// process; thread-local scoping keeps records attributed without
 /// threading an id through every solver-level call site.
+///
+/// The id is copied into a per-thread buffer that keeps its capacity, so
+/// once a thread has held an id this long, an outermost scope allocates
+/// nothing; a nested scope saves a copy of the outer tag.
 pub fn tenant_scope(id: &str) -> TenantScope {
-    let prev = TENANT.with(|t| t.borrow_mut().replace(id.to_string()));
-    TenantScope { prev }
+    TENANT.with(|t| {
+        let mut tag = t.borrow_mut();
+        let prev = tag.current().map(str::to_owned);
+        tag.replace(Some(id));
+        TenantScope { prev }
+    })
 }
 
 /// Restores the previous (usually empty) tenant tag on drop. Returned by
@@ -46,7 +78,7 @@ pub struct TenantScope {
 
 impl Drop for TenantScope {
     fn drop(&mut self) {
-        TENANT.with(|t| *t.borrow_mut() = self.prev.take());
+        TENANT.with(|t| t.borrow_mut().replace(self.prev.as_deref()));
     }
 }
 
@@ -83,7 +115,7 @@ pub fn record_anomaly(kind: &str, step: u64, fields: &[(&str, f64)]) {
     line.push_str(&escape_json(kind));
     line.push_str(&format!("\",\"step\":{step},\"ts_ns\":{}", now_ns()));
     TENANT.with(|t| {
-        if let Some(id) = t.borrow().as_deref() {
+        if let Some(id) = t.borrow().current() {
             line.push_str(",\"tenant\":\"");
             line.push_str(&escape_json(id));
             line.push('"');
@@ -118,7 +150,7 @@ mod tests {
     }
 
     fn current_tenant() -> Option<String> {
-        TENANT.with(|t| t.borrow().clone())
+        TENANT.with(|t| t.borrow().current().map(str::to_owned))
     }
 
     #[test]

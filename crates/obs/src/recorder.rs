@@ -218,6 +218,17 @@ impl Span {
 
     /// Opens a span with an explicit category.
     pub fn enter_cat(name: impl Into<Cow<'static, str>>, cat: &'static str) -> Span {
+        Span::open(cat, || name.into())
+    }
+
+    /// Opens a span named by a borrowed string, which is copied only when a
+    /// recorder is listening: with none installed, opening and closing the
+    /// span allocates nothing.
+    pub fn enter_copied(name: &str, cat: &'static str) -> Span {
+        Span::open(cat, || Cow::Owned(name.to_owned()))
+    }
+
+    fn open(cat: &'static str, name: impl FnOnce() -> Cow<'static, str>) -> Span {
         match current_sink() {
             None => Span(None),
             Some(recorder) => {
@@ -228,7 +239,7 @@ impl Span {
                 });
                 Span(Some(ActiveSpan {
                     recorder,
-                    name: name.into(),
+                    name: name(),
                     cat,
                     start_ns: now_ns(),
                     depth,

@@ -5,12 +5,13 @@
 //! blocking constraint or drop the most negative multiplier. This module
 //! owns the loop (Dantzig/Bland switching, degeneracy bookkeeping,
 //! warm-start seeding) and drives the KKT subproblem solves of
-//! [`banded_qp`](crate::banded_qp) through [`ActiveSetOps`], which keeps the
+//! [`banded_qp`](crate::banded_qp) through its `BandedOps`, which keeps the
 //! pivoting logic apart from the linear algebra.
 
 use idc_linalg::vec_ops;
 use idc_obs::SolveStats;
 
+use crate::banded_qp::BandedOps;
 use crate::{Error, Result};
 
 /// Feasibility/optimality tolerance.
@@ -27,51 +28,6 @@ pub const WARM_TOL: f64 = 1e-6;
 /// anti-cycling smallest index. The switch latches for the remainder of
 /// the solve (see `bland_latched` in [`solve_from_feasible`]).
 const DEGENERATE_PATIENCE: usize = 12;
-
-/// Backend interface for the shared active-set loop.
-///
-/// `kkt_step` is the only expensive operation; the `on_*` hooks let the
-/// backend maintain incremental factorizations of the working-set system —
-/// they are called *after* the working set has been mutated. Additions need
-/// no hook: the backend extends its factor lazily in the next `kkt_step`.
-pub(crate) trait ActiveSetOps {
-    /// Number of decision variables.
-    fn num_vars(&self) -> usize;
-    /// Number of equality constraints (always in the working system).
-    fn num_eq(&self) -> usize;
-    /// Number of inequality constraints.
-    fn num_in(&self) -> usize;
-    /// Iteration budget for this problem instance.
-    fn iteration_budget(&self) -> usize;
-    /// Dot product of inequality row `i` with `v`.
-    fn in_dot(&self, i: usize, v: &[f64]) -> f64;
-    /// Right-hand side of inequality `i`.
-    fn in_rhs(&self, i: usize) -> f64;
-    /// Objective value at `x` (takes `&mut self` so backends can evaluate
-    /// it in their own scratch).
-    fn objective_at(&mut self, x: &[f64]) -> f64;
-    /// Solves the equality-constrained subproblem at `x` for the working
-    /// set, leaving `[p; multipliers]` in `sol` (multipliers ordered
-    /// equalities first, then `working` in order).
-    fn kkt_step(&mut self, x: &[f64], working: &[usize], sol: &mut Vec<f64>) -> Result<()>;
-    /// Called once after warm-start seeding, before the first iteration.
-    fn begin(&mut self, working: &[usize]);
-    /// Called after the entry at position `pos` was removed from `working`.
-    fn on_remove(&mut self, working: &[usize], pos: usize);
-    /// Called after a degenerate-KKT recovery popped the last entry.
-    fn on_pop(&mut self, working: &[usize]);
-    /// Iterative-refinement passes performed since the last call (the loop
-    /// drains this once per solve, on success).
-    fn take_refinements(&mut self) -> u64;
-    /// Whether the loop must admit/drop at most one constraint per outer
-    /// iteration. Batched pivoting is the default; the single-pivot mode is
-    /// the reference semantics used by differential tests.
-    fn single_pivot(&self) -> bool;
-    /// Drains the backend's incremental-factor counters accumulated since
-    /// [`begin`](Self::begin): `(refactorizations, updates_applied,
-    /// downdates_applied)`.
-    fn take_factor_stats(&mut self) -> (u64, u64, u64);
-}
 
 /// Every buffer of [`solve_from_feasible`], owned by the caller so a
 /// workspace recycles them across solves: a steady-state solve allocates
@@ -102,8 +58,8 @@ pub(crate) struct LoopScratch {
 
 /// Core active-set loop from a feasible `x0`, with the working set seeded
 /// from `seed` (invalid or inactive entries are skipped).
-pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
-    ops: &mut O,
+pub(crate) fn solve_from_feasible(
+    ops: &mut BandedOps<'_>,
     x0: &[f64],
     seed: &[usize],
     scratch: &mut LoopScratch,
@@ -118,12 +74,12 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
         drops,
         adds,
     } = scratch;
-    let n = ops.num_vars();
+    let (n, me, mi) = (ops.num_vars(), ops.num_eq(), ops.num_in());
     x.clear();
     x.extend_from_slice(x0);
     working.clear();
     in_working.clear();
-    in_working.resize(ops.num_in(), false);
+    in_working.resize(mi, false);
     let mut stats = SolveStats {
         solves: 1,
         seed_offered: seed.len() as u64,
@@ -133,12 +89,10 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
     for &i in seed {
         // Keep the KKT system square-solvable: never seed more working
         // constraints than free directions.
-        if ops.num_eq() + working.len() >= n {
+        if me + working.len() >= n {
             break;
         }
-        if i < ops.num_in()
-            && !in_working[i]
-            && (ops.in_dot(i, x0) - ops.in_rhs(i)).abs() <= WARM_TOL * scale
+        if i < mi && !in_working[i] && (ops.in_dot(i, x0) - ops.in_rhs(i)).abs() <= WARM_TOL * scale
         {
             working.push(i);
             in_working[i] = true;
@@ -147,7 +101,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
     stats.seed_accepted = working.len() as u64;
     seeded.clear();
     seeded.extend_from_slice(in_working);
-    ops.begin(working);
+    ops.begin();
     let mut iterations = 0;
     let mut degenerate_streak = 0usize;
     // Once the loop has been driven to Bland's rule, stay there for the
@@ -168,7 +122,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
     // mutually dependent rows — and clears whenever the iterate moves
     // materially or a multiplier drop changes the working set.
     banned.clear();
-    banned.resize(ops.num_in(), false);
+    banned.resize(mi, false);
     let mut any_banned = false;
 
     loop {
@@ -191,7 +145,8 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                 banned[dropped] = true;
                 any_banned = true;
                 stats.degenerate_pops += 1;
-                ops.on_pop(working);
+                // The popped entry sat at position `working.len()`.
+                ops.on_remove(working.len());
                 continue;
             }
             Err(e) => return Err(e),
@@ -219,7 +174,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
             // cycle. Pure Bland is safe but walks the working set
             // essentially one index at a time, which on a large
             // warm-started transient costs thousands of KKT solves.
-            let ineq_mult = &mult[ops.num_eq()..];
+            let ineq_mult = &mult[me..];
             if any_banned {
                 banned.fill(false);
                 any_banned = false;
@@ -241,7 +196,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                 for &k in drops.iter().rev() {
                     in_working[working.remove(k)] = false;
                     stats.constraints_dropped += 1;
-                    ops.on_remove(working, k);
+                    ops.on_remove(k);
                 }
             } else {
                 let candidates = ineq_mult.iter().enumerate().filter(|(_, &m)| m < -TOL);
@@ -257,7 +212,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                     Some((idx, _)) => {
                         in_working[working.remove(idx)] = false;
                         stats.constraints_dropped += 1;
-                        ops.on_remove(working, idx);
+                        ops.on_remove(idx);
                     }
                 }
             }
@@ -266,7 +221,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
             let mut alpha = 1.0;
             let mut blocking = None;
             adds.clear();
-            for i in 0..ops.num_in() {
+            for i in 0..mi {
                 if in_working[i] {
                     continue;
                 }
@@ -321,7 +276,7 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
                     // The working set is kept strictly smaller than the
                     // free directions so the KKT system stays solvable.
                     for &(j, ap, slack) in adds.iter() {
-                        if ops.num_eq() + working.len() >= n {
+                        if me + working.len() >= n {
                             break;
                         }
                         if !in_working[j] && slack - alpha * ap <= x_scale {
@@ -337,8 +292,8 @@ pub(crate) fn solve_from_feasible<O: ActiveSetOps>(
 }
 
 /// Builds the optimal [`QpSolution`] once no negative multipliers remain.
-fn finish<O: ActiveSetOps>(
-    ops: &mut O,
+fn finish(
+    ops: &mut BandedOps<'_>,
     x: &[f64],
     iterations: usize,
     working: &mut [usize],
@@ -349,11 +304,7 @@ fn finish<O: ActiveSetOps>(
     let objective = ops.objective_at(x);
     working.sort_unstable();
     stats.iterations = iterations as u64;
-    stats.refinement_passes = ops.take_refinements();
-    let (refactorizations, updates, downdates) = ops.take_factor_stats();
-    stats.refactorizations = refactorizations;
-    stats.updates_applied = updates;
-    stats.downdates_applied = downdates;
+    ops.take_counters(&mut stats);
     stats.working_set_delta = seeded_mask
         .iter()
         .zip(in_working)

@@ -44,11 +44,11 @@
 
 use idc_linalg::banded::{BlockTridiag, BlockTridiagChol};
 use idc_linalg::cholesky::ArrowheadCholesky;
-use idc_linalg::par::default_threads;
 use idc_linalg::workspace::Workspace;
 use idc_linalg::{simd, vec_ops, SpanRows};
 
-use crate::active_set::{self, ActiveSetOps, LoopScratch, QpSolution, WARM_TOL};
+use crate::active_set::{self, LoopScratch, QpSolution, WARM_TOL};
+use crate::SolveStats;
 use crate::{Error, Result};
 
 /// Relative size of the iterative-refinement correction above which the
@@ -457,11 +457,7 @@ impl BandedQp {
             members[j].push(i);
         }
         // Each batch is one multi-RHS sweep: the stage-coupling corrections
-        // go through GEMM. The equality rows, which span every block, are
-        // banded across worker threads; a chain's batch is small enough
-        // that spawning threads for it costs more than it saves, so it runs
-        // on the caller's thread (the solve is bitwise independent of the
-        // thread count). A chain's range is bounded by zero subdiagonal
+        // go through GEMM. A chain's range is bounded by zero subdiagonal
         // blocks, so its rows solve at the chain's width exactly as they
         // would at full width (the rest of a full-width row is ±0).
         let mut y = SpanRows::new(me + mi, n);
@@ -471,13 +467,12 @@ impl BandedQp {
             &chol,
             &equalities,
             (0, chol.nblocks()),
-            default_threads(),
             (&mut buf, &mut pool),
             &mut y,
         );
         for (rows, &range) in members.iter().zip(&ranges) {
             let global: Vec<usize> = rows.iter().map(|&i| me + i).collect();
-            self.solve_batch(&chol, &global, range, 1, (&mut buf, &mut pool), &mut y);
+            self.solve_batch(&chol, &global, range, (&mut buf, &mut pool), &mut y);
         }
         let s = self.schur_blocks(&y, &members);
         self.cache = Some(BandedCache {
@@ -491,15 +486,13 @@ impl BandedQp {
     }
 
     /// Solves the constraint rows `rows` (global indices) against the
-    /// factor's blocks `first..end` as one batch on up to `threads`
-    /// threads, storing each `Y` row over its nonzero span. Every row's
-    /// entries must lie inside the range.
+    /// factor's blocks `first..end` as one batch, storing each `Y` row over
+    /// its nonzero span. Every row's entries must lie inside the range.
     fn solve_batch(
         &self,
         chol: &BlockTridiagChol,
         rows: &[usize],
         (first, end): (usize, usize),
-        threads: usize,
         (buf, pool): (&mut Vec<f64>, &mut Workspace),
         y: &mut SpanRows,
     ) {
@@ -515,7 +508,7 @@ impl BandedQp {
                 row[i - off] += c;
             }
         }
-        chol.solve_rows_with_threads(buf, rows.len(), first, end - first, pool, threads);
+        chol.solve_rows_in_place(buf, rows.len(), first, end - first, pool);
         for (row, &r) in buf.chunks_exact(width).zip(rows) {
             let (lo, hi) = nonzero_span(row);
             y.set_row(r, off + lo, &row[lo..hi]);
@@ -713,13 +706,15 @@ fn nonzero_span(row: &[f64]) -> (usize, usize) {
     }
 }
 
-/// Banded backend for the shared `active_set` loop.
+/// The KKT side of the `active_set` loop: one problem and its workspace.
 ///
-/// The Newton point `t = H̃⁻¹(−(Hx+g))` is recomputed each iteration through
-/// the O(β·nb²) banded solve (cheap enough that incremental tracking is not
-/// worth the drift risk), while the working-set Schur factor is maintained
-/// incrementally across iterations through the `on_*` hooks.
-struct BandedOps<'a> {
+/// `kkt_step` is the only expensive operation. The Newton point
+/// `t = H̃⁻¹(−(Hx+g))` is recomputed each iteration from the `H̃⁻¹g` of
+/// [`begin`](Self::begin), while the working-set Schur factor is maintained
+/// incrementally: the loop calls [`on_remove`](Self::on_remove) *after* it
+/// removed a working-set entry, and additions need no hook because the
+/// next `kkt_step` extends the factor lazily.
+pub(crate) struct BandedOps<'a> {
     qp: &'a BandedQp,
     ws: &'a mut BandedWorkspace,
 }
@@ -873,38 +868,51 @@ impl<'a> BandedOps<'a> {
         ws.refinements += 1;
         vec_ops::norm_inf(&ws.resid)
     }
-}
 
-impl ActiveSetOps for BandedOps<'_> {
-    fn num_vars(&self) -> usize {
+    /// Number of decision variables.
+    pub(crate) fn num_vars(&self) -> usize {
         self.qp.num_vars()
     }
 
-    fn num_eq(&self) -> usize {
+    /// Number of equality constraints (always in the working system).
+    pub(crate) fn num_eq(&self) -> usize {
         self.qp.a_eq.len()
     }
 
-    fn num_in(&self) -> usize {
+    /// Number of inequality constraints.
+    pub(crate) fn num_in(&self) -> usize {
         self.qp.a_in.len()
     }
 
-    fn iteration_budget(&self) -> usize {
+    /// Iteration budget for this problem instance.
+    pub(crate) fn iteration_budget(&self) -> usize {
         self.qp.iteration_budget()
     }
 
-    fn in_dot(&self, i: usize, v: &[f64]) -> f64 {
+    /// Dot product of inequality row `i` with `v`.
+    pub(crate) fn in_dot(&self, i: usize, v: &[f64]) -> f64 {
         self.qp.a_in[i].dot(v)
     }
 
-    fn in_rhs(&self, i: usize) -> f64 {
+    /// Right-hand side of inequality `i`.
+    pub(crate) fn in_rhs(&self, i: usize) -> f64 {
         self.qp.b_in[i]
     }
 
-    fn objective_at(&mut self, x: &[f64]) -> f64 {
+    /// Whether the loop admits/drops at most one constraint per outer
+    /// iteration (see [`BandedQp::single_pivot`]).
+    pub(crate) fn single_pivot(&self) -> bool {
+        self.qp.single_pivot
+    }
+
+    /// Objective value at `x`, with `H·x` formed in the workspace.
+    pub(crate) fn objective_at(&mut self, x: &[f64]) -> f64 {
         self.qp.objective_in(x, &mut self.ws.hx)
     }
 
-    fn begin(&mut self, _working: &[usize]) {
+    /// Called once after warm-start seeding, before the first iteration:
+    /// zeroes the counters, empties the factor and solves `H̃⁻¹g`.
+    pub(crate) fn begin(&mut self) {
         self.ws.refinements = 0;
         self.ws.refactorizations = 0;
         self.ws.updates = 0;
@@ -920,7 +928,10 @@ impl ActiveSetOps for BandedOps<'_> {
         cache.chol.solve_in_place(&mut self.ws.tg);
     }
 
-    fn on_remove(&mut self, _working: &[usize], pos: usize) {
+    /// Called after the entry at position `pos` was removed from the
+    /// working set (a multiplier drop, or a degenerate-KKT pop of the last
+    /// entry).
+    pub(crate) fn on_remove(&mut self, pos: usize) {
         if pos >= self.ws.held.len() {
             return;
         }
@@ -936,12 +947,15 @@ impl ActiveSetOps for BandedOps<'_> {
         self.ws.downdates += 1;
     }
 
-    fn on_pop(&mut self, working: &[usize]) {
-        // The popped entry sat at position `working.len()`.
-        self.on_remove(working, working.len());
-    }
-
-    fn kkt_step(&mut self, x: &[f64], working: &[usize], sol: &mut Vec<f64>) -> Result<()> {
+    /// Solves the equality-constrained subproblem at `x` for the working
+    /// set, leaving `[p; multipliers]` in `sol` (multipliers ordered
+    /// equalities first, then `working` in order).
+    pub(crate) fn kkt_step(
+        &mut self,
+        x: &[f64],
+        working: &[usize],
+        sol: &mut Vec<f64>,
+    ) -> Result<()> {
         let me = self.qp.a_eq.len();
         // t = H̃⁻¹(−(Hx + g)) = −x − H̃⁻¹g, with H̃⁻¹g precomputed in
         // `begin` — no Hessian multiply or banded solve per iteration.
@@ -996,20 +1010,14 @@ impl ActiveSetOps for BandedOps<'_> {
         Ok(())
     }
 
-    fn take_refinements(&mut self) -> u64 {
-        std::mem::take(&mut self.ws.refinements)
-    }
-
-    fn single_pivot(&self) -> bool {
-        self.qp.single_pivot
-    }
-
-    fn take_factor_stats(&mut self) -> (u64, u64, u64) {
-        (
-            std::mem::take(&mut self.ws.refactorizations),
-            std::mem::take(&mut self.ws.updates),
-            std::mem::take(&mut self.ws.downdates),
-        )
+    /// Drains the refinement and working-set factor counters accumulated
+    /// since [`begin`](Self::begin) into `stats`.
+    pub(crate) fn take_counters(&mut self, stats: &mut SolveStats) {
+        let ws = &mut *self.ws;
+        stats.refinement_passes = std::mem::take(&mut ws.refinements);
+        stats.refactorizations = std::mem::take(&mut ws.refactorizations);
+        stats.updates_applied = std::mem::take(&mut ws.updates);
+        stats.downdates_applied = std::mem::take(&mut ws.downdates);
     }
 }
 

@@ -17,8 +17,8 @@
 //! market-side and transport-side failures respectively.
 
 use idc_core::feed::{Observation, PriceFeed, WorkloadFeed};
-use idc_core::scenario::{PricingSpec, Scenario, WorkloadProfile};
-use idc_timeseries::standard_normal;
+use idc_core::scenario::{PricingSpec, Scenario};
+use idc_core::simulation::WorkloadProcess;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
 use crate::snapshot::{FeedCursorSnap, FeedFaultsSnap, OverloadSnap, PendingSnap};
@@ -325,15 +325,12 @@ fn pending_from_state(snaps: &[PendingSnap]) -> Vec<Pending> {
 }
 
 /// The scenario-backed workload feed: publishes the same noisy offered
-/// workload the batch simulator would conjure at each tick (identical RNG
-/// stream), then routes the sample through a [`FeedFaults`] schedule.
+/// workload the batch simulator draws at each tick (the same
+/// [`WorkloadProcess`] on an identical RNG stream), then routes the sample
+/// through a [`FeedFaults`] schedule.
 #[derive(Debug, Clone)]
 pub struct TraceWorkloadFeed {
-    base: Vec<f64>,
-    profile: WorkloadProfile,
-    noise_std: f64,
-    start_hour: f64,
-    ts_hours: f64,
+    process: WorkloadProcess,
     seed: u64,
     rng: CountingRng<StdRng>,
     faults: FeedFaults,
@@ -347,36 +344,13 @@ impl TraceWorkloadFeed {
     /// A feed replaying `scenario`'s workload process under `faults`.
     pub fn new(scenario: &Scenario, faults: FeedFaults) -> Self {
         TraceWorkloadFeed {
-            base: scenario.fleet().offered_workloads(),
-            profile: scenario.workload_profile().clone(),
-            noise_std: scenario.workload_noise_std(),
-            start_hour: scenario.start_hour(),
-            ts_hours: scenario.ts_hours(),
+            process: WorkloadProcess::new(scenario),
             seed: scenario.seed(),
             rng: CountingRng::seeded(scenario.seed()),
             faults,
             published: 0,
             pending: Vec::new(),
         }
-    }
-
-    /// Generates the sample for tick `k` — the exact expression (and RNG
-    /// consumption) of the batch simulator's per-step workload draw.
-    fn generate(&mut self, k: u64) -> Vec<f64> {
-        let hour = self.start_hour + k as f64 * self.ts_hours;
-        let factor = self.profile.factor_at_step(k as usize, hour);
-        let noise_std = self.noise_std;
-        let rng = &mut self.rng;
-        self.base
-            .iter()
-            .map(|&l| {
-                let mut v = l * factor;
-                if noise_std > 0.0 {
-                    v *= 1.0 + noise_std * standard_normal(rng);
-                }
-                v.max(0.0)
-            })
-            .collect()
     }
 
     /// Serializable cursor for checkpointing.
@@ -403,7 +377,7 @@ impl WorkloadFeed for TraceWorkloadFeed {
     fn poll(&mut self, tick: u64) -> Vec<Observation<Vec<f64>>> {
         while self.published <= tick {
             let k = self.published;
-            let value = self.generate(k);
+            let value = self.process.draw(k as usize, &mut self.rng);
             if let Some(deliver_tick) = self.faults.delivery(k) {
                 self.pending.push(Pending {
                     deliver_tick: deliver_tick.max(k),

@@ -24,7 +24,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::snapshot::RuntimeSnapshot;
+use crate::snapshot::{sync_parent_dir, RuntimeSnapshot};
 use crate::Result;
 
 /// Width of the zero-padded step in a checkpoint file name.
@@ -125,6 +125,8 @@ impl CheckpointLineage {
     /// The order is deliberate — durable write first, deletions second —
     /// so a kill at any instant leaves either the old retention set or
     /// the new one, never a lineage whose only snapshots were deleted.
+    /// The directory is fsynced after the rename and again after the
+    /// deletions, so a returned checkpoint survives a power loss too.
     ///
     /// # Errors
     ///
@@ -137,6 +139,7 @@ impl CheckpointLineage {
             for (_, stale) in &found[..found.len() - self.keep_last] {
                 fs::remove_file(stale)?;
             }
+            sync_parent_dir(&path)?;
         }
         Ok(path)
     }
@@ -250,6 +253,16 @@ mod tests {
         let lineage = CheckpointLineage::open(&dir, 1).unwrap();
         assert!(lineage.latest_restorable().unwrap().is_none());
         assert!(lineage.steps().unwrap().is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn directory_sync_failure_is_an_io_error() {
+        let dir = tmpdir("nosync");
+        let file = dir.join("ckpt-00000001.json");
+        assert!(matches!(sync_parent_dir(&file), Err(crate::Error::Io(_))));
+        fs::create_dir_all(&dir).unwrap();
+        sync_parent_dir(&file).unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 }

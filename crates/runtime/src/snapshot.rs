@@ -270,8 +270,10 @@ impl RuntimeSnapshot {
         Ok(snapshot)
     }
 
-    /// Writes the snapshot atomically: serialize to `<path>.tmp`, fsync,
-    /// then rename over `path`. Readers never observe a torn file.
+    /// Writes the snapshot atomically and durably: serialize to
+    /// `<path>.tmp`, fsync, rename over `path`, then fsync the directory so
+    /// the rename itself survives a power loss. Readers never observe a
+    /// torn file.
     ///
     /// # Errors
     ///
@@ -287,6 +289,7 @@ impl RuntimeSnapshot {
             f.sync_all()?;
         }
         fs::rename(&tmp, path)?;
+        sync_parent_dir(path)?;
         Ok(())
     }
 
@@ -300,4 +303,19 @@ impl RuntimeSnapshot {
         let text = fs::read_to_string(path)?;
         Self::from_json(&text)
     }
+}
+
+/// Fsyncs the directory holding `path`, making a rename or removal of its
+/// entry durable.
+///
+/// # Errors
+///
+/// Returns [`Error::Io`] when the directory cannot be opened or synced.
+pub(crate) fn sync_parent_dir(path: &Path) -> std::result::Result<(), Error> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }

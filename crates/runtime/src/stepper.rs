@@ -35,6 +35,7 @@ use idc_core::feed::{BoundedIngest, Observation, PriceFeed, WorkloadFeed};
 use idc_core::plant::Plant;
 use idc_core::policy::{MpcPolicy, MpcPolicyConfig, Policy, StepContext};
 use idc_core::scenario::Scenario;
+use idc_core::simulation::initial_context;
 use idc_core::SolverBackend;
 
 use crate::error::Error;
@@ -187,22 +188,9 @@ impl Stepper {
                 .ok_or_else(|| {
                 Error::Config(format!("unknown scenario key '{}'", config.scenario_key))
             })?;
-        let fleet = scenario.fleet();
-        let n = fleet.num_idcs();
-        let base_offered = fleet.offered_workloads();
-        let init_prices = scenario
-            .pricing()
-            .prices(scenario.init_hour(), &vec![0.0; n]);
-
+        let n = scenario.fleet().num_idcs();
         let mut policy = paper_tuned_policy(&scenario, config.backend.as_deref())?;
-        let init_ctx = StepContext {
-            step: 0,
-            hour: scenario.init_hour(),
-            dt_hours: scenario.ts_hours(),
-            prices: init_prices.clone(),
-            offered: base_offered.clone(),
-            idcs: fleet.idcs(),
-        };
+        let init_ctx = initial_context(&scenario);
         policy.initialize(&init_ctx)?;
 
         let workload_feed = TraceWorkloadFeed::new(&scenario, config.workload_faults);
@@ -217,11 +205,11 @@ impl Stepper {
             workload_ingest,
             price_ingest,
             held_offered: Held {
-                value: base_offered,
+                value: init_ctx.offered,
                 updated_tick: None,
             },
             held_prices: Held {
-                value: init_prices,
+                value: init_ctx.prices,
                 updated_tick: None,
             },
             step: 0,

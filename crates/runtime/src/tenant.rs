@@ -338,6 +338,8 @@ struct TenantCell {
 /// A tenant's labelled metric keys, formatted once at admission.
 #[derive(Debug)]
 struct TenantKeys {
+    /// The `tenant.<id>` name of the tenant's slice span.
+    span: String,
     step_duration: String,
     steps: String,
     degraded: String,
@@ -348,6 +350,7 @@ struct TenantKeys {
 impl TenantKeys {
     fn new(id: &str) -> Self {
         TenantKeys {
+            span: format!("tenant.{id}"),
             step_duration: tenant_key("idc_tenant_step_duration_seconds", id),
             steps: tenant_key("idc_tenant_steps_total", id),
             degraded: tenant_key("idc_tenant_degraded_steps_total", id),
@@ -814,7 +817,7 @@ fn run_slice(
     slice_steps: u64,
 ) -> Result<SliceOutcome> {
     let _tenant = idc_obs::tenant_scope(&cell.spec.id);
-    let _span = idc_obs::Span::enter_cat(format!("tenant.{}", cell.spec.id), "tenant");
+    let _span = idc_obs::Span::enter_copied(&cell.keys.span, "tenant");
     let mut executed = 0u64;
     while executed < slice_steps && !cell.stepper.is_finished() {
         if shared.stop.load(Ordering::SeqCst) {

@@ -1,7 +1,10 @@
 //! Writes to existing metric keys allocate nothing: the registry looks a
 //! key up by `&str` and copies it only on first insert, so the per-step
 //! `observe` and the per-slice counter and gauge updates of the tenant
-//! manager stay off the allocator.
+//! manager stay off the allocator. Neither does a slice's tagging when no
+//! trace recorder is installed: the tenant scope reuses its per-thread
+//! buffer and the span name, formatted once at admission, is copied only
+//! for a recorder.
 //!
 //! The whole binary runs under a counting global allocator; the count is
 //! per thread, so the test harness's own threads do not disturb it.
@@ -60,6 +63,8 @@ const HISTOGRAM: &str = "idc_tenant_step_duration_seconds{tenant=\"t-00\"}";
 const COUNTER: &str = "idc_tenant_checkpoints_total";
 const STEPS: &str = "idc_tenant_steps_total{tenant=\"t-00\"}";
 const COST: &str = "idc_tenant_cost_dollars{tenant=\"t-00\"}";
+const TENANT: &str = "t-00";
+const SPAN: &str = "tenant.t-00";
 
 #[test]
 fn steady_state_writes_to_existing_keys_allocate_nothing() {
@@ -91,4 +96,18 @@ fn steady_state_writes_to_existing_keys_allocate_nothing() {
         registry.histogram_stats(HISTOGRAM).map(|(n, _)| n),
         Some(100)
     );
+}
+
+#[test]
+fn slice_tagging_without_a_recorder_allocates_nothing() {
+    // The thread's first scope sizes its tag buffer, and may allocate.
+    drop(idc_obs::tenant_scope(TENANT));
+
+    let before = allocations();
+    for _ in 0..100 {
+        let _tenant = idc_obs::tenant_scope(TENANT);
+        let span = idc_obs::Span::enter_copied(SPAN, "tenant");
+        assert!(!span.is_recording());
+    }
+    assert_eq!(allocations() - before, 0);
 }
