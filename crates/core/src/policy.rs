@@ -688,27 +688,20 @@ impl MpcPolicy {
     }
 
     /// Emergency fallback when the QP is infeasible (e.g. a workload surge
-    /// beyond the ramped capacity): turn on whatever eq. 35 demands for a
-    /// capacity-proportional split and apply that split directly.
-    fn fallback(&self, ctx: &StepContext<'_>) -> Result<Decision> {
-        let weights: Vec<f64> = ctx.idcs.iter().map(|i| i.max_workload()).collect();
-        let allocation = Allocation::proportional(&ctx.offered, &weights)
-            .ok_or_else(|| Error::Config("fleet has no capacity".into()))?;
-        let servers_on: Vec<u64> = ctx
-            .idcs
-            .iter()
-            .enumerate()
-            .map(|(j, idc)| {
-                idc.required_servers(allocation.idc_total(j))
-                    .unwrap_or_else(|| idc.total_servers())
-            })
-            .collect();
-        Ok(Decision {
-            servers_on,
-            allocation,
-            charge_mw: Vec::new(),
-            discharge_mw: Vec::new(),
-        })
+    /// beyond the ramped capacity): take the capacity-proportional split
+    /// of [`StaticProportionalPolicy`] with zero battery rates, record it
+    /// in [`fallback_steps`](Self::fallback_steps) and carry it as the
+    /// previous input of the next step.
+    fn fallback(&mut self, ctx: &StepContext<'_>) -> Result<Decision> {
+        let decision = StaticProportionalPolicy.decide(ctx)?;
+        self.command_zero_rates();
+        self.observe_grid_power(ctx, &decision);
+        self.fallback_steps.push(ctx.step);
+        self.state = Some((
+            decision.allocation.to_control_vector(),
+            decision.servers_on.clone(),
+        ));
+        Ok(decision)
     }
 
     /// Takes the capacity-proportional fallback decision for `ctx` without
@@ -735,15 +728,7 @@ impl MpcPolicy {
             }
         }
         idc_obs::record_anomaly("staleness_degrade", ctx.step as u64, &[]);
-        let decision = self.fallback(ctx)?;
-        self.command_zero_rates();
-        self.observe_grid_power(ctx, &decision);
-        self.fallback_steps.push(ctx.step);
-        self.state = Some((
-            decision.allocation.to_control_vector(),
-            decision.servers_on.clone(),
-        ));
-        Ok(decision)
+        self.fallback(ctx)
     }
 
     /// Exports the policy's complete evolving state for checkpointing (see
@@ -1146,15 +1131,7 @@ impl MpcPolicy {
             // next solve is cold) and degrade to the fallback split.
             idc_obs::record_anomaly("injected_solver_failure", ctx.step as u64, &[]);
             self.controller.reset();
-            self.fallback_steps.push(ctx.step);
-            let decision = self.fallback(ctx)?;
-            self.command_zero_rates();
-            self.observe_grid_power(ctx, &decision);
-            self.state = Some((
-                decision.allocation.to_control_vector(),
-                decision.servers_on.clone(),
-            ));
-            return Ok(decision);
+            return self.fallback(ctx);
         }
         if !self.config.solver_reuse {
             self.controller.reset();
@@ -1209,15 +1186,7 @@ impl MpcPolicy {
             }
             Err(idc_opt::Error::Infeasible) => {
                 idc_obs::record_anomaly("qp_infeasible_fallback", ctx.step as u64, &[]);
-                self.fallback_steps.push(ctx.step);
-                let decision = self.fallback(ctx)?;
-                self.command_zero_rates();
-                self.observe_grid_power(ctx, &decision);
-                self.state = Some((
-                    decision.allocation.to_control_vector(),
-                    decision.servers_on.clone(),
-                ));
-                Ok(decision)
+                self.fallback(ctx)
             }
             Err(e) => Err(e.into()),
         }

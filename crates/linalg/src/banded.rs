@@ -14,19 +14,16 @@
 //! [`BlockTridiag`] stores only the diagonal and subdiagonal blocks;
 //! [`BlockTridiagChol`] owns reusable factor storage so repeated
 //! [`refactor`](BlockTridiagChol::refactor)/[`solve_in_place`](BlockTridiagChol::solve_in_place)
-//! cycles are allocation-free. Block products route through the packed
-//! [`gemm`](crate::gemm) microkernel.
+//! cycles are allocation-free. Every block size takes the same recursion:
+//! each diagonal block is factored by a scalar Cholesky and each coupling
+//! block by row-wise triangular substitution, while the stage couplings —
+//! the `M·Mᵀ` downdate and the multi-right-hand-side corrections — route
+//! through the packed [`gemm`](crate::gemm) microkernel.
 
 use crate::gemm::gemm_ws;
 use crate::workspace::Workspace;
 use crate::{Error, Result};
 
-/// Block size below which the scalar factorization path is used unchanged.
-const BLOCK_MIN: usize = 128;
-/// Column-panel width for the blocked Cholesky and triangular solves.
-const PANEL: usize = 48;
-/// Rows per chunk of the blocked row-panel work.
-const ROW_BAND: usize = 64;
 /// Right-hand sides per chunk in [`BlockTridiagChol::solve_rows_in_place`].
 const RHS_BAND: usize = 32;
 
@@ -175,8 +172,6 @@ pub struct BlockTridiagChol {
     m: Vec<f64>,
     /// Transpose scratch for the `M·Mᵀ` downdate.
     mt_scratch: Vec<f64>,
-    /// Transpose scratch for `L` blocks in the blocked triangular solves.
-    lt_scratch: Vec<f64>,
 }
 
 impl BlockTridiagChol {
@@ -197,10 +192,10 @@ impl BlockTridiagChol {
 
     /// Factors `a`, reusing all internal storage from previous calls.
     ///
-    /// Small blocks (`nb` below `BLOCK_MIN` = 128) take the scalar stage
-    /// recursion; larger blocks use a blocked right-looking Cholesky and
-    /// blocked triangular solves whose O(nb³) inner products all route
-    /// through the packed GEMM microkernel.
+    /// One scalar stage recursion at every block size: `M_t` by forward
+    /// substitution row by row, the Riccati downdate `D_t − M_t·M_tᵀ`
+    /// through the packed GEMM microkernel, and `L_t` by a scalar Cholesky
+    /// of the downdated block.
     ///
     /// # Errors
     ///
@@ -217,18 +212,9 @@ impl BlockTridiagChol {
         self.m.resize((t - 1) * s, 0.0);
         self.mt_scratch.clear();
         self.mt_scratch.resize(s, 0.0);
-        let blocked = nb >= BLOCK_MIN;
-        if blocked {
-            self.lt_scratch.clear();
-            self.lt_scratch.resize(s, 0.0);
-        }
 
         self.l[..s].copy_from_slice(a.diag(0));
-        if blocked {
-            chol_in_place_blocked(nb, &mut self.l[..s], ws)?;
-        } else {
-            chol_in_place(nb, &mut self.l[..s])?;
-        }
+        chol_in_place(nb, &mut self.l[..s])?;
         for bt in 1..t {
             // M_t = O_{t-1} · L_{t-1}^{-ᵀ}: forward-substitute L_{t-1} against
             // each row of O_{t-1}.
@@ -236,16 +222,8 @@ impl BlockTridiagChol {
             let lprev = &done_l[(bt - 1) * s..];
             let mblk = &mut self.m[(bt - 1) * s..bt * s];
             mblk.copy_from_slice(a.sub(bt - 1));
-            if blocked {
-                transpose_into(nb, lprev, &mut self.lt_scratch);
-                for rows in mblk.chunks_mut(ROW_BAND * nb) {
-                    let nrows = rows.len() / nb;
-                    trsm_rows_lower(nrows, nb, lprev, &self.lt_scratch, rows, nb, ws);
-                }
-            } else {
-                for r in 0..nb {
-                    forward_subst(nb, lprev, &mut mblk[r * nb..(r + 1) * nb]);
-                }
+            for r in 0..nb {
+                forward_subst(nb, lprev, &mut mblk[r * nb..(r + 1) * nb]);
             }
             // L_t·L_tᵀ = D_t − M_t·M_tᵀ (Riccati downdate), via packed GEMM.
             let lcur = &mut rest_l[..s];
@@ -265,11 +243,7 @@ impl BlockTridiagChol {
                 nb,
                 ws,
             );
-            if blocked {
-                chol_in_place_blocked(nb, lcur, ws)?;
-            } else {
-                chol_in_place(nb, lcur)?;
-            }
+            chol_in_place(nb, lcur)?;
         }
         Ok(())
     }
@@ -365,15 +339,10 @@ impl BlockTridiagChol {
         // blocks coupling consecutive blocks inside it.
         let l = &self.l[first * s..(first + t) * s];
         let m = &self.m[first * s..(first + t - 1) * s];
-        // Shared read-only transposes: Mᵀ blocks for the forward corrections,
-        // Lᵀ blocks for the blocked forward triangular solves.
+        // Shared read-only Mᵀ blocks for the forward corrections.
         let mut mts = ws.take((t - 1) * s);
         for bt in 0..t - 1 {
             transpose_into(nb, &m[bt * s..(bt + 1) * s], &mut mts[bt * s..(bt + 1) * s]);
-        }
-        let mut lts = ws.take(t * s);
-        for bt in 0..t {
-            transpose_into(nb, &l[bt * s..(bt + 1) * s], &mut lts[bt * s..(bt + 1) * s]);
         }
         let mut cloc = ws.take(RHS_BAND.min(nrhs) * nb);
         for rows in x.chunks_mut(RHS_BAND * dim) {
@@ -403,15 +372,10 @@ impl BlockTridiagChol {
                         }
                     }
                 }
-                trsm_rows_lower(
-                    band,
-                    nb,
-                    &l[bt * s..(bt + 1) * s],
-                    &lts[bt * s..(bt + 1) * s],
-                    &mut rows[bt * nb..],
-                    dim,
-                    ws,
-                );
+                let lblk = &l[bt * s..(bt + 1) * s];
+                for r in 0..band {
+                    forward_subst(nb, lblk, &mut rows[r * dim + bt * nb..][..nb]);
+                }
             }
             // Backward sweep: Lᵀ X = Y.
             for bt in (0..t).rev() {
@@ -437,24 +401,19 @@ impl BlockTridiagChol {
                         }
                     }
                 }
-                trsm_rows_lower_transposed(
-                    band,
-                    nb,
-                    &l[bt * s..(bt + 1) * s],
-                    &mut rows[bt * nb..],
-                    dim,
-                    ws,
-                );
+                let lblk = &l[bt * s..(bt + 1) * s];
+                for r in 0..band {
+                    back_subst_transposed(nb, lblk, &mut rows[r * dim + bt * nb..][..nb]);
+                }
             }
         }
         ws.put(cloc);
         ws.put(mts);
-        ws.put(lts);
     }
 }
 
 /// In-place dense Cholesky of the lower triangle of a row-major `n×n` block.
-fn chol_in_place(n: usize, a: &mut [f64]) -> Result<()> {
+pub(crate) fn chol_in_place(n: usize, a: &mut [f64]) -> Result<()> {
     for i in 0..n {
         for j in 0..=i {
             let mut acc = a[i * n + j];
@@ -503,213 +462,6 @@ fn transpose_into(n: usize, src: &[f64], dst: &mut [f64]) {
             dst[j * n + i] = src[i * n + j];
         }
     }
-}
-
-/// Blocked right-looking in-place Cholesky of the lower triangle of a
-/// row-major `n×n` block.
-///
-/// The diagonal panel is factored scalar; the O(n³) trailing update runs
-/// through the packed GEMM microkernel, one call per band of `ROW_BAND`
-/// rows.
-pub(crate) fn chol_in_place_blocked(n: usize, a: &mut [f64], ws: &mut Workspace) -> Result<()> {
-    if n < BLOCK_MIN {
-        return chol_in_place(n, a);
-    }
-    let mut bt = ws.take(PANEL * n);
-    let mut result = Ok(());
-    'outer: for k0 in (0..n).step_by(PANEL) {
-        let w = PANEL.min(n - k0);
-        // Diagonal panel: scalar Cholesky of the w×w submatrix at (k0, k0).
-        for i in 0..w {
-            for j in 0..=i {
-                let mut acc = a[(k0 + i) * n + k0 + j];
-                for p in 0..j {
-                    acc -= a[(k0 + i) * n + k0 + p] * a[(k0 + j) * n + k0 + p];
-                }
-                if i == j {
-                    if acc <= 0.0 {
-                        result = Err(Error::NotPositiveDefinite);
-                        break 'outer;
-                    }
-                    a[(k0 + i) * n + k0 + i] = acc.sqrt();
-                } else {
-                    a[(k0 + i) * n + k0 + j] = acc / a[(k0 + j) * n + k0 + j];
-                }
-            }
-        }
-        let r0 = k0 + w;
-        if r0 == n {
-            break;
-        }
-        // Panel solve L21 ← A21·L11⁻ᵀ, row by row.
-        let (head, tail) = a.split_at_mut(r0 * n);
-        let panel = &head[k0 * n..];
-        for rr in tail.chunks_mut(n) {
-            for i in 0..w {
-                let mut acc = rr[k0 + i];
-                for j in 0..i {
-                    acc -= panel[i * n + k0 + j] * rr[k0 + j];
-                }
-                rr[k0 + i] = acc / panel[i * n + k0 + i];
-            }
-        }
-        // Bt = L21ᵀ, read by every trailing row band.
-        let ncols_total = n - r0;
-        for (rr, row) in tail.chunks_exact(n).enumerate() {
-            for c in 0..w {
-                bt[c * ncols_total + rr] = row[k0 + c];
-            }
-        }
-        // Trailing update A22 −= L21·L21ᵀ, one GEMM per row panel covering
-        // the panel's lower-triangle columns (plus the few upper-triangle
-        // entries inside the panel's diagonal block, which stay
-        // insignificant — only the lower triangle of `a` is read).
-        let mut aloc = ws.take(ROW_BAND.min(ncols_total) * w);
-        for (idx, rows) in tail.chunks_mut(ROW_BAND * n).enumerate() {
-            let nrows = rows.len() / n;
-            let ncols = idx * ROW_BAND + nrows;
-            for (rr, row) in rows.chunks_exact(n).enumerate() {
-                aloc[rr * w..(rr + 1) * w].copy_from_slice(&row[k0..k0 + w]);
-            }
-            gemm_ws(
-                nrows,
-                ncols,
-                w,
-                -1.0,
-                &aloc,
-                w,
-                &bt,
-                ncols_total,
-                1.0,
-                &mut rows[r0..],
-                n,
-                ws,
-            );
-        }
-        ws.put(aloc);
-    }
-    ws.put(bt);
-    result
-}
-
-/// Solves `L·yᵣ = xᵣ` for every row of the `nrhs × n` block `x` (leading
-/// dimension `ldx`), i.e. a right-side triangular solve against `Lᵀ`.
-///
-/// `lt` must hold the transpose of `l`. Column-panel corrections go through
-/// GEMM; only the small per-panel triangles are solved scalar. Falls back to
-/// scalar per-row substitution below [`BLOCK_MIN`].
-fn trsm_rows_lower(
-    nrhs: usize,
-    n: usize,
-    l: &[f64],
-    lt: &[f64],
-    x: &mut [f64],
-    ldx: usize,
-    ws: &mut Workspace,
-) {
-    if n < BLOCK_MIN {
-        for r in 0..nrhs {
-            forward_subst(n, l, &mut x[r * ldx..r * ldx + n]);
-        }
-        return;
-    }
-    let mut cloc = ws.take(nrhs * PANEL);
-    for j0 in (0..n).step_by(PANEL) {
-        let w = PANEL.min(n - j0);
-        if j0 > 0 {
-            // X[:, j0..j0+w] −= X[:, 0..j0]·(L[j0..j0+w, 0..j0])ᵀ.
-            gemm_ws(
-                nrhs,
-                w,
-                j0,
-                -1.0,
-                &x[..],
-                ldx,
-                &lt[j0..],
-                n,
-                0.0,
-                &mut cloc[..nrhs * w],
-                w,
-                ws,
-            );
-            for r in 0..nrhs {
-                for c in 0..w {
-                    x[r * ldx + j0 + c] += cloc[r * w + c];
-                }
-            }
-        }
-        for r in 0..nrhs {
-            let row = &mut x[r * ldx + j0..r * ldx + j0 + w];
-            for i in 0..w {
-                let mut acc = row[i];
-                for j in 0..i {
-                    acc -= l[(j0 + i) * n + j0 + j] * row[j];
-                }
-                row[i] = acc / l[(j0 + i) * n + j0 + i];
-            }
-        }
-    }
-    ws.put(cloc);
-}
-
-/// Solves `Lᵀ·yᵣ = xᵣ` for every row of the `nrhs × n` block `x` (leading
-/// dimension `ldx`), i.e. a right-side triangular solve against `L`.
-///
-/// Column panels proceed right to left; corrections go through GEMM reading
-/// `l` directly. Falls back to scalar per-row substitution below
-/// [`BLOCK_MIN`].
-fn trsm_rows_lower_transposed(
-    nrhs: usize,
-    n: usize,
-    l: &[f64],
-    x: &mut [f64],
-    ldx: usize,
-    ws: &mut Workspace,
-) {
-    if n < BLOCK_MIN {
-        for r in 0..nrhs {
-            back_subst_transposed(n, l, &mut x[r * ldx..r * ldx + n]);
-        }
-        return;
-    }
-    let mut cloc = ws.take(nrhs * PANEL);
-    for j0 in (0..n).step_by(PANEL).rev() {
-        let w = PANEL.min(n - j0);
-        let hi = j0 + w;
-        if hi < n {
-            // X[:, j0..hi] −= X[:, hi..n]·L[hi..n, j0..hi].
-            gemm_ws(
-                nrhs,
-                w,
-                n - hi,
-                -1.0,
-                &x[hi..],
-                ldx,
-                &l[hi * n + j0..],
-                n,
-                0.0,
-                &mut cloc[..nrhs * w],
-                w,
-                ws,
-            );
-            for r in 0..nrhs {
-                for c in 0..w {
-                    x[r * ldx + j0 + c] += cloc[r * w + c];
-                }
-            }
-        }
-        for r in 0..nrhs {
-            let row = &mut x[r * ldx + j0..r * ldx + hi];
-            for i in (0..w).rev() {
-                let mut acc = row[i];
-                for j in i + 1..w {
-                    acc -= l[(j0 + j) * n + j0 + i] * row[j];
-                }
-                row[i] = acc / l[(j0 + i) * n + j0 + i];
-            }
-        }
-    }
-    ws.put(cloc);
 }
 
 #[cfg(test)]
@@ -823,28 +575,9 @@ mod tests {
     }
 
     #[test]
-    fn blocked_path_matches_dense_lu() {
-        // nb ≥ BLOCK_MIN exercises the blocked Cholesky + blocked trsm path.
-        let mut seed = 0x600d_cafeu64;
-        let (nb, t) = (BLOCK_MIN + 5, 2);
-        let a = random_spd(nb, t, &mut seed);
-        let dense = dense_of(&a);
-        let b: Vec<f64> = (0..nb * t).map(|_| pseudo(&mut seed)).collect();
-        let mut chol = BlockTridiagChol::new();
-        let mut ws = Workspace::new();
-        chol.refactor(&a, &mut ws).unwrap();
-        let mut x = b.clone();
-        chol.solve_in_place(&mut x);
-        let expect = Lu::factor(&dense).unwrap().solve(&b).unwrap();
-        for (u, v) in x.iter().zip(&expect) {
-            assert!((u - v).abs() < 1e-9 * (1.0 + v.abs()));
-        }
-    }
-
-    #[test]
     fn solve_rows_matches_per_row_solves() {
         let mut seed = 0x0def_aced_u64;
-        for &(nb, t) in &[(6usize, 4usize), (BLOCK_MIN + 3, 2)] {
+        for &(nb, t) in &[(6usize, 4usize), (131, 2)] {
             let a = random_spd(nb, t, &mut seed);
             let dim = nb * t;
             let nrhs = 5;
@@ -871,7 +604,7 @@ mod tests {
     #[test]
     fn range_solve_matches_full_solve_on_an_independent_chain() {
         let mut seed = 0x5a11_ce55u64;
-        for &nb in &[5usize, BLOCK_MIN + 2] {
+        for &nb in &[5usize, 130] {
             let (t, first, count) = (7, 2, 3);
             let mut a = random_spd(nb, t, &mut seed);
             a.sub_mut(first - 1).fill(0.0);

@@ -279,7 +279,7 @@ impl UpdatableCholesky {
             gemm_ws(k, k, n, -1.0, &b, n, &bt, k, 1.0, &mut s22, k, ws);
         }
         // Factor the Schur block in scratch; commit only on success.
-        let mut result = crate::banded::chol_in_place_blocked(k, &mut s22, ws);
+        let mut result = crate::banded::chol_in_place(k, &mut s22);
         if result.is_ok() {
             for j in 0..k {
                 let off = j * n + j * (j + 1) / 2;

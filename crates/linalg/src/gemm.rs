@@ -99,28 +99,6 @@ pub fn gemm_ws(
     ws.put(bpack);
 }
 
-/// Convenience wrapper around [`gemm_ws`] that uses a throwaway workspace.
-///
-/// Prefer [`gemm_ws`] in hot paths; this variant allocates its packing
-/// buffers on every call.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    let mut ws = Workspace::new();
-    gemm_ws(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, &mut ws);
-}
-
 fn check_operand(name: &str, rows: usize, cols: usize, ld: usize, len: usize) {
     assert!(
         ld >= cols.max(1),
@@ -330,7 +308,8 @@ mod tests {
             let b: Vec<f64> = (0..k * n).map(|_| pseudo(&mut seed)).collect();
             let expect = naive(m, n, k, &a, &b);
             let mut c = vec![f64::NAN; m * n];
-            gemm(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n);
+            let mut ws = Workspace::new();
+            gemm_ws(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, &mut ws);
             for (x, y) in c.iter().zip(&expect) {
                 assert!((x - y).abs() < 1e-12 * (1.0 + y.abs()), "{m}x{n}x{k}");
             }
@@ -346,7 +325,8 @@ mod tests {
         let b: Vec<f64> = (0..k * ldb).map(|_| pseudo(&mut seed)).collect();
         let c0: Vec<f64> = (0..m * ldc).map(|_| pseudo(&mut seed)).collect();
         let mut c = c0.clone();
-        gemm(m, n, k, 2.5, &a, lda, &b, ldb, -0.5, &mut c, ldc);
+        let mut ws = Workspace::new();
+        gemm_ws(m, n, k, 2.5, &a, lda, &b, ldb, -0.5, &mut c, ldc, &mut ws);
         for i in 0..m {
             for j in 0..n {
                 let mut dot = 0.0;
@@ -370,14 +350,16 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [5.0, 6.0, 7.0, 8.0];
         let mut c = [f64::NAN; 4];
-        gemm(2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 2);
+        let mut ws = Workspace::new();
+        gemm_ws(2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 2, &mut ws);
         assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]
     fn zero_k_scales_existing_c() {
         let mut c = [2.0, 4.0];
-        gemm(1, 2, 0, 1.0, &[], 1, &[], 2, 0.5, &mut c, 2);
+        let mut ws = Workspace::new();
+        gemm_ws(1, 2, 0, 1.0, &[], 1, &[], 2, 0.5, &mut c, 2, &mut ws);
         assert_eq!(c, [1.0, 2.0]);
     }
 
@@ -389,7 +371,7 @@ mod tests {
         let b = Matrix::from_fn(k, n, |_, _| pseudo(&mut seed));
         let expect = a.mul_mat(&b).unwrap();
         let mut c = vec![0.0; m * n];
-        gemm(
+        gemm_ws(
             m,
             n,
             k,
@@ -401,6 +383,7 @@ mod tests {
             0.0,
             &mut c,
             n,
+            &mut Workspace::new(),
         );
         for (x, y) in c.iter().zip(expect.as_slice()) {
             assert!((x - y).abs() < 1e-12 * (1.0 + y.abs()));

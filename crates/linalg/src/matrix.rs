@@ -39,15 +39,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows × cols` matrix with every entry equal to `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -113,15 +104,6 @@ impl Matrix {
             }
         }
         m
-    }
-
-    /// Creates a single-column matrix from a vector.
-    pub fn column(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
     }
 
     /// Number of rows.
@@ -241,10 +223,8 @@ impl Matrix {
 
     /// Writes `self * other` into `out`, reusing `out`'s allocation.
     ///
-    /// The kernel is a blocked row-major i-k-j loop: the shared dimension
-    /// and the output columns are tiled so the active rows of `other` and
-    /// `out` stay cache-resident while a tile is swept, which is what makes
-    /// the large condensed-MPC products scale past L2.
+    /// The kernel is a row-major i-k-j loop, so each output entry sums its
+    /// products in ascending `k`.
     ///
     /// # Errors
     ///
@@ -257,58 +237,20 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        // Tile sizes: KB rows of `other` (each up to JB wide) ≈ 128 KiB,
-        // comfortably within L2 alongside the output tile.
-        const KB: usize = 64;
-        const JB: usize = 256;
         out.rows = self.rows;
         out.cols = other.cols;
         out.data.clear();
         out.data.resize(self.rows * other.cols, 0.0);
-        for k0 in (0..self.cols).step_by(KB) {
-            let k1 = (k0 + KB).min(self.cols);
-            for j0 in (0..other.cols).step_by(JB) {
-                let j1 = (j0 + JB).min(other.cols);
-                for i in 0..self.rows {
-                    let arow = &self.row(i)[k0..k1];
-                    let dest = &mut out.row_mut(i)[j0..j1];
-                    for (dk, &aik) in arow.iter().enumerate() {
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let brow = &other.row(k0 + dk)[j0..j1];
-                        for (d, &b) in dest.iter_mut().zip(brow) {
-                            *d += aik * b;
-                        }
-                    }
+        for i in 0..self.rows {
+            let dest = &mut out.data[i * other.cols..(i + 1) * other.cols];
+            for (k, &aik) in self.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                for (d, &b) in dest.iter_mut().zip(other.row(k)) {
+                    *d += aik * b;
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Writes `self * v` into `out`, reusing `out`'s allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `v.len() != self.cols()`.
-    pub fn mul_vec_into(&self, v: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        if v.len() != self.cols {
-            return Err(Error::DimensionMismatch {
-                op: "mul_vec",
-                lhs: self.shape(),
-                rhs: (v.len(), 1),
-            });
-        }
-        out.clear();
-        out.resize(self.rows, 0.0);
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = self.row(i);
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(v) {
-                acc += a * b;
-            }
-            *o = acc;
         }
         Ok(())
     }
@@ -416,16 +358,6 @@ impl Matrix {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let (first, second) = self.data.split_at_mut(hi * self.cols);
         first[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut second[..self.cols]);
-    }
-
-    /// Sum of the diagonal entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn trace(&self) -> f64 {
-        assert!(self.is_square(), "trace requires a square matrix");
-        (0..self.rows).map(|i| self[(i, i)]).sum()
     }
 
     /// Frobenius norm.
@@ -607,10 +539,8 @@ mod tests {
     #[test]
     fn constructors_have_expected_shapes() {
         assert_eq!(Matrix::zeros(2, 3).shape(), (2, 3));
-        assert_eq!(Matrix::identity(4).trace(), 4.0);
+        assert_eq!(Matrix::identity(4).shape(), (4, 4));
         assert_eq!(Matrix::diag(&[1.0, 2.0])[(1, 1)], 2.0);
-        assert_eq!(Matrix::column(&[1.0, 2.0, 3.0]).shape(), (3, 1));
-        assert_eq!(Matrix::filled(2, 2, 7.0)[(0, 1)], 7.0);
     }
 
     #[test]
@@ -647,9 +577,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_matches_naive_across_tile_boundaries() {
-        // Shapes straddling the KB=64 / JB=256 tile edges exercise every
-        // partial-tile path in the blocked kernel.
+    fn matmul_matches_naive_sum_bitwise() {
+        // Each entry sums in ascending `k`, like the naive triple loop.
         for &(m, k, n) in &[(1, 1, 1), (3, 64, 256), (5, 65, 257), (70, 130, 300)] {
             let a = Matrix::from_fn(m, k, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
             let b = Matrix::from_fn(k, n, |i, j| ((i * 5 + j) % 13) as f64 - 6.0);
@@ -673,24 +602,13 @@ mod tests {
         let a = m22(1.0, 2.0, 3.0, 4.0);
         let b = m22(5.0, 6.0, 7.0, 8.0);
         // Wrong shape and stale contents: must be fully overwritten.
-        let mut out = Matrix::filled(5, 7, f64::NAN);
+        let mut out = Matrix::from_fn(5, 7, |_, _| f64::NAN);
         a.mul_mat_into(&b, &mut out).unwrap();
         assert_eq!(out, m22(19.0, 22.0, 43.0, 50.0));
         // Second use reuses the allocation and still gets the right answer.
         a.mul_mat_into(&a, &mut out).unwrap();
         assert_eq!(out, m22(7.0, 10.0, 15.0, 22.0));
         assert!(a.mul_mat_into(&Matrix::zeros(3, 2), &mut out).is_err());
-    }
-
-    #[test]
-    fn vec_into_variants_match_allocating_versions() {
-        let a = Matrix::from_fn(3, 2, |i, j| (i + 3 * j) as f64);
-        let v3 = [1.0, -1.0, 2.0];
-        let v2 = [0.5, -2.0];
-        let mut out = vec![f64::NAN; 9];
-        a.mul_vec_into(&v2, &mut out).unwrap();
-        assert_eq!(out, a.mul_vec(&v2).unwrap());
-        assert!(a.mul_vec_into(&v3, &mut out).is_err());
     }
 
     #[test]
@@ -771,7 +689,7 @@ mod tests {
     fn arithmetic_operators_work() {
         let a = m22(1.0, 2.0, 3.0, 4.0);
         let b = m22(4.0, 3.0, 2.0, 1.0);
-        assert_eq!((&a + &b).unwrap(), Matrix::filled(2, 2, 5.0));
+        assert_eq!((&a + &b).unwrap(), Matrix::from_fn(2, 2, |_, _| 5.0));
         assert_eq!((&a - &a).unwrap(), Matrix::zeros(2, 2));
         assert_eq!(&a * 2.0, m22(2.0, 4.0, 6.0, 8.0));
         assert_eq!(-&a, m22(-1.0, -2.0, -3.0, -4.0));

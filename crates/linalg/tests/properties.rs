@@ -2,7 +2,7 @@
 
 use idc_linalg::banded::{BlockTridiag, BlockTridiagChol};
 use idc_linalg::cholesky::{ArrowheadCholesky, UpdatableCholesky};
-use idc_linalg::gemm::{gemm, gemm_ws};
+use idc_linalg::gemm::gemm_ws;
 use idc_linalg::workspace::Workspace;
 use idc_linalg::{expm::expm, lu::Lu, vec_ops, Matrix};
 use proptest::prelude::*;
@@ -79,7 +79,7 @@ proptest! {
         prop_assert!(outer.rank(f64::EPSILON) <= 1);
     }
 
-    /// The packed SIMD GEMM agrees with the blocked `mul_mat` reference on
+    /// The packed SIMD GEMM agrees with the `mul_mat` reference on
     /// arbitrary shapes, specifically shapes that are NOT multiples of the
     /// 4×8 microkernel tile (partial edge tiles exercise the masked
     /// write-back path).
@@ -97,7 +97,8 @@ proptest! {
         let oracle = am.mul_mat(&bm).unwrap();
 
         let mut c = vec![f64::NAN; m * n]; // beta = 0 must not read C
-        gemm(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n);
+        let mut ws = Workspace::new();
+        gemm_ws(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, &mut ws);
         for i in 0..m {
             for j in 0..n {
                 let got = c[i * n + j];
@@ -111,7 +112,7 @@ proptest! {
     }
 
     /// `C ← α·A·B + β·C` semantics hold, and a long-lived workspace gives
-    /// bit-identical results to the allocating wrapper.
+    /// bit-identical results to a fresh one.
     #[test]
     fn gemm_accumulates_and_workspace_reuse_is_exact(
         m in 1usize..10,
@@ -136,7 +137,7 @@ proptest! {
         }
 
         let mut c = c0.clone();
-        gemm(m, n, k, alpha, &a, k, &b, n, beta, &mut c, n);
+        gemm_ws(m, n, k, alpha, &a, k, &b, n, beta, &mut c, n, &mut Workspace::new());
         let mut ws = Workspace::new();
         let mut c_ws = c0.clone();
         // Warm the workspace on an unrelated shape first, then reuse it.
@@ -168,7 +169,8 @@ proptest! {
         let a: Vec<f64> = (0..m * lda).map(|i| (i as f64 * 0.13).sin()).collect();
         let b: Vec<f64> = (0..k * ldb).map(|i| (i as f64 * 0.29).cos()).collect();
         let mut c: Vec<f64> = vec![7.5; m * ldc];
-        gemm(m, n, k, 1.0, &a, lda, &b, ldb, 0.0, &mut c, ldc);
+        let mut ws = Workspace::new();
+        gemm_ws(m, n, k, 1.0, &a, lda, &b, ldb, 0.0, &mut c, ldc, &mut ws);
         for i in 0..m {
             for j in 0..n {
                 let mut dot = 0.0;
@@ -446,64 +448,66 @@ proptest! {
 }
 
 proptest! {
-    // The blocked path factors 128-wide blocks; keep the case count small.
+    // The 128-wide case factors large blocks; keep the case count small.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The blocked banded factorization draws every scratch buffer from the
+    /// The banded factorization draws GEMM's packing scratch from the
     /// caller's workspace, so a factor computed into reused storage with a
     /// workspace left dirty by an earlier factorization must be bitwise
-    /// identical to one computed from scratch.
+    /// identical to one computed from scratch. Runs at the controller's
+    /// block widths (`C` or `C + 2` for fleets of 5, 16 and 24 portals) and
+    /// one large width.
     #[test]
-    fn blocked_banded_refactor_is_bitwise_independent_of_workspace_history(
+    fn banded_refactor_is_bitwise_independent_of_workspace_history(
         seed in 0u64..u64::MAX,
         t in 2usize..4,
     ) {
-        // BLOCK_MIN-sized blocks engage the blocked path; filling
-        // t·nb² entries through proptest strategies would dwarf the test,
-        // so the content comes from a seeded LCG instead.
-        let nb = 128;
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let mut a = BlockTridiag::new(nb, t);
-        for bt in 0..t {
-            for i in 0..nb {
-                for j in 0..=i {
-                    let v = 0.5 * next();
-                    a.diag_mut(bt)[i * nb + j] = v;
-                    a.diag_mut(bt)[j * nb + i] = v;
+        for nb in [5usize, 16, 26, 128] {
+            // Filling t·nb² entries through proptest strategies would dwarf
+            // the test, so the content comes from a seeded LCG instead.
+            let mut state = seed | 1;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+            };
+            let mut a = BlockTridiag::new(nb, t);
+            for bt in 0..t {
+                for i in 0..nb {
+                    for j in 0..=i {
+                        let v = 0.5 * next();
+                        a.diag_mut(bt)[i * nb + j] = v;
+                        a.diag_mut(bt)[j * nb + i] = v;
+                    }
+                    a.diag_mut(bt)[i * nb + i] += 2.0 * nb as f64;
                 }
-                a.diag_mut(bt)[i * nb + i] += 2.0 * nb as f64;
             }
-        }
-        for bt in 0..t - 1 {
-            for k in 0..nb * nb {
-                a.sub_mut(bt)[k] = 0.25 * next();
+            for bt in 0..t - 1 {
+                for k in 0..nb * nb {
+                    a.sub_mut(bt)[k] = 0.25 * next();
+                }
             }
-        }
-        let rhs: Vec<f64> = (0..nb * t).map(|_| next()).collect();
-        let mut fresh = BlockTridiagChol::new();
-        fresh.refactor(&a, &mut Workspace::new()).unwrap();
-        let mut x_fresh = rhs.clone();
-        fresh.solve_in_place(&mut x_fresh);
-        // Dirty the storage and the workspace with a different matrix (an
-        // extra block and a shifted diagonal) before refactoring `a`.
-        let mut other = BlockTridiag::new(nb, t + 1);
-        for bt in 0..=t {
-            for i in 0..nb {
-                other.diag_mut(bt)[i * nb + i] = 1.0 + bt as f64 + i as f64;
+            let rhs: Vec<f64> = (0..nb * t).map(|_| next()).collect();
+            let mut fresh = BlockTridiagChol::new();
+            fresh.refactor(&a, &mut Workspace::new()).unwrap();
+            let mut x_fresh = rhs.clone();
+            fresh.solve_in_place(&mut x_fresh);
+            // Dirty the storage and the workspace with a different matrix (an
+            // extra block and a shifted diagonal) before refactoring `a`.
+            let mut other = BlockTridiag::new(nb, t + 1);
+            for bt in 0..=t {
+                for i in 0..nb {
+                    other.diag_mut(bt)[i * nb + i] = 1.0 + bt as f64 + i as f64;
+                }
             }
+            let mut ws = Workspace::new();
+            let mut reused = BlockTridiagChol::new();
+            reused.refactor(&other, &mut ws).unwrap();
+            reused.refactor(&a, &mut ws).unwrap();
+            let mut x = rhs.clone();
+            reused.solve_in_place(&mut x);
+            prop_assert!(x == x_fresh, "workspace history changed the nb={} factor", nb);
         }
-        let mut ws = Workspace::new();
-        let mut reused = BlockTridiagChol::new();
-        reused.refactor(&other, &mut ws).unwrap();
-        reused.refactor(&a, &mut ws).unwrap();
-        let mut x = rhs.clone();
-        reused.solve_in_place(&mut x);
-        prop_assert!(x == x_fresh, "workspace history changed the factor");
     }
 }

@@ -245,7 +245,6 @@ pub struct BandedQp {
     b_eq: Vec<f64>,
     a_in: Vec<SparseRow>,
     b_in: Vec<f64>,
-    max_iter: usize,
     single_pivot: bool,
     cache: Option<BandedCache>,
 }
@@ -274,7 +273,6 @@ impl BandedQp {
             b_eq: Vec::new(),
             a_in: Vec::new(),
             b_in: Vec::new(),
-            max_iter: 500,
             single_pivot: false,
             cache: None,
         })
@@ -296,13 +294,6 @@ impl BandedQp {
         self
     }
 
-    /// Overrides the iteration budget (the default scales as
-    /// `max(500, 4·(variables + constraints))`).
-    pub fn max_iterations(mut self, max_iter: usize) -> Self {
-        self.max_iter = max_iter;
-        self
-    }
-
     /// Restricts the active-set loop to one constraint add/drop per outer
     /// iteration (the textbook reference semantics; batched pivoting is the
     /// default).
@@ -316,9 +307,10 @@ impl BandedQp {
         self.g.len()
     }
 
+    /// Active-set iterations allowed per solve: `4·(variables +
+    /// constraints)`, and never fewer than 500.
     fn iteration_budget(&self) -> usize {
-        self.max_iter
-            .max(4 * (self.num_vars() + self.a_in.len() + self.a_eq.len()))
+        500.max(4 * (self.num_vars() + self.a_in.len() + self.a_eq.len()))
     }
 
     /// Replaces the gradient `g`, keeping the Hessian and constraints.

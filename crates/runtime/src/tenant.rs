@@ -17,7 +17,7 @@
 //! tenant's next due instant, from [`Clock::due_in`]) guarded by a mutex
 //! and condvar. Workers pop the earliest due tenant, take exclusive
 //! ownership of its cell, run a bounded *slice* of steps (up to
-//! `slice_steps`, stopping early when the tenant's clock says the next
+//! `SLICE_STEPS`, stopping early when the tenant's clock says the next
 //! step is not yet due), then park it back on the queue. A worker that
 //! finds the earliest tenant not yet due sleeps on the condvar with a
 //! timeout of exactly the remaining lead time — no polling, no
@@ -80,6 +80,10 @@ const TENANT_STEP_BOUNDS: [f64; 8] = [0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 /// one writer serialises the waits and gains nothing on `daemon_64`, and
 /// eight measured slower than four on a 2-vCPU host.
 const WRITERS: usize = 4;
+
+/// Maximum steps one worker runs a tenant for before re-queueing it.
+/// Bounds scheduling latency under skewed tenant sizes.
+const SLICE_STEPS: u64 = 8;
 
 /// Checkpoints queued per writer before a worker handing it one more
 /// waits.
@@ -174,10 +178,6 @@ pub fn derive_tenants(n: usize, base_seed: u64, num_steps: Option<usize>) -> Vec
 pub struct ManagerConfig {
     /// Worker threads (0 = available parallelism, capped at 8).
     pub workers: usize,
-    /// Maximum steps one worker runs a tenant for before re-queueing it
-    /// (0 = the default of 8). Bounds scheduling latency under skewed
-    /// tenant sizes.
-    pub slice_steps: u64,
     /// Root directory for per-tenant checkpoint lineages (`<root>/<id>/`);
     /// `None` disables checkpointing.
     pub checkpoint_root: Option<PathBuf>,
@@ -199,7 +199,6 @@ impl Default for ManagerConfig {
     fn default() -> Self {
         ManagerConfig {
             workers: 0,
-            slice_steps: 8,
             checkpoint_root: None,
             keep_last: 4,
             max_tenants: 0,
@@ -652,10 +651,6 @@ impl TenantManager {
             stop,
             total: AtomicU64::new(0),
         };
-        let slice_steps = match self.config.slice_steps {
-            0 => 8,
-            s => s,
-        };
         let writers = if self.config.checkpoint_root.is_some() {
             WRITERS.min(ids.len())
         } else {
@@ -673,7 +668,7 @@ impl TenantManager {
                 .collect();
             for _ in 0..workers {
                 let queues = queues.clone();
-                scope.spawn(move || worker_loop(shared, &queues, registry, board, slice_steps));
+                scope.spawn(move || worker_loop(shared, &queues, registry, board));
             }
             // The writers drain their queues and exit once the last
             // worker drops its senders; the scope joins them.
@@ -750,7 +745,6 @@ fn worker_loop(
     writers: &[SyncSender<Checkpoint>],
     registry: &MetricsRegistry,
     board: &StatusBoard,
-    slice_steps: u64,
 ) {
     let mut guard = shared.state.lock().expect("scheduler mutex");
     loop {
@@ -783,7 +777,7 @@ fn worker_loop(
             .expect("queued cell is present");
         drop(guard);
 
-        let outcome = run_slice(&mut cell, slot.idx, shared, writers, registry, slice_steps);
+        let outcome = run_slice(&mut cell, slot.idx, shared, writers, registry);
         publish(&cell, slot.idx, registry, board);
 
         guard = shared.state.lock().expect("scheduler mutex");
@@ -807,19 +801,18 @@ fn worker_loop(
     }
 }
 
-/// Runs tenant `idx` for up to `slice_steps` due steps.
+/// Runs tenant `idx` for up to [`SLICE_STEPS`] due steps.
 fn run_slice(
     cell: &mut TenantCell,
     idx: usize,
     shared: &Shared<'_>,
     writers: &[SyncSender<Checkpoint>],
     registry: &MetricsRegistry,
-    slice_steps: u64,
 ) -> Result<SliceOutcome> {
     let _tenant = idc_obs::tenant_scope(&cell.spec.id);
     let _span = idc_obs::Span::enter_copied(&cell.keys.span, "tenant");
     let mut executed = 0u64;
-    while executed < slice_steps && !cell.stepper.is_finished() {
+    while executed < SLICE_STEPS && !cell.stepper.is_finished() {
         if shared.stop.load(Ordering::SeqCst) {
             return Ok(SliceOutcome::Stopped);
         }

@@ -52,14 +52,12 @@ proptest! {
         n in 2usize..6,
         base_seed in 0u64..1_000_000,
         steps in 16usize..40,
-        slice_steps in 1u64..12,
     ) {
         let specs = derive_tenants(n, base_seed, Some(steps));
         let solo = solo_snapshots(&specs);
         for workers in [1usize, 2, 4] {
             let mut manager = TenantManager::new(ManagerConfig {
                 workers,
-                slice_steps,
                 ..ManagerConfig::default()
             });
             for spec in &specs {
