@@ -354,6 +354,32 @@ mod tests {
         );
     }
 
+    /// The warm solve's timed split is reported, never gated: it adds no
+    /// row, so it cannot trip the counter threshold.
+    #[test]
+    fn solve_split_timings_are_not_gated() {
+        let doc = |split: &str| -> Value {
+            serde_json::from_str(&format!(
+                r#"{{"end_to_end": [{{"idcs": 8, "portals": 15, "backend": "banded",
+                    "warm_ms_per_step": 0.7,
+                    "warm_solve_split_ms_per_step": {split},
+                    "solve_stats": {{"iterations_per_step": 13.0}}}}]}}"#
+            ))
+            .unwrap()
+        };
+        let plain: Vec<(&str, f64)> = rows(&doc("{}"))
+            .iter()
+            .map(|r| (r.table, r.value))
+            .collect();
+        let split = doc(
+            r#"{"update": 0.3, "factor_solve": 0.05, "sweep": 0.1, "ratio_test": 0.05, "residual": 0.02}"#,
+        );
+        let with_split: Vec<(&str, f64)> =
+            rows(&split).iter().map(|r| (r.table, r.value)).collect();
+        assert_eq!(plain, with_split);
+        assert_eq!(plain, vec![("iterations", 13.0), ("end_to_end", 0.7)]);
+    }
+
     #[test]
     fn zero_baseline_counter_that_becomes_nonzero_regresses() {
         let doc = |fallbacks: u32| -> Value {

@@ -14,7 +14,10 @@
 //!   controller's own warm/cold solve accounting, the relative cost
 //!   difference between the two trajectories, and the per-phase
 //!   wall-clock breakdown of the warm run (refresh / factor / condense /
-//!   solve / reference / simulate).
+//!   solve / reference / simulate), and the warm solve split into the
+//!   active-set loop's parts (working-set update, factor solves, sweeps,
+//!   ratio test) with its residual against `solve`. The warm run binds a
+//!   thread trace recorder so the solver times those parts.
 //! * **storage_end_to_end** — one storage-enabled cell at the paper-scale
 //!   8×15 size: a battery per IDC plus the typical commercial
 //!   demand-charge tariff, so the QP carries the enlarged
@@ -257,9 +260,20 @@ fn measure_end_to_end(n: usize, c: usize, storage: bool) -> Result<EndToEndRow, 
             demand_charge: scenario.demand_charge().copied(),
             ..MpcPolicyConfig::default()
         })?;
+        // The warm run binds a thread recorder, so the solver times its
+        // parts (it reads the clock only while one listens).
+        if solver_reuse {
+            idc_obs::bind_thread_recorder(Some(std::sync::Arc::new(idc_obs::FlightRecorder::new(
+                1 << 12,
+            ))));
+        }
         let start = Instant::now();
-        let run = sim.run(&scenario, &mut policy)?;
+        let run = sim.run(&scenario, &mut policy);
         let elapsed = start.elapsed();
+        if solver_reuse {
+            idc_obs::bind_thread_recorder(None);
+        }
+        let run = run?;
         per_mode[mode] = 1e3 * elapsed.as_secs_f64() / run.times_min().len() as f64;
         costs[mode] = run.total_cost();
         if solver_reuse {
@@ -321,6 +335,31 @@ fn phase_ms(ns: u64, steps: usize) -> f64 {
     ns as f64 / 1e6 / steps.max(1) as f64
 }
 
+/// The warm run's solve time split into the active-set loop's timed
+/// parts, in ms per step, with the residual `solve − Σ parts` (the
+/// loop's own bookkeeping, seeding, the objective and everything between
+/// the parts).
+struct SolveSplit {
+    update: f64,
+    factor_solve: f64,
+    sweep: f64,
+    ratio_test: f64,
+    residual: f64,
+}
+
+impl SolveSplit {
+    fn of(e: &EndToEndRow) -> Self {
+        let ms = |ns: u64| phase_ms(ns, e.steps);
+        SolveSplit {
+            update: ms(e.stats.update_ns),
+            factor_solve: ms(e.stats.factor_solve_ns),
+            sweep: ms(e.stats.sweep_ns),
+            ratio_test: ms(e.stats.ratio_test_ns),
+            residual: ms(e.phases.solve_ns) - ms(e.stats.parts_ns()),
+        }
+    }
+}
+
 fn print_e2e_row(e: &EndToEndRow) {
     println!(
         "{:>6} {:>8} {:>8} | {:>17.2} {:>17.2} {:>7.1}x {:>7.1}",
@@ -342,6 +381,18 @@ fn print_e2e_row(e: &EndToEndRow) {
         phase_ms(e.phases.solve_ns, e.steps),
         phase_ms(e.phases.reference_ns, e.steps),
         phase_ms(e.phases.simulate_ns, e.steps),
+    );
+    let split = SolveSplit::of(e);
+    println!(
+        "{:>24} | per step: update {:.3} factor solves {:.3} sweeps {:.3} \
+         ratio test {:.3} residual {:.3} ms (of solve {:.3})",
+        "solve split",
+        split.update,
+        split.factor_solve,
+        split.sweep,
+        split.ratio_test,
+        split.residual,
+        phase_ms(e.phases.solve_ns, e.steps),
     );
     let per_step = |v: u64| v as f64 / e.steps.max(1) as f64;
     println!(
@@ -594,6 +645,12 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
         phase_ms(r.phases.solve_ns, r.steps),
         phase_ms(r.phases.reference_ns, r.steps),
         phase_ms(r.phases.simulate_ns, r.steps),
+    ));
+    let split = SolveSplit::of(r);
+    s.push_str(&format!(
+        "     \"warm_solve_split_ms_per_step\": {{\"update\": {:.3}, \"factor_solve\": {:.3}, \
+         \"sweep\": {:.3}, \"ratio_test\": {:.3}, \"residual\": {:.3}}},\n",
+        split.update, split.factor_solve, split.sweep, split.ratio_test, split.residual,
     ));
     let per_step = |v: u64| v as f64 / r.steps.max(1) as f64;
     s.push_str(&format!(

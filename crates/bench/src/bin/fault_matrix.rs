@@ -11,12 +11,15 @@
 //!
 //! Run with: `cargo run --release -p idc-bench --bin fault_matrix`
 //!
-//! `--seed N` restricts the matrix to a single fault seed (default: the
-//! built-in seed set) and `--steps N` changes the scenario length
-//! (default: the smoothing scenario's 25 periods) — the defaults leave
-//! the golden output unchanged. `--trace-out PATH` additionally records
-//! every cell (and the spans inside it) through the flight recorder and
-//! writes a Chrome trace-event file; the console output is unchanged.
+//! `--no-timing` prints `-` in the wall-clock `ms` column, so two runs of
+//! the same build print byte-identical output (CI compares two such runs
+//! with `cmp`). `--seed N` restricts the matrix to a single fault seed
+//! (default: the built-in seed set) and `--steps N` changes the scenario
+//! length (default: the smoothing scenario's 25 periods) — the defaults
+//! leave the golden output unchanged. `--trace-out PATH` additionally
+//! records every cell (and the spans inside it) through the flight
+//! recorder and writes a Chrome trace-event file; the console output is
+//! unchanged, so it composes with `--no-timing`.
 
 use std::time::Instant;
 
@@ -52,6 +55,7 @@ fn trace_flag(args: &[String]) -> Option<String> {
 
 fn main() -> Result<(), idc_core::Error> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let timing = !args.iter().any(|a| a == "--no-timing");
     let trace_out = trace_flag(&args);
     let seeds: Vec<u64> = match flag_value(&args, "--seed") {
         Some(s) => vec![s],
@@ -87,8 +91,13 @@ fn main() -> Result<(), idc_core::Error> {
                 && first.fallback_steps == second.fallback_steps;
             let hard = first.report.hard_violations();
             let soft = first.report.violations.len() - hard;
+            let ms = if timing {
+                format!("{elapsed_ms:.1}")
+            } else {
+                "-".to_string()
+            };
             println!(
-                "{:<18} {:>8} {:>12.2} {:>6} {:>6} {:>10} {:>12} {:>9.1}",
+                "{:<18} {:>8} {:>12.2} {:>6} {:>6} {:>10} {:>12} {:>9}",
                 kind.label(),
                 seed,
                 first.result.total_cost(),
@@ -96,7 +105,7 @@ fn main() -> Result<(), idc_core::Error> {
                 hard,
                 first.fallback_steps.len(),
                 if reproduced { "yes" } else { "NO" },
-                elapsed_ms
+                ms
             );
             if !reproduced {
                 failures.push(format!("{kind}#{seed}: re-run diverged"));

@@ -34,11 +34,11 @@
 //! exactly zero, so each IDC's stage chain is its own Riccati recursion:
 //! [`idc_linalg::banded`] factors it in `O(N·β₂·C³)` and solves in
 //! `O(N·β₂·C²)`, and the factor keeps the cross-IDC zeros exact. Hence
-//! `H⁻¹c_rᵀ` is zero outside IDC `j` for every constraint row `r` that
-//! touches IDC `j` alone (capacity, bounds, storage), and
-//! [`idc_opt::banded_qp`] sweeps such rows only over that span while it
-//! keeps the working-set Schur complement factored incrementally across
-//! active-set changes.
+//! `H⁻¹` is block diagonal over the IDCs, and [`idc_opt::banded_qp`] keeps
+//! one small free-set inverse per IDC: the single-entry rows (eq. 44's
+//! non-negativity and the storage rate limits) are bounds that fix their
+//! variable in it, and only the conservation, capacity and SoC rows enter
+//! the working-set Schur factor it maintains across active-set changes.
 //!
 //! The controller keeps `y` stage-major (`y_t` contiguous, IDC-major
 //! inside, then the `N` charge and `N` discharge entries), the layout of

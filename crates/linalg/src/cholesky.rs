@@ -198,13 +198,20 @@ impl UpdatableCholesky {
     ///
     /// Panics if `col.len() != self.dim() + 1`.
     pub fn append(&mut self, col: &[f64]) -> Result<()> {
+        self.append_scaled(col, col[col.len() - 1])
+    }
+
+    /// [`append`](Self::append) with the pivot judged against `scale`
+    /// instead of the new diagonal entry: the row is rejected when its
+    /// pivot is at most `1e-12·|scale|`.
+    fn append_scaled(&mut self, col: &[f64], scale: f64) -> Result<()> {
         let n = self.n;
         assert_eq!(col.len(), n + 1, "append column has wrong length");
         self.w.clear();
         self.w.extend_from_slice(&col[..n]);
         forward_packed(&self.l, &self.inv, &mut self.w);
         let d2 = col[n] - self.w.iter().map(|v| v * v).sum::<f64>();
-        if d2 <= 0.0 || d2 <= 1e-12 * col[n].abs() {
+        if d2 <= 0.0 || d2 <= 1e-12 * scale.abs() {
             return Err(Error::NotPositiveDefinite);
         }
         let d = d2.sqrt();
@@ -494,11 +501,13 @@ impl UpdatableCholesky {
 ///
 /// with `L_j = chol(D_j)`, `M_j = F_j·L_j⁻ᵀ` and
 /// `L_G = chol(G − Σ_j M_j·M_jᵀ)`. In the active-set QP the blocks are the
-/// working inequality rows of each independent Hessian chain and the tail
-/// is the equality rows, so no work is spent on the exact zeros between
-/// chains: a chain row's append costs a solve in its own `L_j`, one new
-/// `M_j` column and a rank-1 downdate of `L_G`; a removal rotates only its
-/// own chain (and `M_j`'s columns) and rank-1 updates `L_G`.
+/// working general inequality rows of each independent Hessian chain and
+/// the tail is the equality rows, so no work is spent on the exact zeros
+/// between chains: a chain row's append costs a solve in its own `L_j`, one
+/// new `M_j` column and a rank-1 downdate of `L_G`; a removal rotates only
+/// its own chain (and `M_j`'s columns) and rank-1 updates `L_G`. Fixing or
+/// freeing a bounded variable changes one chain's block and the tail by a
+/// rank-1 term: [`downdate`](Self::downdate) and [`update`](Self::update).
 ///
 /// Each `L_j` and `L_G` is an [`UpdatableCholesky`]; `M_j` is stored
 /// column-major, one column of height `dim(G)` per row of chain `j`.
@@ -506,7 +515,8 @@ impl UpdatableCholesky {
 ///
 /// The factor is built from scratch by [`build_chain`](Self::build_chain)
 /// for every chain followed by [`build_tail`](Self::build_tail), then kept
-/// current by [`append`](Self::append) and [`remove`](Self::remove).
+/// current by [`append`](Self::append), [`remove`](Self::remove) and the
+/// rank-1 changes.
 #[derive(Debug, Clone, Default)]
 pub struct ArrowheadCholesky {
     chains: Vec<ArrowChain>,
@@ -610,8 +620,10 @@ impl ArrowheadCholesky {
 
     /// Builds the tail `L_G = chol(G − Σ_j M_j·M_jᵀ)` from `g`, the packed
     /// lower triangle of `G` (row `e` holds `e + 1` entries). Each pivot
-    /// must pass [`UpdatableCholesky::append`]'s relative test against the
-    /// diagonal of `G` itself.
+    /// must pass [`UpdatableCholesky::append`]'s relative test against
+    /// `scale[e]`: `G`'s own diagonal, or, when `G` is itself a Schur
+    /// complement, the diagonal of the matrix it was reduced from (as for
+    /// a chain row's [`append`](Self::append)).
     ///
     /// # Errors
     ///
@@ -620,11 +632,12 @@ impl ArrowheadCholesky {
     ///
     /// # Panics
     ///
-    /// Panics if the tail is already built or `g` has the wrong length.
-    pub fn build_tail(&mut self, g: &[f64]) -> Result<()> {
+    /// Panics if the tail is already built or a buffer has the wrong length.
+    pub fn build_tail(&mut self, g: &[f64], scale: &[f64]) -> Result<()> {
         let h = self.h;
         assert!(!self.built, "tail already built");
         assert_eq!(g.len(), h * (h + 1) / 2, "tail block has wrong length");
+        assert_eq!(scale.len(), h, "tail scales have wrong length");
         let mut schur = self.ws.take(g.len());
         schur.copy_from_slice(g);
         for chain in &self.chains {
@@ -635,7 +648,7 @@ impl ArrowheadCholesky {
         if result.is_ok() {
             let small = (0..h).any(|e| {
                 let d = self.tail.row(e)[e];
-                d * d <= 1e-12 * g[e * (e + 1) / 2 + e].abs()
+                d * d <= 1e-12 * scale[e].abs()
             });
             if small {
                 self.tail.clear();
@@ -655,9 +668,12 @@ impl ArrowheadCholesky {
     /// The dense-equivalent pivot — the new row's Schur complement against
     /// every other row, tail included — is `d²·(1 − ‖L_G⁻¹m‖²)`, with `d²`
     /// the chain pivot and `m` the new `M_j` column. The row is rejected
-    /// when that pivot is at most `1e-12·a(new, new)`, the test
+    /// when that pivot is at most `1e-12·|scale|`, the test
     /// [`UpdatableCholesky::append`] applies to a dense factor holding the
-    /// same rows.
+    /// same rows when `scale` is the new diagonal entry `a(new, new)`. A
+    /// caller whose matrix is itself a Schur complement passes the diagonal
+    /// of the matrix it was reduced from, so the test reads as if the
+    /// eliminated rows were still held.
     ///
     /// # Errors
     ///
@@ -667,17 +683,17 @@ impl ArrowheadCholesky {
     /// # Panics
     ///
     /// Panics if the tail is not built or a buffer has the wrong length.
-    pub fn append(&mut self, j: usize, col: &[f64], coupling: &[f64]) -> Result<()> {
+    pub fn append(&mut self, j: usize, col: &[f64], coupling: &[f64], scale: f64) -> Result<()> {
         let h = self.h;
         assert!(self.built, "append before build_tail");
         assert_eq!(coupling.len(), h, "coupling column has wrong length");
         let chain = &mut self.chains[j];
         let b = chain.l.dim();
-        chain.l.append(col)?;
+        chain.l.append_scaled(col, scale)?;
         let d = chain.l.row(b)[b];
         chain.coupling.extend_from_slice(coupling);
         couple_packed(&chain.l.l, &chain.l.inv, &mut chain.coupling, h, b);
-        let min_ratio = 1e-12 * col[b].abs() / (d * d);
+        let min_ratio = 1e-12 * scale.abs() / (d * d);
         let result = self.tail.downdate(&chain.coupling[b * h..], min_ratio);
         if result.is_err() {
             chain.coupling.truncate(b * h);
@@ -700,6 +716,114 @@ impl ArrowheadCholesky {
         self.z.resize(self.h, 0.0);
         chain.l.remove_carrying(k, &mut chain.coupling, &mut self.z);
         self.tail.update(&self.z);
+    }
+
+    /// Rank-1 update `A + v·vᵀ` for a `v` that is zero outside chain `j`'s
+    /// rows and the tail: `v` holds its `chain_dim(j)` chain entries and
+    /// `v_tail` its `dim(G)` tail entries. Givens rotations fold `v` into
+    /// `L_j`, carrying `M_j`'s columns, and what they leave of the tail
+    /// part re-enters `L_G` as a rank-1 update — the rotations of
+    /// [`remove`](Self::remove) without the removal. Always succeeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tail is not built or a vector has the wrong length.
+    pub fn update(&mut self, j: usize, v: &[f64], v_tail: &[f64]) {
+        assert!(self.built, "update before build_tail");
+        assert_eq!(v_tail.len(), self.h, "tail vector has wrong length");
+        let chain = &mut self.chains[j];
+        assert_eq!(v.len(), chain.l.dim(), "chain vector has wrong length");
+        self.z.clear();
+        self.z.extend_from_slice(v_tail);
+        let mut w = std::mem::take(&mut chain.l.w);
+        w.clear();
+        w.extend_from_slice(v);
+        rotate_in_packed(&mut chain.l.l, 0, &mut w, &mut chain.coupling, &mut self.z);
+        chain.l.w = w;
+        chain.l.refresh_inv(0);
+        self.tail.update(&self.z);
+    }
+
+    /// Rank-1 downdate `A − v·vᵀ` for a `v` that is zero outside chain
+    /// `j`'s rows and the tail (`v`, `v_tail` as in
+    /// [`update`](Self::update)), as LINPACK `dchdd` on the whole factor:
+    /// `p = L⁻¹v` costs a solve in `L_j`, one product with `M_j` and a
+    /// solve in `L_G`; then the rotations run from the tail's last row back
+    /// to the chain's first, the chain's also rotating `M_j`. Other chains
+    /// meet zero entries of `p`, whose rotations are the identity.
+    ///
+    /// `1 − ‖p‖²` is the determinant ratio `det(A − vvᵀ)/det(A)`; the
+    /// downdate is refused unless it exceeds both `0` and `min_ratio`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NotPositiveDefinite`] with the factor **unchanged** when the
+    /// ratio test fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tail is not built or a vector has the wrong length.
+    pub fn downdate(&mut self, j: usize, v: &[f64], v_tail: &[f64], min_ratio: f64) -> Result<()> {
+        let h = self.h;
+        assert!(self.built, "downdate before build_tail");
+        assert_eq!(v_tail.len(), h, "tail vector has wrong length");
+        let chain = &mut self.chains[j];
+        let b = chain.l.dim();
+        assert_eq!(v.len(), b, "chain vector has wrong length");
+        let mut s = std::mem::take(&mut chain.l.w);
+        s.clear();
+        s.extend_from_slice(v);
+        forward_packed(&chain.l.l, &chain.l.inv, &mut s);
+        let mut st = std::mem::take(&mut self.z);
+        st.clear();
+        st.extend_from_slice(v_tail);
+        if h > 0 {
+            for (col, &pc) in chain.coupling.chunks_exact(h).zip(&s) {
+                for (t, &m) in st.iter_mut().zip(col) {
+                    *t -= pc * m;
+                }
+            }
+        }
+        forward_packed(&self.tail.l, &self.tail.inv, &mut st);
+        let ratio = 1.0 - s.iter().chain(&st).map(|p| p * p).sum::<f64>();
+        let result = if ratio > 0.0 && ratio > min_ratio {
+            // The cosines of the tail's rotations, then the chain's; `s`
+            // and `st` end up holding the sines (see
+            // `UpdatableCholesky::downdate`).
+            let mut ct = std::mem::take(&mut self.tail.v);
+            let mut cc = std::mem::take(&mut chain.l.v);
+            ct.clear();
+            ct.resize(h, 0.0);
+            cc.clear();
+            cc.resize(b, 0.0);
+            let mut alpha = ratio.sqrt();
+            for (c, p) in ct.iter_mut().zip(st.iter_mut()).rev() {
+                let norm = (alpha * alpha + *p * *p).sqrt();
+                *c = alpha / norm;
+                *p /= norm;
+                alpha = norm;
+            }
+            for (c, p) in cc.iter_mut().zip(s.iter_mut()).rev() {
+                let norm = (alpha * alpha + *p * *p).sqrt();
+                *c = alpha / norm;
+                *p /= norm;
+                alpha = norm;
+            }
+            // The tail's sweep leaves its rows' carries in `st`, which the
+            // chain's rotations then continue through `M_j`.
+            downdate_packed(&mut self.tail.l, &ct, &mut st);
+            downdate_carrying_packed(&mut chain.l.l, &cc, &mut s, &mut chain.coupling, &mut st);
+            self.tail.v = ct;
+            chain.l.v = cc;
+            self.tail.refresh_inv(0);
+            chain.l.refresh_inv(0);
+            Ok(())
+        } else {
+            Err(Error::NotPositiveDefinite)
+        };
+        chain.l.w = s;
+        self.z = st;
+        result
     }
 
     /// Solves `A·x = b` in place, `x` ordered `[chain 0 | … | tail]`.
@@ -746,6 +870,12 @@ dispatch! {
 dispatch! {
     /// Applies a downdate's rotations to a packed factor.
     fn downdate_packed(l: &mut [f64], c: &[f64], s: &mut [f64]) => downdate_with
+}
+
+dispatch! {
+    /// Applies a downdate's rotations to a packed factor whose columns
+    /// continue in carried rows.
+    fn downdate_carrying_packed(l: &mut [f64], c: &[f64], s: &mut [f64], carried: &mut [f64], z: &mut [f64]) => downdate_carrying_with
 }
 
 dispatch! {
@@ -897,6 +1027,38 @@ fn downdate_with<K: Kernels>(_k: K, l: &mut [f64], c: &[f64], s: &mut [f64]) {
             let r = l[pos];
             let t = ci * *carry + si * r;
             l[pos] = ci * r - si * *carry;
+            *carry = t;
+        }
+    }
+}
+
+/// [`downdate_with`] for a factor `[L 0; C L₂]` whose `L₂` part was swept
+/// first: rotation `i` also mixes carried column `i` (`h = z.len()` rows
+/// of `C`, column-major as in [`UpdatableCholesky::remove_carrying`]) with
+/// the carried rows' running carries `z`.
+#[inline(always)]
+fn downdate_carrying_with<K: Kernels>(
+    _k: K,
+    l: &mut [f64],
+    c: &[f64],
+    s: &mut [f64],
+    carried: &mut [f64],
+    z: &mut [f64],
+) {
+    let h = z.len();
+    for i in (0..c.len()).rev() {
+        let (ci, si) = (c[i], s[i]);
+        s[i] = 0.0;
+        for (j, carry) in s.iter_mut().enumerate().skip(i) {
+            let pos = j * (j + 1) / 2 + i;
+            let r = l[pos];
+            let t = ci * *carry + si * r;
+            l[pos] = ci * r - si * *carry;
+            *carry = t;
+        }
+        for (r, carry) in carried[i * h..(i + 1) * h].iter_mut().zip(z.iter_mut()) {
+            let t = ci * *carry + si * *r;
+            *r = ci * *r - si * *carry;
             *carry = t;
         }
     }
@@ -1324,7 +1486,7 @@ mod tests {
                 .collect();
             col.push(Self::dot(v, v));
             let coupling: Vec<f64> = self.tail.iter().map(|t| Self::dot(v, t)).collect();
-            f.append(j, &col, &coupling)?;
+            f.append(j, &col, &coupling, col[col.len() - 1])?;
             held[j].push(r);
             Ok(())
         }
@@ -1349,6 +1511,10 @@ mod tests {
             updatable_from(&self.gram(held))
         }
 
+        fn tail_diag(&self) -> Vec<f64> {
+            self.tail.iter().map(|t| Self::dot(t, t)).collect()
+        }
+
         fn tail_packed(&self) -> Vec<f64> {
             let mut g = Vec::new();
             for (e, t) in self.tail.iter().enumerate() {
@@ -1364,7 +1530,8 @@ mod tests {
         let pool = ArrowPool::random(3, 6, 4, &mut seed);
         let mut f = ArrowheadCholesky::new();
         f.reset(3, 4);
-        f.build_tail(&pool.tail_packed()).unwrap();
+        f.build_tail(&pool.tail_packed(), &pool.tail_diag())
+            .unwrap();
         let mut held = vec![Vec::new(); 3];
         for r in 0..5 {
             for j in 0..3 {
@@ -1404,7 +1571,8 @@ mod tests {
         pool.tail[0][..dim].fill(0.0);
         let mut f = ArrowheadCholesky::new();
         f.reset(2, 3);
-        f.build_tail(&pool.tail_packed()).unwrap();
+        f.build_tail(&pool.tail_packed(), &pool.tail_diag())
+            .unwrap();
         let mut held = vec![Vec::new(); 2];
         for r in 0..3 {
             pool.append(&mut f, &mut held, 0, r).unwrap();
@@ -1439,6 +1607,59 @@ mod tests {
                 held[1].pop();
             }
         }
+    }
+
+    /// A rank-1 downdate then update of the arrowhead, with `v` on one
+    /// chain's rows and the tail, matches a fresh dense factor of
+    /// `A ∓ v·vᵀ` in every solve; a downdate that would make the matrix
+    /// singular is refused with the factor unchanged.
+    #[test]
+    fn arrowhead_rank_one_changes_match_dense_factor() {
+        let mut seed = 0x4a11u64;
+        let pool = ArrowPool::random(3, 5, 4, &mut seed);
+        let mut f = ArrowheadCholesky::new();
+        f.reset(3, 4);
+        f.build_tail(&pool.tail_packed(), &pool.tail_diag())
+            .unwrap();
+        let mut held = vec![Vec::new(); 3];
+        for r in 0..3 {
+            for j in 0..3 {
+                pool.append(&mut f, &mut held, j, r).unwrap();
+            }
+        }
+        let a = pool.gram(&held);
+        let n = a.rows();
+        // v lives on chain 1 (factor rows 3..6) and the tail (9..13).
+        let mut v = vec![0.0; n];
+        for i in (3..6).chain(9..13) {
+            v[i] = 0.3 * pseudo(&mut seed);
+        }
+        let (chain_v, tail_v) = (v[3..6].to_vec(), v[9..13].to_vec());
+        let b: Vec<f64> = (0..n).map(|_| pseudo(&mut seed)).collect();
+        let solve_matches = |f: &ArrowheadCholesky, sign: f64| {
+            let m = Matrix::from_fn(n, n, |i, j| a[(i, j)] + sign * v[i] * v[j]);
+            let mut x = b.clone();
+            f.solve_in_place(&mut x);
+            let expect = crate::lu::solve(&m, &b).unwrap();
+            assert!(vec_ops::approx_eq(&x, &expect, 1e-9), "sign {sign}");
+        };
+        f.downdate(1, &chain_v, &tail_v, 1e-12).unwrap();
+        solve_matches(&f, -1.0);
+        f.update(1, &chain_v, &tail_v);
+        solve_matches(&f, 0.0);
+        f.update(1, &chain_v, &tail_v);
+        solve_matches(&f, 1.0);
+        // Removing v·vᵀ twice from A + vvᵀ would pass through A − vvᵀ, but
+        // scaling v until A − vvᵀ is singular must be refused untouched.
+        let mut refused = f.clone();
+        let before = (refused.tail.l.clone(), refused.chains[1].l.l.clone());
+        let big: Vec<f64> = chain_v.iter().map(|x| 1e3 * x).collect();
+        let big_tail: Vec<f64> = tail_v.iter().map(|x| 1e3 * x).collect();
+        assert!(refused.downdate(1, &big, &big_tail, 1e-12).is_err());
+        assert_eq!(
+            (refused.tail.l.clone(), refused.chains[1].l.l.clone()),
+            before
+        );
     }
 
     #[test]

@@ -45,13 +45,11 @@ pub mod gemm;
 pub mod lu;
 mod matrix;
 pub mod simd;
-mod span_rows;
 pub mod vec_ops;
 pub mod workspace;
 
 pub use error::Error;
 pub use matrix::Matrix;
-pub use span_rows::SpanRows;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, Error>;

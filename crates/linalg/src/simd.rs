@@ -1,7 +1,8 @@
 //! Vectorised level-1 kernels (`dot`, `axpy`) with runtime path selection.
 //!
 //! The active-set QP loop spends its time in O(m²) working-set kernels —
-//! packed triangular solves and the `p = t − Y_Wᵀλ` sweep — whose inner
+//! packed triangular solves, rank-1 updates and the `p = t − M·C_Gᵀλ`
+//! sweep over each chain's free-set inverse `M` — whose inner
 //! loops are dot products and axpys over a few hundred entries. Each kernel
 //! has two paths:
 //!
@@ -21,8 +22,6 @@
 //! The two paths sum in different orders (and the AVX2 one fuses the
 //! multiply-add), so results agree to rounding, not bitwise; each host is
 //! deterministic on its own.
-
-use crate::SpanRows;
 
 /// Whether this CPU supports AVX2 and FMA. The single detection point for
 /// every SIMD kernel in the crate (GEMM microkernel included); the answer
@@ -146,24 +145,21 @@ macro_rules! dispatch {
 pub(crate) use dispatch;
 
 dispatch! {
-    /// `y += alpha · Σₖ coeffs[k] · a.row(rows[k])` — a transposed
-    /// matrix-vector product over a gathered subset of rows, as one sweep
-    /// that folds four rows into each pass over `y`. Rows with a zero
-    /// coefficient are skipped; the rest are added in order, with the same
-    /// roundings as one axpy per row.
-    ///
-    /// Each row is swept over its stored span only. A group of four
-    /// consecutive rows with the same span shares one fused pass; any other
-    /// group is swept row by row. Entries outside a span contribute `α·0`,
-    /// so the sweep equals the full-row sweep up to the sign of zero.
+    /// `y += alpha · Σₖ coeffs[k] · a[rows[k]]` — a transposed
+    /// matrix-vector product over a gathered subset of the rows of a
+    /// row-major matrix `a` with row stride `stride`, each row read over its
+    /// first `y.len()` columns, as one sweep that folds four rows into each
+    /// pass over `y`. Rows with a zero coefficient are skipped; the rest are
+    /// added in order, with the same roundings as one axpy per row.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` and `coeffs` differ in length, if `y.len()` differs
-    /// from `a.cols()`, or if a row index is out of bounds.
+    /// Panics if `rows` and `coeffs` differ in length, if `y.len()` exceeds
+    /// `stride`, or if a row runs past the end of `a`.
     pub fn axpy_rows(
         alpha: f64,
-        a: &SpanRows,
+        a: &[f64],
+        stride: usize,
         rows: &[usize],
         coeffs: &[f64],
         y: &mut [f64],
@@ -174,41 +170,53 @@ dispatch! {
 fn axpy_rows_with<K: Kernels>(
     k: K,
     alpha: f64,
-    a: &SpanRows,
+    a: &[f64],
+    stride: usize,
     rows: &[usize],
     coeffs: &[f64],
     y: &mut [f64],
 ) {
     assert_eq!(rows.len(), coeffs.len(), "axpy_rows: length mismatch");
-    assert_eq!(y.len(), a.cols(), "axpy_rows: width mismatch");
+    let width = y.len();
+    assert!(width <= stride, "axpy_rows: width past the stride");
     let mut terms = rows
         .iter()
         .zip(coeffs)
         .filter(|&(_, &c)| c != 0.0)
-        // (coefficient, first column, the row's stored span)
-        .map(|(&r, &c)| (alpha * c, a.span(r).0, a.row(r)));
+        .map(|(&r, &c)| (alpha * c, &a[r * stride..r * stride + width]));
     loop {
         match [terms.next(), terms.next(), terms.next(), terms.next()] {
             [Some(t0), Some(t1), Some(t2), Some(t3)] => {
-                let (lo, len) = (t0.1, t0.2.len());
-                if [t1, t2, t3].iter().all(|t| t.1 == lo && t.2.len() == len) {
-                    k.axpy4(
-                        [t0.0, t1.0, t2.0, t3.0],
-                        [t0.2, t1.2, t2.2, t3.2],
-                        &mut y[lo..lo + len],
-                    );
-                } else {
-                    for (c, lo, row) in [t0, t1, t2, t3] {
-                        k.axpy(c, row, &mut y[lo..lo + row.len()]);
-                    }
-                }
+                k.axpy4([t0.0, t1.0, t2.0, t3.0], [t0.1, t1.1, t2.1, t3.1], y)
             }
             rest => {
-                for (c, lo, row) in rest.into_iter().flatten() {
-                    k.axpy(c, row, &mut y[lo..lo + row.len()]);
+                for (c, row) in rest.into_iter().flatten() {
+                    k.axpy(c, row, y);
                 }
                 break;
             }
+        }
+    }
+}
+
+dispatch! {
+    /// `A += alpha·u·uᵀ` on the leading `u.len() × u.len()` block of a
+    /// row-major matrix `a` with row stride `stride`: each row `r` with
+    /// `u[r] ≠ 0` gains `alpha·u[r]·u`, in one axpy per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u.len()` exceeds `stride` or the block runs past `a`.
+    pub fn add_outer(alpha: f64, u: &[f64], a: &mut [f64], stride: usize) => add_outer_with
+}
+
+#[inline(always)]
+fn add_outer_with<K: Kernels>(k: K, alpha: f64, u: &[f64], a: &mut [f64], stride: usize) {
+    let n = u.len();
+    assert!(n <= stride, "add_outer: width past the stride");
+    for (r, &ur) in u.iter().enumerate() {
+        if ur != 0.0 {
+            k.axpy(alpha * ur, u, &mut a[r * stride..r * stride + n]);
         }
     }
 }
@@ -478,28 +486,12 @@ mod tests {
         (a, y0)
     }
 
-    /// `a`'s rows, each stored over `spans[r]`.
-    fn trimmed(a: &Matrix, spans: &[(usize, usize)]) -> SpanRows {
-        let mut rows = SpanRows::new(a.rows(), a.cols());
-        for (r, &(lo, hi)) in spans.iter().enumerate() {
-            rows.set_row(r, lo, &a.row(r)[lo..hi]);
-        }
-        rows
-    }
-
     /// Runs the fused sweep on kernel set `k`, checks that it rounds
     /// exactly like one axpy per nonzero row, and returns the result.
     fn fused_sweep<K: Kernels>(k: K) -> Vec<f64> {
         let (a, y0) = sweep_operands();
         let mut fused = y0.clone();
-        axpy_rows_with(
-            k,
-            -2.0,
-            &trimmed(&a, &[(0, 23); 9]),
-            &ROWS,
-            &COEFFS,
-            &mut fused,
-        );
+        axpy_rows_with(k, -2.0, a.as_slice(), 23, &ROWS, &COEFFS, &mut fused);
         let mut each = y0;
         for (&r, &c) in ROWS.iter().zip(&COEFFS) {
             if c != 0.0 {
@@ -520,49 +512,50 @@ mod tests {
         }
         // The dispatched entry point takes the best path this CPU has.
         let (a, mut y) = sweep_operands();
-        axpy_rows(-2.0, &trimmed(&a, &[(0, 23); 9]), &ROWS, &COEFFS, &mut y);
+        axpy_rows(-2.0, a.as_slice(), 23, &ROWS, &COEFFS, &mut y);
         assert_eq!(y, best);
     }
 
-    /// Rows zeroed outside their spans (shared spans, so some groups fuse,
-    /// plus singletons, an empty span and spans with odd tails): the sweep
-    /// over the trimmed rows equals the full-row sweep bitwise, up to the
-    /// sign of zero.
+    /// A sweep over the leading `w` columns of each row (odd widths, so
+    /// the fused passes have tails) equals the full-width sweep of the
+    /// same rows with their trailing columns zeroed, on those `w` entries
+    /// bitwise, and leaves the rest of a full-width `y` alone.
     fn span_sweep_matches_full_rows<K: Kernels>(k: K) {
-        let spans = [
-            (4, 13),
-            (4, 13),
-            (0, 23),
-            (4, 13),
-            (4, 13),
-            (13, 23),
-            (5, 5),
-            (1, 6),
-            (4, 13),
-        ];
         let rows = [0, 1, 3, 4, 8, 2, 5, 8, 0, 6, 7, 2, 3];
         let coeffs: Vec<f64> = (0..rows.len()).map(|i| 0.5 + i as f64).collect();
-        let (mut a, y0) = sweep_operands();
-        for (r, &(lo, hi)) in spans.iter().enumerate() {
-            for (c, v) in a.row_mut(r).iter_mut().enumerate() {
-                if c < lo || c >= hi {
-                    *v = 0.0;
-                }
+        for w in [0, 1, 5, 13, 22] {
+            let (mut a, y0) = sweep_operands();
+            let mut prefix = y0[..w].to_vec();
+            axpy_rows_with(k, -1.5, a.as_slice(), 23, &rows, &coeffs, &mut prefix);
+            for r in 0..a.rows() {
+                a.row_mut(r)[w..].fill(0.0);
             }
+            let mut full = y0.clone();
+            axpy_rows_with(k, -1.5, a.as_slice(), 23, &rows, &coeffs, &mut full);
+            for (i, (s, f)) in prefix.iter().zip(&full).enumerate() {
+                assert!(s == f, "width {w}, entry {i}: {s} vs {f}");
+            }
+            assert!(full[w..].iter().zip(&y0[w..]).all(|(f, y)| f == y));
         }
-        let mut full = y0.clone();
-        axpy_rows_with(
-            k,
-            -1.5,
-            &trimmed(&a, &[(0, 23); 9]),
-            &rows,
-            &coeffs,
-            &mut full,
-        );
-        let mut spanned = y0;
-        axpy_rows_with(k, -1.5, &trimmed(&a, &spans), &rows, &coeffs, &mut spanned);
-        for (i, (s, f)) in spanned.iter().zip(&full).enumerate() {
-            assert!(s == f, "entry {i}: {s} vs {f}");
+    }
+
+    /// The rank-1 update touches the leading block only and matches a dense
+    /// outer product.
+    #[test]
+    fn add_outer_updates_the_leading_block() {
+        let (a, _) = sweep_operands();
+        let mut m = a.as_slice()[..9 * 23].to_vec();
+        let u = [0.5, 0.0, -1.25, 2.0, 0.0, 1.0, -0.75];
+        add_outer(-2.0, &u, &mut m, 23);
+        for r in 0..9 {
+            for c in 0..23 {
+                let expect = if r < 7 && c < 7 && u[r] != 0.0 {
+                    a[(r, c)] - 2.0 * u[r] * u[c]
+                } else {
+                    a[(r, c)]
+                };
+                assert!((m[r * 23 + c] - expect).abs() <= 1e-15, "({r}, {c})");
+            }
         }
     }
 

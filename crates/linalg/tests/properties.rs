@@ -402,7 +402,8 @@ proptest! {
         for (e, t) in rows.tail.iter().enumerate() {
             g.extend(rows.tail[..=e].iter().map(|u| ArrowRows::dot(t, u)));
         }
-        f.build_tail(&g).unwrap();
+        let diag: Vec<f64> = (0..rows.tail.len()).map(|e| g[e * (e + 1) / 2 + e]).collect();
+        f.build_tail(&g, &diag).unwrap();
         for (op, a, pick) in ops {
             let j = a % nchains;
             let len = held[j].len();
@@ -410,7 +411,7 @@ proptest! {
                 0 => {
                     if let Some(r) = (0..ArrowRows::POOL).find(|r| !held[j].contains(r)) {
                         let (col, c) = rows.column(j, &held[j], r);
-                        f.append(j, &col, &c).unwrap();
+                        f.append(j, &col, &c, col[col.len() - 1]).unwrap();
                         held[j].push(r);
                     }
                 }

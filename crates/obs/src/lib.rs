@@ -32,7 +32,7 @@ pub mod trace;
 
 pub use anomaly::{anomaly_enabled, record_anomaly, set_anomaly_log, tenant_scope, TenantScope};
 pub use recorder::{
-    bind_thread_recorder, global_recorder, install_global_recorder, now_ns, span_depth,
+    bind_thread_recorder, global_recorder, install_global_recorder, now_ns, recording, span_depth,
     tracing_enabled, FlightRecorder, Span, TraceEvent,
 };
 pub use stats::SolveStats;

@@ -175,6 +175,14 @@ pub fn tracing_enabled() -> bool {
     GLOBAL_ENABLED.load(Ordering::Relaxed)
 }
 
+/// Whether a span opened on this thread now would be recorded: a
+/// thread-local recorder is bound, or a global one is installed. Cheap (no
+/// clock read, no reference count), so hot code can gate its own timing on
+/// it and stay clock-free when nothing listens.
+pub fn recording() -> bool {
+    LOCAL_BOUND.with(|b| b.get()) || GLOBAL_ENABLED.load(Ordering::Relaxed)
+}
+
 /// Binds (or with `None` unbinds) a recorder for the current thread only.
 /// A bound thread-local recorder takes precedence over the global one;
 /// tests use this to observe spans without cross-test interference.

@@ -37,6 +37,19 @@
 /// * `working_set_delta` — symmetric difference between the seeded initial
 ///   working set and the converged final one, summed over solves; per-solve
 ///   this is the gauge of how much the active set actually moved.
+///
+/// Four wall-clock parts of the solve follow, in nanoseconds. The solver
+/// reads the clock for them only while a trace recorder is bound
+/// ([`crate::recording`]), so untraced solves leave them at zero and stay
+/// clock-free. They are timings, not counters: compare them across hosts
+/// only with care.
+///
+/// * `update_ns` — working-set updates: factor builds, appends, removals,
+///   and the fixing and freeing of bounded variables.
+/// * `factor_solve_ns` — the two working-set factor solves per KKT step.
+/// * `sweep_ns` — the step sweeps `p −= H̃⁻¹C_Gᵀλ` with their refinement,
+///   including the right-hand-side and residual row dots.
+/// * `ratio_test_ns` — the ratio test and the pivot that follows it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Active-set solves merged into this total.
@@ -67,6 +80,14 @@ pub struct SolveStats {
     pub downdates_applied: u64,
     /// Symmetric difference between seeded and converged working sets.
     pub working_set_delta: u64,
+    /// Nanoseconds in working-set updates (traced solves only).
+    pub update_ns: u64,
+    /// Nanoseconds in working-set factor solves (traced solves only).
+    pub factor_solve_ns: u64,
+    /// Nanoseconds in step sweeps and refinement (traced solves only).
+    pub sweep_ns: u64,
+    /// Nanoseconds in ratio tests and pivots (traced solves only).
+    pub ratio_test_ns: u64,
 }
 
 impl SolveStats {
@@ -86,6 +107,10 @@ impl SolveStats {
         self.updates_applied += other.updates_applied;
         self.downdates_applied += other.downdates_applied;
         self.working_set_delta += other.working_set_delta;
+        self.update_ns += other.update_ns;
+        self.factor_solve_ns += other.factor_solve_ns;
+        self.sweep_ns += other.sweep_ns;
+        self.ratio_test_ns += other.ratio_test_ns;
     }
 
     /// Field-wise saturating difference `self - earlier`, for per-step
@@ -118,7 +143,17 @@ impl SolveStats {
             working_set_delta: self
                 .working_set_delta
                 .saturating_sub(earlier.working_set_delta),
+            update_ns: self.update_ns.saturating_sub(earlier.update_ns),
+            factor_solve_ns: self.factor_solve_ns.saturating_sub(earlier.factor_solve_ns),
+            sweep_ns: self.sweep_ns.saturating_sub(earlier.sweep_ns),
+            ratio_test_ns: self.ratio_test_ns.saturating_sub(earlier.ratio_test_ns),
         }
+    }
+
+    /// The timed parts of the solve, summed: `update_ns + factor_solve_ns +
+    /// sweep_ns + ratio_test_ns` (zero for untraced solves).
+    pub fn parts_ns(&self) -> u64 {
+        self.update_ns + self.factor_solve_ns + self.sweep_ns + self.ratio_test_ns
     }
 
     /// Total working-set churn: adds + drops + degenerate pops.
@@ -168,6 +203,10 @@ mod tests {
             updates_applied: 7,
             downdates_applied: 3,
             working_set_delta: 5,
+            update_ns: 40,
+            factor_solve_ns: 30,
+            sweep_ns: 20,
+            ratio_test_ns: 10,
         };
         let b = SolveStats {
             solves: 1,

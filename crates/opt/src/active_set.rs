@@ -151,13 +151,12 @@ pub(crate) fn solve_from_feasible(
             }
             Err(e) => return Err(e),
         }
-        let (p, mult) = sol.split_at(n);
-
         // Stationarity is judged relative to the iterate's scale: with
         // workload-sized variables (O(1e4)) a step of 1e-8 is numerical
         // noise, not progress.
-        let p_norm = vec_ops::norm_inf(p);
+        let p_norm = vec_ops::norm_inf(&sol[..n]);
         let x_scale = TOL * (1.0 + vec_ops::norm_inf(x));
+        let pivot_start = ops.pivot_mark();
         // Batched (blocked Dantzig) pivoting is the default; Bland's
         // anti-cycling rule and the differential-test reference mode are
         // strictly single-pivot.
@@ -174,7 +173,8 @@ pub(crate) fn solve_from_feasible(
             // cycle. Pure Bland is safe but walks the working set
             // essentially one index at a time, which on a large
             // warm-started transient costs thousands of KKT solves.
-            let ineq_mult = &mult[me..];
+            ops.bound_multipliers(x, working, sol);
+            let ineq_mult = &sol[n + me..];
             if any_banned {
                 banned.fill(false);
                 any_banned = false;
@@ -189,6 +189,7 @@ pub(crate) fn solve_from_feasible(
                         .map(|(k, _)| k),
                 );
                 if drops.is_empty() {
+                    stats.ratio_test_ns += ops.pivot_ns(pivot_start);
                     return finish(ops, x, iterations, working, in_working, seeded, stats);
                 }
                 // Highest position first, so earlier positions stay valid
@@ -207,6 +208,7 @@ pub(crate) fn solve_from_feasible(
                 };
                 match worst {
                     None => {
+                        stats.ratio_test_ns += ops.pivot_ns(pivot_start);
                         return finish(ops, x, iterations, working, in_working, seeded, stats);
                     }
                     Some((idx, _)) => {
@@ -217,7 +219,9 @@ pub(crate) fn solve_from_feasible(
                 }
             }
         } else {
-            // Ratio test against inactive inequality constraints.
+            let p = &sol[..n];
+            // Ratio test against inactive inequality constraints (one
+            // product per bound).
             let mut alpha = 1.0;
             let mut blocking = None;
             adds.clear();
@@ -265,29 +269,34 @@ pub(crate) fn solve_from_feasible(
             }
             vec_ops::axpy(alpha, p, x);
             if let Some(i) = blocking {
-                working.push(i);
-                in_working[i] = true;
-                stats.constraints_added += 1;
                 if batch_pivots {
                     // Admit every constraint that became (numerically)
                     // tight at the new iterate, not just the single
                     // blocking one — ratio-test near-ties are what force
                     // the one-at-a-time crawl on warm-started transients.
-                    // The working set is kept strictly smaller than the
-                    // free directions so the KKT system stays solvable.
+                    // They enter in index order, the blocking one among
+                    // them: which of two exactly tied rows the ratio test
+                    // names is rounding noise, and a degenerate pop drops
+                    // the last entry. The working set is kept strictly
+                    // smaller than the free directions so the KKT system
+                    // stays solvable; the blocking row always enters.
                     for &(j, ap, slack) in adds.iter() {
-                        if me + working.len() >= n {
-                            break;
-                        }
-                        if !in_working[j] && slack - alpha * ap <= x_scale {
+                        let pending = usize::from(!in_working[i]);
+                        let room = me + working.len() + pending < n;
+                        if j == i || (slack - alpha * ap <= x_scale && room) {
                             working.push(j);
                             in_working[j] = true;
                             stats.constraints_added += 1;
                         }
                     }
+                } else {
+                    working.push(i);
+                    in_working[i] = true;
+                    stats.constraints_added += 1;
                 }
             }
         }
+        stats.ratio_test_ns += ops.pivot_ns(pivot_start);
     }
 }
 

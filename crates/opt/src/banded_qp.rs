@@ -12,40 +12,46 @@
 //! shape of the MPC problem in cumulative-input coordinates) and every
 //! constraint row is sparse (stage-local). Four structural savings follow:
 //!
-//! 1. `H⁻¹·v` costs O(β·nb²) through the block Cholesky / Riccati recursion
-//!    ([`BlockTridiagChol`]) instead of O((β·nb)²) dense back-substitution,
-//! 2. the working-set Schur complement `S_W = C_W H⁻¹ C_Wᵀ` is maintained
-//!    *incrementally* under working-set changes, and per independent chain
-//!    of Hessian blocks: an inequality row that touches one chain has
-//!    exact zeros in `S_W` against every other chain's rows, so `S_W` is an
-//!    arrowhead matrix whose only dense block is the equality rows, and
-//!    [`ArrowheadCholesky`] keeps one small factor per chain plus the
-//!    equalities' reduced Schur complement. An add or drop costs
-//!    O(b_j² + m_E·b_j + m_E²) for a chain of `b_j` working rows and `m_E`
-//!    equalities, instead of a dense O(m²) — and a coupled `H` is one chain,
-//!    which is the dense cost again. `prepare` fills and stores only what
-//!    that factor reads of the full `S = C H⁻¹ Cᵀ`: one square block per
-//!    chain, each inequality's equality couplings and the equalities'
-//!    lower triangle,
-//! 3. ratio tests, right-hand sides and the refinement residual `C_W·p`
-//!    use sparse row dots, and
-//! 4. each row of `Y = H̃⁻¹Cᵀ` is stored only over the span outside which
-//!    it is exactly zero, so the `p −= Y_Wᵀλ` sweeps and the Schur fill
-//!    touch only that span. When `H` splits into independent chains of
-//!    blocks (the MPC Hessian ordered IDC-major: one chain per IDC), a row
-//!    that touches one chain keeps its `Y` row inside that chain, and
-//!    `prepare` solves each chain's inequality rows as one batch over that
-//!    chain's blocks alone; only the equality rows, which couple the
-//!    chains, sweep every block. A coupled `H` simply gives full spans.
+//! 1. **Bounds fix variables.** An inequality row with a single entry
+//!    (`c·x_k ≤ b`: the non-negativity rows of eq. 44 and the storage rate
+//!    limits) is a bound. A working bound fixes its variable (`p_k = 0`)
+//!    instead of joining the working-set factor. Each independent chain of
+//!    Hessian blocks keeps `H̃_FF⁻¹`, the inverse of its Hessian over its
+//!    free variables, as a small dense matrix; fixing or freeing a variable
+//!    changes it by rank 1, and changes the Schur complement of the general
+//!    rows by the same rank-1 term that holding the bound row would. Bound
+//!    multipliers come from the reduced gradient `(Hx + g + C_Gᵀλ)_k` at
+//!    stationary points only, and a bound's ratio test reads one entry of
+//!    the step.
+//! 2. The working-set Schur complement `S_G = C_G H̃_FF⁻¹ C_Gᵀ` over the
+//!    *general* rows (the equalities and the multi-entry inequalities) is
+//!    maintained *incrementally*, per chain: a general inequality that
+//!    touches one chain has exact zeros in `S_G` against every other
+//!    chain's rows, so `S_G` is an arrowhead matrix whose only dense block
+//!    is the equality rows, and [`ArrowheadCholesky`] keeps one small
+//!    factor per chain plus the equalities' reduced Schur complement. An
+//!    add or drop of a general row costs O(b_j² + m_E·b_j + m_E²) for a
+//!    chain of `b_j` working rows and `m_E` equalities; fixing or freeing a
+//!    bound is a rank-1 change of the chain's block and the equalities'
+//!    block. A coupled `H` is one chain, which is the dense cost again.
+//! 3. `Y = H̃_FF⁻¹C_Gᵀ` is never stored: the step `p = t − H̃_FF⁻¹C_Gᵀλ`
+//!    scatters `C_Gᵀλ` and sweeps each chain's inverse over its free
+//!    variables, and a general row's Schur entries are formed from the
+//!    inverse when it enters the factor. `prepare` only inverts each
+//!    independent run of Hessian blocks.
+//! 4. Ratio tests, right-hand sides and the refinement residual `C_G·p`
+//!    use sparse row dots.
 //!
 //! The outer iteration is the textbook primal active-set loop of
 //! `active_set`: warm-start seeding, Dantzig/Bland switching and
-//! degeneracy recovery live there, the KKT step solves live here.
+//! degeneracy recovery live there, the KKT step solves live here. Bounds
+//! keep their inequality indices, so warm seeds and returned active sets
+//! number every row alike.
 
 use idc_linalg::banded::{BlockTridiag, BlockTridiagChol};
 use idc_linalg::cholesky::ArrowheadCholesky;
 use idc_linalg::workspace::Workspace;
-use idc_linalg::{simd, vec_ops, SpanRows};
+use idc_linalg::{simd, vec_ops};
 
 use crate::active_set::{self, LoopScratch, QpSolution, WARM_TOL};
 use crate::SolveStats;
@@ -55,6 +61,12 @@ use crate::{Error, Result};
 /// incrementally up/downdated working-set factor is judged to have drifted
 /// and is rebuilt from scratch.
 const REBUILD_TOL: f64 = 1e-6;
+
+/// A row is numerically dependent on the rows held when its pivot — its
+/// Schur complement against them — is at most this fraction of its own
+/// diagonal `c·H̃⁻¹·cᵀ`, the test a dense factor holding every working row
+/// would apply.
+const PIVOT_TOL: f64 = 1e-12;
 
 /// A sparse constraint row: sorted-by-construction `(index, value)` pairs.
 ///
@@ -96,48 +108,87 @@ impl SparseRow {
     fn max_index(&self) -> Option<usize> {
         self.entries.iter().map(|&(i, _)| i).max()
     }
+
+    /// `(index, value)` of a row with exactly one nonzero entry: as an
+    /// inequality, a bound on one variable.
+    fn bound(&self) -> Option<(usize, f64)> {
+        match self.entries[..] {
+            [(k, c)] if c != 0.0 => Some((k, c)),
+            _ => None,
+        }
+    }
 }
 
 /// Reusable scratch memory for [`BandedQp`] solves.
 ///
-/// Holds the incrementally maintained working-set Cholesky factor plus all
-/// per-iteration vectors, so a steady-state warm-started solve allocates
-/// only the point and active set of the [`QpSolution`] it returns.
+/// Holds the incrementally maintained working-set factor and free-set
+/// inverses plus all per-iteration vectors, so a steady-state
+/// warm-started solve allocates only the point and active set of the
+/// [`QpSolution`] it returns.
 #[derive(Debug, Clone, Default)]
 pub struct BandedWorkspace {
-    /// Incremental arrowhead factor of the working-set Schur block `S_W`,
-    /// in *factor order*: chain 0's working inequalities, …, the last
-    /// chain's, then the equalities.
+    /// Incremental arrowhead factor of the general rows' Schur block
+    /// `S_G = C_G·H̃_FF⁻¹·C_Gᵀ`, in *factor order*: chain 0's working
+    /// general inequalities, …, the last chain's, then the equalities.
     factor: ArrowheadCholesky,
-    /// The working inequalities the factor holds, in working order. Always
-    /// a prefix of the working set: rows are appended in working order and
-    /// leave with their working-set entry.
+    /// The working inequalities the factor accounts for (bounds as fixed
+    /// variables, general rows as factor rows), in working order. Always a
+    /// prefix of the working set: rows enter in working order and leave
+    /// with their working-set entry.
     held: Vec<usize>,
-    /// Each chain's held inequalities in factor order, which is also their
-    /// relative working order.
+    /// Each chain's held general inequalities in factor order, which is
+    /// also their relative working order.
     chain_rows: Vec<Vec<usize>>,
+    /// Each chain's free-set inverse `H̃_FF⁻¹`.
+    inv: Vec<FreeInverse>,
+    /// Whether each variable is fixed by a held bound.
+    fixed: Vec<bool>,
+    /// `H̃_FF⁻¹·(g + H̃_FB·x_B)` on the free variables and `−x_k` on each
+    /// fixed `k`, so the Newton point at an iterate `x` is `t = −x − tg`
+    /// with no Hessian multiply: exact zeros on the fixed variables.
+    tg: Vec<f64>,
     /// Per-chain cursor for mapping factor-order multipliers back to
     /// working order.
     cursor: Vec<usize>,
-    /// `H̃⁻¹·g`, computed once per solve — the Newton point at any iterate
-    /// is then `t = −x − H̃⁻¹g` with no Hessian multiply.
-    tg: Vec<f64>,
-    /// Newton point `t = H̃⁻¹·(−(Hx + g))`.
+    /// Newton point `t`.
     t: Vec<f64>,
-    /// Schur right-hand side `C_W·t`, solved in place into the multipliers
+    /// Schur right-hand side `C_G·t`, solved in place into the multipliers
     /// (factor order).
     lam: Vec<f64>,
-    /// Refinement residual `C_W·p`, solved in place into the correction.
+    /// Refinement residual `C_G·p`, solved in place into the correction.
     resid: Vec<f64>,
-    /// Gather buffer for factor rows (a chain block, a row's chain column,
-    /// or the equalities' block).
+    /// Gather buffer for factor rows (a chain block or the equalities'
+    /// block), and for a rank-1 change's chain entries.
     col: Vec<f64>,
-    /// Gather buffer for a chain block's equality couplings.
+    /// Gather buffer for a chain block's equality couplings, and for a
+    /// rank-1 change's tail entries.
     coupling: Vec<f64>,
-    /// Global constraint index of each working-system row in factor order,
-    /// rebuilt once per KKT step so the row sweeps and residual dots skip
-    /// the per-element mapping.
+    /// Global constraint index of each general working row in factor
+    /// order, rebuilt once per KKT step.
     cols: Vec<usize>,
+    /// The entries of those rows on free variables as `(position in cols,
+    /// variable, free slot, coefficient)`, the chains' free slots numbered
+    /// back to back from each chain's `slot_at`.
+    entries: Vec<(usize, usize, usize, f64)>,
+    slot_at: Vec<usize>,
+    /// A sweep's coefficients `C_Gᵀ·λ` on the free slots.
+    zs: Vec<f64>,
+    /// `0, 1, 2, …`: every slot of a sweep.
+    iota: Vec<usize>,
+    /// `C_Gᵀ·λ` scattered over the variables (and other full-length
+    /// scratch).
+    z: Vec<f64>,
+    /// One chain's local vector: a row image `H̃_FF⁻¹·cᵀ` or a Hessian
+    /// column.
+    local: Vec<f64>,
+    /// The rank-1 vector `ũ` of a bound change, over one chain's variables.
+    u: Vec<f64>,
+    /// Slot-ordered scratch of a chain's free-set inverse: a gathered step,
+    /// an image or a rank-1 vector.
+    slots: Vec<f64>,
+    /// Slots and coefficients of one chain's sweep.
+    sweep_rows: Vec<usize>,
+    sweep_coeffs: Vec<f64>,
     /// `H·x`, for the objective at the optimum.
     hx: Vec<f64>,
     /// The active-set loop's own buffers, reused across solves.
@@ -147,13 +198,22 @@ pub struct BandedWorkspace {
     refinements: u64,
     /// Full (re)builds of the working-set factor since `begin`.
     refactorizations: u64,
-    /// Incremental factor appends (constraint adds absorbed in place).
+    /// Incremental working-set changes absorbed in place: general rows
+    /// appended and variables fixed.
     updates: u64,
-    /// Incremental factor row removals (constraint drops absorbed in place).
+    /// Incremental working-set removals: general rows removed and
+    /// variables freed.
     downdates: u64,
     /// When set, the next factor build is deterministically poisoned so the
     /// stability-rebuild path must fire (fault injection).
     force_refactor: bool,
+    /// Whether this solve times its parts (a recorder is bound).
+    timed: bool,
+    /// Nanoseconds in working-set updates, factor solves and sweeps since
+    /// `begin` (only when `timed`).
+    update_ns: u64,
+    factor_ns: u64,
+    sweep_ns: u64,
 }
 
 impl BandedWorkspace {
@@ -174,62 +234,42 @@ impl BandedWorkspace {
 /// Precomputed factorizations shared by all solves of one problem skeleton.
 #[derive(Debug, Clone)]
 struct BandedCache {
-    /// Block Cholesky factor of `H + εI`.
+    /// Block Cholesky factor of `H̃ = H + εI`.
     chol: BlockTridiagChol,
-    /// `Y` stored by constraint rows: row `r` is `H̃⁻¹·c_rᵀ`, kept only over
-    /// the span outside which it is exactly zero, so the step
-    /// `p = t − Y_Rᵀλ` accumulates over short contiguous rows. When `H̃`
-    /// splits into independent chains of blocks and row `r` touches one
-    /// chain, so does its `Y` row.
-    y: SpanRows,
-    /// The entries of `S = C·H̃⁻¹·Cᵀ` the working-set factor reads.
-    s: SchurBlocks,
+    /// The ridge `ε`: zero unless `H` itself failed to factor.
+    ridge: f64,
+    /// The independent chains of Hessian blocks.
+    chains: Vec<Chain>,
+    /// Chain of each variable.
+    var_chain: Vec<usize>,
+    /// Position of each variable among its chain's variables.
+    var_local: Vec<usize>,
     /// Independent Hessian chain of each inequality row: `S` is exactly
     /// zero between inequality rows of different chains.
-    chains: Vec<usize>,
-    /// Number of chains.
-    nchains: usize,
+    row_chain: Vec<usize>,
+    /// `(variable, coefficient)` of each inequality that is a bound.
+    bound: Vec<Option<(usize, f64)>>,
+    /// Each inequality's all-free diagonal `c·H̃⁻¹·cᵀ`, the scale its
+    /// dependency test is judged against.
+    diag: Vec<f64>,
+    /// The equalities' all-free Schur block `C_E·H̃⁻¹·C_Eᵀ`, packed lower,
+    /// and its diagonal: the scales the equalities' pivots are judged
+    /// against.
+    s_ee: Vec<f64>,
+    s_ee_diag: Vec<f64>,
 }
 
-/// The parts of the Schur complement `S = C·H̃⁻¹·Cᵀ` that the arrowhead
-/// working-set factor reads, entry `(r, q)` being `c_q·Y_r`: the
-/// equalities' lower triangle, each inequality's couplings to the
-/// equalities, and one square block per chain over its inequality rows.
-/// Every other entry is either never read (the equality × inequality
-/// triangle, mirrored by the couplings) or exactly zero (inequality pairs
-/// of different chains).
-#[derive(Debug, Clone, Default)]
-struct SchurBlocks {
-    /// `S[e, f]` for `f ≤ e`, packed by rows.
-    eq: Vec<f64>,
-    /// `S[m_E + i, 0..m_E]` of inequality `i`, at `i·m_E`.
-    coupling: Vec<f64>,
-    /// Each chain's block `S[m_E + i, m_E + q]` over its inequality rows
-    /// in index order, row-major.
-    blocks: Vec<f64>,
-    /// Start of each chain's block in `blocks` and the chain's row count.
-    block_at: Vec<(usize, usize)>,
-    /// Position of each inequality among its chain's rows.
-    local: Vec<usize>,
-}
-
-impl SchurBlocks {
-    /// Inequality `i`'s couplings to the equalities.
-    fn coupling(&self, i: usize, me: usize) -> &[f64] {
-        &self.coupling[i * me..(i + 1) * me]
-    }
-
-    /// `S[m_E + i, m_E + q]` for inequalities `i` and `q` of chain `j`.
-    fn pair(&self, j: usize, i: usize, q: usize) -> f64 {
-        let (at, len) = self.block_at[j];
-        self.blocks[at + self.local[i] * len + self.local[q]]
-    }
-
-    /// Number of stored entries.
-    #[cfg(test)]
-    fn stored(&self) -> usize {
-        self.eq.len() + self.coupling.len() + self.blocks.len()
-    }
+/// One independent chain of Hessian blocks.
+#[derive(Debug, Clone)]
+struct Chain {
+    /// The chain's variables, ascending.
+    vars: Vec<usize>,
+    /// `H̃⁻¹` over the chain's variables, row-major in local order
+    /// (exactly zero between the chain's different runs).
+    inv: Vec<f64>,
+    /// The equality rows' entries on the chain's variables, as
+    /// `(equality, local index, coefficient)` by equality.
+    eq: Vec<(usize, usize, f64)>,
 }
 
 /// A convex QP with block-tridiagonal Hessian and sparse constraint rows.
@@ -286,7 +326,8 @@ impl BandedQp {
         self
     }
 
-    /// Adds an inequality constraint `rowᵀx ≤ rhs`.
+    /// Adds an inequality constraint `rowᵀx ≤ rhs`. A row with a single
+    /// nonzero entry is a bound on that variable.
     pub fn inequality(mut self, row: SparseRow, rhs: f64) -> Self {
         self.a_in.push(row);
         self.b_in.push(rhs);
@@ -308,7 +349,8 @@ impl BandedQp {
     }
 
     /// Active-set iterations allowed per solve: `4·(variables +
-    /// constraints)`, and never fewer than 500.
+    /// constraints)`, and never fewer than 500. Bounds count as
+    /// constraints.
     fn iteration_budget(&self) -> usize {
         500.max(4 * (self.num_vars() + self.a_in.len() + self.a_eq.len()))
     }
@@ -400,13 +442,11 @@ impl BandedQp {
         Ok(())
     }
 
-    /// Precomputes the block Cholesky of `H + εI`, the rows of
-    /// `Y = H̃⁻¹Cᵀ` and the parts of the Schur complement `S = C·H̃⁻¹·Cᵀ`
-    /// that the working-set factor reads.
-    ///
-    /// The equality rows couple the chains and are solved as one batch over
-    /// every Hessian block; each chain's inequality rows are solved as one
-    /// batch over that chain's blocks only.
+    /// Precomputes the block Cholesky of `H + εI`, splits the variables
+    /// into independent chains, and inverts each chain's Hessian: one
+    /// multi-right-hand-side solve of the identity per independent run of
+    /// blocks, at the run's own width (the inverse is block diagonal over
+    /// a chain's runs). Finds the bounds among the inequality rows.
     ///
     /// Called automatically by the solve entry points when needed; the cache
     /// survives gradient/rhs retargeting and is dropped when constraint rows
@@ -419,140 +459,127 @@ impl BandedQp {
     pub fn prepare(&mut self) -> Result<()> {
         self.validate()?;
         let n = self.num_vars();
-        let (me, mi) = (self.a_eq.len(), self.a_in.len());
+        let nb = self.h.nb();
         let mut pool = Workspace::new();
         let mut chol = match self.cache.take() {
             Some(c) => c.chol,
             None => BlockTridiagChol::new(),
         };
         // Factor H exactly when possible — the KKT step then reconstructs
-        // the Newton point as `t = −x − H⁻¹g` without ever multiplying by
-        // H, which keeps the per-iteration cost O(n + m²). Only when the
-        // exact factorization breaks down fall back to a tiny ridge (the
-        // solve then optimizes the εI-perturbed problem, indistinguishable
-        // at solver tolerance).
+        // the Newton point as `t = −x − tg` without ever multiplying by H,
+        // which keeps the per-iteration cost O(n + m²). Only when the exact
+        // factorization breaks down fall back to a tiny ridge (the solve
+        // then optimizes the εI-perturbed problem, indistinguishable at
+        // solver tolerance).
+        let mut ridge = 0.0;
         if chol.refactor(&self.h, &mut pool).is_err() {
+            ridge = 1e-12;
             let mut ridged = self.h.clone();
             for t in 0..ridged.nblocks() {
-                let nb = ridged.nb();
                 let d = ridged.diag_mut(t);
                 for i in 0..nb {
-                    d[i * nb + i] += 1e-12;
+                    d[i * nb + i] += ridge;
                 }
             }
             chol.refactor(&ridged, &mut pool)?;
         }
-        let (chains, ranges) = self.inequality_chain_ids();
-        let nchains = ranges.len();
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); nchains];
-        for (i, &j) in chains.iter().enumerate() {
-            members[j].push(i);
-        }
-        // Each batch is one multi-RHS sweep: the stage-coupling corrections
-        // go through GEMM. A chain's range is bounded by zero subdiagonal
-        // blocks, so its rows solve at the chain's width exactly as they
-        // would at full width (the rest of a full-width row is ±0).
-        let mut y = SpanRows::new(me + mi, n);
+        let (row_chain, runs) = self.inequality_chain_ids();
+        let mut var_chain = vec![0; n];
+        let mut var_local = vec![0; n];
+        let mut chains = Vec::with_capacity(runs.len());
         let mut buf = Vec::new();
-        let equalities: Vec<usize> = (0..me).collect();
-        self.solve_batch(
-            &chol,
-            &equalities,
-            (0, chol.nblocks()),
-            (&mut buf, &mut pool),
-            &mut y,
-        );
-        for (rows, &range) in members.iter().zip(&ranges) {
-            let global: Vec<usize> = rows.iter().map(|&i| me + i).collect();
-            self.solve_batch(&chol, &global, range, (&mut buf, &mut pool), &mut y);
+        for (j, chain_runs) in runs.iter().enumerate() {
+            let width: usize = chain_runs.iter().map(|&(a, b)| (b - a) * nb).sum();
+            let mut vars = Vec::with_capacity(width);
+            let mut inv = vec![0.0; width * width];
+            for &(first, end) in chain_runs {
+                let (off, w) = (first * nb, (end - first) * nb);
+                let at = vars.len();
+                buf.clear();
+                buf.resize(w * w, 0.0);
+                for a in 0..w {
+                    buf[a * w + a] = 1.0;
+                }
+                chol.solve_rows_in_place(&mut buf, w, first, end - first, &mut pool);
+                for (a, row) in buf.chunks_exact(w).enumerate() {
+                    inv[(at + a) * width + at..][..w].copy_from_slice(row);
+                }
+                vars.extend(off..off + w);
+            }
+            for (l, &k) in vars.iter().enumerate() {
+                var_chain[k] = j;
+                var_local[k] = l;
+            }
+            chains.push(Chain {
+                vars,
+                inv,
+                eq: Vec::new(),
+            });
         }
-        let s = self.schur_blocks(&y, &members);
+        for (e, row) in self.a_eq.iter().enumerate() {
+            for &(k, c) in row.entries() {
+                chains[var_chain[k]].eq.push((e, var_local[k], c));
+            }
+        }
+        let bound = self.a_in.iter().map(SparseRow::bound).collect();
+        // c·M·cᵀ over the pairs of a row's entries (all in one chain).
+        let diag = self
+            .a_in
+            .iter()
+            .map(|row| {
+                let mut d = 0.0;
+                for &(a, ca) in row.entries() {
+                    let chain = &chains[var_chain[a]];
+                    let dim = chain.vars.len();
+                    for &(b, cb) in row.entries() {
+                        if var_chain[b] == var_chain[a] {
+                            d += ca * cb * chain.inv[var_local[a] * dim + var_local[b]];
+                        }
+                    }
+                }
+                d
+            })
+            .collect();
+        let me = self.a_eq.len();
+        let mut s_ee = vec![0.0; me * (me + 1) / 2];
+        for chain in &chains {
+            let dim = chain.vars.len();
+            let mut group_end = 0;
+            for &(e, a, c) in &chain.eq {
+                while group_end < chain.eq.len() && chain.eq[group_end].0 <= e {
+                    group_end += 1;
+                }
+                let row = &chain.inv[a * dim..][..dim];
+                let packed = &mut s_ee[e * (e + 1) / 2..];
+                for &(f, b, d) in &chain.eq[..group_end] {
+                    packed[f] += c * d * row[b];
+                }
+            }
+        }
         self.cache = Some(BandedCache {
             chol,
-            y,
-            s,
+            ridge,
             chains,
-            nchains,
+            var_chain,
+            var_local,
+            row_chain,
+            bound,
+            diag,
+            s_ee_diag: (0..me).map(|e| s_ee[e * (e + 1) / 2 + e]).collect(),
+            s_ee,
         });
         Ok(())
     }
 
-    /// Solves the constraint rows `rows` (global indices) against the
-    /// factor's blocks `first..end` as one batch, storing each `Y` row over
-    /// its nonzero span. Every row's entries must lie inside the range.
-    fn solve_batch(
-        &self,
-        chol: &BlockTridiagChol,
-        rows: &[usize],
-        (first, end): (usize, usize),
-        (buf, pool): (&mut Vec<f64>, &mut Workspace),
-        y: &mut SpanRows,
-    ) {
-        if rows.is_empty() {
-            return;
-        }
-        let nb = self.h.nb();
-        let (off, width) = (first * nb, (end - first) * nb);
-        buf.clear();
-        buf.resize(rows.len() * width, 0.0);
-        for (row, &r) in buf.chunks_exact_mut(width).zip(rows) {
-            for &(i, c) in self.crow(r).entries() {
-                row[i - off] += c;
-            }
-        }
-        chol.solve_rows_in_place(buf, rows.len(), first, end - first, pool);
-        for (row, &r) in buf.chunks_exact(width).zip(rows) {
-            let (lo, hi) = nonzero_span(row);
-            y.set_row(r, off + lo, &row[lo..hi]);
-        }
-    }
-
-    /// Fills the Schur entries the working-set factor reads (see
-    /// [`SchurBlocks`]) from the `Y` rows, given each chain's inequality
-    /// rows in index order. Each dot `S[r, q] = c_q·Y_r` runs over row
-    /// `q`'s entries inside `Y_r`'s span; the others meet exact zeros.
-    fn schur_blocks(&self, y: &SpanRows, members: &[Vec<usize>]) -> SchurBlocks {
-        let me = self.a_eq.len();
-        let entry = |r: usize, q: usize| -> f64 {
-            let (lo, hi) = y.span(r);
-            let yrow = y.row(r);
-            self.crow(q)
-                .entries()
-                .iter()
-                .filter(|&&(i, _)| lo <= i && i < hi)
-                .map(|&(i, c)| c * yrow[i - lo])
-                .sum()
-        };
-        let mut s = SchurBlocks {
-            local: vec![0; self.a_in.len()],
-            ..SchurBlocks::default()
-        };
-        for e in 0..me {
-            s.eq.extend((0..=e).map(|f| entry(e, f)));
-        }
-        for i in 0..self.a_in.len() {
-            s.coupling.extend((0..me).map(|e| entry(me + i, e)));
-        }
-        for rows in members {
-            s.block_at.push((s.blocks.len(), rows.len()));
-            for (k, &i) in rows.iter().enumerate() {
-                s.local[i] = k;
-                s.blocks.extend(rows.iter().map(|&q| entry(me + i, me + q)));
-            }
-        }
-        s
-    }
-
-    /// Splits the inequality rows into independent chains. A chain is a
-    /// maximal run of Hessian blocks joined by nonzero subdiagonal blocks;
-    /// runs that one inequality row spans are merged (union-find). Then
-    /// `H̃⁻¹` is block diagonal over the chains, and so is the inequality
-    /// part of `S = C·H̃⁻¹·Cᵀ`. Returns each row's chain, numbered in
-    /// block order (an empty row joins chain 0), and each chain's block
-    /// range `first..end`, from its first run's first block to its last
-    /// run's end (at least one chain). A merged chain's range also covers
-    /// the runs between its own; its rows are zero there.
-    fn inequality_chain_ids(&self) -> (Vec<usize>, Vec<(usize, usize)>) {
+    /// Splits the variables and the inequality rows into independent
+    /// chains. A chain is a maximal run of Hessian blocks joined by nonzero
+    /// subdiagonal blocks; runs that one inequality row spans are merged
+    /// (union-find). Then `H̃⁻¹` is block diagonal over the chains, and so
+    /// is the inequality part of `S = C·H̃⁻¹·Cᵀ`. Returns each row's chain,
+    /// numbered in block order (an empty row joins chain 0), and each
+    /// chain's runs of blocks `first..end`, in block order (at least one
+    /// chain).
+    fn inequality_chain_ids(&self) -> (Vec<usize>, Vec<Vec<(usize, usize)>>) {
         let nb = self.h.nb();
         let mut run = Vec::with_capacity(self.h.nblocks());
         let mut run_ends = Vec::new();
@@ -589,14 +616,15 @@ impl BandedQp {
         // Roots are the smallest run of their chain, so labelling in run
         // order numbers the chains in block order.
         let mut label = vec![usize::MAX; runs];
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
+        let mut chain_runs: Vec<Vec<(usize, usize)>> = Vec::new();
         for r in 0..runs {
+            let span = (if r == 0 { 0 } else { run_ends[r - 1] }, run_ends[r]);
             let root = find(&mut parent, r);
             if root == r {
-                label[r] = ranges.len();
-                ranges.push((if r == 0 { 0 } else { run_ends[r - 1] }, run_ends[r]));
+                label[r] = chain_runs.len();
+                chain_runs.push(vec![span]);
             } else {
-                ranges[label[root]].1 = run_ends[r];
+                chain_runs[label[root]].push(span);
             }
         }
         let chains = self
@@ -608,7 +636,7 @@ impl BandedQp {
                     .map_or(0, |&(i, _)| label[find(&mut parent, run[i / nb])])
             })
             .collect();
-        (chains, ranges)
+        (chains, chain_runs)
     }
 
     /// The independent Hessian chain of each inequality row, as derived by
@@ -616,7 +644,7 @@ impl BandedQp {
     /// factor keeps one block per chain. Rows of different chains have
     /// exact zeros between them in the Schur complement `C·H̃⁻¹·Cᵀ`.
     pub fn inequality_chains(&self) -> Option<&[usize]> {
-        self.cache.as_ref().map(|c| c.chains.as_slice())
+        self.cache.as_ref().map(|c| c.row_chain.as_slice())
     }
 
     /// The Hessian `H`.
@@ -686,23 +714,50 @@ impl BandedQp {
     }
 }
 
-/// The range `lo..hi` from the first to one past the last nonzero of `row`
-/// (`(0, 0)` for an all-zero row).
-fn nonzero_span(row: &[f64]) -> (usize, usize) {
-    match row.iter().position(|&v| v != 0.0) {
-        Some(lo) => (
-            lo,
-            row.iter().rposition(|&v| v != 0.0).map_or(lo, |h| h + 1),
-        ),
-        None => (0, 0),
+/// `Σ cₖ·v[local(k)]` over a row's entries: the row dotted with a vector
+/// over one chain's variables.
+fn local_dot(row: &SparseRow, var_local: &[usize], v: &[f64]) -> f64 {
+    row.entries()
+        .iter()
+        .map(|&(k, c)| c * v[var_local[k]])
+        .sum()
+}
+
+/// Row `k` of a block-tridiagonal `H` dotted with `v`: the diagonal
+/// block's row and the two off-diagonal blocks beside it.
+fn hessian_row_dot(h: &BlockTridiag, k: usize, v: &[f64]) -> f64 {
+    let nb = h.nb();
+    let (b, a) = (k / nb, k % nb);
+    let at = |blk: usize| &v[blk * nb..(blk + 1) * nb];
+    let mut r = vec_ops::dot(&h.diag(b)[a * nb..(a + 1) * nb], at(b));
+    if b > 0 {
+        r += vec_ops::dot(&h.sub(b - 1)[a * nb..(a + 1) * nb], at(b - 1));
+    }
+    if b + 1 < h.nblocks() {
+        let sub = h.sub(b);
+        r += at(b + 1)
+            .iter()
+            .enumerate()
+            .map(|(i, &vi)| sub[i * nb + a] * vi)
+            .sum::<f64>();
+    }
+    r
+}
+
+/// Clock reading for a timed solve, `0` otherwise.
+fn clock(timed: bool) -> u64 {
+    if timed {
+        idc_obs::now_ns()
+    } else {
+        0
     }
 }
 
 /// The KKT side of the `active_set` loop: one problem and its workspace.
 ///
 /// `kkt_step` is the only expensive operation. The Newton point
-/// `t = H̃⁻¹(−(Hx+g))` is recomputed each iteration from the `H̃⁻¹g` of
-/// [`begin`](Self::begin), while the working-set Schur factor is maintained
+/// `t = −x − tg` is read off the maintained `tg` each iteration, while the
+/// free-set inverses and the general rows' Schur factor are maintained
 /// incrementally: the loop calls [`on_remove`](Self::on_remove) *after* it
 /// removed a working-set entry, and additions need no hook because the
 /// next `kkt_step` extends the factor lazily.
@@ -717,9 +772,10 @@ impl<'a> BandedOps<'a> {
     }
 
     /// Empties the working-set factor (it holds nothing, not even the
-    /// equalities, until the next build).
+    /// equalities, until the next build, which also rebuilds the free-set
+    /// inverses and `tg`).
     fn reset_factor(&mut self) {
-        let nchains = self.cache().nchains;
+        let nchains = self.cache().chains.len();
         let ws = &mut *self.ws;
         ws.factor.reset(nchains, self.qp.a_eq.len());
         ws.held.clear();
@@ -729,18 +785,18 @@ impl<'a> BandedOps<'a> {
         }
     }
 
-    /// Extends the incremental factor until it holds every row of the
-    /// current working system, gathering entries from the precomputed
-    /// Schur blocks.
+    /// Extends the incremental factor until it accounts for every row of
+    /// the current working set.
     ///
-    /// A build of an empty factor counts as a refactorization: every chain
-    /// block and then the equalities' block in one blocked pass each,
-    /// falling back to the equalities plus row-by-row appends on failure so
-    /// the error points at the first bad row. Appends to a built factor go
-    /// one row at a time, in working order, and count as incremental
-    /// updates. Returns whether a pending poison was consumed by this build
-    /// (the caller must then rebuild before using the factor's solution).
-    fn ensure_factor(&mut self, working: &[usize]) -> Result<bool> {
+    /// A build of an empty factor counts as a refactorization: every
+    /// chain's free-set inverse, every chain block and then the equalities'
+    /// block in one blocked pass each, falling back to the equalities plus
+    /// row-by-row additions on failure so the error points at the first
+    /// bad row. Additions to a built factor go one row at a time, in
+    /// working order, and count as incremental updates. Returns whether a
+    /// pending poison was consumed by this build (the caller must then
+    /// rebuild before using the factor's solution).
+    fn ensure_factor(&mut self, x: &[f64], working: &[usize]) -> Result<bool> {
         // Consume a pending poison request: corrupt the first row of a
         // fresh build so the caller's stability-rebuild path must fire
         // (deterministic fault injection).
@@ -752,16 +808,16 @@ impl<'a> BandedOps<'a> {
         let from_scratch = !self.ws.factor.is_built();
         if from_scratch {
             self.ws.refactorizations += 1;
-            if self.build_blocked(working, poison).is_ok() {
+            if self.build_blocked(x, working, poison).is_ok() {
                 return Ok(poison);
             }
-            // Start over from the equalities alone; the appends below then
-            // stop at the first bad row.
+            // Start over from the equalities alone; the additions below
+            // then stop at the first bad row.
             self.reset_factor();
-            self.build_blocked(&[], false).map_err(Error::from)?;
+            self.build_blocked(x, &[], false).map_err(Error::from)?;
         }
         while self.ws.held.len() < working.len() {
-            self.append_row(working[self.ws.held.len()])?;
+            self.add_row(working[self.ws.held.len()], x)?;
             if !from_scratch {
                 self.ws.updates += 1;
             }
@@ -770,95 +826,360 @@ impl<'a> BandedOps<'a> {
     }
 
     /// Builds the empty factor over `working` in blocked passes (over the
-    /// equalities alone when `working` is empty). A poisoned
-    /// build doubles the diagonal of the first working-system row (the
-    /// first equality, else the first working inequality): the factor stays
-    /// positive definite, so nothing fails, but it is wrong by O(1).
-    fn build_blocked(&mut self, working: &[usize], poison: bool) -> idc_linalg::Result<()> {
+    /// equalities alone when `working` is empty): the free-set inverse of
+    /// every chain with its working bounds fixed, `tg` at `x`, each chain's
+    /// block of working general rows and the equalities' reduced block. A
+    /// poisoned build doubles the diagonal of the first factor row (the
+    /// first equality, else the first working general inequality): the
+    /// factor stays positive definite, so nothing fails, but it is wrong by
+    /// O(1).
+    ///
+    /// A chain's inverse starts from its all-free `H̃⁻¹` and loses its
+    /// fixed variables one rank-1 step at a time; a duplicated bound
+    /// variable or a failed pivot fails the build.
+    fn build_blocked(
+        &mut self,
+        x: &[f64],
+        working: &[usize],
+        poison: bool,
+    ) -> idc_linalg::Result<()> {
         let me = self.qp.a_eq.len();
+        let n = self.qp.num_vars();
         let cache = self.cache();
+        let qp = self.qp;
         let ws = &mut *self.ws;
+        ws.fixed.clear();
+        ws.fixed.resize(n, false);
         for &i in working {
-            ws.chain_rows[cache.chains[i]].push(i);
+            match cache.bound[i] {
+                Some((k, _)) if ws.fixed[k] => return Err(idc_linalg::Error::NotPositiveDefinite),
+                Some((k, _)) => ws.fixed[k] = true,
+                None => ws.chain_rows[cache.row_chain[i]].push(i),
+            }
         }
+        ws.inv.resize_with(cache.chains.len(), FreeInverse::default);
+        ws.tg.clear();
+        ws.tg.resize(n, 0.0);
+        for (chain, inv) in cache.chains.iter().zip(&mut ws.inv) {
+            let dim = chain.vars.len();
+            inv.reset(&chain.inv, &chain.vars);
+            // y = H̃⁻¹g over the chain: the all-free Newton offset.
+            ws.sweep_rows.clear();
+            ws.sweep_coeffs.clear();
+            for (l, &k) in chain.vars.iter().enumerate() {
+                if qp.g[k] != 0.0 {
+                    ws.sweep_rows.push(l);
+                    ws.sweep_coeffs.push(qp.g[k]);
+                }
+            }
+            ws.slots.clear();
+            ws.slots.resize(dim, 0.0);
+            simd::axpy_rows(
+                1.0,
+                &chain.inv,
+                dim,
+                &ws.sweep_rows,
+                &ws.sweep_coeffs,
+                &mut ws.slots,
+            );
+            for (&k, &y) in chain.vars.iter().zip(&ws.slots) {
+                ws.tg[k] = y;
+            }
+            // Fix the chain's bounded variables one by one: each is a
+            // rank-1 Schur complement of the inverse, and moves tg so that
+            // −x − tg stays the Newton point of the shrinking free set.
+            for (l, &k) in chain.vars.iter().enumerate() {
+                if ws.fixed[k] {
+                    if inv.get(l, l) <= PIVOT_TOL * chain.inv[l * dim + l] {
+                        return Err(idc_linalg::Error::NotPositiveDefinite);
+                    }
+                    let step = (-x[k] - ws.tg[k]) / inv.get(l, l).sqrt();
+                    let tg = &mut ws.tg;
+                    inv.fix(l, &mut ws.slots, |v, u| tg[v] += u * step);
+                    ws.tg[k] = -x[k];
+                }
+            }
+        }
+        // Each chain's block of working general rows and its equality
+        // couplings, from the rows' images H̃_FF⁻¹·cᵀ.
+        let first_general = working.iter().find(|&&i| cache.bound[i].is_none());
         for (j, rows) in ws.chain_rows.iter().enumerate() {
             if rows.is_empty() {
                 continue;
             }
+            let (chain, inv) = (&cache.chains[j], &ws.inv[j]);
             ws.col.clear();
             ws.coupling.clear();
             for (a, &i) in rows.iter().enumerate() {
-                ws.col
-                    .extend(rows[..=a].iter().map(|&q| cache.s.pair(j, i, q)));
-                ws.coupling.extend_from_slice(cache.s.coupling(i, me));
+                inv.image(&qp.a_in[i], &cache.var_local, &mut ws.slots, &mut ws.local);
+                ws.col.extend(
+                    rows[..=a]
+                        .iter()
+                        .map(|&q| local_dot(&qp.a_in[q], &cache.var_local, &ws.local)),
+                );
+                let start = ws.coupling.len();
+                ws.coupling.resize(start + me, 0.0);
+                for &(e, l, c) in &chain.eq {
+                    ws.coupling[start + e] += c * ws.local[l];
+                }
             }
-            if poison && me == 0 && rows[0] == working[0] {
+            if poison && me == 0 && first_general == Some(&rows[0]) {
                 ws.col[0] *= 2.0;
             }
             ws.factor
                 .build_chain(j, rows.len(), &ws.col, &ws.coupling)?;
         }
+        // The equalities' block S_EE = Σ_j C_E,j·H̃_FF⁻¹·C_E,jᵀ, packed
+        // lower: the all-free block less, for each chain with fixed
+        // variables, the difference its fixes made to its pairs of entries
+        // (by equality order).
         ws.col.clear();
-        ws.col.extend_from_slice(&cache.s.eq);
+        ws.col.extend_from_slice(&cache.s_ee);
+        for (chain, inv) in cache.chains.iter().zip(&ws.inv) {
+            if inv.free == chain.vars.len() {
+                continue;
+            }
+            let dim = chain.vars.len();
+            let mut group_end = 0;
+            for &(e, a, c) in &chain.eq {
+                while group_end < chain.eq.len() && chain.eq[group_end].0 <= e {
+                    group_end += 1;
+                }
+                let all_free = &chain.inv[a * dim..][..dim];
+                let packed = &mut ws.col[e * (e + 1) / 2..];
+                for &(f, b, d) in &chain.eq[..group_end] {
+                    packed[f] -= c * d * (all_free[b] - inv.get(a, b));
+                }
+            }
+        }
         if poison && me > 0 {
             ws.col[0] *= 2.0;
         }
-        ws.factor.build_tail(&ws.col)?;
+        ws.factor.build_tail(&ws.col, &cache.s_ee_diag)?;
         ws.held.extend_from_slice(working);
         Ok(())
     }
 
-    /// Appends working inequality `i` to the end of its chain.
+    /// Adds working inequality `i` to the factor: a bound fixes its
+    /// variable, a general row is appended to the end of its chain.
     ///
     /// # Errors
     ///
     /// [`Error::Numerical`] with the factor unchanged when the row is
     /// numerically dependent on the rows held (the outer loop then pops the
     /// degenerate addition).
-    fn append_row(&mut self, i: usize) -> Result<()> {
-        let me = self.qp.a_eq.len();
-        let cache = self.cache();
-        let ws = &mut *self.ws;
-        let j = cache.chains[i];
-        ws.col.clear();
-        ws.col
-            .extend(ws.chain_rows[j].iter().map(|&q| cache.s.pair(j, i, q)));
-        ws.col.push(cache.s.pair(j, i, i));
-        ws.factor
-            .append(j, &ws.col, cache.s.coupling(i, me))
-            .map_err(Error::from)?;
-        ws.chain_rows[j].push(i);
-        ws.held.push(i);
+    fn add_row(&mut self, i: usize, x: &[f64]) -> Result<()> {
+        match self.cache().bound[i] {
+            Some((k, _)) => self.fix(k, x)?,
+            None => self.append_general(i)?,
+        }
+        self.ws.held.push(i);
         Ok(())
     }
 
-    /// Solves the working system from the current factor: `λ = S_W⁻¹·C_W·t`
-    /// and `p = t − Y_Wᵀλ` into `sol[..n]`, then one pass of iterative
-    /// refinement, all in factor order. The residual is taken from the step
-    /// as `r = C_W·p` (sparse row dots, O(nnz)); since `C_W·Y_Wᵀ = S_W`, it
-    /// equals `C_W·t − S_W·λ` without touching the Schur block. The
-    /// correction `δ = S_W⁻¹·r` updates both `λ += δ` and `p −= Y_Wᵀδ`.
-    /// Returns `‖δ‖∞`.
-    fn solve_refined(&mut self, sol: &mut Vec<f64>) -> f64 {
+    /// Appends general inequality `i` to the end of its chain, its Schur
+    /// entries formed from its image `H̃_FF⁻¹·cᵢᵀ`. The pivot is judged
+    /// against the row's all-free diagonal `cᵢ·H̃⁻¹·cᵢᵀ`.
+    fn append_general(&mut self, i: usize) -> Result<()> {
+        let me = self.qp.a_eq.len();
         let cache = self.cache();
+        let qp = self.qp;
         let ws = &mut *self.ws;
-        ws.lam.clear();
-        ws.lam
-            .extend(ws.cols.iter().map(|&gr| self.qp.crow(gr).dot(&ws.t)));
-        ws.factor.solve_in_place(&mut ws.lam);
+        let j = cache.row_chain[i];
+        let (chain, inv) = (&cache.chains[j], &ws.inv[j]);
+        let row = &qp.a_in[i];
+        inv.image(row, &cache.var_local, &mut ws.slots, &mut ws.local);
+        ws.col.clear();
+        ws.col.extend(
+            ws.chain_rows[j]
+                .iter()
+                .map(|&q| local_dot(&qp.a_in[q], &cache.var_local, &ws.local)),
+        );
+        ws.col.push(local_dot(row, &cache.var_local, &ws.local));
+        ws.coupling.clear();
+        ws.coupling.resize(me, 0.0);
+        for &(e, l, c) in &chain.eq {
+            ws.coupling[e] += c * ws.local[l];
+        }
+        ws.factor
+            .append(j, &ws.col, &ws.coupling, cache.diag[i])
+            .map_err(Error::from)?;
+        ws.chain_rows[j].push(i);
+        Ok(())
+    }
+
+    /// Fixes variable `k` at its value in `x`: with `ũ = M·e_k/√M_kk` for
+    /// the chain's free-set inverse `M`, the inverse loses `ũ·ũᵀ`, the
+    /// general rows' Schur block loses `w·wᵀ` with `w = C_G·ũ`, and
+    /// `tg` moves along `ũ` so that `t` stays the Newton point of the new
+    /// free set. The pivot `M_kk·(1 − ‖L⁻¹w‖²)` — the bound row's Schur
+    /// complement against the rows held — is judged against the all-free
+    /// `H̃⁻¹_kk`.
+    fn fix(&mut self, k: usize, x: &[f64]) -> Result<()> {
+        let me = self.qp.a_eq.len();
+        let cache = self.cache();
+        let qp = self.qp;
+        let ws = &mut *self.ws;
+        let (j, a) = (cache.var_chain[k], cache.var_local[k]);
+        let chain = &cache.chains[j];
+        let inv = &mut ws.inv[j];
+        let d = inv.get(a, a);
+        let all_free = chain.inv[a * chain.vars.len() + a];
+        if ws.fixed[k] || d <= PIVOT_TOL * all_free {
+            return Err(Error::Numerical(idc_linalg::Error::NotPositiveDefinite));
+        }
+        let root = d.sqrt();
+        inv.column(a, 1.0 / root, &mut ws.u);
+        rank_one_images(
+            qp,
+            cache,
+            j,
+            &ws.chain_rows[j],
+            &ws.u,
+            &mut ws.col,
+            &mut ws.coupling,
+        );
+        debug_assert_eq!(ws.coupling.len(), me);
+        ws.factor
+            .downdate(j, &ws.col, &ws.coupling, PIVOT_TOL * all_free / d)
+            .map_err(Error::from)?;
+        let step = (-x[k] - ws.tg[k]) / root;
+        let tg = &mut ws.tg;
+        inv.fix(a, &mut ws.slots, |v, u| tg[v] += u * step);
+        ws.tg[k] = -x[k];
+        ws.fixed[k] = true;
+        Ok(())
+    }
+
+    /// Frees variable `k`: with `h` the chain's Hessian column `k`,
+    /// `v = M·h` and `s = H̃_kk − hᵀv`, the bordered inverse is
+    /// `M + ũ·ũᵀ` with `ũ = (e_k − v)/√s`, the general rows' Schur block
+    /// gains `w·wᵀ` with `w = C_G·ũ`, and `tg` moves along `ũ` by
+    /// `(g_k − hᵀ·tg)/√s`. Always succeeds in exact arithmetic; a
+    /// non-positive `s` means the inverse has drifted, and the factor is
+    /// emptied so the next KKT step rebuilds it.
+    fn free(&mut self, k: usize) {
+        let cache = self.cache();
+        let qp = self.qp;
+        let ws = &mut *self.ws;
+        let (j, a) = (cache.var_chain[k], cache.var_local[k]);
+        let chain = &cache.chains[j];
+        let nl = chain.vars.len();
+        // The Hessian column over the chain: blocks b−1..=b+1 of k's block.
+        let nb = qp.h.nb();
+        let (blk, ak) = (k / nb, k % nb);
+        ws.local.clear();
+        ws.local.resize(nl, 0.0);
+        let mut put = |r: usize, v: f64| {
+            if v != 0.0 && cache.var_chain[r] == j {
+                ws.local[cache.var_local[r]] = v;
+            }
+        };
+        for i in 0..nb {
+            put(blk * nb + i, qp.h.diag(blk)[i * nb + ak]);
+            if blk + 1 < qp.h.nblocks() {
+                put((blk + 1) * nb + i, qp.h.sub(blk)[i * nb + ak]);
+            }
+            if blk > 0 {
+                put((blk - 1) * nb + i, qp.h.sub(blk - 1)[ak * nb + i]);
+            }
+        }
+        ws.local[a] += cache.ridge;
+        let htg: f64 = chain
+            .vars
+            .iter()
+            .zip(&ws.local)
+            .map(|(&v, &h)| h * ws.tg[v])
+            .sum();
+        ws.fixed[k] = false;
+        let Some(root) = ws.inv[j].free(a, &ws.local, &mut ws.slots, &mut ws.u) else {
+            self.reset_factor();
+            return;
+        };
+        let step = (qp.g[k] - htg) / root;
+        rank_one_images(
+            qp,
+            cache,
+            j,
+            &ws.chain_rows[j],
+            &ws.u,
+            &mut ws.col,
+            &mut ws.coupling,
+        );
+        ws.factor.update(j, &ws.col, &ws.coupling);
+        for (&v, &u) in chain.vars.iter().zip(&ws.u) {
+            ws.tg[v] += u * step;
+        }
+    }
+
+    /// `p −= H̃_FF⁻¹·C_Gᵀ·coeffs` over the general working rows `cols`:
+    /// scatter `C_Gᵀ·coeffs`, then sweep each chain's inverse rows over its
+    /// free variables. Fixed variables keep `p_k` unchanged.
+    fn sweep(&mut self, coeffs: &[f64], p: &mut [f64]) {
+        let ws = &mut *self.ws;
+        ws.zs.fill(0.0);
+        for &(r, _, f, c) in &ws.entries {
+            ws.zs[f] += c * coeffs[r];
+        }
+        for (inv, &at) in ws.inv.iter().zip(&ws.slot_at) {
+            let free = inv.free;
+            let z = &ws.zs[at..at + free];
+            if z.iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            let global = &inv.global[..free];
+            ws.slots.clear();
+            ws.slots.extend(global.iter().map(|&k| p[k]));
+            simd::axpy_rows(-1.0, &inv.m, inv.dim, &ws.iota[..free], z, &mut ws.slots);
+            for (&k, &v) in global.iter().zip(&ws.slots) {
+                p[k] = v;
+            }
+        }
+    }
+
+    /// Solves the working system from the current factor: `λ = S_G⁻¹·C_G·t`
+    /// and `p = t − H̃_FF⁻¹C_Gᵀλ` into `sol[..n]`, then one pass of
+    /// iterative refinement, all in factor order. The residual is taken
+    /// from the step as `r = C_G·p` (sparse row dots, O(nnz)); since
+    /// `C_G·H̃_FF⁻¹·C_Gᵀ = S_G`, it equals `C_G·t − S_G·λ` without
+    /// touching the Schur block. The correction `δ = S_G⁻¹·r` updates both
+    /// `λ += δ` and `p −= H̃_FF⁻¹C_Gᵀδ`. Returns `‖δ‖∞`.
+    fn solve_refined(&mut self, sol: &mut Vec<f64>) -> f64 {
+        let timed = self.ws.timed;
+        let t0 = clock(timed);
+        let mut lam = std::mem::take(&mut self.ws.lam);
+        let mut resid = std::mem::take(&mut self.ws.resid);
+        lam.clear();
+        lam.resize(self.ws.cols.len(), 0.0);
+        for &(r, k, _, c) in &self.ws.entries {
+            lam[r] += c * self.ws.t[k];
+        }
+        let t1 = clock(timed);
+        self.ws.factor.solve_in_place(&mut lam);
+        let t2 = clock(timed);
         sol.clear();
-        sol.extend_from_slice(&ws.t);
-        simd::axpy_rows(-1.0, &cache.y, &ws.cols, &ws.lam, sol);
-        ws.resid.clear();
-        ws.resid
-            .extend(ws.cols.iter().map(|&gr| self.qp.crow(gr).dot(sol)));
-        ws.factor.solve_in_place(&mut ws.resid);
-        for (l, &d) in ws.lam.iter_mut().zip(&ws.resid) {
+        sol.extend_from_slice(&self.ws.t);
+        self.sweep(&lam, sol);
+        resid.clear();
+        resid.resize(lam.len(), 0.0);
+        for &(r, k, _, c) in &self.ws.entries {
+            resid[r] += c * sol[k];
+        }
+        let t3 = clock(timed);
+        self.ws.factor.solve_in_place(&mut resid);
+        let t4 = clock(timed);
+        for (l, &d) in lam.iter_mut().zip(&resid) {
             *l += d;
         }
-        simd::axpy_rows(-1.0, &cache.y, &ws.cols, &ws.resid, sol);
-        ws.refinements += 1;
-        vec_ops::norm_inf(&ws.resid)
+        self.sweep(&resid, sol);
+        let t5 = clock(timed);
+        self.ws.factor_ns += (t2 - t1) + (t4 - t3);
+        self.ws.sweep_ns += (t1 - t0) + (t3 - t2) + (t5 - t4);
+        self.ws.refinements += 1;
+        let correction = vec_ops::norm_inf(&resid);
+        self.ws.lam = lam;
+        self.ws.resid = resid;
+        correction
     }
 
     /// Number of decision variables.
@@ -881,9 +1202,12 @@ impl<'a> BandedOps<'a> {
         self.qp.iteration_budget()
     }
 
-    /// Dot product of inequality row `i` with `v`.
+    /// Dot product of inequality row `i` with `v`: one product for a bound.
     pub(crate) fn in_dot(&self, i: usize, v: &[f64]) -> f64 {
-        self.qp.a_in[i].dot(v)
+        match self.cache().bound[i] {
+            Some((k, c)) => c * v[k],
+            None => self.qp.a_in[i].dot(v),
+        }
     }
 
     /// Right-hand side of inequality `i`.
@@ -897,27 +1221,39 @@ impl<'a> BandedOps<'a> {
         self.qp.single_pivot
     }
 
+    /// The clock and the working-set update time at the start of a pivot
+    /// (zeros in an untimed solve).
+    pub(crate) fn pivot_mark(&self) -> (u64, u64) {
+        (clock(self.ws.timed), self.ws.update_ns)
+    }
+
+    /// Nanoseconds since `mark` in a timed solve, less the working-set
+    /// updates timed in between (a drop's factor removal is an update, not
+    /// part of the pivot).
+    pub(crate) fn pivot_ns(&self, (start, updates): (u64, u64)) -> u64 {
+        (clock(self.ws.timed) - start).saturating_sub(self.ws.update_ns - updates)
+    }
+
     /// Objective value at `x`, with `H·x` formed in the workspace.
     pub(crate) fn objective_at(&mut self, x: &[f64]) -> f64 {
         self.qp.objective_in(x, &mut self.ws.hx)
     }
 
     /// Called once after warm-start seeding, before the first iteration:
-    /// zeroes the counters, empties the factor and solves `H̃⁻¹g`.
+    /// zeroes the counters and empties the factor. Timing is switched on
+    /// for this solve when a trace recorder is bound.
     pub(crate) fn begin(&mut self) {
         self.ws.refinements = 0;
         self.ws.refactorizations = 0;
         self.ws.updates = 0;
         self.ws.downdates = 0;
+        self.ws.update_ns = 0;
+        self.ws.factor_ns = 0;
+        self.ws.sweep_ns = 0;
+        self.ws.timed = idc_obs::recording();
         // (`force_refactor` deliberately survives: it is armed between
         // solves and consumed by the first factor build.)
         self.reset_factor();
-        // One banded solve per call amortizes the Newton point across the
-        // whole active-set iteration: t(x) = −x − H̃⁻¹g for the fixed g.
-        let cache = self.cache();
-        self.ws.tg.clear();
-        self.ws.tg.extend_from_slice(&self.qp.g);
-        cache.chol.solve_in_place(&mut self.ws.tg);
     }
 
     /// Called after the entry at position `pos` was removed from the
@@ -927,21 +1263,30 @@ impl<'a> BandedOps<'a> {
         if pos >= self.ws.held.len() {
             return;
         }
+        let start = clock(self.ws.timed);
         let i = self.ws.held.remove(pos);
-        let j = self.cache().chains[i];
-        let rows = &mut self.ws.chain_rows[j];
-        let k = rows
-            .iter()
-            .position(|&q| q == i)
-            .expect("a held row is in its chain");
-        rows.remove(k);
-        self.ws.factor.remove(j, k);
+        match self.cache().bound[i] {
+            Some((k, _)) => self.free(k),
+            None => {
+                let j = self.cache().row_chain[i];
+                let rows = &mut self.ws.chain_rows[j];
+                let k = rows
+                    .iter()
+                    .position(|&q| q == i)
+                    .expect("a held row is in its chain");
+                rows.remove(k);
+                self.ws.factor.remove(j, k);
+            }
+        }
         self.ws.downdates += 1;
+        self.ws.update_ns += clock(self.ws.timed) - start;
     }
 
     /// Solves the equality-constrained subproblem at `x` for the working
     /// set, leaving `[p; multipliers]` in `sol` (multipliers ordered
-    /// equalities first, then `working` in order).
+    /// equalities first, then `working` in order). A bound's multiplier is
+    /// left at zero: [`bound_multipliers`](Self::bound_multipliers) fills
+    /// it in at stationary points.
     pub(crate) fn kkt_step(
         &mut self,
         x: &[f64],
@@ -949,27 +1294,28 @@ impl<'a> BandedOps<'a> {
         sol: &mut Vec<f64>,
     ) -> Result<()> {
         let me = self.qp.a_eq.len();
-        // t = H̃⁻¹(−(Hx + g)) = −x − H̃⁻¹g, with H̃⁻¹g precomputed in
-        // `begin` — no Hessian multiply or banded solve per iteration.
-        self.ws.t.clear();
-        self.ws
-            .t
-            .extend(x.iter().zip(&self.ws.tg).map(|(&xi, &ti)| -xi - ti));
-        sol.clear();
-        if me + working.len() == 0 {
-            sol.extend_from_slice(&self.ws.t);
-            return Ok(());
-        }
-        let poisoned = self.ensure_factor(working)?;
+        let start = clock(self.ws.timed);
+        let poisoned = self.ensure_factor(x, working);
+        self.ws.update_ns += clock(self.ws.timed) - start;
+        let poisoned = poisoned?;
+        self.newton_point(x);
         let ws = &mut *self.ws;
         ws.cols.clear();
         for rows in &ws.chain_rows {
             ws.cols.extend(rows.iter().map(|&i| me + i));
         }
         ws.cols.extend(0..me);
+        self.flatten_cols();
+        let ws = &mut *self.ws;
+        sol.clear();
+        let general = !ws.cols.is_empty();
         // λ and p from the incrementally maintained factor, plus one step
         // of iterative refinement against the residual of the step itself.
-        let correction = self.solve_refined(sol);
+        let correction = if general {
+            self.solve_refined(sol)
+        } else {
+            0.0
+        };
         // Stability rebuild: a large correction means the up/downdated
         // factor has drifted from the true working block. Rebuild from
         // scratch and re-solve (once per KKT step). A poisoned build
@@ -978,16 +1324,32 @@ impl<'a> BandedOps<'a> {
         // λ makes the step leave the equality manifold. The rebuilt factor
         // holds the same rows in the same order, so `cols` stands.
         if poisoned || correction > REBUILD_TOL * (1.0 + vec_ops::norm_inf(&self.ws.lam)) {
+            let start = clock(self.ws.timed);
             self.reset_factor();
-            self.ensure_factor(working)?;
-            self.solve_refined(sol);
+            let rebuilt = self.ensure_factor(x, working);
+            self.ws.update_ns += clock(self.ws.timed) - start;
+            rebuilt?;
+            self.newton_point(x);
+            // The rebuilt inverses number their free slots afresh.
+            self.flatten_cols();
+            if general {
+                self.solve_refined(sol);
+            }
+        }
+        if !general {
+            // Bounds alone: the Newton point of the free variables is the
+            // step.
+            sol.extend_from_slice(&self.ws.t);
+            sol.resize(self.ws.t.len() + working.len(), 0.0);
+            return Ok(());
         }
         // Multipliers leave in working order: equalities (the factor's
-        // tail), then each working inequality from its chain's block.
-        let chains = &self.cache().chains;
+        // tail), then each working general inequality from its chain's
+        // block; bounds get a placeholder.
+        let cache = self.cache();
         let ws = &mut *self.ws;
-        let nin = working.len();
-        sol.extend_from_slice(&ws.lam[nin..]);
+        let ngen = ws.cols.len() - me;
+        sol.extend_from_slice(&ws.lam[ngen..]);
         ws.cursor.clear();
         let mut start = 0;
         for rows in &ws.chain_rows {
@@ -995,21 +1357,318 @@ impl<'a> BandedOps<'a> {
             start += rows.len();
         }
         for &i in working {
-            let at = &mut ws.cursor[chains[i]];
-            sol.push(ws.lam[*at]);
-            *at += 1;
+            if cache.bound[i].is_some() {
+                sol.push(0.0);
+            } else {
+                let at = &mut ws.cursor[cache.row_chain[i]];
+                sol.push(ws.lam[*at]);
+                *at += 1;
+            }
         }
         Ok(())
     }
 
-    /// Drains the refinement and working-set factor counters accumulated
-    /// since [`begin`](Self::begin) into `stats`.
+    /// Lists the entries of the working system's rows `cols` on free
+    /// variables as one flat array, so the right-hand side, the residual
+    /// and both sweeps of a KKT step stream one buffer instead of chasing
+    /// each row's own.
+    fn flatten_cols(&mut self) {
+        let qp = self.qp;
+        let cache = self.cache();
+        let ws = &mut *self.ws;
+        // Each chain's free slots, back to back.
+        ws.slot_at.clear();
+        let mut total = 0;
+        for inv in &ws.inv {
+            ws.slot_at.push(total);
+            total += inv.free;
+        }
+        // Entries on fixed variables meet exact zeros in `t` and `p` and
+        // add nothing to a sweep, so only the free ones are listed.
+        ws.entries.clear();
+        for (r, &gr) in ws.cols.iter().enumerate() {
+            for &(k, c) in qp.crow(gr).entries() {
+                let (j, l) = (cache.var_chain[k], cache.var_local[k]);
+                let inv = &ws.inv[j];
+                if inv.is_free(l) {
+                    ws.entries.push((r, k, ws.slot_at[j] + inv.slot[l], c));
+                }
+            }
+        }
+        ws.zs.clear();
+        ws.zs.resize(total, 0.0);
+        if ws.iota.len() < total {
+            ws.iota.clear();
+            ws.iota.extend(0..total);
+        }
+    }
+
+    /// The Newton point `t = −x − tg` (exact zeros on fixed variables).
+    fn newton_point(&mut self, x: &[f64]) {
+        let ws = &mut *self.ws;
+        ws.t.clear();
+        ws.t.extend(x.iter().zip(&ws.tg).map(|(&xi, &ti)| -xi - ti));
+    }
+
+    /// Fills in the working bounds' multipliers of a [`kkt_step`]
+    /// solution `sol = [p; multipliers]`, from the reduced gradient at the
+    /// step's end: stationarity `H(x + p) + g + C_Gᵀλ_G + cₖμ·e_k = 0`
+    /// gives `μ = −(H(x + p) + g + C_Gᵀλ_G)_k / cₖ` for a bound `cₖ·x_k ≤ b`.
+    /// Called at stationary points only, where the loop reads multipliers.
+    ///
+    /// [`kkt_step`]: Self::kkt_step
+    pub(crate) fn bound_multipliers(&mut self, x: &[f64], working: &[usize], sol: &mut [f64]) {
+        let (n, me) = (self.num_vars(), self.num_eq());
+        let cache = self.cache();
+        let qp = self.qp;
+        let ws = &mut *self.ws;
+        if working.iter().all(|&i| cache.bound[i].is_none()) {
+            return;
+        }
+        let (p, mult) = sol.split_at_mut(n);
+        ws.z.clear();
+        ws.z.extend(x.iter().zip(p.iter()).map(|(&xi, &pi)| xi + pi));
+        ws.hx.clear();
+        ws.hx.resize(n, 0.0);
+        let general = qp.a_eq.iter().zip(&mult[..me]).chain(
+            working
+                .iter()
+                .zip(&mult[me..])
+                .filter(|(&i, _)| cache.bound[i].is_none())
+                .map(|(&i, l)| (&qp.a_in[i], l)),
+        );
+        for (row, &l) in general {
+            for &(k, c) in row.entries() {
+                ws.hx[k] += c * l;
+            }
+        }
+        for (&i, m) in working.iter().zip(&mut mult[me..]) {
+            if let Some((k, c)) = cache.bound[i] {
+                let r = hessian_row_dot(&qp.h, k, &ws.z) + cache.ridge * ws.z[k] + qp.g[k];
+                *m = -(r + ws.hx[k]) / c;
+            }
+        }
+    }
+
+    /// Drains the refinement, working-set factor and timing counters
+    /// accumulated since [`begin`](Self::begin) into `stats`.
     pub(crate) fn take_counters(&mut self, stats: &mut SolveStats) {
         let ws = &mut *self.ws;
         stats.refinement_passes = std::mem::take(&mut ws.refinements);
         stats.refactorizations = std::mem::take(&mut ws.refactorizations);
         stats.updates_applied = std::mem::take(&mut ws.updates);
         stats.downdates_applied = std::mem::take(&mut ws.downdates);
+        stats.update_ns = std::mem::take(&mut ws.update_ns);
+        stats.factor_solve_ns = std::mem::take(&mut ws.factor_ns);
+        stats.sweep_ns = std::mem::take(&mut ws.sweep_ns);
+    }
+}
+
+/// One chain's free-set inverse `M = H̃_FF⁻¹`, kept compact: the free
+/// variables occupy the leading slots, so `M` is the leading `free × free`
+/// block of a row-major array whose stride is the chain's width. Fixing a
+/// variable moves it to the last free slot and shrinks the block; freeing
+/// one grows it by a slot.
+#[derive(Debug, Clone, Default)]
+struct FreeInverse {
+    /// Row-major `dim × dim`; only the leading `free × free` block is read.
+    m: Vec<f64>,
+    /// The chain's width, the row stride.
+    dim: usize,
+    /// The number of free variables.
+    free: usize,
+    /// Slot of each of the chain's variables (local order).
+    slot: Vec<usize>,
+    /// Variable (local index) in each slot.
+    var: Vec<usize>,
+    /// Variable (global index) in each slot.
+    global: Vec<usize>,
+    /// Scratch: the slots and coefficients of a Hessian column's sweep.
+    rows: Vec<usize>,
+    coeffs: Vec<f64>,
+}
+
+impl FreeInverse {
+    /// Every variable free: `M = m0`, the chain's all-free inverse.
+    fn reset(&mut self, m0: &[f64], vars: &[usize]) {
+        let dim = vars.len();
+        self.m.clear();
+        self.m.extend_from_slice(m0);
+        self.dim = dim;
+        self.free = dim;
+        self.slot.clear();
+        self.slot.extend(0..dim);
+        self.var.clear();
+        self.var.extend(0..dim);
+        self.global.clear();
+        self.global.extend_from_slice(vars);
+    }
+
+    /// Whether local variable `l` is free.
+    fn is_free(&self, l: usize) -> bool {
+        self.slot[l] < self.free
+    }
+
+    /// The free row of local variable `l`, in slot order.
+    fn row(&self, l: usize) -> &[f64] {
+        &self.m[self.slot[l] * self.dim..][..self.free]
+    }
+
+    /// `M[la, lb]` (zero unless both are free).
+    fn get(&self, la: usize, lb: usize) -> f64 {
+        if self.is_free(la) && self.is_free(lb) {
+            self.row(la)[self.slot[lb]]
+        } else {
+            0.0
+        }
+    }
+
+    /// `scale·M·e_l` in local order into `out` (zeros on fixed variables).
+    fn column(&self, l: usize, scale: f64, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.dim, 0.0);
+        for (&v, &m) in self.var.iter().zip(self.row(l)) {
+            out[v] = scale * m;
+        }
+    }
+
+    /// The image `M·cᵀ` of a row on the chain's variables, in local order
+    /// into `out` (`slots` is scratch).
+    fn image(
+        &self,
+        row: &SparseRow,
+        var_local: &[usize],
+        slots: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
+        slots.clear();
+        slots.resize(self.free, 0.0);
+        for &(k, c) in row.entries() {
+            let l = var_local[k];
+            if self.is_free(l) {
+                for (o, &m) in slots.iter_mut().zip(self.row(l)) {
+                    *o += c * m;
+                }
+            }
+        }
+        out.clear();
+        out.resize(self.dim, 0.0);
+        for (&v, &y) in self.var.iter().zip(slots.iter()) {
+            out[v] = y;
+        }
+    }
+
+    /// Swaps slots `a` and `b` of the leading `n × n` block, rows and
+    /// columns, and their variables.
+    fn swap_slots(&mut self, a: usize, b: usize, n: usize) {
+        if a == b {
+            return;
+        }
+        let dim = self.dim;
+        for c in 0..n {
+            self.m.swap(a * dim + c, b * dim + c);
+        }
+        for r in 0..n {
+            self.m.swap(r * dim + a, r * dim + b);
+        }
+        self.var.swap(a, b);
+        self.global.swap(a, b);
+        self.slot[self.var[a]] = a;
+        self.slot[self.var[b]] = b;
+    }
+
+    /// Fixes free local variable `l`: with `d = M_ll` and `ũ = M·e_l/√d`,
+    /// `M −= ũ·ũᵀ`, whose row and column `l` then vanish; `l` moves to the
+    /// last free slot, which leaves the block. Calls `visit(k, ũ_k)` for
+    /// each free variable `k` (global index) and returns `√d`; `d` must be
+    /// positive.
+    fn fix(&mut self, l: usize, slots: &mut Vec<f64>, mut visit: impl FnMut(usize, f64)) -> f64 {
+        let root = self.row(l)[self.slot[l]].sqrt();
+        slots.clear();
+        slots.extend(self.row(l).iter().map(|&m| m / root));
+        simd::add_outer(-1.0, slots, &mut self.m, self.dim);
+        for (&k, &s) in self.global.iter().zip(slots.iter()) {
+            visit(k, s);
+        }
+        let last = self.free - 1;
+        self.swap_slots(self.slot[l], last, self.free);
+        self.free = last;
+        root
+    }
+
+    /// Frees fixed local variable `l`, given the chain's Hessian column
+    /// `h` at `l` (local order): with `v = M·h` over the free variables and
+    /// `s = h_l − hᵀv`, the bordered inverse is `M + ũ·ũᵀ` with
+    /// `ũ = (e_l − v)/√s`. Leaves `ũ` in local order in `u` and returns
+    /// `√s`, or `None` with `l` free but `M` unusable when `s` is not
+    /// safely positive (the inverse has drifted).
+    fn free(&mut self, l: usize, h: &[f64], slots: &mut Vec<f64>, u: &mut Vec<f64>) -> Option<f64> {
+        let n = self.free;
+        self.swap_slots(self.slot[l], n, n);
+        self.free = n + 1;
+        let dim = self.dim;
+        for c in 0..=n {
+            self.m[n * dim + c] = 0.0;
+            self.m[c * dim + n] = 0.0;
+        }
+        // v = M·h over the old free block (row and column n are zero).
+        self.rows.clear();
+        self.coeffs.clear();
+        for (slot, &w) in self.var[..n].iter().enumerate() {
+            if h[w] != 0.0 {
+                self.rows.push(slot);
+                self.coeffs.push(h[w]);
+            }
+        }
+        slots.clear();
+        slots.resize(n + 1, 0.0);
+        simd::axpy_rows(1.0, &self.m, dim, &self.rows, &self.coeffs, slots);
+        let hl = h[l];
+        let s = hl
+            - self.var[..n]
+                .iter()
+                .zip(slots.iter())
+                .map(|(&w, &v)| h[w] * v)
+                .sum::<f64>();
+        if s <= PIVOT_TOL * hl.abs() {
+            return None;
+        }
+        let root = s.sqrt();
+        for x in slots.iter_mut() {
+            *x = -*x / root;
+        }
+        slots[n] = 1.0 / root;
+        simd::add_outer(1.0, slots, &mut self.m, dim);
+        u.clear();
+        u.resize(dim, 0.0);
+        for (&w, &x) in self.var.iter().zip(slots.iter()) {
+            u[w] = x;
+        }
+        Some(root)
+    }
+}
+
+/// The general rows' images `w = C_G·ũ` of a rank-1 vector `ũ` over chain
+/// `j`: the chain's held general rows into `chain_part`, the equalities
+/// into `tail_part`.
+fn rank_one_images(
+    qp: &BandedQp,
+    cache: &BandedCache,
+    j: usize,
+    rows: &[usize],
+    u: &[f64],
+    chain_part: &mut Vec<f64>,
+    tail_part: &mut Vec<f64>,
+) {
+    chain_part.clear();
+    chain_part.extend(
+        rows.iter()
+            .map(|&q| local_dot(&qp.a_in[q], &cache.var_local, u)),
+    );
+    tail_part.clear();
+    tail_part.resize(qp.a_eq.len(), 0.0);
+    for &(e, l, c) in &cache.chains[j].eq {
+        tail_part[e] += c * u[l];
     }
 }
 
@@ -1496,49 +2155,6 @@ mod tests {
         );
     }
 
-    /// The refinement residual is taken from the step, `C_W·(t − Y_Wᵀλ)`;
-    /// pin that it equals the Schur-block form `srhs − S_W·λ` read from the
-    /// full-width reference Schur complement, for an arbitrary (not
-    /// converged) λ.
-    #[test]
-    fn step_residual_matches_schur_residual() {
-        let mut seed = 0x7e51du64;
-        for &(nb, t) in &[(2usize, 3usize), (3, 4), (5, 6)] {
-            let mut banded = random_problem(nb, t, &mut seed);
-            banded.prepare().unwrap();
-            let cache = banded.cache.as_ref().unwrap();
-            let (_, s) = reference(&banded);
-            let n = banded.num_vars();
-            let me = banded.a_eq.len();
-            // Working system: every equality plus a seeded subset of bounds.
-            let mut cols: Vec<usize> = (0..me).collect();
-            cols.extend(
-                (0..banded.a_in.len())
-                    .filter(|i| i % 3 != 1)
-                    .map(|i| me + i),
-            );
-            let tvec: Vec<f64> = (0..n).map(|_| 2.0 * pseudo(&mut seed)).collect();
-            let lam: Vec<f64> = (0..cols.len()).map(|_| pseudo(&mut seed)).collect();
-            let srhs: Vec<f64> = cols.iter().map(|&gr| banded.crow(gr).dot(&tvec)).collect();
-            let mut p = tvec.clone();
-            simd::axpy_rows(-1.0, &cache.y, &cols, &lam, &mut p);
-            let tol = 1e-10 * (1.0 + vec_ops::norm_inf(&srhs));
-            for (r, &gr) in cols.iter().enumerate() {
-                let from_step = banded.crow(gr).dot(&p);
-                let from_schur = srhs[r]
-                    - cols
-                        .iter()
-                        .zip(&lam)
-                        .map(|(&gq, &lq)| s[(gr, gq)] * lq)
-                        .sum::<f64>();
-                assert!(
-                    (from_step - from_schur).abs() <= tol,
-                    "nb={nb} t={t} row {gr}: {from_step} vs {from_schur}"
-                );
-            }
-        }
-    }
-
     /// A separable problem: `groups` independent chains of `len` blocks
     /// (the subdiagonal block between chains is zero), coupled only by
     /// one-entry-per-chain equality rows, plus chain-local sums and bounds.
@@ -1569,78 +2185,294 @@ mod tests {
         qp
     }
 
-    /// The full-width reference: every constraint row solved in one sweep
-    /// over all Hessian blocks into a dense `Yᵀ`, and the dense `S` from a
-    /// dot of every constraint row with every `Y` row.
-    fn reference(qp: &BandedQp) -> (Matrix, Matrix) {
+    /// The full-width reference `H̃⁻¹`: the identity solved in one sweep
+    /// over all Hessian blocks.
+    fn reference(qp: &BandedQp) -> Matrix {
         let chol = &qp.cache.as_ref().unwrap().chol;
-        let mt = qp.a_eq.len() + qp.a_in.len();
-        let mut yt = Matrix::zeros(mt, qp.num_vars());
-        for r in 0..mt {
-            for &(i, c) in qp.crow(r).entries() {
-                yt[(r, i)] += c;
+        let n = qp.num_vars();
+        let mut inv = Matrix::identity(n);
+        let mut pool = Workspace::new();
+        chol.solve_rows_in_place(inv.as_mut_slice(), n, 0, chol.nblocks(), &mut pool);
+        inv
+    }
+
+    /// The dense reference of a chain's free-set inverse: `H̃_FF⁻¹` over the
+    /// variables not in `fixed`, embedded with zeros at the fixed ones.
+    fn reduced_reference(qp: &BandedQp, fixed: &[bool]) -> Matrix {
+        let n = qp.num_vars();
+        let h = densify(&qp.h);
+        let free: Vec<usize> = (0..n).filter(|&k| !fixed[k]).collect();
+        let hff = Matrix::from_fn(free.len(), free.len(), |a, b| h[(free[a], free[b])]);
+        let inv = Lu::factor(&hff).unwrap().inverse().unwrap();
+        let mut out = Matrix::zeros(n, n);
+        for (a, &ka) in free.iter().enumerate() {
+            for (b, &kb) in free.iter().enumerate() {
+                out[(ka, kb)] = inv[(a, b)];
             }
         }
-        if mt > 0 {
-            let mut pool = Workspace::new();
-            chol.solve_rows_in_place(yt.as_mut_slice(), mt, 0, chol.nblocks(), &mut pool);
+        out
+    }
+
+    /// Entry `(ka, kb)` of the workspace's free-set inverses (zero across
+    /// chains).
+    fn held_inverse(qp: &BandedQp, ws: &BandedWorkspace, ka: usize, kb: usize) -> f64 {
+        let cache = qp.cache.as_ref().unwrap();
+        let j = cache.var_chain[ka];
+        if cache.var_chain[kb] != j {
+            return 0.0;
         }
-        let s = Matrix::from_fn(mt, mt, |r, q| qp.crow(q).dot(yt.row(r)));
-        (yt, s)
+        let (la, lb) = (cache.var_local[ka], cache.var_local[kb]);
+        assert_eq!(ws.inv[j].is_free(la), !ws.fixed[ka]);
+        ws.inv[j].get(la, lb)
+    }
+
+    /// Checks the workspace's free-set inverses, `tg` and working-set
+    /// factor against dense references for the variables it holds fixed:
+    /// the inverse entrywise, `tg = H̃_FF⁻¹(g + H̃_FB·x_B)` on free and
+    /// `−x_B` on fixed variables, and a factor solve against the reduced
+    /// Schur block `C_G·H̃_FF⁻¹·C_Gᵀ` in factor order.
+    fn assert_free_set_state(qp: &BandedQp, ws: &mut BandedWorkspace, x: &[f64], seed: &mut u64) {
+        let n = qp.num_vars();
+        let me = qp.a_eq.len();
+        let m = reduced_reference(qp, &ws.fixed);
+        let scale = 1.0 + m.norm_max();
+        for ka in 0..n {
+            for kb in 0..n {
+                let held = held_inverse(qp, ws, ka, kb);
+                assert!(
+                    (held - m[(ka, kb)]).abs() <= 1e-10 * scale,
+                    "M[{ka}, {kb}]: {held} vs {}",
+                    m[(ka, kb)]
+                );
+            }
+        }
+        let h = densify(&qp.h);
+        let q: Vec<f64> = (0..n)
+            .map(|i| {
+                qp.g[i]
+                    + (0..n)
+                        .filter(|&k| ws.fixed[k])
+                        .map(|k| h[(i, k)] * x[k])
+                        .sum::<f64>()
+            })
+            .collect();
+        for i in 0..n {
+            let expect = if ws.fixed[i] {
+                -x[i]
+            } else {
+                (0..n).map(|k| m[(i, k)] * q[k]).sum()
+            };
+            assert!(
+                (ws.tg[i] - expect).abs() <= 1e-9 * (1.0 + expect.abs()),
+                "tg[{i}]"
+            );
+        }
+        let mut cols: Vec<usize> = ws.chain_rows.iter().flatten().map(|&i| me + i).collect();
+        cols.extend(0..me);
+        let s = Matrix::from_fn(cols.len(), cols.len(), |r, c| {
+            let (a, b) = (qp.crow(cols[r]), qp.crow(cols[c]));
+            a.entries()
+                .iter()
+                .map(|&(i, ci)| {
+                    b.entries()
+                        .iter()
+                        .map(|&(k, ck)| ci * ck * m[(i, k)])
+                        .sum::<f64>()
+                })
+                .sum()
+        });
+        let rhs: Vec<f64> = cols.iter().map(|_| pseudo(seed)).collect();
+        let mut x = rhs.clone();
+        ws.factor.solve_in_place(&mut x);
+        let expect = Lu::factor(&s).unwrap().solve(&rhs).unwrap();
+        let scale = 1.0 + vec_ops::norm_inf(&expect);
+        for (r, (a, b)) in x.iter().zip(&expect).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-7 * scale,
+                "factor solve row {r}: {a} vs {b}"
+            );
+        }
+    }
+
+    /// A blocked build fixes the seeded bounds; incremental fixes and frees
+    /// afterwards keep the free-set inverse, `tg` and the general rows'
+    /// factor equal to dense references of the current free set, across
+    /// separate chains and a coupled Hessian.
+    #[test]
+    fn free_set_inverse_matches_dense_reference() {
+        let mut seed = 0xf1eeu64;
+        let separable = block_diagonal_problem(3, 4, 2, &mut seed);
+        let coupled = random_problem(3, 4, &mut seed);
+        for mut qp in [separable, coupled] {
+            qp.prepare().unwrap();
+            let n = qp.num_vars();
+            let x: Vec<f64> = (0..n).map(|_| 0.1 * pseudo(&mut seed)).collect();
+            let bounds: Vec<usize> = (0..qp.a_in.len())
+                .filter(|&i| qp.a_in[i].bound().is_some())
+                .collect();
+            let general: Vec<usize> = (0..qp.a_in.len())
+                .filter(|&i| qp.a_in[i].bound().is_none())
+                .collect();
+            // Seed: every third bound plus the first general row (if any).
+            let mut working: Vec<usize> = bounds.iter().step_by(5).copied().collect();
+            working.extend(general.first());
+            let mut ws = BandedWorkspace::new();
+            let mut ops = BandedOps {
+                qp: &qp,
+                ws: &mut ws,
+            };
+            ops.begin();
+            ops.ensure_factor(&x, &working).unwrap();
+            assert_eq!(ops.ws.refactorizations, 1);
+            assert_free_set_state(&qp, ops.ws, &x, &mut seed);
+            // Fix more bounds one at a time, then another general row.
+            let more: Vec<usize> = bounds
+                .iter()
+                .skip(1)
+                .step_by(4)
+                .filter(|i| !working.contains(i))
+                .copied()
+                .collect();
+            working.extend(more);
+            working.extend(general.get(1));
+            ops.ensure_factor(&x, &working).unwrap();
+            assert!(ops.ws.updates > 0);
+            assert_free_set_state(&qp, ops.ws, &x, &mut seed);
+            // Free some bounds (and drop a general row) from the middle.
+            for pos in [working.len() - 1, working.len() / 2, 1, 0] {
+                working.remove(pos);
+                ops.on_remove(pos);
+            }
+            assert_eq!(ops.ws.downdates, 4);
+            assert_free_set_state(&qp, ops.ws, &x, &mut seed);
+            assert_eq!(ops.ws.refactorizations, 1, "no rebuild was needed");
+        }
+    }
+
+    /// The refinement residual is taken from the step, `C_G·(t − Y_Gᵀλ)`
+    /// with `Y_G = H̃_FF⁻¹C_Gᵀ` applied by the chain sweeps; pin that it
+    /// equals the Schur-block form `srhs − S_G·λ` read from the dense
+    /// reduced reference, for an arbitrary (not converged) λ, with some
+    /// variables fixed.
+    #[test]
+    fn step_residual_matches_schur_residual() {
+        let mut seed = 0x7e51du64;
+        for &(nb, t) in &[(2usize, 3usize), (3, 4), (5, 6)] {
+            let mut banded = random_problem(nb, t, &mut seed);
+            banded.prepare().unwrap();
+            let n = banded.num_vars();
+            let me = banded.a_eq.len();
+            // Working set: a seeded subset of bounds; every equality is a
+            // general row.
+            let working: Vec<usize> = (0..banded.a_in.len()).filter(|i| i % 3 == 1).collect();
+            let mut ws = BandedWorkspace::new();
+            let mut ops = BandedOps {
+                qp: &banded,
+                ws: &mut ws,
+            };
+            ops.begin();
+            let x0 = centre(&banded);
+            ops.ensure_factor(&x0, &working).unwrap();
+            ops.ws.cols.clear();
+            ops.ws.cols.extend(0..me);
+            ops.flatten_cols();
+            let m = reduced_reference(&banded, &ops.ws.fixed);
+            let cols = ops.ws.cols.clone();
+            let tvec: Vec<f64> = (0..n).map(|_| 2.0 * pseudo(&mut seed)).collect();
+            let lam: Vec<f64> = (0..cols.len()).map(|_| pseudo(&mut seed)).collect();
+            let srhs: Vec<f64> = cols.iter().map(|&gr| banded.crow(gr).dot(&tvec)).collect();
+            let mut p = tvec.clone();
+            ops.sweep(&lam, &mut p);
+            let s = |a: usize, b: usize| -> f64 {
+                let (ra, rb) = (banded.crow(a), banded.crow(b));
+                ra.entries()
+                    .iter()
+                    .map(|&(i, ci)| {
+                        rb.entries()
+                            .iter()
+                            .map(|&(k, ck)| ci * ck * m[(i, k)])
+                            .sum::<f64>()
+                    })
+                    .sum()
+            };
+            let tol = 1e-10 * (1.0 + vec_ops::norm_inf(&srhs));
+            for (r, &gr) in cols.iter().enumerate() {
+                let from_step = banded.crow(gr).dot(&p);
+                let from_schur = srhs[r]
+                    - cols
+                        .iter()
+                        .zip(&lam)
+                        .map(|(&gq, &lq)| s(gr, gq) * lq)
+                        .sum::<f64>();
+                assert!(
+                    (from_step - from_schur).abs() <= tol,
+                    "nb={nb} t={t} row {gr}: {from_step} vs {from_schur}"
+                );
+            }
+            // Fixed variables keep their entry of t.
+            for k in (0..n).filter(|&k| ops.ws.fixed[k]) {
+                assert_eq!(p[k], tvec[k]);
+            }
+        }
     }
 
     /// Prepares `qp` and checks the cache against [`reference`]: each
-    /// stored `Y` row is the reference row over its exact nonzero span, and
-    /// every stored Schur entry equals the reference entry, both up to the
-    /// sign of zero; inequality pairs of different chains are exact zeros in
-    /// the reference; and the cache stores exactly the compact count.
+    /// chain's inverse row is the reference row over the chain, bitwise up
+    /// to the sign of zero, with exact zeros outside the variable's own run
+    /// of blocks and across chains; the chains partition the variables; the
+    /// bounds are the single-entry rows; each chain lists its equality
+    /// entries; and the cache stores one square per chain.
     fn assert_prepare_matches_reference(qp: &mut BandedQp) {
         qp.prepare().unwrap();
         let cache = qp.cache.as_ref().unwrap();
-        let (yt, s) = reference(qp);
-        let (me, mi) = (qp.a_eq.len(), qp.a_in.len());
-        let mut spans = 0;
-        for r in 0..me + mi {
-            let (lo, hi) = cache.y.span(r);
-            let full = yt.row(r);
-            assert_eq!((lo, hi), nonzero_span(full), "row {r}");
-            assert!(full[..lo].iter().chain(&full[hi..]).all(|&v| v == 0.0));
-            assert!(cache
-                .y
-                .row(r)
-                .iter()
-                .zip(&full[lo..hi])
-                .all(|(a, b)| a == b));
-            spans += hi - lo;
-        }
-        let eq = &cache.s.eq;
-        for e in 0..me {
-            for f in 0..=e {
-                assert!(eq[e * (e + 1) / 2 + f] == s[(e, f)], "S[{e}, {f}]");
-            }
-        }
-        let mut blocks = vec![0; cache.nchains];
-        for i in 0..mi {
-            let j = cache.chains[i];
-            blocks[j] += 1;
-            for e in 0..me {
-                assert!(
-                    cache.s.coupling(i, me)[e] == s[(me + i, e)],
-                    "S[in {i}, {e}]"
-                );
-            }
-            for q in 0..mi {
-                let full = s[(me + i, me + q)];
-                if cache.chains[q] == j {
-                    assert!(cache.s.pair(j, i, q) == full, "S[in {i}, in {q}]");
-                } else {
-                    assert!(full == 0.0, "S[in {i}, in {q}] crosses chains");
+        let inv = reference(qp);
+        let n = qp.num_vars();
+        let nb = qp.h.nb();
+        // The run of blocks of each variable.
+        let run_of = |k: usize| {
+            (1..=k / nb)
+                .filter(|&t| qp.h.sub(t - 1).iter().all(|&v| v == 0.0))
+                .count()
+        };
+        let mut seen = vec![false; n];
+        for (j, chain) in cache.chains.iter().enumerate() {
+            for (l, &k) in chain.vars.iter().enumerate() {
+                assert!(!seen[k], "variable {k} in two chains");
+                seen[k] = true;
+                assert_eq!((cache.var_chain[k], cache.var_local[k]), (j, l));
+                let dim = chain.vars.len();
+                for (lb, &kb) in chain.vars.iter().enumerate() {
+                    let full = inv[(k, kb)];
+                    assert!(chain.inv[l * dim + lb] == full, "M[{k}, {kb}]");
+                    if run_of(k) != run_of(kb) {
+                        assert!(full == 0.0, "M[{k}, {kb}] outside its run");
+                    }
+                }
+                for kb in (0..n).filter(|&kb| cache.var_chain[kb] != j) {
+                    assert!(inv[(k, kb)] == 0.0, "M[{k}, {kb}] crosses chains");
                 }
             }
+            let mut eq: Vec<(usize, usize, f64)> = Vec::new();
+            for (e, row) in qp.a_eq.iter().enumerate() {
+                for &(k, c) in row.entries() {
+                    if cache.var_chain[k] == j {
+                        eq.push((e, cache.var_local[k], c));
+                    }
+                }
+            }
+            assert_eq!(chain.eq, eq);
+            assert!(chain.vars.windows(2).all(|w| w[0] < w[1]));
         }
-        let compact =
-            spans + mi * me + blocks.iter().map(|b| b * b).sum::<usize>() + me * (me + 1) / 2;
-        assert_eq!(cache.y.stored() + cache.s.stored(), compact);
+        assert!(seen.iter().all(|&s| s));
+        for (row, &b) in qp.a_in.iter().zip(&cache.bound) {
+            let single = row.entries().len() == 1 && row.entries()[0].1 != 0.0;
+            assert_eq!(b.is_some(), single, "{row:?}");
+        }
+        let squares: usize = cache.chains.iter().map(|c| c.vars.len().pow(2)).sum();
+        assert_eq!(
+            cache.chains.iter().map(|c| c.inv.len()).sum::<usize>(),
+            squares
+        );
     }
 
     #[test]
@@ -1649,27 +2481,30 @@ mod tests {
         let (nb, groups, len) = (3, 4, 3);
         let separable = block_diagonal_problem(nb, groups, len, &mut seed);
         assert_prepare_matches_reference(&mut separable.clone());
-        // A row spanning groups 0 and 2 merges them into one chain whose
-        // block range covers group 1 too.
+        // A row spanning groups 0 and 2 merges them into one chain of two
+        // runs; group 1 keeps its own.
         let chain = nb * len;
         let mut merged = separable.clone().inequality(
             SparseRow::from_entries(vec![(1, 1.0), (2 * chain, 1.0)]),
             1.0,
         );
         assert_prepare_matches_reference(&mut merged);
+        let vars = &merged.cache.as_ref().unwrap().chains[0].vars;
+        assert_eq!(vars.len(), 2 * chain, "two runs");
+        assert_eq!(vars[chain], 2 * chain, "the second run is group 2");
         // A coupled Hessian is one chain.
         assert_prepare_matches_reference(&mut random_problem(3, 4, &mut seed));
-        // No inequalities: only the equalities' sweep and triangle.
+        // No inequalities: only the chains and their equality entries.
         let mut equalities = BandedQp::new(separable.h.clone(), separable.g.clone()).unwrap();
         for (row, &b) in separable.a_eq.iter().zip(&separable.b_eq) {
             equalities = equalities.equality(row.clone(), b);
         }
         assert_prepare_matches_reference(&mut equalities);
-        // An empty inequality row joins chain 0 with an empty span.
+        // An empty inequality row joins chain 0 and is no bound.
         let mut empty = separable.inequality(SparseRow::new(), 1.0);
         assert_prepare_matches_reference(&mut empty);
         let cache = empty.cache.as_ref().unwrap();
-        assert_eq!(cache.y.span(cache.y.rows() - 1), (0, 0));
+        assert_eq!(*cache.row_chain.last().unwrap(), 0);
     }
 
     #[test]
@@ -1680,35 +2515,55 @@ mod tests {
         let mut qp = block_diagonal_problem(nb, groups, len, &mut seed);
         assert_prepare_matches_reference(&mut qp);
         let me = qp.a_eq.len();
-        let cache = qp.cache.as_ref().unwrap();
         let n = qp.num_vars();
-        let mt = cache.y.rows();
-        for r in 0..mt {
-            let (lo, hi) = cache.y.span(r);
-            assert!(lo < hi, "row {r} has an empty span");
-            if r < me {
-                // Coupling rows reach every chain.
-                assert_eq!((lo, hi), (0, n), "row {r}");
-            } else {
-                // A chain-local row stays inside its chain.
-                let g = qp.crow(r).entries()[0].0 / chain;
-                assert!(g * chain <= lo && hi <= (g + 1) * chain, "row {r}");
+        {
+            let cache = qp.cache.as_ref().unwrap();
+            // One chain per group, each contiguous, each row spanning its
+            // own chain only.
+            assert_eq!(cache.chains.len(), groups);
+            for (g, c) in cache.chains.iter().enumerate() {
+                assert_eq!(c.vars, (g * chain..(g + 1) * chain).collect::<Vec<_>>());
+            }
+            // A chain-local general row stays inside its chain.
+            for (i, row) in qp.a_in.iter().enumerate() {
+                let g = row.entries()[0].0 / chain;
+                assert_eq!(cache.row_chain[i], g, "row {i}");
             }
         }
-        // The span sweep equals the full-row sweep up to the sign of zero.
-        let (yt, _) = reference(&qp);
-        let mut full_rows = SpanRows::new(mt, n);
-        for r in 0..mt {
-            full_rows.set_row(r, 0, yt.row(r));
-        }
-        let cols: Vec<usize> = (0..mt).filter(|r| r % 5 != 2).collect();
+        // The chain sweeps equal a dense sweep with the full-width
+        // reference when nothing is fixed.
+        let inv = reference(&qp);
+        let mut ws = BandedWorkspace::new();
+        let mut ops = BandedOps {
+            qp: &qp,
+            ws: &mut ws,
+        };
+        ops.begin();
+        ops.ensure_factor(&centre(&qp), &[]).unwrap();
+        ops.ws.cols.clear();
+        ops.ws
+            .cols
+            .extend((0..me).chain((0..groups).map(|g| me + g)));
+        ops.flatten_cols();
+        let cols = ops.ws.cols.clone();
         let lam: Vec<f64> = cols.iter().map(|_| pseudo(&mut seed)).collect();
         let t0: Vec<f64> = (0..n).map(|_| pseudo(&mut seed)).collect();
-        let (mut spanned, mut swept) = (t0.clone(), t0);
-        simd::axpy_rows(-1.0, &cache.y, &cols, &lam, &mut spanned);
-        simd::axpy_rows(-1.0, &full_rows, &cols, &lam, &mut swept);
-        assert!(spanned.iter().zip(&swept).all(|(a, b)| a == b));
-        // And the solve through the spans satisfies the KKT certificate.
+        let mut swept = t0.clone();
+        ops.sweep(&lam, &mut swept);
+        let mut z = vec![0.0; n];
+        for (&gr, &l) in cols.iter().zip(&lam) {
+            for &(k, c) in qp.crow(gr).entries() {
+                z[k] += c * l;
+            }
+        }
+        for i in 0..n {
+            let dense = t0[i] - (0..n).map(|k| inv[(i, k)] * z[k]).sum::<f64>();
+            assert!(
+                (swept[i] - dense).abs() <= 1e-12 * (1.0 + dense.abs()),
+                "p[{i}]"
+            );
+        }
+        // And the solve satisfies the KKT certificate.
         let sol = cold_solve(&mut qp, &mut BandedWorkspace::new());
         assert!(!sol.active_set().is_empty());
         assert_kkt(&qp, &sol);
@@ -1721,15 +2576,17 @@ mod tests {
         assert_prepare_matches_reference(&mut qp);
         let cache = qp.cache.as_ref().unwrap();
         let n = qp.num_vars();
-        let mt = cache.y.rows();
-        assert!((0..mt).all(|r| cache.y.span(r) == (0, n)));
-        let cols: Vec<usize> = (0..mt).collect();
-        let lam: Vec<f64> = cols.iter().map(|_| pseudo(&mut seed)).collect();
+        assert_eq!(cache.chains.len(), 1);
+        let chain = &cache.chains[0];
+        assert_eq!(chain.vars, (0..n).collect::<Vec<_>>());
+        // The fused sweep over the inverse's rows equals one axpy per row.
+        let rows: Vec<usize> = (0..n).collect();
+        let coeffs: Vec<f64> = rows.iter().map(|_| pseudo(&mut seed)).collect();
         let mut p = vec![0.5; n];
-        simd::axpy_rows(-1.0, &cache.y, &cols, &lam, &mut p);
+        simd::axpy_rows(-1.0, &chain.inv, n, &rows, &coeffs, &mut p);
         let mut by_row = vec![0.5; n];
-        for (&r, &l) in cols.iter().zip(&lam) {
-            simd::axpy_rows(-1.0, &cache.y, &[r], &[l], &mut by_row);
+        for (&r, &c) in rows.iter().zip(&coeffs) {
+            simd::axpy_rows(-1.0, &chain.inv, n, &[r], &[c], &mut by_row);
         }
         assert_eq!(p, by_row);
         let sol = cold_solve(&mut qp, &mut BandedWorkspace::new());
@@ -1750,7 +2607,7 @@ mod tests {
         for (row, &c) in qp.a_in.iter().zip(chains) {
             assert_eq!(c, row.entries()[0].0 / chain);
         }
-        assert_eq!(qp.cache.as_ref().unwrap().nchains, groups);
+        assert_eq!(qp.cache.as_ref().unwrap().chains.len(), groups);
         // A row spanning groups 0 and 2 merges them; group 1 keeps its own.
         let mut merged = separable.inequality(
             SparseRow::from_entries(vec![(1, 1.0), (2 * chain, 1.0)]),
@@ -1762,12 +2619,15 @@ mod tests {
             let group = row.entries()[0].0 / chain;
             assert_eq!(c, usize::from(group == 1), "row {row:?}");
         }
-        assert_eq!(merged.cache.as_ref().unwrap().nchains, 2);
+        assert_eq!(merged.cache.as_ref().unwrap().chains.len(), 2);
+        // The merged chain still solves to the KKT certificate.
+        let sol = cold_solve(&mut merged, &mut BandedWorkspace::new());
+        assert_kkt(&merged, &sol);
         // A coupled Hessian is one chain.
         let mut coupled = random_problem(3, 4, &mut seed);
         coupled.prepare().unwrap();
         assert!(coupled.inequality_chains().unwrap().iter().all(|&c| c == 0));
-        assert_eq!(coupled.cache.as_ref().unwrap().nchains, 1);
+        assert_eq!(coupled.cache.as_ref().unwrap().chains.len(), 1);
     }
 
     /// The per-chain working-set factor against the same problem posed as
@@ -1791,6 +2651,207 @@ mod tests {
                 dense_sol.objective()
             );
         }
+    }
+
+    /// The multipliers the KKT step reports at a returned optimum — the
+    /// general rows' from the Schur factor, the bounds' from the reduced
+    /// gradient — equal the LU solution of the dense KKT system at the
+    /// returned active set, bounds included.
+    #[test]
+    fn bound_multipliers_match_the_lu_certificate() {
+        let mut seed = 0xb0a7du64;
+        let mut bounds_checked = 0;
+        let problems = [
+            random_problem(3, 4, &mut seed),
+            block_diagonal_problem(3, 4, 3, &mut seed),
+            block_diagonal_problem(2, 3, 2, &mut seed),
+        ];
+        for mut qp in problems {
+            let sol = cold_solve(&mut qp, &mut BandedWorkspace::new());
+            assert_kkt(&qp, &sol);
+            let n = qp.num_vars();
+            let me = qp.a_eq.len();
+            let w = sol.active_set();
+            // The dense KKT system at W, as in `assert_kkt`.
+            let dim = n + me + w.len();
+            let h = densify(&qp.h);
+            let mut kkt = Matrix::zeros(dim, dim);
+            let mut rhs = vec![0.0; dim];
+            for i in 0..n {
+                for j in 0..n {
+                    kkt[(i, j)] = h[(i, j)];
+                }
+                rhs[i] = -qp.g[i];
+            }
+            let rows = qp
+                .a_eq
+                .iter()
+                .zip(&qp.b_eq)
+                .chain(w.iter().map(|&i| (&qp.a_in[i], &qp.b_in[i])));
+            for (r, (crow, &b)) in rows.enumerate() {
+                for &(i, c) in crow.entries() {
+                    kkt[(n + r, i)] += c;
+                    kkt[(i, n + r)] += c;
+                }
+                rhs[n + r] = b;
+            }
+            let z = Lu::factor(&kkt).unwrap().solve(&rhs).unwrap();
+            let mut ws = BandedWorkspace::new();
+            let mut ops = BandedOps {
+                qp: &qp,
+                ws: &mut ws,
+            };
+            ops.begin();
+            let mut step = Vec::new();
+            ops.kkt_step(sol.x(), w, &mut step).unwrap();
+            ops.bound_multipliers(sol.x(), w, &mut step);
+            let scale = 1.0 + vec_ops::norm_inf(&z);
+            assert!(
+                vec_ops::norm_inf(&step[..n]) <= 1e-8 * scale,
+                "not stationary"
+            );
+            for (r, (&lu, &ours)) in z[n..].iter().zip(&step[n..]).enumerate() {
+                assert!(
+                    (lu - ours).abs() <= 1e-7 * scale,
+                    "multiplier {r}: LU {lu} vs {ours}"
+                );
+            }
+            bounds_checked += w.iter().filter(|&&i| qp.a_in[i].bound().is_some()).count();
+        }
+        assert!(bounds_checked > 0, "no bound was active");
+    }
+
+    /// A battery outage pins a variable with `lower == upper`: both bound
+    /// rows are tight at every feasible point. The solve keeps at most one
+    /// of them in its working set; seeding both makes the second a
+    /// dependent fix, popped, and the optimum is unchanged.
+    #[test]
+    fn outage_pins_a_variable_between_equal_bounds() {
+        let mut seed = 0x0a7a6eu64;
+        let h = random_h(2, 3, &mut seed);
+        let n = 6;
+        let g: Vec<f64> = (0..n).map(|_| 4.0 * pseudo(&mut seed)).collect();
+        let mut qp = BandedQp::new(h, g)
+            .unwrap()
+            .equality(row(&[0.0, 1.0, 1.0, 0.0, 0.0, 1.0]), 0.05)
+            .inequality(SparseRow::from_entries(vec![(0, 1.0)]), 0.0)
+            .inequality(SparseRow::from_entries(vec![(0, -1.0)]), 0.0);
+        for i in 1..n {
+            qp = qp
+                .inequality(SparseRow::from_entries(vec![(i, 1.0)]), 0.1)
+                .inequality(SparseRow::from_entries(vec![(i, -1.0)]), 0.1);
+        }
+        let x0 = [0.0, 0.05 / 3.0, 0.05 / 3.0, 0.0, 0.0, 0.05 / 3.0];
+        let cold = qp
+            .warm_start(&x0, &[], &mut BandedWorkspace::new())
+            .unwrap();
+        assert_eq!(cold.x()[0], 0.0);
+        let pinned = cold.active_set().iter().filter(|&&i| i < 2).count();
+        assert_eq!(pinned, 1, "active set {:?}", cold.active_set());
+        assert_kkt(&qp, &cold);
+        let mut seeded = vec![0, 1];
+        seeded.extend(cold.active_set().iter().filter(|&&i| i >= 2));
+        let warm = qp
+            .warm_start(cold.x(), &seeded, &mut BandedWorkspace::new())
+            .unwrap();
+        assert!(warm.stats().degenerate_pops >= 1, "{:?}", warm.stats());
+        assert!((warm.objective() - cold.objective()).abs() <= 1e-10);
+        assert_eq!(warm.x()[0], 0.0);
+        assert_kkt(&qp, &warm);
+    }
+
+    /// A conservation row whose every variable sits at its bound: with
+    /// `x₀ + x₁ + x₂ = 0` and `x ≥ 0` the only feasible point has them at
+    /// zero, and fixing the last of the three would leave the row no free
+    /// part. That fix fails like a dependent row (a degenerate pop), and
+    /// the solve ends with two of the bounds and the row working. A fourth
+    /// variable outside the row stays free.
+    #[test]
+    fn conservation_row_with_every_variable_at_its_bound() {
+        let mut qp = one_block(
+            &[
+                &[2.0, 0.5, 0.0, 0.1],
+                &[0.5, 2.0, 0.5, 0.0],
+                &[0.0, 0.5, 2.0, 0.2],
+                &[0.1, 0.0, 0.2, 1.0],
+            ],
+            vec![3.0, 2.0, 1.0, -1.0],
+        )
+        .equality(row(&[1.0, 1.0, 1.0, 0.0]), 0.0)
+        .inequality(row(&[-1.0, 0.0, 0.0, 0.0]), 0.0)
+        .inequality(row(&[0.0, -1.0, 0.0, 0.0]), 0.0)
+        .inequality(row(&[0.0, 0.0, -1.0, 0.0]), 0.0);
+        for seed in [vec![], vec![0, 1, 2], vec![2, 0, 1]] {
+            let sol = qp
+                .warm_start(&[0.0; 4], &seed, &mut BandedWorkspace::new())
+                .unwrap();
+            assert!(
+                sol.x()[..3].iter().all(|&v| v.abs() <= 1e-12),
+                "{:?}",
+                sol.x()
+            );
+            assert_near(sol.x()[3], 1.0);
+            assert_eq!(sol.active_set().len(), 2, "seed {seed:?}");
+            assert_kkt(&qp, &sol);
+            if seed.len() == 3 {
+                assert!(sol.stats().degenerate_pops >= 1, "{:?}", sol.stats());
+            }
+        }
+    }
+
+    /// The solve's timed parts stay zero unless a trace recorder is bound
+    /// on the solving thread; bound, they are positive and sum to at most
+    /// the solve's own wall time.
+    #[test]
+    fn solve_parts_are_timed_only_under_a_recorder() {
+        let mut seed = 0x71de5u64;
+        let mut qp = block_diagonal_problem(3, 4, 3, &mut seed);
+        let untimed = cold_solve(&mut qp, &mut BandedWorkspace::new());
+        let stats = untimed.stats();
+        assert_eq!(
+            (
+                stats.update_ns,
+                stats.factor_solve_ns,
+                stats.sweep_ns,
+                stats.ratio_test_ns
+            ),
+            (0, 0, 0, 0)
+        );
+        idc_obs::bind_thread_recorder(Some(std::sync::Arc::new(idc_obs::FlightRecorder::new(16))));
+        let start = std::time::Instant::now();
+        let timed = cold_solve(&mut qp, &mut BandedWorkspace::new());
+        let wall = start.elapsed().as_nanos() as u64;
+        idc_obs::bind_thread_recorder(None);
+        let stats = timed.stats();
+        assert!(
+            stats.update_ns > 0 && stats.factor_solve_ns > 0,
+            "{stats:?}"
+        );
+        assert!(stats.sweep_ns > 0 && stats.ratio_test_ns > 0, "{stats:?}");
+        assert!(
+            stats.parts_ns() <= wall,
+            "{} ns of parts in {wall} ns",
+            stats.parts_ns()
+        );
+        // Timing never feeds back into the solve.
+        assert_eq!(timed.x(), untimed.x());
+        assert_eq!(timed.active_set(), untimed.active_set());
+    }
+
+    /// The iteration budget counts every inequality, bounds included.
+    #[test]
+    fn iteration_budget_counts_bound_rows() {
+        let mut seed = 0xb0d6e7u64;
+        let mut qp = block_diagonal_problem(4, 8, 4, &mut seed);
+        qp.prepare().unwrap();
+        let (n, me, mi) = (qp.num_vars(), qp.a_eq.len(), qp.a_in.len());
+        let bounds = qp.a_in.iter().filter(|r| r.bound().is_some()).count();
+        assert_eq!(bounds, n);
+        assert_eq!(qp.iteration_budget(), 4 * (n + mi + me));
+        assert!(
+            4 * (n + mi - bounds + me) > 500,
+            "the budget exceeds its floor either way"
+        );
     }
 
     #[test]

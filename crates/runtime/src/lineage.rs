@@ -9,11 +9,14 @@
 //! compaction can never leave the lineage without its newest restorable
 //! state, whatever instant the process is killed at.
 //!
-//! A lineage is plain data (a directory and a retention count) and
-//! `record` takes `&self`, so the tenant manager's checkpoint writer
-//! threads share it with the worker that hosts the tenant. Each tenant's
-//! records run on one writer, one at a time and in step order, so the
-//! compaction scan never races another record into the same directory.
+//! [`open`](CheckpointLineage::open) scans the directory once; after that
+//! the lineage keeps its retained steps in memory, so
+//! [`record`](CheckpointLineage::record) compacts by deleting the oldest
+//! steps past `keep_last` without listing the directory again. `record`
+//! takes `&self`, so the tenant manager's checkpoint writer threads share
+//! the lineage with the worker that hosts the tenant. Each tenant's
+//! records run on one writer, one at a time and in step order, so the lock
+//! around the retained steps is never contended.
 //!
 //! [`open`](CheckpointLineage::open) garbage-collects the wreckage of a
 //! kill: `.tmp` partials (a rename that never happened) are removed, and
@@ -21,8 +24,11 @@
 //! [`latest_restorable`](CheckpointLineage::latest_restorable) therefore
 //! only ever resumes from a snapshot that parses and validates.
 
+use std::collections::VecDeque;
 use std::fs;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 use crate::snapshot::{sync_parent_dir, RuntimeSnapshot};
 use crate::Result;
@@ -31,10 +37,14 @@ use crate::Result;
 const STEP_WIDTH: usize = 20;
 
 /// A tenant's checkpoint directory with keep-last-K retention.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CheckpointLineage {
     dir: PathBuf,
     keep_last: usize,
+    /// The steps on disk, ascending: scanned once by `open`, then kept
+    /// current by `record` and by the garbage collection of
+    /// `latest_restorable`.
+    retained: Mutex<VecDeque<u64>>,
 }
 
 /// Parses the step out of a `ckpt-<step>.json` file name.
@@ -60,8 +70,10 @@ impl CheckpointLineage {
         let lineage = CheckpointLineage {
             dir: dir.into(),
             keep_last: keep_last.max(1),
+            retained: Mutex::new(VecDeque::new()),
         };
         fs::create_dir_all(&lineage.dir)?;
+        let mut retained = VecDeque::new();
         for (step, path) in lineage.scan()? {
             if RuntimeSnapshot::read(&path).is_err() {
                 eprintln!(
@@ -70,9 +82,18 @@ impl CheckpointLineage {
                 );
                 idc_obs::record_anomaly("checkpoint_gc", step, &[]);
                 fs::remove_file(&path)?;
+            } else {
+                retained.push_back(step);
             }
         }
+        *lineage.retained() = retained;
         Ok(lineage)
+    }
+
+    /// The retained steps. A panic while the lock was held leaves them
+    /// as they were, so a poisoned lock is taken over.
+    fn retained(&self) -> std::sync::MutexGuard<'_, VecDeque<u64>> {
+        self.retained.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The lineage directory.
@@ -119,8 +140,9 @@ impl CheckpointLineage {
     }
 
     /// Writes `snapshot` as this lineage's checkpoint for its own step
-    /// cursor, then compacts to the newest `keep_last`. Returns the
-    /// written path.
+    /// cursor, then compacts to the newest `keep_last`: the oldest
+    /// retained steps are deleted by name, with no directory listing.
+    /// Returns the written path.
     ///
     /// The order is deliberate — durable write first, deletions second —
     /// so a kill at any instant leaves either the old retention set or
@@ -132,12 +154,26 @@ impl CheckpointLineage {
     ///
     /// Propagates snapshot serialization and filesystem failures.
     pub fn record(&self, snapshot: &RuntimeSnapshot) -> Result<PathBuf> {
-        let path = self.path_for(snapshot.step);
+        let step = snapshot.step;
+        let path = self.path_for(step);
         snapshot.write_atomic(&path)?;
-        let found = self.scan()?;
-        if found.len() > self.keep_last {
-            for (_, stale) in &found[..found.len() - self.keep_last] {
-                fs::remove_file(stale)?;
+        let mut retained = self.retained();
+        match retained.back() {
+            Some(&last) if last >= step => {
+                if let Err(at) = retained.binary_search(&step) {
+                    retained.insert(at, step);
+                }
+            }
+            _ => retained.push_back(step),
+        }
+        if retained.len() > self.keep_last {
+            while retained.len() > self.keep_last {
+                let stale = retained.pop_front().expect("more than keep_last");
+                match fs::remove_file(self.path_for(stale)) {
+                    // Already gone: collected as corrupt, or removed by hand.
+                    Err(err) if err.kind() == ErrorKind::NotFound => {}
+                    other => other?,
+                }
             }
             sync_parent_dir(&path)?;
         }
@@ -163,6 +199,7 @@ impl CheckpointLineage {
                     );
                     idc_obs::record_anomaly("checkpoint_gc", step, &[]);
                     fs::remove_file(&path)?;
+                    self.retained().retain(|&s| s != step);
                 }
             }
         }
@@ -203,6 +240,33 @@ mod tests {
         let (step, newest) = lineage.latest_restorable().unwrap().unwrap();
         assert_eq!(step, 5);
         assert_eq!(&newest, snaps.last().unwrap());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `open` takes over a directory that already holds more than
+    /// `keep_last` checkpoints plus a torn `.tmp`; the next records compact
+    /// from the retained steps it scanned, down to the newest `keep_last`.
+    #[test]
+    fn record_compacts_a_reopened_lineage_from_its_scan() {
+        let dir = tmpdir("reopen");
+        let snaps = snapshots(7);
+        {
+            let wide = CheckpointLineage::open(&dir, 10).unwrap();
+            for snap in &snaps[..5] {
+                wide.record(snap).unwrap();
+            }
+        }
+        fs::write(dir.join("ckpt-00000000000000000009.tmp"), b"{\"torn\":").unwrap();
+        let lineage = CheckpointLineage::open(&dir, 2).unwrap();
+        assert!(!dir.join("ckpt-00000000000000000009.tmp").exists());
+        assert_eq!(lineage.steps().unwrap(), vec![0, 1, 2, 3, 4]);
+        lineage.record(&snaps[5]).unwrap();
+        assert_eq!(lineage.steps().unwrap(), vec![4, 5]);
+        lineage.record(&snaps[6]).unwrap();
+        assert_eq!(lineage.steps().unwrap(), vec![5, 6]);
+        assert_eq!(*lineage.retained(), [5, 6]);
+        let (step, newest) = lineage.latest_restorable().unwrap().unwrap();
+        assert_eq!((step, &newest), (6, &snaps[6]));
         fs::remove_dir_all(&dir).unwrap();
     }
 
