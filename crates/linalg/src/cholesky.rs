@@ -5,7 +5,6 @@
 //! Cholesky, which is roughly twice as fast as LU and certifies definiteness
 //! as a side effect.
 
-use crate::gemm::gemm_ws;
 use crate::simd::{dispatch, Kernels};
 use crate::workspace::Workspace;
 use crate::{Error, Matrix, Result};
@@ -123,7 +122,7 @@ impl Cholesky {
 /// O((n−k)²) row removal.
 ///
 /// Refactoring from scratch is O(n³); this type instead maintains the
-/// packed lower factor `L` of a matrix `A = L·Lᵀ` under single row/column
+/// lower factor `L` of a matrix `A = L·Lᵀ` under single row/column
 /// appends (one triangular solve), end truncations (free), interior
 /// removals (a Givens-style rank-1 update of the trailing block), and
 /// rank-1 updates `A ± v·vᵀ`. It is the building block of
@@ -131,16 +130,26 @@ impl Cholesky {
 /// `UpdatableCholesky` per independent chain of working rows, plus one for
 /// the equality rows that couple them.
 ///
-/// Storage is a packed row-major lower triangle (`row i` occupies
-/// `i·(i+1)/2 .. i·(i+1)/2 + i + 1`), so no O(n²) dense buffer is touched on
-/// append, and both triangular solves stream contiguous packed rows: the
-/// forward solve as row dots, the backward solve as a row sweep
-/// `x[..i] −= xᵢ·L[i, ..i]`. Both run on the [`simd`](crate::simd) dot/axpy
-/// kernels, with the AVX2 or portable path picked once per solve.
+/// Storage is a packed column-major lower triangle with a capacity `cap`:
+/// column `j` keeps `cap − j` slots, its diagonal first, so `L[i, j]`
+/// (`i ≥ j`) lives at `j·cap − j(j+1)/2 + i` and the slots past the current
+/// dimension are unused. Each column below its diagonal is therefore
+/// contiguous, and that is the axis every O(n²) kernel walks: a rank-1
+/// change's rotations sweep one column at a time against a contiguous
+/// carry vector, the forward solve runs as column axpys
+/// `x[j+1..] −= xⱼ·L[j+1.., j]` and the backward solve as column dots. An
+/// append writes one strided row; the capacity doubles when it is reached,
+/// so appends stay amortized O(n²), and a factor that never grows (the
+/// arrowhead tail) is held without slack. Every kernel runs on the
+/// [`simd`](crate::simd) paths, picked once per call, and the rotation
+/// sweeps round bitwise alike on both.
 #[derive(Debug, Clone, Default)]
 pub struct UpdatableCholesky {
     n: usize,
-    /// Packed row-major lower-triangular factor.
+    /// The largest dimension held without regrowing.
+    cap: usize,
+    /// Packed column-major lower triangle of `L`, `cap·(cap+1)/2` slots
+    /// (see [`col_base`]).
     l: Vec<f64>,
     /// Reciprocals of the diagonal of `L`, so the triangular solves'
     /// serial chains multiply instead of divide.
@@ -160,7 +169,6 @@ impl UpdatableCholesky {
     /// Resets to the empty factor, keeping allocations.
     pub fn clear(&mut self) {
         self.n = 0;
-        self.l.clear();
         self.inv.clear();
     }
 
@@ -169,16 +177,36 @@ impl UpdatableCholesky {
         self.n
     }
 
-    /// Row `i` of `L` up to and including the diagonal.
-    fn row(&self, i: usize) -> &[f64] {
-        &self.l[i * (i + 1) / 2..][..=i]
+    /// Diagonal entry `L[i, i]`.
+    fn diag(&self, i: usize) -> f64 {
+        self.l[col_base(self.cap, i) + i]
+    }
+
+    /// Grows the capacity to hold dimension `need`, moving the held
+    /// columns.
+    fn reserve(&mut self, need: usize) {
+        if need <= self.cap {
+            return;
+        }
+        let (old, n) = (self.cap, self.n);
+        let cap = need.max(2 * old);
+        let mut l = vec![0.0; cap * (cap + 1) / 2];
+        for j in 0..n {
+            let (to, from) = (col_base(cap, j), col_base(old, j));
+            l[to + j..to + n].copy_from_slice(&self.l[from + j..from + n]);
+        }
+        self.l = l;
+        self.cap = cap;
     }
 
     /// Recomputes the diagonal reciprocals from row `from` on.
     fn refresh_inv(&mut self, from: usize) {
         self.inv.truncate(from);
         for i in from..self.n {
-            self.inv.push(1.0 / self.l[i * (i + 1) / 2 + i]);
+            self.inv.push(self.diag(i));
+        }
+        for d in &mut self.inv[from..] {
+            *d = 1.0 / *d;
         }
     }
 
@@ -207,19 +235,27 @@ impl UpdatableCholesky {
     fn append_scaled(&mut self, col: &[f64], scale: f64) -> Result<()> {
         let n = self.n;
         assert_eq!(col.len(), n + 1, "append column has wrong length");
-        self.w.clear();
-        self.w.extend_from_slice(&col[..n]);
-        forward_packed(&self.l, &self.inv, &mut self.w);
-        let d2 = col[n] - self.w.iter().map(|v| v * v).sum::<f64>();
-        if d2 <= 0.0 || d2 <= 1e-12 * scale.abs() {
-            return Err(Error::NotPositiveDefinite);
-        }
-        let d = d2.sqrt();
-        self.l.extend_from_slice(&self.w);
-        self.l.push(d);
-        self.inv.push(1.0 / d);
-        self.n += 1;
-        Ok(())
+        let mut w = std::mem::take(&mut self.w);
+        w.clear();
+        w.extend_from_slice(&col[..n]);
+        forward_cols(self, &mut w);
+        let d2 = col[n] - w.iter().map(|v| v * v).sum::<f64>();
+        let result = if d2 <= 0.0 || d2 <= 1e-12 * scale.abs() {
+            Err(Error::NotPositiveDefinite)
+        } else {
+            let d = d2.sqrt();
+            self.reserve(n + 1);
+            let cap = self.cap;
+            for (j, &wj) in w.iter().enumerate() {
+                self.l[col_base(cap, j) + n] = wj;
+            }
+            self.l[col_base(cap, n) + n] = d;
+            self.inv.push(1.0 / d);
+            self.n += 1;
+            Ok(())
+        };
+        self.w = w;
+        result
     }
 
     /// Appends `k` symmetric rows/columns in one blocked operation.
@@ -230,11 +266,12 @@ impl UpdatableCholesky {
     /// length `k·n + k·(k+1)/2`, i.e. exactly what `k` successive `append`
     /// calls would consume.
     ///
-    /// The off-diagonal factor block `L21` comes from `k` triangular solves
-    /// against the existing factor, the k×k Schur complement
-    /// `S22 − L21·L21ᵀ` is downdated through the packed GEMM microkernel,
-    /// and its own Cholesky factor is built in scratch. Diagonal pivots must
-    /// pass the same relative positivity test as [`append`](Self::append).
+    /// The off-diagonal factor block `L21 = F·L11⁻ᵀ` comes from forward
+    /// substitution over its `n` columns (each of height `k`, in scratch
+    /// from `ws`), the k×k Schur complement `S22 − L21·L21ᵀ` is assembled in
+    /// place as one column axpy per entry of `L21`, and factored there by
+    /// right-looking column sweeps. Diagonal pivots must pass the same
+    /// relative positivity test as [`append`](Self::append).
     ///
     /// # Errors
     ///
@@ -259,55 +296,39 @@ impl UpdatableCholesky {
         if k == 1 {
             return self.append(cols);
         }
-        // L21 rows: solve L11·w = colsⱼ[..n] against the packed factor.
-        let mut b = ws.take(k * n);
+        let row = |j: usize| &cols[j * n + j * (j + 1) / 2..][..n + j + 1];
+        // L21, one column of height k per existing row.
+        let mut l21 = ws.take(k * n);
         for j in 0..k {
-            let off = j * n + j * (j + 1) / 2;
-            let row = &mut b[j * n..(j + 1) * n];
-            row.copy_from_slice(&cols[off..off + n]);
-            forward_packed(&self.l, &self.inv, row);
-        }
-        // Schur complement S22 − L21·L21ᵀ via GEMM (upper triangle of the
-        // scratch is written by GEMM but never read below).
-        let mut s22 = ws.take(k * k);
-        for j in 0..k {
-            let off = j * n + j * (j + 1) / 2;
-            for i in 0..=j {
-                s22[j * k + i] = cols[off + n + i];
+            for (c, &f) in row(j)[..n].iter().enumerate() {
+                l21[c * k + j] = f;
             }
         }
-        let mut bt = ws.take(n * k);
+        couple_cols(self, &mut l21, k, 0);
+        // S22 − L21·L21ᵀ in its place in L, factored there; the new rows
+        // become part of the factor only once every pivot has passed.
+        self.reserve(n + k);
+        let cap = self.cap;
+        let mut scale = ws.take(k);
         for j in 0..k {
-            for i in 0..n {
-                bt[i * k + j] = b[j * n + i];
+            let a = row(j);
+            for (i, &s) in a[n..].iter().enumerate() {
+                self.l[col_base(cap, n + i) + n + j] = s;
             }
+            scale[j] = a[n + j];
         }
-        if n > 0 {
-            gemm_ws(k, k, n, -1.0, &b, n, &bt, k, 1.0, &mut s22, k, ws);
-        }
-        // Factor the Schur block in scratch; commit only on success.
-        let mut result = crate::banded::chol_in_place(k, &mut s22);
+        gram_downdate_cols(&mut self.l, cap, n, &l21, k);
+        let result = factor_cols(&mut self.l, cap, n, &scale);
         if result.is_ok() {
-            for j in 0..k {
-                let off = j * n + j * (j + 1) / 2;
-                let d2 = s22[j * k + j] * s22[j * k + j];
-                if d2 <= 1e-12 * cols[off + n + j].abs() {
-                    result = Err(Error::NotPositiveDefinite);
-                    break;
-                }
-            }
-        }
-        if result.is_ok() {
-            for j in 0..k {
-                self.l.extend_from_slice(&b[j * n..(j + 1) * n]);
-                self.l.extend_from_slice(&s22[j * k..j * k + j + 1]);
+            for (c, col) in l21.chunks_exact(k).enumerate() {
+                let at = col_base(cap, c) + n;
+                self.l[at..at + k].copy_from_slice(col);
             }
             self.n += k;
             self.refresh_inv(n);
         }
-        ws.put(b);
-        ws.put(s22);
-        ws.put(bt);
+        ws.put(l21);
+        ws.put(scale);
         result
     }
 
@@ -322,7 +343,6 @@ impl UpdatableCholesky {
     pub fn truncate(&mut self, new_dim: usize) {
         assert!(new_dim <= self.n, "truncate beyond current dimension");
         self.n = new_dim;
-        self.l.truncate(new_dim * (new_dim + 1) / 2);
         self.inv.truncate(new_dim);
     }
 
@@ -367,24 +387,25 @@ impl UpdatableCholesky {
             self.truncate(n - 1);
             return;
         }
-        // Save the deleted column below the diagonal, then shift rows up.
+        let cap = self.cap;
+        // Save the deleted column below the diagonal; the columns left of
+        // it lose row k, the columns right of it move one column left and
+        // one row up. Ascending order only ever writes data already read.
         let mut w = std::mem::take(&mut self.w);
         w.clear();
-        for i in k + 1..n {
-            w.push(self.l[i * (i + 1) / 2 + k]);
+        let at = col_base(cap, k);
+        w.extend_from_slice(&self.l[at + k + 1..at + n]);
+        for j in 0..k {
+            let at = col_base(cap, j);
+            self.l.copy_within(at + k + 1..at + n, at + k);
         }
-        for i in k + 1..n {
-            let old = i * (i + 1) / 2;
-            let new = (i - 1) * i / 2;
-            // Writes land strictly below the source row, so ascending order
-            // never clobbers unread data.
-            self.l.copy_within(old..old + k, new);
-            self.l.copy_within(old + k + 1..old + i + 1, new + k);
+        for j in k + 1..n {
+            let (from, to) = (col_base(cap, j), col_base(cap, j - 1));
+            self.l.copy_within(from + j..from + n, to + j - 1);
         }
         self.n = n - 1;
-        self.l.truncate(self.n * (self.n + 1) / 2);
         // Rank-1 update of the trailing block: A' = L₃₃L₃₃ᵀ + wwᵀ.
-        rotate_in_packed(&mut self.l, k, &mut w, carried, z);
+        rotate_in_cols(&mut self.l, cap, k, &mut w, carried, z);
         self.w = w;
         self.refresh_inv(k);
     }
@@ -400,7 +421,7 @@ impl UpdatableCholesky {
         let mut w = std::mem::take(&mut self.w);
         w.clear();
         w.extend_from_slice(v);
-        rotate_in_packed(&mut self.l, 0, &mut w, &mut [], &mut []);
+        rotate_in_cols(&mut self.l, self.cap, 0, &mut w, &mut [], &mut []);
         self.w = w;
         self.refresh_inv(0);
     }
@@ -427,24 +448,14 @@ impl UpdatableCholesky {
         let mut s = std::mem::take(&mut self.w);
         s.clear();
         s.extend_from_slice(v);
-        forward_packed(&self.l, &self.inv, &mut s);
+        forward_cols(self, &mut s);
         let ratio = 1.0 - s.iter().map(|p| p * p).sum::<f64>();
         let result = if ratio > 0.0 && ratio > min_ratio {
-            // Rotations from the last entry of p to the first, turning
-            // (p, √ratio) into (0, 1); `s` ends up holding the sines.
             let mut c = std::mem::take(&mut self.v);
             c.clear();
             c.resize(n, 0.0);
-            // dchdd scales each pair by `alpha + |pᵢ|` against overflow;
-            // here `alpha ≤ 1` and `|pᵢ| < 1`, so the plain norm is safe.
-            let mut alpha = ratio.sqrt();
-            for i in (0..n).rev() {
-                let norm = (alpha * alpha + s[i] * s[i]).sqrt();
-                c[i] = alpha / norm;
-                s[i] /= norm;
-                alpha = norm;
-            }
-            downdate_packed(&mut self.l, &c, &mut s);
+            downdate_rotations(ratio, &mut c, &mut s);
+            downdate_cols(&mut self.l, self.cap, &c, &mut s, &mut [], &mut []);
             self.v = c;
             self.refresh_inv(0);
             Ok(())
@@ -456,15 +467,15 @@ impl UpdatableCholesky {
     }
 
     /// Solves `A·x = b` in place (`x` holds `b` on entry, the solution on
-    /// exit): forward substitution by row dots, then the backward solve as a
-    /// row sweep over the packed rows of `L`.
+    /// exit): forward substitution by column axpys, then the backward solve
+    /// by column dots.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn solve_in_place(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n, "dimension mismatch");
-        solve_packed(&self.l, &self.inv, x);
+        solve_cols(self, x);
     }
 
     /// Forward substitution only: `x ← L⁻¹·x`.
@@ -474,7 +485,7 @@ impl UpdatableCholesky {
     /// Panics if `x.len() != self.dim()`.
     pub fn forward_in_place(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n, "dimension mismatch");
-        forward_packed(&self.l, &self.inv, x);
+        forward_cols(self, x);
     }
 
     /// Backward substitution only: `x ← L⁻ᵀ·x`.
@@ -484,8 +495,37 @@ impl UpdatableCholesky {
     /// Panics if `x.len() != self.dim()`.
     pub fn backward_in_place(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n, "dimension mismatch");
-        backward_packed(&self.l, &self.inv, x);
+        backward_cols(self, x);
     }
+}
+
+/// The cosines and sines of a `dchdd` downdate's rotations, taken from the
+/// last entry of `p` to the first, turning `(p, √start)` into `(0, 1)`: `s`
+/// holds `p` on entry and the sines on exit. Rotation `k` has the running
+/// norm `νₖ = √(start + Σ_{i≥k} pᵢ²)`, cosine `νₖ₊₁/νₖ` and sine `pₖ/νₖ`.
+/// The squared norms are one running sum, so the roots and quotients do
+/// not wait on each other, unlike `dchdd`'s recurrence
+/// `νₖ = √(νₖ₊₁² + pₖ²)`. Returns `ν₀²`, which a factor continuing above
+/// (an arrowhead chain above its tail) starts its own rotations from.
+fn downdate_rotations(start: f64, c: &mut [f64], s: &mut [f64]) -> f64 {
+    // dchdd scales each pair by `νₖ₊₁ + |pₖ|` against overflow; here
+    // `ν ≤ 1` and `|pₖ| < 1`, so the plain sums are safe.
+    let mut sum = start;
+    for (ck, p) in c.iter_mut().zip(s.iter()).rev() {
+        sum += p * p;
+        *ck = sum;
+    }
+    for ck in c.iter_mut() {
+        *ck = ck.sqrt();
+    }
+    for (p, norm) in s.iter_mut().zip(c.iter()) {
+        *p /= norm;
+    }
+    let mut next = start.sqrt();
+    for ck in c.iter_mut().rev() {
+        (*ck, next) = (next / *ck, *ck);
+    }
+    sum
 }
 
 /// Cholesky factor of a symmetric positive-definite matrix with arrowhead
@@ -614,7 +654,7 @@ impl ArrowheadCholesky {
         chain.l.append_block(k, cols, &mut self.ws)?;
         chain.coupling.clear();
         chain.coupling.extend_from_slice(coupling);
-        couple_packed(&chain.l.l, &chain.l.inv, &mut chain.coupling, self.h, 0);
+        couple_cols(&chain.l, &mut chain.coupling, self.h, 0);
         Ok(())
     }
 
@@ -638,24 +678,30 @@ impl ArrowheadCholesky {
         assert!(!self.built, "tail already built");
         assert_eq!(g.len(), h * (h + 1) / 2, "tail block has wrong length");
         assert_eq!(scale.len(), h, "tail scales have wrong length");
-        let mut schur = self.ws.take(g.len());
-        schur.copy_from_slice(g);
-        for chain in &self.chains {
-            gram_downdate_packed(&mut schur, &chain.coupling, h);
-        }
-        self.tail.clear();
-        let mut result = self.tail.append_block(h, &schur, &mut self.ws);
-        if result.is_ok() {
-            let small = (0..h).any(|e| {
-                let d = self.tail.row(e)[e];
-                d * d <= 1e-12 * scale[e].abs()
-            });
-            if small {
-                self.tail.clear();
-                result = Err(Error::NotPositiveDefinite);
+        let tail = &mut self.tail;
+        tail.clear();
+        tail.reserve(h);
+        let cap = tail.cap;
+        for e in 0..h {
+            for (c, &v) in g[e * (e + 1) / 2..][..=e].iter().enumerate() {
+                tail.l[col_base(cap, c) + e] = v;
             }
         }
-        self.ws.put(schur);
+        for chain in &self.chains {
+            gram_downdate_cols(&mut tail.l, cap, 0, &chain.coupling, h);
+        }
+        // A pivot must pass against the Schur complement's own diagonal
+        // (the blocked append's test) and against `scale`.
+        let mut eff = self.ws.take(h);
+        for (e, s) in eff.iter_mut().enumerate() {
+            *s = tail.diag(e).abs().max(scale[e].abs());
+        }
+        let result = factor_cols(&mut tail.l, cap, 0, &eff);
+        if result.is_ok() {
+            tail.n = h;
+            tail.refresh_inv(0);
+        }
+        self.ws.put(eff);
         self.built = result.is_ok();
         result
     }
@@ -690,9 +736,9 @@ impl ArrowheadCholesky {
         let chain = &mut self.chains[j];
         let b = chain.l.dim();
         chain.l.append_scaled(col, scale)?;
-        let d = chain.l.row(b)[b];
+        let d = chain.l.diag(b);
         chain.coupling.extend_from_slice(coupling);
-        couple_packed(&chain.l.l, &chain.l.inv, &mut chain.coupling, h, b);
+        couple_cols(&chain.l, &mut chain.coupling, h, b);
         let min_ratio = 1e-12 * scale.abs() / (d * d);
         let result = self.tail.downdate(&chain.coupling[b * h..], min_ratio);
         if result.is_err() {
@@ -738,7 +784,14 @@ impl ArrowheadCholesky {
         let mut w = std::mem::take(&mut chain.l.w);
         w.clear();
         w.extend_from_slice(v);
-        rotate_in_packed(&mut chain.l.l, 0, &mut w, &mut chain.coupling, &mut self.z);
+        rotate_in_cols(
+            &mut chain.l.l,
+            chain.l.cap,
+            0,
+            &mut w,
+            &mut chain.coupling,
+            &mut self.z,
+        );
         chain.l.w = w;
         chain.l.refresh_inv(0);
         self.tail.update(&self.z);
@@ -773,7 +826,7 @@ impl ArrowheadCholesky {
         let mut s = std::mem::take(&mut chain.l.w);
         s.clear();
         s.extend_from_slice(v);
-        forward_packed(&chain.l.l, &chain.l.inv, &mut s);
+        forward_cols(&chain.l, &mut s);
         let mut st = std::mem::take(&mut self.z);
         st.clear();
         st.extend_from_slice(v_tail);
@@ -784,7 +837,7 @@ impl ArrowheadCholesky {
                 }
             }
         }
-        forward_packed(&self.tail.l, &self.tail.inv, &mut st);
+        forward_cols(&self.tail, &mut st);
         let ratio = 1.0 - s.iter().chain(&st).map(|p| p * p).sum::<f64>();
         let result = if ratio > 0.0 && ratio > min_ratio {
             // The cosines of the tail's rotations, then the chain's; `s`
@@ -796,23 +849,26 @@ impl ArrowheadCholesky {
             ct.resize(h, 0.0);
             cc.clear();
             cc.resize(b, 0.0);
-            let mut alpha = ratio.sqrt();
-            for (c, p) in ct.iter_mut().zip(st.iter_mut()).rev() {
-                let norm = (alpha * alpha + *p * *p).sqrt();
-                *c = alpha / norm;
-                *p /= norm;
-                alpha = norm;
-            }
-            for (c, p) in cc.iter_mut().zip(s.iter_mut()).rev() {
-                let norm = (alpha * alpha + *p * *p).sqrt();
-                *c = alpha / norm;
-                *p /= norm;
-                alpha = norm;
-            }
+            let rest = downdate_rotations(ratio, &mut ct, &mut st);
+            downdate_rotations(rest, &mut cc, &mut s);
             // The tail's sweep leaves its rows' carries in `st`, which the
             // chain's rotations then continue through `M_j`.
-            downdate_packed(&mut self.tail.l, &ct, &mut st);
-            downdate_carrying_packed(&mut chain.l.l, &cc, &mut s, &mut chain.coupling, &mut st);
+            downdate_cols(
+                &mut self.tail.l,
+                self.tail.cap,
+                &ct,
+                &mut st,
+                &mut [],
+                &mut [],
+            );
+            downdate_cols(
+                &mut chain.l.l,
+                chain.l.cap,
+                &cc,
+                &mut s,
+                &mut chain.coupling,
+                &mut st,
+            );
             self.tail.v = ct;
             chain.l.v = cc;
             self.tail.refresh_inv(0);
@@ -840,19 +896,19 @@ impl ArrowheadCholesky {
 
 dispatch! {
     /// Forward substitution `L·y = b` in place against the leading
-    /// `x.len()` rows of a packed row-major lower factor.
-    fn forward_packed(l: &[f64], inv: &[f64], x: &mut [f64]) => forward_with
+    /// `x.len()` rows of a factor.
+    fn forward_cols(f: &UpdatableCholesky, x: &mut [f64]) => forward_with
 }
 
 dispatch! {
     /// Backward substitution `Lᵀ·y = b` in place against the leading
-    /// `x.len()` rows of a packed row-major lower factor.
-    fn backward_packed(l: &[f64], inv: &[f64], x: &mut [f64]) => backward_with
+    /// `x.len()` rows of a factor.
+    fn backward_cols(f: &UpdatableCholesky, x: &mut [f64]) => backward_with
 }
 
 dispatch! {
     /// Both triangular solves of `L·Lᵀ·x = b` in place, under one dispatch.
-    fn solve_packed(l: &[f64], inv: &[f64], x: &mut [f64]) => solve_with
+    fn solve_cols(f: &UpdatableCholesky, x: &mut [f64]) => solve_with
 }
 
 dispatch! {
@@ -862,63 +918,96 @@ dispatch! {
 }
 
 dispatch! {
-    /// Rank-1 update of the trailing block from row `k` of a packed factor
-    /// (with its carried columns), by Givens rotations down the columns.
-    fn rotate_in_packed(l: &mut [f64], k: usize, w: &mut [f64], carried: &mut [f64], z: &mut [f64]) => rotate_in_with
+    /// Rank-1 update of the trailing block from row `from` of a
+    /// column-major factor (with its carried columns), by Givens rotations
+    /// down the columns.
+    fn rotate_in_cols(l: &mut [f64], cap: usize, from: usize, w: &mut [f64], carried: &mut [f64], z: &mut [f64]) => rotate_in_with
 }
 
 dispatch! {
-    /// Applies a downdate's rotations to a packed factor.
-    fn downdate_packed(l: &mut [f64], c: &[f64], s: &mut [f64]) => downdate_with
+    /// Applies a downdate's rotations to a column-major factor whose
+    /// columns continue in carried rows.
+    fn downdate_cols(l: &mut [f64], cap: usize, c: &[f64], s: &mut [f64], carried: &mut [f64], z: &mut [f64]) => downdate_with
 }
 
 dispatch! {
-    /// Applies a downdate's rotations to a packed factor whose columns
-    /// continue in carried rows.
-    fn downdate_carrying_packed(l: &mut [f64], c: &[f64], s: &mut [f64], carried: &mut [f64], z: &mut [f64]) => downdate_carrying_with
+    /// Forward substitution of coupling columns `from..` against a factor.
+    fn couple_cols(f: &UpdatableCholesky, coupling: &mut [f64], h: usize, from: usize) => couple_with
 }
 
 dispatch! {
-    /// Forward substitution of coupling columns `from..` against a packed
-    /// factor.
-    fn couple_packed(l: &[f64], inv: &[f64], coupling: &mut [f64], h: usize, from: usize) => couple_with
+    /// Subtracts the Gram matrix of coupling columns from a column-major
+    /// lower block.
+    fn gram_downdate_cols(l: &mut [f64], cap: usize, from: usize, coupling: &[f64], h: usize) => gram_downdate_with
 }
 
 dispatch! {
-    /// Subtracts the Gram matrix of coupling columns from a packed lower
-    /// triangle.
-    fn gram_downdate_packed(g: &mut [f64], coupling: &[f64], h: usize) => gram_downdate_with
+    /// Factors a column-major lower block in place, with relative pivot
+    /// tests.
+    fn factor_cols(l: &mut [f64], cap: usize, from: usize, scale: &[f64]) -> Result<()> => factor_with
 }
 
-/// Forward substitution as row dots: `xᵢ = (bᵢ − L[i, ..i]·x[..i]) / Lᵢᵢ`,
-/// the division taken as a multiply by `inv[i] = 1/Lᵢᵢ`.
+/// Forward substitution as column axpys: once `xⱼ = bⱼ·inv[j]` is final
+/// (`inv[j] = 1/Lⱼⱼ`), its contribution `xⱼ·L[j+1.., j]` leaves the entries
+/// below it in one axpy over the contiguous column, split on the grid of
+/// the previous column's (see [`grid_lead`]).
 #[inline(always)]
-fn forward_with<K: Kernels>(k: K, l: &[f64], inv: &[f64], x: &mut [f64]) {
-    for i in 0..x.len() {
-        let row = &l[i * (i + 1) / 2..][..i];
-        let (done, rest) = x.split_at_mut(i);
-        rest[0] = (rest[0] - k.dot(row, done)) * inv[i];
+fn forward_with<K: Kernels>(k: K, f: &UpdatableCholesky, x: &mut [f64]) {
+    let n = x.len();
+    for j in 0..n {
+        let at = col_base(f.cap, j);
+        let col = &f.l[at + j + 1..at + n];
+        let (head, below) = x.split_at_mut(j + 1);
+        let xj = head[j] * f.inv[j];
+        head[j] = xj;
+        let (c0, c1) = col.split_at(grid_lead(j + 1, col.len()));
+        let (y0, y1) = below.split_at_mut(c0.len());
+        k.axpy(-xj, c0, y0);
+        k.axpy(-xj, c1, y1);
     }
 }
 
-/// `Lᵀ·x = y` as a row sweep: once `xᵢ` is final, its contribution
-/// `xᵢ·L[i, ..i]` leaves the entries above it in one axpy over the
-/// contiguous packed row (no strided column walk).
+/// `Lᵀ·x = y` as column dots: `xᵢ = (yᵢ − L[i+1.., i]·x[i+1..]) / Lᵢᵢ`,
+/// each column contiguous below its diagonal. The dot starts at the first
+/// multiple of 4 that lies one to four entries past the newest entry, so
+/// its vector loads meet entries stored several rows earlier; those one to
+/// four newest entries are subtracted after it, one at a time, the newest
+/// last.
 #[inline(always)]
-fn backward_with<K: Kernels>(k: K, l: &[f64], inv: &[f64], x: &mut [f64]) {
-    for i in (0..x.len()).rev() {
-        let row = &l[i * (i + 1) / 2..][..i];
-        let (above, rest) = x.split_at_mut(i);
-        rest[0] *= inv[i];
-        k.axpy(-rest[0], row, above);
+fn backward_with<K: Kernels>(k: K, f: &UpdatableCholesky, x: &mut [f64]) {
+    let n = x.len();
+    for i in (0..n).rev() {
+        let at = col_base(f.cap, i);
+        let col = &f.l[at + i + 1..at + n];
+        let (head, done) = x.split_at_mut(i + 1);
+        let lead = (4 - (i + 1) % 4).min(col.len());
+        let mut acc = head[i];
+        if lead < col.len() {
+            acc -= k.dot(&col[lead..], &done[lead..]);
+        }
+        for r in (0..lead).rev() {
+            acc -= col[r] * done[r];
+        }
+        head[i] = acc * f.inv[i];
     }
 }
 
 /// `L·y = b`, then `Lᵀ·x = y`.
 #[inline(always)]
-fn solve_with<K: Kernels>(k: K, l: &[f64], inv: &[f64], x: &mut [f64]) {
-    forward_with(k, l, inv, x);
-    backward_with(k, l, inv, x);
+fn solve_with<K: Kernels>(k: K, f: &UpdatableCholesky, x: &mut [f64]) {
+    forward_with(k, f, x);
+    backward_with(k, f, x);
+}
+
+/// The entries of a `len`-long sweep from index `from` of its vector that
+/// precede the next multiple of 4. A sweep done in two parts split there
+/// runs its vector passes on the same 4-entry grid as the sweeps before
+/// and after it, so each vector load meets one earlier store and can be
+/// forwarded from it: a load straddling two recent stores waits for both
+/// to reach the cache.
+#[inline(always)]
+fn grid_lead(from: usize, len: usize) -> usize {
+    (from.next_multiple_of(4) - from).min(len)
 }
 
 /// Block forward substitution down the arrowhead (each chain, then the
@@ -931,7 +1020,7 @@ fn arrowhead_solve_with<K: Kernels>(k: K, f: &ArrowheadCholesky, x: &mut [f64]) 
     let mut off = 0;
     for chain in &f.chains {
         let xj = &mut body[off..off + chain.l.n];
-        forward_with(k, &chain.l.l, &chain.l.inv, xj);
+        forward_with(k, &chain.l, xj);
         if h > 0 {
             let mut cols = chain.coupling.chunks_exact(h).zip(xj.iter());
             loop {
@@ -950,7 +1039,7 @@ fn arrowhead_solve_with<K: Kernels>(k: K, f: &ArrowheadCholesky, x: &mut [f64]) 
         }
         off += chain.l.n;
     }
-    solve_with(k, &f.tail.l, &f.tail.inv, tail);
+    solve_with(k, &f.tail, tail);
     if h > 0 {
         let mut off = 0;
         for chain in &f.chains {
@@ -963,104 +1052,75 @@ fn arrowhead_solve_with<K: Kernels>(k: K, f: &ArrowheadCholesky, x: &mut [f64]) 
     }
     let mut off = 0;
     for chain in &f.chains {
-        backward_with(k, &chain.l.l, &chain.l.inv, &mut body[off..off + chain.l.n]);
+        backward_with(k, &chain.l, &mut body[off..off + chain.l.n]);
         off += chain.l.n;
     }
 }
 
-/// Adds `w·wᵀ` to the trailing block that starts at row `k` (`w` holds its
-/// `n − k` entries and is consumed): column by column, a Givens rotation
-/// folds `w`'s leading entry into the diagonal and is applied to the rest
-/// of the column, then to carried column `k + t` and the carried leftover
-/// `z` (see [`UpdatableCholesky::remove_carrying`]).
+/// Adds `w·wᵀ` to the trailing block that starts at row `from` (`w` holds
+/// its `n − from` entries and is consumed): column by column, a Givens
+/// rotation folds `w`'s leading entry into the diagonal and is applied to
+/// the rest of the contiguous column against the rest of `w`, then to
+/// carried column `from + t` against the carried leftover `z` (see
+/// [`UpdatableCholesky::remove_carrying`]).
 #[inline(always)]
 fn rotate_in_with<K: Kernels>(
-    _k: K,
+    k: K,
     l: &mut [f64],
-    k: usize,
+    cap: usize,
+    from: usize,
     w: &mut [f64],
     carried: &mut [f64],
     z: &mut [f64],
 ) {
     let h = z.len();
-    let m = w.len();
-    for t in 0..m {
-        let row = k + t;
-        let dpos = row * (row + 1) / 2 + row;
-        let lkk = l[dpos];
+    let n = from + w.len();
+    for t in 0..w.len() {
+        let row = from + t;
+        let at = col_base(cap, row);
+        let col = &mut l[at + row..at + n];
+        let lkk = col[0];
         let x = w[t];
         let r = (lkk * lkk + x * x).sqrt();
-        let c = r / lkk;
-        let s = x / lkk;
-        let inv_c = lkk / r;
-        l[dpos] = r;
-        let mut pos = dpos;
-        for i in t + 1..m {
-            pos += k + i;
-            let updated = (l[pos] + s * w[i]) * inv_c;
-            l[pos] = updated;
-            w[i] = c * w[i] - s * updated;
-        }
-        let col = &mut carried[row * h..(row + 1) * h];
-        for (ce, ze) in col.iter_mut().zip(z.iter_mut()) {
-            let updated = (*ce + s * *ze) * inv_c;
-            *ce = updated;
-            *ze = c * *ze - s * updated;
-        }
+        let (c, s, inv_c) = (r / lkk, x / lkk, lkk / r);
+        col[0] = r;
+        k.rotate_in(c, s, inv_c, &mut col[1..], &mut w[t + 1..]);
+        k.rotate_in(c, s, inv_c, &mut carried[row * h..(row + 1) * h], z);
     }
 }
 
-/// The application half of LINPACK `dchdd`: row `j` of `L` (column `j` of
-/// `R = Lᵀ`) is swept from its diagonal back to column 0, rotation `i`
-/// mixing `L[j, i]` with the row's running carry. Done column by column
-/// here so the rows' independent carries pipeline; the arithmetic per entry
-/// is the row sweep's. Rotation `i`'s sine is read before column `i` is
-/// swept and never again, so its slot in `s` then holds row `i`'s carry.
+/// The application half of LINPACK `dchdd` on a factor `[L 0; C L₂]`
+/// whose `L₂` part was swept first (`C`: `h = z.len()` carried rows,
+/// column-major as in [`UpdatableCholesky::remove_carrying`]; `h = 0` for
+/// a factor on its own). Rotation `i`, from the last to the first, mixes
+/// column `i` of `L` from its diagonal down with those rows' running
+/// carries `s[i..]`, then carried column `i` with the carried rows'
+/// carries `z`. Every row meets its rotations in the same order as in a
+/// row-by-row sweep, so each entry rounds as it would there. Rotation
+/// `i`'s sine is read before column `i` is swept and never again, so its
+/// slot in `s` then holds row `i`'s carry.
 #[inline(always)]
-fn downdate_with<K: Kernels>(_k: K, l: &mut [f64], c: &[f64], s: &mut [f64]) {
-    let n = c.len();
-    for i in (0..n).rev() {
-        let (ci, si) = (c[i], s[i]);
-        s[i] = 0.0;
-        for (j, carry) in s.iter_mut().enumerate().skip(i) {
-            let pos = j * (j + 1) / 2 + i;
-            let r = l[pos];
-            let t = ci * *carry + si * r;
-            l[pos] = ci * r - si * *carry;
-            *carry = t;
-        }
-    }
-}
-
-/// [`downdate_with`] for a factor `[L 0; C L₂]` whose `L₂` part was swept
-/// first: rotation `i` also mixes carried column `i` (`h = z.len()` rows
-/// of `C`, column-major as in [`UpdatableCholesky::remove_carrying`]) with
-/// the carried rows' running carries `z`.
-#[inline(always)]
-fn downdate_carrying_with<K: Kernels>(
-    _k: K,
+fn downdate_with<K: Kernels>(
+    k: K,
     l: &mut [f64],
+    cap: usize,
     c: &[f64],
     s: &mut [f64],
     carried: &mut [f64],
     z: &mut [f64],
 ) {
+    let n = c.len();
     let h = z.len();
-    for i in (0..c.len()).rev() {
+    for i in (0..n).rev() {
         let (ci, si) = (c[i], s[i]);
         s[i] = 0.0;
-        for (j, carry) in s.iter_mut().enumerate().skip(i) {
-            let pos = j * (j + 1) / 2 + i;
-            let r = l[pos];
-            let t = ci * *carry + si * r;
-            l[pos] = ci * r - si * *carry;
-            *carry = t;
-        }
-        for (r, carry) in carried[i * h..(i + 1) * h].iter_mut().zip(z.iter_mut()) {
-            let t = ci * *carry + si * *r;
-            *r = ci * *r - si * *carry;
-            *carry = t;
-        }
+        let at = col_base(cap, i);
+        // On the grid of the previous rotation's carries (see `grid_lead`).
+        let (l0, l1) = l[at + i..at + n].split_at_mut(grid_lead(i, n - i));
+        let (s0, s1) = s[i..].split_at_mut(l0.len());
+        k.rotate(ci, si, l0, s0);
+        k.rotate(ci, si, l1, s1);
+        k.rotate(ci, si, &mut carried[i * h..(i + 1) * h], z);
     }
 }
 
@@ -1070,8 +1130,7 @@ fn downdate_carrying_with<K: Kernels>(
 #[inline(always)]
 fn couple_with<K: Kernels>(
     k: K,
-    l: &[f64],
-    inv: &[f64],
+    f: &UpdatableCholesky,
     coupling: &mut [f64],
     h: usize,
     from: usize,
@@ -1080,30 +1139,91 @@ fn couple_with<K: Kernels>(
         return;
     }
     for i in from..coupling.len() / h {
-        let row = &l[i * (i + 1) / 2..][..i];
         let (done, rest) = coupling.split_at_mut(i * h);
         let mi = &mut rest[..h];
-        for (col, &lic) in done.chunks_exact(h).zip(row) {
-            k.axpy(-lic, col, mi);
+        for (c, col) in done.chunks_exact(h).enumerate() {
+            k.axpy(-f.l[col_base(f.cap, c) + i], col, mi);
         }
         for v in mi.iter_mut() {
-            *v *= inv[i];
+            *v *= f.inv[i];
         }
     }
 }
 
-/// `G −= Σ_c m_c·m_cᵀ` on a packed lower triangle, one packed row per
-/// axpy.
+/// `A −= m·mᵀ` on the lower triangle of the `m.len()`-square block of a
+/// packed column-major `a` whose leading row and column are `from`, one
+/// column axpy per entry of `m`. `a` is the factor's storage less its first
+/// `shift` entries.
 #[inline(always)]
-fn gram_downdate_with<K: Kernels>(k: K, g: &mut [f64], coupling: &[f64], h: usize) {
+fn sub_outer<K: Kernels>(k: K, a: &mut [f64], shift: usize, cap: usize, from: usize, m: &[f64]) {
+    for (e, &me) in m.iter().enumerate() {
+        let at = col_base(cap, from + e) + from + e - shift;
+        k.axpy(-me, &m[e..], &mut a[at..at + m.len() - e]);
+    }
+}
+
+/// `A −= Σ_c m_c·m_cᵀ` over the coupling columns `m_c` of height `h`, on
+/// the block whose leading row and column are `from`.
+#[inline(always)]
+fn gram_downdate_with<K: Kernels>(
+    k: K,
+    l: &mut [f64],
+    cap: usize,
+    from: usize,
+    coupling: &[f64],
+    h: usize,
+) {
     if h == 0 {
         return;
     }
-    for col in coupling.chunks_exact(h) {
-        for e in 0..h {
-            k.axpy(-col[e], &col[..=e], &mut g[e * (e + 1) / 2..][..=e]);
-        }
+    for m in coupling.chunks_exact(h) {
+        sub_outer(k, l, 0, cap, from, m);
     }
+}
+
+/// Right-looking Cholesky, in place, of the `scale.len()`-square lower
+/// block whose leading row and column are `from`: each pivot column is
+/// divided by the root of its diagonal, and its outer product leaves the
+/// trailing block. A pivot `d` fails when its square is not positive or
+/// at most `1e-12·|scale[j]|`.
+#[inline(always)]
+fn factor_with<K: Kernels>(
+    k: K,
+    l: &mut [f64],
+    cap: usize,
+    from: usize,
+    scale: &[f64],
+) -> Result<()> {
+    let end = from + scale.len();
+    for (j, s) in (from..end).zip(scale) {
+        // Column j's storage ends where column j + 1's begins.
+        let split = col_base(cap, j + 1) + j + 1;
+        let (head, rest) = l.split_at_mut(split);
+        let at = col_base(cap, j);
+        let col = &mut head[at + j..at + end];
+        if col[0] <= 0.0 {
+            return Err(Error::NotPositiveDefinite);
+        }
+        let d = col[0].sqrt();
+        if d * d <= 1e-12 * s.abs() {
+            return Err(Error::NotPositiveDefinite);
+        }
+        col[0] = d;
+        for v in &mut col[1..] {
+            *v /= d;
+        }
+        sub_outer(k, rest, split, cap, j + 1, &col[1..]);
+    }
+    Ok(())
+}
+
+/// Where column `j` of a packed column-major lower factor with column
+/// capacity `cap` would hold row 0: `L[i, j]` (`i ≥ j`) lives at
+/// `col_base(cap, j) + i`. Column `j` keeps `cap − j` slots, rows `j` up to
+/// the capacity.
+#[inline(always)]
+fn col_base(cap: usize, j: usize) -> usize {
+    j * cap - j * (j + 1) / 2
 }
 
 #[cfg(test)]
@@ -1362,11 +1482,26 @@ mod tests {
         assert!((x[0] - 2.0).abs() < 1e-15);
     }
 
-    /// `L·Lᵀ` of a packed factor, densely.
+    /// `L[i, j]` of a factor.
+    fn at(up: &UpdatableCholesky, i: usize, j: usize) -> f64 {
+        up.l[col_base(up.cap, j) + i]
+    }
+
+    /// The held lower triangle, packed row-major (row `i` holds `i + 1`
+    /// entries): what a factor holds, whatever its capacity or the stale
+    /// entries past its dimension.
+    fn packed(up: &UpdatableCholesky) -> Vec<f64> {
+        let n = up.dim();
+        (0..n)
+            .flat_map(|i| (0..=i).map(move |j| at(up, i, j)))
+            .collect()
+    }
+
+    /// `L·Lᵀ` of a factor, densely.
     fn gram(up: &UpdatableCholesky) -> Matrix {
         let n = up.dim();
         Matrix::from_fn(n, n, |i, j| {
-            (0..=i.min(j)).map(|k| up.row(i)[k] * up.row(j)[k]).sum()
+            (0..=i.min(j)).map(|k| at(up, i, k) * at(up, j, k)).sum()
         })
     }
 
@@ -1405,7 +1540,7 @@ mod tests {
         let mut up = updatable_from(&a);
         let before = up.l.clone();
         // v = L·e₀·√2 gives ‖L⁻¹v‖² = 2: A − vvᵀ is indefinite.
-        let v: Vec<f64> = (0..n).map(|i| up.row(i)[0] * 2f64.sqrt()).collect();
+        let v: Vec<f64> = (0..n).map(|i| at(&up, i, 0) * 2f64.sqrt()).collect();
         assert!(matches!(
             up.downdate(&v, 0.0),
             Err(Error::NotPositiveDefinite)
@@ -1413,7 +1548,7 @@ mod tests {
         assert_eq!(up.l, before);
         // Exactly singular (ratio 0) is refused too, and a ratio bound
         // above the true ratio refuses a definite result.
-        let unit: Vec<f64> = (0..n).map(|i| up.row(i)[0]).collect();
+        let unit: Vec<f64> = (0..n).map(|i| at(&up, i, 0)).collect();
         assert!(up.downdate(&unit, 0.0).is_err());
         let half: Vec<f64> = unit.iter().map(|x| 0.5 * x).collect();
         assert!(up.downdate(&half, 0.8).is_err());
@@ -1592,14 +1727,14 @@ mod tests {
                 .collect();
             col.push(ArrowPool::dot(v, v));
             let dense_ok = pool.dense(&held).append(&col).is_ok();
-            let before = (f.dim(), f.chains[1].clone(), f.tail.l.clone());
+            let before = (f.dim(), f.chains[1].clone(), packed(&f.tail));
             let arrow = pool.append(&mut f, &mut held, 1, 3);
             assert_eq!(arrow.is_ok(), dense_ok, "eps={eps}");
             assert_eq!(arrow.is_ok(), eps > 0.0, "eps={eps}");
             if arrow.is_err() {
-                let after = (f.dim(), f.chains[1].clone(), f.tail.l.clone());
+                let after = (f.dim(), f.chains[1].clone(), packed(&f.tail));
                 assert_eq!(after.0, before.0);
-                assert_eq!(after.1.l.l, before.1.l.l);
+                assert_eq!(packed(&after.1.l), packed(&before.1.l));
                 assert_eq!(after.1.coupling, before.1.coupling);
                 assert_eq!(after.2, before.2);
             } else {
@@ -1660,6 +1795,168 @@ mod tests {
             (refused.tail.l.clone(), refused.chains[1].l.l.clone()),
             before
         );
+    }
+
+    /// The rotation sweeps as they ran on a packed row-major factor (row
+    /// `i` at `i·(i+1)/2`), kept as the reference the column-major kernels
+    /// must reproduce bit for bit.
+    mod row_major {
+        pub fn rotate_in(
+            l: &mut [f64],
+            k: usize,
+            w: &mut [f64],
+            carried: &mut [f64],
+            z: &mut [f64],
+        ) {
+            let h = z.len();
+            let m = w.len();
+            for t in 0..m {
+                let row = k + t;
+                let dpos = row * (row + 1) / 2 + row;
+                let lkk = l[dpos];
+                let x = w[t];
+                let r = (lkk * lkk + x * x).sqrt();
+                let c = r / lkk;
+                let s = x / lkk;
+                let inv_c = lkk / r;
+                l[dpos] = r;
+                let mut pos = dpos;
+                for i in t + 1..m {
+                    pos += k + i;
+                    let updated = (l[pos] + s * w[i]) * inv_c;
+                    l[pos] = updated;
+                    w[i] = c * w[i] - s * updated;
+                }
+                let col = &mut carried[row * h..(row + 1) * h];
+                for (ce, ze) in col.iter_mut().zip(z.iter_mut()) {
+                    let updated = (*ce + s * *ze) * inv_c;
+                    *ce = updated;
+                    *ze = c * *ze - s * updated;
+                }
+            }
+        }
+
+        pub fn downdate(l: &mut [f64], c: &[f64], s: &mut [f64]) {
+            let n = c.len();
+            for i in (0..n).rev() {
+                let (ci, si) = (c[i], s[i]);
+                s[i] = 0.0;
+                for (j, carry) in s.iter_mut().enumerate().skip(i) {
+                    let pos = j * (j + 1) / 2 + i;
+                    let r = l[pos];
+                    let t = ci * *carry + si * r;
+                    l[pos] = ci * r - si * *carry;
+                    *carry = t;
+                }
+            }
+        }
+
+        pub fn downdate_carrying(
+            l: &mut [f64],
+            c: &[f64],
+            s: &mut [f64],
+            carried: &mut [f64],
+            z: &mut [f64],
+        ) {
+            let h = z.len();
+            for i in (0..c.len()).rev() {
+                let (ci, si) = (c[i], s[i]);
+                s[i] = 0.0;
+                for (j, carry) in s.iter_mut().enumerate().skip(i) {
+                    let pos = j * (j + 1) / 2 + i;
+                    let r = l[pos];
+                    let t = ci * *carry + si * r;
+                    l[pos] = ci * r - si * *carry;
+                    *carry = t;
+                }
+                for (r, carry) in carried[i * h..(i + 1) * h].iter_mut().zip(z.iter_mut()) {
+                    let t = ci * *carry + si * *r;
+                    *r = ci * *r - si * *carry;
+                    *carry = t;
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs the column-major rotation kernels on kernel set `k` against
+    /// the row-major references, from the same factor and inputs, and
+    /// asserts that `L`, the carries and the carried columns agree bit for
+    /// bit. The factor is grown by appends, so its capacity exceeds its
+    /// dimension and the stale slots past it are in play.
+    fn sweeps_match_row_major<K: Kernels>(k: K, path: &str) {
+        let mut seed = 0x5ee9u64;
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 47, 48, 49, 72] {
+            let a = random_spd(n, &mut seed);
+            let up = updatable_from(&a);
+            let rows = packed(&up);
+            let vec = |len: usize, seed: &mut u64| -> Vec<f64> {
+                (0..len).map(|_| pseudo(seed)).collect::<Vec<f64>>()
+            };
+            let check = |what: &str, col: &[f64], row: &[f64]| {
+                assert_eq!(bits(col), bits(row), "{path} n={n}: {what}");
+            };
+            // A downdate's rotations, from p = L⁻¹v scaled inside the unit ball.
+            let mut p = vec(n, &mut seed);
+            up.forward_in_place(&mut p);
+            let norm = p.iter().map(|x| x * x).sum::<f64>().sqrt();
+            p.iter_mut().for_each(|x| *x *= 0.9 / norm);
+            let mut c = vec![0.0; n];
+            downdate_rotations(1.0 - 0.81, &mut c, &mut p);
+            for h in [0, 5, 48] {
+                let carried = vec(n * h, &mut seed);
+                let z = vec(h, &mut seed);
+                let (mut l, mut s, mut cc, mut zz) =
+                    (up.l.clone(), p.clone(), carried.clone(), z.clone());
+                downdate_with(k, &mut l, up.cap, &c, &mut s, &mut cc, &mut zz);
+                let (mut lr, mut sr, mut cr, mut zr) = (rows.clone(), p.clone(), carried, z);
+                if h == 0 {
+                    row_major::downdate(&mut lr, &c, &mut sr);
+                } else {
+                    row_major::downdate_carrying(&mut lr, &c, &mut sr, &mut cr, &mut zr);
+                }
+                let swept = UpdatableCholesky { l, ..up.clone() };
+                check("downdate L", &packed(&swept), &lr);
+                check("downdate carries", &s, &sr);
+                check("downdate carried columns", &cc, &cr);
+                check("downdate carried leftover", &zz, &zr);
+            }
+            // Givens updates of the trailing block from row `from`.
+            for from in [0, n / 2, n - 1] {
+                for h in [0, 5, 48] {
+                    let w = vec(n - from, &mut seed);
+                    let carried = vec(n * h, &mut seed);
+                    let z = vec(h, &mut seed);
+                    let (mut l, mut ww, mut cc, mut zz) =
+                        (up.l.clone(), w.clone(), carried.clone(), z.clone());
+                    rotate_in_with(k, &mut l, up.cap, from, &mut ww, &mut cc, &mut zz);
+                    let (mut lr, mut wr, mut cr, mut zr) = (rows.clone(), w, carried, z);
+                    row_major::rotate_in(&mut lr, from, &mut wr, &mut cr, &mut zr);
+                    let swept = UpdatableCholesky { l, ..up.clone() };
+                    check("update L", &packed(&swept), &lr);
+                    check("update carries", &ww, &wr);
+                    check("update carried columns", &cc, &cr);
+                    check("update carried leftover", &zz, &zr);
+                }
+            }
+        }
+    }
+
+    /// The column-major rotation sweeps keep the row-major sweeps'
+    /// arithmetic entry for entry, on the portable path and, when this CPU
+    /// has it, the AVX2 path.
+    #[test]
+    fn rotation_sweeps_match_row_major_reference_bitwise() {
+        sweeps_match_row_major(crate::simd::Portable, "portable");
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2_available() {
+            // SAFETY: the features were detected at runtime.
+            let k = unsafe { crate::simd::Avx2::assume_available() };
+            sweeps_match_row_major(k, "avx2");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Vectorised level-1 kernels (`dot`, `axpy`) with runtime path selection.
+//! Vectorised level-1 kernels (`dot`, `axpy`, plane rotations) with
+//! runtime path selection.
 //!
 //! The active-set QP loop spends its time in O(m²) working-set kernels —
-//! packed triangular solves, rank-1 updates and the `p = t − M·C_Gᵀλ`
-//! sweep over each chain's free-set inverse `M` — whose inner
-//! loops are dot products and axpys over a few hundred entries. Each kernel
-//! has two paths:
+//! triangular solves and rank-1 rotation sweeps over the column-major
+//! working-set factor, and the `p = t − M·C_Gᵀλ` sweep over each chain's
+//! free-set inverse `M` — whose inner loops are dot products, axpys and
+//! rotations over a few hundred entries. Each kernel has two paths:
 //!
 //! * an AVX2+FMA path (four independent 4-lane accumulators, so the FMA
 //!   latency chain does not serialize the reduction), and
@@ -21,7 +22,10 @@
 //!
 //! The two paths sum in different orders (and the AVX2 one fuses the
 //! multiply-add), so results agree to rounding, not bitwise; each host is
-//! deterministic on its own.
+//! deterministic on its own. The rotation kernels are the exception: they
+//! are elementwise and keep every multiply and add apart, so the working-set
+//! factor's rotation sweeps — every bound fix, free and row removal — round
+//! bitwise alike on both paths (and like the scalar formulas they vectorise).
 
 /// Whether this CPU supports AVX2 and FMA. The single detection point for
 /// every SIMD kernel in the crate (GEMM microkernel included); the answer
@@ -54,6 +58,15 @@ pub(crate) trait Kernels: Copy {
     /// calls, for a quarter of the `y` traffic. Panics if an `x[j]` is
     /// shorter than `y`.
     fn axpy4(self, alpha: [f64; 4], x: [&[f64]; 4], y: &mut [f64]);
+    /// One rotation of a Cholesky downdate, entrywise:
+    /// `(x, y) ← (c·x − s·y, c·y + s·x)`. Every product is rounded before
+    /// its sum (never fused), so each path rounds exactly like the scalar
+    /// formula.
+    fn rotate(self, c: f64, s: f64, x: &mut [f64], y: &mut [f64]);
+    /// One rotation of a Cholesky update, entrywise: `x ← (x + s·y)·inv_c`,
+    /// then `y ← c·y − s·x` with the new `x`. Unfused, as
+    /// [`Kernels::rotate`].
+    fn rotate_in(self, c: f64, s: f64, inv_c: f64, x: &mut [f64], y: &mut [f64]);
 }
 
 /// The portable kernel set; valid on every target.
@@ -74,6 +87,16 @@ impl Kernels for Portable {
     #[inline(always)]
     fn axpy4(self, alpha: [f64; 4], x: [&[f64]; 4], y: &mut [f64]) {
         portable::axpy4(alpha, x, y);
+    }
+
+    #[inline(always)]
+    fn rotate(self, c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+        portable::rotate(c, s, x, y);
+    }
+
+    #[inline(always)]
+    fn rotate_in(self, c: f64, s: f64, inv_c: f64, x: &mut [f64], y: &mut [f64]) {
+        portable::rotate_in(c, s, inv_c, x, y);
     }
 }
 
@@ -112,6 +135,18 @@ impl Kernels for Avx2 {
     fn axpy4(self, alpha: [f64; 4], x: [&[f64]; 4], y: &mut [f64]) {
         // SAFETY: as above.
         unsafe { avx2::axpy4(alpha, x, y) }
+    }
+
+    #[inline(always)]
+    fn rotate(self, c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+        // SAFETY: as above.
+        unsafe { avx2::rotate(c, s, x, y) }
+    }
+
+    #[inline(always)]
+    fn rotate_in(self, c: f64, s: f64, inv_c: f64, x: &mut [f64], y: &mut [f64]) {
+        // SAFETY: as above.
+        unsafe { avx2::rotate_in(c, s, inv_c, x, y) }
     }
 }
 
@@ -255,6 +290,24 @@ mod portable {
         let [x0, x1, x2, x3] = x.map(|xj| &xj[..n]);
         for i in 0..n {
             y[i] = y[i] + alpha[0] * x0[i] + alpha[1] * x1[i] + alpha[2] * x2[i] + alpha[3] * x3[i];
+        }
+    }
+
+    #[inline(always)]
+    pub fn rotate(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+        for (xi, yi) in x.iter_mut().zip(y.iter_mut()) {
+            let (a, b) = (*xi, *yi);
+            *xi = c * a - s * b;
+            *yi = c * b + s * a;
+        }
+    }
+
+    #[inline(always)]
+    pub fn rotate_in(c: f64, s: f64, inv_c: f64, x: &mut [f64], y: &mut [f64]) {
+        for (xi, yi) in x.iter_mut().zip(y.iter_mut()) {
+            let a = (*xi + s * *yi) * inv_c;
+            *xi = a;
+            *yi = c * *yi - s * a;
         }
     }
 }
@@ -404,6 +457,72 @@ mod avx2 {
             v = alpha[2].mul_add(*p2.add(i), v);
             v = alpha[3].mul_add(*p3.add(i), v);
             *py.add(i) = v;
+            i += 1;
+        }
+    }
+
+    /// AVX2 `(x, y) ← (c·x − s·y, c·y + s·x)`, multiplies and adds kept
+    /// apart so every entry rounds as the scalar formula does.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the path's shared features; no
+    /// multiply-add is fused here).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    pub unsafe fn rotate(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+        let n = x.len().min(y.len());
+        let (px, py) = (x.as_mut_ptr(), y.as_mut_ptr());
+        let (vc, vs) = (_mm256_set1_pd(c), _mm256_set1_pd(s));
+        let mut i = 0;
+        // SAFETY (all loads/stores): every offset touched is below `n`.
+        while i + 4 <= n {
+            let xv = _mm256_loadu_pd(px.add(i));
+            let yv = _mm256_loadu_pd(py.add(i));
+            let xn = _mm256_sub_pd(_mm256_mul_pd(vc, xv), _mm256_mul_pd(vs, yv));
+            let yn = _mm256_add_pd(_mm256_mul_pd(vc, yv), _mm256_mul_pd(vs, xv));
+            _mm256_storeu_pd(px.add(i), xn);
+            _mm256_storeu_pd(py.add(i), yn);
+            i += 4;
+        }
+        while i < n {
+            let (a, b) = (*px.add(i), *py.add(i));
+            *px.add(i) = c * a - s * b;
+            *py.add(i) = c * b + s * a;
+            i += 1;
+        }
+    }
+
+    /// AVX2 `x ← (x + s·y)·inv_c; y ← c·y − s·x`, unfused as
+    /// [`rotate`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the path's shared features; no
+    /// multiply-add is fused here).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    pub unsafe fn rotate_in(c: f64, s: f64, inv_c: f64, x: &mut [f64], y: &mut [f64]) {
+        let n = x.len().min(y.len());
+        let (px, py) = (x.as_mut_ptr(), y.as_mut_ptr());
+        let (vc, vs, vi) = (_mm256_set1_pd(c), _mm256_set1_pd(s), _mm256_set1_pd(inv_c));
+        let mut i = 0;
+        // SAFETY (all loads/stores): every offset touched is below `n`.
+        while i + 4 <= n {
+            let yv = _mm256_loadu_pd(py.add(i));
+            let xn = _mm256_mul_pd(
+                _mm256_add_pd(_mm256_loadu_pd(px.add(i)), _mm256_mul_pd(vs, yv)),
+                vi,
+            );
+            let yn = _mm256_sub_pd(_mm256_mul_pd(vc, yv), _mm256_mul_pd(vs, xn));
+            _mm256_storeu_pd(px.add(i), xn);
+            _mm256_storeu_pd(py.add(i), yn);
+            i += 4;
+        }
+        while i < n {
+            let a = (*px.add(i) + s * *py.add(i)) * inv_c;
+            *px.add(i) = a;
+            *py.add(i) = c * *py.add(i) - s * a;
             i += 1;
         }
     }

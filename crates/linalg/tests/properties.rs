@@ -303,7 +303,9 @@ proptest! {
 /// Row vectors whose Gram matrix has arrowhead structure: chain `j`'s rows
 /// live on chain `j`'s three shared coordinates plus one private coordinate
 /// each, tail rows on every shared coordinate plus a private one. The
-/// private coordinates keep the Gram matrix well conditioned.
+/// private coordinates keep the Gram matrix well conditioned. A rank-1
+/// change `A ± v·vᵀ` with `v` on one chain's rows and the tail is a
+/// coordinate added to or cleared from those rows.
 struct ArrowRows {
     /// `chains[j][r]`: pool row `r` of chain `j`.
     chains: Vec<Vec<Vec<f64>>>,
@@ -357,6 +359,36 @@ impl ArrowRows {
         (col, self.tail.iter().map(|t| Self::dot(v, t)).collect())
     }
 
+    /// Adds a coordinate that is `draw()` on chain `j`'s rows and the tail
+    /// rows and zero elsewhere; returns its index.
+    fn add_coordinate(&mut self, j: usize, draw: &mut dyn FnMut() -> f64) -> usize {
+        let x = self.chains[0][0].len();
+        for (c, rows) in self.chains.iter_mut().enumerate() {
+            for v in rows {
+                v.push(if c == j { draw() } else { 0.0 });
+            }
+        }
+        for t in &mut self.tail {
+            t.push(draw());
+        }
+        x
+    }
+
+    /// Coordinate `x` on chain `j`'s held rows and on the tail rows.
+    fn coordinate(&self, j: usize, held: &[usize], x: usize) -> (Vec<f64>, Vec<f64>) {
+        (
+            held.iter().map(|&r| self.chains[j][r][x]).collect(),
+            self.tail.iter().map(|t| t[x]).collect(),
+        )
+    }
+
+    /// Zeroes coordinate `x` on every row.
+    fn clear_coordinate(&mut self, x: usize) {
+        for v in self.chains.iter_mut().flatten().chain(&mut self.tail) {
+            v[x] = 0.0;
+        }
+    }
+
     /// The Gram matrix of the held rows in factor order.
     fn gram(&self, held: &[Vec<usize>]) -> Matrix {
         let mut rows: Vec<&[f64]> = Vec::new();
@@ -368,82 +400,139 @@ impl ArrowRows {
     }
 }
 
+/// Builds an arrowhead factor from scratch (chain `j` holding its first
+/// `init[j]` pool rows), applies `ops` — appends, interior and last-row
+/// removes, whole chains emptied, and rank-1 updates and downdates on one
+/// chain and the tail — and checks one solve against a dense LU of the
+/// same matrix.
+fn check_arrowhead_ops(
+    nchains: usize,
+    ntail: usize,
+    init: &[usize],
+    data: &[f64],
+    ops: &[(usize, usize, usize)],
+    b: &[f64],
+) {
+    let mut rows = ArrowRows::new(nchains, ntail, data);
+    let mut f = ArrowheadCholesky::new();
+    f.reset(nchains, ntail);
+    let mut held: Vec<Vec<usize>> = init[..nchains].iter().map(|&k| (0..k).collect()).collect();
+    for (j, h) in held.iter().enumerate() {
+        let mut cols = Vec::new();
+        let mut coupling = Vec::new();
+        for (a, &r) in h.iter().enumerate() {
+            let (col, c) = rows.column(j, &h[..a], r);
+            cols.extend(col);
+            coupling.extend(c);
+        }
+        f.build_chain(j, h.len(), &cols, &coupling).unwrap();
+    }
+    let mut g = Vec::new();
+    for (e, t) in rows.tail.iter().enumerate() {
+        g.extend(rows.tail[..=e].iter().map(|u| ArrowRows::dot(t, u)));
+    }
+    let diag: Vec<f64> = (0..rows.tail.len())
+        .map(|e| g[e * (e + 1) / 2 + e])
+        .collect();
+    f.build_tail(&g, &diag).unwrap();
+    // Rank-1 terms in force: (chain, coordinate).
+    let mut terms: Vec<(usize, usize)> = Vec::new();
+    let mut draws = data.iter().rev().cycle().map(|x| 0.5 * x);
+    for &(op, a, pick) in ops {
+        let j = a % nchains;
+        let len = held[j].len();
+        match op {
+            0 => {
+                if let Some(r) = (0..ArrowRows::POOL).find(|r| !held[j].contains(r)) {
+                    let (col, c) = rows.column(j, &held[j], r);
+                    f.append(j, &col, &c, col[col.len() - 1]).unwrap();
+                    held[j].push(r);
+                }
+            }
+            1 if len > 0 => {
+                f.remove(j, pick % len);
+                held[j].remove(pick % len);
+            }
+            2 if len > 0 => {
+                f.remove(j, len - 1);
+                held[j].pop();
+            }
+            3 => {
+                for k in (0..len).rev() {
+                    f.remove(j, if pick % 2 == 0 { k } else { 0 });
+                }
+                held[j].clear();
+            }
+            4 => {
+                let x = rows.add_coordinate(j, &mut || draws.next().expect("cycled"));
+                let (v, v_tail) = rows.coordinate(j, &held[j], x);
+                f.update(j, &v, &v_tail);
+                terms.push((j, x));
+            }
+            5 if !terms.is_empty() => {
+                let (j, x) = terms.remove(pick % terms.len());
+                let (v, v_tail) = rows.coordinate(j, &held[j], x);
+                f.downdate(j, &v, &v_tail, 1e-12).unwrap();
+                rows.clear_coordinate(x);
+            }
+            _ => {}
+        }
+        prop_assert_eq!(f.chain_dim(j), held[j].len());
+    }
+    let a = rows.gram(&held);
+    let m = a.rows();
+    if m == 0 {
+        return;
+    }
+    let mut x = b[..m].to_vec();
+    f.solve_in_place(&mut x);
+    let expect = Lu::factor(&a).unwrap().solve(&b[..m]).unwrap();
+    for (xi, ei) in x.iter().zip(&expect) {
+        prop_assert!(
+            (xi - ei).abs() <= 1e-9 * (1.0 + ei.abs()),
+            "arrowhead {xi} vs dense LU {ei}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The arrowhead factor after a from-scratch build and random
-    /// interleaved appends and removes — interior rows, the last row of a
-    /// chain, whole chains emptied and refilled — solves like a dense LU of
-    /// the same matrix.
+    /// interleaved appends, removes — interior rows, the last row of a
+    /// chain, whole chains emptied and refilled — and rank-1 updates and
+    /// downdates solves like a dense LU of the same matrix.
     #[test]
     fn arrowhead_updates_match_dense_solve(
         nchains in 1usize..4,
         ntail in 0usize..4,
         init in prop::collection::vec(0usize..4, 3),
         data in prop::collection::vec(-1.0f64..1.0, 64),
-        ops in prop::collection::vec((0usize..4, 0usize..8, 0usize..8), 1..40),
+        ops in prop::collection::vec((0usize..6, 0usize..8, 0usize..8), 1..40),
         b in vector(40),
     ) {
-        let rows = ArrowRows::new(nchains, ntail, &data);
-        let mut f = ArrowheadCholesky::new();
-        f.reset(nchains, ntail);
-        let mut held: Vec<Vec<usize>> = init[..nchains].iter().map(|&k| (0..k).collect()).collect();
-        for (j, h) in held.iter().enumerate() {
-            let mut cols = Vec::new();
-            let mut coupling = Vec::new();
-            for (a, &r) in h.iter().enumerate() {
-                let (col, c) = rows.column(j, &h[..a], r);
-                cols.extend(col);
-                coupling.extend(c);
-            }
-            f.build_chain(j, h.len(), &cols, &coupling).unwrap();
-        }
-        let mut g = Vec::new();
-        for (e, t) in rows.tail.iter().enumerate() {
-            g.extend(rows.tail[..=e].iter().map(|u| ArrowRows::dot(t, u)));
-        }
-        let diag: Vec<f64> = (0..rows.tail.len()).map(|e| g[e * (e + 1) / 2 + e]).collect();
-        f.build_tail(&g, &diag).unwrap();
-        for (op, a, pick) in ops {
-            let j = a % nchains;
-            let len = held[j].len();
-            match op {
-                0 => {
-                    if let Some(r) = (0..ArrowRows::POOL).find(|r| !held[j].contains(r)) {
-                        let (col, c) = rows.column(j, &held[j], r);
-                        f.append(j, &col, &c, col[col.len() - 1]).unwrap();
-                        held[j].push(r);
-                    }
-                }
-                1 if len > 0 => {
-                    f.remove(j, pick % len);
-                    held[j].remove(pick % len);
-                }
-                2 if len > 0 => {
-                    f.remove(j, len - 1);
-                    held[j].pop();
-                }
-                3 => {
-                    for k in (0..len).rev() {
-                        f.remove(j, if pick % 2 == 0 { k } else { 0 });
-                    }
-                    held[j].clear();
-                }
-                _ => {}
-            }
-            prop_assert_eq!(f.chain_dim(j), held[j].len());
-        }
-        let a = rows.gram(&held);
-        let m = a.rows();
-        prop_assume!(m > 0);
-        let mut x = b[..m].to_vec();
-        f.solve_in_place(&mut x);
-        let expect = Lu::factor(&a).unwrap().solve(&b[..m]).unwrap();
-        for (xi, ei) in x.iter().zip(&expect) {
-            prop_assert!(
-                (xi - ei).abs() <= 1e-9 * (1.0 + ei.abs()),
-                "arrowhead {xi} vs dense LU {ei}"
-            );
+        check_arrowhead_ops(nchains, ntail, &init, &data, &ops, &b);
+    }
+}
+
+proptest! {
+    // Every case runs each of the controller's tail sizes (the equality
+    // rows of the 3×5, 8×16 and 12×24 fleets) and factors tails of up to
+    // 72 rows, so the case count stays small.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// As `arrowhead_updates_match_dense_solve`, at the tail dimensions
+    /// the QP loop runs: each rank-1 change sweeps the whole tail.
+    #[test]
+    fn arrowhead_updates_match_dense_solve_at_controller_tails(
+        nchains in 1usize..4,
+        init in prop::collection::vec(0usize..4, 3),
+        data in prop::collection::vec(-1.0f64..1.0, 64),
+        ops in prop::collection::vec((0usize..6, 0usize..8, 0usize..8), 1..40),
+        b in vector(100),
+    ) {
+        for ntail in [15, 48, 72] {
+            check_arrowhead_ops(nchains, ntail, &init, &data, &ops, &b);
         }
     }
 }
