@@ -701,7 +701,7 @@ fn render_json(
     s.push_str("  \"backends\": {\n");
     s.push_str(
         "    \"banded_riccati\": \"block-tridiagonal Hessian in cumulative-input space, \
-         banded Cholesky + Riccati-style block recursion, never forms the dense Hessian\"\n",
+         one dense Cholesky inverse per IDC chain, never forms the full dense Hessian\"\n",
     );
     s.push_str("  },\n");
     s.push_str("  \"single_step\": [\n");

@@ -35,9 +35,10 @@ use crate::warm_repair::{self, RepairScratch};
 pub enum SolverBackend {
     /// The monolithic path of [`crate::riccati`]: a cumulative-input
     /// change of variables makes the Hessian block-tridiagonal and every
-    /// constraint row stage-local, so KKT steps cost `O(β₂·(NC)²)` via a
-    /// Riccati-style block-Cholesky recursion and the working-set Schur
-    /// complement is updated incrementally across active-set changes.
+    /// constraint row stage-local; each IDC's chain of Hessian blocks is
+    /// inverted once per structure by a dense Cholesky, and the
+    /// working-set Schur complement is updated incrementally across
+    /// active-set changes.
     #[default]
     BandedRiccati,
 }
@@ -88,8 +89,9 @@ pub struct PlanTimings {
     /// Structure-cache rebuilds: banded QP assembly, excluding
     /// factorization.
     pub refresh_ns: u64,
-    /// `prepare()` — Hessian factorization, the per-chain `Y = H⁻¹Cᵀ`
-    /// rows and the Schur blocks the working-set factor reads.
+    /// `prepare()` — one dense Cholesky and inverse per IDC chain of the
+    /// Hessian, and the all-free Schur terms (each row's diagonal, the
+    /// equality block) the working-set factor reads.
     pub factor_ns: u64,
     /// Per-step condensing: gradient and constraint-rhs refresh, active-set
     /// seed re-indexing, and the warm-point shift/repair.

@@ -31,11 +31,11 @@
 //! its charge and discharge rate entries when storage is present. The
 //! Hessian is then a [`BlockTridiag`] of `N·β₂` blocks of size `C` (or
 //! `C + 2`) whose subdiagonal block between `(j, β₂−1)` and `(j+1, 0)` is
-//! exactly zero, so each IDC's stage chain is its own Riccati recursion:
-//! [`idc_linalg::banded`] factors it in `O(N·β₂·C³)` and solves in
-//! `O(N·β₂·C²)`, and the factor keeps the cross-IDC zeros exact. Hence
-//! `H⁻¹` is block diagonal over the IDCs, and [`idc_opt::banded_qp`] keeps
-//! one small free-set inverse per IDC: the single-entry rows (eq. 44's
+//! exactly zero, so `H⁻¹` is block diagonal over the IDCs.
+//! [`idc_opt::banded_qp`] copies each IDC's `β₂`-block chain out dense,
+//! factors and inverts it with one Cholesky (`O(N·(β₂·C)³)` per structure
+//! rebuild, exact zeros between IDCs), and keeps one small free-set
+//! inverse per IDC: the single-entry rows (eq. 44's
 //! non-negativity and the storage rate limits) are bounds that fix their
 //! variable in it, and only the conservation, capacity and SoC rows enter
 //! the working-set Schur factor it maintains across active-set changes.
@@ -351,22 +351,8 @@ mod tests {
         }
     }
 
-    fn densify(h: &BlockTridiag) -> Vec<Vec<f64>> {
-        let nb = h.nb();
-        let mut d = vec![vec![0.0; h.dim()]; h.dim()];
-        for k in 0..h.nblocks() {
-            for i in 0..nb {
-                for j in 0..nb {
-                    d[k * nb + i][k * nb + j] = h.diag(k)[i * nb + j];
-                    if k + 1 < h.nblocks() {
-                        let v = h.sub(k)[i * nb + j];
-                        d[(k + 1) * nb + i][k * nb + j] = v;
-                        d[k * nb + j][(k + 1) * nb + i] = v;
-                    }
-                }
-            }
-        }
-        d
+    fn densify(h: &BlockTridiag) -> Matrix {
+        h.dense(0, h.nblocks())
     }
 
     /// The stage-major Hessian (stage blocks of size `N·C`, then the `N`
@@ -500,8 +486,8 @@ mod tests {
             let qp = skel.qp_mut();
             let h_new = densify(qp.hessian());
             let h_old = stage_major_hessian(&config, &p);
-            for (a, row) in h_new.iter().enumerate() {
-                for (b, &v) in row.iter().enumerate() {
+            for a in 0..dim {
+                for (b, &v) in h_new.row(a).iter().enumerate() {
                     assert!(
                         v == h_old[perm[a]][perm[b]],
                         "storage={storage} H[{a},{b}] = {v} vs {}",
@@ -641,9 +627,7 @@ mod tests {
 
             let h = densify(qp.hessian());
             let mut one = BlockTridiag::new(n, 1);
-            for (i, hrow) in h.iter().enumerate() {
-                one.diag_mut(0)[i * n..(i + 1) * n].copy_from_slice(hrow);
-            }
+            one.diag_mut(0).copy_from_slice(h.as_slice());
             let mut dense = BandedQp::new(one, g.clone()).unwrap();
             for (row, &b) in rows[..me].iter().zip(&b_eq) {
                 dense = dense.equality(row.clone(), b);
@@ -676,7 +660,7 @@ mod tests {
             let mut rhs = vec![0.0; dim];
             for i in 0..n {
                 for j in 0..n {
-                    kkt[(i, j)] = h[i][j];
+                    kkt[(i, j)] = h[(i, j)];
                 }
                 rhs[i] = -g[i];
             }

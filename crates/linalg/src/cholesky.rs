@@ -1,9 +1,11 @@
 //! Cholesky factorization for symmetric positive-definite systems.
 //!
-//! The MPC Hessian `ΘᵀQΘ + R` of the condensed problem (paper eq. 42) is
-//! symmetric positive definite whenever `R ≻ 0`, so equality-free solves use
-//! Cholesky, which is roughly twice as fast as LU and certifies definiteness
-//! as a side effect.
+//! The MPC Hessian of paper eq. 42 is symmetric positive definite whenever
+//! its input ridge `R ≻ 0`, so each IDC's chain of it is factored and
+//! inverted by [`Cholesky`], which is roughly twice as fast as LU and
+//! certifies definiteness as a side effect. The active-set loop's working
+//! set is held by the rank-1-updatable [`UpdatableCholesky`] and
+//! [`ArrowheadCholesky`].
 
 use crate::simd::{dispatch, Kernels};
 use crate::workspace::Workspace;
@@ -40,28 +42,35 @@ impl Cholesky {
     ///
     /// * [`Error::NotSquare`] if `a` is rectangular.
     /// * [`Error::NotPositiveDefinite`] if a diagonal pivot is not strictly
-    ///   positive.
+    ///   positive (or is NaN).
     pub fn factor(a: &Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(Error::NotSquare { shape: a.shape() });
         }
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
+        // Row by row: row `i` of `L` from the rows above it, each entry
+        // one dot over the leading columns.
         for i in 0..n {
-            for j in 0..=i {
-                let mut acc = a[(i, j)];
-                for k in 0..j {
-                    acc -= l[(i, k)] * l[(j, k)];
+            let (done, rest) = l.as_mut_slice().split_at_mut(i * n);
+            let li = &mut rest[..=i];
+            let ai = a.row(i);
+            for j in 0..i {
+                let lj = &done[j * n..=j * n + j];
+                let mut acc = ai[j];
+                for (&x, &y) in li[..j].iter().zip(lj) {
+                    acc -= x * y;
                 }
-                if i == j {
-                    if acc <= 0.0 {
-                        return Err(Error::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = acc.sqrt();
-                } else {
-                    l[(i, j)] = acc / l[(j, j)];
-                }
+                li[j] = acc / lj[j];
             }
+            let mut acc = ai[i];
+            for &x in &li[..i] {
+                acc -= x * x;
+            }
+            if acc.is_nan() || acc <= 0.0 {
+                return Err(Error::NotPositiveDefinite);
+            }
+            li[i] = acc.sqrt();
         }
         Ok(Cholesky { l })
     }
@@ -109,6 +118,52 @@ impl Cholesky {
             x[i] = acc / self.l[(i, i)];
         }
         Ok(x)
+    }
+
+    /// The inverse `A⁻¹`, through `Z = L⁻¹`: `A⁻¹ = ZᵀZ`, formed on the
+    /// lower triangle and mirrored, so the result is exactly symmetric.
+    ///
+    /// Plain row-slice loops that keep every multiply and add apart, so
+    /// the result is the same bits on every host.
+    pub fn inverse(&self) -> Matrix {
+        let n = self.dim();
+        let l = self.l.as_slice();
+        // Row `i` of `Z` is `(eᵢ − Σ_{k<i} L[i,k]·Z[k,..])/L[i,i]`, and
+        // row `k` of `Z` is zero past column `k`.
+        let mut z = vec![0.0; n * n];
+        for i in 0..n {
+            let (done, rest) = z.split_at_mut(i * n);
+            let zi = &mut rest[..=i];
+            zi[i] = 1.0;
+            for (k, &lik) in l[i * n..i * n + i].iter().enumerate() {
+                for (v, &zk) in zi.iter_mut().zip(&done[k * n..=k * n + k]) {
+                    *v -= lik * zk;
+                }
+            }
+            let d = l[i * n + i];
+            for v in zi.iter_mut() {
+                *v /= d;
+            }
+        }
+        // A⁻¹[i, j] = Σ_{k≥i} Z[k,i]·Z[k,j] for j ≤ i: row `i` accumulates
+        // the leading `i + 1` entries of every row of `Z` from `i` on.
+        let mut inv = Matrix::zeros(n, n);
+        let x = inv.as_mut_slice();
+        for i in 0..n {
+            let xi = &mut x[i * n..=i * n + i];
+            for zk in z[i * n..].chunks_exact(n) {
+                let c = zk[i];
+                for (v, &w) in xi.iter_mut().zip(zk) {
+                    *v += c * w;
+                }
+            }
+        }
+        for i in 0..n {
+            for j in 0..i {
+                x[j * n + i] = x[i * n + j];
+            }
+        }
+        inv
     }
 
     /// Log-determinant of `A` (numerically stable for large well-conditioned
@@ -1253,6 +1308,39 @@ mod tests {
         let x_chol = Cholesky::factor(&a).unwrap().solve(&b).unwrap();
         let x_lu = crate::lu::solve(&a, &b).unwrap();
         assert!(vec_ops::approx_eq(&x_chol, &x_lu, 1e-12));
+    }
+
+    /// `Cholesky::inverse` against `Lu::inverse` on SPD matrices of the
+    /// widths the controller's chains take (15 and 48 among them), and
+    /// exactly symmetric.
+    #[test]
+    fn inverse_matches_lu_inverse() {
+        let mut seed = 0x1b7e_u64;
+        for n in [1usize, 2, 3, 5, 8, 15, 16, 48] {
+            let a = random_spd(n, &mut seed);
+            let inv = Cholesky::factor(&a).unwrap().inverse();
+            let lu = crate::lu::Lu::factor(&a).unwrap().inverse().unwrap();
+            let scale = lu.norm_max();
+            assert!((&inv - &lu).unwrap().norm_max() <= 1e-10 * scale, "n = {n}");
+            for i in 0..n {
+                for j in 0..i {
+                    assert_eq!(inv[(i, j)].to_bits(), inv[(j, i)].to_bits());
+                }
+            }
+        }
+        assert_eq!(
+            Cholesky::factor(&Matrix::zeros(0, 0)).unwrap().inverse(),
+            Matrix::zeros(0, 0)
+        );
+    }
+
+    #[test]
+    fn rejects_nan_pivot() {
+        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, f64::NAN]]).unwrap();
+        assert!(matches!(
+            Cholesky::factor(&a),
+            Err(Error::NotPositiveDefinite)
+        ));
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! (ICDCS 2012):
 //!
 //! * a row-major dense [`Matrix`] type with the usual arithmetic,
-//! * [LU](lu::Lu) and [Cholesky](cholesky::Cholesky) factorizations, with
-//!   the [block-tridiagonal](banded) and rank-1-updatable working-set
-//!   Cholesky factors the MPC's constrained least squares is solved with,
+//! * [LU](lu::Lu) and [Cholesky](cholesky::Cholesky) factorizations — the
+//!   latter factors and inverts each IDC's chain of the
+//!   [block-tridiagonal](banded) MPC Hessian — and the rank-1-updatable
+//!   working-set Cholesky factor the MPC's constrained least squares is
+//!   solved with,
 //! * the scaling-and-squaring [Padé matrix exponential](expm::expm) used for
 //!   zero-order-hold discretization of the continuous-time cost model
 //!   (`Φ = e^{A·Ts}`, paper eq. 23–25),
 //! * rank / norm utilities used by the controllability test of Sec. IV-C,
-//! * runtime-dispatched AVX2+FMA [`dot`/`axpy` kernels](simd) behind the
-//!   GEMM microkernel's feature check, which the working-set Cholesky
-//!   solves of the active-set QP loop run on.
+//! * runtime-dispatched AVX2+FMA [`dot`/`axpy` kernels](simd), which the
+//!   working-set Cholesky solves of the active-set QP loop run on.
 //!
 //! The crate is dependency-free and deterministic; all routines operate on
 //! `f64`.
@@ -41,7 +42,6 @@ pub mod cholesky;
 pub mod eigen;
 mod error;
 pub mod expm;
-pub mod gemm;
 pub mod lu;
 mod matrix;
 pub mod simd;

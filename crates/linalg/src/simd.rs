@@ -28,8 +28,8 @@
 //! bitwise alike on both paths (and like the scalar formulas they vectorise).
 
 /// Whether this CPU supports AVX2 and FMA. The single detection point for
-/// every SIMD kernel in the crate (GEMM microkernel included); the answer
-/// is cached after the first call.
+/// every SIMD kernel in the crate; the answer is cached after the first
+/// call.
 pub(crate) fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {

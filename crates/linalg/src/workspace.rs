@@ -1,7 +1,7 @@
 //! Arena-style scratch-buffer pool for allocation-free hot paths.
 //!
-//! The MPC solve path needs many short-lived `f64` buffers per step (packed
-//! GEMM panels, block-recursion temporaries, gathered KKT rows). Allocating
+//! The MPC solve path needs short-lived `f64` buffers in every solve (the
+//! working-set factor's block-append columns and pivot scales). Allocating
 //! them on every call dominates small-problem runtimes, so [`Workspace`]
 //! recycles buffers through a free list: [`take`](Workspace::take) hands out a
 //! zeroed buffer (reusing retired capacity when available) and

@@ -48,9 +48,8 @@
 //! keep their inequality indices, so warm seeds and returned active sets
 //! number every row alike.
 
-use idc_linalg::banded::{BlockTridiag, BlockTridiagChol};
-use idc_linalg::cholesky::ArrowheadCholesky;
-use idc_linalg::workspace::Workspace;
+use idc_linalg::banded::BlockTridiag;
+use idc_linalg::cholesky::{ArrowheadCholesky, Cholesky};
 use idc_linalg::{simd, vec_ops};
 
 use crate::active_set::{self, LoopScratch, QpSolution, WARM_TOL};
@@ -234,9 +233,8 @@ impl BandedWorkspace {
 /// Precomputed factorizations shared by all solves of one problem skeleton.
 #[derive(Debug, Clone)]
 struct BandedCache {
-    /// Block Cholesky factor of `H̃ = H + εI`.
-    chol: BlockTridiagChol,
-    /// The ridge `ε`: zero unless `H` itself failed to factor.
+    /// The ridge `ε` of `H̃ = H + εI`: zero unless `H` itself failed to
+    /// factor.
     ridge: f64,
     /// The independent chains of Hessian blocks.
     chains: Vec<Chain>,
@@ -442,9 +440,8 @@ impl BandedQp {
         Ok(())
     }
 
-    /// Precomputes the block Cholesky of `H + εI`, splits the variables
-    /// into independent chains, and inverts each chain's Hessian: one
-    /// multi-right-hand-side solve of the identity per independent run of
+    /// Splits the variables into independent chains and inverts each
+    /// chain's `H̃ = H + εI`: one dense Cholesky per independent run of
     /// blocks, at the run's own width (the inverse is block diagonal over
     /// a chain's runs). Finds the bounds among the inequality rows.
     ///
@@ -459,62 +456,24 @@ impl BandedQp {
     pub fn prepare(&mut self) -> Result<()> {
         self.validate()?;
         let n = self.num_vars();
-        let nb = self.h.nb();
-        let mut pool = Workspace::new();
-        let mut chol = match self.cache.take() {
-            Some(c) => c.chol,
-            None => BlockTridiagChol::new(),
-        };
-        // Factor H exactly when possible — the KKT step then reconstructs
-        // the Newton point as `t = −x − tg` without ever multiplying by H,
-        // which keeps the per-iteration cost O(n + m²). Only when the exact
-        // factorization breaks down fall back to a tiny ridge (the solve
-        // then optimizes the εI-perturbed problem, indistinguishable at
-        // solver tolerance).
-        let mut ridge = 0.0;
-        if chol.refactor(&self.h, &mut pool).is_err() {
-            ridge = 1e-12;
-            let mut ridged = self.h.clone();
-            for t in 0..ridged.nblocks() {
-                let d = ridged.diag_mut(t);
-                for i in 0..nb {
-                    d[i * nb + i] += ridge;
-                }
-            }
-            chol.refactor(&ridged, &mut pool)?;
-        }
         let (row_chain, runs) = self.inequality_chain_ids();
+        // Invert H exactly when possible — the KKT step then reconstructs
+        // the Newton point as `t = −x − tg` without ever multiplying by H,
+        // which keeps the per-iteration cost O(n + m²). Only when some run
+        // fails to factor retry every run with a tiny ridge (the solve then
+        // optimizes the εI-perturbed problem, indistinguishable at solver
+        // tolerance).
+        let (ridge, mut chains) = match self.chain_inverses(&runs, 0.0) {
+            Ok(chains) => (0.0, chains),
+            Err(_) => (1e-12, self.chain_inverses(&runs, 1e-12)?),
+        };
         let mut var_chain = vec![0; n];
         let mut var_local = vec![0; n];
-        let mut chains = Vec::with_capacity(runs.len());
-        let mut buf = Vec::new();
-        for (j, chain_runs) in runs.iter().enumerate() {
-            let width: usize = chain_runs.iter().map(|&(a, b)| (b - a) * nb).sum();
-            let mut vars = Vec::with_capacity(width);
-            let mut inv = vec![0.0; width * width];
-            for &(first, end) in chain_runs {
-                let (off, w) = (first * nb, (end - first) * nb);
-                let at = vars.len();
-                buf.clear();
-                buf.resize(w * w, 0.0);
-                for a in 0..w {
-                    buf[a * w + a] = 1.0;
-                }
-                chol.solve_rows_in_place(&mut buf, w, first, end - first, &mut pool);
-                for (a, row) in buf.chunks_exact(w).enumerate() {
-                    inv[(at + a) * width + at..][..w].copy_from_slice(row);
-                }
-                vars.extend(off..off + w);
-            }
-            for (l, &k) in vars.iter().enumerate() {
+        for (j, chain) in chains.iter().enumerate() {
+            for (l, &k) in chain.vars.iter().enumerate() {
                 var_chain[k] = j;
                 var_local[k] = l;
             }
-            chains.push(Chain {
-                vars,
-                inv,
-                eq: Vec::new(),
-            });
         }
         for (e, row) in self.a_eq.iter().enumerate() {
             for &(k, c) in row.entries() {
@@ -557,7 +516,6 @@ impl BandedQp {
             }
         }
         self.cache = Some(BandedCache {
-            chol,
             ridge,
             chains,
             var_chain,
@@ -569,6 +527,43 @@ impl BandedQp {
             s_ee,
         });
         Ok(())
+    }
+
+    /// Each chain's variables and `(H + ridge·I)⁻¹` over them, from the
+    /// chains' runs of blocks: each run copied out dense, factored by
+    /// Cholesky and inverted at its own width; entries between different
+    /// runs are exact zeros.
+    fn chain_inverses(
+        &self,
+        runs: &[Vec<(usize, usize)>],
+        ridge: f64,
+    ) -> idc_linalg::Result<Vec<Chain>> {
+        let nb = self.h.nb();
+        runs.iter()
+            .map(|chain_runs| {
+                let width: usize = chain_runs.iter().map(|&(a, b)| (b - a) * nb).sum();
+                let mut vars = Vec::with_capacity(width);
+                let mut inv = vec![0.0; width * width];
+                for &(first, end) in chain_runs {
+                    let mut h = self.h.dense(first, end);
+                    let w = h.rows();
+                    for i in 0..w {
+                        h[(i, i)] += ridge;
+                    }
+                    let run_inv = Cholesky::factor(&h)?.inverse();
+                    let at = vars.len();
+                    for (a, row) in run_inv.as_slice().chunks_exact(w).enumerate() {
+                        inv[(at + a) * width + at..][..w].copy_from_slice(row);
+                    }
+                    vars.extend(first * nb..end * nb);
+                }
+                Ok(Chain {
+                    vars,
+                    inv,
+                    eq: Vec::new(),
+                })
+            })
+            .collect()
     }
 
     /// Splits the variables and the inequality rows into independent
@@ -1713,25 +1708,7 @@ mod tests {
 
     /// Dense copy of a block-tridiagonal matrix.
     fn densify(h: &BlockTridiag) -> Matrix {
-        let (nb, t) = (h.nb(), h.nblocks());
-        let mut dense = Matrix::zeros(nb * t, nb * t);
-        for bt in 0..t {
-            for i in 0..nb {
-                for j in 0..nb {
-                    dense[(bt * nb + i, bt * nb + j)] = h.diag(bt)[i * nb + j];
-                }
-            }
-        }
-        for bt in 0..t.saturating_sub(1) {
-            for i in 0..nb {
-                for j in 0..nb {
-                    let v = h.sub(bt)[i * nb + j];
-                    dense[((bt + 1) * nb + i, bt * nb + j)] = v;
-                    dense[(bt * nb + j, (bt + 1) * nb + i)] = v;
-                }
-            }
-        }
-        dense
+        h.dense(0, h.nblocks())
     }
 
     /// A random problem with stage-local equality rows and bound-style
@@ -2185,15 +2162,15 @@ mod tests {
         qp
     }
 
-    /// The full-width reference `H̃⁻¹`: the identity solved in one sweep
-    /// over all Hessian blocks.
+    /// The dense reference `H̃⁻¹`: LU's inverse of the whole ridged
+    /// Hessian.
     fn reference(qp: &BandedQp) -> Matrix {
-        let chol = &qp.cache.as_ref().unwrap().chol;
-        let n = qp.num_vars();
-        let mut inv = Matrix::identity(n);
-        let mut pool = Workspace::new();
-        chol.solve_rows_in_place(inv.as_mut_slice(), n, 0, chol.nblocks(), &mut pool);
-        inv
+        let mut h = densify(&qp.h);
+        let ridge = qp.cache.as_ref().unwrap().ridge;
+        for i in 0..h.rows() {
+            h[(i, i)] += ridge;
+        }
+        Lu::factor(&h).unwrap().inverse().unwrap()
     }
 
     /// The dense reference of a chain's free-set inverse: `H̃_FF⁻¹` over the
@@ -2416,16 +2393,24 @@ mod tests {
         }
     }
 
+    /// Relative tolerance of a chain's inverse against the LU reference:
+    /// the two factor the same well-conditioned matrix in different
+    /// orders.
+    const INV_TOL: f64 = 1e-12;
+
     /// Prepares `qp` and checks the cache against [`reference`]: each
-    /// chain's inverse row is the reference row over the chain, bitwise up
-    /// to the sign of zero, with exact zeros outside the variable's own run
-    /// of blocks and across chains; the chains partition the variables; the
-    /// bounds are the single-entry rows; each chain lists its equality
-    /// entries; and the cache stores one square per chain.
+    /// chain's square is the reference over the chain to [`INV_TOL`]
+    /// relative to the reference's largest entry, and exactly symmetric;
+    /// its entries between different runs of blocks are exact zeros, and
+    /// so are the reference's entries there and across chains (LU keeps a
+    /// block-diagonal matrix's zeros, up to sign); the chains partition the
+    /// variables; the bounds are the single-entry rows; each chain lists
+    /// its equality entries; and the cache stores one square per chain.
     fn assert_prepare_matches_reference(qp: &mut BandedQp) {
         qp.prepare().unwrap();
         let cache = qp.cache.as_ref().unwrap();
         let inv = reference(qp);
+        let tol = INV_TOL * inv.norm_max();
         let n = qp.num_vars();
         let nb = qp.h.nb();
         // The run of blocks of each variable.
@@ -2442,10 +2427,12 @@ mod tests {
                 assert_eq!((cache.var_chain[k], cache.var_local[k]), (j, l));
                 let dim = chain.vars.len();
                 for (lb, &kb) in chain.vars.iter().enumerate() {
-                    let full = inv[(k, kb)];
-                    assert!(chain.inv[l * dim + lb] == full, "M[{k}, {kb}]");
+                    let held = chain.inv[l * dim + lb];
+                    assert!((held - inv[(k, kb)]).abs() <= tol, "M[{k}, {kb}]");
+                    assert_eq!(held.to_bits(), chain.inv[lb * dim + l].to_bits());
                     if run_of(k) != run_of(kb) {
-                        assert!(full == 0.0, "M[{k}, {kb}] outside its run");
+                        assert!(held.to_bits() == 0, "M[{k}, {kb}] outside its run");
+                        assert!(inv[(k, kb)] == 0.0, "reference M[{k}, {kb}]");
                     }
                 }
                 for kb in (0..n).filter(|&kb| cache.var_chain[kb] != j) {
@@ -2530,8 +2517,8 @@ mod tests {
                 assert_eq!(cache.row_chain[i], g, "row {i}");
             }
         }
-        // The chain sweeps equal a dense sweep with the full-width
-        // reference when nothing is fixed.
+        // The chain sweeps equal a dense sweep with the dense reference
+        // when nothing is fixed.
         let inv = reference(&qp);
         let mut ws = BandedWorkspace::new();
         let mut ops = BandedOps {
@@ -2865,5 +2852,59 @@ mod tests {
         assert!((sol.x()[0] - 3.0).abs() < 1e-8);
         assert!((sol.x()[1] + 1.0).abs() < 1e-8);
         assert!(sol.active_set().is_empty());
+    }
+
+    /// A singular positive-semidefinite run fails the exact factor, so
+    /// `prepare` retries every run with the `1e-12` ridge — the regular
+    /// run too — and the solve meets the KKT conditions of the ridged
+    /// problem. Every bound binds at the optimum, so the point and the
+    /// multipliers do not pass through the `1/ε` null-space entries.
+    #[test]
+    fn singular_hessian_prepares_through_the_ridge() {
+        let mut h = BlockTridiag::new(2, 2);
+        h.diag_mut(0).copy_from_slice(&[2.0, 0.0, 0.0, 2.0]);
+        h.diag_mut(1).copy_from_slice(&[1.0, 1.0, 1.0, 1.0]);
+        let mut qp = BandedQp::new(h, vec![-5.0; 4]).unwrap();
+        for k in 0..4 {
+            qp = qp.inequality(SparseRow::from_entries(vec![(k, 1.0)]), 1.0);
+        }
+        qp.prepare().unwrap();
+        let cache = qp.cache.as_ref().unwrap();
+        assert_eq!(cache.ridge, 1e-12);
+        assert_eq!(cache.chains.len(), 2);
+        let regular = cache.chains[0].inv[0];
+        assert!(regular < 0.5 && (regular - 1.0 / (2.0 + 1e-12)).abs() < 1e-15);
+        let sol = qp
+            .warm_start(&[0.0; 4], &[], &mut BandedWorkspace::new())
+            .unwrap();
+        assert_eq!(sol.active_set(), &[0, 1, 2, 3][..]);
+        assert!(
+            sol.x().iter().all(|&x| (x - 1.0).abs() < 1e-9),
+            "{:?}",
+            sol.x()
+        );
+        let mut ridged = qp.clone();
+        for t in 0..2 {
+            let d = ridged.h.diag_mut(t);
+            d[0] += 1e-12;
+            d[3] += 1e-12;
+        }
+        assert_kkt(&ridged, &sol);
+    }
+
+    /// An indefinite Hessian fails the ridged factor too: `prepare`, and
+    /// so every solve, reports a numerical error.
+    #[test]
+    fn indefinite_hessian_is_a_numerical_error() {
+        let mut qp = one_block(&[&[1.0, 2.0], &[2.0, 1.0]], vec![0.0, 0.0]);
+        assert!(matches!(
+            qp.prepare(),
+            Err(Error::Numerical(idc_linalg::Error::NotPositiveDefinite))
+        ));
+        assert!(qp.cache.is_none());
+        assert!(matches!(
+            qp.warm_start(&[0.0, 0.0], &[], &mut BandedWorkspace::new()),
+            Err(Error::Numerical(_))
+        ));
     }
 }
