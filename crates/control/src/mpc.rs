@@ -648,7 +648,7 @@ impl MpcController {
                 let solve_start = Instant::now();
                 let span = Span::enter_cat("mpc.solve.cold", "solver");
                 self.warm_x.fill(0.0);
-                warm_repair::repair(problem, &mut self.warm_x, &mut self.repair);
+                warm_repair::repair(problem, &mut self.warm_x, &[], &mut self.repair);
                 riccati::to_cumulative(nb, &self.warm_x, &mut self.warm_y);
                 skel.to_qp_order(&self.warm_y, &mut self.warm_q);
                 let sol = skel.qp_mut().warm_start(&self.warm_q, &[], &mut self.bws);
@@ -752,7 +752,9 @@ impl MpcController {
                     .copy_from_slice(&w.delta_u[(t + 1) * nb..(t + 2) * nb]);
             }
         }
-        warm_repair::repair(problem, &mut self.warm_x, &mut self.repair);
+        // The repair puts the IDCs whose capacity rows the seed holds
+        // back on their capacity face, so those rows survive acceptance.
+        warm_repair::repair(problem, &mut self.warm_x, &self.seed, &mut self.repair);
         has_base
     }
 
@@ -1596,6 +1598,31 @@ mod tests {
         assert!(plan.warm_rejection().is_none());
         let total: f64 = plan.next_input().iter().sum();
         assert!((total - 12_000.0).abs() < 1e-6, "total {total}");
+    }
+
+    #[test]
+    fn seeded_capacity_row_survives_a_capacity_increase() {
+        // IDC 0 tracks a reference far above its capacity, so the plan
+        // holds it on its capacity face at every stage. The slow loop then
+        // turns servers on: the shifted point sits 1 000 req/s below the
+        // new face, and the repair must move load back onto IDC 0 so that
+        // every seeded row, its capacity rows included, survives the
+        // solver's acceptance check.
+        let mut problem = two_idc_problem([11_000.0, 4_000.0], [2.5, 0.5]);
+        problem.capacities = vec![11_000.0, 11_500.0];
+        problem.workload_forecast = vec![vec![15_000.0]; 3];
+        let mut controller = MpcController::new(MpcConfig::default());
+        let plan = controller.plan(&problem).unwrap();
+        problem.prev_input = plan.next_input().to_vec();
+        problem.capacities[0] = 12_000.0;
+        problem.servers_on[0] = 8_700;
+        controller.reset_solve_stats();
+        let plan = controller.plan(&problem).unwrap();
+        assert!(plan.warm_started());
+        let capacity_rows = controller.seed.iter().filter(|&&ci| ci < 3 * 2).count();
+        assert!(capacity_rows > 0, "seed {:?}", controller.seed);
+        let stats = controller.solve_stats();
+        assert_eq!(stats.seed_accepted, stats.seed_offered, "{stats:?}");
     }
 
     #[test]

@@ -25,15 +25,36 @@
 //!    down proportionally);
 //! 4. only then top up each under-served portal, in proportion to the
 //!    capacity headroom of the IDCs already serving it, falling back to
-//!    the headroom of all IDCs when theirs does not cover the deficit.
+//!    the headroom of all IDCs when theirs does not cover the deficit;
+//! 5. refill each IDC whose stage-`t` capacity row the shifted seed holds
+//!    (a *seeded* IDC) and whose load is below `φ_j`: load moves onto it
+//!    from the IDCs the seed does not hold at capacity (the *donors*),
+//!    only along portals it already serves, in proportion to the donors'
+//!    entries there, and never more than its deficit.
 //!
 //! Steps 1–3 only shrink entries, so each keeps the constraints fixed by
 //! the steps before it. Shedding every surplus before any top-up is what
 //! makes step 4 always fit: after step 3 every portal is served at most
 //! its forecast, so the fleet's total headroom `Σφ − Σu` is at least the
-//! total deficit, and each top-up lowers both by the same amount. Entries
-//! on their non-negativity floor and IDCs on their capacity face stay
-//! there, which keeps the shifted active-set seed valid.
+//! total deficit, and each top-up lowers both by the same amount. Step 5
+//! moves load within a portal's column, so it keeps conservation; it
+//! scales donor entries by a factor in `[0, 1]`, so it keeps every floor
+//! and only lowers donor loads; and a seeded IDC gains at most its
+//! deficit, so it keeps every capacity. It needs no headroom, so it keeps
+//! the guarantee below.
+//!
+//! Step 5 is what keeps the shifted active-set seed valid. The slow loop
+//! re-sizes every IDC's servers each period, so the capacity rows follow
+//! the load and the optimum keeps the same IDCs full from step to step.
+//! Steps 2–4 move a full IDC off its face (step 3 sheds from it like from
+//! any other IDC); a seeded row the repaired point misses by more than
+//! the acceptance tolerance is dropped from the seed, and the solver
+//! spends an iteration re-admitting it. Step 5 puts it back on the face
+//! whenever the donors serve enough of its portals. Entries at or below
+//! [`SERVING_FLOOR`] stay there through steps 4 and 5 while any IDC that
+//! serves the portal has headroom, so the seeded non-negativity rows
+//! survive too. With no seed, step 5 does nothing and the repair is the
+//! four-step repair a cold start uses.
 //!
 //! With storage, each IDC's shifted charge/discharge rates are
 //! forward-simulated and clamped to the rate boxes and the SoC box.
@@ -59,10 +80,11 @@ use crate::mpc::MpcProblem;
 
 /// An entry at or below this allocation (req/s) counts as off: a top-up
 /// never lands on it while an IDC that already serves the portal has
-/// headroom. The MPC optimum is sparse, and lifting an entry off its
-/// floor would cost the solver an iteration to re-discover the bound the
-/// seeded active set relies on.
-const SERVING_FLOOR: f64 = 1e-6;
+/// headroom, and a refill of a seeded IDC never moves load along it. The
+/// MPC optimum is sparse, and lifting an entry off its floor would cost
+/// the solver an iteration to re-discover the bound the seeded active set
+/// relies on.
+pub const SERVING_FLOOR: f64 = 1e-6;
 
 /// Reusable buffers for [`repair`], kept by the controller so a step
 /// allocates nothing.
@@ -76,6 +98,9 @@ pub struct RepairScratch {
     load: Vec<f64>,
     /// Top-up weights per IDC.
     weights: Vec<f64>,
+    /// Per stage and IDC (`t·N + j`): whether the seed holds the capacity
+    /// row.
+    full: Vec<bool>,
 }
 
 /// Rewrites the shifted warm point `x` (stacked `ΔU`, `β₂` blocks of
@@ -83,14 +108,27 @@ pub struct RepairScratch {
 /// `problem`, as described in the [module docs](self). The control
 /// horizon is the forecast length.
 ///
+/// `seed` is the shifted active set the solver will be warm-started
+/// with, as constraint indices of the step's QP: the capacity rows come
+/// first, row `t·N + j` bounding IDC `j` at stage `t`, and indices past
+/// them are ignored. The repair puts each IDC whose capacity row the seed
+/// holds back on its capacity face where it can. A cold start passes an
+/// empty seed.
+///
 /// # Panics
 ///
 /// Panics if `x` is not `β₂` blocks long. The problem's dimensions are
 /// assumed already validated.
-pub fn repair(problem: &MpcProblem, x: &mut [f64], scratch: &mut RepairScratch) {
+pub fn repair(problem: &MpcProblem, x: &mut [f64], seed: &[usize], scratch: &mut RepairScratch) {
     let beta2 = problem.workload_forecast.len();
     let nb = problem.block_size();
     assert_eq!(x.len(), beta2 * nb, "warm point must hold β₂ blocks");
+    let ncap = beta2 * problem.num_idcs();
+    scratch.full.clear();
+    scratch.full.resize(ncap, false);
+    for &ci in seed.iter().filter(|&&ci| ci < ncap) {
+        scratch.full[ci] = true;
+    }
     repair_storage(problem, x);
     repair_workload(problem, x, scratch);
 }
@@ -117,7 +155,7 @@ pub fn exceeds_fleet_capacity(
     })
 }
 
-/// The four-phase workload repair of the module docs.
+/// The five-phase workload repair of the module docs.
 fn repair_workload(problem: &MpcProblem, x: &mut [f64], s: &mut RepairScratch) {
     let n = problem.num_idcs();
     let c = problem.num_portals();
@@ -193,6 +231,42 @@ fn repair_workload(problem: &MpcProblem, x: &mut [f64], s: &mut RepairScratch) {
                 let add = deficit * s.weights[j] / total;
                 s.alloc[j * c + i] += add;
                 s.load[j] += add;
+            }
+        }
+        // 5. Refill the seeded IDCs from the donors, along the portals
+        // each already serves.
+        let full = &s.full[t * n..(t + 1) * n];
+        for j in (0..n).filter(|&j| full[j]) {
+            let deficit = cap[j] - s.load[j];
+            if deficit <= 0.0 {
+                continue;
+            }
+            let mut avail = 0.0;
+            for i in 0..c {
+                if s.alloc[j * c + i] > SERVING_FLOOR {
+                    avail += (0..n)
+                        .filter(|&k| !full[k])
+                        .map(|k| s.alloc[k * c + i])
+                        .sum::<f64>();
+                }
+            }
+            if avail <= 0.0 {
+                continue;
+            }
+            // At most 1, so no donor entry goes below zero; exactly 1
+            // empties them.
+            let frac = deficit.min(avail) / avail;
+            for i in 0..c {
+                if s.alloc[j * c + i] <= SERVING_FLOOR {
+                    continue;
+                }
+                for k in (0..n).filter(|&k| !full[k]) {
+                    let take = s.alloc[k * c + i] * frac;
+                    s.alloc[k * c + i] -= take;
+                    s.load[k] -= take;
+                    s.alloc[j * c + i] += take;
+                    s.load[j] += take;
+                }
             }
         }
         for k in 0..nc {

@@ -4,7 +4,7 @@ use idc_control::discretize::zoh;
 use idc_control::mpc::{MpcConfig, MpcController, MpcProblem, StorageProblem};
 use idc_control::reference::optimal_reference;
 use idc_control::statespace::CostStateSpace;
-use idc_control::warm_repair::{self, RepairScratch};
+use idc_control::warm_repair::{self, RepairScratch, SERVING_FLOOR};
 use idc_datacenter::idc::paper_idcs;
 use idc_linalg::Matrix;
 use idc_opt::WARM_TOL;
@@ -305,6 +305,72 @@ fn worst_violation(p: &MpcProblem, x: &[f64]) -> f64 {
     worst
 }
 
+/// The repair without a seed, transcribed from its four phases on the
+/// workload entries of `x` (the storage entries are left as they are):
+/// the reference a seedless repair must reproduce bit for bit.
+fn four_phase_workload_repair(p: &MpcProblem, x: &mut [f64]) {
+    let (n, c) = (p.num_idcs(), p.num_portals());
+    let (nc, nb) = (n * c, p.block_size());
+    let cap = &p.capacities;
+    let mut prev = p.prev_input.clone();
+    for (t, forecast) in p.workload_forecast.iter().enumerate() {
+        let block = &mut x[t * nb..t * nb + nc];
+        let mut alloc: Vec<f64> = (0..nc).map(|k| (prev[k] + block[k]).max(0.0)).collect();
+        for j in 0..n {
+            let row = &mut alloc[j * c..(j + 1) * c];
+            let load: f64 = row.iter().sum();
+            if load > cap[j] && load > 0.0 {
+                let keep = cap[j].max(0.0) / load;
+                row.iter_mut().for_each(|v| *v *= keep);
+            }
+        }
+        for i in 0..c {
+            let served: f64 = (0..n).map(|j| alloc[j * c + i]).sum();
+            if served > forecast[i] && served > 0.0 {
+                let keep = forecast[i].max(0.0) / served;
+                (0..n).for_each(|j| alloc[j * c + i] *= keep);
+            }
+        }
+        let mut load: Vec<f64> = (0..n)
+            .map(|j| alloc[j * c..(j + 1) * c].iter().sum())
+            .collect();
+        for i in 0..c {
+            let served: f64 = (0..n).map(|j| alloc[j * c + i]).sum();
+            let deficit = forecast[i] - served;
+            if deficit <= 0.0 {
+                continue;
+            }
+            let headroom = |j: usize| (cap[j] - load[j]).max(0.0);
+            let mut weights: Vec<f64> = (0..n)
+                .map(|j| {
+                    if alloc[j * c + i] > SERVING_FLOOR {
+                        headroom(j)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let mut total: f64 = weights.iter().sum();
+            if total < deficit {
+                weights = (0..n).map(headroom).collect();
+                total = weights.iter().sum();
+            }
+            if total <= 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                let add = deficit * weights[j] / total;
+                alloc[j * c + i] += add;
+                load[j] += add;
+            }
+        }
+        for k in 0..nc {
+            block[k] = alloc[k] - prev[k];
+        }
+        prev = alloc;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -323,12 +389,85 @@ proptest! {
     ) {
         let mut rng = SplitMix(seed);
         let (problem, mut x) = random_repair_instance(n, c, beta2, storage == 1, &mut rng);
-        warm_repair::repair(&problem, &mut x, &mut RepairScratch::default());
+        warm_repair::repair(&problem, &mut x, &[], &mut RepairScratch::default());
         let norm = x.iter().fold(0.0f64, |a, v| a.max(v.abs()));
         let worst = worst_violation(&problem, &x);
         prop_assert!(
             worst <= WARM_TOL * (1.0 + norm),
             "violation {worst} (‖x‖∞ = {norm}) on {problem:?}"
         );
+    }
+
+    /// The refill of seeded capacity faces: with a random mask of seeded
+    /// capacity rows (plus indices past them, which the repair ignores)
+    /// the repaired point is as feasible as without one, and every seeded
+    /// IDC left below its capacity face has drained the other IDCs'
+    /// entries on each portal it serves — so a seeded IDC whose deficit
+    /// those entries cover ends on its face. Without a seed the repair is
+    /// the four-phase repair, bit for bit.
+    #[test]
+    fn warm_repair_refills_the_seeded_capacity_faces(
+        n in 1usize..7,
+        c in 1usize..6,
+        beta2 in 1usize..5,
+        storage in 0usize..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = SplitMix(seed);
+        let (problem, shifted) = random_repair_instance(n, c, beta2, storage == 1, &mut rng);
+        let ncap = beta2 * n;
+        let full: Vec<bool> = (0..ncap).map(|_| rng.chance(0.4)).collect();
+        let mut rows: Vec<usize> = (0..ncap).filter(|&r| full[r]).collect();
+        rows.extend([ncap, ncap + 1 + (rng.next() % 7) as usize]);
+        let mut scratch = RepairScratch::default();
+
+        let mut seedless = shifted.clone();
+        warm_repair::repair(&problem, &mut seedless, &[], &mut scratch);
+        let mut reference = shifted.clone();
+        four_phase_workload_repair(&problem, &mut reference);
+        let (nc, nb) = (n * c, problem.block_size());
+        for t in 0..beta2 {
+            for k in 0..nc {
+                prop_assert_eq!(
+                    seedless[t * nb + k].to_bits(),
+                    reference[t * nb + k].to_bits(),
+                    "stage {} entry {}", t, k
+                );
+            }
+        }
+
+        let mut x = shifted;
+        warm_repair::repair(&problem, &mut x, &rows, &mut scratch);
+        let norm = x.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+        let tol = WARM_TOL * (1.0 + norm);
+        let worst = worst_violation(&problem, &x);
+        prop_assert!(worst <= tol, "violation {worst} (‖x‖∞ = {norm}) on {problem:?}");
+        for t in 0..beta2 {
+            // The storage entries are repaired apart from the workload.
+            prop_assert_eq!(&x[t * nb + nc..(t + 1) * nb], &seedless[t * nb + nc..(t + 1) * nb]);
+        }
+        let mut u = problem.prev_input.clone();
+        for t in 0..beta2 {
+            for k in 0..nc {
+                u[k] += x[t * nb + k];
+            }
+            for j in (0..n).filter(|&j| full[t * n + j]) {
+                let load: f64 = u[j * c..(j + 1) * c].iter().sum();
+                if load >= problem.capacities[j] - tol {
+                    continue;
+                }
+                for i in (0..c).filter(|&i| u[j * c + i] > SERVING_FLOOR) {
+                    let donors: f64 = (0..n)
+                        .filter(|&k| !full[t * n + k])
+                        .map(|k| u[k * c + i])
+                        .sum();
+                    prop_assert!(
+                        donors <= tol,
+                        "stage {t}: IDC {j} at {load} below {} while donors hold {donors} on portal {i}",
+                        problem.capacities[j]
+                    );
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,6 @@
 //! [`ArrowheadCholesky`].
 
 use crate::simd::{dispatch, Kernels};
-use crate::workspace::Workspace;
 use crate::{Error, Matrix, Result};
 
 /// A lower-triangular Cholesky factor `A = L·Lᵀ`.
@@ -209,9 +208,11 @@ pub struct UpdatableCholesky {
     /// Reciprocals of the diagonal of `L`, so the triangular solves'
     /// serial chains multiply instead of divide.
     inv: Vec<f64>,
-    /// Scratch for appends, removals and rank-1 changes.
+    /// Scratch for appends, removals and rank-1 changes (a block append's
+    /// `L21` columns).
     w: Vec<f64>,
-    /// Second scratch vector (the downdate's rotation cosines).
+    /// Second scratch vector (the downdate's rotation cosines, a block
+    /// append's pivot scales).
     v: Vec<f64>,
 }
 
@@ -322,11 +323,11 @@ impl UpdatableCholesky {
     /// calls would consume.
     ///
     /// The off-diagonal factor block `L21 = F·L11⁻ᵀ` comes from forward
-    /// substitution over its `n` columns (each of height `k`, in scratch
-    /// from `ws`), the k×k Schur complement `S22 − L21·L21ᵀ` is assembled in
-    /// place as one column axpy per entry of `L21`, and factored there by
-    /// right-looking column sweeps. Diagonal pivots must pass the same
-    /// relative positivity test as [`append`](Self::append).
+    /// substitution over its `n` columns (each of height `k`, in the
+    /// factor's own scratch), the k×k Schur complement `S22 − L21·L21ᵀ` is
+    /// assembled in place as one column axpy per entry of `L21`, and
+    /// factored there by right-looking column sweeps. Diagonal pivots must
+    /// pass the same relative positivity test as [`append`](Self::append).
     ///
     /// # Errors
     ///
@@ -338,7 +339,7 @@ impl UpdatableCholesky {
     /// # Panics
     ///
     /// Panics if `cols.len()` does not match `k` stacked append columns.
-    pub fn append_block(&mut self, k: usize, cols: &[f64], ws: &mut Workspace) -> Result<()> {
+    pub fn append_block(&mut self, k: usize, cols: &[f64]) -> Result<()> {
         let n = self.n;
         assert_eq!(
             cols.len(),
@@ -353,7 +354,9 @@ impl UpdatableCholesky {
         }
         let row = |j: usize| &cols[j * n + j * (j + 1) / 2..][..n + j + 1];
         // L21, one column of height k per existing row.
-        let mut l21 = ws.take(k * n);
+        let mut l21 = std::mem::take(&mut self.w);
+        l21.clear();
+        l21.resize(k * n, 0.0);
         for j in 0..k {
             for (c, &f) in row(j)[..n].iter().enumerate() {
                 l21[c * k + j] = f;
@@ -364,7 +367,9 @@ impl UpdatableCholesky {
         // become part of the factor only once every pivot has passed.
         self.reserve(n + k);
         let cap = self.cap;
-        let mut scale = ws.take(k);
+        let mut scale = std::mem::take(&mut self.v);
+        scale.clear();
+        scale.resize(k, 0.0);
         for j in 0..k {
             let a = row(j);
             for (i, &s) in a[n..].iter().enumerate() {
@@ -382,8 +387,8 @@ impl UpdatableCholesky {
             self.n += k;
             self.refresh_inv(n);
         }
-        ws.put(l21);
-        ws.put(scale);
+        self.w = l21;
+        self.v = scale;
         result
     }
 
@@ -623,8 +628,8 @@ pub struct ArrowheadCholesky {
     built: bool,
     /// Scratch for a removal's leftover coupling column.
     z: Vec<f64>,
-    /// Scratch pool for the blocked builds.
-    ws: Workspace,
+    /// Scratch for the tail build's effective pivot scales.
+    eff: Vec<f64>,
 }
 
 /// One diagonal block of an [`ArrowheadCholesky`].
@@ -706,7 +711,7 @@ impl ArrowheadCholesky {
         );
         let chain = &mut self.chains[j];
         assert_eq!(chain.l.dim(), 0, "build_chain on a non-empty chain");
-        chain.l.append_block(k, cols, &mut self.ws)?;
+        chain.l.append_block(k, cols)?;
         chain.coupling.clear();
         chain.coupling.extend_from_slice(coupling);
         couple_cols(&chain.l, &mut chain.coupling, self.h, 0);
@@ -747,7 +752,9 @@ impl ArrowheadCholesky {
         }
         // A pivot must pass against the Schur complement's own diagonal
         // (the blocked append's test) and against `scale`.
-        let mut eff = self.ws.take(h);
+        let mut eff = std::mem::take(&mut self.eff);
+        eff.clear();
+        eff.resize(h, 0.0);
         for (e, s) in eff.iter_mut().enumerate() {
             *s = tail.diag(e).abs().max(scale[e].abs());
         }
@@ -756,7 +763,7 @@ impl ArrowheadCholesky {
             tail.n = h;
             tail.refresh_inv(0);
         }
-        self.ws.put(eff);
+        self.eff = eff;
         self.built = result.is_ok();
         result
     }
@@ -1457,8 +1464,7 @@ mod tests {
             for i in split..n {
                 cols.extend((0..=i).map(|j| a[(i, j)]));
             }
-            let mut ws = Workspace::new();
-            up.append_block(n - split, &cols, &mut ws).unwrap();
+            up.append_block(n - split, &cols).unwrap();
             assert_eq!(up.dim(), n);
             let b: Vec<f64> = (0..n).map(|_| pseudo(&mut seed)).collect();
             let mut x = b.clone();
@@ -1475,7 +1481,6 @@ mod tests {
     #[test]
     fn mutated_factor_solves_match_dense_factor() {
         let mut seed = 0x50_1ceu64;
-        let mut ws = Workspace::new();
         for m in [1usize, 3, 16, 17, 64, 200] {
             let pool = m + 12;
             let a = random_spd(pool, &mut seed);
@@ -1483,22 +1488,20 @@ mod tests {
             // `order[r]` is the row of `a` held in factor row `r`.
             let mut order: Vec<usize> = Vec::new();
             let mut unused: Vec<usize> = (0..pool).rev().collect();
-            let append_rows = |up: &mut UpdatableCholesky,
-                               order: &mut Vec<usize>,
-                               new: &[usize],
-                               ws: &mut Workspace| {
-                let mut cols = Vec::new();
-                for (j, &gi) in new.iter().enumerate() {
-                    let prefix = order.iter().chain(&new[..=j]);
-                    cols.extend(prefix.map(|&gj| a[(gi, gj)]));
-                }
-                if new.len() == 1 {
-                    up.append(&cols).unwrap();
-                } else {
-                    up.append_block(new.len(), &cols, ws).unwrap();
-                }
-                order.extend_from_slice(new);
-            };
+            let append_rows =
+                |up: &mut UpdatableCholesky, order: &mut Vec<usize>, new: &[usize]| {
+                    let mut cols = Vec::new();
+                    for (j, &gi) in new.iter().enumerate() {
+                        let prefix = order.iter().chain(&new[..=j]);
+                        cols.extend(prefix.map(|&gj| a[(gi, gj)]));
+                    }
+                    if new.len() == 1 {
+                        up.append(&cols).unwrap();
+                    } else {
+                        up.append_block(new.len(), &cols).unwrap();
+                    }
+                    order.extend_from_slice(new);
+                };
             for _ in 0..3 * m + 4 {
                 let op = (pseudo(&mut seed).abs() * 3.0) as usize;
                 if op == 2 && !order.is_empty() {
@@ -1510,7 +1513,7 @@ mod tests {
                     let want = if op == 1 { 1 + (m / 4).max(1) } else { 1 };
                     let k = want.min(unused.len());
                     let new: Vec<usize> = unused.split_off(unused.len() - k);
-                    append_rows(&mut up, &mut order, &new, &mut ws);
+                    append_rows(&mut up, &mut order, &new);
                 }
             }
             while order.len() > m {
@@ -1519,7 +1522,7 @@ mod tests {
             }
             while order.len() < m {
                 let new = vec![unused.pop().unwrap()];
-                append_rows(&mut up, &mut order, &new, &mut ws);
+                append_rows(&mut up, &mut order, &new);
             }
             assert_eq!(up.dim(), m);
             let reduced = Matrix::from_fn(m, m, |i, j| a[(order[i], order[j])]);
@@ -1544,9 +1547,8 @@ mod tests {
         up.append(&[4.0]).unwrap();
         // Rows 1 and 2 make the matrix singular (row 2 = row 1).
         let cols = [2.0, 2.0, 2.0, 2.0, 2.0];
-        let mut ws = Workspace::new();
         assert!(matches!(
-            up.append_block(2, &cols, &mut ws),
+            up.append_block(2, &cols),
             Err(Error::NotPositiveDefinite)
         ));
         assert_eq!(up.dim(), 1, "failed block append must not commit rows");

@@ -46,7 +46,6 @@ pub mod lu;
 mod matrix;
 pub mod simd;
 pub mod vec_ops;
-pub mod workspace;
 
 pub use error::Error;
 pub use matrix::Matrix;

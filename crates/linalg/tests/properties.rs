@@ -1,7 +1,6 @@
 //! Property-based tests for the dense linear-algebra kernels.
 
 use idc_linalg::cholesky::{ArrowheadCholesky, Cholesky, UpdatableCholesky};
-use idc_linalg::workspace::Workspace;
 use idc_linalg::{expm::expm, lu::Lu, vec_ops, Matrix};
 use proptest::prelude::*;
 
@@ -189,8 +188,7 @@ proptest! {
             blocked.append(&col_of(r)).unwrap();
         }
         let packed: Vec<f64> = (split..n).flat_map(col_of).collect();
-        let mut ws = Workspace::new();
-        blocked.append_block(n - split, &packed, &mut ws).unwrap();
+        blocked.append_block(n - split, &packed).unwrap();
         let mut x_row = b.clone();
         let mut x_blk = b;
         rowwise.solve_in_place(&mut x_row);

@@ -82,7 +82,7 @@ fn budget_scenarios_report_margins_and_bound_overshoot() {
             .run(&scenario, policy.as_mut())
             .expect("simulation");
         let report = check_run(&scenario, &result, &Tolerances::default());
-        let (idc, step, margin) = report
+        let (step, idc, margin) = report
             .worst_budget_margin_mw
             .unwrap_or_else(|| panic!("{label}: no budget margin on a budgeted scenario"));
         assert!(idc < result.num_idcs() && step < result.times_min().len());
