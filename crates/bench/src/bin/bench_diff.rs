@@ -12,13 +12,16 @@
 //! solver's `prepare`, which warm steps skip; its gated row is
 //! `single_cold`), `warm_ms_per_step` for `end_to_end` and
 //! `storage_end_to_end` rows (warm solves are the steady-state cost of the
-//! controller) and six hardware-free `solve_stats`
+//! controller) and eight hardware-free `solve_stats`
 //! counters of the same rows — `iterations_per_step`,
 //! `refinement_passes_per_step`, `refactorizations_per_step`,
+//! `updates_applied_per_step`, `downdates_applied_per_step`,
 //! `cold_fallbacks`, `degenerate_pops` and `bland_switches` — which
-//! catch active-set and factor-stability regressions that shared-runner
-//! timing noise would hide. The last three are zero in a healthy run: a
-//! counter that is zero in the baseline fails on any occurrence.
+//! catch active-set, working-set churn and factor-stability regressions
+//! that shared-runner timing noise would hide. The last three are zero in
+//! a healthy run: a counter that is zero in the baseline fails on any
+//! occurrence. `readmissions_per_step` is reported in the rows but not
+//! gated, since its baseline can be zero on a small window.
 //! Storage rows carry a ` +storage` key suffix so they never collide
 //! with the plain row at the same size and backend.
 //! `BENCH_runtime.json` documents (schema `bench.runtime.v1`, written by
@@ -39,13 +42,17 @@
 use serde::Value;
 
 /// The hardware-free `solve_stats` counters of the end-to-end rows, as
-/// `(table, key)`; each is gated at `--iters-threshold`. The last three are
+/// `(table, key)`; each is gated at `--iters-threshold`. The updates and
+/// downdates are the working set's rank-1 factor work, so a pivot rule
+/// that drops rows only to re-admit them fails here. The last three are
 /// zero in a healthy run, so any occurrence over a zero baseline fails
 /// (see [`relative_change`]).
-const COUNTER_GATES: [(&str, &str); 6] = [
+const COUNTER_GATES: [(&str, &str); 8] = [
     ("iterations", "iterations_per_step"),
     ("refinements", "refinement_passes_per_step"),
     ("refactorizations", "refactorizations_per_step"),
+    ("updates", "updates_applied_per_step"),
+    ("downdates", "downdates_applied_per_step"),
     ("cold_fallbacks", "cold_fallbacks"),
     ("degenerate_pops", "degenerate_pops"),
     ("bland_switches", "bland_switches"),
@@ -83,8 +90,8 @@ fn usage() -> ! {
         "usage: bench_diff BASELINE.json CURRENT.json [--threshold F] \
          [--iters-threshold F] [--warn-only]\n\
          \x20 compares warm- and cold-step timings and solver counters (iterations,\n\
-         \x20 refinement passes, refactorizations, cold fallbacks, degenerate pops,\n\
-         \x20 Bland switches) row by row; exits 1 when any timing row regresses by\n\
+         \x20 refinement passes, refactorizations, factor updates and downdates,\n\
+         \x20 cold fallbacks, degenerate pops, Bland switches) row by row; exits 1 when any timing row regresses by\n\
          \x20 more than --threshold (default 0.10) or any counter row by more than\n\
          \x20 --iters-threshold (default 0.25), both relative"
     );
@@ -330,7 +337,10 @@ mod tests {
                 "warm_ms_per_step": 12.5,
                 "solve_stats": {"iterations_per_step": 23.5,
                     "refinement_passes_per_step": 24.0,
-                    "refactorizations_per_step": 1.0}}],
+                    "refactorizations_per_step": 1.0,
+                    "updates_applied_per_step": 30.0,
+                    "downdates_applied_per_step": 20.0,
+                    "readmissions_per_step": 5.0}}],
                "single_step": [{"idcs": 8, "portals": 15, "backend": "banded",
                 "cold_ms": 40.0, "warm_ms": 3.0,
                 "solve_stats": {"iterations_per_step": 9.0}}]}"#,
@@ -349,6 +359,8 @@ mod tests {
                 ("iterations", key.clone(), 23.5),
                 ("refinements", key.clone(), 24.0),
                 ("refactorizations", key.clone(), 1.0),
+                ("updates", key.clone(), 30.0),
+                ("downdates", key.clone(), 20.0),
                 ("end_to_end", key, 12.5),
             ]
         );

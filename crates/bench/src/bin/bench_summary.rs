@@ -5,19 +5,22 @@
 //! price-flip fleets of `ext_scaling`, from the paper's 3×5 fleet up to
 //! 12×24:
 //!
-//! * **single_step** — median wall-clock of one `MpcController::plan`
-//!   call, cold (controller reset before every call, so the structure
-//!   cache rebuilds and the QP solves from scratch) vs warm (state kept,
-//!   the steady-state cost of a receding-horizon run).
+//! * **single_step** — median and min–max of nine timings of one
+//!   `MpcController::plan` call, cold (controller reset before every call,
+//!   so the structure cache rebuilds and the QP solves from scratch) vs
+//!   warm (state kept, the steady-state cost of a receding-horizon run).
 //! * **end_to_end** — full simulated price-flip window through
-//!   `MpcPolicy`, `solver_reuse: false` vs `true`, including the
+//!   `MpcPolicy`, `solver_reuse: false` vs `true`, run five times each.
+//!   A row records the median and min–max ms/step of each mode, the
 //!   controller's own warm/cold solve accounting, the relative cost
-//!   difference between the two trajectories, and the per-phase
-//!   wall-clock breakdown of the warm run (refresh / factor / condense /
-//!   solve / reference / simulate), and the warm solve split into the
-//!   active-set loop's parts (working-set update, factor solves, sweeps,
-//!   ratio test) with its residual against `solve`. The warm run binds a
-//!   thread trace recorder so the solver times those parts.
+//!   difference between the two trajectories, and, from the run with the
+//!   median warm time, the per-phase wall-clock breakdown (refresh /
+//!   factor / condense / solve / reference / simulate) and the warm solve
+//!   split into the active-set loop's parts (working-set update, factor
+//!   solves, sweeps, ratio test) with its residual against `solve`. The
+//!   warm run binds a thread trace recorder so the solver times those
+//!   parts. The solver counters and both costs are deterministic, so the
+//!   sweep fails if they differ between the repeats.
 //! * **storage_end_to_end** — one storage-enabled cell at the paper-scale
 //!   8×15 size: a battery per IDC plus the typical commercial
 //!   demand-charge tariff, so the QP carries the enlarged
@@ -28,7 +31,7 @@
 //! Run with:
 //! `cargo run --release -p idc-bench --bin bench_summary [-- <output.json>]`
 //!
-//! `-- --smoke` runs the 3×5 end-to-end window only, fails if that
+//! `-- --smoke` runs the 3×5 end-to-end window once, fails if that
 //! fault-free window records a cold fallback, and writes nothing — the CI
 //! cold-fallback gate.
 //!
@@ -76,6 +79,14 @@ const CONTROL_HORIZON: usize = 3;
 /// Fleet size of the storage-enabled end-to-end cell: the paper-scale
 /// 8×15 case with a battery per IDC and a demand-charge tariff.
 const STORAGE_E2E_SIZE: (usize, usize) = (8, 15);
+/// Timed reps of each single-step cell. The median of three moved the
+/// 12×24 warm row by about 2× between runs of the same code, and the
+/// committed baseline is what the CI timing gate compares against.
+const SINGLE_STEP_REPS: usize = 9;
+/// Runs of each end-to-end window, cold and warm. One run can read 2–5×
+/// its median when the host stalls the process; the median of five does
+/// not move with one such stall.
+const E2E_REPEATS: usize = 5;
 
 /// A synthetic fleet of `n` IDCs × `c` portals sized like the paper's
 /// (same construction as `ext_scaling`).
@@ -148,31 +159,63 @@ fn step_problem(n: usize, c: usize) -> MpcProblem {
     step_problem_at(n, c, prev, false)
 }
 
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
+/// The median and the min–max range of repeated timings.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    /// The spread of a non-empty sample (upper median for an even count).
+    fn of(samples: &[f64]) -> Self {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        Spread {
+            median: sorted[sorted.len() / 2],
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+        }
+    }
 }
 
 struct SingleStepRow {
     n: usize,
     c: usize,
     vars: usize,
-    cold_ms: f64,
-    warm_ms: f64,
+    cold: Spread,
+    warm: Spread,
+}
+
+/// One run of an end-to-end window, cold and warm.
+struct WindowRun {
+    cold_ms_per_step: f64,
+    warm_ms_per_step: f64,
+    cold_total_cost: f64,
+    warm_total_cost: f64,
+    warm_solve_fraction: f64,
+    /// Per-phase breakdown of the warm (`solver_reuse: true`) run.
+    phases: PhaseBreakdown,
+    /// Solver introspection counters of the warm run.
+    stats: SolveStats,
+    steps: usize,
 }
 
 struct EndToEndRow {
     n: usize,
     c: usize,
     vars: usize,
-    cold_ms_per_step: f64,
-    warm_ms_per_step: f64,
+    repeats: usize,
+    cold_ms_per_step: Spread,
+    warm_ms_per_step: Spread,
     warm_solve_fraction: f64,
     cost_rel_diff: f64,
     warm_total_cost: f64,
-    /// Per-phase breakdown of the warm (`solver_reuse: true`) run.
+    /// Per-phase breakdown of the run with the median warm time.
     phases: PhaseBreakdown,
-    /// Solver introspection counters of the warm run.
+    /// Solver introspection counters of the warm run (equal in every
+    /// repeat; the timed parts are the median run's).
     stats: SolveStats,
     steps: usize,
 }
@@ -183,10 +226,7 @@ struct EndToEndRow {
 /// the overrun, and an explicit skip record reads better than an
 /// hours-long sweep.
 fn measure_single_step(n: usize, c: usize, max_step_ms: f64) -> Result<SingleStepRow, String> {
-    // Nine reps at every size: the median of three moved the 12×24 warm
-    // row by about 2× between runs of the same code, and the committed
-    // baseline is what the CI timing gate compares against.
-    let reps = 9;
+    let reps = SINGLE_STEP_REPS;
     let p = step_problem(n, c);
     let over = |kind: &str, ms: f64| {
         format!("{kind} step took {ms:.0} ms, over --max-step-ms {max_step_ms:.0}")
@@ -219,12 +259,80 @@ fn measure_single_step(n: usize, c: usize, max_step_ms: f64) -> Result<SingleSte
         n,
         c,
         vars: n * c * controller.config().control_horizon,
-        cold_ms: median_ms(&mut cold),
-        warm_ms: median_ms(&mut warm),
+        cold: Spread::of(&cold),
+        warm: Spread::of(&warm),
     })
 }
 
-fn measure_end_to_end(n: usize, c: usize, storage: bool) -> Result<EndToEndRow, idc_core::Error> {
+/// The hardware-free counters of `stats`: everything but the timed parts.
+fn counters(stats: &SolveStats) -> SolveStats {
+    SolveStats {
+        update_ns: 0,
+        factor_solve_ns: 0,
+        sweep_ns: 0,
+        ratio_test_ns: 0,
+        ..*stats
+    }
+}
+
+/// Runs the `n`×`c` window `repeats` times, cold and warm, and reduces the
+/// runs to one row. Fails if the solver counters or the costs differ
+/// between runs: both are deterministic, so a difference is a bug.
+fn measure_end_to_end(
+    n: usize,
+    c: usize,
+    storage: bool,
+    repeats: usize,
+) -> Result<EndToEndRow, idc_core::Error> {
+    let runs = (0..repeats)
+        .map(|_| run_window(n, c, storage))
+        .collect::<Result<Vec<_>, _>>()?;
+    let first = &runs[0];
+    for run in &runs[1..] {
+        if counters(&run.stats) != counters(&first.stats)
+            || run.cold_total_cost.to_bits() != first.cold_total_cost.to_bits()
+            || run.warm_total_cost.to_bits() != first.warm_total_cost.to_bits()
+        {
+            return Err(idc_core::Error::Config(format!(
+                "the {n}x{c} window (storage: {storage}) is not deterministic: \
+                 solver counters {:?} vs {:?}, costs {} / {} vs {} / {}",
+                counters(&first.stats),
+                counters(&run.stats),
+                first.cold_total_cost,
+                first.warm_total_cost,
+                run.cold_total_cost,
+                run.warm_total_cost,
+            )));
+        }
+    }
+    let cold: Vec<f64> = runs.iter().map(|r| r.cold_ms_per_step).collect();
+    let warm: Vec<f64> = runs.iter().map(|r| r.warm_ms_per_step).collect();
+    let warm_ms_per_step = Spread::of(&warm);
+    // The phases and the solve split come from one run, so they add up to
+    // that run's own solve time.
+    let median = runs
+        .iter()
+        .find(|r| r.warm_ms_per_step == warm_ms_per_step.median)
+        .expect("the median is one of the runs");
+    Ok(EndToEndRow {
+        n,
+        c,
+        vars: n * c * 3,
+        repeats,
+        cold_ms_per_step: Spread::of(&cold),
+        warm_ms_per_step,
+        warm_solve_fraction: median.warm_solve_fraction,
+        cost_rel_diff: (median.cold_total_cost - median.warm_total_cost).abs()
+            / median.warm_total_cost.abs().max(1e-12),
+        warm_total_cost: median.warm_total_cost,
+        phases: median.phases,
+        stats: median.stats,
+        steps: median.steps,
+    })
+}
+
+/// One run of the `n`×`c` price-flip window, cold then warm.
+fn run_window(n: usize, c: usize, storage: bool) -> Result<WindowRun, idc_core::Error> {
     let sim = Simulator::new();
     let ts = 30.0 / 3600.0;
     let mut per_mode = [0.0f64; 2];
@@ -287,15 +395,12 @@ fn measure_end_to_end(n: usize, c: usize, storage: bool) -> Result<EndToEndRow, 
             steps = run.times_min().len();
         }
     }
-    Ok(EndToEndRow {
-        n,
-        c,
-        vars: n * c * 3,
+    Ok(WindowRun {
         cold_ms_per_step: per_mode[0],
         warm_ms_per_step: per_mode[1],
-        warm_solve_fraction: warm_fraction,
-        cost_rel_diff: (costs[0] - costs[1]).abs() / costs[1].abs().max(1e-12),
+        cold_total_cost: costs[0],
         warm_total_cost: costs[1],
+        warm_solve_fraction: warm_fraction,
         phases,
         stats,
         steps,
@@ -361,16 +466,23 @@ impl SolveSplit {
 }
 
 fn print_e2e_row(e: &EndToEndRow) {
+    let (cold, warm) = (e.cold_ms_per_step, e.warm_ms_per_step);
     println!(
         "{:>6} {:>8} {:>8} | {:>17.2} {:>17.2} {:>7.1}x {:>7.1}",
         e.n,
         e.c,
         e.vars,
-        e.cold_ms_per_step,
-        e.warm_ms_per_step,
-        e.cold_ms_per_step / e.warm_ms_per_step.max(1e-9),
+        cold.median,
+        warm.median,
+        cold.median / warm.median.max(1e-9),
         100.0 * e.warm_solve_fraction,
     );
+    if e.repeats > 1 {
+        println!(
+            "{:>24} | median of {}: cold {:.3}–{:.3}, warm {:.3}–{:.3} ms/step",
+            "spread", e.repeats, cold.min, cold.max, warm.min, warm.max,
+        );
+    }
     println!(
         "{:>24} | per step: refresh {:.3} factor {:.3} condense {:.3} solve {:.3} \
          reference {:.3} simulate {:.3} ms",
@@ -397,12 +509,13 @@ fn print_e2e_row(e: &EndToEndRow) {
     let per_step = |v: u64| v as f64 / e.steps.max(1) as f64;
     println!(
         "{:>24} | per step: iters {:.2} churn {:.2} refine {:.2} | seed survival \
-         {:.3} bland {} cold-fallbacks {}",
+         {:.3} readmissions {:.2} bland {} cold-fallbacks {}",
         "solver",
         per_step(e.stats.iterations),
         per_step(e.stats.working_set_churn()),
         per_step(e.stats.refinement_passes),
         e.stats.seed_survival(),
+        per_step(e.stats.readmissions),
         e.stats.bland_switches,
         e.stats.cold_fallbacks,
     );
@@ -411,7 +524,7 @@ fn print_e2e_row(e: &EndToEndRow) {
 fn run_smoke() -> Result<(), idc_core::Error> {
     let (n, c) = SIZES[0];
     println!("## bench_summary --smoke — {n}×{c} end-to-end window");
-    let e = measure_end_to_end(n, c, false)?;
+    let e = measure_end_to_end(n, c, false, 1)?;
     print_e2e_row(&e);
     // The warm repair is feasible by construction on a feasible step, so a
     // fault-free window never pays a cold fallback. The window's first step
@@ -509,16 +622,16 @@ fn main() -> Result<(), idc_core::Error> {
         };
         match measured {
             Ok(s) => {
-                let e = measure_end_to_end(n, c, false)?;
+                let e = measure_end_to_end(n, c, false, E2E_REPEATS)?;
                 print_e2e_row(&e);
                 println!(
                     "{:>24} | single step: cold {:.3} ms, warm {:.3} ms ({:.1}x)",
                     "1-step",
-                    s.cold_ms,
-                    s.warm_ms,
-                    s.cold_ms / s.warm_ms.max(1e-9),
+                    s.cold.median,
+                    s.warm.median,
+                    s.cold.median / s.warm.median.max(1e-9),
                 );
-                last_cold = Some((s.vars, s.cold_ms));
+                last_cold = Some((s.vars, s.cold.median));
                 single.push(s);
                 end_to_end.push(e);
             }
@@ -546,7 +659,7 @@ fn main() -> Result<(), idc_core::Error> {
     {
         let (n, c) = STORAGE_E2E_SIZE;
         println!("\nstorage-enabled end-to-end (battery + demand charge):");
-        let e = measure_end_to_end(n, c, true)?;
+        let e = measure_end_to_end(n, c, true, E2E_REPEATS)?;
         print_e2e_row(&e);
         storage_rows.push(e);
     }
@@ -619,18 +732,25 @@ fn simd_path() -> &'static str {
 /// Renders one end-to-end row (shared by the plain and storage-enabled
 /// sections — same schema, so `bench_diff` reads both).
 fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
+    let (cold, warm) = (r.cold_ms_per_step, r.warm_ms_per_step);
     s.push_str(&format!(
         "    {{\"idcs\": {}, \"portals\": {}, \"delta_u_vars\": {}, \"backend\": \"{}\", \
-         \"cold_ms_per_step\": {:.3}, \"warm_ms_per_step\": {:.3}, \
+         \"repeats\": {}, \"cold_ms_per_step\": {:.3}, \"cold_ms_per_step_range\": [{:.3}, {:.3}], \
+         \"warm_ms_per_step\": {:.3}, \"warm_ms_per_step_range\": [{:.3}, {:.3}], \
          \"speedup\": {:.2}, \"warm_solve_fraction\": {:.3}, \"cost_rel_diff\": {:.3e}, \
          \"warm_total_cost\": {:.9},\n",
         r.n,
         r.c,
         r.vars,
         BACKEND_LABEL,
-        r.cold_ms_per_step,
-        r.warm_ms_per_step,
-        r.cold_ms_per_step / r.warm_ms_per_step.max(1e-9),
+        r.repeats,
+        cold.median,
+        cold.min,
+        cold.max,
+        warm.median,
+        warm.min,
+        warm.max,
+        cold.median / warm.median.max(1e-9),
         r.warm_solve_fraction,
         r.cost_rel_diff,
         r.warm_total_cost,
@@ -656,7 +776,7 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
     s.push_str(&format!(
         "     \"solve_stats\": {{\"iterations_per_step\": {:.3}, \
          \"constraints_added_per_step\": {:.3}, \"constraints_dropped_per_step\": {:.3}, \
-         \"degenerate_pops\": {}, \"bland_switches\": {}, \
+         \"readmissions_per_step\": {:.3}, \"degenerate_pops\": {}, \"bland_switches\": {}, \
          \"refinement_passes_per_step\": {:.3}, \"refactorizations_per_step\": {:.3}, \
          \"updates_applied_per_step\": {:.3}, \"downdates_applied_per_step\": {:.3}, \
          \"working_set_delta_per_step\": {:.3}, \"warm_seed_survival\": {:.4}, \
@@ -664,6 +784,7 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
         per_step(r.stats.iterations),
         per_step(r.stats.constraints_added),
         per_step(r.stats.constraints_dropped),
+        per_step(r.stats.readmissions),
         r.stats.degenerate_pops,
         r.stats.bland_switches,
         per_step(r.stats.refinement_passes),
@@ -688,6 +809,12 @@ fn render_json(
     s.push_str("  \"generator\": \"cargo run --release -p idc-bench --bin bench_summary\",\n");
     s.push_str(&format!("  \"host\": {},\n", host_json()));
     s.push_str("  \"units\": \"milliseconds of wall-clock per MPC control step\",\n");
+    s.push_str(&format!(
+        "  \"timing\": \"single_step: median of {SINGLE_STEP_REPS} plans, min and max in *_range; \
+         end_to_end: median of {E2E_REPEATS} windows per mode, min and max in *_range, phases, \
+         solve split and solve_stats from the run with the median warm time (solve_stats are \
+         equal in every run)\",\n"
+    ));
     s.push_str("  \"modes\": {\n");
     s.push_str(
         "    \"cold\": \"controller state reset before every step: structure cache rebuilt, \
@@ -708,14 +835,20 @@ fn render_json(
     for (i, r) in single.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"idcs\": {}, \"portals\": {}, \"delta_u_vars\": {}, \"backend\": \"{}\", \
-             \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
+             \"reps\": {}, \"cold_ms\": {:.3}, \"cold_ms_range\": [{:.3}, {:.3}], \
+             \"warm_ms\": {:.3}, \"warm_ms_range\": [{:.3}, {:.3}], \"speedup\": {:.2}}}{}\n",
             r.n,
             r.c,
             r.vars,
             BACKEND_LABEL,
-            r.cold_ms,
-            r.warm_ms,
-            r.cold_ms / r.warm_ms.max(1e-9),
+            SINGLE_STEP_REPS,
+            r.cold.median,
+            r.cold.min,
+            r.cold.max,
+            r.warm.median,
+            r.warm.min,
+            r.warm.max,
+            r.cold.median / r.warm.median.max(1e-9),
             if i + 1 < single.len() { "," } else { "" }
         ));
     }

@@ -16,6 +16,9 @@
 ///   ratio test (`working.push`).
 /// * `constraints_dropped` — constraints deactivated on a negative
 ///   multiplier (Dantzig or Bland rule).
+/// * `readmissions` — inequality constraints activated again after a
+///   negative-multiplier drop earlier in the same solve: the churn a
+///   batched drop pays when it frees a row the next step needs back.
 /// * `degenerate_pops` — constraints popped after a singular KKT
 ///   factorization, the numerical-degeneracy recovery path.
 /// * `bland_switches` — times the pivot rule switched from Dantzig's most
@@ -60,6 +63,8 @@ pub struct SolveStats {
     pub constraints_added: u64,
     /// Constraints deactivated on negative multipliers.
     pub constraints_dropped: u64,
+    /// Constraints activated again after a drop in the same solve.
+    pub readmissions: u64,
     /// Constraints popped on singular KKT factorizations.
     pub degenerate_pops: u64,
     /// Dantzig→Bland pivot-rule switches.
@@ -97,6 +102,7 @@ impl SolveStats {
         self.iterations += other.iterations;
         self.constraints_added += other.constraints_added;
         self.constraints_dropped += other.constraints_dropped;
+        self.readmissions += other.readmissions;
         self.degenerate_pops += other.degenerate_pops;
         self.bland_switches += other.bland_switches;
         self.seed_offered += other.seed_offered;
@@ -125,6 +131,7 @@ impl SolveStats {
             constraints_dropped: self
                 .constraints_dropped
                 .saturating_sub(earlier.constraints_dropped),
+            readmissions: self.readmissions.saturating_sub(earlier.readmissions),
             degenerate_pops: self.degenerate_pops.saturating_sub(earlier.degenerate_pops),
             bland_switches: self.bland_switches.saturating_sub(earlier.bland_switches),
             seed_offered: self.seed_offered.saturating_sub(earlier.seed_offered),
@@ -193,6 +200,7 @@ mod tests {
             iterations: 10,
             constraints_added: 4,
             constraints_dropped: 1,
+            readmissions: 1,
             degenerate_pops: 1,
             bland_switches: 1,
             seed_offered: 6,

@@ -7,6 +7,14 @@
 //! warm-start seeding) and drives the KKT subproblem solves of
 //! [`banded_qp`](crate::banded_qp) through its `BandedOps`, which keeps the
 //! pivoting logic apart from the linear algebra.
+//!
+//! The default pivot is blocked: a blocking step admits every row it
+//! leaves tight, and a stationary point drops every working row whose
+//! multiplier is at most `DROP_RATIO·μ_min`, `μ_min` being the most
+//! negative one. Dropping every negative multiplier at once freed many
+//! rows that came straight back at the next, zero-length step, and each
+//! return costs a factor update and its later downdate. The
+//! `readmissions` counter of [`SolveStats`] counts those returns.
 
 use idc_linalg::vec_ops;
 use idc_obs::SolveStats;
@@ -29,6 +37,13 @@ pub const WARM_TOL: f64 = 1e-6;
 /// the solve (see `bland_latched` in [`solve_from_feasible`]).
 const DEGENERATE_PATIENCE: usize = 12;
 
+/// A batched drop removes the working rows whose multiplier is at most
+/// `DROP_RATIO·μ_min`, where `μ_min` is the most negative multiplier, so
+/// the most negative row always goes and the loop still terminates. A
+/// smaller ratio drops more rows per stationary point and re-admits more
+/// of them at the next step.
+const DROP_RATIO: f64 = 0.5;
+
 /// Every buffer of [`solve_from_feasible`], owned by the caller so a
 /// workspace recycles them across solves: a steady-state solve allocates
 /// only the [`QpSolution`] it returns.
@@ -50,8 +65,11 @@ pub(crate) struct LoopScratch {
     /// Constraints popped by degenerate-KKT recoveries since the iterate
     /// last made progress (see the recovery arm of the loop).
     banned: Vec<bool>,
-    /// Batched pivoting: working-set positions with negative multipliers.
+    /// Batched pivoting: working-set positions to drop.
     drops: Vec<usize>,
+    /// Rows dropped on a negative multiplier earlier in this solve, so an
+    /// admission can be counted as a re-admission.
+    dropped: Vec<bool>,
     /// Batched pivoting: `(index, a·p, slack)` ratio-test candidates.
     adds: Vec<(usize, f64, f64)>,
 }
@@ -72,6 +90,7 @@ pub(crate) fn solve_from_feasible(
         seeded,
         banned,
         drops,
+        dropped,
         adds,
     } = scratch;
     let (n, me, mi) = (ops.num_vars(), ops.num_eq(), ops.num_in());
@@ -124,6 +143,8 @@ pub(crate) fn solve_from_feasible(
     banned.clear();
     banned.resize(mi, false);
     let mut any_banned = false;
+    dropped.clear();
+    dropped.resize(mi, false);
 
     loop {
         if iterations >= budget {
@@ -164,15 +185,16 @@ pub(crate) fn solve_from_feasible(
         let batch_pivots = !bland && !ops.single_pivot();
         if p_norm < x_scale {
             // Multipliers of working inequality constraints live after
-            // the equality multipliers. Normally drop *every* negative
-            // multiplier in one outer iteration (blocked Dantzig — the
-            // working set jumps toward the optimal one instead of
-            // shedding a single constraint per KKT solve); after a
-            // streak of degenerate zero-length steps, switch to Bland's
-            // single smallest-constraint-index drop, which cannot
-            // cycle. Pure Bland is safe but walks the working set
-            // essentially one index at a time, which on a large
-            // warm-started transient costs thousands of KKT solves.
+            // the equality multipliers. Normally drop every row whose
+            // multiplier is at most `DROP_RATIO` times the most negative
+            // one in one outer iteration (blocked Dantzig — the working
+            // set jumps toward the optimal one instead of shedding a
+            // single constraint per KKT solve); after a streak of
+            // degenerate zero-length steps, switch to Bland's single
+            // smallest-constraint-index drop, which cannot cycle. Pure
+            // Bland is safe but walks the working set essentially one
+            // index at a time, which on a large warm-started transient
+            // costs thousands of KKT solves.
             ops.bound_multipliers(x, working, sol);
             let ineq_mult = &sol[n + me..];
             if any_banned {
@@ -180,14 +202,7 @@ pub(crate) fn solve_from_feasible(
                 any_banned = false;
             }
             if batch_pivots {
-                drops.clear();
-                drops.extend(
-                    ineq_mult
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &m)| m < -TOL)
-                        .map(|(k, _)| k),
-                );
+                select_drops(ineq_mult, drops);
                 if drops.is_empty() {
                     stats.ratio_test_ns += ops.pivot_ns(pivot_start);
                     return finish(ops, x, iterations, working, in_working, seeded, stats);
@@ -195,7 +210,9 @@ pub(crate) fn solve_from_feasible(
                 // Highest position first, so earlier positions stay valid
                 // across the removals.
                 for &k in drops.iter().rev() {
-                    in_working[working.remove(k)] = false;
+                    let row = working.remove(k);
+                    in_working[row] = false;
+                    dropped[row] = true;
                     stats.constraints_dropped += 1;
                     ops.on_remove(k);
                 }
@@ -212,7 +229,9 @@ pub(crate) fn solve_from_feasible(
                         return finish(ops, x, iterations, working, in_working, seeded, stats);
                     }
                     Some((idx, _)) => {
-                        in_working[working.remove(idx)] = false;
+                        let row = working.remove(idx);
+                        in_working[row] = false;
+                        dropped[row] = true;
                         stats.constraints_dropped += 1;
                         ops.on_remove(idx);
                     }
@@ -287,17 +306,39 @@ pub(crate) fn solve_from_feasible(
                             working.push(j);
                             in_working[j] = true;
                             stats.constraints_added += 1;
+                            stats.readmissions += u64::from(dropped[j]);
                         }
                     }
                 } else {
                     working.push(i);
                     in_working[i] = true;
                     stats.constraints_added += 1;
+                    stats.readmissions += u64::from(dropped[i]);
                 }
             }
         }
         stats.ratio_test_ns += ops.pivot_ns(pivot_start);
     }
+}
+
+/// Fills `drops` with the working-set positions of a batched drop, in
+/// ascending order: every multiplier below `−TOL` and at most
+/// `DROP_RATIO·μ_min`, where `μ_min` is the most negative multiplier.
+/// Empty when no multiplier is below `−TOL`.
+fn select_drops(ineq_mult: &[f64], drops: &mut Vec<usize>) {
+    drops.clear();
+    let mu_min = ineq_mult.iter().copied().fold(0.0, f64::min);
+    if mu_min >= -TOL {
+        return;
+    }
+    let cut = DROP_RATIO * mu_min;
+    drops.extend(
+        ineq_mult
+            .iter()
+            .enumerate()
+            .filter(|(_, &m)| m < -TOL && m <= cut)
+            .map(|(k, _)| k),
+    );
 }
 
 /// Builds the optimal [`QpSolution`] once no negative multipliers remain.
@@ -381,5 +422,120 @@ impl QpSolution {
     /// [`iterations`](Self::iterations)).
     pub fn stats(&self) -> &SolveStats {
         &self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::banded_qp::{BandedQp, BandedWorkspace, SparseRow};
+    use idc_linalg::banded::BlockTridiag;
+
+    /// `min ½xᵀHx + gᵀx` over one dense block, with every bound `x_i ≤ 0`.
+    fn bounded_above_by_zero(h: &[&[f64]], g: &[f64]) -> BandedQp {
+        let n = g.len();
+        let mut bt = BlockTridiag::new(n, 1);
+        for (i, row) in h.iter().enumerate() {
+            bt.diag_mut(0)[i * n..(i + 1) * n].copy_from_slice(row);
+        }
+        let mut qp = BandedQp::new(bt, g.to_vec()).unwrap();
+        for i in 0..n {
+            qp = qp.inequality(SparseRow::from_entries(vec![(i, 1.0)]), 0.0);
+        }
+        qp
+    }
+
+    fn identity(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| (0..n).map(|j| f64::from(u8::from(i == j))).collect())
+            .collect()
+    }
+
+    #[test]
+    fn batched_drop_keeps_multipliers_above_the_ratio_cut() {
+        let mu_min = -10.0;
+        let cut = DROP_RATIO * mu_min;
+        let mut drops = Vec::new();
+        // The most negative row, one between it and the cut, one exactly
+        // at the cut, one above it, a noise-level one and a positive one.
+        select_drops(
+            &[
+                -3.0,
+                mu_min,
+                cut,
+                0.5 * (mu_min + cut),
+                0.5 * cut,
+                -1e-9,
+                4.0,
+            ],
+            &mut drops,
+        );
+        assert_eq!(drops, vec![1, 2, 3]);
+        // A lone negative multiplier always goes; noise alone drops nothing.
+        select_drops(&[2.0, -1e-3, 0.0], &mut drops);
+        assert_eq!(drops, vec![1]);
+        select_drops(&[2.0, -1e-9, 0.0], &mut drops);
+        assert!(drops.is_empty());
+    }
+
+    /// A separable QP whose seeded multipliers differ by far more than 2×:
+    /// at `x = 0` with every bound working, bound `i` has multiplier
+    /// `−g_i`. Each stationary point drops only the rows at or below
+    /// `DROP_RATIO·μ_min` of the rows still working, so the solve takes
+    /// one drop and one full step per distinct batch.
+    #[test]
+    fn one_batched_drop_removes_only_rows_at_or_below_the_cut() {
+        let cut = 10.0 * DROP_RATIO;
+        // Batches: {0, 1} (≤ cut), then {2} (−cut/2 is the new minimum and
+        // row 3 sits above half of it), then {3}.
+        let g = [10.0, 0.5 * (10.0 + cut), 0.5 * cut, 0.1 * cut];
+        let h = identity(4);
+        let rows: Vec<&[f64]> = h.iter().map(Vec::as_slice).collect();
+        let mut qp = bounded_above_by_zero(&rows, &g);
+        let sol = qp
+            .warm_start(&[0.0; 4], &[0, 1, 2, 3], &mut BandedWorkspace::new())
+            .unwrap();
+        for (x, g) in sol.x().iter().zip(g) {
+            assert!((x + g).abs() < 1e-9, "{x} vs {}", -g);
+        }
+        assert!(sol.active_set().is_empty());
+        let stats = sol.stats();
+        assert_eq!(stats.seed_accepted, 4);
+        assert_eq!(stats.constraints_dropped, 4);
+        // Three drops, three steps and the final stationary point; dropping
+        // every negative multiplier at once would take three iterations.
+        assert_eq!(sol.iterations(), 7, "{stats:?}");
+        assert_eq!(stats.readmissions, 0);
+    }
+
+    /// Both seeded bounds carry the same multiplier, so any ratio drops
+    /// both; the coupled Hessian then steps straight back into bound 0,
+    /// which the zero-length blocking step admits again.
+    #[test]
+    fn readmission_of_a_dropped_bound_is_counted() {
+        let mut qp = bounded_above_by_zero(&[&[1.0, 0.9], &[0.9, 0.85]], &[1.0, 1.0]);
+        let sol = qp
+            .warm_start(&[0.0, 0.0], &[0, 1], &mut BandedWorkspace::new())
+            .unwrap();
+        assert_eq!(sol.active_set(), &[0]);
+        assert!(sol.x()[0].abs() < 1e-12);
+        assert!((sol.x()[1] + 1.0 / 0.85).abs() < 1e-9, "{:?}", sol.x());
+        let stats = sol.stats();
+        assert_eq!(stats.constraints_dropped, 2, "{stats:?}");
+        assert_eq!(stats.constraints_added, 1, "{stats:?}");
+        assert_eq!(stats.readmissions, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn unconstrained_solve_counts_no_readmissions() {
+        let mut bt = BlockTridiag::new(2, 1);
+        bt.diag_mut(0).copy_from_slice(&[2.0, 0.5, 0.5, 1.0]);
+        let mut qp = BandedQp::new(bt, vec![1.0, -3.0]).unwrap();
+        let sol = qp
+            .warm_start(&[0.0, 0.0], &[], &mut BandedWorkspace::new())
+            .unwrap();
+        assert!(sol.active_set().is_empty());
+        assert_eq!(sol.stats().readmissions, 0);
+        assert_eq!(sol.stats().constraints_dropped, 0);
     }
 }

@@ -253,6 +253,10 @@ impl Stepper {
                 "Constraints deactivated on negative multipliers.",
             ),
             (
+                "idc_qp_readmissions_total",
+                "Constraints activated again after a drop in the same solve.",
+            ),
+            (
                 "idc_qp_degenerate_pops_total",
                 "Constraints popped on singular KKT factorizations.",
             ),
@@ -526,6 +530,7 @@ impl Stepper {
             "idc_qp_constraints_dropped_total",
             stats.constraints_dropped,
         );
+        m.set_counter("idc_qp_readmissions_total", stats.readmissions);
         m.set_counter("idc_qp_degenerate_pops_total", stats.degenerate_pops);
         m.set_counter("idc_qp_bland_switches_total", stats.bland_switches);
         m.set_counter("idc_qp_refinement_passes_total", stats.refinement_passes);
