@@ -21,7 +21,9 @@
 //! that shared-runner timing noise would hide. The last three are zero in
 //! a healthy run: a counter that is zero in the baseline fails on any
 //! occurrence. `readmissions_per_step` is reported in the rows but not
-//! gated, since its baseline can be zero on a small window.
+//! gated, since its baseline can be zero on a small window; so is
+//! `step_updates_per_step`, which `bench_diff` prints with the status
+//! `reported` and never gates.
 //! Storage rows carry a ` +storage` key suffix so they never collide
 //! with the plain row at the same size and backend.
 //! `BENCH_runtime.json` documents (schema `bench.runtime.v1`, written by
@@ -58,9 +60,35 @@ const COUNTER_GATES: [(&str, &str); 8] = [
     ("bland_switches", "bland_switches"),
 ];
 
+/// `solve_stats` counters of the end-to-end rows that are printed but never
+/// gated, as `(table, key)`: the KKT solves replaced by step updates can be
+/// zero on a small window, and any count over a zero baseline would fail.
+const COUNTER_REPORTS: [(&str, &str); 1] = [("step_updates", "step_updates_per_step")];
+
 /// Whether `table` holds one of the [`COUNTER_GATES`] counters.
 fn is_counter(table: &str) -> bool {
     COUNTER_GATES.iter().any(|&(t, _)| t == table)
+}
+
+/// The status of a row whose value changed by `rel`: timing rows are
+/// gated at `threshold`, [`COUNTER_GATES`] rows at `iters_threshold`, and
+/// [`COUNTER_REPORTS`] rows never.
+fn row_status(table: &str, rel: f64, threshold: f64, iters_threshold: f64) -> &'static str {
+    if COUNTER_REPORTS.iter().any(|&(t, _)| t == table) {
+        return "reported";
+    }
+    let row_threshold = if is_counter(table) {
+        iters_threshold
+    } else {
+        threshold
+    };
+    if rel > row_threshold {
+        "REGRESSED"
+    } else if rel < -row_threshold {
+        "improved"
+    } else {
+        "ok"
+    }
 }
 
 /// Relative change `cur/base − 1` of a row. Over a zero baseline, a
@@ -161,7 +189,7 @@ fn rows(doc: &Value) -> Vec<Row> {
             let stats = item
                 .get("solve_stats")
                 .filter(|_| metric == "warm_ms_per_step");
-            for (counter, field) in COUNTER_GATES {
+            for (counter, field) in COUNTER_GATES.into_iter().chain(COUNTER_REPORTS) {
                 if let Some(count) = stats.and_then(|stats| number(stats, field)) {
                     out.push(Row {
                         table: counter,
@@ -275,19 +303,8 @@ fn main() {
             continue;
         };
         let rel = relative_change(base_row.table, base_row.value, cur_row.value);
-        let row_threshold = if is_counter(base_row.table) {
-            iters_threshold
-        } else {
-            threshold
-        };
-        let status = if rel > row_threshold {
-            regressions += 1;
-            "REGRESSED"
-        } else if rel < -row_threshold {
-            "improved"
-        } else {
-            "ok"
-        };
+        let status = row_status(base_row.table, rel, threshold, iters_threshold);
+        regressions += usize::from(status == "REGRESSED");
         println!(
             "{:<16} {:<28} {:>12.3} {:>12.3} {:>+8.1}% {:>10}",
             base_row.table,
@@ -423,5 +440,26 @@ mod tests {
         }
         // A zero timing baseline still compares as unchanged.
         assert_eq!(relative_change("end_to_end", 0.0, 1.0), 0.0);
+    }
+
+    /// Step updates appear as a row but never gate, even over a zero
+    /// baseline.
+    #[test]
+    fn step_updates_are_reported_never_gated() {
+        let doc: Value = serde_json::from_str(
+            r#"{"end_to_end": [{"idcs": 3, "portals": 5, "backend": "banded",
+                "warm_ms_per_step": 0.05,
+                "solve_stats": {"iterations_per_step": 2.0,
+                    "step_updates_per_step": 0.0}}]}"#,
+        )
+        .unwrap();
+        let tables: Vec<&str> = rows(&doc).iter().map(|r| r.table).collect();
+        assert_eq!(tables, vec!["iterations", "step_updates", "end_to_end"]);
+        let rel = relative_change("step_updates", 0.0, 20.0);
+        assert_eq!(row_status("step_updates", rel, 0.1, 0.25), "reported");
+        assert_eq!(row_status("step_updates", 3.0, 0.1, 0.25), "reported");
+        assert_eq!(row_status("iterations", 0.3, 0.1, 0.25), "REGRESSED");
+        assert_eq!(row_status("end_to_end", 0.2, 0.1, 0.25), "REGRESSED");
+        assert_eq!(row_status("iterations", 0.2, 0.1, 0.25), "ok");
     }
 }

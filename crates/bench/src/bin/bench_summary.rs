@@ -10,7 +10,10 @@
 //!   so the structure cache rebuilds and the QP solves from scratch) vs
 //!   warm (state kept, the steady-state cost of a receding-horizon run).
 //! * **end_to_end** — full simulated price-flip window through
-//!   `MpcPolicy`, `solver_reuse: false` vs `true`, run five times each.
+//!   `MpcPolicy`, `solver_reuse: false` vs `true`, run five times each,
+//!   round-robin across the rows (every row's first run, then every row's
+//!   second, …) so that host speed drifting over the sweep falls on every
+//!   row alike.
 //!   A row records the median and min–max ms/step of each mode, the
 //!   controller's own warm/cold solve accounting, the relative cost
 //!   difference between the two trajectories, and, from the run with the
@@ -275,18 +278,15 @@ fn counters(stats: &SolveStats) -> SolveStats {
     }
 }
 
-/// Runs the `n`×`c` window `repeats` times, cold and warm, and reduces the
-/// runs to one row. Fails if the solver counters or the costs differ
-/// between runs: both are deterministic, so a difference is a bug.
-fn measure_end_to_end(
+/// Reduces the runs of the `n`×`c` window, cold and warm, to one row.
+/// Fails if the solver counters or the costs differ between runs: both are
+/// deterministic, so a difference is a bug.
+fn end_to_end_row(
     n: usize,
     c: usize,
     storage: bool,
-    repeats: usize,
+    runs: &[WindowRun],
 ) -> Result<EndToEndRow, idc_core::Error> {
-    let runs = (0..repeats)
-        .map(|_| run_window(n, c, storage))
-        .collect::<Result<Vec<_>, _>>()?;
     let first = &runs[0];
     for run in &runs[1..] {
         if counters(&run.stats) != counters(&first.stats)
@@ -318,7 +318,7 @@ fn measure_end_to_end(
         n,
         c,
         vars: n * c * 3,
-        repeats,
+        repeats: runs.len(),
         cold_ms_per_step: Spread::of(&cold),
         warm_ms_per_step,
         warm_solve_fraction: median.warm_solve_fraction,
@@ -508,12 +508,13 @@ fn print_e2e_row(e: &EndToEndRow) {
     );
     let per_step = |v: u64| v as f64 / e.steps.max(1) as f64;
     println!(
-        "{:>24} | per step: iters {:.2} churn {:.2} refine {:.2} | seed survival \
-         {:.3} readmissions {:.2} bland {} cold-fallbacks {}",
+        "{:>24} | per step: iters {:.2} churn {:.2} refine {:.2} step-updates {:.2} | seed \
+         survival {:.3} readmissions {:.2} bland {} cold-fallbacks {}",
         "solver",
         per_step(e.stats.iterations),
         per_step(e.stats.working_set_churn()),
         per_step(e.stats.refinement_passes),
+        per_step(e.stats.step_updates),
         e.stats.seed_survival(),
         per_step(e.stats.readmissions),
         e.stats.bland_switches,
@@ -524,7 +525,7 @@ fn print_e2e_row(e: &EndToEndRow) {
 fn run_smoke() -> Result<(), idc_core::Error> {
     let (n, c) = SIZES[0];
     println!("## bench_summary --smoke — {n}×{c} end-to-end window");
-    let e = measure_end_to_end(n, c, false, 1)?;
+    let e = end_to_end_row(n, c, false, &[run_window(n, c, false)?])?;
     print_e2e_row(&e);
     // The warm repair is feasible by construction on a feasible step, so a
     // fault-free window never pays a cold fallback. The window's first step
@@ -599,7 +600,6 @@ fn main() -> Result<(), idc_core::Error> {
     );
 
     let mut single = Vec::new();
-    let mut end_to_end = Vec::new();
     let mut skipped = Vec::new();
     // Last completed single-step cell, as (ΔU vars, cold ms): sizes run in
     // ascending order, so a quadratic projection from the previous size
@@ -622,18 +622,8 @@ fn main() -> Result<(), idc_core::Error> {
         };
         match measured {
             Ok(s) => {
-                let e = measure_end_to_end(n, c, false, E2E_REPEATS)?;
-                print_e2e_row(&e);
-                println!(
-                    "{:>24} | single step: cold {:.3} ms, warm {:.3} ms ({:.1}x)",
-                    "1-step",
-                    s.cold.median,
-                    s.warm.median,
-                    s.cold.median / s.warm.median.max(1e-9),
-                );
                 last_cold = Some((s.vars, s.cold.median));
                 single.push(s);
-                end_to_end.push(e);
             }
             Err(reason) => {
                 println!("{n:>6} {c:>8} {vars:>8} | skipped ({reason})");
@@ -651,18 +641,43 @@ fn main() -> Result<(), idc_core::Error> {
             }
         }
     }
-    // One storage-enabled cell at the paper-scale 8×15 size: battery
-    // rates and SoC dynamics enlarge every QP block and the demand
-    // charge adds the epigraph row, so this row prices the storage
-    // extension against the plain 8×15 row above.
-    let mut storage_rows = Vec::new();
-    {
-        let (n, c) = STORAGE_E2E_SIZE;
-        println!("\nstorage-enabled end-to-end (battery + demand charge):");
-        let e = measure_end_to_end(n, c, true, E2E_REPEATS)?;
-        print_e2e_row(&e);
-        storage_rows.push(e);
+    // The end-to-end windows of every measured size, then one
+    // storage-enabled cell at the paper-scale 8×15 size: battery rates and
+    // SoC dynamics enlarge every QP block and the demand charge adds the
+    // epigraph row, so that row prices the storage extension against the
+    // plain 8×15 row. The windows run round-robin — every window's first
+    // run, then every window's second — so a drift in host speed over the
+    // sweep's minutes falls on every row alike.
+    let windows: Vec<(usize, usize, bool)> = single
+        .iter()
+        .map(|s| (s.n, s.c, false))
+        .chain([(STORAGE_E2E_SIZE.0, STORAGE_E2E_SIZE.1, true)])
+        .collect();
+    let mut runs: Vec<Vec<WindowRun>> = windows.iter().map(|_| Vec::new()).collect();
+    for _ in 0..E2E_REPEATS {
+        for (&(n, c, storage), window_runs) in windows.iter().zip(&mut runs) {
+            window_runs.push(run_window(n, c, storage)?);
+        }
     }
+    let (plain_runs, storage_runs) = runs.split_at(single.len());
+    let mut end_to_end = Vec::new();
+    for (s, window_runs) in single.iter().zip(plain_runs) {
+        let e = end_to_end_row(s.n, s.c, false, window_runs)?;
+        print_e2e_row(&e);
+        println!(
+            "{:>24} | single step: cold {:.3} ms, warm {:.3} ms ({:.1}x)",
+            "1-step",
+            s.cold.median,
+            s.warm.median,
+            s.cold.median / s.warm.median.max(1e-9),
+        );
+        end_to_end.push(e);
+    }
+    let (n, c) = STORAGE_E2E_SIZE;
+    println!("\nstorage-enabled end-to-end (battery + demand charge):");
+    let e = end_to_end_row(n, c, true, &storage_runs[0])?;
+    print_e2e_row(&e);
+    let storage_rows = vec![e];
 
     let json = render_json(&single, &end_to_end, &storage_rows, &skipped);
     std::fs::write(&out_path, &json)
@@ -777,7 +792,8 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
         "     \"solve_stats\": {{\"iterations_per_step\": {:.3}, \
          \"constraints_added_per_step\": {:.3}, \"constraints_dropped_per_step\": {:.3}, \
          \"readmissions_per_step\": {:.3}, \"degenerate_pops\": {}, \"bland_switches\": {}, \
-         \"refinement_passes_per_step\": {:.3}, \"refactorizations_per_step\": {:.3}, \
+         \"refinement_passes_per_step\": {:.3}, \"step_updates_per_step\": {:.3}, \
+         \"refactorizations_per_step\": {:.3}, \
          \"updates_applied_per_step\": {:.3}, \"downdates_applied_per_step\": {:.3}, \
          \"working_set_delta_per_step\": {:.3}, \"warm_seed_survival\": {:.4}, \
          \"cold_fallbacks\": {}}}}}{}\n",
@@ -788,6 +804,7 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
         r.stats.degenerate_pops,
         r.stats.bland_switches,
         per_step(r.stats.refinement_passes),
+        per_step(r.stats.step_updates),
         per_step(r.stats.refactorizations),
         per_step(r.stats.updates_applied),
         per_step(r.stats.downdates_applied),
@@ -811,9 +828,10 @@ fn render_json(
     s.push_str("  \"units\": \"milliseconds of wall-clock per MPC control step\",\n");
     s.push_str(&format!(
         "  \"timing\": \"single_step: median of {SINGLE_STEP_REPS} plans, min and max in *_range; \
-         end_to_end: median of {E2E_REPEATS} windows per mode, min and max in *_range, phases, \
-         solve split and solve_stats from the run with the median warm time (solve_stats are \
-         equal in every run)\",\n"
+         end_to_end: median of {E2E_REPEATS} windows per mode, the windows of all rows run \
+         round-robin (every row's first run, then every row's second, ...), min and max in \
+         *_range, phases, solve split and solve_stats from the run with the median warm time \
+         (solve_stats are equal in every run)\",\n"
     ));
     s.push_str("  \"modes\": {\n");
     s.push_str(

@@ -644,8 +644,9 @@ mod tests {
                 dense_sol.active_set(),
                 "storage={storage}"
             );
-            let scale = 1.0 + dense_sol.objective().abs();
-            assert!((sol.objective() - dense_sol.objective()).abs() <= 1e-8 * scale);
+            let dense_obj = dense.objective_at(dense_sol.x());
+            let scale = 1.0 + dense_obj.abs();
+            assert!((qp.objective_at(sol.x()) - dense_obj).abs() <= 1e-8 * scale);
 
             // KKT certificate at the returned active set W:
             // [H Cᵀ; C 0]·[x; μ] = [−g; b] over the equalities and W, solved

@@ -28,7 +28,10 @@
 ///   to and accepted by the seeding filter; their ratio is the
 ///   [`seed_survival`](Self::seed_survival) fraction.
 /// * `refinement_passes` — iterative-refinement passes performed inside KKT
-///   solves.
+///   solves: one per full solve, two when a stability rebuild re-solves.
+/// * `step_updates` — iterations whose step came from a rank-1 update of
+///   the previous step after a blocked step admitted only bounds, in place
+///   of a full KKT solve.
 /// * `cold_fallbacks` — solves where a warm start was attempted and failed,
 ///   forcing a cold re-solve (counted by the controller, not the loop).
 /// * `refactorizations` — full rebuilds of the working-set factor, either
@@ -75,6 +78,8 @@ pub struct SolveStats {
     pub seed_accepted: u64,
     /// Iterative-refinement passes inside KKT solves.
     pub refinement_passes: u64,
+    /// Steps updated in place of a full KKT solve.
+    pub step_updates: u64,
     /// Warm-start attempts that failed and fell back to a cold solve.
     pub cold_fallbacks: u64,
     /// Full working-set factor rebuilds (start-of-solve, stability, forced).
@@ -108,6 +113,7 @@ impl SolveStats {
         self.seed_offered += other.seed_offered;
         self.seed_accepted += other.seed_accepted;
         self.refinement_passes += other.refinement_passes;
+        self.step_updates += other.step_updates;
         self.cold_fallbacks += other.cold_fallbacks;
         self.refactorizations += other.refactorizations;
         self.updates_applied += other.updates_applied;
@@ -139,6 +145,7 @@ impl SolveStats {
             refinement_passes: self
                 .refinement_passes
                 .saturating_sub(earlier.refinement_passes),
+            step_updates: self.step_updates.saturating_sub(earlier.step_updates),
             cold_fallbacks: self.cold_fallbacks.saturating_sub(earlier.cold_fallbacks),
             refactorizations: self
                 .refactorizations
@@ -206,6 +213,7 @@ mod tests {
             seed_offered: 6,
             seed_accepted: 5,
             refinement_passes: 10,
+            step_updates: 6,
             cold_fallbacks: 1,
             refactorizations: 2,
             updates_applied: 7,

@@ -15,6 +15,14 @@
 //! rows that came straight back at the next, zero-length step, and each
 //! return costs a factor update and its later downdate. The
 //! `readmissions` counter of [`SolveStats`] counts those returns.
+//!
+//! Most blocked steps admit a single bound. The next step then comes from
+//! [`BandedOps::update_step`], a rank-1 update of the step just taken,
+//! instead of a KKT solve; the `step_updates` counter of [`SolveStats`]
+//! counts the iterations that took one. Multipliers and stationarity are
+//! read from full solves only, so an updated step that is stationary is
+//! solved for again, and so is every step after `MAX_STEP_UPDATES`
+//! updates in a row.
 
 use idc_linalg::vec_ops;
 use idc_obs::SolveStats;
@@ -43,6 +51,14 @@ const DEGENERATE_PATIENCE: usize = 12;
 /// smaller ratio drops more rows per stationary point and re-admits more
 /// of them at the next step.
 const DROP_RATIO: f64 = 0.5;
+
+/// Consecutive iterations that may take their step from a rank-1 update of
+/// the previous one (see [`BandedOps::update_step`]) before a full KKT
+/// solve, whose refinement and drift check the updates skip. On
+/// `fleet_8x16` (seed 1) a cap of 4 / 8 / 16 / 32 / none leaves 18.5 /
+/// 16.6 / 15.7 / 15.5 / 15.4 full solves per step at the same iteration
+/// count, so caps past 16 buy almost nothing.
+const MAX_STEP_UPDATES: usize = 16;
 
 /// Every buffer of [`solve_from_feasible`], owned by the caller so a
 /// workspace recycles them across solves: a steady-state solve allocates
@@ -145,38 +161,50 @@ pub(crate) fn solve_from_feasible(
     let mut any_banned = false;
     dropped.clear();
     dropped.resize(mi, false);
+    // Whether `sol[..n]` holds a step updated after a bound-only blocked
+    // step, and how many updates in a row led to it.
+    let mut updated = false;
+    let mut updates_in_row = 0usize;
 
     loop {
         if iterations >= budget {
             return Err(Error::IterationLimit { iterations: budget });
         }
         iterations += 1;
-        match ops.kkt_step(x, working, sol) {
-            Ok(()) => {}
-            Err(Error::Numerical(_)) if !working.is_empty() => {
-                // Degenerate working set — drop the most recent addition
-                // and ban it from the next ratio test. Without the ban the
-                // loop can livelock: a constraint row that is numerically
-                // dependent on the working set (a·p at noise level) still
-                // passes the `ap > TOL` blocking test with a tiny negative
-                // slack, re-enters with a zero-length step, re-breaks the
-                // KKT factorization and is popped again, forever.
-                let dropped = working.pop().expect("non-empty");
-                in_working[dropped] = false;
-                banned[dropped] = true;
-                any_banned = true;
-                stats.degenerate_pops += 1;
-                // The popped entry sat at position `working.len()`.
-                ops.on_remove(working.len());
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
         // Stationarity is judged relative to the iterate's scale: with
         // workload-sized variables (O(1e4)) a step of 1e-8 is numerical
         // noise, not progress.
-        let p_norm = vec_ops::norm_inf(&sol[..n]);
         let x_scale = TOL * (1.0 + vec_ops::norm_inf(x));
+        // An updated step is taken as it stands unless it is stationary:
+        // stationarity and the multipliers are read from full solves only.
+        if std::mem::take(&mut updated) && vec_ops::norm_inf(&sol[..n]) >= x_scale {
+            stats.step_updates += 1;
+        } else {
+            updates_in_row = 0;
+            match ops.kkt_step(x, working, sol) {
+                Ok(()) => {}
+                Err(Error::Numerical(_)) if !working.is_empty() => {
+                    // Degenerate working set — drop the most recent
+                    // addition and ban it from the next ratio test. Without
+                    // the ban the loop can livelock: a constraint row that
+                    // is numerically dependent on the working set (a·p at
+                    // noise level) still passes the `ap > TOL` blocking test
+                    // with a tiny negative slack, re-enters with a
+                    // zero-length step, re-breaks the KKT factorization and
+                    // is popped again, forever.
+                    let dropped = working.pop().expect("non-empty");
+                    in_working[dropped] = false;
+                    banned[dropped] = true;
+                    any_banned = true;
+                    stats.degenerate_pops += 1;
+                    // The popped entry sat at position `working.len()`.
+                    ops.on_remove(working.len());
+                    continue;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        let p_norm = vec_ops::norm_inf(&sol[..n]);
         let pivot_start = ops.pivot_mark();
         // Batched (blocked Dantzig) pivoting is the default; Bland's
         // anti-cycling rule and the differential-test reference mode are
@@ -315,6 +343,11 @@ pub(crate) fn solve_from_feasible(
                     stats.constraints_added += 1;
                     stats.readmissions += u64::from(dropped[i]);
                 }
+                // Bounds alone: update the step instead of solving for it.
+                if updates_in_row < MAX_STEP_UPDATES {
+                    updated = ops.update_step(x, working, alpha, &mut sol[..n]);
+                    updates_in_row += usize::from(updated);
+                }
             }
         }
         stats.ratio_test_ns += ops.pivot_ns(pivot_start);
@@ -351,7 +384,6 @@ fn finish(
     seeded_mask: &[bool],
     mut stats: SolveStats,
 ) -> Result<QpSolution> {
-    let objective = ops.objective_at(x);
     working.sort_unstable();
     stats.iterations = iterations as u64;
     ops.take_counters(&mut stats);
@@ -362,7 +394,6 @@ fn finish(
         .count() as u64;
     Ok(QpSolution::from_parts(
         x.to_vec(),
-        objective,
         iterations,
         working.to_vec(),
         stats,
@@ -373,7 +404,6 @@ fn finish(
 #[derive(Debug, Clone, PartialEq)]
 pub struct QpSolution {
     x: Vec<f64>,
-    objective: f64,
     iterations: usize,
     active_set: Vec<usize>,
     stats: SolveStats,
@@ -383,14 +413,12 @@ impl QpSolution {
     /// Assembles a solution from the active-set loop's results.
     pub(crate) fn from_parts(
         x: Vec<f64>,
-        objective: f64,
         iterations: usize,
         active_set: Vec<usize>,
         stats: SolveStats,
     ) -> Self {
         QpSolution {
             x,
-            objective,
             iterations,
             active_set,
             stats,
@@ -400,11 +428,6 @@ impl QpSolution {
     /// The optimal point.
     pub fn x(&self) -> &[f64] {
         &self.x
-    }
-
-    /// The optimal objective value.
-    pub fn objective(&self) -> f64 {
-        self.objective
     }
 
     /// Number of active-set iterations performed.

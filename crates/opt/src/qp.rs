@@ -126,7 +126,7 @@ mod tests {
             .unwrap();
         assert_near(b.x()[0], s.x()[0]);
         assert_near(b.x()[1], s.x()[1]);
-        assert_near(b.objective(), s.objective());
+        assert_near(batched.objective_at(b.x()), reference.objective_at(s.x()));
         assert!(b.iterations() <= s.iterations());
     }
 

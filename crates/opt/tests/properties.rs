@@ -131,7 +131,7 @@ proptest! {
             .warm_start(&[1.0 / 3.0; 3], &[], &mut BandedWorkspace::new())
             .unwrap();
         prop_assert!(dense.certify(&sol).is_ok(), "{:?}", dense.certify(&sol));
-        let base = sol.objective();
+        let base = qp.objective_at(sol.x());
         // Perturb along the equality manifold.
         for (i, j) in [(0usize, 1usize), (1, 2), (0, 2)] {
             for eps in [1e-4, -1e-4] {
@@ -175,10 +175,11 @@ proptest! {
         let x0: Vec<f64> = cold.x().iter().map(|&x| (1.0 - blend) * x + blend / 3.0).collect();
         let warm = qp.warm_start(&x0, cold.active_set(), &mut ws).unwrap();
         prop_assert!(dense.certify(&warm).is_ok(), "{:?}", dense.certify(&warm));
-        let obj_tol = 1e-8 * (1.0 + cold.objective().abs());
+        let (warm_obj, cold_obj) = (qp.objective_at(warm.x()), qp.objective_at(cold.x()));
+        let obj_tol = 1e-8 * (1.0 + cold_obj.abs());
         prop_assert!(
-            (warm.objective() - cold.objective()).abs() <= obj_tol,
-            "warm objective {} vs cold {}", warm.objective(), cold.objective()
+            (warm_obj - cold_obj).abs() <= obj_tol,
+            "warm objective {} vs cold {}", warm_obj, cold_obj
         );
         prop_assert!(
             vec_ops::approx_eq(warm.x(), cold.x(), 1e-6),
@@ -228,14 +229,15 @@ proptest! {
         }
         let mut ws = BandedWorkspace::new();
         let x0 = [0.25; 4];
-        let batched = dense.banded(1, false).warm_start(&x0, &[], &mut ws).unwrap();
+        let qp = dense.banded(1, false);
+        let batched = qp.clone().warm_start(&x0, &[], &mut ws).unwrap();
         let single = dense.banded(1, true).warm_start(&x0, &[], &mut ws).unwrap();
+        let (batched_obj, single_obj) = (qp.objective_at(batched.x()), qp.objective_at(single.x()));
         prop_assert!(
-            (batched.objective() - single.objective()).abs()
-                <= 1e-8 * (1.0 + single.objective().abs()),
+            (batched_obj - single_obj).abs() <= 1e-8 * (1.0 + single_obj.abs()),
             "batched {} vs single-pivot {}",
-            batched.objective(),
-            single.objective()
+            batched_obj,
+            single_obj
         );
         prop_assert!(dense.certify(&batched).is_ok(), "{:?}", dense.certify(&batched));
         prop_assert!(dense.certify(&single).is_ok(), "{:?}", dense.certify(&single));
@@ -269,12 +271,13 @@ proptest! {
         let x0 = [1.0 / 6.0; 6];
         let batched = build(false).warm_start(&x0, &[], &mut ws).unwrap();
         let single = build(true).warm_start(&x0, &[], &mut ws).unwrap();
+        let (batched_obj, single_obj) =
+            (build(false).objective_at(batched.x()), build(false).objective_at(single.x()));
         prop_assert!(
-            (batched.objective() - single.objective()).abs()
-                <= 1e-8 * (1.0 + single.objective().abs()),
+            (batched_obj - single_obj).abs() <= 1e-8 * (1.0 + single_obj.abs()),
             "batched {} vs single-pivot {}",
-            batched.objective(),
-            single.objective()
+            batched_obj,
+            single_obj
         );
         prop_assert!(build(false).is_feasible(batched.x(), 1e-7));
     }

@@ -269,6 +269,10 @@ impl Stepper {
                 "Iterative refinement passes inside KKT solves.",
             ),
             (
+                "idc_qp_step_updates_total",
+                "Active-set steps updated after a bound-only blocked step instead of a KKT solve.",
+            ),
+            (
                 "idc_qp_refactorizations_total",
                 "Full rebuilds of the working-set factor (cold builds and stability rebuilds).",
             ),
@@ -534,6 +538,7 @@ impl Stepper {
         m.set_counter("idc_qp_degenerate_pops_total", stats.degenerate_pops);
         m.set_counter("idc_qp_bland_switches_total", stats.bland_switches);
         m.set_counter("idc_qp_refinement_passes_total", stats.refinement_passes);
+        m.set_counter("idc_qp_step_updates_total", stats.step_updates);
         m.set_counter("idc_qp_refactorizations_total", stats.refactorizations);
         m.set_counter("idc_qp_updates_applied_total", stats.updates_applied);
         m.set_counter("idc_qp_downdates_applied_total", stats.downdates_applied);

@@ -319,6 +319,7 @@ fn metrics_endpoint_reflects_stepper_state() {
         "idc_solver_warm_solves_total",
         "idc_solver_cold_solves_total",
         "idc_qp_readmissions_total",
+        "idc_qp_step_updates_total",
         "idc_accumulated_cost_dollars",
         "idc_power_mw{idc=\"Michigan\"}",
         "idc_step_duration_seconds_count 5",
