@@ -1,4 +1,4 @@
-//! The condensed constrained MPC controller (paper Sec. IV-C, eq. 37–45).
+//! The constrained MPC controller (paper Sec. IV-C, eq. 37–45).
 //!
 //! Each sampling period the controller solves, in the stacked input change
 //! `ΔU(k) ∈ ℝ^{NC·β₂}`, the constrained least-squares problem of paper
@@ -27,7 +27,7 @@ use idc_obs::Span;
 use idc_opt::banded_qp::BandedWorkspace;
 use idc_opt::{Error, Result, SolveStats};
 
-use crate::riccati::{self, RiccatiSkeleton};
+use crate::riccati::RiccatiSkeleton;
 use crate::warm_repair::{self, RepairScratch};
 
 /// Which QP backend solves the MPC step.
@@ -93,8 +93,8 @@ pub struct PlanTimings {
     /// Hessian, and the all-free Schur terms (each row's diagonal, the
     /// equality block) the working-set factor reads.
     pub factor_ns: u64,
-    /// Per-step condensing: gradient and constraint-rhs refresh, active-set
-    /// seed re-indexing, and the warm-point shift/repair.
+    /// Per-step QP data: gradient and constraint-rhs refresh, the
+    /// active-set seed shift, and the warm-point shift/repair.
     pub condense_ns: u64,
     /// Active-set QP solves (warm-started and cold).
     pub solve_ns: u64,
@@ -249,32 +249,6 @@ impl MpcProblem {
     }
 }
 
-/// The QP skeleton shared by every step with the same problem structure.
-///
-/// The tracking/smoothing matrix `A`, the weights `Q`, and the constraint
-/// rows depend only on the dimensions `(N, C)`, the per-IDC marginal power
-/// `b₁`, and the tracking multipliers — none of which change while the
-/// fleet operates in one regime. Rebuilding them every sampling period
-/// (and refactoring the Hessian) would dominate the solve time, so the
-/// controller caches the assembled QP and per step only refreshes the
-/// gradient and the constraint right-hand sides.
-#[derive(Debug, Clone)]
-struct StructureCache {
-    n: usize,
-    c: usize,
-    b1_mw: Vec<f64>,
-    tracking_multiplier: Vec<f64>,
-    /// Storage structure fingerprint: the efficiencies are the only
-    /// storage parameters that enter constraint *coefficients* (capacity,
-    /// rate caps, SoC and previous rates all live in the right-hand
-    /// sides), so a battery outage — zeroed rate caps — reuses the
-    /// skeleton. `None` when the problem carries no storage.
-    storage_key: Option<(Vec<f64>, Vec<f64>)>,
-    /// The y-space block-banded QP of [`crate::riccati`]; per step only the
-    /// gradient and the constraint right-hand sides are rewritten in place.
-    skeleton: RiccatiSkeleton,
-}
-
 /// The previous step's solution, kept to warm-start the next solve.
 #[derive(Debug, Clone)]
 struct WarmState {
@@ -295,36 +269,31 @@ pub struct WarmStateData {
 
 /// The receding-horizon controller.
 ///
-/// Stateful across steps for performance only: it caches the condensed QP
-/// skeleton (rebuilt when the problem structure changes) and warm-starts
-/// the active-set solver from the previous step's shifted `ΔU` and active
-/// set, repaired by [`warm_repair`] into a point feasible for the new step
-/// whenever the step itself is feasible. The *plan itself* is a pure
-/// function of the [`MpcProblem`] — the QP is strictly convex, so warm and
-/// cold solves agree on the unique minimizer — which keeps simulations
-/// deterministic.
+/// Stateful across steps for performance only: it caches the banded QP
+/// skeleton of [`crate::riccati`] (rebuilt when the problem structure
+/// changes) and warm-starts the active-set solver from the previous step's
+/// shifted `ΔU` and active set, repaired by [`warm_repair`] into a point
+/// feasible for the new step whenever the step itself is feasible. The
+/// *plan itself* is a pure function of the [`MpcProblem`] — the QP is
+/// strictly convex, so warm and cold solves agree on the unique minimizer
+/// — which keeps simulations deterministic.
 #[derive(Debug, Clone)]
 pub struct MpcController {
     config: MpcConfig,
-    cache: Option<StructureCache>,
+    /// The QP of the current problem structure; per step only the gradient
+    /// and the constraint right-hand sides are rewritten in place.
+    skeleton: Option<RiccatiSkeleton>,
     warm: Option<WarmState>,
     bws: BandedWorkspace,
-    /// Scratch: stacked least-squares rhs `b` (tracking + smoothing rows).
-    rhs: Vec<f64>,
-    /// Scratch: QP gradient `g = −2AᵀQb`.
-    grad: Vec<f64>,
-    /// Scratch: equality / inequality right-hand sides, warm-start point.
-    eq_rhs: Vec<f64>,
-    in_rhs: Vec<f64>,
+    /// Scratch: the warm-start point, stacked `ΔU`.
     warm_x: Vec<f64>,
-    /// Scratch: the warm point in the banded backend's cumulative y-space.
-    warm_y: Vec<f64>,
-    /// Scratch: `warm_y` permuted into the banded QP's variable order.
-    warm_q: Vec<f64>,
     /// Scratch for the warm-point repair.
     repair: RepairScratch,
-    /// Scratch: the previous active set re-indexed for the shifted horizon.
+    /// Scratch: the previous active set shifted for the receding horizon.
     seed: Vec<usize>,
+    /// Scratch: per stage and IDC (`t·N + j`), whether `seed` holds the
+    /// capacity row.
+    faces: Vec<bool>,
     warm_solves: usize,
     cold_solves: usize,
     timings: PlanTimings,
@@ -351,18 +320,13 @@ impl MpcController {
         );
         MpcController {
             config,
-            cache: None,
+            skeleton: None,
             warm: None,
             bws: BandedWorkspace::new(),
-            rhs: Vec::new(),
-            grad: Vec::new(),
-            eq_rhs: Vec::new(),
-            in_rhs: Vec::new(),
             warm_x: Vec::new(),
-            warm_y: Vec::new(),
-            warm_q: Vec::new(),
             repair: RepairScratch::default(),
             seed: Vec::new(),
+            faces: Vec::new(),
             warm_solves: 0,
             cold_solves: 0,
             timings: PlanTimings::default(),
@@ -378,7 +342,7 @@ impl MpcController {
     /// Drops the cached QP skeleton and warm-start state. The next
     /// [`plan`](Self::plan) call solves cold from scratch.
     pub fn reset(&mut self) {
-        self.cache = None;
+        self.skeleton = None;
         self.warm = None;
     }
 
@@ -492,122 +456,29 @@ impl MpcController {
 
         let beta1 = self.config.prediction_horizon;
         let beta2 = self.config.control_horizon;
-        let nc = n * c;
-        let nb = problem.block_size();
         let lambda0 = problem.current_idc_workloads();
 
-        self.refresh_structure(problem, n, c)?;
+        self.refresh_structure(problem)?;
 
-        // ---- Per-step data: the tracking rhs (smoothing rows stay zero),
-        // lowered to the QP gradient, plus the constraint right-hand
-        // sides — written into the cached QP in place. ----
-        let condense_start = Instant::now();
-        let rows = beta1 * n + beta2 * n;
-        self.rhs.clear();
-        self.rhs.resize(rows, 0.0);
-        for s in 0..beta1 {
-            for j in 0..n {
-                let mut current_p =
-                    problem.b1_mw[j] * lambda0[j] + problem.b0_mw[j] * problem.servers_on[j] as f64;
-                if let Some(st) = &problem.storage {
-                    // Grid draw carries the previous net battery rate; the
-                    // rate *changes* are decision variables.
-                    current_p += st.prev_charge_mw[j] - st.prev_discharge_mw[j];
-                }
-                self.rhs[s * n + j] = problem.power_reference_mw[s][j] - current_p;
-            }
-        }
-        self.eq_rhs.clear();
-        for forecast in &problem.workload_forecast {
-            for i in 0..c {
-                let prev: f64 = (0..n).map(|j| problem.prev_input[j * c + i]).sum();
-                self.eq_rhs.push(forecast[i] - prev);
-            }
-        }
-        self.in_rhs.clear();
-        for _t in 0..beta2 {
-            for j in 0..n {
-                self.in_rhs.push(problem.capacities[j] - lambda0[j]);
-            }
-        }
-        for _t in 0..beta2 {
-            for idx in 0..nc {
-                self.in_rhs.push(problem.prev_input[idx]);
-            }
-        }
-        if let Some(st) = &problem.storage {
-            // Storage families, each t-major × IDC, in req/s-equivalent
-            // units (rates divided by b₁_j to match the workload
-            // variables' scale): charge upper/lower, discharge
-            // upper/lower, then SoC upper/lower (rows divided by dt·b₁_j).
-            for _t in 0..beta2 {
-                for j in 0..n {
-                    self.in_rhs
-                        .push((st.max_charge_mw[j] - st.prev_charge_mw[j]) / problem.b1_mw[j]);
-                }
-            }
-            for _t in 0..beta2 {
-                for j in 0..n {
-                    self.in_rhs.push(st.prev_charge_mw[j] / problem.b1_mw[j]);
-                }
-            }
-            for _t in 0..beta2 {
-                for j in 0..n {
-                    self.in_rhs.push(
-                        (st.max_discharge_mw[j] - st.prev_discharge_mw[j]) / problem.b1_mw[j],
-                    );
-                }
-            }
-            for _t in 0..beta2 {
-                for j in 0..n {
-                    self.in_rhs.push(st.prev_discharge_mw[j] / problem.b1_mw[j]);
-                }
-            }
-            for t in 0..beta2 {
-                for j in 0..n {
-                    let drift = soc_drift(st, j, t);
-                    self.in_rhs.push(
-                        (st.capacity_mwh[j] - st.soc_mwh[j] - drift)
-                            / (st.dt_hours * problem.b1_mw[j]),
-                    );
-                }
-            }
-            for t in 0..beta2 {
-                for j in 0..n {
-                    let drift = soc_drift(st, j, t);
-                    self.in_rhs
-                        .push((st.soc_mwh[j] + drift) / (st.dt_hours * problem.b1_mw[j]));
-                }
-            }
-        }
-        {
-            let skel = &mut self.cache.as_mut().expect("refreshed above").skeleton;
-            skel.gradient_into(&self.rhs, &mut self.grad);
-            let qp = skel.qp_mut();
-            qp.set_gradient(&self.grad)?;
-            qp.set_equality_rhs(&self.eq_rhs)?;
-            qp.set_inequality_rhs(&self.in_rhs)?;
-        }
-
-        // ---- Warm start: shift the previous active set and ΔU for the
-        // receding horizon, then repair the shifted point back to
+        // ---- Per-step data: the gradient and the constraint right-hand
+        // sides, written into the cached QP in place; then the warm start,
+        // shifted for the receding horizon and repaired back to
         // feasibility. ----
-        let has_base = self.shift_and_repair_warm(problem, n, c);
+        let condense_start = Instant::now();
+        self.skeleton
+            .as_mut()
+            .expect("refreshed above")
+            .retarget(problem)?;
+        let has_base = self.shift_and_repair_warm(problem);
 
-        let skel = &mut self.cache.as_mut().expect("refreshed above").skeleton;
+        let skel = self.skeleton.as_mut().expect("refreshed above");
 
         // ---- Solve: warm-started from the repaired point; once more from
         // the repaired zero point if that start is rejected. ----
         self.timings.condense_ns += condense_start.elapsed().as_nanos() as u64;
         let solve_start = Instant::now();
         let span = Span::enter_cat("mpc.solve.warm", "solver");
-        // The banded QP optimizes cumulative changes in its IDC-major
-        // order; convert the repaired warm point at the boundary.
-        riccati::to_cumulative(nb, &self.warm_x, &mut self.warm_y);
-        skel.to_qp_order(&self.warm_y, &mut self.warm_q);
-        let warm_res = skel
-            .qp_mut()
-            .warm_start(&self.warm_q, &self.seed, &mut self.bws);
+        let warm_res = skel.warm_start(&self.warm_x, &self.seed, &mut self.bws);
         drop(span);
         self.timings.solve_ns += solve_start.elapsed().as_nanos() as u64;
         let (solution, warm_started, warm_rejection) = match warm_res {
@@ -617,13 +488,7 @@ impl MpcController {
                 // stage's demand fits the fleet, so a rejection first
                 // checks the stage totals: an over-capacity forecast is
                 // certified infeasible outright.
-                if warm_repair::exceeds_fleet_capacity(
-                    &self.eq_rhs,
-                    &self.in_rhs,
-                    n,
-                    c,
-                    forecast_scale(problem),
-                ) {
+                if skel.exceeds_fleet_capacity(problem) {
                     return Err(Error::Infeasible);
                 }
                 // Without a base the start already was the repaired zero
@@ -635,23 +500,13 @@ impl MpcController {
                 // Diagnose *why* the repaired point was rejected so the
                 // policy layer can stream an anomaly record — a warm step
                 // must never pay a cold solve silently.
-                let rejection = warm_rejection_breakdown(
-                    &self.warm_x,
-                    &self.eq_rhs,
-                    &self.in_rhs,
-                    n,
-                    c,
-                    beta2,
-                    problem.storage.as_ref(),
-                );
+                let rejection = skel.rejection();
                 // Cold retry: the repaired zero point, with no seed.
                 let solve_start = Instant::now();
                 let span = Span::enter_cat("mpc.solve.cold", "solver");
                 self.warm_x.fill(0.0);
                 warm_repair::repair(problem, &mut self.warm_x, &[], &mut self.repair);
-                riccati::to_cumulative(nb, &self.warm_x, &mut self.warm_y);
-                skel.to_qp_order(&self.warm_y, &mut self.warm_q);
-                let sol = skel.qp_mut().warm_start(&self.warm_q, &[], &mut self.bws);
+                let sol = skel.warm_start(&self.warm_x, &[], &mut self.bws);
                 drop(span);
                 self.timings.solve_ns += solve_start.elapsed().as_nanos() as u64;
                 (sol?, false, Some(rejection))
@@ -668,11 +523,10 @@ impl MpcController {
         }
         self.solve_stats.merge(&step_stats);
         let iterations = solution.iterations();
-        // Back from the QP order and cumulative y-space to the stacked
-        // input changes, reusing the previous warm point's buffer.
+        // Back to the stacked input changes, reusing the previous warm
+        // point's buffer.
         let mut warm_delta = self.warm.take().map(|w| w.delta_u).unwrap_or_default();
-        skel.to_stage_order(solution.x(), &mut warm_delta);
-        riccati::to_deltas(nb, &mut warm_delta);
+        skel.to_delta_u(solution.x(), &mut warm_delta);
         let delta_u = warm_delta.clone();
         self.warm = Some(WarmState {
             delta_u: warm_delta,
@@ -698,55 +552,22 @@ impl MpcController {
     /// with [`warm_repair::repair`]. Returns whether a usable previous
     /// solution existed. With no usable base the repair builds a feasible
     /// point from all zeros, which is where a cold solve starts.
-    fn shift_and_repair_warm(&mut self, problem: &MpcProblem, n: usize, c: usize) -> bool {
+    fn shift_and_repair_warm(&mut self, problem: &MpcProblem) -> bool {
         let beta2 = self.config.control_horizon;
-        let nc = n * c;
         let nb = problem.block_size();
         let nv = nb * beta2;
-        let has_base = matches!(&self.warm, Some(w) if w.delta_u.len() == nv);
-        // Re-index the previous active set for the shifted horizon.
-        // Every constraint family bounds *cumulative* sums through
-        // block `t`, so after dropping the applied first block the
-        // activity at new block `t` is the old activity at `t + 1` —
-        // and the appended zero change block repeats the old final
-        // block's cumulative sums, hence its activity too (for the SoC
-        // rows, which keep integrating, the repeat is a heuristic seed
-        // the solver filters if inactive). Without this shift most of
-        // the seed is filtered out as inactive and the solver
-        // re-discovers the set one iteration at a time.
-        self.seed.clear();
-        if has_base {
-            let w = self.warm.as_ref().expect("has_base");
-            let ncap = beta2 * n;
-            let nnn = beta2 * nc;
-            for &ci in &w.active_set {
-                let (family, t, rest, stride) = if ci < ncap {
-                    (0, ci / n, ci % n, n)
-                } else if ci < ncap + nnn {
-                    (ncap, (ci - ncap) / nc, (ci - ncap) % nc, nc)
-                } else {
-                    // Storage families (charge/discharge bounds, SoC
-                    // bounds): six blocks of β₂·N rows, stride N.
-                    let k = ci - ncap - nnn;
-                    let fam = k / ncap;
-                    let within = k % ncap;
-                    (ncap + nnn + fam * ncap, within / n, within % n, n)
-                };
-                if t >= 1 {
-                    self.seed.push(family + (t - 1) * stride + rest);
-                }
-                if t == beta2 - 1 {
-                    self.seed.push(ci);
-                }
-            }
-        }
-        // Receding-horizon shift: drop the applied first block,
-        // hold zero change in the newly revealed final block. With
-        // no usable previous solution the base is all zeros and
-        // the repair builds a feasible point from scratch.
+        let base = self.warm.as_ref().filter(|w| w.delta_u.len() == nv);
+        // Without the seed shift most of the previous active set would be
+        // filtered out as inactive and the solver would re-discover it one
+        // iteration at a time.
+        let skel = self.skeleton.as_ref().expect("refreshed above");
+        let active = base.map_or(&[][..], |w| &w.active_set);
+        skel.shift_seed(active, &mut self.seed, &mut self.faces);
+        // Receding-horizon shift: drop the applied first block, hold zero
+        // change in the newly revealed final block.
         self.warm_x.clear();
         self.warm_x.resize(nv, 0.0);
-        if let (true, Some(w)) = (has_base, &self.warm) {
+        if let Some(w) = base {
             for t in 0..beta2 - 1 {
                 self.warm_x[t * nb..(t + 1) * nb]
                     .copy_from_slice(&w.delta_u[(t + 1) * nb..(t + 2) * nb]);
@@ -754,8 +575,8 @@ impl MpcController {
         }
         // The repair puts the IDCs whose capacity rows the seed holds
         // back on their capacity face, so those rows survive acceptance.
-        warm_repair::repair(problem, &mut self.warm_x, &self.seed, &mut self.repair);
-        has_base
+        warm_repair::repair(problem, &mut self.warm_x, &self.faces, &mut self.repair);
+        base.is_some()
     }
 
     /// Solves one step with *no* reuse of any kind: drops the cached
@@ -771,33 +592,17 @@ impl MpcController {
         self.plan(problem)
     }
 
-    /// Rebuilds the cached QP skeleton when the problem structure changed.
-    ///
-    /// The cache key is everything `A`, `Q`, and the constraint rows
-    /// depend on: the dimensions, the marginal power `b₁`, and the
-    /// tracking multipliers. Server counts, capacities, forecasts, and
-    /// references only enter the per-step right-hand sides.
-    fn refresh_structure(&mut self, problem: &MpcProblem, n: usize, c: usize) -> Result<()> {
-        let storage_key = problem.storage.as_ref().map(|st| {
-            (
-                st.charge_efficiency.clone(),
-                st.discharge_efficiency.clone(),
-            )
-        });
-        if let Some(cache) = &self.cache {
-            if cache.n == n
-                && cache.c == c
-                && cache.b1_mw == problem.b1_mw
-                && cache.tracking_multiplier == problem.tracking_multiplier
-                && cache.storage_key == storage_key
-            {
+    /// Rebuilds the cached QP skeleton when the problem structure changed
+    /// (see [`RiccatiSkeleton`]'s structure key).
+    fn refresh_structure(&mut self, problem: &MpcProblem) -> Result<()> {
+        if let Some(skel) = &self.skeleton {
+            if skel.fits(problem) {
                 return Ok(());
             }
             // A weight change keeps the warm state usable (same variable
             // layout, same constraints); a dimension change does not —
             // and attaching or detaching storage changes the layout.
-            if cache.n != n || cache.c != c || cache.storage_key.is_some() != storage_key.is_some()
-            {
+            if !skel.same_layout(problem) {
                 self.warm = None;
             }
         }
@@ -810,14 +615,7 @@ impl MpcController {
         self.timings.factor_ns += factored;
         self.timings.refresh_ns +=
             (refresh_start.elapsed().as_nanos() as u64).saturating_sub(factored);
-        self.cache = Some(StructureCache {
-            n,
-            c,
-            b1_mw: problem.b1_mw.clone(),
-            tracking_multiplier: problem.tracking_multiplier.clone(),
-            storage_key,
-            skeleton,
-        });
+        self.skeleton = Some(skeleton);
         Ok(())
     }
 
@@ -930,92 +728,6 @@ impl WarmRejection {
             .max(self.nonnegativity)
             .max(self.storage)
     }
-}
-
-/// The largest forecast magnitude (req/s): the scale of the conservation
-/// rows and portal sums, anchoring workload-relative tolerances.
-fn forecast_scale(problem: &MpcProblem) -> f64 {
-    problem
-        .workload_forecast
-        .iter()
-        .flatten()
-        .fold(0.0f64, |a, &v| a.max(v.abs()))
-}
-
-/// The SoC drift the previous rates alone would cause through the end of
-/// stage `t` (MWh): the constant part of the stored-energy expression that
-/// moves into the SoC rows' right-hand sides.
-fn soc_drift(st: &StorageProblem, j: usize, t: usize) -> f64 {
-    st.dt_hours
-        * (t as f64 + 1.0)
-        * (st.charge_efficiency[j] * st.prev_charge_mw[j]
-            - st.prev_discharge_mw[j] / st.discharge_efficiency[j])
-}
-
-/// Computes the per-family constraint violations of a rejected warm point
-/// (`warm_x` in stacked-ΔU space) so the rejection can be explained instead
-/// of silently paying a cold solve.
-fn warm_rejection_breakdown(
-    warm_x: &[f64],
-    eq_rhs: &[f64],
-    in_rhs: &[f64],
-    n: usize,
-    c: usize,
-    beta2: usize,
-    storage: Option<&StorageProblem>,
-) -> WarmRejection {
-    let nc = n * c;
-    let nb = nc + if storage.is_some() { 2 * n } else { 0 };
-    let mut rej = WarmRejection::default();
-    let mut cum = vec![0.0; nc];
-    for t in 0..beta2 {
-        for k in 0..nc {
-            cum[k] += warm_x[t * nb + k];
-        }
-        for i in 0..c {
-            let sum: f64 = (0..n).map(|j| cum[j * c + i]).sum();
-            rej.conservation = rej.conservation.max((sum - eq_rhs[t * c + i]).abs());
-        }
-        for j in 0..n {
-            let total: f64 = cum[j * c..(j + 1) * c].iter().sum();
-            rej.capacity = rej.capacity.max(total - in_rhs[t * n + j]);
-        }
-        for k in 0..nc {
-            rej.nonnegativity = rej
-                .nonnegativity
-                .max(-(cum[k] + in_rhs[beta2 * n + t * nc + k]));
-        }
-    }
-    if let Some(st) = storage {
-        // Families C–H past the non-negativity block: cumulative charge /
-        // discharge boxes, then the SoC box (all in scaled units, matching
-        // the assembled rhs).
-        let base = beta2 * n + beta2 * nc;
-        let mut cum_gc = vec![0.0; n];
-        let mut cum_gd = vec![0.0; n];
-        let mut soc_c = vec![0.0; n];
-        let mut soc_d = vec![0.0; n];
-        for t in 0..beta2 {
-            for j in 0..n {
-                cum_gc[j] += warm_x[t * nb + nc + j];
-                cum_gd[j] += warm_x[t * nb + nc + n + j];
-                soc_c[j] += cum_gc[j];
-                soc_d[j] += cum_gd[j];
-                let soc =
-                    st.charge_efficiency[j] * soc_c[j] - soc_d[j] / st.discharge_efficiency[j];
-                let row = t * n + j;
-                rej.storage = rej
-                    .storage
-                    .max(cum_gc[j] - in_rhs[base + row])
-                    .max(-cum_gc[j] - in_rhs[base + beta2 * n + row])
-                    .max(cum_gd[j] - in_rhs[base + 2 * beta2 * n + row])
-                    .max(-cum_gd[j] - in_rhs[base + 3 * beta2 * n + row])
-                    .max(soc - in_rhs[base + 4 * beta2 * n + row])
-                    .max(-soc - in_rhs[base + 5 * beta2 * n + row]);
-            }
-        }
-    }
-    rej
 }
 
 /// Assembles the plan from the solved `ΔU`: the applied first block and the
@@ -1619,29 +1331,13 @@ mod tests {
         controller.reset_solve_stats();
         let plan = controller.plan(&problem).unwrap();
         assert!(plan.warm_started());
-        let capacity_rows = controller.seed.iter().filter(|&&ci| ci < 3 * 2).count();
-        assert!(capacity_rows > 0, "seed {:?}", controller.seed);
+        assert!(
+            controller.faces.iter().any(|&f| f),
+            "seed {:?}",
+            controller.seed
+        );
         let stats = controller.solve_stats();
         assert_eq!(stats.seed_accepted, stats.seed_offered, "{stats:?}");
-    }
-
-    #[test]
-    fn warm_rejection_breakdown_reports_violated_families() {
-        // 1 stage would hide cumulative effects; use the standard layout:
-        // n = 2 IDCs, c = 1 portal, β₂ = 2 stages.
-        let (n, c, beta2) = (2, 1, 2);
-        // Stage sums: IDC0 gets 5 then 5 more (cum 10), IDC1 stays 0.
-        let warm_x = vec![5.0, 0.0, 5.0, 0.0];
-        // Conservation wants 8 per stage: stage 0 off by 3, stage 1 by 2.
-        let eq_rhs = vec![8.0, 8.0];
-        // Capacity rows (t-major × IDC): IDC0 capacity 7 → cum 10 violates
-        // by 3 at stage 1. Non-negativity rhs = prev inputs (all 1).
-        let in_rhs = vec![7.0, 100.0, 7.0, 100.0, 1.0, 1.0, 1.0, 1.0];
-        let rej = warm_rejection_breakdown(&warm_x, &eq_rhs, &in_rhs, n, c, beta2, None);
-        assert!((rej.conservation - 3.0).abs() < 1e-12, "{rej:?}");
-        assert!((rej.capacity - 3.0).abs() < 1e-12, "{rej:?}");
-        assert_eq!(rej.nonnegativity, 0.0, "{rej:?}");
-        assert!((rej.worst() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1784,6 +1480,39 @@ mod tests {
             apply_rates(problem.storage.as_mut().unwrap(), &c, &d);
         }
         assert_eq!(warm.warm_solves(), 5);
+    }
+
+    #[test]
+    fn nan_warm_start_is_explained_and_retried_cold() {
+        // A warm state with NaN in the stage-1 charge-rate change: the
+        // shift moves it to stage 0, the repair's clamps keep it, and the
+        // solver rejects the start. The step pays one cold solve, reports
+        // the storage family as violated, and plans exactly as a fresh
+        // controller does.
+        let mut problem = two_idc_problem([10_000.0, 0.0], [1.0, 2.2]);
+        problem.storage = Some(test_storage(2));
+        let mut controller = MpcController::new(MpcConfig::default());
+        let plan = controller.plan(&problem).unwrap();
+        problem.prev_input = plan.next_input().to_vec();
+        let mut state = controller.warm_state().unwrap();
+        let (nb, nc) = (problem.block_size(), 2);
+        state.delta_u[nb + nc] = f64::NAN;
+        controller.restore_warm_state(Some(state));
+        controller.reset_solve_stats();
+
+        let plan = controller.plan(&problem).unwrap();
+        assert_eq!(controller.solve_stats().cold_fallbacks, 1);
+        assert!(!plan.warm_started());
+        let rejection = plan.warm_rejection().expect("the rejection is reported");
+        assert!(!(rejection.storage <= 0.0), "{rejection:?}");
+        let fresh = MpcController::new(MpcConfig::default())
+            .plan(&problem)
+            .unwrap();
+        for (a, b) in plan.delta_u().iter().zip(fresh.delta_u()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+        }
+        assert_eq!(plan.next_charge_mw(), fresh.next_charge_mw());
+        assert_eq!(plan.next_discharge_mw(), fresh.next_discharge_mw());
     }
 
     #[test]

@@ -40,29 +40,134 @@
 //! variable in it, and only the conservation, capacity and SoC rows enter
 //! the working-set Schur factor it maintains across active-set changes.
 //!
-//! The controller keeps `y` stage-major (`y_t` contiguous, IDC-major
+//! The controller keeps `ΔU` stage-major (`x_t` contiguous, IDC-major
 //! inside, then the `N` charge and `N` discharge entries), the layout of
-//! `ΔU`, of warm states and of snapshots. `RiccatiSkeleton::to_qp_order`
-//! and `RiccatiSkeleton::to_stage_order` permute at the solver boundary.
+//! warm states and snapshots. The skeleton converts at the solver
+//! boundary: it sums `ΔU` into `y` and permutes it into the QP order on the
+//! way in, and undoes both on the way out.
 //!
-//! Constraint rows are emitted in the order the controller assembles their
-//! right-hand sides (conservation `t`-major × portal, then capacity
-//! `t`-major × IDC, then non-negativity `t`-major × entry, then the storage
-//! families), so warm-start active sets, the receding-horizon seed shift in
-//! [`crate::mpc`], and reported active sets share one indexing; only their
-//! column indices follow the QP layout. The
+//! # Row families
+//!
+//! The skeleton is the only code that knows the constraint rows' layout.
+//! It keeps one table of row families — conservation, capacity,
+//! non-negativity, then with storage the charge and discharge rate boxes
+//! and the SoC box — each with its first row and its rows per stage, the
+//! rows of a family running stage by stage. From that table it builds the
+//! rows, writes their right-hand sides each step from the [`MpcProblem`],
+//! shifts the previous active set for the receding horizon, certifies a
+//! forecast beyond the fleet's capacity, and explains a rejected warm
+//! start family by family. Active sets index the inequality rows in that
+//! order; only the rows' column indices follow the QP layout. The
 //! objective is the eq. 42 least squares without its constant `bᵀQb`.
 
+use std::ops::Range;
+
 use idc_linalg::banded::BlockTridiag;
-use idc_opt::banded_qp::{BandedQp, SparseRow};
-use idc_opt::Result;
+use idc_opt::banded_qp::{BandedQp, BandedWorkspace, SparseRow};
+use idc_opt::{QpSolution, Result};
 
-use crate::mpc::{MpcConfig, MpcProblem};
+use crate::mpc::{MpcConfig, MpcProblem, StorageProblem, WarmRejection};
 
-/// The banded QP skeleton for one problem structure `(N, C, b₁, multipliers)`.
+/// A family of constraint rows, in the order the skeleton emits them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    /// Eq. 45, one equality per portal: `Σ_j y_t[j,i] = L̂_i − Σ_j u_prev[j,i]`.
+    Conservation,
+    /// Eq. 43, one row per IDC: `Σ_i y_t[j,i] ≤ φ_j − λ_j`.
+    Capacity,
+    /// Eq. 44, one row per entry: `−y_t[j,i] ≤ u_prev[j,i]`.
+    Nonnegativity,
+    /// The charge rate's upper box, one row per IDC.
+    ChargeMax,
+    /// The charge rate's lower box (zero).
+    ChargeMin,
+    /// The discharge rate's upper box.
+    DischargeMax,
+    /// The discharge rate's lower box (zero).
+    DischargeMin,
+    /// State of charge at most the capacity at the end of stage `t`.
+    SocMax,
+    /// State of charge at least zero at the end of stage `t`.
+    SocMin,
+}
+
+impl Family {
+    /// Appends the right-hand sides of stage `t`'s rows to `rhs`, in the
+    /// rows' units: req/s for the workload families, req/s equivalents
+    /// (rates divided by `b₁_j`, energies by `dt·b₁_j`) for the storage
+    /// ones.
+    fn push_stage(self, p: &MpcProblem, t: usize, rhs: &mut Vec<f64>) {
+        let (n, c, b1) = (p.num_idcs(), p.num_portals(), &p.b1_mw);
+        match self {
+            Family::Conservation => rhs.extend((0..c).map(|i| {
+                let prev: f64 = (0..n).map(|j| p.prev_input[j * c + i]).sum();
+                p.workload_forecast[t][i] - prev
+            })),
+            Family::Capacity => rhs.extend((0..n).map(|j| {
+                let load: f64 = p.prev_input[j * c..(j + 1) * c].iter().sum();
+                p.capacities[j] - load
+            })),
+            Family::Nonnegativity => rhs.extend_from_slice(&p.prev_input),
+            storage => {
+                let st = p.storage.as_ref().expect("storage rows need storage data");
+                let (cap, soc, dt) = (&st.capacity_mwh, &st.soc_mwh, st.dt_hours);
+                rhs.extend((0..n).map(|j| match storage {
+                    Family::ChargeMax => (st.max_charge_mw[j] - st.prev_charge_mw[j]) / b1[j],
+                    Family::ChargeMin => st.prev_charge_mw[j] / b1[j],
+                    Family::DischargeMax => {
+                        (st.max_discharge_mw[j] - st.prev_discharge_mw[j]) / b1[j]
+                    }
+                    Family::DischargeMin => st.prev_discharge_mw[j] / b1[j],
+                    Family::SocMax => (cap[j] - soc[j] - soc_drift(st, j, t)) / (dt * b1[j]),
+                    _ => (soc[j] + soc_drift(st, j, t)) / (dt * b1[j]),
+                }));
+            }
+        }
+    }
+}
+
+/// The SoC drift the previous rates alone would cause through the end of
+/// stage `t` (MWh): the constant part of the stored-energy expression that
+/// moves into the SoC rows' right-hand sides.
+fn soc_drift(st: &StorageProblem, j: usize, t: usize) -> f64 {
+    st.dt_hours
+        * (t as f64 + 1.0)
+        * (st.charge_efficiency[j] * st.prev_charge_mw[j]
+            - st.prev_discharge_mw[j] / st.discharge_efficiency[j])
+}
+
+/// One entry of the row table: `per_stage` rows for each of the `β₂`
+/// stages, stage-major from row `start`. Rows count equalities first, as
+/// [`BandedQp::rows`] does.
+#[derive(Debug, Clone, Copy)]
+struct RowFamily {
+    family: Family,
+    start: usize,
+    per_stage: usize,
+}
+
+impl RowFamily {
+    /// The family's rows of stage `t`.
+    fn stage(&self, t: usize) -> Range<usize> {
+        self.start + t * self.per_stage..self.start + (t + 1) * self.per_stage
+    }
+}
+
+/// The larger violation, where NaN is the worst of all: a point with a
+/// NaN entry violates its rows, it does not satisfy them.
+fn worse(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b <= a {
+        a
+    } else {
+        b
+    }
+}
+
+/// The banded QP skeleton for one problem structure.
 ///
-/// Built once per structure, then only the gradient and constraint
-/// right-hand sides are rewritten each sampling period.
+/// Built once per structure — the dimensions, `b₁`, the tracking
+/// multipliers and the storage efficiencies — then each sampling period
+/// only the gradient and the constraint right-hand sides are rewritten.
 #[derive(Debug, Clone)]
 pub struct RiccatiSkeleton {
     qp: BandedQp,
@@ -77,6 +182,21 @@ pub struct RiccatiSkeleton {
     perm: Vec<usize>,
     /// Per-IDC gradient coefficient `−2·b₁_j·Q·multiplier_j`.
     grad_coeff: Vec<f64>,
+    /// The row families, in row order.
+    families: Vec<RowFamily>,
+    /// The structure key besides the dimensions: `b₁`, the tracking
+    /// multipliers, and the storage efficiencies — the only storage
+    /// parameters in constraint *coefficients*, so a battery outage (zeroed
+    /// rate caps) reuses the skeleton.
+    b1_mw: Vec<f64>,
+    tracking_multiplier: Vec<f64>,
+    efficiencies: Option<(Vec<f64>, Vec<f64>)>,
+    /// The step's gradient, in QP order.
+    grad: Vec<f64>,
+    /// The step's right-hand sides in row order, equalities first.
+    rhs: Vec<f64>,
+    /// The last start point handed to the solver, in QP order.
+    start: Vec<f64>,
 }
 
 impl RiccatiSkeleton {
@@ -158,62 +278,61 @@ impl RiccatiSkeleton {
             }
         }
 
+        // ---- The row table, and the rows it describes; right-hand sides
+        // are per-step and rewritten in place.
+        use Family::*;
+        let mut layout = vec![(Conservation, c), (Capacity, n), (Nonnegativity, nc)];
+        if storage.is_some() {
+            let rates = [ChargeMax, ChargeMin, DischargeMax, DischargeMin];
+            layout.extend(rates.into_iter().chain([SocMax, SocMin]).map(|f| (f, n)));
+        }
+        let (mut families, mut start) = (Vec::with_capacity(layout.len()), 0);
+        for (family, per_stage) in layout {
+            families.push(RowFamily {
+                family,
+                start,
+                per_stage,
+            });
+            start += beta2 * per_stage;
+        }
+        // In y-space the rate boxes are stage-local single entries (the
+        // cumulative rate change at stage t IS y_t's rate entry); the SoC
+        // rows sum the rate entries over stages ≤ t — multi-stage rows are
+        // fine here, only the Hessian must stay banded.
+        let row = |family: Family, t: usize, k: usize| -> Vec<(usize, f64)> {
+            let soc = |sign: f64| {
+                let st = storage.expect("SoC rows need storage data");
+                (0..=t)
+                    .flat_map(|r| {
+                        [
+                            (col(k, r, c), sign * st.charge_efficiency[k]),
+                            (col(k, r, c + 1), -sign / st.discharge_efficiency[k]),
+                        ]
+                    })
+                    .collect()
+            };
+            match family {
+                Conservation => (0..n).map(|j| (col(j, t, k), 1.0)).collect(),
+                Capacity => (0..c).map(|i| (col(k, t, i), 1.0)).collect(),
+                Nonnegativity => vec![(col(k / c, t, k % c), -1.0)],
+                ChargeMax => vec![(col(k, t, c), 1.0)],
+                ChargeMin => vec![(col(k, t, c), -1.0)],
+                DischargeMax => vec![(col(k, t, c + 1), 1.0)],
+                DischargeMin => vec![(col(k, t, c + 1), -1.0)],
+                SocMax => soc(1.0),
+                SocMin => soc(-1.0),
+            }
+        };
         let mut qp = BandedQp::new(h, vec![0.0; beta2 * nb])?;
-        // Constraint rows in the controller's rhs order; rhs values are
-        // per-step and rewritten in place.
-        for t in 0..beta2 {
-            for i in 0..c {
-                let mut row = SparseRow::new();
-                for j in 0..n {
-                    row.push(col(j, t, i), 1.0);
-                }
-                qp = qp.equality(row, 0.0);
-            }
-        }
-        for t in 0..beta2 {
-            for j in 0..n {
-                let mut row = SparseRow::new();
-                for i in 0..c {
-                    row.push(col(j, t, i), 1.0);
-                }
-                qp = qp.inequality(row, 0.0);
-            }
-        }
-        for t in 0..beta2 {
-            for j in 0..n {
-                for i in 0..c {
-                    qp = qp.inequality(SparseRow::from_entries(vec![(col(j, t, i), -1.0)]), 0.0);
-                }
-            }
-        }
-        if let Some(st) = storage {
-            // Storage families in the controller's rhs order. In y-space
-            // the rate boxes are stage-local single entries (the
-            // cumulative rate change at stage t IS y_t's rate entry); the
-            // SoC rows sum the rate entries over stages ≤ t — multi-stage
-            // rows are fine here, only the Hessian must stay banded.
-            for rate in [c, c + 1] {
-                for sign in [1.0, -1.0] {
-                    for t in 0..beta2 {
-                        for j in 0..n {
-                            qp = qp.inequality(
-                                SparseRow::from_entries(vec![(col(j, t, rate), sign)]),
-                                0.0,
-                            );
-                        }
-                    }
-                }
-            }
-            for sign in [1.0, -1.0] {
-                for t in 0..beta2 {
-                    for j in 0..n {
-                        let mut row = SparseRow::new();
-                        for r in 0..=t {
-                            row.push(col(j, r, c), sign * st.charge_efficiency[j]);
-                            row.push(col(j, r, c + 1), -sign / st.discharge_efficiency[j]);
-                        }
-                        qp = qp.inequality(row, 0.0);
-                    }
+        for fam in &families {
+            for t in 0..beta2 {
+                for k in 0..fam.per_stage {
+                    let r = SparseRow::from_entries(row(fam.family, t, k));
+                    qp = if fam.family == Conservation {
+                        qp.equality(r, 0.0)
+                    } else {
+                        qp.inequality(r, 0.0)
+                    };
                 }
             }
         }
@@ -244,44 +363,87 @@ impl RiccatiSkeleton {
             nbj,
             perm,
             grad_coeff,
+            families,
+            b1_mw: problem.b1_mw.clone(),
+            tracking_multiplier: problem.tracking_multiplier.clone(),
+            efficiencies: storage.map(|st| {
+                (
+                    st.charge_efficiency.clone(),
+                    st.discharge_efficiency.clone(),
+                )
+            }),
+            grad: Vec::new(),
+            rhs: Vec::new(),
+            start: Vec::new(),
         })
     }
 
-    /// The underlying banded QP (for `prepare` and per-step rhs rewrites).
+    /// The underlying banded QP (for `prepare`).
     pub fn qp_mut(&mut self) -> &mut BandedQp {
         &mut self.qp
     }
 
-    /// Gathers the stage-major `y` into the QP's IDC-major order.
-    pub(crate) fn to_qp_order(&self, y: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.perm.iter().map(|&k| y[k]));
+    /// Whether `problem` has this skeleton's variable layout: the same IDC
+    /// and portal counts, and storage attached or not alike. Only then do
+    /// a warm point and an active set carry over to a rebuilt skeleton.
+    pub(crate) fn same_layout(&self, problem: &MpcProblem) -> bool {
+        problem.num_idcs() == self.n
+            && problem.num_portals() == self.c
+            && problem.storage.is_some() == self.efficiencies.is_some()
     }
 
-    /// Scatters a QP-order vector back into the stage-major `y`.
-    pub(crate) fn to_stage_order(&self, x: &[f64], y: &mut Vec<f64>) {
-        y.clear();
-        y.resize(x.len(), 0.0);
-        for (&k, &v) in self.perm.iter().zip(x) {
-            y[k] = v;
-        }
+    /// Whether this skeleton is `problem`'s: the same layout, `b₁`,
+    /// tracking multipliers and storage efficiencies. Everything else —
+    /// server counts, capacities, forecasts, references, battery state and
+    /// rate caps — enters the per-step right-hand sides only.
+    pub(crate) fn fits(&self, problem: &MpcProblem) -> bool {
+        self.same_layout(problem)
+            && self.b1_mw == problem.b1_mw
+            && self.tracking_multiplier == problem.tracking_multiplier
+            && self.efficiencies.as_ref().map(|(ec, ed)| (ec, ed))
+                == problem
+                    .storage
+                    .as_ref()
+                    .map(|st| (&st.charge_efficiency, &st.discharge_efficiency))
     }
 
-    /// Computes the y-space gradient, in QP order, from the per-step
-    /// tracking rhs rows (`rhs[s·N + j] = reference − current power`).
+    /// The row family `family`; every skeleton has the workload families.
+    fn family(&self, family: Family) -> &RowFamily {
+        self.families
+            .iter()
+            .find(|f| f.family == family)
+            .expect("every skeleton has the workload families")
+    }
+
+    /// Number of equality (conservation) rows.
+    fn num_eq(&self) -> usize {
+        self.beta2 * self.c
+    }
+
+    /// Writes `problem`'s gradient and constraint right-hand sides into
+    /// the QP.
     ///
-    /// `g_y[τ, j, i] = −2·b₁_j·Q·mult_j · Σ_{s: min(s,β₂−1)=τ} rhs[s·N+j]` —
-    /// the smoothing rows have zero targets and contribute nothing.
-    pub fn gradient_into(&self, rhs: &[f64], grad: &mut Vec<f64>) {
-        let (n, c, nbj) = (self.n, self.c, self.nbj);
-        grad.clear();
-        grad.resize(n * self.beta2 * nbj, 0.0);
-        for (j, blocks) in grad.chunks_exact_mut(self.beta2 * nbj).enumerate() {
+    /// The gradient is `g_y[τ, j, i] = −2·b₁_j·Q·mult_j · Σ_{s: min(s,β₂−1)=τ}
+    /// (reference_s[j] − current power_j)`: the smoothing rows have zero
+    /// targets and contribute nothing. Current power is grid power, IT
+    /// draw plus the previous net battery rate.
+    pub(crate) fn retarget(&mut self, problem: &MpcProblem) -> Result<()> {
+        let (c, nbj, beta1, beta2) = (self.c, self.nbj, self.beta1, self.beta2);
+        self.grad.clear();
+        self.grad.resize(self.n * beta2 * nbj, 0.0);
+        for (j, blocks) in self.grad.chunks_exact_mut(beta2 * nbj).enumerate() {
+            let load: f64 = problem.prev_input[j * c..(j + 1) * c].iter().sum();
+            let mut current =
+                problem.b1_mw[j] * load + problem.b0_mw[j] * problem.servers_on[j] as f64;
+            if let Some(st) = &problem.storage {
+                current += st.prev_charge_mw[j] - st.prev_discharge_mw[j];
+            }
+            let gap = |s: usize| problem.power_reference_mw[s][j] - current;
             for (tau, block) in blocks.chunks_exact_mut(nbj).enumerate() {
-                let sum: f64 = if tau + 1 < self.beta2 {
-                    rhs[tau * n + j]
+                let sum: f64 = if tau + 1 < beta2 {
+                    gap(tau)
                 } else {
-                    (self.beta2 - 1..self.beta1).map(|s| rhs[s * n + j]).sum()
+                    (beta2 - 1..beta1).map(gap).sum()
                 };
                 let g = self.grad_coeff[j] * sum;
                 block.fill(g);
@@ -292,36 +454,154 @@ impl RiccatiSkeleton {
                 }
             }
         }
+        self.rhs.clear();
+        for fam in &self.families {
+            for t in 0..beta2 {
+                fam.family.push_stage(problem, t, &mut self.rhs);
+            }
+        }
+        let neq = self.num_eq();
+        self.qp.set_gradient(&self.grad)?;
+        self.qp.set_equality_rhs(&self.rhs[..neq])?;
+        self.qp.set_inequality_rhs(&self.rhs[neq..])
     }
-}
 
-/// Stacks the running sums `y_t = Σ_{t'≤t} x_{t'}` of `nc`-sized blocks of
-/// `x` into `y` (the ΔU → cumulative change of variables).
-pub fn to_cumulative(nc: usize, x: &[f64], y: &mut Vec<f64>) {
-    debug_assert!(nc > 0 && x.len().is_multiple_of(nc));
-    y.clear();
-    y.extend_from_slice(x);
-    for t in 1..x.len() / nc {
-        for k in 0..nc {
-            y[t * nc + k] += y[(t - 1) * nc + k];
+    /// Shifts the previous step's active set (inequality indices) for the
+    /// receding horizon into `seed`, and flags in `faces` (`t·N + j`) each
+    /// IDC whose stage-`t` capacity row the seed holds.
+    ///
+    /// Every family bounds *cumulative* sums through stage `t`, so after
+    /// dropping the applied first stage the activity of row `(t, k)` is the
+    /// old activity of row `(t + 1, k)`; the appended zero-change stage
+    /// repeats the old final stage's cumulative sums, hence a final-stage
+    /// row also stays (for the SoC rows, which keep integrating, the
+    /// repeat is a heuristic seed the solver filters if inactive).
+    pub(crate) fn shift_seed(
+        &self,
+        active: &[usize],
+        seed: &mut Vec<usize>,
+        faces: &mut Vec<bool>,
+    ) {
+        let neq = self.num_eq();
+        seed.clear();
+        for &ci in active {
+            let row = neq + ci;
+            let Some(fam) = self
+                .families
+                .iter()
+                .find(|f| (f.start..f.start + self.beta2 * f.per_stage).contains(&row))
+            else {
+                continue;
+            };
+            let t = (row - fam.start) / fam.per_stage;
+            if t >= 1 {
+                seed.push(ci - fam.per_stage);
+            }
+            if t + 1 == self.beta2 {
+                seed.push(ci);
+            }
+        }
+        let capacity = self.family(Family::Capacity).start;
+        faces.clear();
+        faces.resize(self.beta2 * self.n, false);
+        for &ci in seed.iter() {
+            if let Some(face) = (neq + ci)
+                .checked_sub(capacity)
+                .and_then(|i| faces.get_mut(i))
+            {
+                *face = true;
+            }
         }
     }
-}
 
-/// Inverse of [`to_cumulative`], in place: `x_t = y_t − y_{t−1}`.
-pub fn to_deltas(nc: usize, y: &mut [f64]) {
-    debug_assert!(nc > 0 && y.len().is_multiple_of(nc));
-    for t in (1..y.len() / nc).rev() {
-        for k in 0..nc {
-            y[t * nc + k] -= y[(t - 1) * nc + k];
+    /// Whether some stage's forecast demand exceeds the fleet's total
+    /// capacity, read off the step's right-hand sides. With every portal
+    /// routable to every IDC, a stage is feasible exactly when its total
+    /// demand fits the total capacity; the previous allocation cancels
+    /// between the conservation and capacity rows. The largest forecast
+    /// magnitude sets the comparison's tolerance.
+    pub(crate) fn exceeds_fleet_capacity(&self, problem: &MpcProblem) -> bool {
+        let scale = problem
+            .workload_forecast
+            .iter()
+            .flatten()
+            .fold(0.0f64, |a, &v| a.max(v.abs()));
+        let conservation = self.family(Family::Conservation);
+        let capacity = self.family(Family::Capacity);
+        (0..self.beta2).any(|t| {
+            let demand: f64 = self.rhs[conservation.stage(t)].iter().sum();
+            let capacity: f64 = self.rhs[capacity.stage(t)].iter().sum();
+            demand > capacity + 1e-7 * scale.max(1.0)
+        })
+    }
+
+    /// Warm-starts the QP from the stacked input changes `delta_u`
+    /// (stage-major, [`MpcProblem::block_size`] entries per stage) with
+    /// the working set seeded from `seed`.
+    pub(crate) fn warm_start(
+        &mut self,
+        delta_u: &[f64],
+        seed: &[usize],
+        ws: &mut BandedWorkspace,
+    ) -> Result<QpSolution> {
+        self.set_start(delta_u);
+        self.qp.warm_start(&self.start, seed, ws)
+    }
+
+    /// Converts stacked input changes into the last start point: the
+    /// running sums `y_t = y_{t−1} + x_t`, gathered into the QP order.
+    fn set_start(&mut self, delta_u: &[f64]) {
+        let nbj = self.nbj;
+        self.start.clear();
+        self.start.extend(self.perm.iter().map(|&k| delta_u[k]));
+        // Each IDC's chain holds its stages in order, one block apart.
+        for chain in self.start.chunks_exact_mut(self.beta2 * nbj) {
+            for q in nbj..chain.len() {
+                chain[q] += chain[q - nbj];
+            }
         }
+    }
+
+    /// Converts a QP-order point back into stacked input changes
+    /// `x_t = y_t − y_{t−1}`, stage-major.
+    pub(crate) fn to_delta_u(&self, x: &[f64], delta_u: &mut Vec<f64>) {
+        let (nbj, chain) = (self.nbj, self.beta2 * self.nbj);
+        delta_u.clear();
+        delta_u.resize(x.len(), 0.0);
+        for (y, perm) in x.chunks_exact(chain).zip(self.perm.chunks_exact(chain)) {
+            for (q, &k) in perm.iter().enumerate() {
+                delta_u[k] = if q < nbj { y[q] } else { y[q] - y[q - nbj] };
+            }
+        }
+    }
+
+    /// The worst violation per family of the last start point, evaluating
+    /// every row on it: conservation as `|rowᵀy − rhs|`, the rest as
+    /// `rowᵀy − rhs` against zero. A row that evaluates to NaN makes its
+    /// family NaN.
+    pub(crate) fn rejection(&self) -> WarmRejection {
+        let mut rej = WarmRejection::default();
+        let mut rows = self.qp.rows().zip(&self.rhs);
+        for fam in &self.families {
+            let worst = match fam.family {
+                Family::Conservation => &mut rej.conservation,
+                Family::Capacity => &mut rej.capacity,
+                Family::Nonnegativity => &mut rej.nonnegativity,
+                _ => &mut rej.storage,
+            };
+            let two_sided = fam.family == Family::Conservation;
+            for (row, &b) in rows.by_ref().take(self.beta2 * fam.per_stage) {
+                let v = row.dot(&self.start) - b;
+                *worst = worse(*worst, if two_sided { v.abs() } else { v });
+            }
+        }
+        rej
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpc::StorageProblem;
     use idc_linalg::Matrix;
 
     /// Three IDCs with distinct `b₁` and multipliers, two portals, β₂ = 3
@@ -461,15 +741,6 @@ mod tests {
         rows
     }
 
-    /// `P` with `(P·v)[q] = v[perm[q]]`, read back through the public
-    /// gather: QP slot `q` holds stage-major entry `perm[q]`.
-    fn permutation(skel: &RiccatiSkeleton, dim: usize) -> Vec<usize> {
-        let ids: Vec<f64> = (0..dim).map(|k| k as f64).collect();
-        let mut q = Vec::new();
-        skel.to_qp_order(&ids, &mut q);
-        q.iter().map(|&v| v as usize).collect()
-    }
-
     #[test]
     fn idc_major_layout_is_an_exact_permutation_of_the_stage_major_one() {
         let config = MpcConfig::default();
@@ -477,7 +748,7 @@ mod tests {
             let p = problem(storage);
             let mut skel = RiccatiSkeleton::build(&config, &p).unwrap();
             let dim = config.control_horizon * p.block_size();
-            let perm = permutation(&skel, dim);
+            let perm = skel.perm.clone();
             let mut seen = perm.clone();
             seen.sort_unstable();
             assert_eq!(seen, (0..dim).collect::<Vec<_>>(), "not a permutation");
@@ -519,24 +790,76 @@ mod tests {
         }
     }
 
+    /// A stage-major `ΔU` of small dyadic values, so running sums are exact.
+    fn dyadic_delta_u(dim: usize) -> Vec<f64> {
+        (0..dim).map(|k| 0.5 * (k * 7 % 11) as f64 - 3.0).collect()
+    }
+
+    /// QP slot `q` holds the running sum, through its stage, of stage-major
+    /// entry `perm[q]`'s position in each stage; the way back recovers `ΔU`.
+    #[test]
+    fn cumulative_and_delta_round_trip() {
+        let config = MpcConfig::default();
+        for storage in [false, true] {
+            let p = problem(storage);
+            let mut skel = RiccatiSkeleton::build(&config, &p).unwrap();
+            let nb = p.block_size();
+            let x = dyadic_delta_u(config.control_horizon * nb);
+            skel.set_start(&x);
+            for (q, &k) in skel.perm.iter().enumerate() {
+                let (t, a) = (k / nb, k % nb);
+                let running: f64 = (0..=t).map(|s| x[s * nb + a]).sum();
+                assert_eq!(skel.start[q], running, "storage={storage} slot {q}");
+            }
+            let mut back = Vec::new();
+            skel.to_delta_u(&skel.start, &mut back);
+            assert_eq!(back, x, "storage={storage}");
+        }
+    }
+
     #[test]
     fn qp_order_round_trips() {
         let config = MpcConfig::default();
         for storage in [false, true] {
             let p = problem(storage);
-            let skel = RiccatiSkeleton::build(&config, &p).unwrap();
+            let mut skel = RiccatiSkeleton::build(&config, &p).unwrap();
             let dim = config.control_horizon * p.block_size();
-            let y: Vec<f64> = (0..dim).map(|k| 0.5 * k as f64 - 3.0).collect();
-            let (mut q, mut back) = (Vec::new(), Vec::new());
-            skel.to_qp_order(&y, &mut q);
-            assert_ne!(q, y, "the IDC-major order must differ here");
-            skel.to_stage_order(&q, &mut back);
-            assert_eq!(back, y);
-            // The other direction, from a QP-order vector.
-            skel.to_stage_order(&y, &mut back);
-            skel.to_qp_order(&back, &mut q);
-            assert_eq!(q, y);
+            let x: Vec<f64> = (0..dim).map(|k| 0.37 * k as f64 - 3.1).collect();
+            let mut back = Vec::new();
+            skel.set_start(&x);
+            skel.to_delta_u(&skel.start, &mut back);
+            for (a, b) in back.iter().zip(&x) {
+                assert!((a - b).abs() <= 1e-12 * (1.0 + b.abs()), "{a} vs {b}");
+            }
+            // The other direction, from a QP-order point.
+            let q = x;
+            skel.to_delta_u(&q, &mut back);
+            skel.set_start(&back);
+            for (a, b) in skel.start.iter().zip(&q) {
+                assert!((a - b).abs() <= 1e-12 * (1.0 + b.abs()), "{a} vs {b}");
+            }
         }
+    }
+
+    /// With one stage the running sums are the entries themselves: the
+    /// conversion is the permutation alone, exactly, both ways.
+    #[test]
+    fn single_stage_transform_is_identity() {
+        let config = MpcConfig {
+            control_horizon: 1,
+            ..MpcConfig::default()
+        };
+        let mut p = problem(true);
+        p.workload_forecast.truncate(1);
+        let mut skel = RiccatiSkeleton::build(&config, &p).unwrap();
+        let x: Vec<f64> = (0..p.block_size()).map(|k| 0.37 * k as f64 - 3.1).collect();
+        skel.set_start(&x);
+        let gathered: Vec<f64> = skel.perm.iter().map(|&k| x[k]).collect();
+        assert_eq!(skel.start, gathered);
+        assert_ne!(skel.start, x, "the IDC-major order must differ here");
+        let mut back = Vec::new();
+        skel.to_delta_u(&skel.start, &mut back);
+        assert_eq!(back, x);
     }
 
     /// The QP-order gradient is the stage-major one permuted.
@@ -544,15 +867,13 @@ mod tests {
     fn gradient_follows_the_permutation() {
         let config = MpcConfig::default();
         let p = problem(true);
-        let skel = RiccatiSkeleton::build(&config, &p).unwrap();
+        let mut skel = RiccatiSkeleton::build(&config, &p).unwrap();
         let (n, c, nb) = (p.num_idcs(), p.num_portals(), p.block_size());
-        let rhs: Vec<f64> = (0..(config.prediction_horizon + config.control_horizon) * n)
-            .map(|k| 0.25 * k as f64 + 1.0)
-            .collect();
-        let mut grad = Vec::new();
-        skel.gradient_into(&rhs, &mut grad);
-        let mut stage_major = Vec::new();
-        skel.to_stage_order(&grad, &mut stage_major);
+        skel.retarget(&p).unwrap();
+        let mut stage_major = vec![0.0; skel.grad.len()];
+        for (&k, &g) in skel.perm.iter().zip(&skel.grad) {
+            stage_major[k] = g;
+        }
         for t in 0..config.control_horizon {
             for j in 0..n {
                 let g = stage_major[t * nb + j * c];
@@ -566,16 +887,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cumulative_and_delta_round_trip() {
-        let x = vec![1.0, 2.0, 3.0, -1.0, 0.5, 4.0];
-        let mut y = Vec::new();
-        to_cumulative(2, &x, &mut y);
-        assert_eq!(y, vec![1.0, 2.0, 4.0, 1.0, 4.5, 5.0]);
-        to_deltas(2, &mut y);
-        for (a, b) in y.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-12);
+    /// Two IDCs and one portal, optionally with batteries: every
+    /// inequality family has two rows per stage.
+    fn two_by_one(storage: bool) -> MpcProblem {
+        MpcProblem {
+            b1_mw: vec![67.5e-6, 108.0e-6],
+            b0_mw: vec![150.0e-6; 2],
+            servers_on: vec![8_000, 10_000],
+            capacities: vec![15_000.0, 11_500.0],
+            prev_input: vec![6_000.0, 4_000.0],
+            workload_forecast: vec![vec![10_000.0]; 3],
+            power_reference_mw: vec![vec![1.5, 2.0]; 5],
+            tracking_multiplier: vec![1.0; 2],
+            storage: storage.then(|| StorageProblem {
+                capacity_mwh: vec![4.0; 2],
+                max_charge_mw: vec![2.0; 2],
+                max_discharge_mw: vec![2.0; 2],
+                charge_efficiency: vec![0.95; 2],
+                discharge_efficiency: vec![0.95; 2],
+                soc_mwh: vec![2.0; 2],
+                prev_charge_mw: vec![0.0; 2],
+                prev_discharge_mw: vec![0.0; 2],
+                dt_hours: 1.0 / 12.0,
+            }),
         }
+    }
+
+    /// Row `(t, k)` of every inequality family moves to `(t − 1, k)`, and a
+    /// final-stage row also stays. Inequality rows on N = 2, C = 1, β₂ = 3:
+    /// capacity 0–5, non-negativity 6–11, charge max 12–17, charge min
+    /// 18–23, discharge max 24–29, discharge min 30–35, SoC max 36–41, SoC
+    /// min 42–47; each family offers rows (0, 1), (1, 0) and (2, 1).
+    #[test]
+    fn seed_shift_moves_every_family_one_stage_back() {
+        let skel = RiccatiSkeleton::build(&MpcConfig::default(), &two_by_one(true)).unwrap();
+        let active = [
+            1, 2, 5, 7, 8, 11, 13, 14, 17, 19, 20, 23, 25, 26, 29, 31, 32, 35, 37, 38, 41, 43, 44,
+            47,
+        ];
+        let (mut seed, mut faces) = (Vec::new(), Vec::new());
+        skel.shift_seed(&active, &mut seed, &mut faces);
+        assert_eq!(
+            seed,
+            [
+                0, 3, 5, 6, 9, 11, 12, 15, 17, 18, 21, 23, 24, 27, 29, 30, 33, 35, 36, 39, 41, 42,
+                45, 47
+            ]
+        );
+        // Capacity rows 0, 3 and 5: IDC 0 at stage 0, IDC 1 at stages 1, 2.
+        assert_eq!(faces, [true, false, false, true, false, true]);
+        // An empty active set seeds nothing and flags no face.
+        skel.shift_seed(&[], &mut seed, &mut faces);
+        assert!(seed.is_empty() && faces.iter().all(|&f| !f));
+    }
+
+    /// The warm-rejection report on N = 2, C = 1, β₂ = 2: IDC 0 takes 5 then
+    /// 5 more (cumulative 10), IDC 1 stays put. Conservation wants 8 per
+    /// stage, so stage 0 misses by 3 and stage 1 by 2; IDC 0's capacity rhs
+    /// is 7, exceeded by 3 at stage 1; no entry goes negative.
+    #[test]
+    fn rejection_reports_the_violated_families() {
+        let config = MpcConfig {
+            control_horizon: 2,
+            ..MpcConfig::default()
+        };
+        let mut p = two_by_one(false);
+        p.prev_input = vec![1.0, 1.0];
+        p.workload_forecast = vec![vec![10.0]; 2];
+        p.capacities = vec![8.0, 101.0];
+        let mut skel = RiccatiSkeleton::build(&config, &p).unwrap();
+        skel.retarget(&p).unwrap();
+        assert_eq!(
+            skel.rhs,
+            [8.0, 8.0, 7.0, 100.0, 7.0, 100.0, 1.0, 1.0, 1.0, 1.0]
+        );
+        skel.set_start(&[5.0, 0.0, 5.0, 0.0]);
+        let rej = skel.rejection();
+        assert_eq!(
+            rej,
+            WarmRejection {
+                conservation: 3.0,
+                capacity: 3.0,
+                nonnegativity: 0.0,
+                storage: 0.0,
+            }
+        );
+        assert_eq!(rej.worst(), 3.0);
+        // A NaN entry makes every family whose rows read it NaN.
+        skel.set_start(&[f64::NAN, 0.0, 5.0, 0.0]);
+        let rej = skel.rejection();
+        assert!(rej.conservation.is_nan() && rej.capacity.is_nan() && rej.nonnegativity.is_nan());
+        assert_eq!(rej.storage, 0.0);
     }
 
     /// Every inequality row of the skeleton stays inside one IDC, so the
@@ -679,15 +1081,5 @@ mod tests {
             }
             assert!(z[n + me..].iter().all(|&mu| mu >= -1e-7 * zscale));
         }
-    }
-
-    #[test]
-    fn single_stage_transform_is_identity() {
-        let x = vec![3.0, -2.0];
-        let mut y = Vec::new();
-        to_cumulative(2, &x, &mut y);
-        assert_eq!(y, x);
-        to_deltas(2, &mut y);
-        assert_eq!(y, x);
     }
 }

@@ -26,7 +26,7 @@
 //! 4. only then top up each under-served portal, in proportion to the
 //!    capacity headroom of the IDCs already serving it, falling back to
 //!    the headroom of all IDCs when theirs does not cover the deficit;
-//! 5. refill each IDC whose stage-`t` capacity row the shifted seed holds
+//! 5. refill each IDC whose stage-`t` capacity face the shifted seed holds
 //!    (a *seeded* IDC) and whose load is below `φ_j`: load moves onto it
 //!    from the IDCs the seed does not hold at capacity (the *donors*),
 //!    only along portals it already serves, in proportion to the donors'
@@ -70,7 +70,7 @@
 //! exact feasibility.
 //!
 //! A step that breaks the capacity premise is infeasible; the controller
-//! certifies that with [`exceeds_fleet_capacity`] on the stage totals.
+//! certifies that from the stage totals of the QP's right-hand sides.
 //! For data outside the premise — a negative capacity `φ_j = −1/D_j` on an
 //! IDC with no server on, say — the repaired point stays infeasible, the
 //! solver rejects it as a start, and the controller reports the step
@@ -98,9 +98,6 @@ pub struct RepairScratch {
     load: Vec<f64>,
     /// Top-up weights per IDC.
     weights: Vec<f64>,
-    /// Per stage and IDC (`t·N + j`): whether the seed holds the capacity
-    /// row.
-    full: Vec<bool>,
 }
 
 /// Rewrites the shifted warm point `x` (stacked `ΔU`, `β₂` blocks of
@@ -108,55 +105,30 @@ pub struct RepairScratch {
 /// `problem`, as described in the [module docs](self). The control
 /// horizon is the forecast length.
 ///
-/// `seed` is the shifted active set the solver will be warm-started
-/// with, as constraint indices of the step's QP: the capacity rows come
-/// first, row `t·N + j` bounding IDC `j` at stage `t`, and indices past
-/// them are ignored. The repair puts each IDC whose capacity row the seed
-/// holds back on its capacity face where it can. A cold start passes an
-/// empty seed.
+/// `faces` flags, per stage and IDC (`t·N + j`), whether the shifted
+/// active set the solver will be warm-started with holds that IDC's
+/// capacity face; the controller's QP skeleton derives the flags from the
+/// seed. The repair puts each flagged IDC back on its face where it can.
+/// A cold start passes no flags (an empty slice).
 ///
 /// # Panics
 ///
-/// Panics if `x` is not `β₂` blocks long. The problem's dimensions are
-/// assumed already validated.
-pub fn repair(problem: &MpcProblem, x: &mut [f64], seed: &[usize], scratch: &mut RepairScratch) {
+/// Panics if `x` is not `β₂` blocks long, or `faces` neither empty nor
+/// `β₂·N` long. The problem's dimensions are assumed already validated.
+pub fn repair(problem: &MpcProblem, x: &mut [f64], faces: &[bool], scratch: &mut RepairScratch) {
     let beta2 = problem.workload_forecast.len();
     let nb = problem.block_size();
     assert_eq!(x.len(), beta2 * nb, "warm point must hold β₂ blocks");
-    let ncap = beta2 * problem.num_idcs();
-    scratch.full.clear();
-    scratch.full.resize(ncap, false);
-    for &ci in seed.iter().filter(|&&ci| ci < ncap) {
-        scratch.full[ci] = true;
-    }
+    assert!(
+        faces.is_empty() || faces.len() == beta2 * problem.num_idcs(),
+        "faces must be empty or hold one flag per stage and IDC"
+    );
     repair_storage(problem, x);
-    repair_workload(problem, x, scratch);
-}
-
-/// Whether some stage's forecast demand exceeds the fleet's total
-/// capacity, read off the step's assembled right-hand sides (`eq_rhs`:
-/// `β₂·C` conservation rows, `in_rhs`: capacity rows first, `β₂·N` of
-/// them). With every portal routable to every IDC, a stage is feasible
-/// exactly when its total demand fits the total capacity; the previous
-/// allocation cancels between the two families. `scale` (the largest
-/// forecast magnitude) sets the comparison's tolerance.
-pub fn exceeds_fleet_capacity(
-    eq_rhs: &[f64],
-    in_rhs: &[f64],
-    n: usize,
-    c: usize,
-    scale: f64,
-) -> bool {
-    let beta2 = eq_rhs.len() / c;
-    (0..beta2).any(|t| {
-        let demand: f64 = eq_rhs[t * c..(t + 1) * c].iter().sum();
-        let capacity: f64 = in_rhs[t * n..(t + 1) * n].iter().sum();
-        demand > capacity + 1e-7 * scale.max(1.0)
-    })
+    repair_workload(problem, x, faces, scratch);
 }
 
 /// The five-phase workload repair of the module docs.
-fn repair_workload(problem: &MpcProblem, x: &mut [f64], s: &mut RepairScratch) {
+fn repair_workload(problem: &MpcProblem, x: &mut [f64], faces: &[bool], s: &mut RepairScratch) {
     let n = problem.num_idcs();
     let c = problem.num_portals();
     let nc = n * c;
@@ -235,8 +207,8 @@ fn repair_workload(problem: &MpcProblem, x: &mut [f64], s: &mut RepairScratch) {
         }
         // 5. Refill the seeded IDCs from the donors, along the portals
         // each already serves.
-        let full = &s.full[t * n..(t + 1) * n];
-        for j in (0..n).filter(|&j| full[j]) {
+        let full = faces.get(t * n..(t + 1) * n).unwrap_or_default();
+        for j in (0..full.len()).filter(|&j| full[j]) {
             let deficit = cap[j] - s.load[j];
             if deficit <= 0.0 {
                 continue;

@@ -399,9 +399,8 @@ proptest! {
     }
 
     /// The refill of seeded capacity faces: with a random mask of seeded
-    /// capacity rows (plus indices past them, which the repair ignores)
-    /// the repaired point is as feasible as without one, and every seeded
-    /// IDC left below its capacity face has drained the other IDCs'
+    /// faces the repaired point is as feasible as without one, and every
+    /// seeded IDC left below its capacity face has drained the other IDCs'
     /// entries on each portal it serves — so a seeded IDC whose deficit
     /// those entries cover ends on its face. Without a seed the repair is
     /// the four-phase repair, bit for bit.
@@ -415,10 +414,7 @@ proptest! {
     ) {
         let mut rng = SplitMix(seed);
         let (problem, shifted) = random_repair_instance(n, c, beta2, storage == 1, &mut rng);
-        let ncap = beta2 * n;
-        let full: Vec<bool> = (0..ncap).map(|_| rng.chance(0.4)).collect();
-        let mut rows: Vec<usize> = (0..ncap).filter(|&r| full[r]).collect();
-        rows.extend([ncap, ncap + 1 + (rng.next() % 7) as usize]);
+        let full: Vec<bool> = (0..beta2 * n).map(|_| rng.chance(0.4)).collect();
         let mut scratch = RepairScratch::default();
 
         let mut seedless = shifted.clone();
@@ -437,7 +433,7 @@ proptest! {
         }
 
         let mut x = shifted;
-        warm_repair::repair(&problem, &mut x, &rows, &mut scratch);
+        warm_repair::repair(&problem, &mut x, &full, &mut scratch);
         let norm = x.iter().fold(0.0f64, |a, v| a.max(v.abs()));
         let tol = WARM_TOL * (1.0 + norm);
         let worst = worst_violation(&problem, &x);

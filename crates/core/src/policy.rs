@@ -192,6 +192,9 @@ impl Policy for StaticProportionalPolicy {
     }
 }
 
+/// AR order of the workload predictors.
+const PREDICTOR_ORDER: usize = 3;
+
 /// Tuning of [`MpcPolicy`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MpcPolicyConfig {
@@ -205,8 +208,6 @@ pub struct MpcPolicyConfig {
     pub server_ramp_limit: u64,
     /// Slow-loop period in fast-loop steps (the two-time-scale ratio).
     pub slow_period: usize,
-    /// AR order of the workload predictor.
-    pub predictor_order: usize,
     /// When `true` (default, the paper's Sec. IV-D behaviour) the power
     /// reference is re-solved at each prediction step's forecast workload,
     /// letting the controller anticipate ramps; `false` holds the
@@ -260,7 +261,6 @@ impl Default for MpcPolicyConfig {
             budgets: None,
             server_ramp_limit: 1_500,
             slow_period: 1,
-            predictor_order: 3,
             anticipatory_reference: true,
             solver_reuse: true,
             forced_failure_steps: Vec::new(),
@@ -361,7 +361,7 @@ impl MpcPolicy {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for invalid horizon/ramp/predictor
+    /// Returns [`Error::Config`] for invalid horizon, ramp or slow-loop
     /// parameters.
     pub fn new(config: MpcPolicyConfig) -> Result<Self> {
         if config.slow_period == 0 {
@@ -372,9 +372,6 @@ impl MpcPolicy {
         // reference-derived target.
         SleepController::with_ramp_limit(config.server_ramp_limit)
             .ok_or_else(|| Error::Config("server_ramp_limit must be positive".into()))?;
-        if config.predictor_order == 0 {
-            return Err(Error::Config("predictor_order must be positive".into()));
-        }
         if config.mpc.control_horizon == 0
             || config.mpc.control_horizon > config.mpc.prediction_horizon
         {
@@ -770,11 +767,10 @@ impl MpcPolicy {
         for (i, ps) in snapshot.predictors.iter().enumerate() {
             let p = WorkloadPredictor::from_state(ps)
                 .ok_or_else(|| Error::Config(format!("corrupt predictor state #{i}")))?;
-            if p.order() != self.config.predictor_order {
+            if p.order() != PREDICTOR_ORDER {
                 return Err(Error::Config(format!(
-                    "predictor #{i} order {} does not match config order {}",
-                    p.order(),
-                    self.config.predictor_order
+                    "predictor #{i} order {} does not match order {PREDICTOR_ORDER}",
+                    p.order()
                 )));
             }
             predictors.push(p);
@@ -903,8 +899,7 @@ impl Policy for MpcPolicy {
             .offered
             .iter()
             .map(|&l| {
-                let mut p =
-                    WorkloadPredictor::new(self.config.predictor_order).expect("validated order");
+                let mut p = WorkloadPredictor::new(PREDICTOR_ORDER).expect("a positive order");
                 p.observe(l);
                 p
             })
@@ -1324,11 +1319,6 @@ mod tests {
         .is_err());
         assert!(MpcPolicy::new(MpcPolicyConfig {
             server_ramp_limit: 0,
-            ..MpcPolicyConfig::default()
-        })
-        .is_err());
-        assert!(MpcPolicy::new(MpcPolicyConfig {
-            predictor_order: 0,
             ..MpcPolicyConfig::default()
         })
         .is_err());
