@@ -4,11 +4,9 @@
 //!
 //! * [`statespace`] — the continuous-time electricity-cost model
 //!   `Ẋ = AX + BU + FV`, `Y = WX` with state
-//!   `X = [C̄, E₁, …, E_N]` (paper eq. 19–20) and the controllability test
-//!   of Sec. IV-C,
-//! * [`discretize`] — zero-order-hold discretization `Φ = e^{A·Ts}`,
-//!   `Ḡ = ∫e^{As}B ds`, `Γ = ∫e^{As}F ds` (paper eq. 23–25) via an
-//!   augmented matrix exponential,
+//!   `X = [C̄, E₁, …, E_N]` (paper eq. 19–20), its zero-order-hold
+//!   discretization (paper eq. 21–25, exact in closed form since `A² = 0`)
+//!   and the controllability test of Sec. IV-C,
 //! * [`mpc`] — the constrained MPC of eq. 37–45: tracking the
 //!   (possibly budget-clamped) per-IDC power reference under workload
 //!   conservation, latency/capacity and non-negativity constraints, with
@@ -19,9 +17,7 @@
 //!   placement, the Liu et al. \[6\] extension),
 //! * [`mod@reference`] — the control-reference optimizer (paper eq. 46, the
 //!   Rao et al. INFOCOM'10 LP, solved exactly by a merit-order fill) and
-//!   the peak-shaving clamp `P_r = min(P_ro, P_rb)` of Sec. IV-D,
-//! * [`stability`] — empirical closed-loop contraction checks in the
-//!   spirit of the constrained-MPC stability argument (Mayne et al. \[21\].).
+//!   the peak-shaving clamp `P_r = min(P_ro, P_rb)` of Sec. IV-D.
 //!
 //! # Example: one MPC step on the paper's fleet
 //!
@@ -53,11 +49,9 @@
 
 #![warn(missing_docs)]
 
-pub mod discretize;
 pub mod green;
 pub mod mpc;
 pub mod reference;
 pub mod riccati;
-pub mod stability;
 pub mod statespace;
 pub mod warm_repair;

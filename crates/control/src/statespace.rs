@@ -11,8 +11,14 @@
 //! with `A` carrying the regional prices `Pr_j` in its first row (so
 //! `C̄̇ = Σ_j Pr_j E_j`), `B` injecting `b₁` into each `Ė_j` for that IDC's
 //! portal block, `F` injecting `b₀·m_j`, and `W = [1, 0, …, 0]` reading the
-//! cost (paper eq. 19–20). `A` is nilpotent of index 2, which makes the ZOH
-//! discretization exact: `Φ = I + A·Ts`.
+//! cost (paper eq. 19–20). `A` is nilpotent of index 2 (`A² = 0`), so the
+//! zero-order hold of paper eq. 21–25 truncates its series exactly:
+//!
+//! ```text
+//! Φ = e^{A·Ts} = I + A·Ts
+//! Ḡ = ∫₀^Ts e^{As} ds · B = (Ts·I + A·Ts²/2)·B
+//! Γ = ∫₀^Ts e^{As} ds · F = (Ts·I + A·Ts²/2)·F
+//! ```
 
 use idc_linalg::Matrix;
 
@@ -119,19 +125,56 @@ impl CostStateSpace {
         self.controllability_matrix().rank(f64::EPSILON) == self.state_dim()
     }
 
-    /// Continuous-time derivative `Ẋ = AX + BU + FV`.
+    /// The exact zero-order-hold discretization over `ts` (paper eq. 21–25),
+    /// in closed form because `A² = 0`.
+    pub fn discretize(&self, ts: f64) -> DiscreteCostModel {
+        let mut phi = Matrix::identity(self.state_dim());
+        phi.scaled_add_assign(ts, &self.a).expect("A is square");
+        // ∫₀^Ts e^{As} ds = Ts·I + A·Ts²/2, applied to B and to F.
+        let held = |m: &Matrix| {
+            let mut out = m.scale(ts);
+            let am = self.a.mul_mat(m).expect("shapes fixed at build");
+            out.scaled_add_assign(ts * ts / 2.0, &am)
+                .expect("shapes fixed at build");
+            out
+        };
+        DiscreteCostModel {
+            phi,
+            g: held(&self.b),
+            gamma: held(&self.f),
+            ts,
+        }
+    }
+}
+
+/// A discretized cost model `X(k) = Φ X(k−1) + Ḡ U(k−1) + Γ V(k−1)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DiscreteCostModel {
+    /// State transition `Φ = I + A·Ts` (paper eq. 23).
+    pub phi: Matrix,
+    /// Input matrix `Ḡ = (Ts·I + A·Ts²/2)·B` (paper eq. 24).
+    pub g: Matrix,
+    /// Exogenous matrix `Γ = (Ts·I + A·Ts²/2)·F` (paper eq. 25).
+    pub gamma: Matrix,
+    /// Sampling period in the same time unit as `A` (we use hours so that
+    /// cost integrates in $/MWh · MW · h).
+    pub ts: f64,
+}
+
+impl DiscreteCostModel {
+    /// Advances the state one sampling period.
     ///
     /// # Panics
     ///
     /// Panics if the slice lengths disagree with the model dimensions.
-    pub fn derivative(&self, x: &[f64], u: &[f64], v: &[f64]) -> Vec<f64> {
-        let ax = self.a.mul_vec(x).expect("state dim");
-        let bu = self.b.mul_vec(u).expect("input dim");
-        let fv = self.f.mul_vec(v).expect("exogenous dim");
-        ax.iter()
-            .zip(&bu)
-            .zip(&fv)
-            .map(|((a, b), f)| a + b + f)
+    pub fn step(&self, x: &[f64], u: &[f64], v: &[f64]) -> Vec<f64> {
+        let px = self.phi.mul_vec(x).expect("state dim");
+        let gu = self.g.mul_vec(u).expect("input dim");
+        let gv = self.gamma.mul_vec(v).expect("exogenous dim");
+        px.iter()
+            .zip(&gu)
+            .zip(&gv)
+            .map(|((a, b), c)| a + b + c)
             .collect()
     }
 }
@@ -207,11 +250,40 @@ mod tests {
     }
 
     #[test]
-    fn derivative_matches_hand_computation() {
-        let ss = CostStateSpace::new(&[10.0], &[2.0], &[0.5], 1).unwrap();
-        // X = [C̄, E1] = [0, 3]; U = [λ11] = [4]; V = [m1] = [6].
-        let dx = ss.derivative(&[0.0, 3.0], &[4.0], &[6.0]);
-        // C̄̇ = 10·E1 = 30; Ė1 = 2·4 + 0.5·6 = 11.
-        assert_eq!(dx, vec![30.0, 11.0]);
+    fn paper_model_discretization_is_exact() {
+        // An exact ZOH composes: one step of 2·Ts equals two steps of Ts
+        // under a held input. A truncated series of a non-nilpotent `A`
+        // would not.
+        let ss = paper_like();
+        let ts = 1.0 / 120.0; // 30 s in hours
+        let one = ss.discretize(ts);
+        let two = ss.discretize(2.0 * ts);
+        let x0 = [3.0, 0.4, 0.7, 0.2];
+        let u: Vec<f64> = (0..15).map(|c| 1_000.0 * (c + 1) as f64).collect();
+        let v = [8_000.0, 10_000.0, 9_000.0];
+        let halves = one.step(&one.step(&x0, &u, &v), &u, &v);
+        let whole = two.step(&x0, &u, &v);
+        for (h, w) in halves.iter().zip(&whole) {
+            assert!((h - w).abs() <= 1e-12 * w.abs().max(1.0), "{h} vs {w}");
+        }
+    }
+
+    #[test]
+    fn discrete_step_accumulates_cost_and_energy() {
+        // Single IDC, single portal: prices 50 $/MWh, b1 = 1e-4 MW/(req/s),
+        // b0 = 1.5e-4 MW/server.
+        let ss = CostStateSpace::new(&[50.0], &[1e-4], &[1.5e-4], 1).unwrap();
+        let d = ss.discretize(0.1);
+        // Start at zero state; 1000 req/s on 10 servers.
+        let x1 = d.step(&[0.0, 0.0], &[1000.0], &[10.0]);
+        // Energy after one step: P·Ts.
+        let p = 1e-4 * 1000.0 + 1.5e-4 * 10.0;
+        assert!((x1[1] - p * 0.1).abs() < 1e-12);
+        // Cost grows quadratically (the paper's double-integrator):
+        // C̄(Ts) = Pr·P·Ts²/2.
+        assert!((x1[0] - 50.0 * p * 0.01 / 2.0).abs() < 1e-9);
+        // A second step keeps integrating.
+        let x2 = d.step(&x1, &[1000.0], &[10.0]);
+        assert!(x2[0] > x1[0] && x2[1] > x1[1]);
     }
 }

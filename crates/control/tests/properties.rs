@@ -1,12 +1,10 @@
 //! Property-based tests for the control substrate.
 
-use idc_control::discretize::zoh;
 use idc_control::mpc::{MpcConfig, MpcController, MpcProblem, StorageProblem};
 use idc_control::reference::optimal_reference;
 use idc_control::statespace::CostStateSpace;
 use idc_control::warm_repair::{self, RepairScratch, SERVING_FLOOR};
 use idc_datacenter::idc::paper_idcs;
-use idc_linalg::Matrix;
 use idc_opt::WARM_TOL;
 use proptest::prelude::*;
 
@@ -26,23 +24,6 @@ proptest! {
         let b0 = vec![150e-6; n];
         let ss = CostStateSpace::new(&prices, &b1, &b0, portals).unwrap();
         prop_assert!(ss.is_controllable());
-    }
-
-    /// ZOH of a stable diagonal system matches the scalar closed form on
-    /// every channel.
-    #[test]
-    fn zoh_diagonal_matches_closed_form(
-        rates in prop::collection::vec(0.05f64..4.0, 1..5),
-        ts in 0.01f64..2.0,
-    ) {
-        let n = rates.len();
-        let a = Matrix::diag(&rates.iter().map(|r| -r).collect::<Vec<_>>());
-        let b = Matrix::identity(n);
-        let (phi, g) = zoh(&a, &b, ts).unwrap();
-        for (i, &r) in rates.iter().enumerate() {
-            prop_assert!((phi[(i, i)] - (-r * ts).exp()).abs() < 1e-9);
-            prop_assert!((g[(i, i)] - (1.0 - (-r * ts).exp()) / r).abs() < 1e-9);
-        }
     }
 
     /// The reference LP's cost never decreases when any single price rises

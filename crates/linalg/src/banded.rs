@@ -257,7 +257,7 @@ mod tests {
         let w = (end - first) * nb;
         assert_eq!(
             a.dense(first, end),
-            full.block(first * nb, first * nb, w, w)
+            Matrix::from_fn(w, w, |i, j| full[(first * nb + i, first * nb + j)])
         );
     }
 }

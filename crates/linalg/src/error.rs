@@ -23,13 +23,6 @@ pub enum Error {
     /// Cholesky factorization was attempted on a matrix that is not
     /// symmetric positive definite.
     NotPositiveDefinite,
-    /// A constructor received data whose length does not match `rows * cols`.
-    BadLength {
-        /// Expected number of elements.
-        expected: usize,
-        /// Number of elements actually provided.
-        actual: usize,
-    },
     /// Rows of a jagged input had differing lengths.
     Jagged,
 }
@@ -48,9 +41,6 @@ impl fmt::Display for Error {
             Error::Singular => write!(f, "matrix is singular to working precision"),
             Error::NotPositiveDefinite => {
                 write!(f, "matrix is not symmetric positive definite")
-            }
-            Error::BadLength { expected, actual } => {
-                write!(f, "expected {expected} elements, got {actual}")
             }
             Error::Jagged => write!(f, "rows have inconsistent lengths"),
         }
@@ -79,14 +69,7 @@ mod tests {
             Error::NotSquare { shape: (1, 2) }.to_string(),
             "matrix must be square, got 1x2"
         );
-        assert_eq!(
-            Error::BadLength {
-                expected: 4,
-                actual: 3
-            }
-            .to_string(),
-            "expected 4 elements, got 3"
-        );
+        assert_eq!(Error::Jagged.to_string(), "rows have inconsistent lengths");
     }
 
     #[test]

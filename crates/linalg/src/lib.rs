@@ -11,10 +11,7 @@
 //!   [block-tridiagonal](banded) MPC Hessian — and the rank-1-updatable
 //!   working-set Cholesky factor the MPC's constrained least squares is
 //!   solved with,
-//! * the scaling-and-squaring [Padé matrix exponential](expm::expm) used for
-//!   zero-order-hold discretization of the continuous-time cost model
-//!   (`Φ = e^{A·Ts}`, paper eq. 23–25),
-//! * rank / norm utilities used by the controllability test of Sec. IV-C,
+//! * the numerical rank used by the controllability test of Sec. IV-C,
 //! * runtime-dispatched AVX2+FMA [`dot`/`axpy` kernels](simd), which the
 //!   working-set Cholesky solves of the active-set QP loop run on.
 //!
@@ -39,9 +36,7 @@
 
 pub mod banded;
 pub mod cholesky;
-pub mod eigen;
 mod error;
-pub mod expm;
 pub mod lu;
 mod matrix;
 pub mod simd;

@@ -1,5 +1,5 @@
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Index, IndexMut, Sub};
 
 use crate::{Error, Result};
 
@@ -17,7 +17,7 @@ use crate::{Error, Result};
 /// # fn main() -> Result<(), idc_linalg::Error> {
 /// let a = Matrix::identity(2);
 /// let b = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
-/// let c = (&a * &b)?;
+/// let c = a.mul_mat(&b)?;
 /// assert_eq!(c, b);
 /// # Ok(())
 /// # }
@@ -46,31 +46,6 @@ impl Matrix {
             m[(i, i)] = 1.0;
         }
         m
-    }
-
-    /// Creates a square matrix with `diag` on the main diagonal.
-    pub fn diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BadLength`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(Error::BadLength {
-                expected: rows * cols,
-                actual: data.len(),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
     }
 
     /// Creates a matrix from a slice of row slices.
@@ -212,24 +187,13 @@ impl Matrix {
 
     /// Returns `self * other`.
     ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if the inner dimensions disagree.
-    pub fn mul_mat(&self, other: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.mul_mat_into(other, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes `self * other` into `out`, reusing `out`'s allocation.
-    ///
     /// The kernel is a row-major i-k-j loop, so each output entry sums its
     /// products in ascending `k`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::DimensionMismatch`] if the inner dimensions disagree.
-    pub fn mul_mat_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
+    pub fn mul_mat(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(Error::DimensionMismatch {
                 op: "mul",
@@ -237,10 +201,7 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        out.rows = self.rows;
-        out.cols = other.cols;
-        out.data.clear();
-        out.data.resize(self.rows * other.cols, 0.0);
+        let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
             let dest = &mut out.data[i * other.cols..(i + 1) * other.cols];
             for (k, &aik) in self.row(i).iter().enumerate() {
@@ -252,21 +213,16 @@ impl Matrix {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Element-wise map, returning a new matrix.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        Ok(out)
     }
 
     /// Multiplies every entry by `s`.
     pub fn scale(&self, s: f64) -> Matrix {
-        self.map(|x| x * s)
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.iter().map(|&x| x * s).collect(),
+        }
     }
 
     /// In-place `self += s * other`.
@@ -286,42 +242,6 @@ impl Matrix {
             *a += s * b;
         }
         Ok(())
-    }
-
-    /// Writes `block` into `self` with its upper-left corner at `(r0, c0)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block does not fit.
-    pub fn set_block(&mut self, r0: usize, c0: usize, block: &Matrix) {
-        assert!(
-            r0 + block.rows <= self.rows && c0 + block.cols <= self.cols,
-            "block {}x{} at ({r0},{c0}) does not fit in {}x{}",
-            block.rows,
-            block.cols,
-            self.rows,
-            self.cols
-        );
-        for i in 0..block.rows {
-            for j in 0..block.cols {
-                self[(r0 + i, c0 + j)] = block[(i, j)];
-            }
-        }
-    }
-
-    /// Copy of the sub-matrix of shape `(nr, nc)` rooted at `(r0, c0)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested block exceeds the matrix bounds.
-    pub fn block(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> Matrix {
-        assert!(
-            r0 + nr <= self.rows && c0 + nc <= self.cols,
-            "block {nr}x{nc} at ({r0},{c0}) exceeds {}x{}",
-            self.rows,
-            self.cols
-        );
-        Matrix::from_fn(nr, nc, |i, j| self[(r0 + i, c0 + j)])
     }
 
     /// Places `left` and `right` side by side.
@@ -358,26 +278,6 @@ impl Matrix {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let (first, second) = self.data.split_at_mut(hi * self.cols);
         first[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut second[..self.cols]);
-    }
-
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Induced 1-norm (maximum absolute column sum); used by the Padé
-    /// exponential's scaling heuristic.
-    pub fn norm_1(&self) -> f64 {
-        (0..self.cols)
-            .map(|j| (0..self.rows).map(|i| self[(i, j)].abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
-    /// Induced ∞-norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| self.row(i).iter().map(|x| x.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
     }
 
     /// Largest absolute entry.
@@ -466,25 +366,6 @@ impl fmt::Debug for Matrix {
     }
 }
 
-impl Add for &Matrix {
-    type Output = Result<Matrix>;
-
-    fn add(self, rhs: &Matrix) -> Result<Matrix> {
-        if self.shape() != rhs.shape() {
-            return Err(Error::DimensionMismatch {
-                op: "add",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = self.clone();
-        for (a, b) in out.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-        Ok(out)
-    }
-}
-
 impl Sub for &Matrix {
     type Output = Result<Matrix>;
 
@@ -504,54 +385,18 @@ impl Sub for &Matrix {
     }
 }
 
-impl Mul for &Matrix {
-    type Output = Result<Matrix>;
-
-    fn mul(self, rhs: &Matrix) -> Result<Matrix> {
-        self.mul_mat(rhs)
-    }
-}
-
-impl Mul<f64> for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, s: f64) -> Matrix {
-        self.scale(s)
-    }
-}
-
-impl Neg for &Matrix {
-    type Output = Matrix;
-
-    fn neg(self) -> Matrix {
-        self.scale(-1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn m22(a: f64, b: f64, c: f64, d: f64) -> Matrix {
-        Matrix::from_vec(2, 2, vec![a, b, c, d]).unwrap()
+        Matrix::from_rows(&[&[a, b], &[c, d]]).unwrap()
     }
 
     #[test]
     fn constructors_have_expected_shapes() {
         assert_eq!(Matrix::zeros(2, 3).shape(), (2, 3));
         assert_eq!(Matrix::identity(4).shape(), (4, 4));
-        assert_eq!(Matrix::diag(&[1.0, 2.0])[(1, 1)], 2.0);
-    }
-
-    #[test]
-    fn from_vec_validates_length() {
-        assert!(matches!(
-            Matrix::from_vec(2, 2, vec![1.0]),
-            Err(Error::BadLength {
-                expected: 4,
-                actual: 1
-            })
-        ));
     }
 
     #[test]
@@ -598,20 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_mat_into_reuses_dirty_buffers() {
-        let a = m22(1.0, 2.0, 3.0, 4.0);
-        let b = m22(5.0, 6.0, 7.0, 8.0);
-        // Wrong shape and stale contents: must be fully overwritten.
-        let mut out = Matrix::from_fn(5, 7, |_, _| f64::NAN);
-        a.mul_mat_into(&b, &mut out).unwrap();
-        assert_eq!(out, m22(19.0, 22.0, 43.0, 50.0));
-        // Second use reuses the allocation and still gets the right answer.
-        a.mul_mat_into(&a, &mut out).unwrap();
-        assert_eq!(out, m22(7.0, 10.0, 15.0, 22.0));
-        assert!(a.mul_mat_into(&Matrix::zeros(3, 2), &mut out).is_err());
-    }
-
-    #[test]
     fn mul_vec_matches_hand_computation() {
         let a = m22(1.0, 2.0, 3.0, 4.0);
         assert_eq!(a.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
@@ -625,12 +456,13 @@ mod tests {
     }
 
     #[test]
-    fn stacking_roundtrips_through_blocks() {
+    fn stacking_places_blocks_side_by_side() {
         let a = m22(1.0, 2.0, 3.0, 4.0);
         let b = m22(5.0, 6.0, 7.0, 8.0);
         let h = Matrix::hstack(&a, &b).unwrap();
         assert_eq!(h.shape(), (2, 4));
-        assert_eq!(h.block(0, 2, 2, 2), b);
+        assert_eq!(h.row(0), &[1.0, 2.0, 5.0, 6.0]);
+        assert_eq!(h.row(1), &[3.0, 4.0, 7.0, 8.0]);
     }
 
     #[test]
@@ -638,22 +470,6 @@ mod tests {
         let a = Matrix::zeros(2, 2);
         let c = Matrix::zeros(3, 2);
         assert!(Matrix::hstack(&a, &c).is_err());
-    }
-
-    #[test]
-    fn set_block_writes_in_place() {
-        let mut big = Matrix::zeros(3, 3);
-        big.set_block(1, 1, &m22(1.0, 2.0, 3.0, 4.0));
-        assert_eq!(big[(1, 1)], 1.0);
-        assert_eq!(big[(2, 2)], 4.0);
-        assert_eq!(big[(0, 0)], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn set_block_panics_when_out_of_bounds() {
-        let mut big = Matrix::zeros(2, 2);
-        big.set_block(1, 1, &m22(1.0, 2.0, 3.0, 4.0));
     }
 
     #[test]
@@ -667,11 +483,8 @@ mod tests {
 
     #[test]
     fn norms_match_hand_computation() {
-        let a = m22(1.0, -2.0, -3.0, 4.0);
-        assert_eq!(a.norm_1(), 6.0); // col 1: |−2|+4 = 6
-        assert_eq!(a.norm_inf(), 7.0); // row 1: 3+4 = 7
-        assert_eq!(a.norm_max(), 4.0);
-        assert!((a.norm_fro() - 30.0_f64.sqrt()).abs() < 1e-15);
+        assert_eq!(m22(1.0, -2.0, -3.0, 4.0).norm_max(), 4.0);
+        assert_eq!(m22(1.0, -5.0, -3.0, 4.0).norm_max(), 5.0);
     }
 
     #[test]
@@ -689,11 +502,9 @@ mod tests {
     fn arithmetic_operators_work() {
         let a = m22(1.0, 2.0, 3.0, 4.0);
         let b = m22(4.0, 3.0, 2.0, 1.0);
-        assert_eq!((&a + &b).unwrap(), Matrix::from_fn(2, 2, |_, _| 5.0));
-        assert_eq!((&a - &a).unwrap(), Matrix::zeros(2, 2));
-        assert_eq!(&a * 2.0, m22(2.0, 4.0, 6.0, 8.0));
-        assert_eq!(-&a, m22(-1.0, -2.0, -3.0, -4.0));
-        assert!((&a + &Matrix::zeros(3, 3)).is_err());
+        assert_eq!((&a - &b).unwrap(), m22(-3.0, -1.0, 1.0, 3.0));
+        assert_eq!(a.scale(2.0), m22(2.0, 4.0, 6.0, 8.0));
+        assert!((&a - &Matrix::zeros(3, 3)).is_err());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Property-based tests for the dense linear-algebra kernels.
 
 use idc_linalg::cholesky::{ArrowheadCholesky, Cholesky, UpdatableCholesky};
-use idc_linalg::{expm::expm, lu::Lu, vec_ops, Matrix};
+use idc_linalg::{lu::Lu, vec_ops, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: an `n × n` matrix with entries in [-1, 1] and a diagonal boost
 /// that makes it strictly diagonally dominant (hence nonsingular).
 fn dominant_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-1.0f64..1.0, n * n).prop_map(move |data| {
-        let mut m = Matrix::from_vec(n, n, data).expect("sized by construction");
+        let mut m = Matrix::from_fn(n, n, |i, j| data[i * n + j]);
         for i in 0..n {
             m[(i, i)] += n as f64 + 1.0;
         }
@@ -51,26 +51,6 @@ proptest! {
     }
 
     #[test]
-    fn expm_inverse_property(data in prop::collection::vec(-0.8f64..0.8, 9)) {
-        let a = Matrix::from_vec(3, 3, data).unwrap();
-        let e = expm(&a).unwrap();
-        let einv = expm(&a.scale(-1.0)).unwrap();
-        let prod = e.mul_mat(&einv).unwrap();
-        let err = (&prod - &Matrix::identity(3)).unwrap().norm_max();
-        prop_assert!(err < 1e-9, "err = {err}");
-    }
-
-    #[test]
-    fn expm_semigroup_property(data in prop::collection::vec(-0.5f64..0.5, 9)) {
-        let a = Matrix::from_vec(3, 3, data).unwrap();
-        let e1 = expm(&a).unwrap();
-        let e2 = expm(&a.scale(2.0)).unwrap();
-        let prod = e1.mul_mat(&e1).unwrap();
-        let rel = (&e2 - &prod).unwrap().norm_max() / e2.norm_max().max(1.0);
-        prop_assert!(rel < 1e-9, "rel = {rel}");
-    }
-
-    #[test]
     fn rank_of_outer_product_is_at_most_one(u in vector(5), v in vector(5)) {
         let outer = Matrix::from_fn(5, 5, |i, j| u[i] * v[j]);
         prop_assert!(outer.rank(f64::EPSILON) <= 1);
@@ -91,15 +71,6 @@ proptest! {
         prop_assert!(inv == inv.transpose());
         let err = (&a.mul_mat(&inv).unwrap() - &Matrix::identity(n)).unwrap().norm_max();
         prop_assert!(err < 1e-12, "err = {err}");
-    }
-
-    #[test]
-    fn norm_inequalities_hold(data in prop::collection::vec(-100.0f64..100.0, 16)) {
-        let a = Matrix::from_vec(4, 4, data).unwrap();
-        // ‖A‖_max ≤ ‖A‖_1, ‖A‖_∞ and ‖A‖_F ≤ sqrt(rank)·‖A‖_2 style bounds.
-        prop_assert!(a.norm_max() <= a.norm_1() + 1e-12);
-        prop_assert!(a.norm_max() <= a.norm_inf() + 1e-12);
-        prop_assert!(a.norm_fro() <= 4.0 * a.norm_max() + 1e-12);
     }
 }
 

@@ -71,6 +71,12 @@ const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// survive the serialize→parse round trip bit-for-bit.
 const SEED_MASK: u64 = (1 << 53) - 1;
 
+/// Largest `max_delay_ticks` a schedule holds: 2²⁰ ticks, longer than any
+/// run (about a year of 30 s ticks), so a sample held back longer is as good
+/// as dropped. The cap keeps `max_delay_ticks + 1` from wrapping to a zero
+/// modulus and the value exact in a JSON (f64) checkpoint.
+pub const MAX_DELAY_TICKS: u64 = 1 << 20;
+
 /// SplitMix64 finalizer: a well-mixed pure function of the input word.
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(SPLITMIX_GAMMA);
@@ -106,12 +112,12 @@ impl FeedFaults {
 
     /// A schedule dropping each sample with probability `drop_prob`
     /// (clamped to `[0, 1]`) and delaying survivors by up to
-    /// `max_delay_ticks`.
+    /// `max_delay_ticks` (clamped to [`MAX_DELAY_TICKS`]).
     pub fn new(seed: u64, drop_prob: f64, max_delay_ticks: u64) -> Self {
         FeedFaults {
             seed: seed & SEED_MASK,
             drop_per_mille: (drop_prob.clamp(0.0, 1.0) * 1000.0).round() as u16,
-            max_delay_ticks,
+            max_delay_ticks: max_delay_ticks.min(MAX_DELAY_TICKS),
         }
     }
 
@@ -142,13 +148,26 @@ impl FeedFaults {
         }
     }
 
-    /// Rebuilds a schedule from a [`state`](Self::state) export. Returns
-    /// `None` when the drop rate is out of range.
-    pub fn from_state(state: &FeedFaultsSnap) -> Option<Self> {
+    /// Rebuilds a schedule from a [`state`](Self::state) export.
+    ///
+    /// # Errors
+    ///
+    /// Names the field when the drop rate exceeds 1000 per mille or the
+    /// delay exceeds [`MAX_DELAY_TICKS`].
+    pub fn from_state(state: &FeedFaultsSnap) -> Result<Self, String> {
         if state.drop_per_mille > 1000 {
-            return None;
+            return Err(format!(
+                "fault schedule has out-of-range drop rate {} per mille",
+                state.drop_per_mille
+            ));
         }
-        Some(FeedFaults {
+        if state.max_delay_ticks > MAX_DELAY_TICKS {
+            return Err(format!(
+                "fault schedule has max delay {} ticks, above the cap of {MAX_DELAY_TICKS}",
+                state.max_delay_ticks
+            ));
+        }
+        Ok(FeedFaults {
             seed: state.seed,
             drop_per_mille: state.drop_per_mille as u16,
             max_delay_ticks: state.max_delay_ticks,
@@ -492,10 +511,21 @@ mod tests {
             .enumerate()
             .all(|(t, d)| d.is_none_or(|d| d >= t as u64 && d <= t as u64 + 3)));
         // Round-trips through its serializable form.
-        assert_eq!(FeedFaults::from_state(&f.state()), Some(f));
+        assert_eq!(FeedFaults::from_state(&f.state()), Ok(f));
         let mut bad = f.state();
         bad.drop_per_mille = 2000;
-        assert_eq!(FeedFaults::from_state(&bad), None);
+        assert!(FeedFaults::from_state(&bad)
+            .unwrap_err()
+            .contains("drop rate"));
+        let mut bad = f.state();
+        bad.max_delay_ticks = MAX_DELAY_TICKS + 1;
+        assert!(FeedFaults::from_state(&bad)
+            .unwrap_err()
+            .contains("max delay"));
+        // The constructor clamps instead: the widest schedule still delivers.
+        let widest = FeedFaults::new(7, 0.0, u64::MAX);
+        assert_eq!(widest.state().max_delay_ticks, MAX_DELAY_TICKS);
+        assert!(widest.delivery(u64::MAX - MAX_DELAY_TICKS).is_some());
     }
 
     #[test]

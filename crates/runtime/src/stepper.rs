@@ -41,7 +41,7 @@ use idc_core::SolverBackend;
 use crate::error::Error;
 use crate::feed::{FeedFaults, OverloadFaults, TracePriceFeed, TraceWorkloadFeed};
 use crate::metrics::MetricsRegistry;
-use crate::snapshot::{FeedFaultsSnap, HeldSnap, RuntimeSnapshot, SNAPSHOT_VERSION};
+use crate::snapshot::{HeldSnap, RuntimeSnapshot, SNAPSHOT_VERSION};
 use crate::Result;
 
 /// Bucket bounds (seconds) for the per-step wall-clock histogram.
@@ -642,10 +642,10 @@ impl Stepper {
     /// fails validation or is inconsistent with the rebuilt scenario.
     pub fn restore(snapshot: &RuntimeSnapshot) -> Result<Self> {
         snapshot.validate()?;
-        let workload_faults = FeedFaults::from_state(&snapshot.workload_faults)
-            .ok_or_else(|| bad_faults(&snapshot.workload_faults))?;
-        let price_faults = FeedFaults::from_state(&snapshot.price_faults)
-            .ok_or_else(|| bad_faults(&snapshot.price_faults))?;
+        let workload_faults =
+            FeedFaults::from_state(&snapshot.workload_faults).map_err(Error::Snapshot)?;
+        let price_faults =
+            FeedFaults::from_state(&snapshot.price_faults).map_err(Error::Snapshot)?;
         let overload = OverloadFaults::from_state(&snapshot.overload).ok_or_else(|| {
             Error::Snapshot(format!(
                 "overload schedule has out-of-range burst rate {} per mille",
@@ -705,13 +705,6 @@ impl Stepper {
             scenario,
         })
     }
-}
-
-fn bad_faults(snap: &FeedFaultsSnap) -> Error {
-    Error::Snapshot(format!(
-        "fault schedule has out-of-range drop rate {} per mille",
-        snap.drop_per_mille
-    ))
 }
 
 #[cfg(test)]

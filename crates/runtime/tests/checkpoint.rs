@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use idc_runtime::feed::FeedFaults;
+use idc_runtime::feed::{FeedFaults, MAX_DELAY_TICKS};
 use idc_runtime::http::MetricsServer;
 use idc_runtime::metrics::MetricsRegistry;
 use idc_runtime::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
@@ -247,6 +247,50 @@ fn snapshot_with_retired_dense_backend_fails_to_restore() {
         Err(e) => panic!("wrong error for a dense checkpoint: {e}"),
         Ok(_) => panic!("a dense checkpoint must not restore"),
     }
+}
+
+/// A checkpoint whose fault schedule holds a delay beyond
+/// `MAX_DELAY_TICKS` fails to restore with a snapshot error naming the
+/// field. `u64::MAX` is what a `1e300` in the JSON parses to, and used to
+/// wrap `max_delay_ticks + 1` to a zero modulus; a delay at the cap still
+/// restores and steps.
+#[test]
+fn snapshot_with_out_of_range_feed_delay_is_refused() {
+    let mut stepper = Stepper::new(config(100, 2, 1)).unwrap();
+    for _ in 0..3 {
+        stepper.step_once().unwrap();
+    }
+    let json = stepper.snapshot().to_json().unwrap();
+    let field = "\"max_delay_ticks\":2";
+    assert_eq!(json.matches(field).count(), 2, "{json}");
+    for (which, delay, parsed) in [
+        (0, "1e300", u64::MAX),
+        (1, "1e300", u64::MAX),
+        (0, "1048577", MAX_DELAY_TICKS + 1),
+    ] {
+        let mut at = json.match_indices(field).map(|(i, _)| i);
+        let start = at.nth(which).unwrap();
+        let corrupt = format!(
+            "{}\"max_delay_ticks\":{delay}{}",
+            &json[..start],
+            &json[start + field.len()..]
+        );
+        let snapshot = RuntimeSnapshot::from_json(&corrupt).unwrap();
+        let delays = [
+            snapshot.workload_faults.max_delay_ticks,
+            snapshot.price_faults.max_delay_ticks,
+        ];
+        assert!(delays.contains(&parsed), "{delays:?}");
+        match Stepper::restore(&snapshot) {
+            Err(Error::Snapshot(msg)) => assert!(msg.contains("max delay"), "{msg}"),
+            Err(e) => panic!("wrong error for delay {delay}: {e}"),
+            Ok(_) => panic!("delay {delay} must not restore"),
+        }
+    }
+    let mut at_cap = stepper.snapshot();
+    at_cap.workload_faults.max_delay_ticks = MAX_DELAY_TICKS;
+    let mut resumed = Stepper::restore(&at_cap).unwrap();
+    assert!(resumed.step_once().unwrap());
 }
 
 /// Version-2 checkpoints written while the retired sharded backend existed
