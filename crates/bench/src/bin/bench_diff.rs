@@ -22,8 +22,9 @@
 //! a healthy run: a counter that is zero in the baseline fails on any
 //! occurrence. `readmissions_per_step` is reported in the rows but not
 //! gated, since its baseline can be zero on a small window; so is
-//! `step_updates_per_step`, which `bench_diff` prints with the status
-//! `reported` and never gates.
+//! `step_updates_per_step` and `bound_flips_per_step` (working bounds
+//! flipped onto their tight opposite bound instead of dropped), which
+//! `bench_diff` prints with the status `reported` and never gates.
 //! Storage rows carry a ` +storage` key suffix so they never collide
 //! with the plain row at the same size and backend.
 //! `BENCH_runtime.json` documents (schema `bench.runtime.v1`, written by
@@ -61,9 +62,13 @@ const COUNTER_GATES: [(&str, &str); 8] = [
 ];
 
 /// `solve_stats` counters of the end-to-end rows that are printed but never
-/// gated, as `(table, key)`: the KKT solves replaced by step updates can be
-/// zero on a small window, and any count over a zero baseline would fail.
-const COUNTER_REPORTS: [(&str, &str); 1] = [("step_updates", "step_updates_per_step")];
+/// gated, as `(table, key)`: the KKT solves replaced by step updates and
+/// the bound flips can be zero on a small window, and any count over a
+/// zero baseline would fail.
+const COUNTER_REPORTS: [(&str, &str); 2] = [
+    ("step_updates", "step_updates_per_step"),
+    ("bound_flips", "bound_flips_per_step"),
+];
 
 /// Whether `table` holds one of the [`COUNTER_GATES`] counters.
 fn is_counter(table: &str) -> bool {
@@ -442,22 +447,27 @@ mod tests {
         assert_eq!(relative_change("end_to_end", 0.0, 1.0), 0.0);
     }
 
-    /// Step updates appear as a row but never gate, even over a zero
-    /// baseline.
+    /// Step updates and bound flips appear as rows but never gate, even
+    /// over a zero baseline.
     #[test]
     fn step_updates_are_reported_never_gated() {
         let doc: Value = serde_json::from_str(
             r#"{"end_to_end": [{"idcs": 3, "portals": 5, "backend": "banded",
                 "warm_ms_per_step": 0.05,
                 "solve_stats": {"iterations_per_step": 2.0,
-                    "step_updates_per_step": 0.0}}]}"#,
+                    "step_updates_per_step": 0.0, "bound_flips_per_step": 0.0}}]}"#,
         )
         .unwrap();
         let tables: Vec<&str> = rows(&doc).iter().map(|r| r.table).collect();
-        assert_eq!(tables, vec!["iterations", "step_updates", "end_to_end"]);
-        let rel = relative_change("step_updates", 0.0, 20.0);
-        assert_eq!(row_status("step_updates", rel, 0.1, 0.25), "reported");
-        assert_eq!(row_status("step_updates", 3.0, 0.1, 0.25), "reported");
+        assert_eq!(
+            tables,
+            vec!["iterations", "step_updates", "bound_flips", "end_to_end"]
+        );
+        for table in ["step_updates", "bound_flips"] {
+            let rel = relative_change(table, 0.0, 20.0);
+            assert_eq!(row_status(table, rel, 0.1, 0.25), "reported");
+            assert_eq!(row_status(table, 3.0, 0.1, 0.25), "reported");
+        }
         assert_eq!(row_status("iterations", 0.3, 0.1, 0.25), "REGRESSED");
         assert_eq!(row_status("end_to_end", 0.2, 0.1, 0.25), "REGRESSED");
         assert_eq!(row_status("iterations", 0.2, 0.1, 0.25), "ok");

@@ -509,7 +509,7 @@ fn print_e2e_row(e: &EndToEndRow) {
     let per_step = |v: u64| v as f64 / e.steps.max(1) as f64;
     println!(
         "{:>24} | per step: iters {:.2} churn {:.2} refine {:.2} step-updates {:.2} | seed \
-         survival {:.3} readmissions {:.2} bland {} cold-fallbacks {}",
+         survival {:.3} readmissions {:.2} flips {:.2} bland {} cold-fallbacks {}",
         "solver",
         per_step(e.stats.iterations),
         per_step(e.stats.working_set_churn()),
@@ -517,6 +517,7 @@ fn print_e2e_row(e: &EndToEndRow) {
         per_step(e.stats.step_updates),
         e.stats.seed_survival(),
         per_step(e.stats.readmissions),
+        per_step(e.stats.bound_flips),
         e.stats.bland_switches,
         e.stats.cold_fallbacks,
     );
@@ -791,7 +792,8 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
     s.push_str(&format!(
         "     \"solve_stats\": {{\"iterations_per_step\": {:.3}, \
          \"constraints_added_per_step\": {:.3}, \"constraints_dropped_per_step\": {:.3}, \
-         \"readmissions_per_step\": {:.3}, \"degenerate_pops\": {}, \"bland_switches\": {}, \
+         \"readmissions_per_step\": {:.3}, \"bound_flips_per_step\": {:.3}, \
+         \"degenerate_pops\": {}, \"bland_switches\": {}, \
          \"refinement_passes_per_step\": {:.3}, \"step_updates_per_step\": {:.3}, \
          \"refactorizations_per_step\": {:.3}, \
          \"updates_applied_per_step\": {:.3}, \"downdates_applied_per_step\": {:.3}, \
@@ -801,6 +803,7 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
         per_step(r.stats.constraints_added),
         per_step(r.stats.constraints_dropped),
         per_step(r.stats.readmissions),
+        per_step(r.stats.bound_flips),
         r.stats.degenerate_pops,
         r.stats.bland_switches,
         per_step(r.stats.refinement_passes),

@@ -1,8 +1,8 @@
 //! LU factorization with partial pivoting.
 //!
-//! This is the primary square-system solver of the workspace: the active-set
-//! QP solver factors its KKT systems with it, and the Padé matrix
-//! exponential uses it for its final rational solve.
+//! The general dense solver of the workspace. No controller path factors
+//! with it; the tests use it as the structure-blind reference that the
+//! banded, Cholesky and working-set factors are checked against.
 
 use crate::{Error, Matrix, Result};
 
@@ -30,8 +30,6 @@ pub struct Lu {
     piv: Vec<usize>,
     /// +1.0 or −1.0 depending on the permutation parity.
     sign: f64,
-    /// Scratch copy of the pivot row's tail during elimination.
-    prow: Vec<f64>,
 }
 
 impl Lu {
@@ -42,47 +40,14 @@ impl Lu {
     /// * [`Error::NotSquare`] if `a` is rectangular.
     /// * [`Error::Singular`] if a pivot underflows working precision.
     pub fn factor(a: &Matrix) -> Result<Self> {
-        let mut lu = Lu::empty();
-        lu.refactor(a)?;
-        Ok(lu)
-    }
-
-    /// An empty factorization to be filled by [`Lu::refactor`].
-    ///
-    /// Useful as the initial state of a reusable workspace; calling
-    /// [`Lu::solve`] on it only accepts zero-length right-hand sides.
-    pub fn empty() -> Self {
-        Lu {
-            lu: Matrix::zeros(0, 0),
-            piv: Vec::new(),
-            sign: 1.0,
-            prow: Vec::new(),
-        }
-    }
-
-    /// Factors `a`, reusing this factorization's buffers.
-    ///
-    /// This is the allocation-free path for hot loops that factor a
-    /// same-sized matrix over and over (the QP solver's per-iteration KKT
-    /// systems): after the first call, subsequent `refactor`s of matrices
-    /// of equal or smaller dimension allocate nothing.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::NotSquare`] if `a` is rectangular.
-    /// * [`Error::Singular`] if a pivot underflows working precision; the
-    ///   factorization is left unusable until the next successful
-    ///   `refactor`.
-    pub fn refactor(&mut self, a: &Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(Error::NotSquare { shape: a.shape() });
         }
         let n = a.rows();
-        let lu = &mut self.lu;
-        lu.copy_from(a);
-        self.piv.clear();
-        self.piv.extend(0..n);
-        self.sign = 1.0;
+        let mut lu = a.clone();
+        let mut piv: Vec<usize> = (0..n).collect();
+        let mut sign = 1.0;
+        let mut prow = Vec::with_capacity(n);
         let scale = lu.norm_max().max(1e-300);
 
         for k in 0..n {
@@ -95,16 +60,16 @@ impl Lu {
             }
             if p != k {
                 lu.swap_rows(k, p);
-                self.piv.swap(k, p);
-                self.sign = -self.sign;
+                piv.swap(k, p);
+                sign = -sign;
             }
             let pivot = lu[(k, k)];
             // Eliminate on contiguous row tails: copying the pivot row's
             // tail out once per column lets the update run on two plain
             // slices, which the compiler vectorizes — the difference
             // between ~1 and ~8 flops per cycle on a dense factor.
-            self.prow.clear();
-            self.prow.extend_from_slice(&lu.row(k)[k + 1..]);
+            prow.clear();
+            prow.extend_from_slice(&lu.row(k)[k + 1..]);
             for i in (k + 1)..n {
                 let row = &mut lu.row_mut(i)[k..];
                 let factor = row[0] / pivot;
@@ -112,12 +77,12 @@ impl Lu {
                 if factor == 0.0 {
                     continue;
                 }
-                for (v, &u) in row[1..].iter_mut().zip(&self.prow) {
+                for (v, &u) in row[1..].iter_mut().zip(&prow) {
                     *v -= factor * u;
                 }
             }
         }
-        Ok(())
+        Ok(Lu { lu, piv, sign })
     }
 
     /// Dimension of the factored matrix.
@@ -132,19 +97,6 @@ impl Lu {
     /// Returns [`Error::DimensionMismatch`] if `b.len()` differs from the
     /// factored dimension.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = Vec::with_capacity(self.dim());
-        self.solve_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// Solves `A x = b`, writing the solution into `x` and reusing its
-    /// allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `b.len()` differs from the
-    /// factored dimension.
-    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
         let n = self.dim();
         if b.len() != n {
             return Err(Error::DimensionMismatch {
@@ -154,8 +106,7 @@ impl Lu {
             });
         }
         // Apply permutation.
-        x.clear();
-        x.extend(self.piv.iter().map(|&p| b[p]));
+        let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
         // Forward substitution with unit-lower L.
         for i in 1..n {
             let mut acc = x[i];
@@ -172,7 +123,7 @@ impl Lu {
             }
             x[i] = acc / self.lu[(i, i)];
         }
-        Ok(())
+        Ok(x)
     }
 
     /// Solves `A X = B` column by column.
@@ -311,37 +262,6 @@ mod tests {
     fn pivoting_handles_zero_leading_entry() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
         let x = solve(&a, &[2.0, 3.0]).unwrap();
-        assert!(vec_ops::approx_eq(&x, &[3.0, 2.0], 1e-15));
-    }
-
-    #[test]
-    fn refactor_reuses_workspace_across_systems() {
-        let mut ws = Lu::empty();
-        assert_eq!(ws.dim(), 0);
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-        ws.refactor(&a).unwrap();
-        let mut x = Vec::new();
-        ws.solve_into(&[3.0, 5.0], &mut x).unwrap();
-        assert!(vec_ops::approx_eq(&x, &[0.8, 1.4], 1e-12));
-
-        // Different size, same workspace; result must match a fresh factor.
-        let b =
-            Matrix::from_rows(&[&[3.0, 2.0, -1.0], &[2.0, -2.0, 4.0], &[-1.0, 0.5, -1.0]]).unwrap();
-        ws.refactor(&b).unwrap();
-        ws.solve_into(&[1.0, -2.0, 0.0], &mut x).unwrap();
-        assert!(vec_ops::approx_eq(&x, &[1.0, -2.0, -2.0], 1e-12));
-        assert!((ws.det() - Lu::factor(&b).unwrap().det()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn refactor_recovers_after_singular_input() {
-        let mut ws = Lu::empty();
-        let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        assert!(matches!(ws.refactor(&singular), Err(Error::Singular)));
-        // The workspace is reusable after a failed factorization.
-        let good = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        ws.refactor(&good).unwrap();
-        let x = ws.solve(&[2.0, 3.0]).unwrap();
         assert!(vec_ops::approx_eq(&x, &[3.0, 2.0], 1e-15));
     }
 }

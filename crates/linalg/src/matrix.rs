@@ -177,14 +177,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Makes `self` an exact copy of `other`, reusing the allocation.
-    pub fn copy_from(&mut self, other: &Matrix) {
-        self.rows = other.rows;
-        self.cols = other.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&other.data);
-    }
-
     /// Returns `self * other`.
     ///
     /// The kernel is a row-major i-k-j loop, so each output entry sums its

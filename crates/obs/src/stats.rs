@@ -19,6 +19,9 @@
 /// * `readmissions` — inequality constraints activated again after a
 ///   negative-multiplier drop earlier in the same solve: the churn a
 ///   batched drop pays when it frees a row the next step needs back.
+/// * `bound_flips` — working bounds with a negative multiplier swapped for
+///   the tight opposite bound on the same variable instead of dropped: the
+///   variable stays fixed, and no drop, step or re-admission is paid.
 /// * `degenerate_pops` — constraints popped after a singular KKT
 ///   factorization, the numerical-degeneracy recovery path.
 /// * `bland_switches` — times the pivot rule switched from Dantzig's most
@@ -68,6 +71,8 @@ pub struct SolveStats {
     pub constraints_dropped: u64,
     /// Constraints activated again after a drop in the same solve.
     pub readmissions: u64,
+    /// Working bounds flipped onto their tight opposite bound.
+    pub bound_flips: u64,
     /// Constraints popped on singular KKT factorizations.
     pub degenerate_pops: u64,
     /// Dantzig→Bland pivot-rule switches.
@@ -108,6 +113,7 @@ impl SolveStats {
         self.constraints_added += other.constraints_added;
         self.constraints_dropped += other.constraints_dropped;
         self.readmissions += other.readmissions;
+        self.bound_flips += other.bound_flips;
         self.degenerate_pops += other.degenerate_pops;
         self.bland_switches += other.bland_switches;
         self.seed_offered += other.seed_offered;
@@ -138,6 +144,7 @@ impl SolveStats {
                 .constraints_dropped
                 .saturating_sub(earlier.constraints_dropped),
             readmissions: self.readmissions.saturating_sub(earlier.readmissions),
+            bound_flips: self.bound_flips.saturating_sub(earlier.bound_flips),
             degenerate_pops: self.degenerate_pops.saturating_sub(earlier.degenerate_pops),
             bland_switches: self.bland_switches.saturating_sub(earlier.bland_switches),
             seed_offered: self.seed_offered.saturating_sub(earlier.seed_offered),
@@ -208,6 +215,7 @@ mod tests {
             constraints_added: 4,
             constraints_dropped: 1,
             readmissions: 1,
+            bound_flips: 2,
             degenerate_pops: 1,
             bland_switches: 1,
             seed_offered: 6,
@@ -231,6 +239,7 @@ mod tests {
             seed_accepted: 2,
             refactorizations: 1,
             updates_applied: 4,
+            bound_flips: 3,
             ..SolveStats::default()
         };
         let mut total = a;

@@ -14,7 +14,10 @@
 //! negative one. Dropping every negative multiplier at once freed many
 //! rows that came straight back at the next, zero-length step, and each
 //! return costs a factor update and its later downdate. The
-//! `readmissions` counter of [`SolveStats`] counts those returns.
+//! `readmissions` counter of [`SolveStats`] counts those returns. Before
+//! any drop, a working bound with a negative multiplier whose opposite
+//! bound on the same variable is tight flips onto that bound instead (see
+//! `flip_bounds`), which costs no iteration and no factor change.
 //!
 //! Most blocked steps admit a single bound. The next step then comes from
 //! [`BandedOps::update_step`], a rank-1 update of the step just taken,
@@ -224,6 +227,8 @@ pub(crate) fn solve_from_feasible(
             // index at a time, which on a large warm-started transient
             // costs thousands of KKT solves.
             ops.bound_multipliers(x, working, sol);
+            stats.bound_flips +=
+                flip_bounds(ops, x, x_scale, working, in_working, &mut sol[n + me..]);
             let ineq_mult = &sol[n + me..];
             if any_banned {
                 banned.fill(false);
@@ -352,6 +357,47 @@ pub(crate) fn solve_from_feasible(
         }
         stats.ratio_test_ns += ops.pivot_ns(pivot_start);
     }
+}
+
+/// Flipping bounds: every working bound whose multiplier is below `−TOL`
+/// while its partner, the opposite bound on the same variable, is tight at
+/// `x` swaps for that partner instead of being dropped (Ferreau et al.,
+/// qpOASES). The variable stays fixed, so the step stays zero and every
+/// other multiplier stands, and the flipped row's multiplier turns
+/// positive. A zero-width box, such as a gated battery rate, would
+/// otherwise cost a drop, a zero-length step straight back into the
+/// partner and its admission. Takes no iteration; returns the number of
+/// flips.
+///
+/// Kept out of line: inlined into [`solve_from_feasible`] it changed the
+/// code generated for the loop, and `fleet_8x16`, which never flips, ran
+/// about 6 % slower in alternated runs.
+#[inline(never)]
+fn flip_bounds(
+    ops: &mut BandedOps<'_>,
+    x: &[f64],
+    x_scale: f64,
+    working: &mut [usize],
+    in_working: &mut [bool],
+    ineq_mult: &mut [f64],
+) -> u64 {
+    let mut flips = 0;
+    for (pos, m) in ineq_mult.iter_mut().enumerate() {
+        let i = working[pos];
+        if *m >= -TOL {
+            continue;
+        }
+        let Some(j) = ops.tight_partner(i, x, x_scale) else {
+            continue;
+        };
+        debug_assert!(!in_working[j], "a partner fixes a variable already fixed");
+        *m *= ops.flip(pos, j);
+        working[pos] = j;
+        in_working[i] = false;
+        in_working[j] = true;
+        flips += 1;
+    }
+    flips
 }
 
 /// Fills `drops` with the working-set positions of a batched drop, in

@@ -284,6 +284,10 @@ struct BandedCache {
     row_chain: Vec<usize>,
     /// `(variable, coefficient)` of each inequality that is a bound.
     bound: Vec<Option<(usize, f64)>>,
+    /// Each bound's partner: the first other bound on the same variable
+    /// whose coefficient has the opposite sign, which a flip holds in its
+    /// place (see [`BandedOps::flip`]).
+    partner: Vec<Option<usize>>,
     /// Each inequality's all-free diagonal `c·H̃⁻¹·cᵀ`, the scale its
     /// dependency test is judged against.
     diag: Vec<f64>,
@@ -511,7 +515,18 @@ impl BandedQp {
                 chains[var_chain[k]].eq.push((e, var_local[k], c));
             }
         }
-        let bound = self.a_in.iter().map(SparseRow::bound).collect();
+        let bound: Vec<_> = self.a_in.iter().map(SparseRow::bound).collect();
+        // The first bound of each sign on each variable, `[c > 0, c < 0]`.
+        let mut first = vec![[None; 2]; n];
+        for (i, b) in bound.iter().enumerate() {
+            if let Some((k, c)) = *b {
+                first[k][usize::from(c < 0.0)].get_or_insert(i);
+            }
+        }
+        let partner = bound
+            .iter()
+            .map(|b| b.and_then(|(k, c)| first[k][usize::from(c > 0.0)]))
+            .collect();
         // c·M·cᵀ over the pairs of a row's entries (all in one chain).
         let diag = self
             .a_in
@@ -553,6 +568,7 @@ impl BandedQp {
             var_local,
             row_chain,
             bound,
+            partner,
             diag,
             s_ee_diag: (0..me).map(|e| s_ee[e * (e + 1) / 2 + e]).collect(),
             s_ee,
@@ -1358,6 +1374,32 @@ impl<'a> BandedOps<'a> {
     /// Right-hand side of inequality `i`.
     pub(crate) fn in_rhs(&self, i: usize) -> f64 {
         self.qp.b_in[i]
+    }
+
+    /// The partner of working bound `i` (see [`flip`](Self::flip)) when it
+    /// is tight at `x`: its slack is at most `tol`, the tolerance at which
+    /// a blocked step admits the rows it leaves tight.
+    pub(crate) fn tight_partner(&self, i: usize, x: &[f64], tol: f64) -> Option<usize> {
+        let j = self.cache().partner[i]?;
+        (self.in_rhs(j) - self.in_dot(j, x) <= tol).then_some(j)
+    }
+
+    /// Holds bound `j` in place of the bound at working position `pos`, its
+    /// partner on the same variable, and returns `c_i/c_j`, the factor that
+    /// turns the old row's multiplier into the new one's. The variable
+    /// stays fixed, so the free-set inverses, the Schur factor and `tg` all
+    /// stand: only the held row's label changes. At a stationary point
+    /// `c_j·μ_j = c_i·μ_i` keeps stationarity, and with opposite signs a
+    /// negative `μ_i` becomes a positive `μ_j`.
+    pub(crate) fn flip(&mut self, pos: usize, j: usize) -> f64 {
+        let cache = self.cache();
+        let i = std::mem::replace(&mut self.ws.held[pos], j);
+        let ((k, ci), (kj, cj)) = (
+            cache.bound[i].expect("a flipped row is a bound"),
+            cache.bound[j].expect("a partner is a bound"),
+        );
+        debug_assert_eq!(k, kj, "partners bound one variable");
+        ci / cj
     }
 
     /// Whether the loop admits/drops at most one constraint per outer
@@ -2911,6 +2953,76 @@ mod tests {
         assert!((qp.objective_at(warm.x()) - qp.objective_at(cold.x())).abs() <= 1e-10);
         assert_eq!(warm.x()[0], 0.0);
         assert_kkt(&qp, &warm);
+    }
+
+    /// A banded problem whose first variable sits in the box `0 ≤ x₀ ≤ width`
+    /// (rows 0 and 1), with a gradient that pushes `x₀` up hard.
+    fn boxed_problem(width: f64) -> BandedQp {
+        let mut seed = 0xf11bu64;
+        let h = random_h(2, 3, &mut seed);
+        let mut g: Vec<f64> = (0..6).map(|_| pseudo(&mut seed)).collect();
+        g[0] = -10.0;
+        BandedQp::new(h, g)
+            .unwrap()
+            .inequality(SparseRow::from_entries(vec![(0, 1.0)]), width)
+            .inequality(SparseRow::from_entries(vec![(0, -1.0)]), 0.0)
+    }
+
+    /// A zero-width box seeded on its lower side, whose multiplier is
+    /// negative at the optimum, flips onto the upper side: one flip, no
+    /// drop and no re-admission, and the same point as the solve seeded on
+    /// the upper side and as the dense reference.
+    #[test]
+    fn zero_width_box_flips_onto_its_tight_opposite_bound() {
+        let mut qp = boxed_problem(0.0);
+        let x0 = [0.0; 6];
+        let flipped = qp
+            .warm_start(&x0, &[1], &mut BandedWorkspace::new())
+            .unwrap();
+        let stats = flipped.stats();
+        assert_eq!(stats.bound_flips, 1, "{stats:?}");
+        assert_eq!(stats.constraints_dropped, 0, "{stats:?}");
+        assert_eq!(stats.constraints_added, 0, "{stats:?}");
+        assert_eq!(stats.readmissions, 0, "{stats:?}");
+        assert_eq!(flipped.active_set(), &[0]);
+        assert_kkt(&qp, &flipped);
+        let upper = qp
+            .warm_start(&x0, &[0], &mut BandedWorkspace::new())
+            .unwrap();
+        assert_eq!(upper.stats().bound_flips, 0);
+        let mut dense = densified(&qp);
+        let reference = dense
+            .warm_start(&x0, &[], &mut BandedWorkspace::new())
+            .unwrap();
+        assert_same_point(flipped.x(), upper.x());
+        assert_same_point(flipped.x(), reference.x());
+    }
+
+    fn assert_same_point(a: &[f64], b: &[f64]) {
+        assert!(
+            a.iter().zip(b).all(|(u, v)| (u - v).abs() <= 1e-9),
+            "{a:?} vs {b:?}"
+        );
+    }
+
+    /// A box of positive width has no tight partner at its lower side, so
+    /// the lower bound's negative multiplier drops it.
+    #[test]
+    fn positive_width_box_drops_its_bound() {
+        let mut qp = boxed_problem(10.0);
+        let sol = qp
+            .warm_start(&[0.0; 6], &[1], &mut BandedWorkspace::new())
+            .unwrap();
+        let stats = sol.stats();
+        assert_eq!(stats.bound_flips, 0, "{stats:?}");
+        assert_eq!(stats.constraints_dropped, 1, "{stats:?}");
+        assert!(sol.active_set().is_empty());
+        assert!(sol.x()[0] > 0.0 && sol.x()[0] < 10.0, "{:?}", sol.x());
+        assert_kkt(&qp, &sol);
+        let reference = densified(&qp)
+            .warm_start(&[0.0; 6], &[], &mut BandedWorkspace::new())
+            .unwrap();
+        assert_same_point(sol.x(), reference.x());
     }
 
     /// A conservation row whose every variable sits at its bound: with

@@ -46,6 +46,20 @@ pub const SNAPSHOT_VERSION: u64 = 3;
 /// Oldest format [`RuntimeSnapshot::validate`] accepts.
 const OLDEST_RESTORABLE_VERSION: u64 = 2;
 
+/// Largest scenario seed a checkpoint carries exactly. The JSON model
+/// holds every number as an `f64`, which represents every integer up to
+/// `2⁵³` but not `2⁵³ + 1`: that seed would come back from a checkpoint as
+/// `2⁵³`, and the restored run would follow another scenario. (Fault
+/// schedules mask their seeds to 53 bits when they are built.)
+pub const MAX_SEED: u64 = 1 << 53;
+
+/// The reason to refuse a scenario seed above [`MAX_SEED`], if it is one.
+pub(crate) fn seed_out_of_range(seed: u64) -> Option<String> {
+    (seed > MAX_SEED).then(|| {
+        format!("scenario seed {seed} is above 2^53 = {MAX_SEED}, the largest a checkpoint holds exactly")
+    })
+}
+
 /// Serializable [`crate::feed::OverloadFaults`] parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OverloadSnap {
@@ -171,7 +185,9 @@ pub struct RuntimeSnapshot {
 
 impl RuntimeSnapshot {
     /// Structural sanity checks that need no scenario: trajectory lengths
-    /// consistent with the step cursor, version supported.
+    /// consistent with the step cursor, version supported, every carried
+    /// value finite (the policy's warm-start `ΔU` included) and the seed at
+    /// most [`MAX_SEED`].
     ///
     /// # Errors
     ///
@@ -228,6 +244,15 @@ impl RuntimeSnapshot {
             .all(|v| v.is_finite());
         if !all_finite || !self.accumulated_cost.is_finite() {
             return Err(Error::Snapshot("non-finite value in snapshot".into()));
+        }
+        let mut warm = self.policy.warm_start.iter().flat_map(|w| &w.delta_u);
+        if let Some(v) = warm.find(|v| !v.is_finite()) {
+            return Err(Error::Snapshot(format!(
+                "non-finite warm-start ΔU entry {v} in snapshot"
+            )));
+        }
+        if let Some(reason) = seed_out_of_range(self.seed) {
+            return Err(Error::Snapshot(reason));
         }
         Ok(())
     }

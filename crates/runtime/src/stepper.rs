@@ -41,7 +41,7 @@ use idc_core::SolverBackend;
 use crate::error::Error;
 use crate::feed::{FeedFaults, OverloadFaults, TracePriceFeed, TraceWorkloadFeed};
 use crate::metrics::MetricsRegistry;
-use crate::snapshot::{HeldSnap, RuntimeSnapshot, SNAPSHOT_VERSION};
+use crate::snapshot::{seed_out_of_range, HeldSnap, RuntimeSnapshot, SNAPSHOT_VERSION};
 use crate::Result;
 
 /// Bucket bounds (seconds) for the per-step wall-clock histogram.
@@ -180,9 +180,13 @@ impl Stepper {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for an unknown scenario key and propagates
-    /// policy construction failures.
+    /// Returns [`Error::Config`] for an unknown scenario key or a seed above
+    /// [`MAX_SEED`](crate::snapshot::MAX_SEED), which no checkpoint could
+    /// carry, and propagates policy construction failures.
     pub fn new(config: StepperConfig) -> Result<Self> {
+        if let Some(reason) = seed_out_of_range(config.seed) {
+            return Err(Error::Config(reason));
+        }
         let scenario =
             crate::registry::scenario_by_key(&config.scenario_key, config.seed, config.num_steps)
                 .ok_or_else(|| {
@@ -255,6 +259,10 @@ impl Stepper {
             (
                 "idc_qp_readmissions_total",
                 "Constraints activated again after a drop in the same solve.",
+            ),
+            (
+                "idc_qp_bound_flips_total",
+                "Working bounds flipped onto their tight opposite bound instead of dropped.",
             ),
             (
                 "idc_qp_degenerate_pops_total",
@@ -535,6 +543,7 @@ impl Stepper {
             stats.constraints_dropped,
         );
         m.set_counter("idc_qp_readmissions_total", stats.readmissions);
+        m.set_counter("idc_qp_bound_flips_total", stats.bound_flips);
         m.set_counter("idc_qp_degenerate_pops_total", stats.degenerate_pops);
         m.set_counter("idc_qp_bland_switches_total", stats.bland_switches);
         m.set_counter("idc_qp_refinement_passes_total", stats.refinement_passes);

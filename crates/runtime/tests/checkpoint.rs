@@ -15,7 +15,7 @@ use std::sync::Arc;
 use idc_runtime::feed::{FeedFaults, MAX_DELAY_TICKS};
 use idc_runtime::http::MetricsServer;
 use idc_runtime::metrics::MetricsRegistry;
-use idc_runtime::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
+use idc_runtime::snapshot::{RuntimeSnapshot, MAX_SEED, SNAPSHOT_VERSION};
 use idc_runtime::stepper::{Stepper, StepperConfig};
 use idc_runtime::Error;
 use idc_testkit::equivalence::bitwise_f64;
@@ -249,6 +249,60 @@ fn snapshot_with_retired_dense_backend_fails_to_restore() {
     }
 }
 
+/// The checkpoint's number model holds every integer up to `2⁵³` exactly:
+/// a run seeded `2⁵³` round-trips through JSON with its seed, and one
+/// seeded `2⁵³ + 1`, which would come back as `2⁵³`, is refused before it
+/// starts. A snapshot that carries such a seed is refused too.
+#[test]
+fn seeds_above_two_to_the_53_are_refused() {
+    let mut stepper = Stepper::new(StepperConfig::fault_free("smoothing", MAX_SEED)).unwrap();
+    stepper.step_once().unwrap();
+    let json = stepper.snapshot().to_json().unwrap();
+    let snapshot = RuntimeSnapshot::from_json(&json).unwrap();
+    assert_eq!(snapshot.seed, MAX_SEED);
+    assert_eq!(
+        Stepper::restore(&snapshot)
+            .unwrap()
+            .snapshot()
+            .to_json()
+            .unwrap(),
+        json
+    );
+    match Stepper::new(StepperConfig::fault_free("smoothing", MAX_SEED + 1)) {
+        Err(Error::Config(msg)) => assert!(msg.contains("scenario seed 9007199254740993"), "{msg}"),
+        Err(e) => panic!("wrong error for seed 2^53 + 1: {e}"),
+        Ok(_) => panic!("seed 2^53 + 1 must be refused"),
+    }
+    let mut snapshot = stepper.snapshot();
+    snapshot.seed = MAX_SEED + 1;
+    match snapshot.validate() {
+        Err(Error::Snapshot(msg)) => assert!(msg.contains("above 2^53"), "{msg}"),
+        other => panic!("a seed above 2^53 must fail validation: {other:?}"),
+    }
+}
+
+/// A checkpoint whose policy warm start holds a non-finite `ΔU` entry is
+/// refused with a reason naming it: `1e999` in the JSON parses to `inf`,
+/// which the controller would otherwise take as its warm start.
+#[test]
+fn non_finite_warm_start_is_refused() {
+    let mut stepper = Stepper::new(config(0, 0, 3)).unwrap();
+    for _ in 0..3 {
+        stepper.step_once().unwrap();
+    }
+    let snapshot = stepper.snapshot();
+    let first = snapshot.policy.warm_start.as_ref().unwrap().delta_u[0];
+    let json = snapshot.to_json().unwrap();
+    let field = format!("\"delta_u\":[{}", serde_json::to_string(&first).unwrap());
+    assert_eq!(json.matches(&field).count(), 1, "{json}");
+    let corrupt = json.replacen(&field, "\"delta_u\":[1e999", 1);
+    match RuntimeSnapshot::from_json(&corrupt) {
+        Err(Error::Snapshot(msg)) => assert!(msg.contains("warm-start ΔU entry inf"), "{msg}"),
+        Err(e) => panic!("wrong error for a non-finite warm start: {e}"),
+        Ok(_) => panic!("a non-finite warm start must be refused"),
+    }
+}
+
 /// A checkpoint whose fault schedule holds a delay beyond
 /// `MAX_DELAY_TICKS` fails to restore with a snapshot error naming the
 /// field. `u64::MAX` is what a `1e300` in the JSON parses to, and used to
@@ -363,6 +417,7 @@ fn metrics_endpoint_reflects_stepper_state() {
         "idc_solver_warm_solves_total",
         "idc_solver_cold_solves_total",
         "idc_qp_readmissions_total",
+        "idc_qp_bound_flips_total",
         "idc_qp_step_updates_total",
         "idc_accumulated_cost_dollars",
         "idc_power_mw{idc=\"Michigan\"}",
