@@ -27,9 +27,12 @@
 //! * **storage_end_to_end** — one storage-enabled cell at the paper-scale
 //!   8×15 size: a battery per IDC plus the typical commercial
 //!   demand-charge tariff, so the QP carries the enlarged
-//!   charge/discharge/SoC blocks and the demand-charge epigraph row.
-//!   Same schema as `end_to_end` (including `solve_stats`), so
-//!   `bench_diff` gates it alongside the plain rows.
+//!   charge/discharge/SoC blocks and the demand-charge epigraph row. Its
+//!   prices swing ±20% on every other step, so the policy's rate gating
+//!   changes each step and the solver flips zero-width rate boxes onto
+//!   their other bound, as on storage days. Same schema as `end_to_end`
+//!   (including `solve_stats`), so `bench_diff` gates it alongside the
+//!   plain rows.
 //!
 //! Run with:
 //! `cargo run --release -p idc-bench --bin bench_summary [-- <output.json>]`
@@ -60,6 +63,7 @@ use idc_datacenter::fleet::IdcFleet;
 use idc_datacenter::idc::IdcConfig;
 use idc_datacenter::portal::FrontEndPortal;
 use idc_datacenter::server::ServerSpec;
+use idc_market::fault::{FaultyTracePricing, PriceFault};
 use idc_market::region::Region;
 use idc_market::rtp::TracePricing;
 use idc_market::tariff::DemandCharge;
@@ -82,6 +86,11 @@ const CONTROL_HORIZON: usize = 3;
 /// Fleet size of the storage-enabled end-to-end cell: the paper-scale
 /// 8×15 case with a battery per IDC and a demand-charge tariff.
 const STORAGE_E2E_SIZE: (usize, usize) = (8, 15);
+/// Price factors of the storage window's alternating signal: every
+/// other step each region's price leaves its trace by one of these, far
+/// past the ±10% arbitrage thresholds, so the rate gating changes every
+/// step and the zero-width rate boxes keep changing side.
+const STORAGE_PRICE_SWING: [f64; 2] = [1.2, 0.8];
 /// Timed reps of each single-step cell. The median of three moved the
 /// 12×24 warm row by about 2× between runs of the same code, and the
 /// committed baseline is what the CI timing gate compares against.
@@ -341,14 +350,32 @@ fn run_window(n: usize, c: usize, storage: bool) -> Result<WindowRun, idc_core::
     let mut phases = PhaseBreakdown::default();
     let mut stats = SolveStats::default();
     let mut steps = 0;
+    let (start, steps_in_window) = (7.0 - 5.0 * ts, 25);
     for (mode, solver_reuse) in [false, true].into_iter().enumerate() {
         let (fleet, traces) = synthetic(n, c);
+        let base = TracePricing::new(traces);
+        let pricing = if storage {
+            // Price swings on every other step, up or down by region and
+            // step, so arbitrage charges, idles and discharges in turn
+            // and the solver flips the gated rate boxes' bounds.
+            let swings = (0..n).flat_map(|j| {
+                (0..steps_in_window / 2).map(move |k| {
+                    let at = start + (2 * k) as f64 * ts - 0.5 * ts;
+                    PriceFault::spike(j, at, ts, STORAGE_PRICE_SWING[(j + k) % 2])
+                })
+            });
+            PricingSpec::FaultyTrace(
+                FaultyTracePricing::new(base, swings.collect()).expect("valid swings"),
+            )
+        } else {
+            PricingSpec::Trace(base)
+        };
         let mut scenario = Scenario::new(
             format!("scale-{n}x{c}"),
             fleet,
-            PricingSpec::Trace(TracePricing::new(traces)),
-            7.0 - 5.0 * ts,
-            25.0 * ts,
+            pricing,
+            start,
+            steps_in_window as f64 * ts,
             ts,
         )
         .expect("consistent")
@@ -882,7 +909,9 @@ fn render_json(
     s.push_str(
         "  \"storage_end_to_end_mode\": \"same schema as end_to_end, with a battery per IDC \
          (paper test battery) and the typical commercial demand-charge tariff enabled: the QP \
-         carries charge/discharge/SoC blocks and the demand-charge epigraph row\",\n",
+         carries charge/discharge/SoC blocks and the demand-charge epigraph row; prices swing \
+         20 % up or down every other step, so the rate gating changes each step and the \
+         solver flips bounds\",\n",
     );
     s.push_str("  \"storage_end_to_end\": [\n");
     for (i, r) in storage_rows.iter().enumerate() {

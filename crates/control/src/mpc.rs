@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use idc_obs::Span;
-use idc_opt::banded_qp::BandedWorkspace;
+use idc_opt::banded_qp::{BandedWorkspace, FactorLog};
 use idc_opt::{Error, Result, SolveStats};
 
 use crate::riccati::RiccatiSkeleton;
@@ -257,14 +257,32 @@ struct WarmState {
 }
 
 /// The warm-start state as plain exportable data: the stacked input
-/// changes `ΔU` of the previous solve and the indices of its active
-/// constraint set. See [`MpcController::warm_state`].
+/// changes `ΔU` of the previous solve, the indices of its active
+/// constraint set and the working-set state the solver carries. See
+/// [`MpcController::warm_state`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmStateData {
     /// The previous solve's stacked `ΔU` (length `n·c·β₂`).
     pub delta_u: Vec<f64>,
     /// Indices of the constraints active at the previous solution.
     pub active_set: Vec<usize>,
+    /// The solver's carried working-set state; `None` when it carries
+    /// none, and then the next solve builds from scratch.
+    pub factor: Option<CarriedFactor>,
+}
+
+/// The working-set state the QP solver carries from one step's solve into
+/// the next, as the index log that rebuilds it (see
+/// [`BandedQp::replay`](idc_opt::banded_qp::BandedQp::replay)) and the
+/// structure key of the skeleton it belongs to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CarriedFactor {
+    /// The skeleton's [`structure_key`](RiccatiSkeleton::structure_key).
+    /// A restore replays the log only onto a skeleton with the same key:
+    /// an uninterrupted run keeps the state only while its skeleton fits.
+    pub structure: Vec<f64>,
+    /// The index log.
+    pub log: FactorLog,
 }
 
 /// The receding-horizon controller.
@@ -284,7 +302,12 @@ pub struct MpcController {
     /// and the constraint right-hand sides are rewritten in place.
     skeleton: Option<RiccatiSkeleton>,
     warm: Option<WarmState>,
+    /// The solver's workspace; its working-set state carries from one
+    /// solve of the skeleton's QP to the next.
     bws: BandedWorkspace,
+    /// A restored working-set state, replayed at the next plan once the
+    /// skeleton is built.
+    restored_factor: Option<CarriedFactor>,
     /// Scratch: the warm-start point, stacked `ΔU`.
     warm_x: Vec<f64>,
     /// Scratch for the warm-point repair.
@@ -323,6 +346,7 @@ impl MpcController {
             skeleton: None,
             warm: None,
             bws: BandedWorkspace::new(),
+            restored_factor: None,
             warm_x: Vec::new(),
             repair: RepairScratch::default(),
             seed: Vec::new(),
@@ -339,11 +363,14 @@ impl MpcController {
         &self.config
     }
 
-    /// Drops the cached QP skeleton and warm-start state. The next
-    /// [`plan`](Self::plan) call solves cold from scratch.
+    /// Drops the cached QP skeleton, the warm-start state and the
+    /// solver's carried working-set state. The next [`plan`](Self::plan)
+    /// call solves cold from scratch.
     pub fn reset(&mut self) {
         self.skeleton = None;
         self.warm = None;
+        self.restored_factor = None;
+        self.bws.drop_carry();
     }
 
     /// Number of plans solved from the previous step's warm start.
@@ -358,29 +385,52 @@ impl MpcController {
     }
 
     /// Exports the warm-start state — the previous step's `ΔU` and active
-    /// set — as plain data for checkpointing, or `None` before the first
-    /// solve (or after a [`reset`](Self::reset)).
+    /// set, and the solver's carried working-set state as an index log —
+    /// as plain data for checkpointing, or `None` before the first solve
+    /// (or after a [`reset`](Self::reset)).
     ///
     /// The warm start is behaviourally significant at solver tolerance
     /// (warm and cold solves agree only to the QP's convergence tolerance),
-    /// so byte-identical checkpoint/restore of a closed loop must carry it.
-    /// The structure cache is *not* part of the export: it is a pure
-    /// function of the next [`MpcProblem`] and rebuilds deterministically.
+    /// and a carried working-set factor rounds differently from a fresh
+    /// one, so byte-identical checkpoint/restore of a closed loop must
+    /// carry both. The structure cache is *not* part of the export: it is
+    /// a pure function of the next [`MpcProblem`] and rebuilds
+    /// deterministically.
     pub fn warm_state(&self) -> Option<WarmStateData> {
+        let carried = self.skeleton.as_ref().and_then(|skel| {
+            let log = self.bws.factor_log(skel.qp())?;
+            Some(CarriedFactor {
+                structure: skel.structure_key().to_vec(),
+                log: log.clone(),
+            })
+        });
         self.warm.as_ref().map(|w| WarmStateData {
             delta_u: w.delta_u.clone(),
             active_set: w.active_set.clone(),
+            factor: self.restored_factor.clone().or(carried),
         })
     }
 
     /// Restores warm-start state previously exported with
     /// [`warm_state`](Self::warm_state); `None` clears it (the next solve
-    /// is cold, as after a fresh construction).
+    /// is cold, as after a fresh construction). A carried working-set
+    /// state is replayed at the next [`plan`](Self::plan), whose errors
+    /// then include [`Error::BadFactorLog`] for a log that does not fit
+    /// the problem.
     pub fn restore_warm_state(&mut self, state: Option<WarmStateData>) {
-        self.warm = state.map(|w| WarmState {
-            delta_u: w.delta_u,
-            active_set: w.active_set,
-        });
+        self.bws.drop_carry();
+        let (warm, factor) = match state {
+            Some(w) => {
+                let warm = WarmState {
+                    delta_u: w.delta_u,
+                    active_set: w.active_set,
+                };
+                (Some(warm), w.factor)
+            }
+            None => (None, None),
+        };
+        self.warm = warm;
+        self.restored_factor = factor;
     }
 
     /// The `(warm, cold)` solve counters, for checkpointing alongside
@@ -459,6 +509,14 @@ impl MpcController {
         let lambda0 = problem.current_idc_workloads();
 
         self.refresh_structure(problem)?;
+        if let Some(carried) = self.restored_factor.take() {
+            // The state a restored run carries in, on the skeleton the
+            // uninterrupted run would have kept it for.
+            let skel = self.skeleton.as_mut().expect("refreshed above");
+            if carried.structure == skel.structure_key() {
+                skel.qp_mut().replay(&carried.log, &mut self.bws)?;
+            }
+        }
 
         // ---- Per-step data: the gradient and the constraint right-hand
         // sides, written into the cached QP in place; then the warm start,
@@ -501,9 +559,12 @@ impl MpcController {
                 // policy layer can stream an anomaly record — a warm step
                 // must never pay a cold solve silently.
                 let rejection = skel.rejection();
-                // Cold retry: the repaired zero point, with no seed.
+                // Cold retry: the repaired zero point, with no seed, and
+                // the working-set state built from scratch, as a fresh
+                // controller would.
                 let solve_start = Instant::now();
                 let span = Span::enter_cat("mpc.solve.cold", "solver");
+                self.bws.drop_carry();
                 self.warm_x.fill(0.0);
                 warm_repair::repair(problem, &mut self.warm_x, &[], &mut self.repair);
                 let sol = skel.warm_start(&self.warm_x, &[], &mut self.bws);
@@ -608,6 +669,8 @@ impl MpcController {
         }
 
         let refresh_start = Instant::now();
+        // The carried working-set state belongs to the old QP.
+        self.bws.drop_carry();
         let mut skeleton = RiccatiSkeleton::build(&self.config, problem)?;
         let factor_start = Instant::now();
         skeleton.qp_mut().prepare()?;
@@ -1104,41 +1167,122 @@ mod tests {
         assert_eq!(warm.cold_solves(), 1);
     }
 
-    #[test]
-    fn warm_state_roundtrip_resumes_bit_identically() {
-        // Drive one controller continuously; drive a second that is torn
-        // down and rebuilt from the exported warm state mid-run. Both must
-        // produce bit-identical plans afterwards: the structure cache
-        // rebuilds deterministically and the warm start carries over.
+    /// Plans `steps` steps of `problem` twice — once with one controller
+    /// throughout, once with a controller rebuilt at `restore_at` from the
+    /// first one's exported warm state and counters — advancing the
+    /// problem after each step by `advance(problem, plan, step)`. The two
+    /// must plan bit-identically after the restore and export the same
+    /// warm state, carried working-set log included, at every step.
+    /// Returns the number of operations the log held at the restore.
+    fn assert_restore_resumes_bit_identically(
+        mut problem: MpcProblem,
+        advance: &dyn Fn(&mut MpcProblem, &MpcPlan, usize),
+        restore_at: usize,
+        steps: usize,
+    ) -> usize {
         let mut continuous = MpcController::new(MpcConfig::default());
-        let mut problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
-        for _ in 0..3 {
+        for step in 0..restore_at {
             let plan = continuous.plan(&problem).unwrap();
-            problem.prev_input = plan.next_input().to_vec();
+            advance(&mut problem, &plan, step);
         }
-        assert!(continuous.warm_state().is_some());
-
+        let state = continuous.warm_state().expect("a solve has happened");
+        let logged = state.factor.as_ref().map_or(0, |f| f.log.ops.len());
         let mut restored = MpcController::new(MpcConfig::default());
-        restored.restore_warm_state(continuous.warm_state());
+        restored.restore_warm_state(Some(state));
         let (w, c) = continuous.solve_counters();
         restored.restore_solve_counters(w, c);
-
-        for step in 0..4 {
+        assert_eq!(continuous.warm_state(), restored.warm_state());
+        for step in restore_at..steps {
             let a = continuous.plan(&problem).unwrap();
             let b = restored.plan(&problem).unwrap();
             assert_eq!(a.warm_started(), b.warm_started(), "step {step}");
             for (x, y) in a.next_input().iter().zip(b.next_input()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "step {step}: {x} vs {y}");
             }
-            problem.prev_input = a.next_input().to_vec();
+            assert_eq!(
+                continuous.warm_state(),
+                restored.warm_state(),
+                "step {step}"
+            );
+            advance(&mut problem, &a, step);
         }
         assert_eq!(continuous.solve_counters(), restored.solve_counters());
-        assert_eq!(continuous.warm_state(), restored.warm_state());
+        logged
+    }
 
-        // Clearing the warm state forces the next solve cold.
-        restored.restore_warm_state(None);
-        let plan = restored.plan(&problem).unwrap();
+    #[test]
+    fn warm_state_roundtrip_resumes_bit_identically() {
+        // A controller torn down and rebuilt from the exported warm state
+        // mid-run plans bit-identically to one driven continuously: the
+        // structure cache rebuilds deterministically, the warm start
+        // carries over and the solver's working-set state is replayed from
+        // its log. The references swing every step, so the working set —
+        // and the log — changes from step to step; restores land at
+        // several points of it, on a plain and on a storage problem.
+        let swing = |p: &mut MpcProblem, step: usize| {
+            let r = if step.is_multiple_of(2) {
+                [1.0, 2.2]
+            } else {
+                [1.3, 2.0]
+            };
+            p.power_reference_mw = vec![r.to_vec(); 5];
+        };
+        let plain = |p: &mut MpcProblem, plan: &MpcPlan, step: usize| {
+            p.prev_input = plan.next_input().to_vec();
+            swing(p, step);
+        };
+        let storage = |p: &mut MpcProblem, plan: &MpcPlan, step: usize| {
+            p.prev_input = plan.next_input().to_vec();
+            let (c, d) = (plan.next_charge_mw(), plan.next_discharge_mw());
+            apply_rates(p.storage.as_mut().unwrap(), c, d);
+            swing(p, step);
+        };
+        let mut battery = two_idc_problem([10_000.0, 0.0], [1.0, 2.2]);
+        battery.storage = Some(test_storage(2));
+        let mut logged = Vec::new();
+        for restore_at in [1, 3, 4, 7] {
+            let problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
+            logged.push(assert_restore_resumes_bit_identically(
+                problem, &plain, restore_at, 10,
+            ));
+            logged.push(assert_restore_resumes_bit_identically(
+                battery.clone(),
+                &storage,
+                restore_at,
+                10,
+            ));
+        }
+        assert!(logged.iter().any(|&ops| ops > 0), "{logged:?}");
+
+        // Clearing the warm state forces the next solve cold, and from
+        // scratch.
+        let mut controller = MpcController::new(MpcConfig::default());
+        let problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
+        controller.plan(&problem).unwrap();
+        controller.restore_warm_state(None);
+        controller.reset_solve_stats();
+        let plan = controller.plan(&problem).unwrap();
         assert!(!plan.warm_started());
+        assert_eq!(controller.solve_stats().refactorizations, 1);
+    }
+
+    /// A restored log that names a row the problem does not have fails the
+    /// first plan with a named error.
+    #[test]
+    fn restored_log_out_of_range_fails_the_next_plan() {
+        let mut problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
+        problem.storage = Some(test_storage(2));
+        let mut controller = MpcController::new(MpcConfig::default());
+        controller.plan(&problem).unwrap();
+        let mut state = controller.warm_state().unwrap();
+        let carried = state.factor.as_mut().expect("the state is carried");
+        carried.log.base.push(1_000_000);
+        let mut restored = MpcController::new(MpcConfig::default());
+        restored.restore_warm_state(Some(state));
+        match restored.plan(&problem) {
+            Err(Error::BadFactorLog { what }) => assert!(what.contains("1000000"), "{what}"),
+            other => panic!("an out-of-range row must fail the plan: {other:?}"),
+        }
     }
 
     #[test]

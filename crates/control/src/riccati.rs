@@ -163,6 +163,27 @@ fn worse(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Entries of a structure key that give the layout.
+const LAYOUT: usize = 3;
+
+/// `problem`'s structure key (see [`RiccatiSkeleton::structure_key`]).
+fn key_of(problem: &MpcProblem) -> impl Iterator<Item = f64> + '_ {
+    let layout = [
+        problem.num_idcs() as f64,
+        problem.num_portals() as f64,
+        f64::from(u8::from(problem.storage.is_some())),
+    ];
+    let efficiencies = problem
+        .storage
+        .iter()
+        .flat_map(|st| st.charge_efficiency.iter().chain(&st.discharge_efficiency));
+    layout
+        .into_iter()
+        .chain(problem.b1_mw.iter().copied())
+        .chain(problem.tracking_multiplier.iter().copied())
+        .chain(efficiencies.copied())
+}
+
 /// The banded QP skeleton for one problem structure.
 ///
 /// Built once per structure — the dimensions, `b₁`, the tracking
@@ -184,13 +205,8 @@ pub struct RiccatiSkeleton {
     grad_coeff: Vec<f64>,
     /// The row families, in row order.
     families: Vec<RowFamily>,
-    /// The structure key besides the dimensions: `b₁`, the tracking
-    /// multipliers, and the storage efficiencies — the only storage
-    /// parameters in constraint *coefficients*, so a battery outage (zeroed
-    /// rate caps) reuses the skeleton.
-    b1_mw: Vec<f64>,
-    tracking_multiplier: Vec<f64>,
-    efficiencies: Option<(Vec<f64>, Vec<f64>)>,
+    /// The structure key (see [`structure_key`](Self::structure_key)).
+    key: Vec<f64>,
     /// The step's gradient, in QP order.
     grad: Vec<f64>,
     /// The step's right-hand sides in row order, equalities first.
@@ -364,14 +380,7 @@ impl RiccatiSkeleton {
             perm,
             grad_coeff,
             families,
-            b1_mw: problem.b1_mw.clone(),
-            tracking_multiplier: problem.tracking_multiplier.clone(),
-            efficiencies: storage.map(|st| {
-                (
-                    st.charge_efficiency.clone(),
-                    st.discharge_efficiency.clone(),
-                )
-            }),
+            key: key_of(problem).collect(),
             grad: Vec::new(),
             rhs: Vec::new(),
             start: Vec::new(),
@@ -383,28 +392,35 @@ impl RiccatiSkeleton {
         &mut self.qp
     }
 
+    /// The underlying banded QP.
+    pub(crate) fn qp(&self) -> &BandedQp {
+        &self.qp
+    }
+
     /// Whether `problem` has this skeleton's variable layout: the same IDC
     /// and portal counts, and storage attached or not alike. Only then do
     /// a warm point and an active set carry over to a rebuilt skeleton.
     pub(crate) fn same_layout(&self, problem: &MpcProblem) -> bool {
-        problem.num_idcs() == self.n
-            && problem.num_portals() == self.c
-            && problem.storage.is_some() == self.efficiencies.is_some()
+        key_of(problem)
+            .take(LAYOUT)
+            .eq(self.key[..LAYOUT].iter().copied())
     }
 
-    /// Whether this skeleton is `problem`'s: the same layout, `b₁`,
-    /// tracking multipliers and storage efficiencies. Everything else —
-    /// server counts, capacities, forecasts, references, battery state and
-    /// rate caps — enters the per-step right-hand sides only.
+    /// Whether this skeleton is `problem`'s: the same structure key.
     pub(crate) fn fits(&self, problem: &MpcProblem) -> bool {
-        self.same_layout(problem)
-            && self.b1_mw == problem.b1_mw
-            && self.tracking_multiplier == problem.tracking_multiplier
-            && self.efficiencies.as_ref().map(|(ec, ed)| (ec, ed))
-                == problem
-                    .storage
-                    .as_ref()
-                    .map(|st| (&st.charge_efficiency, &st.discharge_efficiency))
+        key_of(problem).eq(self.key.iter().copied())
+    }
+
+    /// The structure key this skeleton was built for: the layout — the
+    /// IDC and portal counts and `1` with storage attached, else `0` —
+    /// then `b₁`, the tracking multipliers and, with storage, the charge
+    /// and discharge efficiencies (the only storage parameters in
+    /// constraint *coefficients*, so a battery outage, which zeroes rate
+    /// caps, reuses the skeleton). Everything else — server counts,
+    /// capacities, forecasts, references, battery state and rate caps —
+    /// enters the per-step right-hand sides only.
+    pub fn structure_key(&self) -> &[f64] {
+        &self.key
     }
 
     /// The row family `family`; every skeleton has the workload families.

@@ -16,7 +16,7 @@ use idc_storage::{StorageFleet, StorageState};
 use idc_timeseries::predictor::WorkloadPredictor;
 
 use crate::scenario::Scenario;
-use crate::snapshot::{MpcPolicySnapshot, WarmStartSnapshot};
+use crate::snapshot::{FactorLogSnapshot, MpcPolicySnapshot, WarmStartSnapshot};
 use crate::{Error, Result};
 
 /// What one policy step sees: the simulator assembles this each sampling
@@ -737,6 +737,7 @@ impl MpcPolicy {
             prev_servers: self.state.as_ref().map(|(_, m)| m.clone()),
             predictors: self.predictors.iter().map(|p| p.state()).collect(),
             warm_start: self.controller.warm_state().map(|w| WarmStartSnapshot {
+                factor_log: w.factor.as_ref().map(FactorLogSnapshot::from_carried),
                 delta_u: w.delta_u,
                 active_set: w.active_set.iter().map(|&i| i as u64).collect(),
             }),
@@ -847,6 +848,19 @@ impl MpcPolicy {
                     .into(),
             ));
         }
+        let warm = match &snapshot.warm_start {
+            Some(w) => Some(WarmStateData {
+                delta_u: w.delta_u.clone(),
+                active_set: w.active_set.iter().map(|&i| i as usize).collect(),
+                factor: w
+                    .factor_log
+                    .as_ref()
+                    .map(FactorLogSnapshot::to_carried)
+                    .transpose()
+                    .map_err(Error::Config)?,
+            }),
+            None => None,
+        };
         self.storage_state = storage_state;
         self.prev_rates = prev_rates;
         self.price_ewma = snapshot.price_ewma.clone();
@@ -854,11 +868,7 @@ impl MpcPolicy {
         self.predictors = predictors;
         self.state = state;
         self.controller.reset();
-        self.controller
-            .restore_warm_state(snapshot.warm_start.as_ref().map(|w| WarmStateData {
-                delta_u: w.delta_u.clone(),
-                active_set: w.active_set.iter().map(|&i| i as usize).collect(),
-            }));
+        self.controller.restore_warm_state(warm);
         self.controller
             .restore_solve_counters(snapshot.warm_solves as usize, snapshot.cold_solves as usize);
         self.fallback_steps = snapshot

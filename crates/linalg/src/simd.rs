@@ -256,7 +256,27 @@ fn add_outer_with<K: Kernels>(k: K, alpha: f64, u: &[f64], a: &mut [f64], stride
     }
 }
 
+/// Largest absolute entry, `0` for an empty slice; NaN entries are
+/// skipped, as `f64::max` skips them. `max` rounds nothing, and with the
+/// NaNs skipped and `abs` clearing every sign no tie can tell two zeros
+/// apart, so both paths return the serial fold's bits whatever order they
+/// compare in.
+pub fn norm_inf(a: &[f64]) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: the features were just detected.
+        return unsafe { avx2::norm_inf(a) };
+    }
+    portable::norm_inf(a)
+}
+
 mod portable {
+    /// The serial fold: one `max` after another.
+    #[inline(always)]
+    pub fn norm_inf(a: &[f64]) -> f64 {
+        a.iter().fold(0.0, |m, x| m.max(x.abs()))
+    }
+
     /// Four scalar accumulators over 4-wide chunks, then a scalar tail.
     #[inline(always)]
     pub fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -328,6 +348,50 @@ mod avx2 {
         let hi = _mm256_extractf128_pd::<1>(v);
         let s = _mm_add_pd(lo, hi);
         _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
+    }
+
+    /// AVX2 largest absolute entry: four independent running maxima over
+    /// 16-wide blocks, a 4-wide loop, then a scalar tail. `_mm256_max_pd`
+    /// returns its second operand when either is NaN, so with the running
+    /// maximum second a NaN entry is skipped, as `f64::max` skips it.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn norm_inf(a: &[f64]) -> f64 {
+        let n = a.len();
+        let p = a.as_ptr();
+        let abs = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
+        let load = |i: usize| _mm256_and_pd(_mm256_loadu_pd(p.add(i)), abs);
+        let mut m0 = _mm256_setzero_pd();
+        let mut m1 = _mm256_setzero_pd();
+        let mut m2 = _mm256_setzero_pd();
+        let mut m3 = _mm256_setzero_pd();
+        let mut i = 0;
+        // SAFETY (all loads): every offset read is below `n`.
+        while i + 16 <= n {
+            m0 = _mm256_max_pd(load(i), m0);
+            m1 = _mm256_max_pd(load(i + 4), m1);
+            m2 = _mm256_max_pd(load(i + 8), m2);
+            m3 = _mm256_max_pd(load(i + 12), m3);
+            i += 16;
+        }
+        while i + 4 <= n {
+            m0 = _mm256_max_pd(load(i), m0);
+            i += 4;
+        }
+        let mut lanes = [0.0; 4];
+        _mm256_storeu_pd(
+            lanes.as_mut_ptr(),
+            _mm256_max_pd(_mm256_max_pd(m0, m1), _mm256_max_pd(m2, m3)),
+        );
+        let mut m = lanes.iter().fold(0.0, |m: f64, &v| m.max(v));
+        while i < n {
+            m = m.max((*p.add(i)).abs());
+            i += 1;
+        }
+        m
     }
 
     /// AVX2+FMA dot product: four independent accumulators over 16-wide
@@ -593,6 +657,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The dispatched `norm_inf` returns the serial fold's bits for every
+    /// length 0–67 (each block, 4-wide and tail length), with NaNs, `±0`
+    /// and infinities in every position class, and the portable path does
+    /// too.
+    #[test]
+    fn norm_inf_matches_the_serial_fold_bitwise() {
+        let serial = |a: &[f64]| a.iter().fold(0.0, |m: f64, x| m.max(x.abs()));
+        let mut seed = 0x1afu64;
+        let specials = [
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+        ];
+        for len in 0..=67 {
+            for variant in 0..4 {
+                let mut a: Vec<f64> = (0..len).map(|_| 5.0 * pseudo(&mut seed)).collect();
+                for (k, v) in a.iter_mut().enumerate() {
+                    match variant {
+                        // Every entry special: all-NaN and all-zero slices.
+                        1 => *v = specials[k % 2],
+                        2 if k % 5 == 3 => *v = specials[(k / 5) % specials.len()],
+                        3 => *v = -v.abs(),
+                        _ => {}
+                    }
+                }
+                let want = serial(&a).to_bits();
+                assert_eq!(norm_inf(&a).to_bits(), want, "len={len} variant={variant}");
+                assert_eq!(portable::norm_inf(&a).to_bits(), want);
+                #[cfg(target_arch = "x86_64")]
+                if avx2().is_some() {
+                    // SAFETY: `avx2()` checked the features.
+                    let v = unsafe { avx2::norm_inf(&a) };
+                    assert_eq!(v.to_bits(), want, "avx2 len={len} variant={variant}");
+                }
+            }
+        }
+        assert_eq!(norm_inf(&[]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(norm_inf(&[-0.0; 9]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(norm_inf(&[f64::NAN; 21]).to_bits(), 0.0f64.to_bits());
     }
 
     const ROWS: [usize; 9] = [7, 0, 3, 3, 8, 1, 5, 2, 4];

@@ -19,9 +19,11 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Maximum absolute entry; 0 for an empty slice.
+/// Maximum absolute entry; 0 for an empty slice, and NaN entries are
+/// skipped. Runs on the [`simd`](crate::simd) paths, which return the
+/// serial fold's bits.
 pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0, |m, x| m.max(x.abs()))
+    crate::simd::norm_inf(a)
 }
 
 /// In-place `y += alpha * x`.

@@ -139,7 +139,7 @@ pub(crate) fn solve_from_feasible(
     stats.seed_accepted = working.len() as u64;
     seeded.clear();
     seeded.extend_from_slice(in_working);
-    ops.begin();
+    ops.begin(x, working, in_working);
     let mut iterations = 0;
     let mut degenerate_streak = 0usize;
     // Once the loop has been driven to Bland's rule, stay there for the

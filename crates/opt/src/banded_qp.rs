@@ -10,7 +10,7 @@
 //!
 //! without ever forming a dense Hessian: `H` is a [`BlockTridiag`] (the
 //! shape of the MPC problem in cumulative-input coordinates) and every
-//! constraint row is sparse (stage-local). Five structural savings follow:
+//! constraint row is sparse (stage-local). Six structural savings follow:
 //!
 //! 1. **Bounds fix variables.** An inequality row with a single entry
 //!    (`c·x_k ≤ b`: the non-negativity rows of eq. 44 and the storage rate
@@ -59,6 +59,22 @@
 //!    update cancels most of the step or leaves it stationary (stationarity
 //!    and multipliers are read from full solves only), and after 16
 //!    updates in a row.
+//! 6. **The working-set state outlives the solve.** Consecutive solves of
+//!    one prepared problem (an MPC step's QP retargeted to the next step)
+//!    share the Hessian, every row and most of the working set, so the
+//!    [`BandedWorkspace`] keeps the free-set inverses, the Schur factor and
+//!    the held rows, and the next solve edits them into its seed: a held
+//!    bound whose partner the seed holds instead is flipped onto it, the
+//!    other held rows the seed lacks are freed or removed, the new ones
+//!    fixed or appended, and `tg` is recomputed from the new gradient.
+//!    The state depends only on the prepared `H̃⁻¹`, the rows and the order
+//!    of those index operations, never on an iterate, so a [`FactorLog`] —
+//!    the working set of the last from-scratch build and every change
+//!    since — rebuilds it bit for bit ([`BandedQp::replay`]): a restored
+//!    checkpoint resumes the solves an uninterrupted run makes. A solve
+//!    builds from scratch, and starts a new log, when it carries no state
+//!    for the problem, when its edits would take the log past
+//!    [`factor_log_cap`], when an edit fails, and on a stability rebuild.
 //!
 //! The outer iteration is the textbook primal active-set loop of
 //! `active_set`: warm-start seeding, Dantzig/Bland switching and
@@ -96,6 +112,101 @@ const MIN_UPDATE_RATIO: f64 = 0.1;
 /// diagonal `c·H̃⁻¹·cᵀ`, the test a dense factor holding every working row
 /// would apply.
 const PIVOT_TOL: f64 = 1e-12;
+
+/// Changes a [`FactorLog`] may record per row of its base (see
+/// [`factor_log_cap`]).
+const FACTOR_LOG_PER_ROW: usize = 8;
+
+/// Changes a [`FactorLog`] may record whatever its base (see
+/// [`factor_log_cap`]).
+const FACTOR_LOG_MIN: usize = 256;
+
+/// Most changes a [`FactorLog`] records after a base of `base_rows` rows:
+/// 8 per row, and at least 256. A from-scratch build costs about what one
+/// change costs per row it holds, so a rebuild at the cap adds about an
+/// eighth to the changes it ends. A
+/// solve whose transition would take the log past the cap starts from
+/// scratch (and a new log); one that outgrows it mid-solve keeps its state
+/// to the end of that solve only. The cap bounds the rounding a carried
+/// factor gathers, the replay a restore pays and the bytes a checkpoint
+/// carries.
+pub fn factor_log_cap(base_rows: usize) -> usize {
+    FACTOR_LOG_MIN.max(FACTOR_LOG_PER_ROW * base_rows)
+}
+
+/// One change to the working-set state, named by the inequality row it
+/// concerns (see [`FactorLog`]). Rows are numbered below 2³².
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FactorOp {
+    /// A bound row was taken in: its variable fixed.
+    Fix(u32),
+    /// A held bound row was let go: its variable freed.
+    Free(u32),
+    /// A general row was appended to its chain's block.
+    Append(u32),
+    /// A held general row was removed from its chain's block.
+    Remove(u32),
+    /// A held bound row was relabelled as its partner, the opposite bound
+    /// on the same variable.
+    Flip(u32),
+}
+
+impl FactorOp {
+    /// Number of operation kinds: [`kind`](Self::kind) is below it.
+    pub const KINDS: u8 = 5;
+
+    /// The operation's kind as a number: 0 fix, 1 free, 2 append,
+    /// 3 remove, 4 flip.
+    pub fn kind(self) -> u8 {
+        match self {
+            FactorOp::Fix(_) => 0,
+            FactorOp::Free(_) => 1,
+            FactorOp::Append(_) => 2,
+            FactorOp::Remove(_) => 3,
+            FactorOp::Flip(_) => 4,
+        }
+    }
+
+    /// The inequality row the operation concerns.
+    pub fn row(self) -> usize {
+        match self {
+            FactorOp::Fix(i)
+            | FactorOp::Free(i)
+            | FactorOp::Append(i)
+            | FactorOp::Remove(i)
+            | FactorOp::Flip(i) => i as usize,
+        }
+    }
+
+    /// The operation of `kind` on `row`; `None` for an unknown kind or a
+    /// row from 2³² on.
+    pub fn from_parts(kind: u8, row: u64) -> Option<Self> {
+        let row = u32::try_from(row).ok()?;
+        Some(match kind {
+            0 => FactorOp::Fix(row),
+            1 => FactorOp::Free(row),
+            2 => FactorOp::Append(row),
+            3 => FactorOp::Remove(row),
+            4 => FactorOp::Flip(row),
+            _ => return None,
+        })
+    }
+}
+
+/// The index log that rebuilds a workspace's working-set state bit for
+/// bit: the working set of its last from-scratch build, then every change
+/// since, in order. The free-set inverses and the Schur factor depend only
+/// on the prepared Hessian inverse, the constraint rows and this sequence
+/// — never on the iterate or the gradient — so
+/// [`BandedQp::replay`] on the same prepared problem reproduces them
+/// exactly.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FactorLog {
+    /// The working set of the last from-scratch build, in working order.
+    pub base: Vec<usize>,
+    /// The changes since, at most [`factor_log_cap`] of the base's length.
+    pub ops: Vec<FactorOp>,
+}
 
 /// A sparse constraint row: sorted-by-construction `(index, value)` pairs.
 ///
@@ -154,8 +265,23 @@ impl SparseRow {
 /// inverses plus all per-iteration vectors, so a steady-state
 /// warm-started solve allocates only the point and active set of the
 /// [`QpSolution`] it returns.
+///
+/// The working-set state outlives a solve: the next solve of the same
+/// prepared problem edits it into its seed instead of rebuilding it (see
+/// [`BandedQp::warm_start`]), and [`factor_log`](Self::factor_log)
+/// exports the index log that rebuilds it.
 #[derive(Debug, Clone, Default)]
 pub struct BandedWorkspace {
+    /// The prepared problem the working-set state belongs to (its cache's
+    /// `id`), or 0 when no state is carried.
+    owner: u64,
+    /// The index log of the working-set state since its last from-scratch
+    /// build.
+    log: FactorLog,
+    /// Scratch for the transition at a solve's start: the accepted seed in
+    /// seed order, and a mask of the held rows.
+    seed_rows: Vec<usize>,
+    held_mask: Vec<bool>,
     /// Incremental arrowhead factor of the general rows' Schur block
     /// `S_G = C_G·H̃_FF⁻¹·C_Gᵀ`, in *factor order*: chain 0's working
     /// general inequalities, …, the last chain's, then the equalities.
@@ -265,11 +391,37 @@ impl BandedWorkspace {
     pub fn force_refactor_next(&mut self) {
         self.force_refactor = true;
     }
+
+    /// The index log of the working-set state this workspace carries into
+    /// the next solve of `qp`, or `None` when it carries none for `qp` (no
+    /// solve yet, another problem's state, a log that outgrew
+    /// [`factor_log_cap`] or a state dropped mid-solve).
+    pub fn factor_log(&self, qp: &BandedQp) -> Option<&FactorLog> {
+        let id = qp.cache.as_ref()?.id;
+        (self.owner == id && self.factor.is_built()).then_some(&self.log)
+    }
+
+    /// Drops the carried working-set state: the next solve builds from
+    /// scratch.
+    pub fn drop_carry(&mut self) {
+        self.owner = 0;
+    }
+}
+
+/// Identity of a prepared problem, so a workspace never carries one
+/// problem's working-set state into another's solve; clones share it,
+/// as they share the prepared factors.
+fn next_problem_id() -> u64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Precomputed factorizations shared by all solves of one problem skeleton.
 #[derive(Debug, Clone)]
 struct BandedCache {
+    /// This preparation's identity (see [`next_problem_id`]).
+    id: u64,
     /// The ridge `ε` of `H̃ = H + εI`: zero unless `H` itself failed to
     /// factor.
     ridge: f64,
@@ -562,6 +714,7 @@ impl BandedQp {
             }
         }
         self.cache = Some(BandedCache {
+            id: next_problem_id(),
             ridge,
             chains,
             var_chain,
@@ -711,9 +864,11 @@ impl BandedQp {
     /// Solves the program from the feasible point `x0`, with the working
     /// set seeded from `active_set` (typically the previous solve's
     /// [`QpSolution::active_set`]; empty for a cold solve), reusing `ws`'s
-    /// scratch memory. The solver never searches for a feasible point
-    /// itself: the caller supplies one, as the MPC controller does with its
-    /// warm-start repair.
+    /// scratch memory. When `ws` carries the working-set state of an
+    /// earlier solve of this prepared problem, the solve edits it into the
+    /// seed instead of building it from scratch (see the module docs). The
+    /// solver never searches for a feasible point itself: the caller
+    /// supplies one, as the MPC controller does with its warm-start repair.
     ///
     /// # Errors
     ///
@@ -730,7 +885,11 @@ impl BandedQp {
         active_set: &[usize],
         ws: &mut BandedWorkspace,
     ) -> Result<QpSolution> {
-        self.validate()?;
+        // `prepare` validated a prepared problem's rows, and adding a row
+        // drops the preparation.
+        if self.cache.is_none() {
+            self.validate()?;
+        }
         if x0.len() != self.num_vars() {
             return Err(Error::DimensionMismatch {
                 what: format!(
@@ -752,6 +911,32 @@ impl BandedQp {
             active_set::solve_from_feasible(&mut ops, x0, active_set, &mut scratch)
         };
         ws.scratch = scratch;
+        result
+    }
+
+    /// Rebuilds `ws`'s working-set state from `log` — a from-scratch build
+    /// of its base, then each change in order — so that the next solve of
+    /// this problem starts from the state the logging workspace carried,
+    /// bit for bit. Prepares the problem first if needed.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::BadFactorLog`] naming the first part of the log that
+    ///   does not fit this problem or the state before it: a row beyond
+    ///   the inequalities, a log longer than [`factor_log_cap`], a base
+    ///   that does not build, or a change of the wrong kind for its row or
+    ///   of a row the state does not (or already does) hold.
+    /// * Those of [`prepare`](Self::prepare).
+    ///
+    /// `ws` carries no state after an error.
+    pub fn replay(&mut self, log: &FactorLog, ws: &mut BandedWorkspace) -> Result<()> {
+        if self.cache.is_none() {
+            self.prepare()?;
+        }
+        let result = BandedOps { qp: self, ws }.replay(log);
+        if result.is_err() {
+            ws.owner = 0;
+        }
         result
     }
 }
@@ -786,6 +971,22 @@ fn hessian_row_dot(h: &BlockTridiag, k: usize, v: &[f64]) -> f64 {
     r
 }
 
+/// Calls `visit(r, H_rk)` for each entry of column `k` of a
+/// block-tridiagonal `H`: the blocks before, at and after `k`'s block.
+fn hessian_column(h: &BlockTridiag, k: usize, mut visit: impl FnMut(usize, f64)) {
+    let nb = h.nb();
+    let (blk, ak) = (k / nb, k % nb);
+    for i in 0..nb {
+        visit(blk * nb + i, h.diag(blk)[i * nb + ak]);
+        if blk + 1 < h.nblocks() {
+            visit((blk + 1) * nb + i, h.sub(blk)[i * nb + ak]);
+        }
+        if blk > 0 {
+            visit((blk - 1) * nb + i, h.sub(blk - 1)[ak * nb + i]);
+        }
+    }
+}
+
 /// Clock reading for a timed solve, `0` otherwise.
 fn clock(timed: bool) -> u64 {
     if timed {
@@ -815,12 +1016,31 @@ impl<'a> BandedOps<'a> {
         self.qp.cache.as_ref().expect("prepared by warm_start")
     }
 
+    /// Whether the workspace carries a working-set state built for this
+    /// problem.
+    fn carries(&self) -> bool {
+        self.ws.owner == self.cache().id && self.ws.factor.is_built()
+    }
+
+    /// Records a change to the working-set state in its log. A change past
+    /// [`factor_log_cap`] goes unrecorded: the state then serves the rest
+    /// of this solve but is not carried past it.
+    fn log(&mut self, op: FactorOp) {
+        let ws = &mut *self.ws;
+        if ws.log.ops.len() < factor_log_cap(ws.log.base.len()) {
+            ws.log.ops.push(op);
+        } else {
+            ws.owner = 0;
+        }
+    }
+
     /// Empties the working-set factor (it holds nothing, not even the
     /// equalities, until the next build, which also rebuilds the free-set
-    /// inverses and `tg`).
+    /// inverses and `tg`, and starts a new log).
     fn reset_factor(&mut self) {
         let nchains = self.cache().chains.len();
         let ws = &mut *self.ws;
+        ws.owner = 0;
         ws.factor.reset(nchains, self.qp.a_eq.len());
         ws.held.clear();
         ws.chain_rows.resize_with(nchains, Vec::new);
@@ -881,7 +1101,8 @@ impl<'a> BandedOps<'a> {
     ///
     /// A chain's inverse starts from its all-free `H̃⁻¹` and loses its
     /// fixed variables one rank-1 step at a time; a duplicated bound
-    /// variable or a failed pivot fails the build.
+    /// variable or a failed pivot fails the build. A build that succeeds
+    /// starts a new log with `working` as its base.
     fn build_blocked(
         &mut self,
         x: &[f64],
@@ -1007,6 +1228,12 @@ impl<'a> BandedOps<'a> {
         }
         ws.factor.build_tail(&ws.col, &cache.s_ee_diag)?;
         ws.held.extend_from_slice(working);
+        ws.owner = cache.id;
+        ws.log.base.clear();
+        ws.log.base.extend_from_slice(working);
+        ws.log.ops.clear();
+        // Room for the whole log now, so logging never allocates mid-solve.
+        ws.log.ops.reserve(factor_log_cap(working.len()));
         Ok(())
     }
 
@@ -1019,12 +1246,44 @@ impl<'a> BandedOps<'a> {
     /// numerically dependent on the rows held (the outer loop then pops the
     /// degenerate addition).
     fn add_row(&mut self, i: usize, x: &[f64]) -> Result<()> {
-        match self.cache().bound[i] {
-            Some((k, _)) => self.fix(k, x, None)?,
-            None => self.append_general(i)?,
-        }
+        let op = match self.cache().bound[i] {
+            Some((k, _)) => {
+                self.fix(k, x, None)?;
+                FactorOp::Fix(i as u32)
+            }
+            None => {
+                self.append_general(i)?;
+                FactorOp::Append(i as u32)
+            }
+        };
+        self.log(op);
         self.ws.held.push(i);
         Ok(())
+    }
+
+    /// Removes the held row at working position `pos` from the state: a
+    /// bound frees its variable, a general row leaves its chain's block.
+    /// A free that finds the inverse drifted empties the factor.
+    fn remove_held(&mut self, pos: usize) {
+        let i = self.ws.held.remove(pos);
+        match self.cache().bound[i] {
+            Some((k, _)) => {
+                self.log(FactorOp::Free(i as u32));
+                self.free(k);
+            }
+            None => {
+                self.log(FactorOp::Remove(i as u32));
+                let j = self.cache().row_chain[i];
+                let rows = &mut self.ws.chain_rows[j];
+                let k = rows
+                    .iter()
+                    .position(|&q| q == i)
+                    .expect("a held row is in its chain");
+                rows.remove(k);
+                self.ws.factor.remove(j, k);
+                self.ws.cols_stale = true;
+            }
+        }
     }
 
     /// Appends general inequality `i` to the end of its chain, its Schur
@@ -1201,6 +1460,7 @@ impl<'a> BandedOps<'a> {
                 fixed_all = false;
                 break;
             }
+            self.log(FactorOp::Fix(i as u32));
             self.ws.held.push(i);
             self.ws.updates += 1;
         }
@@ -1224,25 +1484,14 @@ impl<'a> BandedOps<'a> {
         let (j, a) = (cache.var_chain[k], cache.var_local[k]);
         let chain = &cache.chains[j];
         let nl = chain.vars.len();
-        // The Hessian column over the chain: blocks b−1..=b+1 of k's block.
-        let nb = qp.h.nb();
-        let (blk, ak) = (k / nb, k % nb);
+        // The Hessian column over the chain.
         ws.local.clear();
         ws.local.resize(nl, 0.0);
-        let mut put = |r: usize, v: f64| {
+        hessian_column(&qp.h, k, |r, v| {
             if v != 0.0 && cache.var_chain[r] == j {
                 ws.local[cache.var_local[r]] = v;
             }
-        };
-        for i in 0..nb {
-            put(blk * nb + i, qp.h.diag(blk)[i * nb + ak]);
-            if blk + 1 < qp.h.nblocks() {
-                put((blk + 1) * nb + i, qp.h.sub(blk)[i * nb + ak]);
-            }
-            if blk > 0 {
-                put((blk - 1) * nb + i, qp.h.sub(blk - 1)[ak * nb + i]);
-            }
-        }
+        });
         ws.local[a] += cache.ridge;
         let htg: f64 = chain
             .vars
@@ -1394,6 +1643,7 @@ impl<'a> BandedOps<'a> {
     pub(crate) fn flip(&mut self, pos: usize, j: usize) -> f64 {
         let cache = self.cache();
         let i = std::mem::replace(&mut self.ws.held[pos], j);
+        self.log(FactorOp::Flip(i as u32));
         let ((k, ci), (kj, cj)) = (
             cache.bound[i].expect("a flipped row is a bound"),
             cache.bound[j].expect("a partner is a bound"),
@@ -1427,10 +1677,15 @@ impl<'a> BandedOps<'a> {
         self.ws.update_ns + self.ws.factor_ns + self.ws.sweep_ns
     }
 
-    /// Called once after warm-start seeding, before the first iteration:
-    /// zeroes the counters and empties the factor. Timing is switched on
-    /// for this solve when a trace recorder is bound.
-    pub(crate) fn begin(&mut self) {
+    /// Called once after warm-start seeding, before the first iteration,
+    /// with the accepted seed in `working` (`in_working` its mask): zeroes
+    /// the counters, then edits the working-set state the workspace
+    /// carries from this problem's last solve into the seed (see
+    /// [`transition`](Self::transition)), or empties the factor for a
+    /// from-scratch build when it carries none or a poisoned build is
+    /// armed. Timing is switched on for this solve when a trace recorder
+    /// is bound.
+    pub(crate) fn begin(&mut self, x: &[f64], working: &mut Vec<usize>, in_working: &[bool]) {
         self.ws.refinements = 0;
         self.ws.refactorizations = 0;
         self.ws.updates = 0;
@@ -1441,7 +1696,204 @@ impl<'a> BandedOps<'a> {
         self.ws.timed = idc_obs::recording();
         // (`force_refactor` deliberately survives: it is armed between
         // solves and consumed by the first factor build.)
+        if self.ws.force_refactor || !self.carries() {
+            self.reset_factor();
+            return;
+        }
+        let start = clock(self.ws.timed);
+        self.transition(x, working, in_working);
+        self.ws.update_ns += clock(self.ws.timed) - start;
+    }
+
+    /// Reaches the seed from the carried state by editing it: a held bound
+    /// the seed lacks whose partner (the opposite bound on the same
+    /// variable) the seed holds is flipped onto it, which keeps the
+    /// variable fixed and changes no factor; the other held rows the seed
+    /// lacks are freed or removed, last first; `working` is reordered so
+    /// the rows still held keep their held order and come first, the
+    /// seed's new rows following in seed order (so `held` stays a prefix
+    /// of `working`); the new rows are fixed or appended; and `tg` is
+    /// recomputed from this solve's gradient at `x`. Each removal is a
+    /// downdate and each addition an update. Empties the factor for a
+    /// from-scratch build instead when the edits would take the log past
+    /// [`factor_log_cap`], and when an edit fails.
+    fn transition(&mut self, x: &[f64], working: &mut Vec<usize>, in_working: &[bool]) {
+        let cache = self.cache();
+        let ws = &mut *self.ws;
+        ws.held_mask.resize(in_working.len(), false);
+        for &i in &ws.held {
+            ws.held_mask[i] = true;
+        }
+        let flips_onto = |i: usize, mask: &[bool]| {
+            cache.partner[i].filter(|&j| !in_working[i] && in_working[j] && !mask[j])
+        };
+        let (mut kept, mut flips) = (0, 0);
+        for &i in &ws.held {
+            if in_working[i] {
+                kept += 1;
+            } else if flips_onto(i, &ws.held_mask).is_some() {
+                flips += 1;
+            }
+        }
+        let edits = ws.held.len() + working.len() - 2 * (kept + flips);
+        let cap = factor_log_cap(ws.log.base.len());
+        if ws.log.ops.len() + flips + edits > cap {
+            for &i in &ws.held {
+                ws.held_mask[i] = false;
+            }
+            self.reset_factor();
+            return;
+        }
+        for pos in 0..ws.held.len() {
+            let i = self.ws.held[pos];
+            if let Some(j) = flips_onto(i, &self.ws.held_mask) {
+                self.flip(pos, j);
+                self.ws.held_mask[i] = false;
+                self.ws.held_mask[j] = true;
+            }
+        }
+        for pos in (0..self.ws.held.len()).rev() {
+            let i = self.ws.held[pos];
+            if !in_working[i] {
+                self.ws.held_mask[i] = false;
+                self.remove_held(pos);
+                if !self.ws.factor.is_built() {
+                    self.ws.held_mask.fill(false);
+                    return;
+                }
+                self.ws.downdates += 1;
+            }
+        }
+        let ws = &mut *self.ws;
+        ws.seed_rows.clear();
+        ws.seed_rows.extend_from_slice(working);
+        working.clear();
+        working.extend_from_slice(&ws.held);
+        working.extend(ws.seed_rows.iter().filter(|&&i| !ws.held_mask[i]));
+        for &i in &ws.held {
+            ws.held_mask[i] = false;
+        }
+        for pos in self.ws.held.len()..working.len() {
+            if self.add_row(working[pos], x).is_err() {
+                self.reset_factor();
+                return;
+            }
+            self.ws.updates += 1;
+        }
+        self.refresh_tg(x);
+    }
+
+    /// Recomputes `tg` at `x` for the held free sets: per chain,
+    /// `tg_F = M·(g_F + H̃_FX·x_X)` over the free variables `F` (one sweep
+    /// of the inverse) and `tg_X = −x_X` over the fixed ones.
+    fn refresh_tg(&mut self, x: &[f64]) {
+        let qp = self.qp;
+        let ws = &mut *self.ws;
+        ws.hx.clear();
+        ws.hx.extend_from_slice(&qp.g);
+        for inv in &ws.inv {
+            for &k in &inv.global[inv.free..] {
+                if x[k] != 0.0 {
+                    hessian_column(&qp.h, k, |r, h| ws.hx[r] += h * x[k]);
+                }
+            }
+        }
+        for inv in &ws.inv {
+            let free = &inv.global[..inv.free];
+            ws.sweep_rows.clear();
+            ws.sweep_coeffs.clear();
+            for (s, &k) in free.iter().enumerate() {
+                if ws.hx[k] != 0.0 {
+                    ws.sweep_rows.push(s);
+                    ws.sweep_coeffs.push(ws.hx[k]);
+                }
+            }
+            ws.slots.clear();
+            ws.slots.resize(inv.free, 0.0);
+            simd::axpy_rows(
+                1.0,
+                &inv.m,
+                inv.dim,
+                &ws.sweep_rows,
+                &ws.sweep_coeffs,
+                &mut ws.slots,
+            );
+            for (&k, &y) in free.iter().zip(&ws.slots) {
+                ws.tg[k] = y;
+            }
+            for &k in &inv.global[inv.free..] {
+                ws.tg[k] = -x[k];
+            }
+        }
+    }
+
+    /// Rebuilds the working-set state from `log` (see
+    /// [`BandedQp::replay`]): the base by a from-scratch build, then each
+    /// change, which the state's own log records again as it applies.
+    fn replay(&mut self, log: &FactorLog) -> Result<()> {
+        let cache = self.cache();
+        let (n, mi) = (self.num_vars(), self.num_in());
+        let bad = |what: String| Err(Error::BadFactorLog { what });
+        let cap = factor_log_cap(log.base.len());
+        if log.ops.len() > cap {
+            return bad(format!(
+                "{} changes after its base, above the cap of {cap}",
+                log.ops.len()
+            ));
+        }
+        let mut rows = log
+            .base
+            .iter()
+            .copied()
+            .chain(log.ops.iter().map(|op| op.row()));
+        if let Some(i) = rows.find(|&i| i >= mi) {
+            return bad(format!("row {i} beyond the {mi} inequality rows"));
+        }
         self.reset_factor();
+        // `tg` is recomputed by the next solve's transition, so the build
+        // may take it at any point.
+        let x = vec![0.0; n];
+        if let Err(e) = self.build_blocked(&x, &log.base, false) {
+            self.reset_factor();
+            return bad(format!(
+                "its base of {} rows does not build ({e})",
+                log.base.len()
+            ));
+        }
+        for (at, &op) in log.ops.iter().enumerate() {
+            let i = op.row();
+            let is_bound = cache.bound[i].is_some();
+            let pos = self.ws.held.iter().position(|&h| h == i);
+            let applied = match op {
+                FactorOp::Fix(_) | FactorOp::Append(_) => {
+                    pos.is_none()
+                        && is_bound == matches!(op, FactorOp::Fix(_))
+                        && self.add_row(i, &x).is_ok()
+                }
+                FactorOp::Free(_) | FactorOp::Remove(_) => match pos {
+                    Some(pos) if is_bound == matches!(op, FactorOp::Free(_)) => {
+                        self.remove_held(pos);
+                        self.ws.factor.is_built()
+                    }
+                    _ => false,
+                },
+                FactorOp::Flip(_) => match (pos, cache.partner[i]) {
+                    (Some(pos), Some(j)) if !self.ws.held.contains(&j) => {
+                        self.flip(pos, j);
+                        true
+                    }
+                    _ => false,
+                },
+            };
+            if !applied {
+                self.reset_factor();
+                return bad(format!(
+                    "change {at}, {op:?}, does not apply to the state before it"
+                ));
+            }
+        }
+        debug_assert_eq!(&self.ws.log, log, "a replay logs what it applies");
+        Ok(())
     }
 
     /// Called after the entry at position `pos` was removed from the
@@ -1452,21 +1904,7 @@ impl<'a> BandedOps<'a> {
             return;
         }
         let start = clock(self.ws.timed);
-        let i = self.ws.held.remove(pos);
-        match self.cache().bound[i] {
-            Some((k, _)) => self.free(k),
-            None => {
-                let j = self.cache().row_chain[i];
-                let rows = &mut self.ws.chain_rows[j];
-                let k = rows
-                    .iter()
-                    .position(|&q| q == i)
-                    .expect("a held row is in its chain");
-                rows.remove(k);
-                self.ws.factor.remove(j, k);
-                self.ws.cols_stale = true;
-            }
-        }
+        self.remove_held(pos);
         self.ws.downdates += 1;
         self.ws.update_ns += clock(self.ws.timed) - start;
     }
@@ -2508,7 +2946,7 @@ mod tests {
                 qp: &qp,
                 ws: &mut ws,
             };
-            ops.begin();
+            ops.reset_factor();
             ops.ensure_factor(&x, &working).unwrap();
             assert_eq!(ops.ws.refactorizations, 1);
             assert_free_set_state(&qp, ops.ws, &x, &mut seed);
@@ -2557,7 +2995,7 @@ mod tests {
                 qp: &banded,
                 ws: &mut ws,
             };
-            ops.begin();
+            ops.reset_factor();
             let x0 = centre(&banded);
             ops.ensure_factor(&x0, &working).unwrap();
             ops.ws.cols.clear();
@@ -2735,7 +3173,7 @@ mod tests {
             qp: &qp,
             ws: &mut ws,
         };
-        ops.begin();
+        ops.reset_factor();
         ops.ensure_factor(&centre(&qp), &[]).unwrap();
         ops.ws.cols.clear();
         ops.ws
@@ -2896,7 +3334,7 @@ mod tests {
                 qp: &qp,
                 ws: &mut ws,
             };
-            ops.begin();
+            ops.reset_factor();
             let mut step = Vec::new();
             ops.kkt_step(sol.x(), w, &mut step).unwrap();
             ops.bound_multipliers(sol.x(), w, &mut step);
@@ -3118,7 +3556,7 @@ mod tests {
         let n = qp.num_vars();
         let mut ws = BandedWorkspace::new();
         let mut ops = BandedOps { qp, ws: &mut ws };
-        ops.begin();
+        ops.reset_factor();
         let mut sol = Vec::new();
         ops.kkt_step(x, working, &mut sol).unwrap();
         let mut moved: Vec<(usize, usize)> = (0..qp.a_in.len())
@@ -3140,7 +3578,7 @@ mod tests {
             qp,
             ws: &mut fresh_ws,
         };
-        fresh_ops.begin();
+        fresh_ops.reset_factor();
         let mut fresh = Vec::new();
         fresh_ops.kkt_step(&x1, &w1, &mut fresh).unwrap();
         let scale = vec_ops::norm_inf(&fresh[..n]);
@@ -3287,5 +3725,165 @@ mod tests {
             qp.warm_start(&[0.0, 0.0], &[], &mut BandedWorkspace::new()),
             Err(Error::Numerical(_))
         ));
+    }
+
+    /// Asserts two workspaces hold the same working-set state bit for bit:
+    /// the held rows, each chain's rows, the fixed variables and their
+    /// slots, the free block of every chain's inverse, the log and the
+    /// Schur factor (its block sizes and its solve of every unit vector).
+    fn assert_same_state(a: &BandedWorkspace, b: &BandedWorkspace) {
+        assert_eq!(a.held, b.held);
+        assert_eq!(a.chain_rows, b.chain_rows);
+        assert_eq!(a.fixed, b.fixed);
+        assert_eq!(a.pos, b.pos);
+        assert_eq!(a.log, b.log);
+        assert_eq!(a.inv.len(), b.inv.len());
+        for (x, y) in a.inv.iter().zip(&b.inv) {
+            assert_eq!((x.free, &x.slot, &x.global), (y.free, &y.slot, &y.global));
+            for r in 0..x.free {
+                let (rx, ry) = (&x.m[r * x.dim..][..x.free], &y.m[r * y.dim..][..y.free]);
+                assert!(rx.iter().zip(ry).all(|(u, v)| u.to_bits() == v.to_bits()));
+            }
+        }
+        let dim = a.factor.dim();
+        assert_eq!(dim, b.factor.dim());
+        for j in 0..a.chain_rows.len() {
+            assert_eq!(a.factor.chain_dim(j), b.factor.chain_dim(j));
+        }
+        for i in 0..dim {
+            let mut u = vec![0.0; dim];
+            u[i] = 1.0;
+            let mut v = u.clone();
+            a.factor.solve_in_place(&mut u);
+            b.factor.solve_in_place(&mut v);
+            assert!(u.iter().zip(&v).all(|(p, q)| p.to_bits() == q.to_bits()));
+        }
+    }
+
+    /// Replays `ws`'s log into a fresh workspace, checks it holds the same
+    /// state bit for bit, and returns it with the log's operation kinds.
+    fn replayed(qp: &mut BandedQp, ws: &BandedWorkspace) -> (BandedWorkspace, Vec<u8>) {
+        let log = ws.factor_log(qp).expect("the state is carried").clone();
+        let mut fresh = BandedWorkspace::new();
+        qp.replay(&log, &mut fresh).unwrap();
+        assert_same_state(ws, &fresh);
+        (fresh, log.ops.iter().map(|op| op.kind()).collect())
+    }
+
+    /// The carried state is a function of its log: after each solve of a
+    /// sequence that fixes, frees, appends, removes and flips (in its
+    /// loop and in the transition into the next seed), a fresh workspace
+    /// that replays the log holds the same free-set inverses, Schur factor
+    /// and held rows, bit for bit, and the next solve from it is the same
+    /// solve, bit for bit.
+    #[test]
+    fn replaying_the_log_rebuilds_the_carried_state_bit_for_bit() {
+        let mut seed = 0x10c5u64;
+        let mut qp = block_diagonal_problem(3, 4, 3, &mut seed);
+        let n = qp.num_vars();
+        let g1 = qp.g.clone();
+        let g2: Vec<f64> = (0..n).map(|_| 8.0 * pseudo(&mut seed)).collect();
+        let mut ws = BandedWorkspace::new();
+        let mut kinds = Vec::new();
+        let first = cold_solve(&mut qp, &mut ws);
+        kinds.extend(replayed(&mut qp, &ws).1);
+        // Towards g2 from the first optimum, then back to g1 from it: the
+        // second transition edits the state g2's solve left into g1's
+        // active set.
+        let mut from = first.clone();
+        for g in [&g2, &g1, &g2] {
+            qp.set_gradient(g).unwrap();
+            let (x0, seed_rows) = (first.x().to_vec(), first.active_set().to_vec());
+            let (mut fresh, k) = replayed(&mut qp, &ws);
+            kinds.extend(k);
+            let live = qp.warm_start(&x0, &seed_rows, &mut ws).unwrap();
+            let again = qp.warm_start(&x0, &seed_rows, &mut fresh).unwrap();
+            assert_eq!(live.stats().refactorizations, 0, "{:?}", live.stats());
+            assert_eq!(live, again);
+            assert_same_state(&ws, &fresh);
+            assert_kkt(&qp, &live);
+            kinds.extend(replayed(&mut qp, &ws).1);
+            from = live;
+        }
+        assert!(!from.active_set().is_empty());
+        // A zero-width box seeded on its wrong side flips in the loop, and
+        // flips back in the transition when the next seed holds the other
+        // side.
+        let mut boxed = boxed_problem(0.0);
+        let mut ws = BandedWorkspace::new();
+        let x0 = [0.0; 6];
+        let up = boxed.warm_start(&x0, &[1], &mut ws).unwrap();
+        assert_eq!(up.stats().bound_flips, 1);
+        kinds.extend(replayed(&mut boxed, &ws).1);
+        let mut g = boxed.g.clone();
+        g[0] = 10.0;
+        boxed.set_gradient(&g).unwrap();
+        let (mut fresh, _) = replayed(&mut boxed, &ws);
+        let live = boxed.warm_start(&x0, &[1], &mut ws).unwrap();
+        assert_eq!(live.stats().bound_flips, 0);
+        assert_eq!(live.active_set(), &[1]);
+        assert_eq!(live, boxed.warm_start(&x0, &[1], &mut fresh).unwrap());
+        kinds.extend(replayed(&mut boxed, &ws).1);
+        for kind in 0..FactorOp::KINDS {
+            assert!(
+                kinds.contains(&kind),
+                "no operation of kind {kind} in {kinds:?}"
+            );
+        }
+    }
+
+    /// A log that does not fit the problem is refused with a named reason,
+    /// and the workspace then carries nothing.
+    #[test]
+    fn a_log_that_does_not_fit_is_refused_by_name() {
+        let mut seed = 0xbad1u64;
+        let mut qp = block_diagonal_problem(2, 3, 2, &mut seed);
+        let mut ws = BandedWorkspace::new();
+        cold_solve(&mut qp, &mut ws);
+        let log = ws.factor_log(&qp).unwrap().clone();
+        let mi = qp.a_in.len();
+        let general = (0..mi).find(|&i| qp.a_in[i].bound().is_none()).unwrap();
+        let bound = (0..mi).find(|&i| qp.a_in[i].bound().is_some()).unwrap();
+        let with = |base: Vec<usize>, ops: Vec<FactorOp>| FactorLog { base, ops };
+        let cases = [
+            (with(vec![mi], vec![]), "beyond the"),
+            (with(vec![], vec![FactorOp::Fix(mi as u32 + 3)]), "row"),
+            (
+                with(vec![], vec![FactorOp::Fix(general as u32)]),
+                "change 0",
+            ),
+            (
+                with(vec![], vec![FactorOp::Append(bound as u32)]),
+                "change 0",
+            ),
+            (with(vec![], vec![FactorOp::Free(bound as u32)]), "change 0"),
+            (
+                with(vec![bound], vec![FactorOp::Remove(bound as u32)]),
+                "change 0",
+            ),
+            (with(vec![bound, bound], vec![]), "does not build"),
+            (
+                with(
+                    vec![],
+                    vec![FactorOp::Fix(bound as u32); FACTOR_LOG_MIN + 1],
+                ),
+                "above the cap",
+            ),
+        ];
+        for (bad, reason) in cases {
+            let mut fresh = BandedWorkspace::new();
+            qp.replay(&log, &mut fresh).unwrap();
+            match qp.replay(&bad, &mut fresh) {
+                Err(Error::BadFactorLog { what }) => assert!(what.contains(reason), "{what}"),
+                other => panic!("{bad:?} must be refused, got {other:?}"),
+            }
+            assert!(fresh.factor_log(&qp).is_none());
+        }
+        // Another problem's workspace carries nothing into this one.
+        let mut other = block_diagonal_problem(2, 3, 2, &mut seed);
+        other.prepare().unwrap();
+        assert!(ws.factor_log(&other).is_none());
+        let sol = other.warm_start(&centre(&other), &[], &mut ws).unwrap();
+        assert_eq!(sol.stats().refactorizations, 1);
     }
 }

@@ -20,6 +20,12 @@ pub enum Error {
     },
     /// A numerical kernel failed (singular KKT system etc.).
     Numerical(idc_linalg::Error),
+    /// A working-set index log does not fit the problem it was replayed
+    /// on (see [`crate::banded_qp::BandedQp::replay`]).
+    BadFactorLog {
+        /// Which part of the log failed, and why.
+        what: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -32,6 +38,7 @@ impl fmt::Display for Error {
             }
             Error::DimensionMismatch { what } => write!(f, "dimension mismatch: {what}"),
             Error::Numerical(e) => write!(f, "numerical failure: {e}"),
+            Error::BadFactorLog { what } => write!(f, "working-set log rejected: {what}"),
         }
     }
 }

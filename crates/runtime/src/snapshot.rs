@@ -186,8 +186,10 @@ pub struct RuntimeSnapshot {
 impl RuntimeSnapshot {
     /// Structural sanity checks that need no scenario: trajectory lengths
     /// consistent with the step cursor, version supported, every carried
-    /// value finite (the policy's warm-start `ΔU` included) and the seed at
-    /// most [`MAX_SEED`].
+    /// value finite (the policy's warm-start `ΔU` and previous input
+    /// included), the policy's battery rates and running peaks not
+    /// negative, its working-set log well formed and the seed at most
+    /// [`MAX_SEED`].
     ///
     /// # Errors
     ///
@@ -254,7 +256,39 @@ impl RuntimeSnapshot {
         if let Some(reason) = seed_out_of_range(self.seed) {
             return Err(Error::Snapshot(reason));
         }
-        Ok(())
+        self.validate_policy().map_err(Error::Snapshot)
+    }
+
+    /// The policy-state checks of [`validate`](Self::validate): a finite
+    /// previous input; battery rates and running peaks finite and not
+    /// negative; and a carried working-set log of known operation kinds
+    /// within its cap (its row indices are checked against the QP at the
+    /// first plan after the restore).
+    fn validate_policy(&self) -> std::result::Result<(), String> {
+        let policy = &self.policy;
+        if let Some(v) = policy.prev_input.iter().flatten().find(|v| !v.is_finite()) {
+            return Err(format!(
+                "non-finite policy prev_input entry {v} in snapshot"
+            ));
+        }
+        let non_negative = [
+            ("prev_charge_mw", policy.prev_charge_mw.as_deref()),
+            ("prev_discharge_mw", policy.prev_discharge_mw.as_deref()),
+            ("peak_so_far_mw", Some(&policy.peak_so_far_mw[..])),
+        ];
+        for (name, values) in non_negative {
+            let mut values = values.unwrap_or_default().iter();
+            if let Some(v) = values.find(|&&v| !(v.is_finite() && v >= 0.0)) {
+                return Err(format!(
+                    "policy {name} entry {v} is negative or non-finite in snapshot"
+                ));
+            }
+        }
+        let log = policy
+            .warm_start
+            .as_ref()
+            .and_then(|w| w.factor_log.as_ref());
+        log.map_or(Ok(()), |log| log.check())
     }
 
     /// The plant's accounting state, for

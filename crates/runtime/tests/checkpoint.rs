@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use idc_core::snapshot::{factor_log_cap, FactorLogSnapshot, MpcPolicySnapshot};
 use idc_runtime::feed::{FeedFaults, MAX_DELAY_TICKS};
 use idc_runtime::http::MetricsServer;
 use idc_runtime::metrics::MetricsRegistry;
@@ -472,5 +473,155 @@ fn plant_tenant_publishes_battery_and_demand_charge_series() {
             text.contains(&format!("# HELP {base}")),
             "{base} undescribed"
         );
+    }
+}
+
+/// A fault-free checkpoint of `key` after `steps` steps.
+fn checkpoint(key: &str, steps: usize) -> (Stepper, RuntimeSnapshot) {
+    let mut stepper = Stepper::new(StepperConfig::fault_free(key, 2012)).unwrap();
+    for _ in 0..steps {
+        assert!(stepper.step_once().unwrap());
+    }
+    let snapshot = stepper.snapshot();
+    (stepper, snapshot)
+}
+
+/// The carried working-set log of a checkpoint, created empty when the
+/// checkpoint carries none.
+fn factor_log(policy: &mut MpcPolicySnapshot) -> &mut FactorLogSnapshot {
+    let warm = policy.warm_start.as_mut().expect("a solve has happened");
+    warm.factor_log.get_or_insert_with(|| FactorLogSnapshot {
+        structure: Vec::new(),
+        base: Vec::new(),
+        kinds: Vec::new(),
+        rows: Vec::new(),
+    })
+}
+
+/// Real checkpoints of a plain, a storage and a tariff key, each mutated
+/// in one policy field: a non-finite previous input, a negative or
+/// non-finite battery rate or running peak, an unknown working-set log
+/// operation and a log past its cap are each refused by `validate` — and
+/// so by `Stepper::restore` — with a reason naming the field.
+#[test]
+fn mutated_policy_state_is_refused_by_name() {
+    type Mutation = (&'static str, fn(&mut MpcPolicySnapshot) -> bool);
+    fn set_first(v: Option<&mut [f64]>, x: f64) -> bool {
+        v.and_then(|v| v.first_mut()).map(|e| *e = x).is_some()
+    }
+    let mutations: [Mutation; 9] = [
+        ("prev_input entry NaN", |p| {
+            set_first(p.prev_input.as_deref_mut(), f64::NAN)
+        }),
+        ("prev_input entry inf", |p| {
+            set_first(p.prev_input.as_deref_mut(), f64::INFINITY)
+        }),
+        ("prev_charge_mw entry -1", |p| {
+            set_first(p.prev_charge_mw.as_deref_mut(), -1.0)
+        }),
+        ("prev_charge_mw entry NaN", |p| {
+            set_first(p.prev_charge_mw.as_deref_mut(), f64::NAN)
+        }),
+        ("prev_discharge_mw entry -1", |p| {
+            set_first(p.prev_discharge_mw.as_deref_mut(), -1.0)
+        }),
+        ("peak_so_far_mw entry -1", |p| {
+            set_first(Some(&mut p.peak_so_far_mw), -1.0)
+        }),
+        ("peak_so_far_mw entry inf", |p| {
+            set_first(Some(&mut p.peak_so_far_mw), f64::INFINITY)
+        }),
+        ("unknown factor-log operation kind 7", |p| {
+            let log = factor_log(p);
+            log.kinds.push(7);
+            log.rows.push(0);
+            true
+        }),
+        ("above the cap", |p| {
+            let log = factor_log(p);
+            let over = factor_log_cap(log.base.len()) + 1;
+            log.kinds = vec![0; over];
+            log.rows = vec![0; over];
+            true
+        }),
+    ];
+    let mut refused = vec![0; mutations.len()];
+    for key in ["smoothing", "storage_peak_shaving", "demand_charge"] {
+        let (_, snapshot) = checkpoint(key, 10);
+        snapshot.validate().unwrap();
+        for (count, (reason, mutate)) in refused.iter_mut().zip(&mutations) {
+            let mut bad = snapshot.clone();
+            if !mutate(&mut bad.policy) {
+                continue;
+            }
+            for result in [
+                bad.validate().map(|_| ()),
+                Stepper::restore(&bad).map(|_| ()),
+            ] {
+                match result {
+                    Err(Error::Snapshot(msg)) => assert!(msg.contains(reason), "{key}: {msg}"),
+                    Err(e) => panic!("{key}: wrong error for {reason}: {e}"),
+                    Ok(()) => panic!("{key}: {reason} must be refused"),
+                }
+            }
+            *count += 1;
+        }
+    }
+    // Every reason is met: the input and log ones on all three keys, the
+    // battery ones on the storage key, the peak ones on two.
+    assert_eq!(refused, [3, 3, 1, 1, 1, 2, 2, 3, 3]);
+}
+
+/// A carried working-set log whose rows are in range of nothing but the
+/// QP restores, and the first step names the row it cannot find.
+#[test]
+fn restored_log_row_out_of_range_fails_the_first_step() {
+    let (_, mut snapshot) = checkpoint("storage_peak_shaving", 10);
+    let log = factor_log(&mut snapshot.policy);
+    assert!(!log.structure.is_empty(), "the checkpoint carries a log");
+    log.base.push(1_000_000);
+    let mut resumed = Stepper::restore(&snapshot).unwrap();
+    match resumed.step_once() {
+        Err(e) => assert!(e.to_string().contains("row 1000000"), "{e}"),
+        Ok(_) => panic!("an out-of-range log row must fail the step"),
+    }
+}
+
+/// The log cap's from-scratch rebuild fires at the same step in a run
+/// restored just before it as in the uninterrupted run: both export the
+/// same log after every step, through the rebuild.
+#[test]
+fn log_cap_rebuild_fires_at_the_same_step_after_a_restore() {
+    let cfg = StepperConfig {
+        num_steps: Some(170),
+        ..StepperConfig::fault_free("storage_plus_shifting", 2012)
+    };
+    // The log's length and its cap's headroom after a step.
+    let log_room = |s: &Stepper| {
+        let snapshot = s.snapshot();
+        let log = snapshot.policy.warm_start.and_then(|w| w.factor_log);
+        log.map_or((0, usize::MAX), |l| {
+            (l.kinds.len(), factor_log_cap(l.base.len()) - l.kinds.len())
+        })
+    };
+    // The uninterrupted run, to find the first step whose log restarted
+    // from within a step's changes of the cap.
+    let mut live = Stepper::new(cfg.clone()).unwrap();
+    let mut logs = Vec::new();
+    while live.step_once().unwrap() {
+        logs.push(log_room(&live));
+    }
+    let cap_step = (1..logs.len())
+        .find(|&k| logs[k - 1].1 < 32 && logs[k].0 < logs[k - 1].0)
+        .expect("the run outgrows the log cap");
+    let mut live = Stepper::new(cfg).unwrap();
+    for _ in 0..cap_step - 3 {
+        live.step_once().unwrap();
+    }
+    let json = live.snapshot().to_json().unwrap();
+    let mut resumed = Stepper::restore(&RuntimeSnapshot::from_json(&json).unwrap()).unwrap();
+    while live.step_once().unwrap() {
+        assert!(resumed.step_once().unwrap());
+        assert_eq!(live.snapshot(), resumed.snapshot());
     }
 }
