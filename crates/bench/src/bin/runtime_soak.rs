@@ -262,13 +262,7 @@ fn batch_vs_online(args: &Args) -> Result<(), String> {
 }
 
 fn faulted_config(args: &Args) -> StepperConfig {
-    StepperConfig {
-        workload_faults: FeedFaults::new(41, 0.10, 2),
-        price_faults: FeedFaults::new(43, 0.10, 2),
-        max_staleness_ticks: 1,
-        num_steps: args.steps,
-        ..StepperConfig::fault_free(&args.scenario, args.seed)
-    }
+    idc_bench::soak_faulted_config(&args.scenario, args.seed, args.steps)
 }
 
 fn kill_and_restart(args: &Args) -> Result<(), String> {

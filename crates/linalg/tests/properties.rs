@@ -139,38 +139,6 @@ proptest! {
             );
         }
     }
-
-    /// The blocked multi-row append (batched pivoting's bulk admission)
-    /// must agree with row-by-row appends at any split point.
-    #[test]
-    fn cholesky_append_block_matches_row_appends(
-        s in spd_matrix(7),
-        split in 0usize..7,
-        b in vector(7),
-    ) {
-        let n = 7;
-        let col_of = |r: usize| -> Vec<f64> { (0..=r).map(|q| s[(r, q)]).collect() };
-        let mut rowwise = UpdatableCholesky::new();
-        for r in 0..n {
-            rowwise.append(&col_of(r)).unwrap();
-        }
-        let mut blocked = UpdatableCholesky::new();
-        for r in 0..split {
-            blocked.append(&col_of(r)).unwrap();
-        }
-        let packed: Vec<f64> = (split..n).flat_map(col_of).collect();
-        blocked.append_block(n - split, &packed).unwrap();
-        let mut x_row = b.clone();
-        let mut x_blk = b;
-        rowwise.solve_in_place(&mut x_row);
-        blocked.solve_in_place(&mut x_blk);
-        for (xr, xb) in x_row.iter().zip(&x_blk) {
-            prop_assert!(
-                (xr - xb).abs() <= 1e-8 * (1.0 + xr.abs()),
-                "row-by-row {xr} vs blocked {xb}"
-            );
-        }
-    }
 }
 
 /// Row vectors whose Gram matrix has arrowhead structure: chain `j`'s rows
@@ -289,17 +257,6 @@ fn check_arrowhead_ops(
     let mut rows = ArrowRows::new(nchains, ntail, data);
     let mut f = ArrowheadCholesky::new();
     f.reset(nchains, ntail);
-    let mut held: Vec<Vec<usize>> = init[..nchains].iter().map(|&k| (0..k).collect()).collect();
-    for (j, h) in held.iter().enumerate() {
-        let mut cols = Vec::new();
-        let mut coupling = Vec::new();
-        for (a, &r) in h.iter().enumerate() {
-            let (col, c) = rows.column(j, &h[..a], r);
-            cols.extend(col);
-            coupling.extend(c);
-        }
-        f.build_chain(j, h.len(), &cols, &coupling).unwrap();
-    }
     let mut g = Vec::new();
     for (e, t) in rows.tail.iter().enumerate() {
         g.extend(rows.tail[..=e].iter().map(|u| ArrowRows::dot(t, u)));
@@ -308,6 +265,14 @@ fn check_arrowhead_ops(
         .map(|e| g[e * (e + 1) / 2 + e])
         .collect();
     f.build_tail(&g, &diag).unwrap();
+    let mut held: Vec<Vec<usize>> = vec![Vec::new(); nchains];
+    for (j, &k) in init[..nchains].iter().enumerate() {
+        for r in 0..k {
+            let (col, c) = rows.column(j, &held[j], r);
+            f.append(j, &col, &c, col[col.len() - 1]).unwrap();
+            held[j].push(r);
+        }
+    }
     // Rank-1 terms in force: (chain, coordinate).
     let mut terms: Vec<(usize, usize)> = Vec::new();
     let mut draws = data.iter().rev().cycle().map(|x| 0.5 * x);

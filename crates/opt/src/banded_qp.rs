@@ -33,7 +33,11 @@
 //!    add or drop of a general row costs O(b_j² + m_E·b_j + m_E²) for a
 //!    chain of `b_j` working rows and `m_E` equalities; fixing or freeing a
 //!    bound is a rank-1 change of the chain's block and the equalities'
-//!    block. A coupled `H` is one chain, which is the dense cost again.
+//!    block. A coupled `H` is one chain, which is the dense cost again. A
+//!    general row enters by one append only, whether the loop admits it or
+//!    a from-scratch build holds it (the build fixes its bounds in one
+//!    batch and factors the equalities first), so every general row meets
+//!    one dependency test.
 //! 3. `Y = H̃_FF⁻¹C_Gᵀ` is never stored: the step `p = t − H̃_FF⁻¹C_Gᵀλ`
 //!    scatters `C_Gᵀλ` and sweeps each chain's inverse over its free
 //!    variables, and a general row's Schur entries are formed from the
@@ -1053,9 +1057,9 @@ impl<'a> BandedOps<'a> {
     /// Extends the incremental factor until it accounts for every row of
     /// the current working set.
     ///
-    /// A build of an empty factor counts as a refactorization: every
-    /// chain's free-set inverse, every chain block and then the equalities'
-    /// block in one blocked pass each, falling back to the equalities plus
+    /// A build of an empty factor counts as a refactorization: its bounds
+    /// in one batch, then its general rows one append each (see
+    /// [`build`](Self::build)), falling back to the equalities plus
     /// row-by-row additions on failure so the error points at the first
     /// bad row. Additions to a built factor go one row at a time, in
     /// working order, and count as incremental updates. Returns whether a
@@ -1073,13 +1077,13 @@ impl<'a> BandedOps<'a> {
         let from_scratch = !self.ws.factor.is_built();
         if from_scratch {
             self.ws.refactorizations += 1;
-            if self.build_blocked(x, working, poison).is_ok() {
+            if self.build(x, working, poison).is_ok() {
                 return Ok(poison);
             }
             // Start over from the equalities alone; the additions below
             // then stop at the first bad row.
             self.reset_factor();
-            self.build_blocked(x, &[], false).map_err(Error::from)?;
+            self.build(x, &[], false)?;
         }
         while self.ws.held.len() < working.len() {
             self.add_row(working[self.ws.held.len()], x)?;
@@ -1090,25 +1094,23 @@ impl<'a> BandedOps<'a> {
         Ok(poison)
     }
 
-    /// Builds the empty factor over `working` in blocked passes (over the
-    /// equalities alone when `working` is empty): the free-set inverse of
-    /// every chain with its working bounds fixed, `tg` at `x`, each chain's
-    /// block of working general rows and the equalities' reduced block. A
-    /// poisoned build doubles the diagonal of the first factor row (the
-    /// first equality, else the first working general inequality): the
-    /// factor stays positive definite, so nothing fails, but it is wrong by
-    /// O(1).
+    /// Builds the empty factor over `working` (over the equalities alone
+    /// when `working` is empty) in two phases. The bounds go in one batch:
+    /// the free-set inverse of every chain with its working bounds fixed,
+    /// `tg` at `x`, and the equalities' reduced block as the tail. The
+    /// general rows then go in one at a time, in working order, by the
+    /// append the loop makes, so every general row meets one dependency
+    /// test. A poisoned build doubles the diagonal of the first factor row
+    /// (the first equality, else the first working general inequality):
+    /// the factor stays positive definite, so nothing fails, but it is
+    /// wrong by O(1).
     ///
     /// A chain's inverse starts from its all-free `H̃⁻¹` and loses its
     /// fixed variables one rank-1 step at a time; a duplicated bound
     /// variable or a failed pivot fails the build. A build that succeeds
     /// starts a new log with `working` as its base.
-    fn build_blocked(
-        &mut self,
-        x: &[f64],
-        working: &[usize],
-        poison: bool,
-    ) -> idc_linalg::Result<()> {
+    fn build(&mut self, x: &[f64], working: &[usize], poison: bool) -> Result<()> {
+        let singular = || Err(Error::Numerical(idc_linalg::Error::NotPositiveDefinite));
         let me = self.qp.a_eq.len();
         let n = self.qp.num_vars();
         let cache = self.cache();
@@ -1117,10 +1119,11 @@ impl<'a> BandedOps<'a> {
         ws.fixed.clear();
         ws.fixed.resize(n, false);
         for &i in working {
-            match cache.bound[i] {
-                Some((k, _)) if ws.fixed[k] => return Err(idc_linalg::Error::NotPositiveDefinite),
-                Some((k, _)) => ws.fixed[k] = true,
-                None => ws.chain_rows[cache.row_chain[i]].push(i),
+            if let Some((k, _)) = cache.bound[i] {
+                if ws.fixed[k] {
+                    return singular();
+                }
+                ws.fixed[k] = true;
             }
         }
         ws.inv.resize_with(cache.chains.len(), FreeInverse::default);
@@ -1162,7 +1165,7 @@ impl<'a> BandedOps<'a> {
             for (l, &k) in chain.vars.iter().enumerate() {
                 if ws.fixed[k] {
                     if inv.get(l, l) <= PIVOT_TOL * chain.inv[l * dim + l] {
-                        return Err(idc_linalg::Error::NotPositiveDefinite);
+                        return singular();
                     }
                     let step = (-x[k] - ws.tg[k]) / inv.get(l, l).sqrt();
                     let tg = &mut ws.tg;
@@ -1170,35 +1173,6 @@ impl<'a> BandedOps<'a> {
                     ws.tg[k] = -x[k];
                 }
             }
-        }
-        // Each chain's block of working general rows and its equality
-        // couplings, from the rows' images H̃_FF⁻¹·cᵀ.
-        let first_general = working.iter().find(|&&i| cache.bound[i].is_none());
-        for (j, rows) in ws.chain_rows.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let (chain, inv) = (&cache.chains[j], &ws.inv[j]);
-            ws.col.clear();
-            ws.coupling.clear();
-            for (a, &i) in rows.iter().enumerate() {
-                inv.image(&qp.a_in[i], &cache.var_local, &mut ws.slots, &mut ws.local);
-                ws.col.extend(
-                    rows[..=a]
-                        .iter()
-                        .map(|&q| local_dot(&qp.a_in[q], &cache.var_local, &ws.local)),
-                );
-                let start = ws.coupling.len();
-                ws.coupling.resize(start + me, 0.0);
-                for &(e, l, c) in &chain.eq {
-                    ws.coupling[start + e] += c * ws.local[l];
-                }
-            }
-            if poison && me == 0 && first_general == Some(&rows[0]) {
-                ws.col[0] *= 2.0;
-            }
-            ws.factor
-                .build_chain(j, rows.len(), &ws.col, &ws.coupling)?;
         }
         // The equalities' block S_EE = Σ_j C_E,j·H̃_FF⁻¹·C_E,jᵀ, packed
         // lower: the all-free block less, for each chain with fixed
@@ -1227,6 +1201,13 @@ impl<'a> BandedOps<'a> {
             ws.col[0] *= 2.0;
         }
         ws.factor.build_tail(&ws.col, &cache.s_ee_diag)?;
+        let mut poison = poison && me == 0;
+        for &i in working {
+            if cache.bound[i].is_none() {
+                self.append_general(i, std::mem::take(&mut poison))?;
+            }
+        }
+        let ws = &mut *self.ws;
         ws.held.extend_from_slice(working);
         ws.owner = cache.id;
         ws.log.base.clear();
@@ -1252,7 +1233,7 @@ impl<'a> BandedOps<'a> {
                 FactorOp::Fix(i as u32)
             }
             None => {
-                self.append_general(i)?;
+                self.append_general(i, false)?;
                 FactorOp::Append(i as u32)
             }
         };
@@ -1288,8 +1269,9 @@ impl<'a> BandedOps<'a> {
 
     /// Appends general inequality `i` to the end of its chain, its Schur
     /// entries formed from its image `H̃_FF⁻¹·cᵢᵀ`. The pivot is judged
-    /// against the row's all-free diagonal `cᵢ·H̃⁻¹·cᵢᵀ`.
-    fn append_general(&mut self, i: usize) -> Result<()> {
+    /// against the row's all-free diagonal `cᵢ·H̃⁻¹·cᵢᵀ`. A `poison`ed
+    /// append doubles the row's diagonal (see [`build`](Self::build)).
+    fn append_general(&mut self, i: usize, poison: bool) -> Result<()> {
         let me = self.qp.a_eq.len();
         let cache = self.cache();
         let qp = self.qp;
@@ -1304,7 +1286,8 @@ impl<'a> BandedOps<'a> {
                 .iter()
                 .map(|&q| local_dot(&qp.a_in[q], &cache.var_local, &ws.local)),
         );
-        ws.col.push(local_dot(row, &cache.var_local, &ws.local));
+        let diag = local_dot(row, &cache.var_local, &ws.local);
+        ws.col.push(if poison { 2.0 * diag } else { diag });
         ws.coupling.clear();
         ws.coupling.resize(me, 0.0);
         for &(e, l, c) in &chain.eq {
@@ -1853,7 +1836,7 @@ impl<'a> BandedOps<'a> {
         // `tg` is recomputed by the next solve's transition, so the build
         // may take it at any point.
         let x = vec![0.0; n];
-        if let Err(e) = self.build_blocked(&x, &log.base, false) {
+        if let Err(e) = self.build(&x, &log.base, false) {
             self.reset_factor();
             return bad(format!(
                 "its base of {} rows does not build ({e})",
@@ -2780,6 +2763,30 @@ mod tests {
         );
     }
 
+    /// A general row nearly dependent on a held bound (`x₀ + 1e-7·x₁ ≤ 1`
+    /// with `x₀` fixed) has a pivot of about 1e-14 of its all-free
+    /// diagonal. A from-scratch build and an append to a built factor
+    /// judge it by the same test, so both refuse it.
+    #[test]
+    fn row_nearly_dependent_on_a_held_bound_is_refused_by_build_and_append() {
+        let mut qp = one_block(&[&[2.0, 0.3], &[0.3, 2.0]], vec![0.0, 0.0])
+            .inequality(row(&[1.0, 0.0]), 1.0)
+            .inequality(row(&[1.0, 1e-7]), 1.0);
+        qp.prepare().unwrap();
+        let x = [1.0, 0.0];
+        let mut ws = BandedWorkspace::new();
+        let mut ops = BandedOps {
+            qp: &qp,
+            ws: &mut ws,
+        };
+        ops.reset_factor();
+        assert!(ops.build(&x, &[0, 1], false).is_err(), "build");
+        ops.reset_factor();
+        ops.ensure_factor(&x, &[0]).unwrap();
+        assert!(ops.add_row(1, &x).is_err(), "append");
+        assert_eq!(ops.ws.held, [0]);
+    }
+
     /// A separable problem: `groups` independent chains of `len` blocks
     /// (the subdiagonal block between chains is zero), coupled only by
     /// one-entry-per-chain equality rows, plus chain-local sums and bounds.
@@ -2919,8 +2926,8 @@ mod tests {
         }
     }
 
-    /// A blocked build fixes the seeded bounds; incremental fixes and frees
-    /// afterwards keep the free-set inverse, `tg` and the general rows'
+    /// A from-scratch build fixes the seeded bounds; incremental fixes and
+    /// frees afterwards keep the free-set inverse, `tg` and the general rows'
     /// factor equal to dense references of the current free set, across
     /// separate chains and a coupled Hessian.
     #[test]

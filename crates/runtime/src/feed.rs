@@ -22,10 +22,11 @@ use idc_core::simulation::WorkloadProcess;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
 use crate::snapshot::{FeedCursorSnap, FeedFaultsSnap, OverloadSnap, PendingSnap};
+use crate::Error;
 
 /// An [`RngCore`] wrapper that counts `next_u64` draws, so a checkpoint can
-/// record "how far into the stream we are" and a restore can fast-forward a
-/// freshly seeded generator to the exact same point.
+/// record "how far into the stream we are" and a restore can check that
+/// replaying the published ticks reaches the exact same point.
 #[derive(Debug, Clone)]
 pub struct CountingRng<R> {
     inner: R,
@@ -46,16 +47,6 @@ impl CountingRng<StdRng> {
             inner: StdRng::seed_from_u64(seed),
             draws: 0,
         }
-    }
-
-    /// A generator fast-forwarded to `draws` consumed words — the restore
-    /// counterpart of [`Self::draws`].
-    pub fn fast_forward(seed: u64, draws: u64) -> Self {
-        let mut rng = Self::seeded(seed);
-        for _ in 0..draws {
-            rng.next_u64();
-        }
-        rng
     }
 
     /// Number of 64-bit words drawn so far.
@@ -350,7 +341,6 @@ fn pending_from_state(snaps: &[PendingSnap]) -> Vec<Pending> {
 #[derive(Debug, Clone)]
 pub struct TraceWorkloadFeed {
     process: WorkloadProcess,
-    seed: u64,
     rng: CountingRng<StdRng>,
     faults: FeedFaults,
     /// Next tick to publish (samples are generated in tick order whatever
@@ -364,7 +354,6 @@ impl TraceWorkloadFeed {
     pub fn new(scenario: &Scenario, faults: FeedFaults) -> Self {
         TraceWorkloadFeed {
             process: WorkloadProcess::new(scenario),
-            seed: scenario.seed(),
             rng: CountingRng::seeded(scenario.seed()),
             faults,
             published: 0,
@@ -382,13 +371,40 @@ impl TraceWorkloadFeed {
     }
 
     /// Rebuilds the feed at a checkpointed cursor: re-seeds from the
-    /// scenario, fast-forwards the RNG and restores the in-flight backlog.
-    pub fn from_state(scenario: &Scenario, faults: FeedFaults, state: &FeedCursorSnap) -> Self {
+    /// scenario, replays the draws of the `published` ticks and restores
+    /// the in-flight backlog.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Snapshot`] when `published` lies past the run's last tick,
+    /// or when `rng_draws` differs from the words the replay drew.
+    pub fn from_state(
+        scenario: &Scenario,
+        faults: FeedFaults,
+        state: &FeedCursorSnap,
+    ) -> crate::Result<Self> {
+        let ticks = scenario.num_steps() as u64;
+        if state.published > ticks {
+            return Err(Error::Snapshot(format!(
+                "workload feed published {} ticks, past the run's {ticks}",
+                state.published
+            )));
+        }
         let mut feed = Self::new(scenario, faults);
-        feed.rng = CountingRng::fast_forward(feed.seed, state.rng_draws);
+        for k in 0..state.published {
+            feed.process.draw(k as usize, &mut feed.rng);
+        }
+        if feed.rng.draws() != state.rng_draws {
+            return Err(Error::Snapshot(format!(
+                "workload feed rng_draws {} differs from the {} its {} published ticks draw",
+                state.rng_draws,
+                feed.rng.draws(),
+                state.published
+            )));
+        }
         feed.published = state.published;
         feed.pending = pending_from_state(&state.pending);
-        feed
+        Ok(feed)
     }
 }
 
@@ -476,17 +492,13 @@ mod tests {
     use idc_core::scenario::smoothing_scenario;
 
     #[test]
-    fn counting_rng_matches_plain_stdrng_and_fast_forwards() {
+    fn counting_rng_matches_plain_stdrng_and_counts_draws() {
         let mut plain = StdRng::seed_from_u64(99);
         let mut counted = CountingRng::seeded(99);
         for _ in 0..40 {
             assert_eq!(plain.next_u64(), counted.next_u64());
         }
         assert_eq!(counted.draws(), 40);
-        let mut ff = CountingRng::fast_forward(99, 40);
-        for _ in 0..10 {
-            assert_eq!(counted.next_u64(), ff.next_u64());
-        }
     }
 
     #[test]
@@ -549,7 +561,7 @@ mod tests {
             live.poll(t);
         }
         let snap = live.state();
-        let mut resumed = TraceWorkloadFeed::from_state(&scenario, faults, &snap);
+        let mut resumed = TraceWorkloadFeed::from_state(&scenario, faults, &snap).unwrap();
         for t in 20..40 {
             let a = live.poll(t);
             let b = resumed.poll(t);

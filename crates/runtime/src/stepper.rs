@@ -691,7 +691,7 @@ impl Stepper {
         let mut policy = paper_tuned_policy(&scenario, config.backend.as_deref())?;
         policy.restore(&snapshot.policy)?;
         let workload_feed =
-            TraceWorkloadFeed::from_state(&scenario, workload_faults, &snapshot.workload_feed);
+            TraceWorkloadFeed::from_state(&scenario, workload_faults, &snapshot.workload_feed)?;
         let price_feed = TracePriceFeed::from_state(&scenario, price_faults, &snapshot.price_feed);
         let workload_ingest = BoundedIngest::restore(config.ingest_bound, snapshot.workload_shed);
         let price_ingest = BoundedIngest::restore(config.ingest_bound, snapshot.price_shed);

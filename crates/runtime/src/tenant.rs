@@ -1076,7 +1076,10 @@ mod tests {
         for (id, config) in &specs {
             let done = manager.snapshot(id).unwrap().step;
             let recorded: Vec<u64> = (1..=done).filter(|s| s % every == 0).collect();
-            written += recorded.len() as u64;
+            // A tenant that finished inside the budget also wrote its
+            // finish record (see `finished_tenant_records_its_last_step_twice`).
+            let finished = manager.status_board().status_of(id).unwrap().finished;
+            written += recorded.len() as u64 + u64::from(finished);
             let kept = &recorded[recorded.len().saturating_sub(keep_last)..];
             let lineage = CheckpointLineage::open(root.join(id), keep_last).unwrap();
             assert_eq!(
@@ -1109,6 +1112,43 @@ mod tests {
             Some(written)
         );
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A tenant run to its end writes a finish record after its last step,
+    /// also when the `checkpoint_every` rule has just recorded that step
+    /// (every 5 of 25 steps: 5 records and the finish, 5 files), so the
+    /// counter reads one more than the lineage holds. Every 4: 6 records
+    /// and the finish, 7 files.
+    #[test]
+    fn finished_tenant_records_its_last_step_twice() {
+        for (every, records, files) in [(5, 6, 5), (4, 7, 7)] {
+            let root = tmpdir(&format!("finish-record-{every}"));
+            let mut manager = TenantManager::new(ManagerConfig {
+                workers: 1,
+                checkpoint_root: Some(root.clone()),
+                keep_last: 10,
+                ..ManagerConfig::default()
+            });
+            manager
+                .add_tenant(TenantSpec {
+                    checkpoint_every: every,
+                    ..TenantSpec::max_speed("p", short("smoothing", 2012, 25))
+                })
+                .unwrap();
+            let report = manager.run().unwrap();
+            assert!(!report.killed);
+            assert_eq!(report.total_steps, 25);
+            assert_eq!(
+                manager.registry().counter("idc_tenant_checkpoints_total"),
+                Some(records),
+                "every {every}"
+            );
+            let lineage = CheckpointLineage::open(root.join("p"), 10).unwrap();
+            let steps = lineage.steps().unwrap();
+            assert_eq!(steps.len(), files, "every {every}");
+            assert_eq!(steps.last(), Some(&25));
+            std::fs::remove_dir_all(&root).unwrap();
+        }
     }
 
     #[test]

@@ -572,6 +572,62 @@ fn mutated_policy_state_is_refused_by_name() {
     assert_eq!(refused, [3, 3, 1, 1, 1, 2, 2, 3, 3]);
 }
 
+/// A workload feed cursor is checked against the draws of its published
+/// ticks, in time bounded by the run: an RNG count of 1e300 (which parses
+/// to `u64::MAX`), the true count plus one and a cursor past the run's last
+/// tick are each refused by name, and the untouched checkpoint resumes bit
+/// for bit.
+#[test]
+fn restored_feed_cursor_is_checked_against_its_ticks() {
+    let cfg = StepperConfig {
+        num_steps: Some(20),
+        ..StepperConfig::fault_free("noisy_day", 2012)
+    };
+    let mut live = Stepper::new(cfg).unwrap();
+    for _ in 0..10 {
+        live.step_once().unwrap();
+    }
+    let snapshot = live.snapshot();
+    let cursor = &snapshot.workload_feed;
+    assert!(cursor.rng_draws > 0, "noisy_day draws workload noise");
+    let json = snapshot.to_json().unwrap();
+    // The cursor's head as serialized: the feed's name, then its fields.
+    let head = |published: &dyn std::fmt::Display, draws: &dyn std::fmt::Display| {
+        format!("\"workload_feed\":{{\"published\":{published},\"rng_draws\":{draws}")
+    };
+    let (published, draws) = (cursor.published, cursor.rng_draws);
+    let from = head(&published, &draws);
+    assert_eq!(json.matches(&from).count(), 1, "{from}");
+    let cases = [
+        (head(&published, &"1e300"), "rng_draws"),
+        (head(&published, &(draws + 1)), "rng_draws"),
+        (head(&21, &draws), "past the run's 20"),
+    ];
+    for (to, reason) in cases {
+        let bad = RuntimeSnapshot::from_json(&json.replacen(&from, &to, 1)).unwrap();
+        let start = std::time::Instant::now();
+        match Stepper::restore(&bad) {
+            Err(Error::Snapshot(msg)) => assert!(msg.contains(reason), "{to}: {msg}"),
+            Err(e) => panic!("{to}: wrong error: {e}"),
+            Ok(_) => panic!("{to} must be refused"),
+        }
+        assert!(
+            start.elapsed().as_secs() < 10,
+            "{to}: restore took {:?}",
+            start.elapsed()
+        );
+    }
+    let mut resumed = Stepper::restore(&RuntimeSnapshot::from_json(&json).unwrap()).unwrap();
+    while live.step_once().unwrap() {
+        assert!(resumed.step_once().unwrap());
+    }
+    assert!(!resumed.step_once().unwrap());
+    assert_eq!(
+        live.accumulated_cost().to_bits(),
+        resumed.accumulated_cost().to_bits()
+    );
+}
+
 /// A carried working-set log whose rows are in range of nothing but the
 /// QP restores, and the first step names the row it cannot find.
 #[test]
