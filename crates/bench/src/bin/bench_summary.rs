@@ -2,8 +2,8 @@
 //! solve pipeline, written to `BENCH_mpc.json`.
 //!
 //! Measurements cover the banded Riccati solver on the synthetic
-//! price-flip fleets of `ext_scaling`, from the paper's 3×5 fleet up to
-//! 12×24:
+//! price-flip fleets of `idc_core::scenario::scaled_fleet`, from the
+//! paper's 3×5 fleet up to 12×24:
 //!
 //! * **single_step** — median and min–max of nine timings of one
 //!   `MpcController::plan` call, cold (controller reset before every call,
@@ -57,17 +57,11 @@ use std::time::Instant;
 use idc_control::mpc::{MpcConfig, MpcController, MpcProblem};
 use idc_core::metrics::{PhaseBreakdown, SolveStats};
 use idc_core::policy::{MpcPolicy, MpcPolicyConfig};
-use idc_core::scenario::{PricingSpec, Scenario};
+use idc_core::scenario::{scaled_fleet, PricingSpec, Scenario};
 use idc_core::simulation::Simulator;
-use idc_datacenter::fleet::IdcFleet;
-use idc_datacenter::idc::IdcConfig;
-use idc_datacenter::portal::FrontEndPortal;
-use idc_datacenter::server::ServerSpec;
 use idc_market::fault::{FaultyTracePricing, PriceFault};
-use idc_market::region::Region;
 use idc_market::rtp::TracePricing;
 use idc_market::tariff::DemandCharge;
-use idc_market::trace::PriceTrace;
 use idc_storage::{paper_test_battery, StorageFleet};
 
 /// The committed sizes of `BENCH_mpc.json`.
@@ -99,42 +93,6 @@ const SINGLE_STEP_REPS: usize = 9;
 /// its median when the host stalls the process; the median of five does
 /// not move with one such stall.
 const E2E_REPEATS: usize = 5;
-
-/// A synthetic fleet of `n` IDCs × `c` portals sized like the paper's
-/// (same construction as `ext_scaling`).
-fn synthetic(n: usize, c: usize) -> (IdcFleet, Vec<PriceTrace>) {
-    let idcs: Vec<IdcConfig> = (0..n)
-        .map(|j| {
-            IdcConfig::new(
-                format!("idc-{j}"),
-                30_000,
-                ServerSpec::new(150.0, 285.0, 1.25 + 0.25 * (j % 4) as f64).expect("valid"),
-                1.0,
-            )
-            .expect("valid")
-        })
-        .collect();
-    let per_portal = idcs.iter().map(|i| i.max_workload()).sum::<f64>() * 0.6 / c as f64;
-    let portals: Vec<FrontEndPortal> = (0..c)
-        .map(|i| FrontEndPortal::new(format!("portal-{i}"), per_portal).expect("valid"))
-        .collect();
-    let traces: Vec<PriceTrace> = (0..n)
-        .map(|j| {
-            let base = 25.0 + (j as f64 * 13.7) % 30.0;
-            let hourly: Vec<f64> = (0..24)
-                .map(|h| {
-                    if h >= 7 {
-                        base + ((j as f64 * 31.1) % 45.0) - 20.0
-                    } else {
-                        base
-                    }
-                })
-                .collect();
-            PriceTrace::new(Region::new(j, format!("region-{j}")), hourly).expect("24 values")
-        })
-        .collect();
-    (IdcFleet::new(portals, idcs).expect("non-empty"), traces)
-}
 
 /// An MPC step for the synthetic fleet with an explicit starting
 /// allocation and a reference "flip" (the cheap IDC moves from the first
@@ -352,7 +310,7 @@ fn run_window(n: usize, c: usize, storage: bool) -> Result<WindowRun, idc_core::
     let mut steps = 0;
     let (start, steps_in_window) = (7.0 - 5.0 * ts, 25);
     for (mode, solver_reuse) in [false, true].into_iter().enumerate() {
-        let (fleet, traces) = synthetic(n, c);
+        let (fleet, traces) = scaled_fleet(n, c);
         let base = TracePricing::new(traces);
         let pricing = if storage {
             // Price swings on every other step, up or down by region and

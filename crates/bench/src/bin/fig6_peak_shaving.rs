@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run -p idc-bench --bin fig6_peak_shaving`
 
-use idc_bench::repro::{print_power_subfigure, run_both, IDC_NAMES};
+use idc_bench::repro::{endpoint_budget_claim, print_power_subfigure, run_both, IDC_NAMES};
 use idc_core::scenario::peak_shaving_scenario;
 
 fn main() {
@@ -30,8 +30,9 @@ fn main() {
     println!("paper vs measured (final operating points, MW):");
     println!("  paper: Michigan and Minnesota track their budgets; Wisconsin converges");
     println!("  between its budget (4.275) and the optimal value (1.63).");
+    let mut mpc_finals = Vec::with_capacity(IDC_NAMES.len());
     for (j, name) in IDC_NAMES.iter().enumerate() {
-        let mpc_final = runs.mpc.power_mw(j).last().expect("nonempty run");
+        let mpc_final = *runs.mpc.power_mw(j).last().expect("nonempty run");
         let opt_final = runs.opt.power_mw(j).last().expect("nonempty run");
         println!(
             "  {name:>10}: budget {:>6.3} | MPC final {:>7.3} | optimal final {:>7.3}",
@@ -39,9 +40,10 @@ fn main() {
             mpc_final,
             opt_final
         );
+        mpc_finals.push(mpc_final);
     }
     let mpc_v = runs.mpc.budget_violation_fractions(budgets.as_slice());
     let opt_v = runs.opt.budget_violation_fractions(budgets.as_slice());
     println!("over-budget sample fractions: MPC {mpc_v:?} vs optimal {opt_v:?}");
-    println!("(MPC transients during the ramp count as violations; the endpoint is under budget.)");
+    println!("{}", endpoint_budget_claim(&mpc_finals, budgets.as_slice()));
 }

@@ -4,14 +4,16 @@
 //! The reproductions are independent processes, so they run concurrently;
 //! each child's output is captured whole and printed in the fixed bin
 //! order below, which makes the combined output byte-identical to a
-//! sequential run regardless of how the children are scheduled.
+//! sequential run regardless of how the children are scheduled. Exits
+//! with status 1, after printing everything, if any child failed to
+//! launch or exited unsuccessfully.
 //!
 //! Run with: `cargo run -p idc-bench --bin repro_all`
 
-use std::process::Command;
+use std::process::{Command, ExitCode};
 use std::thread;
 
-fn main() {
+fn main() -> ExitCode {
     let bins = [
         "tables",
         "fig2_prices",
@@ -24,14 +26,10 @@ fn main() {
         "ext_diurnal_day",
         "ext_weight_ablation",
         "ext_two_time_scale",
-        "ext_delay_tolerant",
-        "ext_hedging",
-        "ext_green_energy",
-        "ext_prediction_value",
         "verify_invariants",
     ];
     let own = std::env::current_exe().expect("own path");
-    thread::scope(|scope| {
+    let all_ok = thread::scope(|scope| {
         // Launch everything up front; `output()` drains each child's pipes
         // on its own thread so no child ever blocks on a full pipe.
         let handles: Vec<_> = bins
@@ -50,6 +48,7 @@ fn main() {
             })
             .collect();
         // Print in launch order — completion order is scheduling noise.
+        let mut all_ok = true;
         for (bin, handle) in bins.iter().zip(handles) {
             println!("\n================================================================");
             println!("==== {bin}");
@@ -60,12 +59,22 @@ fn main() {
                     eprint!("{}", String::from_utf8_lossy(&out.stderr));
                     if !out.status.success() {
                         eprintln!("{bin} exited with {}", out.status);
+                        all_ok = false;
                     }
                 }
-                Err(e) => eprintln!(
-                    "failed to launch {bin}: {e} (build with `cargo build -p idc-bench --bins` first)"
-                ),
+                Err(e) => {
+                    eprintln!(
+                        "failed to launch {bin}: {e} (build with `cargo build -p idc-bench --bins` first)"
+                    );
+                    all_ok = false;
+                }
             }
         }
+        all_ok
     });
+    if all_ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

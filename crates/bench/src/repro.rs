@@ -96,3 +96,53 @@ pub fn print_endpoint_summary(runs: &FigureRuns, paper_start_mw: [f64; 3], paper
     );
     println!();
 }
+
+/// Slack (MW) within which an MPC final operating point counts as at its
+/// peak-shaving budget: the tolerance of the end-to-end Figs. 6/7 shape
+/// test.
+pub const BUDGET_SLACK_MW: f64 = 0.01;
+
+/// The closing sentence of Fig. 6, computed from the MPC's final power per
+/// IDC and the budgets (both in [`IDC_NAMES`] order): the endpoint is under
+/// budget when every final is at most its budget plus
+/// [`BUDGET_SLACK_MW`]; otherwise the sentence names each IDC over that
+/// and its overshoot past the budget.
+pub fn endpoint_budget_claim(mpc_finals_mw: &[f64], budgets_mw: &[f64]) -> String {
+    let over: Vec<String> = IDC_NAMES
+        .iter()
+        .zip(mpc_finals_mw.iter().zip(budgets_mw))
+        .filter(|(_, (&last, &budget))| !(last <= budget + BUDGET_SLACK_MW))
+        .map(|(name, (last, budget))| format!("{name} by {:.3} MW", last - budget))
+        .collect();
+    let endpoint = if over.is_empty() {
+        "the endpoint is under budget".to_string()
+    } else {
+        format!("the endpoint is over budget: {}", over.join(", "))
+    };
+    format!("(MPC transients during the ramp count as violations; {endpoint}.)")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn endpoint_within_the_slack_is_under_budget() {
+        let claim = endpoint_budget_claim(&[5.135, 10.26, 3.1], &[5.13, 10.26, 4.275]);
+        assert_eq!(
+            claim,
+            "(MPC transients during the ramp count as violations; \
+             the endpoint is under budget.)"
+        );
+    }
+
+    #[test]
+    fn an_over_budget_final_is_named_with_its_overshoot() {
+        let claim = endpoint_budget_claim(&[5.13, 10.5, 4.4], &[5.13, 10.26, 4.275]);
+        assert_eq!(
+            claim,
+            "(MPC transients during the ramp count as violations; \
+             the endpoint is over budget: Minnesota by 0.240 MW, Wisconsin by 0.125 MW.)"
+        );
+    }
+}

@@ -13,8 +13,6 @@
 //!   the input-rate penalty that smooths power demand,
 //! * [`warm_repair`] — the receding-horizon warm-start repair that builds
 //!   the feasible start of every MPC solve, warm or cold,
-//! * [`green`] — the green-aware reference (renewables-first load
-//!   placement, the Liu et al. \[6\] extension),
 //! * [`mod@reference`] — the control-reference optimizer (paper eq. 46, the
 //!   Rao et al. INFOCOM'10 LP, solved exactly by a merit-order fill) and
 //!   the peak-shaving clamp `P_r = min(P_ro, P_rb)` of Sec. IV-D.
@@ -49,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod green;
 pub mod mpc;
 pub mod reference;
 pub mod riccati;

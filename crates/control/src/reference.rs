@@ -28,9 +28,8 @@
 //! * `Pr_j < 0`: the operator is paid to consume, so `m_j = M_j` and a
 //!   request costs `Pr_j·b1_j`.
 //!
-//! The billed-peak demand charge ([`optimal_with_demand_charge`]) and the
-//! renewable-aware reference ([`crate::green`]) add one or two breakpoints
-//! per IDC; their pieces are listed where they are built.
+//! The billed-peak demand charge ([`optimal_with_demand_charge`]) adds one
+//! or two breakpoints per IDC; its pieces are listed where they are built.
 //!
 //! Ties in marginal cost go to the lower IDC index, then to the cheaper
 //! piece of the same IDC.
@@ -358,7 +357,7 @@ pub fn price_greedy_reference(
 /// One linear piece of an IDC's cost in its total load: `width` req/s at
 /// `slope` $/h per req/s.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Piece {
+struct Piece {
     idc: usize,
     width: f64,
     slope: f64,
@@ -366,7 +365,7 @@ pub(crate) struct Piece {
 
 /// Appends IDC `idc`'s piece over the load range `from..to` at `slope`,
 /// unless the range is empty.
-pub(crate) fn push_piece(pieces: &mut Vec<Piece>, idc: usize, from: f64, to: f64, slope: f64) {
+fn push_piece(pieces: &mut Vec<Piece>, idc: usize, from: f64, to: f64, slope: f64) {
     if to > from {
         pieces.push(Piece {
             idc,
@@ -387,7 +386,7 @@ pub(crate) fn push_piece(pieces: &mut Vec<Piece>, idc: usize, from: f64, to: f64
 ///
 /// [`Error::Infeasible`] when the offered load exceeds the fleet's
 /// latency-bounded capacity.
-pub(crate) fn merit_order(
+fn merit_order(
     idcs: &[IdcConfig],
     offered: &[f64],
     mut pieces: Vec<Piece>,
@@ -435,21 +434,21 @@ pub(crate) fn merit_order(
 
 /// An IDC's power coefficients in MW (facility overhead included).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PowerCurve {
+struct PowerCurve {
     /// MW per req/s served.
-    pub(crate) b1: f64,
+    b1: f64,
     /// MW per server ON.
-    pub(crate) b0: f64,
+    b0: f64,
     /// MW per req/s with the servers at their latency floor.
-    pub(crate) a: f64,
+    a: f64,
     /// MW at zero load with the servers at their latency floor.
-    pub(crate) p0: f64,
+    p0: f64,
     /// Installed servers `M_j`.
-    pub(crate) m_max: f64,
+    m_max: f64,
 }
 
 impl PowerCurve {
-    pub(crate) fn of(idc: &IdcConfig) -> Self {
+    fn of(idc: &IdcConfig) -> Self {
         let b1 = idc.pue() * idc.server().b1() / 1e6;
         let b0 = idc.pue() * idc.server().b0() / 1e6;
         PowerCurve {
@@ -465,7 +464,7 @@ impl PowerCurve {
 /// The load in `[lo, hi]` at which the power line `intercept + slope·Λ`
 /// reaches `level`: `hi` when it stays below, `lo` when it starts at or
 /// above it.
-pub(crate) fn crossing(level: f64, intercept: f64, slope: f64, lo: f64, hi: f64) -> f64 {
+fn crossing(level: f64, intercept: f64, slope: f64, lo: f64, hi: f64) -> f64 {
     if slope > 0.0 {
         ((level - intercept) / slope).max(lo).min(hi)
     } else if intercept < level {
@@ -476,13 +475,13 @@ pub(crate) fn crossing(level: f64, intercept: f64, slope: f64, lo: f64, hi: f64)
 }
 
 /// Eq. 35's latency floor `(Λ + 1/D)/µ`, capped at the installed count.
-pub(crate) fn floor_servers(idc: &IdcConfig, load: f64) -> f64 {
+fn floor_servers(idc: &IdcConfig, load: f64) -> f64 {
     queueing::fractional_servers_for_latency(load, idc.service_rate(), idc.latency_bound())
         .min(idc.total_servers() as f64)
 }
 
 /// IDC power in MW at `load` req/s with `servers` ON.
-pub(crate) fn idc_power_mw(idc: &IdcConfig, load: f64, servers: f64) -> f64 {
+fn idc_power_mw(idc: &IdcConfig, load: f64, servers: f64) -> f64 {
     idc.pue() * (idc.server().b1() * load + idc.server().b0() * servers) / 1e6
 }
 
@@ -508,7 +507,7 @@ fn solution(
 
 /// Rejects inconsistent dimensions, non-finite prices and
 /// negative/non-finite workloads before they reach the fill.
-pub(crate) fn validate_inputs(idcs: &[IdcConfig], offered: &[f64], prices: &[f64]) -> Result<()> {
+fn validate_inputs(idcs: &[IdcConfig], offered: &[f64], prices: &[f64]) -> Result<()> {
     let n = idcs.len();
     let c = offered.len();
     if n == 0 || c == 0 || prices.len() != n {

@@ -27,8 +27,6 @@
 //!   summaries plus policy comparisons,
 //! * [`scenario`] — the canned experiments behind every figure of the
 //!   paper (plus the vicious-cycle and weight-ablation extensions),
-//! * [`delay_tolerant`] — the batch-deferral extension (cost↔delay
-//!   trade-off of the paper's related work \[9\]),
 //! * [`report`] — plain-text rendering used by the reproduction harness.
 //!
 //! # Quickstart
@@ -55,7 +53,6 @@
 
 pub mod clock;
 pub mod config;
-pub mod delay_tolerant;
 mod error;
 pub mod feed;
 pub mod metrics;

@@ -208,12 +208,6 @@ pub struct MpcPolicyConfig {
     pub server_ramp_limit: u64,
     /// Slow-loop period in fast-loop steps (the two-time-scale ratio).
     pub slow_period: usize,
-    /// When `true` (default, the paper's Sec. IV-D behaviour) the power
-    /// reference is re-solved at each prediction step's forecast workload,
-    /// letting the controller anticipate ramps; `false` holds the
-    /// current-step reference across the horizon (the no-prediction
-    /// ablation).
-    pub anticipatory_reference: bool,
     /// When `true` (default) the inner controller keeps its solve state —
     /// cached QP skeleton, factorizations, warm start — across sampling
     /// periods. `false` resets it every step, forcing a from-scratch solve:
@@ -261,7 +255,6 @@ impl Default for MpcPolicyConfig {
             budgets: None,
             server_ramp_limit: 1_500,
             slow_period: 1,
-            anticipatory_reference: true,
             solver_reuse: true,
             forced_failure_steps: Vec::new(),
             forced_refactor_steps: Vec::new(),
@@ -1082,25 +1075,21 @@ impl MpcPolicy {
                 .collect()
         };
         let mut power_reference_mw = Vec::with_capacity(beta1);
-        if self.config.anticipatory_reference {
-            for step_forecast in &horizon_forecasts {
-                let step_ref = self
-                    .reference_for(ctx.idcs, step_forecast, &ctx.prices)
-                    .map(|r| {
-                        let mut p = match &self.config.budgets {
-                            Some(b) => r.clamped_power_mw(b.as_slice()),
-                            None => r.power_mw().to_vec(),
-                        };
-                        for (pj, &s) in p.iter_mut().zip(&shaping.shift) {
-                            *pj = (*pj + s).max(0.0);
-                        }
-                        p
-                    })
-                    .unwrap_or_else(|_| power_ref.clone());
-                power_reference_mw.push(step_ref);
-            }
-        } else {
-            power_reference_mw = vec![power_ref.clone(); beta1];
+        for step_forecast in &horizon_forecasts {
+            let step_ref = self
+                .reference_for(ctx.idcs, step_forecast, &ctx.prices)
+                .map(|r| {
+                    let mut p = match &self.config.budgets {
+                        Some(b) => r.clamped_power_mw(b.as_slice()),
+                        None => r.power_mw().to_vec(),
+                    };
+                    for (pj, &s) in p.iter_mut().zip(&shaping.shift) {
+                        *pj = (*pj + s).max(0.0);
+                    }
+                    p
+                })
+                .unwrap_or_else(|_| power_ref.clone());
+            power_reference_mw.push(step_ref);
         }
 
         let problem = MpcProblem {

@@ -411,15 +411,13 @@ pub fn diurnal_day_scenario(seed: u64) -> Scenario {
     .with_workload_noise(0.03, seed)
 }
 
-/// Extension — a parametric fleet of `n` IDCs × `c` portals over a noisy
-/// full day (5-minute sampling, 3 % workload noise), for hosting many
-/// *heterogeneous* control loops: per-IDC efficiency, base price and
-/// post-7H price offsets are deterministic functions of the IDC index, so
-/// `scaled_fleet_scenario(4, 8, seed)` is the same experiment everywhere
-/// while differing from `scaled_fleet_scenario(6, 8, seed)` in shape, not
-/// just in seed. Mirrors the synthetic fleet of the `bench_summary`
-/// scaling study. `n` and `c` are clamped to at least 1.
-pub fn scaled_fleet_scenario(n: usize, c: usize, seed: u64) -> Scenario {
+/// A synthetic fleet of `n` IDCs × `c` portals sized like the paper's,
+/// with one hourly price trace per IDC. Per-IDC efficiency, base price and
+/// post-7H price offset are deterministic functions of the IDC index, so
+/// the prices flip ranking at 7H like the paper's traces, and
+/// `scaled_fleet(4, 8)` differs from `scaled_fleet(6, 8)` in shape, not
+/// just in size. `n` and `c` are clamped to at least 1.
+pub fn scaled_fleet(n: usize, c: usize) -> (IdcFleet, Vec<PriceTrace>) {
     let n = n.max(1);
     let c = c.max(1);
     let idcs: Vec<IdcConfig> = (0..n)
@@ -454,9 +452,23 @@ pub fn scaled_fleet_scenario(n: usize, c: usize, seed: u64) -> Scenario {
             PriceTrace::new(Region::new(j, format!("region-{j}")), hourly).expect("24 values")
         })
         .collect();
+    let fleet = IdcFleet::new(portals, idcs).expect("non-empty fleet");
+    (fleet, traces)
+}
+
+/// Extension — the [`scaled_fleet`] of `n` IDCs × `c` portals over a noisy
+/// full day (5-minute sampling, 3 % workload noise), for hosting many
+/// *heterogeneous* control loops: `scaled_fleet_scenario(4, 8, seed)` is
+/// the same experiment everywhere while differing from
+/// `scaled_fleet_scenario(6, 8, seed)` in shape, not just in seed. The
+/// `bench_summary` scaling study runs the same fleet over a price-flip
+/// window. `n` and `c` are clamped to at least 1.
+pub fn scaled_fleet_scenario(n: usize, c: usize, seed: u64) -> Scenario {
+    let (n, c) = (n.max(1), c.max(1));
+    let (fleet, traces) = scaled_fleet(n, c);
     Scenario::new(
         format!("scaled-fleet-{n}x{c}"),
-        IdcFleet::new(portals, idcs).expect("non-empty fleet"),
+        fleet,
         PricingSpec::Trace(TracePricing::new(traces)),
         0.0,
         24.0,

@@ -11,18 +11,12 @@
 //!   Wisconsin whose hour-6 and hour-7 values equal the paper's Table III
 //!   exactly (the rest of the day is synthesized to match Fig. 2's shape —
 //!   the real MISO archive is not available offline),
-//! * [`stochastic::BidStackModel`] — the bottom-up bid-based stochastic
-//!   price model the paper cites (Skantze et al. \[17\].): an exponential bid
-//!   stack driven by mean-reverting load/supply processes,
 //! * [`rtp`] — the [`rtp::PricingModel`] abstraction `Pr = f(region, time,
 //!   load)` (paper eq. 9), including demand-responsive pricing used for the
 //!   "vicious cycle" experiments of the introduction,
 //! * [`tariff`] — power budgets and peak-demand penalties (the constraint
 //!   that motivates peak shaving),
-//! * [`contract`] — take-or-pay forward contracts that monetize demand
-//!   predictability (the introduction's hedging/rebate argument),
-//! * [`renewable`] — per-region renewable generation profiles for the
-//!   green-energy extension (related work \[6\]).
+//! * [`fault`] — price traces with injected feed faults.
 //!
 //! # Example
 //!
@@ -38,11 +32,8 @@
 
 #![warn(missing_docs)]
 
-pub mod contract;
 pub mod fault;
 pub mod region;
-pub mod renewable;
 pub mod rtp;
-pub mod stochastic;
 pub mod tariff;
 pub mod trace;

@@ -2,11 +2,9 @@
 
 use idc_market::region::Region;
 use idc_market::rtp::{DemandResponsivePricing, PricingModel, TracePricing};
-use idc_market::stochastic::{BidStackModel, OrnsteinUhlenbeck};
 use idc_market::tariff::{PeakTariff, PowerBudget};
 use idc_market::trace::PriceTrace;
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -76,32 +74,5 @@ proptest! {
             prop_assert!((p - p0 - gamma * load).abs() < 1e-9);
             prop_assert_eq!(p0, base.price(region, 12.0, 0.0));
         }
-    }
-
-    /// OU paths with zero volatility decay monotonically toward the target.
-    #[test]
-    fn ou_noiseless_decay_is_monotone(
-        kappa in 0.1f64..5.0,
-        x0 in -10.0f64..10.0,
-        theta in -5.0f64..5.0,
-    ) {
-        let ou = OrnsteinUhlenbeck::new(kappa, 0.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut x = x0;
-        let mut dist = (x - theta).abs();
-        for _ in 0..20 {
-            x = ou.step(&mut rng, x, theta, 0.3);
-            let d = (x - theta).abs();
-            prop_assert!(d <= dist + 1e-12);
-            dist = d;
-        }
-    }
-
-    /// Bid-stack prices are positive and increase with injected demand.
-    #[test]
-    fn bid_stack_prices_respond_to_demand(region in 0usize..3, extra in 0.0f64..1.0) {
-        let m = BidStackModel::paper_like(region);
-        prop_assert!(m.price() > 0.0);
-        prop_assert!(m.price_with_extra_demand(extra) >= m.price());
     }
 }

@@ -2,13 +2,12 @@
 //!
 //! Small, deliberately naive reference solvers that share **no code** with
 //! `idc-opt` or the production reference: a full-tableau two-phase simplex
-//! with Bland's rule for the reference LPs (paper eq. 46, its
-//! demand-charge epigraph and its green-aware form, which production
-//! solves by a merit-order fill) and a textbook primal active-set method
-//! with dense Gaussian-elimination KKT solves for the MPC QP (paper
-//! eq. 42–45, with the battery terms when the step carries storage). No
-//! caching, no warm starts, no factorization reuse — every call rebuilds
-//! and re-solves from scratch. The production MPC has one monolithic QP
+//! with Bland's rule for the reference LPs (paper eq. 46 and its
+//! demand-charge epigraph, which production solves by a merit-order fill)
+//! and a textbook primal active-set method with dense Gaussian-elimination
+//! KKT solves for the MPC QP (paper eq. 42–45, with the battery terms when
+//! the step carries storage). No caching, no warm starts, no factorization
+//! reuse — every call rebuilds and re-solves from scratch. The production MPC has one monolithic QP
 //! path (the banded backend), so these oracles are its only independent
 //! reference: production results must agree with them to `1e-8` on the
 //! physically meaningful quantities (objective value and horizon power),
@@ -280,30 +279,20 @@ fn pivot(
 // Reference-LP oracle (paper eq. 46).
 // ---------------------------------------------------------------------------
 
-/// Tie-break weight on total power in the green-aware reference: the `ε`
-/// of `idc_control::green`, restated here so the oracle shares no code
-/// with production.
-pub const GREEN_EPSILON: f64 = 1e-3;
-
 /// The eq. 46 rows shared by every reference LP, over the variables
 /// `[λ (IDC-major, N·C), m (N), extra (N)]`: conservation per portal,
-/// latency/capacity and the installed bound per IDC. `energy_price(j)`
-/// prices IDC `j`'s power ($/MWh) through its `λ` and `m` columns; the
-/// `extra` columns (one per IDC when `extra`, else none) start unpriced
-/// and unconstrained.
-fn eq46_lp(
-    idcs: &[IdcConfig],
-    offered: &[f64],
-    energy_price: impl Fn(usize) -> f64,
-    extra: bool,
-) -> DenseLp {
+/// latency/capacity and the installed bound per IDC. `prices[j]` prices
+/// IDC `j`'s power ($/MWh) through its `λ` and `m` columns; the `extra`
+/// columns (one per IDC when `extra`, else none) start unpriced and
+/// unconstrained.
+fn eq46_lp(idcs: &[IdcConfig], offered: &[f64], prices: &[f64], extra: bool) -> DenseLp {
     let n = idcs.len();
     let c = offered.len();
     let nv = n * c + n + if extra { n } else { 0 };
     let mut cost = vec![0.0; nv];
     for j in 0..n {
         for (k, v) in power_row(idcs, c, j, nv).into_iter().enumerate() {
-            cost[k] += energy_price(j) * v;
+            cost[k] += prices[j] * v;
         }
     }
     let mut eq_rows = Vec::with_capacity(c);
@@ -374,7 +363,7 @@ pub fn reference_lp_oracle(idcs: &[IdcConfig], offered: &[f64], prices: &[f64]) 
     if !consistent(idcs, offered, &[prices]) {
         return None;
     }
-    eq46_lp(idcs, offered, |j| prices[j], false).solve()
+    eq46_lp(idcs, offered, prices, false).solve()
 }
 
 /// The demand-charge epigraph LP (Wang et al., arXiv:1308.0585) over the
@@ -399,7 +388,7 @@ pub fn demand_charge_lp_oracle(
         return None;
     }
     let (n, c) = (idcs.len(), offered.len());
-    let mut lp = eq46_lp(idcs, offered, |j| prices[j], true);
+    let mut lp = eq46_lp(idcs, offered, prices, true);
     let nv = lp.cost.len();
     for j in 0..n {
         let billed = n * c + n + j;
@@ -412,41 +401,6 @@ pub fn demand_charge_lp_oracle(
         floor[billed] = -1.0;
         lp.ub_rows.push(floor);
         lp.ub_rhs.push(-peaks_mw[j]);
-    }
-    lp.solve()
-}
-
-/// The green-aware reference LP (Liu et al.) over the variables
-/// `[λ, m, brown]`, with `G_j` the renewable power available:
-///
-/// ```text
-/// min   Σ_j max(Pr_j, 0)·brown_j + ε·Σ_j |Pr_j|·P_j
-/// s.t.  eq. 46 rows,  P_j − brown_j ≤ G_j
-/// ```
-///
-/// with `ε` = [`GREEN_EPSILON`]. Returns `None` when infeasible. The
-/// objective is directly comparable to
-/// `brown_cost_rate() + ε·Σ_j |Pr_j|·power_mw()[j]` of
-/// [`idc_control::green::GreenReferenceSolution`].
-pub fn green_lp_oracle(
-    idcs: &[IdcConfig],
-    offered: &[f64],
-    prices: &[f64],
-    renewable_mw: &[f64],
-) -> Option<LpPoint> {
-    if !consistent(idcs, offered, &[prices, renewable_mw]) {
-        return None;
-    }
-    let (n, c) = (idcs.len(), offered.len());
-    let mut lp = eq46_lp(idcs, offered, |j| GREEN_EPSILON * prices[j].abs(), true);
-    let nv = lp.cost.len();
-    for j in 0..n {
-        let brown = n * c + n + j;
-        lp.cost[brown] = prices[j].max(0.0);
-        let mut row = power_row(idcs, c, j, nv);
-        row[brown] = -1.0;
-        lp.ub_rows.push(row);
-        lp.ub_rhs.push(renewable_mw[j]);
     }
     lp.solve()
 }

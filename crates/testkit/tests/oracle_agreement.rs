@@ -5,7 +5,6 @@
 //! the brute-force cost bounded without ever sampling the same steps twice
 //! across runs.
 
-use idc_control::green::green_aware_reference;
 use idc_control::mpc::{
     MpcConfig, MpcController, MpcPlan, MpcProblem, SolverBackend, StorageProblem,
 };
@@ -17,11 +16,10 @@ use idc_core::scenario::{
 use idc_core::simulation::Simulator;
 use idc_datacenter::idc::IdcConfig;
 use idc_datacenter::server::ServerSpec;
-use idc_market::renewable::RenewableProfile;
 use idc_market::tariff::DemandCharge;
 use idc_testkit::oracle::{
-    demand_charge_lp_oracle, green_lp_oracle, horizon_power_sum_mw, qp_feasible, qp_objective,
-    reference_lp_oracle, replay_qp, LpPoint, AGREEMENT_TOL, GREEN_EPSILON,
+    demand_charge_lp_oracle, horizon_power_sum_mw, qp_feasible, qp_objective, reference_lp_oracle,
+    replay_qp, LpPoint, AGREEMENT_TOL,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
@@ -178,14 +176,13 @@ const REFERENCE_TOL: f64 = 1e-9;
 
 /// One random reference instance: 2–12 IDCs, 3–19 portals, offered load
 /// 5–95 % of the fleet's capacity, prices in [−10, 90] $/MWh with about
-/// one in six exactly zero, and per IDC a running peak and a renewable
-/// level anywhere between zero and its full-load power.
+/// one in six exactly zero, and per IDC a running peak anywhere between
+/// zero and its full-load power.
 struct ReferenceInstance {
     idcs: Vec<IdcConfig>,
     offered: Vec<f64>,
     prices: Vec<f64>,
     peaks_mw: Vec<f64>,
-    renewable_mw: Vec<f64>,
     capacity: f64,
 }
 
@@ -224,29 +221,21 @@ fn reference_instance(seed: u64) -> ReferenceInstance {
             }
         })
         .collect();
-    let full_power: Vec<f64> = idcs
+    let peaks_mw = idcs
         .iter()
         .map(|idc| {
-            idc.pue()
+            let full_power = idc.pue()
                 * (idc.server().b1() * idc.max_workload()
                     + idc.server().b0() * idc.total_servers() as f64)
-                / 1e6
+                / 1e6;
+            full_power * rng.random_range(0.0, 1.0)
         })
-        .collect();
-    let peaks_mw = full_power
-        .iter()
-        .map(|p| p * rng.random_range(0.0, 1.0))
-        .collect();
-    let renewable_mw = full_power
-        .iter()
-        .map(|p| p * rng.random_range(0.0, 1.0))
         .collect();
     ReferenceInstance {
         idcs,
         offered,
         prices,
         peaks_mw,
-        renewable_mw,
         capacity,
     }
 }
@@ -315,26 +304,6 @@ proptest! {
         let totals = sol.reference().idc_workloads(inst.offered.len());
         let checked = check_reference(&inst, sol.total_rate_per_hour(), &totals, oracle);
         prop_assert!(checked.is_ok(), "seed {seed}, rate {rate}: {:?}", checked);
-    }
-
-    /// The green-aware reference with flat renewable profiles.
-    #[test]
-    fn merit_order_green_reference_matches_green_oracle(seed in 0u64..u64::MAX) {
-        let inst = reference_instance(seed);
-        let profiles: Vec<RenewableProfile> = inst
-            .renewable_mw
-            .iter()
-            .map(|&g| RenewableProfile::new(vec![g; 24]).unwrap())
-            .collect();
-        let sol =
-            green_aware_reference(&inst.idcs, &inst.offered, &inst.prices, &profiles, 12.0).unwrap();
-        let objective = sol.brown_cost_rate()
-            + GREEN_EPSILON
-                * sol.power_mw().iter().zip(&inst.prices).map(|(p, pr)| p * pr.abs()).sum::<f64>();
-        let oracle = green_lp_oracle(&inst.idcs, &inst.offered, &inst.prices, &inst.renewable_mw);
-        let totals = sol.idc_workloads(inst.offered.len());
-        let checked = check_reference(&inst, objective, &totals, oracle);
-        prop_assert!(checked.is_ok(), "seed {seed}: {:?}", checked);
     }
 }
 
