@@ -118,8 +118,8 @@ fn step_problem_at(n: usize, c: usize, prev: Vec<f64>, flip: bool) -> MpcProblem
     }
 }
 
-/// One mid-transition MPC step for the synthetic fleet (same construction
-/// as the `mpc_solve` bench).
+/// One mid-transition MPC step for the synthetic fleet: the whole load
+/// sits on the last IDC while the reference favours the first.
 fn step_problem(n: usize, c: usize) -> MpcProblem {
     let per_portal = 10_000.0;
     let mut prev = vec![0.0; n * c];

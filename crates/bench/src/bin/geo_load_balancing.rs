@@ -5,11 +5,12 @@
 //! heuristic the paper's plots follow — and reports where each puts the
 //! workload, what it costs, and the cumulative gap between the two.
 //!
-//! Run with: `cargo run -p idc-examples --bin geo_load_balancing`
+//! Run with: `cargo run -p idc-bench --bin geo_load_balancing`
 
 use idc_control::reference::{optimal_reference, price_greedy_reference};
 use idc_core::config;
 use idc_datacenter::allocation::Allocation;
+use idc_datacenter::queueing::fractional_servers_for_latency;
 
 fn main() -> Result<(), idc_core::Error> {
     let fleet = config::paper_fleet_calibrated();
@@ -37,7 +38,8 @@ fn main() -> Result<(), idc_core::Error> {
             .map(|j| {
                 let idc = &fleet.idcs()[j];
                 let lam = static_alloc.idc_total(j);
-                let m = lam / idc.service_rate() + 1.0 / (idc.service_rate() * idc.latency_bound());
+                let m =
+                    fractional_servers_for_latency(lam, idc.service_rate(), idc.latency_bound());
                 prices[j] * (idc.server().b1() * lam + idc.server().b0() * m) / 1e6
             })
             .sum::<f64>();

@@ -1,5 +1,5 @@
-//! Runs every table/figure reproduction (the contents of EXPERIMENTS.md
-//! are generated from this output).
+//! Runs every table/figure reproduction and the geographic load-balancing
+//! baseline (the contents of EXPERIMENTS.md are generated from this output).
 //!
 //! The reproductions are independent processes, so they run concurrently;
 //! each child's output is captured whole and printed in the fixed bin
@@ -26,6 +26,7 @@ fn main() -> ExitCode {
         "ext_diurnal_day",
         "ext_weight_ablation",
         "ext_two_time_scale",
+        "geo_load_balancing",
         "verify_invariants",
     ];
     let own = std::env::current_exe().expect("own path");

@@ -1,5 +1,5 @@
-//! Shared utilities for the reproduction harness binaries and Criterion
-//! benches. The actual figure/table regeneration lives in `src/bin/`.
+//! Shared utilities for the reproduction harness binaries. The actual
+//! figure/table regeneration lives in `src/bin/`.
 
 #![warn(missing_docs)]
 

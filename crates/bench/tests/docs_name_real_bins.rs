@@ -1,9 +1,15 @@
-//! The result documents name only binaries that exist: every section of
-//! `repro_all` is a bin of this crate, and every `--bin NAME` or
-//! `target/release/NAME` in the docs is a bin of a workspace package.
+//! The result documents name only targets that exist: every section of
+//! `repro_all` is a bin of this crate, every `--bin NAME` or
+//! `target/release/NAME` in the docs is a bin of a workspace package, every
+//! `-p NAME` or `--package NAME` is a package under `crates/*` or `tests/`,
+//! and every `--bench NAME` is a bench target of one.
+
+mod workspace;
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+use workspace::{manifest, packages};
 
 const REPRO_ALL: &str = include_str!("../src/bin/repro_all.rs");
 
@@ -17,10 +23,6 @@ const DOCS: [(&str, &str); 4] = [
     ),
 ];
 
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 /// The names in `repro_all`'s `bins` list.
 fn repro_all_sections() -> Vec<&'static str> {
     let (_, after) = REPRO_ALL
@@ -33,55 +35,67 @@ fn repro_all_sections() -> Vec<&'static str> {
         .collect()
 }
 
-/// The `name`s and `path`s of a manifest's `[[bin]]` tables.
-fn declared_bins(manifest: &str) -> Vec<(String, String)> {
-    let value = |table: &str, key: &str| {
-        table.lines().find_map(|line| {
-            let (k, v) = line.split_once('=')?;
-            (k.trim() == key).then(|| v.trim().trim_matches('"').to_string())
-        })
-    };
+/// The value of `key` in a manifest table's `key = "value"` lines.
+fn table_value(table: &str, key: &str) -> Option<String> {
+    table.lines().find_map(|line| {
+        let (k, v) = line.split_once('=')?;
+        (k.trim() == key).then(|| v.trim().trim_matches('"').to_string())
+    })
+}
+
+/// The `name`s and `path`s of a manifest's `[[kind]]` target tables
+/// (`bin` or `bench`); a target without a `path` lives at
+/// `default_dir/NAME.rs`.
+fn declared_targets(manifest: &str, kind: &str, default_dir: &str) -> Vec<(String, String)> {
     manifest
-        .split("[[bin]]")
+        .split(&format!("[[{kind}]]"))
         .skip(1)
         .map(|rest| {
             let table = rest.split("\n[").next().unwrap_or(rest);
-            let name = value(table, "name").expect("a [[bin]] has a name");
-            let path = value(table, "path").unwrap_or_else(|| format!("src/bin/{name}.rs"));
+            let name =
+                table_value(table, "name").unwrap_or_else(|| panic!("a [[{kind}]] has a name"));
+            let path =
+                table_value(table, "path").unwrap_or_else(|| format!("{default_dir}/{name}.rs"));
             (name, path)
         })
         .collect()
 }
 
-/// Every bin target of the workspace packages under `crates/` and of
-/// `examples/`: each `[[bin]]` whose file exists, plus each
-/// `src/bin/*.rs` that no `[[bin]]` claims (when the package discovers
-/// bins).
-fn workspace_bins() -> Vec<String> {
-    let root = workspace_root();
-    let mut packages: Vec<PathBuf> = fs::read_dir(root.join("crates"))
-        .expect("crates/ is readable")
-        .map(|entry| entry.expect("a directory entry").path())
-        .collect();
-    packages.push(root.join("examples"));
-    let mut bins = Vec::new();
-    for package in packages {
-        let Ok(manifest) = fs::read_to_string(package.join("Cargo.toml")) else {
-            continue;
-        };
-        let declared = declared_bins(&manifest);
+/// The `[package]` names of [`packages`].
+fn package_names() -> Vec<String> {
+    packages()
+        .iter()
+        .map(|package| {
+            let manifest = manifest(package);
+            let (_, table) = manifest
+                .split_once("[package]")
+                .expect("a manifest has a [package] table");
+            let table = table.split("\n[").next().unwrap_or(table);
+            table_value(table, "name").expect("a package has a name")
+        })
+        .collect()
+}
+
+/// Every `kind` target (`bin` or `bench`) of the packages: each
+/// `[[kind]]` whose file exists, plus each `default_dir/*.rs` that no
+/// `[[kind]]` claims (unless the package turns discovery off).
+fn workspace_targets(kind: &str, default_dir: &str) -> Vec<String> {
+    let mut targets = Vec::new();
+    for package in packages() {
+        let manifest = manifest(&package);
+        let declared = declared_targets(&manifest, kind, default_dir);
         for (name, path) in &declared {
             assert!(
                 package.join(path).is_file(),
-                "{}: [[bin]] `{name}` points at missing {path}",
+                "{}: [[{kind}]] `{name}` points at missing {path}",
                 package.display()
             );
-            bins.push(name.clone());
+            targets.push(name.clone());
         }
-        if manifest.contains("autobins = false") {
+        if manifest.contains(&format!("auto{kind}s = false")) {
             continue;
         }
-        let Ok(dir) = fs::read_dir(package.join("src/bin")) else {
+        let Ok(dir) = fs::read_dir(package.join(default_dir)) else {
             continue;
         };
         for entry in dir {
@@ -90,21 +104,26 @@ fn workspace_bins() -> Vec<String> {
             let Some(stem) = file.strip_suffix(".rs") else {
                 continue;
             };
-            let path = format!("src/bin/{file}");
+            let path = format!("{default_dir}/{file}");
             if !declared.iter().any(|(_, declared)| *declared == path) {
-                bins.push(stem.to_string());
+                targets.push(stem.to_string());
             }
         }
     }
-    bins
+    targets
 }
 
-/// The bin names a doc runs: each word after `--bin` or `target/release/`.
-fn named_bins(doc: &str) -> Vec<&str> {
+/// Each word a doc writes right after one of `markers`. A marker that
+/// starts with `-` counts only as a whole flag, not inside a word.
+fn named_after<'a>(doc: &'a str, markers: &[&str]) -> Vec<&'a str> {
     let is_name_char = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
     let mut names = Vec::new();
-    for marker in ["--bin ", "target/release/"] {
+    for marker in markers {
         for (at, _) in doc.match_indices(marker) {
+            let inside_word = doc[..at].chars().next_back().is_some_and(is_name_char);
+            if marker.starts_with('-') && inside_word {
+                continue;
+            }
             let rest = &doc[at + marker.len()..];
             let end = rest.find(|c| !is_name_char(c)).unwrap_or(rest.len());
             if end > 0 {
@@ -129,15 +148,51 @@ fn every_repro_all_section_is_a_bench_bin() {
 }
 
 #[test]
+fn named_after_skips_markers_inside_words() {
+    let doc = "cargo run -p idc-bench; top-p idc-x; --package idc-core, --bench-out x --bench b";
+    assert_eq!(
+        named_after(doc, &["-p ", "--package "]),
+        ["idc-bench", "idc-core"]
+    );
+    assert_eq!(named_after(doc, &["--bench "]), ["b"]);
+}
+
+#[test]
 fn every_bin_the_docs_run_exists() {
-    let bins = workspace_bins();
+    let bins = workspace_targets("bin", "src/bin");
     for (doc, text) in DOCS {
-        let named = named_bins(text);
+        let named = named_after(text, &["--bin ", "target/release/"]);
         assert!(!named.is_empty(), "{doc} names no bin");
         for name in named {
             assert!(
                 bins.iter().any(|b| b == name),
                 "{doc} runs `{name}`, which no workspace package builds"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_package_the_docs_name_exists() {
+    let packages = package_names();
+    for (doc, text) in DOCS {
+        for name in named_after(text, &["-p ", "--package "]) {
+            assert!(
+                packages.iter().any(|p| p == name),
+                "{doc} names package `{name}`, which is no package under crates/ or tests/"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_bench_the_docs_run_exists() {
+    let benches = workspace_targets("bench", "benches");
+    for (doc, text) in DOCS {
+        for name in named_after(text, &["--bench "]) {
+            assert!(
+                benches.iter().any(|b| b == name),
+                "{doc} runs bench `{name}`, which no package under crates/ or tests/ declares"
             );
         }
     }

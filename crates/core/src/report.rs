@@ -1,6 +1,5 @@
 //! Plain-text rendering for the reproduction harness.
 
-use crate::metrics::Comparison;
 use crate::simulation::SimulationResult;
 
 /// Renders one run's per-IDC trajectories as an aligned table:
@@ -35,34 +34,6 @@ pub fn render_trajectories(result: &SimulationResult, idc_names: &[&str]) -> Str
         "total cost: ${:.2}   latency-ok: {:.1}%\n",
         result.total_cost(),
         100.0 * result.latency_ok_fraction()
-    ));
-    out
-}
-
-/// Renders a policy comparison summary.
-pub fn render_comparison(cmp: &Comparison, idc_names: &[&str]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# {} vs {}\n", cmp.name_a, cmp.name_b));
-    out.push_str(&format!(
-        "total cost: ${:.2} vs ${:.2} ({:+.2}%)\n",
-        cmp.total_cost.0,
-        cmp.total_cost.1,
-        cmp.cost_overhead_percent()
-    ));
-    for (j, name) in idc_names.iter().enumerate().take(cmp.peak_mw.len()) {
-        out.push_str(&format!(
-            "{name:>10}: peak {:.3} vs {:.3} MW | volatility {:.4} vs {:.4} MW/step | worst jump {:.3} vs {:.3} MW\n",
-            cmp.peak_mw[j].0,
-            cmp.peak_mw[j].1,
-            cmp.volatility_mw[j].0,
-            cmp.volatility_mw[j].1,
-            cmp.max_jump_mw[j].0,
-            cmp.max_jump_mw[j].1,
-        ));
-    }
-    out.push_str(&format!(
-        "fleet worst-jump reduction: {:.1}%\n",
-        cmp.jump_reduction_percent()
     ));
     out
 }
@@ -137,25 +108,5 @@ mod tests {
         // Every data row has the same number of fields as the header.
         let fields = lines[0].split(',').count();
         assert!(lines[1..].iter().all(|l| l.split(',').count() == fields));
-    }
-
-    #[test]
-    fn comparison_rendering_is_complete() {
-        let scenario = smoothing_scenario();
-        let sim = Simulator::new();
-        let a = sim
-            .run(&scenario, &mut OptimalPolicy::new(ReferenceKind::LpOptimal))
-            .unwrap();
-        let b = sim
-            .run(
-                &scenario,
-                &mut OptimalPolicy::new(ReferenceKind::PriceGreedy),
-            )
-            .unwrap();
-        let cmp = crate::metrics::Comparison::between(&a, &b).unwrap();
-        let text = render_comparison(&cmp, &["MI", "MN", "WI"]);
-        assert!(text.contains("total cost"));
-        assert!(text.contains("worst jump"));
-        assert!(text.contains("MI"));
     }
 }

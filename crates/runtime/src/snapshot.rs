@@ -46,17 +46,17 @@ pub const SNAPSHOT_VERSION: u64 = 3;
 /// Oldest format [`RuntimeSnapshot::validate`] accepts.
 const OLDEST_RESTORABLE_VERSION: u64 = 2;
 
-/// Largest scenario seed a checkpoint carries exactly. The JSON model
-/// holds every number as an `f64`, which represents every integer up to
-/// `2⁵³` but not `2⁵³ + 1`: that seed would come back from a checkpoint as
-/// `2⁵³`, and the restored run would follow another scenario. (Fault
-/// schedules mask their seeds to 53 bits when they are built.)
-pub const MAX_SEED: u64 = 1 << 53;
+/// Largest scenario seed a checkpoint carries. The JSON model holds every
+/// number as an `f64`, and an integer read back from it must have a
+/// magnitude below `2⁵³`: `2⁵³ + 1` already parses as `2⁵³`, so no larger
+/// integer is known to be the one written. (Fault schedules mask their
+/// seeds to 53 bits when they are built.)
+pub const MAX_SEED: u64 = (1 << 53) - 1;
 
 /// The reason to refuse a scenario seed above [`MAX_SEED`], if it is one.
 pub(crate) fn seed_out_of_range(seed: u64) -> Option<String> {
     (seed > MAX_SEED).then(|| {
-        format!("scenario seed {seed} is above 2^53 = {MAX_SEED}, the largest a checkpoint holds exactly")
+        format!("scenario seed {seed} is above 2^53 - 1 = {MAX_SEED}, the largest a checkpoint holds exactly")
     })
 }
 

@@ -250,10 +250,11 @@ fn snapshot_with_retired_dense_backend_fails_to_restore() {
     }
 }
 
-/// The checkpoint's number model holds every integer up to `2⁵³` exactly:
-/// a run seeded `2⁵³` round-trips through JSON with its seed, and one
-/// seeded `2⁵³ + 1`, which would come back as `2⁵³`, is refused before it
-/// starts. A snapshot that carries such a seed is refused too.
+/// The checkpoint's number model holds every integer below `2⁵³` exactly:
+/// a run seeded `2⁵³ - 1` round-trips through JSON with its seed, and one
+/// seeded `2⁵³`, which a checkpoint could not tell from `2⁵³ + 1`, is
+/// refused before it starts. A snapshot that carries such a seed is
+/// refused too.
 #[test]
 fn seeds_above_two_to_the_53_are_refused() {
     let mut stepper = Stepper::new(StepperConfig::fault_free("smoothing", MAX_SEED)).unwrap();
@@ -270,16 +271,46 @@ fn seeds_above_two_to_the_53_are_refused() {
         json
     );
     match Stepper::new(StepperConfig::fault_free("smoothing", MAX_SEED + 1)) {
-        Err(Error::Config(msg)) => assert!(msg.contains("scenario seed 9007199254740993"), "{msg}"),
-        Err(e) => panic!("wrong error for seed 2^53 + 1: {e}"),
-        Ok(_) => panic!("seed 2^53 + 1 must be refused"),
+        Err(Error::Config(msg)) => assert!(msg.contains("scenario seed 9007199254740992"), "{msg}"),
+        Err(e) => panic!("wrong error for seed 2^53: {e}"),
+        Ok(_) => panic!("seed 2^53 must be refused"),
     }
     let mut snapshot = stepper.snapshot();
     snapshot.seed = MAX_SEED + 1;
     match snapshot.validate() {
         Err(Error::Snapshot(msg)) => assert!(msg.contains("above 2^53"), "{msg}"),
-        other => panic!("a seed above 2^53 must fail validation: {other:?}"),
+        other => panic!("a seed above 2^53 - 1 must fail validation: {other:?}"),
     }
+}
+
+/// Integers read from a checkpoint are exact or refused: a real
+/// `smoothing` checkpoint whose step cursor is edited to `3.7` or `-1`,
+/// whose `num_steps` is `1e300`, or whose seed is `2⁵³ + 1` (which parses
+/// as `2⁵³`) fails `from_json` with an error naming `u64`, instead of
+/// restoring as step 3, step 0, `u64::MAX` steps or seed `2⁵³`.
+#[test]
+fn checkpoint_integers_are_exact_or_refused() {
+    let mut stepper = Stepper::new(config(0, 0, 3)).unwrap();
+    for _ in 0..3 {
+        stepper.step_once().unwrap();
+    }
+    let json = stepper.snapshot().to_json().unwrap();
+    for (field, edited) in [
+        ("\"step\":3,", "\"step\":3.7,"),
+        ("\"step\":3,", "\"step\":-1,"),
+        ("\"num_steps\":25,", "\"num_steps\":1e300,"),
+        ("\"seed\":2012,", "\"seed\":9007199254740993,"),
+    ] {
+        assert_eq!(json.matches(field).count(), 1, "{field} in {json}");
+        match RuntimeSnapshot::from_json(&json.replacen(field, edited, 1)) {
+            Err(Error::Snapshot(msg)) => {
+                assert!(msg.contains("is not an exact u64"), "{edited}: {msg}")
+            }
+            Err(e) => panic!("{edited}: wrong error: {e}"),
+            Ok(_) => panic!("{edited} must be refused"),
+        }
+    }
+    assert!(RuntimeSnapshot::from_json(&json).is_ok());
 }
 
 /// A checkpoint whose policy warm start holds a non-finite `ΔU` entry is
@@ -306,8 +337,9 @@ fn non_finite_warm_start_is_refused() {
 
 /// A checkpoint whose fault schedule holds a delay beyond
 /// `MAX_DELAY_TICKS` fails to restore with a snapshot error naming the
-/// field. `u64::MAX` is what a `1e300` in the JSON parses to, and used to
-/// wrap `max_delay_ticks + 1` to a zero modulus; a delay at the cap still
+/// field: the largest delay the JSON holds exactly, `2⁵³ - 1`, on either
+/// feed, one past the cap, and `u64::MAX`, which used to wrap
+/// `max_delay_ticks + 1` to a zero modulus. A delay at the cap still
 /// restores and steps.
 #[test]
 fn snapshot_with_out_of_range_feed_delay_is_refused() {
@@ -319,8 +351,8 @@ fn snapshot_with_out_of_range_feed_delay_is_refused() {
     let field = "\"max_delay_ticks\":2";
     assert_eq!(json.matches(field).count(), 2, "{json}");
     for (which, delay, parsed) in [
-        (0, "1e300", u64::MAX),
-        (1, "1e300", u64::MAX),
+        (0, "9007199254740991", (1 << 53) - 1),
+        (1, "9007199254740991", (1 << 53) - 1),
         (0, "1048577", MAX_DELAY_TICKS + 1),
     ] {
         let mut at = json.match_indices(field).map(|(i, _)| i);
@@ -341,6 +373,13 @@ fn snapshot_with_out_of_range_feed_delay_is_refused() {
             Err(e) => panic!("wrong error for delay {delay}: {e}"),
             Ok(_) => panic!("delay {delay} must not restore"),
         }
+    }
+    let mut widest = stepper.snapshot();
+    widest.price_faults.max_delay_ticks = u64::MAX;
+    match Stepper::restore(&widest) {
+        Err(Error::Snapshot(msg)) => assert!(msg.contains("max delay"), "{msg}"),
+        Err(e) => panic!("wrong error for delay u64::MAX: {e}"),
+        Ok(_) => panic!("delay u64::MAX must not restore"),
     }
     let mut at_cap = stepper.snapshot();
     at_cap.workload_faults.max_delay_ticks = MAX_DELAY_TICKS;
@@ -573,10 +612,10 @@ fn mutated_policy_state_is_refused_by_name() {
 }
 
 /// A workload feed cursor is checked against the draws of its published
-/// ticks, in time bounded by the run: an RNG count of 1e300 (which parses
-/// to `u64::MAX`), the true count plus one and a cursor past the run's last
-/// tick are each refused by name, and the untouched checkpoint resumes bit
-/// for bit.
+/// ticks, in time bounded by the run: an RNG count of `2⁵³ - 1` (the
+/// largest the JSON holds exactly), the true count plus one and a cursor
+/// past the run's last tick are each refused by name, and the untouched
+/// checkpoint resumes bit for bit.
 #[test]
 fn restored_feed_cursor_is_checked_against_its_ticks() {
     let cfg = StepperConfig {
@@ -599,7 +638,7 @@ fn restored_feed_cursor_is_checked_against_its_ticks() {
     let from = head(&published, &draws);
     assert_eq!(json.matches(&from).count(), 1, "{from}");
     let cases = [
-        (head(&published, &"1e300"), "rng_draws"),
+        (head(&published, &"9007199254740991"), "rng_draws"),
         (head(&published, &(draws + 1)), "rng_draws"),
         (head(&21, &draws), "past the run's 20"),
     ];
