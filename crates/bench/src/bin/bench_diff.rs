@@ -1,5 +1,5 @@
-//! `bench_diff` — compares two `BENCH_mpc.json` (or `BENCH_runtime.json`)
-//! files and flags step-timing and solver-counter regressions.
+//! `bench_diff` — compares two `BENCH_mpc.json` files and flags
+//! step-timing and solver-counter regressions.
 //!
 //! ```text
 //! cargo run -p idc-bench --bin bench_diff -- \
@@ -27,11 +27,6 @@
 //! `bench_diff` prints with the status `reported` and never gates.
 //! Storage rows carry a ` +storage` key suffix so they never collide
 //! with the plain row at the same size and backend.
-//! `BENCH_runtime.json` documents (schema `bench.runtime.v1`, written by
-//! `runtime_soak`) contribute per-tenant `p99_step_ms` rows keyed by
-//! `tenant scenario backend` plus aggregate `p50_step_ms` / `p99_step_ms`
-//! / `step_ms` (the inverse of `steps_per_sec`, so lower is better like
-//! every other timing row); all are gated by `--threshold`.
 //! A row regresses when `current > baseline * (1 + threshold)`; both
 //! thresholds are relative (`--threshold`, default 0.10 = 10%, gates the
 //! timing rows; `--iters-threshold`, default 0.25, gates the counter
@@ -208,45 +203,6 @@ fn rows(doc: &Value) -> Vec<Row> {
                 key,
                 value,
             });
-        }
-    }
-    // `BENCH_runtime.json` (schema bench.runtime.v1): per-tenant p99 step
-    // latency plus aggregate percentiles and throughput. Throughput is
-    // folded into `step_ms` (its inverse) so every compared metric is
-    // lower-is-better and the single gating rule applies unchanged.
-    if let Some(Value::Array(items)) = doc.get("runtime") {
-        for item in items {
-            let (Some(tenant), Some(p99)) = (text(item, "tenant"), number(item, "p99_step_ms"))
-            else {
-                continue;
-            };
-            let scenario = text(item, "scenario").unwrap_or("?");
-            let backend = text(item, "backend").unwrap_or("default");
-            out.push(Row {
-                table: "runtime",
-                key: format!("{tenant} {scenario} {backend}"),
-                value: p99,
-            });
-        }
-    }
-    if let Some(agg) = doc.get("aggregate") {
-        for metric in ["p50_step_ms", "p99_step_ms"] {
-            if let Some(ms) = number(agg, metric) {
-                out.push(Row {
-                    table: "runtime_agg",
-                    key: metric.to_string(),
-                    value: ms,
-                });
-            }
-        }
-        if let Some(sps) = number(agg, "steps_per_sec") {
-            if sps > 0.0 {
-                out.push(Row {
-                    table: "runtime_agg",
-                    key: "step_ms".to_string(),
-                    value: 1000.0 / sps,
-                });
-            }
         }
     }
     out

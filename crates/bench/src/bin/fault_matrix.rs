@@ -7,21 +7,19 @@
 //! trajectories compared field-for-field: a deterministic harness must
 //! reproduce byte-identically or the cell fails. Cells also fail on hard
 //! invariant violations; budget overshoot and fallback activations are
-//! reported, not gated. One timed row per cell.
+//! reported, not gated. One row per cell.
 //!
 //! Run with: `cargo run --release -p idc-bench --bin fault_matrix`
 //!
-//! `--no-timing` prints `-` in the wall-clock `ms` column, so two runs of
-//! the same build print byte-identical output (CI compares two such runs
-//! with `cmp`). `--seed N` restricts the matrix to a single fault seed
-//! (default: the built-in seed set) and `--steps N` changes the scenario
-//! length (default: the smoothing scenario's 25 periods) — the defaults
-//! leave the golden output unchanged. `--trace-out PATH` additionally
-//! records every cell (and the spans inside it) through the flight
-//! recorder and writes a Chrome trace-event file; the console output is
-//! unchanged, so it composes with `--no-timing`.
-
-use std::time::Instant;
+//! The output carries no wall-clock time, so two runs of the same build
+//! print byte-identical output. `--seed N` restricts the matrix to a
+//! single fault seed (default: the built-in seed set) and `--steps N`
+//! changes the scenario length (default: the smoothing scenario's 25
+//! periods) — the defaults leave the golden output unchanged.
+//! `--trace-out PATH` additionally records every cell (and the spans
+//! inside it) through the flight recorder and writes a Chrome trace-event
+//! file; the console output is unchanged, so CI compares a traced run
+//! with a plain one using `cmp`.
 
 use idc_core::scenario::smoothing_scenario;
 use idc_testkit::faults::{FaultKind, FaultPlan};
@@ -55,7 +53,6 @@ fn trace_flag(args: &[String]) -> Option<String> {
 
 fn main() -> Result<(), idc_core::Error> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let timing = !args.iter().any(|a| a == "--no-timing");
     let trace_out = trace_flag(&args);
     let seeds: Vec<u64> = match flag_value(&args, "--seed") {
         Some(s) => vec![s],
@@ -72,8 +69,8 @@ fn main() -> Result<(), idc_core::Error> {
         base.name()
     );
     println!(
-        "{:<18} {:>8} {:>12} {:>6} {:>6} {:>10} {:>12} {:>9}",
-        "fault", "seed", "cost $", "soft", "hard", "fallbacks", "reproduced", "ms"
+        "{:<18} {:>8} {:>12} {:>6} {:>6} {:>10} {:>12}",
+        "fault", "seed", "cost $", "soft", "hard", "fallbacks", "reproduced"
     );
     let mut failures = Vec::new();
     for kind in FaultKind::ALL {
@@ -81,31 +78,23 @@ fn main() -> Result<(), idc_core::Error> {
             let plan = FaultPlan::new(kind, seed);
             let cell_span =
                 idc_obs::Span::enter_cat(format!("fault.{}#{seed}", kind.label()), "verify");
-            let t = Instant::now();
             let first = plan.run(&base)?;
             let second = plan.run(&base)?;
-            let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
             drop(cell_span);
             let reproduced = first.result == second.result
                 && first.report.violations == second.report.violations
                 && first.fallback_steps == second.fallback_steps;
             let hard = first.report.hard_violations();
             let soft = first.report.violations.len() - hard;
-            let ms = if timing {
-                format!("{elapsed_ms:.1}")
-            } else {
-                "-".to_string()
-            };
             println!(
-                "{:<18} {:>8} {:>12.2} {:>6} {:>6} {:>10} {:>12} {:>9}",
+                "{:<18} {:>8} {:>12.2} {:>6} {:>6} {:>10} {:>12}",
                 kind.label(),
                 seed,
                 first.result.total_cost(),
                 soft,
                 hard,
                 first.fallback_steps.len(),
-                if reproduced { "yes" } else { "NO" },
-                ms
+                if reproduced { "yes" } else { "NO" }
             );
             if !reproduced {
                 failures.push(format!("{kind}#{seed}: re-run diverged"));

@@ -37,15 +37,7 @@ fn main() -> ExitCode {
             .iter()
             .map(|bin| {
                 let path = own.with_file_name(bin);
-                scope.spawn(move || {
-                    let mut cmd = Command::new(path);
-                    if *bin == "verify_invariants" {
-                        // Wall-clock columns would break the byte-identical
-                        // combined-output guarantee.
-                        cmd.arg("--no-timing");
-                    }
-                    cmd.output()
-                })
+                scope.spawn(move || Command::new(path).output())
             })
             .collect();
         // Print in launch order — completion order is scheduling noise.

@@ -42,9 +42,9 @@
 //! With `--resume` the fresh/kill phase is skipped and the soak resumes
 //! whatever a previous (externally killed) invocation left under
 //! `--checkpoint-root` — the CI SIGKILL job uses this. Either way the
-//! soak writes `BENCH_runtime.json` (see `--bench-out`) with aggregate
-//! steps/sec, p50/p99 step latencies and per-tenant rows for
-//! `bench_diff`.
+//! soak prints one summary line (steps, simulated days, steps/sec, p50
+//! and p99 step latency) and writes no file outside the checkpoint root.
+//! The daemon's speed benchmark is perfbench `daemon_64`.
 //!
 //! Exits non-zero with a description on the first failed assertion.
 
@@ -61,7 +61,7 @@ use idc_runtime::metrics::MetricsRegistry;
 use idc_runtime::registry::scenario_by_key;
 use idc_runtime::snapshot::RuntimeSnapshot;
 use idc_runtime::stepper::{Stepper, StepperConfig};
-use idc_runtime::tenant::{derive_tenants, ManagerConfig, SoakReport, TenantManager, TenantSpec};
+use idc_runtime::tenant::{derive_tenants, ManagerConfig, TenantManager, TenantSpec};
 use idc_testkit::equivalence::{bitwise_f64, exact_u64, within_tolerance_f64, Mismatch};
 
 #[derive(Debug)]
@@ -75,7 +75,6 @@ struct Args {
     checkpoint_root: Option<PathBuf>,
     resume: bool,
     kill_after: Option<u64>,
-    bench_out: PathBuf,
 }
 
 impl Default for Args {
@@ -90,7 +89,6 @@ impl Default for Args {
             checkpoint_root: None,
             resume: false,
             kill_after: None,
-            bench_out: PathBuf::from("BENCH_runtime.json"),
         }
     }
 }
@@ -113,7 +111,6 @@ OPTIONS:
                          --checkpoint-root instead of the fresh+kill phase
   --kill-after M         in-process kill after M total steps
                          (default: half the budget; 0 disables the kill)
-  --bench-out PATH       BENCH_runtime.json destination (multi-tenant)
   --help                 print this help
 ";
 
@@ -145,7 +142,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--resume" => args.resume = true,
             "--kill-after" => args.kill_after = Some(parsed(&mut it, "--kill-after")?),
-            "--bench-out" => args.bench_out = PathBuf::from(value(&mut it, "--bench-out")?),
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -381,111 +377,6 @@ fn build_manager(
     Ok(manager)
 }
 
-/// Renders BENCH_runtime.json: aggregate throughput/latency plus one row
-/// per tenant, in the keyed-table shape `bench_diff` consumes.
-fn bench_json(report: &SoakReport, total_steps: u64, elapsed_seconds: f64) -> String {
-    let shed: u64 = report
-        .tenants
-        .iter()
-        .map(|t| t.shed_workload + t.shed_price)
-        .sum();
-    let degraded: u64 = report.tenants.iter().map(|t| t.degraded_steps).sum();
-    let aggregate = serde::Value::Object(vec![
-        (
-            "tenants".to_string(),
-            serde::Value::Number(report.tenants.len() as f64),
-        ),
-        (
-            "total_steps".to_string(),
-            serde::Value::Number(total_steps as f64),
-        ),
-        (
-            "elapsed_seconds".to_string(),
-            serde::Value::Number(elapsed_seconds),
-        ),
-        (
-            "steps_per_sec".to_string(),
-            serde::Value::Number(if elapsed_seconds > 0.0 {
-                total_steps as f64 / elapsed_seconds
-            } else {
-                0.0
-            }),
-        ),
-        (
-            "p50_step_ms".to_string(),
-            serde::Value::Number(report.p50_step_ms),
-        ),
-        (
-            "p99_step_ms".to_string(),
-            serde::Value::Number(report.p99_step_ms),
-        ),
-        (
-            "shed_observations".to_string(),
-            serde::Value::Number(shed as f64),
-        ),
-        (
-            "degraded_steps".to_string(),
-            serde::Value::Number(degraded as f64),
-        ),
-        ("killed".to_string(), serde::Value::Bool(report.killed)),
-    ]);
-    let rows = report
-        .tenants
-        .iter()
-        .map(|t| {
-            serde::Value::Object(vec![
-                ("tenant".to_string(), serde::Value::String(t.id.clone())),
-                (
-                    "scenario".to_string(),
-                    serde::Value::String(t.scenario_key.clone()),
-                ),
-                (
-                    "backend".to_string(),
-                    match &t.backend {
-                        Some(b) => serde::Value::String(b.clone()),
-                        None => serde::Value::Null,
-                    },
-                ),
-                ("steps".to_string(), serde::Value::Number(t.steps as f64)),
-                (
-                    "p50_step_ms".to_string(),
-                    serde::Value::Number(t.p50_step_ms),
-                ),
-                (
-                    "p99_step_ms".to_string(),
-                    serde::Value::Number(t.p99_step_ms),
-                ),
-                (
-                    "degraded_steps".to_string(),
-                    serde::Value::Number(t.degraded_steps as f64),
-                ),
-                (
-                    "shed_workload".to_string(),
-                    serde::Value::Number(t.shed_workload as f64),
-                ),
-                (
-                    "shed_price".to_string(),
-                    serde::Value::Number(t.shed_price as f64),
-                ),
-                (
-                    "cost_dollars".to_string(),
-                    serde::Value::Number(t.cost_dollars),
-                ),
-                ("finished".to_string(), serde::Value::Bool(t.finished)),
-            ])
-        })
-        .collect();
-    let root = serde::Value::Object(vec![
-        (
-            "schema".to_string(),
-            serde::Value::String("bench.runtime.v1".to_string()),
-        ),
-        ("aggregate".to_string(), aggregate),
-        ("runtime".to_string(), serde::Value::Array(rows)),
-    ]);
-    serde_json::to_string(&root).expect("bench report is finite")
-}
-
 /// The multi-tenant soak (see the module docs).
 fn multi_soak(args: &Args) -> Result<(), String> {
     let steps = args.steps.unwrap_or(288);
@@ -593,9 +484,6 @@ fn multi_soak(args: &Args) -> Result<(), String> {
         report.p99_step_ms
     );
 
-    std::fs::write(&args.bench_out, bench_json(&report, total_steps, elapsed))
-        .map_err(|e| format!("writing {}: {e}", args.bench_out.display()))?;
-    println!("runtime_soak: wrote {}", args.bench_out.display());
     if args.checkpoint_root.is_none() {
         let _ = std::fs::remove_dir_all(root);
     }

@@ -3,25 +3,22 @@
 //! Replays every scenario the repo ships under every closed-loop policy
 //! through the validating simulator, checks the paper's trajectory
 //! invariants (conservation eq. 9, `λij ≥ 0`, M/M/n latency, budget
-//! margin, accumulated-cost consistency), prints one timed row per cell,
+//! margin, accumulated-cost consistency), prints one row per cell,
 //! and exits nonzero if any *hard* invariant is violated. Budget overshoot
 //! is soft — MPC transients may briefly exceed `P_rb` — so it is reported
 //! (worst margin, MW) rather than gated on.
 //!
 //! Run with: `cargo run --release -p idc-bench --bin verify_invariants`
 //!
-//! `--no-timing` replaces the wall-clock columns with `-` so the output
-//! is byte-reproducible (used by `repro_all`, whose combined output must
-//! be identical across runs). `--seed N` overrides the stochastic
-//! scenarios' workload seed (default 2012) and `--steps N` truncates or
-//! extends every scenario to N sampling periods (default: each scenario's
-//! own length) — the defaults leave the golden output unchanged.
+//! The output carries no wall-clock time, so it is byte-reproducible
+//! (`repro_all`'s combined output must be identical across runs).
+//! `--seed N` overrides the stochastic scenarios' workload seed (default
+//! 2012) and `--steps N` truncates or extends every scenario to N sampling
+//! periods (default: each scenario's own length) — the defaults leave the
+//! golden output unchanged.
 //! `--trace-out PATH` records per-cell timings (and the MPC spans inside
 //! each cell) through the flight recorder and writes a Chrome trace-event
-//! file on exit; it does not change the console output, so it composes
-//! with `--no-timing`.
-
-use std::time::Instant;
+//! file on exit; it does not change the console output.
 
 use idc_core::policy::{MpcPolicy, OptimalPolicy, Policy, ReferenceKind, StaticProportionalPolicy};
 use idc_core::scenario::{
@@ -96,7 +93,6 @@ fn trace_flag(args: &[String]) -> Option<String> {
 
 fn main() -> Result<(), idc_core::Error> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let timing = !args.iter().any(|a| a == "--no-timing");
     let trace_out = trace_flag(&args);
     let seed = flag_value(&args, "--seed", 2012u64);
     let steps = args
@@ -105,48 +101,36 @@ fn main() -> Result<(), idc_core::Error> {
         .then(|| flag_value(&args, "--steps", 0usize));
     println!("## verify_invariants — invariant sweep, all scenarios × policies");
     println!(
-        "{:<42} {:>8} {:>8} {:>6} {:>6} {:>16} {:>9}",
-        "scenario", "policy", "checks", "soft", "hard", "budget margin MW", "ms"
+        "{:<42} {:>8} {:>8} {:>6} {:>6} {:>16}",
+        "scenario", "policy", "checks", "soft", "hard", "budget margin MW"
     );
     let mut hard_failures = Vec::new();
-    let total = Instant::now();
     for scenario in scenarios(seed, steps) {
         for (label, mut policy) in policies(&scenario) {
             let cell_span =
                 idc_obs::Span::enter_cat(format!("verify.{}/{label}", scenario.name()), "verify");
-            let t = Instant::now();
             let result = Simulator::with_validation().run(&scenario, policy.as_mut())?;
             let report = check_run(&scenario, &result, &Tolerances::default());
-            let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
             drop(cell_span);
             let soft = report.violations.len() - report.hard_violations();
             let hard = report.hard_violations();
             let margin = report
                 .worst_budget_margin_mw
                 .map_or_else(|| "-".into(), |(_, _, m)| format!("{m:+.4}"));
-            let ms = if timing {
-                format!("{elapsed_ms:.1}")
-            } else {
-                "-".into()
-            };
             println!(
-                "{:<42} {:>8} {:>8} {:>6} {:>6} {:>16} {:>9}",
+                "{:<42} {:>8} {:>8} {:>6} {:>6} {:>16}",
                 scenario.name(),
                 label,
                 report.checks,
                 soft,
                 hard,
-                margin,
-                ms
+                margin
             );
             if hard > 0 {
                 eprintln!("{}", report.render());
                 hard_failures.push(format!("{} / {label}", scenario.name()));
             }
         }
-    }
-    if timing {
-        println!("sweep total: {:.1} ms", total.elapsed().as_secs_f64() * 1e3);
     }
     if let Some(path) = &trace_out {
         std::fs::write(path, idc_obs::export_global_trace())

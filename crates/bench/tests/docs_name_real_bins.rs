@@ -2,14 +2,15 @@
 //! `repro_all` is a bin of this crate, every `--bin NAME` or
 //! `target/release/NAME` in the docs is a bin of a workspace package, every
 //! `-p NAME` or `--package NAME` is a package under `crates/*` or `tests/`,
-//! and every `--bench NAME` is a bench target of one.
+//! every `--bench NAME` is a bench target of one, and every `--flag` the
+//! docs pass to a bin is a string literal in that bin's source.
 
 mod workspace;
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use workspace::{manifest, packages};
+use workspace::{manifest, packages, workspace_root};
 
 const REPRO_ALL: &str = include_str!("../src/bin/repro_all.rs");
 
@@ -76,10 +77,10 @@ fn package_names() -> Vec<String> {
         .collect()
 }
 
-/// Every `kind` target (`bin` or `bench`) of the packages: each
-/// `[[kind]]` whose file exists, plus each `default_dir/*.rs` that no
-/// `[[kind]]` claims (unless the package turns discovery off).
-fn workspace_targets(kind: &str, default_dir: &str) -> Vec<String> {
+/// Every `kind` target (`bin` or `bench`) of the packages with its source
+/// file: each `[[kind]]` whose file exists, plus each `default_dir/*.rs`
+/// that no `[[kind]]` claims (unless the package turns discovery off).
+fn workspace_targets(kind: &str, default_dir: &str) -> Vec<(String, PathBuf)> {
     let mut targets = Vec::new();
     for package in packages() {
         let manifest = manifest(&package);
@@ -90,7 +91,7 @@ fn workspace_targets(kind: &str, default_dir: &str) -> Vec<String> {
                 "{}: [[{kind}]] `{name}` points at missing {path}",
                 package.display()
             );
-            targets.push(name.clone());
+            targets.push((name.clone(), package.join(path)));
         }
         if manifest.contains(&format!("auto{kind}s = false")) {
             continue;
@@ -106,7 +107,7 @@ fn workspace_targets(kind: &str, default_dir: &str) -> Vec<String> {
             };
             let path = format!("{default_dir}/{file}");
             if !declared.iter().any(|(_, declared)| *declared == path) {
-                targets.push(stem.to_string());
+                targets.push((stem.to_string(), package.join(path)));
             }
         }
     }
@@ -132,6 +133,73 @@ fn named_after<'a>(doc: &'a str, markers: &[&str]) -> Vec<&'a str> {
         }
     }
     names
+}
+
+/// The shell commands a doc shows: each line of a fenced code block, with
+/// `\` line continuations joined, and each inline code span, whose line
+/// breaks are spaces.
+fn commands(doc: &str) -> Vec<String> {
+    let mut commands = Vec::new();
+    for (i, part) in doc.split("```").enumerate() {
+        if i % 2 == 1 {
+            let block = part.replace("\\\n", " ");
+            commands.extend(block.lines().skip(1).map(str::to_string));
+        } else {
+            let spans = part.split('`').skip(1).step_by(2);
+            commands.extend(spans.map(|span| span.replace('\n', " ")));
+        }
+    }
+    commands
+}
+
+/// Each `(bin, flag)` a command passes: the flags after `--bin NAME --`
+/// or after `target/release/NAME`, up to a shell separator or comment.
+/// `[--a x|y]` usage brackets count their flag; a `<value>` placeholder is
+/// not a redirect.
+fn flags_passed(command: &str) -> Vec<(&str, &str)> {
+    let mut passed = Vec::new();
+    for (marker, needs_dashes) in [("--bin ", true), ("target/release/", false)] {
+        for (at, _) in command.match_indices(marker) {
+            let mut tokens = command[at + marker.len()..].split_whitespace();
+            let Some(bin) = tokens.next() else {
+                continue;
+            };
+            let mut in_args = !needs_dashes;
+            for token in tokens {
+                if ["|", "||", "&", "&&", ";", "#", "<"].contains(&token)
+                    || token.starts_with('>')
+                    || token.starts_with("2>")
+                {
+                    break;
+                }
+                let last = token.ends_with(';');
+                if token == "--" {
+                    in_args = true;
+                } else if in_args {
+                    for piece in token.trim_end_matches(';').split('|') {
+                        let piece = piece.trim_start_matches(['[', '(']);
+                        let is_flag = piece.strip_prefix("--").is_some_and(|rest| {
+                            rest.starts_with(|c: char| c.is_ascii_alphabetic())
+                        });
+                        if is_flag {
+                            let end = piece
+                                .find(|c: char| {
+                                    !(c.is_ascii_alphanumeric() || c == '-' || c == '_')
+                                })
+                                .unwrap_or(piece.len());
+                            passed.push((bin, &piece[..end]));
+                        }
+                    }
+                } else if !token.starts_with('-') {
+                    break;
+                }
+                if last {
+                    break;
+                }
+            }
+        }
+    }
+    passed
 }
 
 #[test]
@@ -165,11 +233,62 @@ fn every_bin_the_docs_run_exists() {
         assert!(!named.is_empty(), "{doc} names no bin");
         for name in named {
             assert!(
-                bins.iter().any(|b| b == name),
+                bins.iter().any(|(b, _)| b == name),
                 "{doc} runs `{name}`, which no workspace package builds"
             );
         }
     }
+}
+
+#[test]
+fn flags_passed_reads_args_after_the_bin() {
+    let block = "```sh\ncargo run -p x --bin soak -- \\\n  --tenants 4 [--mode a|b] --seed <n> > out.txt --late\n```\n";
+    let inline = "run `cargo run --release --bin sim` or `./target/release/sim\n  --quiet; ./target/release/fig --csv`";
+    let passed: Vec<String> = [block, inline]
+        .into_iter()
+        .flat_map(commands)
+        .flat_map(|command| {
+            flags_passed(&command)
+                .into_iter()
+                .map(|(bin, flag)| format!("{bin} {flag}"))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert_eq!(
+        passed,
+        [
+            "soak --tenants",
+            "soak --mode",
+            "soak --seed",
+            "sim --quiet",
+            "fig --csv"
+        ]
+    );
+}
+
+#[test]
+fn every_flag_the_docs_pass_is_in_its_bin() {
+    let bins = workspace_targets("bin", "src/bin");
+    let mut checked = 0;
+    for (doc, text) in DOCS {
+        for command in commands(text) {
+            for (bin, flag) in flags_passed(&command) {
+                let Some((_, path)) = bins.iter().find(|(b, _)| b == bin) else {
+                    continue; // every_bin_the_docs_run_exists reports it
+                };
+                let source = fs::read_to_string(path).expect("a readable bin source");
+                assert!(
+                    source.contains(&format!("\"{flag}\"")),
+                    "{doc} passes `{flag}` to `{bin}`, which {} does not name",
+                    path.strip_prefix(workspace_root())
+                        .unwrap_or(path)
+                        .display()
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "the docs pass no flag to any bin");
 }
 
 #[test]
@@ -191,7 +310,7 @@ fn every_bench_the_docs_run_exists() {
     for (doc, text) in DOCS {
         for name in named_after(text, &["--bench "]) {
             assert!(
-                benches.iter().any(|b| b == name),
+                benches.iter().any(|(b, _)| b == name),
                 "{doc} runs bench `{name}`, which no package under crates/ or tests/ declares"
             );
         }

@@ -213,30 +213,6 @@ impl MpcProblem {
             .collect()
     }
 
-    /// Current per-IDC power in MW (IT draw only — see
-    /// [`current_grid_power_mw`](Self::current_grid_power_mw) for the
-    /// storage-adjusted draw).
-    pub fn current_power_mw(&self) -> Vec<f64> {
-        self.current_idc_workloads()
-            .iter()
-            .enumerate()
-            .map(|(j, &l)| self.b1_mw[j] * l + self.b0_mw[j] * self.servers_on[j] as f64)
-            .collect()
-    }
-
-    /// Current per-IDC *grid* power in MW: IT draw plus the previous
-    /// period's net battery rate (charge − discharge). Equal to
-    /// [`current_power_mw`](Self::current_power_mw) without storage.
-    pub fn current_grid_power_mw(&self) -> Vec<f64> {
-        let mut p = self.current_power_mw();
-        if let Some(st) = &self.storage {
-            for (j, pj) in p.iter_mut().enumerate() {
-                *pj += st.prev_charge_mw[j] - st.prev_discharge_mw[j];
-            }
-        }
-        p
-    }
-
     /// Decision-variable block size per control stage: `N·C` workload
     /// changes, plus `2N` rate changes when storage is attached.
     pub fn block_size(&self) -> usize {
@@ -446,14 +422,9 @@ impl MpcController {
     }
 
     /// Per-phase wall-clock time accumulated across [`plan`](Self::plan)
-    /// calls since construction or the last [`reset_timings`](Self::reset_timings).
+    /// calls since construction.
     pub fn timings(&self) -> PlanTimings {
         self.timings
-    }
-
-    /// Zeroes the per-phase timing counters.
-    pub fn reset_timings(&mut self) {
-        self.timings = PlanTimings::default();
     }
 
     /// Cumulative solver introspection counters across [`plan`](Self::plan)
@@ -1485,15 +1456,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_timings_accumulate_and_reset() {
+    fn plan_timings_accumulate() {
         let mut controller = MpcController::new(MpcConfig::default());
+        assert_eq!(controller.timings(), PlanTimings::default());
         let problem = two_idc_problem([10_000.0, 0.0], [1.2, 2.28]);
         controller.plan(&problem).unwrap();
         let t = controller.timings();
         assert!(t.factor_ns > 0 && t.condense_ns > 0 && t.solve_ns > 0);
         assert!(t.total_ns() >= t.factor_ns + t.condense_ns + t.solve_ns);
-        controller.reset_timings();
-        assert_eq!(controller.timings(), PlanTimings::default());
     }
 
     #[test]
@@ -1502,16 +1472,10 @@ mod tests {
         assert_eq!(p.num_idcs(), 2);
         assert_eq!(p.num_portals(), 1);
         assert_eq!(p.current_idc_workloads(), vec![6_000.0, 4_000.0]);
-        let power = p.current_power_mw();
-        assert!((power[0] - (67.5e-6 * 6_000.0 + 150.0e-6 * 8_000.0)).abs() < 1e-12);
         assert_eq!(p.block_size(), 2);
         let mut ps = p.clone();
         ps.storage = Some(test_storage(2));
         assert_eq!(ps.block_size(), 6);
-        ps.storage.as_mut().unwrap().prev_discharge_mw[1] = 0.5;
-        let grid = ps.current_grid_power_mw();
-        assert!((grid[0] - power[0]).abs() < 1e-12);
-        assert!((grid[1] - (power[1] - 0.5)).abs() < 1e-12);
     }
 
     /// Advances a belief battery state exactly as the controller's
@@ -1550,8 +1514,8 @@ mod tests {
             assert_eq!(plan.next_charge_mw()[j], 0.0);
         }
         // Predicted grid power moves below the IT-only draw.
-        let it_power = problem.current_power_mw();
-        assert!(plan.predicted_power_mw()[0][0] < it_power[0]);
+        let it_power = 67.5e-6 * 6_000.0 + 150.0e-6 * 8_000.0;
+        assert!(plan.predicted_power_mw()[0][0] < it_power);
     }
 
     #[test]

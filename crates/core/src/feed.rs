@@ -6,7 +6,7 @@
 //! tick and returns whatever [`Observation`]s *arrive* at that tick, each
 //! stamped with the tick it describes. The consumer keeps the
 //! newest-by-stamp value it has seen (hold-last-value) and applies its own
-//! staleness policy on top; the trait deliberately says nothing about
+//! staleness policy on top; these types deliberately say nothing about
 //! transport or fault model.
 
 /// One timestamped feed sample: `value` describes tick `tick`, however
@@ -17,13 +17,6 @@ pub struct Observation<T> {
     pub tick: u64,
     /// The sample payload.
     pub value: T,
-}
-
-/// A stream of per-portal offered-workload vectors (req/s).
-pub trait WorkloadFeed {
-    /// Returns the observations arriving at fast tick `tick` — possibly
-    /// none, possibly a backlog of late ones, in arbitrary stamp order.
-    fn poll(&mut self, tick: u64) -> Vec<Observation<Vec<f64>>>;
 }
 
 /// Per-tick admission control for one feed: at most `bound` observations
@@ -77,17 +70,6 @@ impl BoundedIngest {
     pub fn shed(&self) -> u64 {
         self.shed
     }
-}
-
-/// A stream of per-region price vectors ($/MWh).
-///
-/// Demand-responsive tariffs price the *consumer's own demand*, so the
-/// poll carries the hour and the previous step's per-IDC power draw — the
-/// same feedback the batch simulator gives
-/// [`crate::scenario::PricingSpec::prices`].
-pub trait PriceFeed {
-    /// Returns the observations arriving at fast tick `tick`.
-    fn poll(&mut self, tick: u64, hour: f64, last_power_mw: &[f64]) -> Vec<Observation<Vec<f64>>>;
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use idc_control::reference::{
 };
 use idc_datacenter::allocation::Allocation;
 use idc_datacenter::idc::IdcConfig;
-use idc_datacenter::sleep::SleepController;
+use idc_datacenter::sleep::ramp_toward;
 use idc_market::tariff::{DemandCharge, PowerBudget};
 use idc_storage::{StorageFleet, StorageState};
 use idc_timeseries::predictor::WorkloadPredictor;
@@ -360,11 +360,9 @@ impl MpcPolicy {
         if config.slow_period == 0 {
             return Err(Error::Config("slow_period must be at least 1".into()));
         }
-        // Validate the ramp limit through the datacenter sleep controller —
-        // the slow loop below applies the same ramp semantics to the
-        // reference-derived target.
-        SleepController::with_ramp_limit(config.server_ramp_limit)
-            .ok_or_else(|| Error::Config("server_ramp_limit must be positive".into()))?;
+        if config.server_ramp_limit == 0 {
+            return Err(Error::Config("server_ramp_limit must be positive".into()));
+        }
         if config.mpc.control_horizon == 0
             || config.mpc.control_horizon > config.mpc.prediction_horizon
         {
@@ -1010,13 +1008,9 @@ impl MpcPolicy {
             let next = if ctx.step.is_multiple_of(self.config.slow_period) {
                 // Ramp-limited move toward the target, floored at what the
                 // current allocation needs for its latency bound.
-                let limit = self.config.server_ramp_limit;
-                let stepped = if target > prev_m[j] {
-                    (prev_m[j] + limit).min(target)
-                } else {
-                    prev_m[j] - limit.min(prev_m[j] - target)
-                };
-                stepped.max(needed).min(idc.total_servers())
+                ramp_toward(prev_m[j], target, self.config.server_ramp_limit)
+                    .max(needed)
+                    .min(idc.total_servers())
             } else {
                 prev_m[j].max(needed).min(idc.total_servers())
             };

@@ -57,11 +57,6 @@ impl IdcFleet {
         &self.portals
     }
 
-    /// Mutable borrow of the portals (to advance workload traces).
-    pub fn portals_mut(&mut self) -> &mut [FrontEndPortal] {
-        &mut self.portals
-    }
-
     /// Borrow of the IDCs.
     pub fn idcs(&self) -> &[IdcConfig] {
         &self.idcs
@@ -119,15 +114,6 @@ impl IdcFleet {
             .map(|(j, idc)| idc.power_mw(servers_on[j], allocation.idc_total(j)))
             .collect()
     }
-
-    /// A feasible "spread" allocation: each portal's workload split across
-    /// IDCs proportionally to their maximum capacity. Useful as a warm
-    /// start.
-    pub fn proportional_allocation(&self) -> Allocation {
-        let weights: Vec<f64> = self.idcs.iter().map(|i| i.max_workload()).collect();
-        Allocation::proportional(&self.offered_workloads(), &weights)
-            .expect("fleet capacities are positive")
-    }
 }
 
 #[cfg(test)]
@@ -168,19 +154,6 @@ mod tests {
         assert!((per[1] - 11.4).abs() < 1e-9);
         assert!((per[2] - 5.7).abs() < 1e-9);
         assert!((f.total_power_mw(&servers, &alloc) - 19.2375).abs() < 1e-9);
-    }
-
-    #[test]
-    fn proportional_allocation_is_feasible() {
-        let f = IdcFleet::paper_fleet();
-        let a = f.proportional_allocation();
-        assert!(a.is_nonnegative(0.0));
-        assert!(a.conserves_workload(&f.offered_workloads(), 1e-9));
-        // No IDC over its max capacity (weights are the capacities and the
-        // fleet is controllable, so proportional shares fit).
-        for (j, idc) in f.idcs().iter().enumerate() {
-            assert!(a.idc_total(j) <= idc.max_workload() + 1e-9);
-        }
     }
 
     #[test]

@@ -32,18 +32,6 @@ impl FrontEndPortal {
     pub fn offered_workload(&self) -> f64 {
         self.offered_workload
     }
-
-    /// Replaces the offered workload (used when the workload trace
-    /// advances). Returns `false` (leaving the value unchanged) if the new
-    /// value is negative or non-finite.
-    pub fn set_offered_workload(&mut self, value: f64) -> bool {
-        if value >= 0.0 && value.is_finite() {
-            self.offered_workload = value;
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// The paper's five portals (Table I): 30 000, 15 000, 15 000, 20 000 and
@@ -78,16 +66,5 @@ mod tests {
         );
         assert_eq!(loads.iter().sum::<f64>(), 100_000.0);
         assert_eq!(ps[0].name(), "portal-1");
-    }
-
-    #[test]
-    fn set_offered_workload_validates() {
-        let mut p = FrontEndPortal::new("p", 10.0).unwrap();
-        assert!(p.set_offered_workload(20.0));
-        assert_eq!(p.offered_workload(), 20.0);
-        assert!(!p.set_offered_workload(-3.0));
-        assert_eq!(p.offered_workload(), 20.0);
-        assert!(!p.set_offered_workload(f64::NAN));
-        assert_eq!(p.offered_workload(), 20.0);
     }
 }

@@ -79,46 +79,6 @@ pub fn mmn_mean_wait(servers: u64, mu: f64, lambda: f64) -> f64 {
     erlang_c(servers, lambda / mu) / (capacity - lambda)
 }
 
-/// `true` when an M/M/n queue with these parameters is stable.
-pub fn is_stable(servers: u64, mu: f64, lambda: f64) -> bool {
-    (servers as f64) * mu > lambda
-}
-
-/// Tail probability of the M/M/n waiting time:
-/// `P(W > t) = C(n, λ/µ) · e^{−(nµ−λ)t}`.
-///
-/// Returns 1.0 for unstable queues and `t ≤ 0`.
-pub fn mmn_wait_tail(servers: u64, mu: f64, lambda: f64, t: f64) -> f64 {
-    let capacity = servers as f64 * mu;
-    if capacity <= lambda || t <= 0.0 {
-        return 1.0;
-    }
-    (erlang_c(servers, lambda / mu) * (-(capacity - lambda) * t).exp()).min(1.0)
-}
-
-/// The `p`-th percentile (0 < p < 1) of the M/M/n waiting time:
-/// the smallest `t` with `P(W ≤ t) ≥ p`. Returns 0 when even `t = 0`
-/// satisfies it (an arriving request is served immediately with
-/// probability `1 − C(n, a) ≥ p`), and `f64::INFINITY` for unstable
-/// queues.
-///
-/// # Panics
-///
-/// Panics unless `0 < p < 1`.
-pub fn mmn_wait_percentile(servers: u64, mu: f64, lambda: f64, p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "percentile must lie in (0, 1)");
-    let capacity = servers as f64 * mu;
-    if capacity <= lambda {
-        return f64::INFINITY;
-    }
-    let c = erlang_c(servers, lambda / mu);
-    if 1.0 - c >= p {
-        return 0.0;
-    }
-    // Solve C·e^{−(nµ−λ)t} = 1 − p.
-    (c / (1.0 - p)).ln() / (capacity - lambda)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,54 +144,6 @@ mod tests {
             let exact = mmn_mean_wait(n, mu, lambda);
             assert!(approx >= exact, "approx {approx} < exact {exact} for n={n}");
         }
-    }
-
-    #[test]
-    fn stability_check() {
-        assert!(is_stable(10, 2.0, 19.9));
-        assert!(!is_stable(10, 2.0, 20.0));
-    }
-
-    #[test]
-    fn wait_tail_decays_exponentially() {
-        let (n, mu, lambda) = (10u64, 2.0, 15.0);
-        let c = erlang_c(n, lambda / mu);
-        // At t = 0⁺ the tail is C(n, a).
-        assert!((mmn_wait_tail(n, mu, lambda, 1e-12) - c).abs() < 1e-9);
-        // Halving property at t = ln 2 / (nµ−λ).
-        let t_half = (2.0f64).ln() / (20.0 - 15.0);
-        assert!((mmn_wait_tail(n, mu, lambda, t_half) - c / 2.0).abs() < 1e-9);
-        // Unstable queues never clear.
-        assert_eq!(mmn_wait_tail(10, 2.0, 25.0, 1.0), 1.0);
-    }
-
-    #[test]
-    fn wait_percentile_inverts_the_tail() {
-        let (n, mu, lambda) = (10u64, 2.0, 19.0);
-        for p in [0.5, 0.9, 0.99] {
-            let t = mmn_wait_percentile(n, mu, lambda, p);
-            if t > 0.0 {
-                // Tail at the percentile equals 1 − p.
-                assert!(
-                    (mmn_wait_tail(n, mu, lambda, t) - (1.0 - p)).abs() < 1e-9,
-                    "p = {p}"
-                );
-            }
-        }
-        // A lightly loaded system serves most requests immediately.
-        assert_eq!(mmn_wait_percentile(100, 2.0, 10.0, 0.5), 0.0);
-        // Unstable → ∞.
-        assert_eq!(mmn_wait_percentile(10, 2.0, 25.0, 0.9), f64::INFINITY);
-        // Percentiles are monotone in p.
-        let t90 = mmn_wait_percentile(n, mu, lambda, 0.90);
-        let t99 = mmn_wait_percentile(n, mu, lambda, 0.99);
-        assert!(t99 > t90);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile must lie in (0, 1)")]
-    fn wait_percentile_rejects_bad_p() {
-        mmn_wait_percentile(10, 2.0, 15.0, 1.0);
     }
 
     #[test]

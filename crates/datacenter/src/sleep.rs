@@ -9,91 +9,19 @@
 //!
 //! To smooth power demand (Fig. 5), the dynamic controller additionally
 //! limits how many servers may be switched per decision — this *ramp
-//! limit* is what turns the paper's "turns ON or OFF servers gradually"
-//! into an explicit mechanism.
-
-use serde::{Deserialize, Serialize};
+//! limit* ([`ramp_toward`]) is what turns the paper's "turns ON or OFF
+//! servers gradually" into an explicit mechanism.
 
 use crate::idc::IdcConfig;
 
-/// Decides per-IDC server counts from allocated workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SleepController {
-    /// Maximum number of servers that may be switched (ON or OFF) per
-    /// decision, per IDC. `None` = unlimited (the raw eq. 35 policy used by
-    /// the baseline).
-    ramp_limit: Option<u64>,
-}
-
-impl SleepController {
-    /// The paper's raw eq. 35 policy: jump straight to the required count.
-    pub fn unconstrained() -> Self {
-        SleepController { ramp_limit: None }
-    }
-
-    /// A ramp-limited policy switching at most `limit` servers per
-    /// decision (`limit ≥ 1`). Returns `None` for `limit == 0`.
-    pub fn with_ramp_limit(limit: u64) -> Option<Self> {
-        (limit > 0).then_some(SleepController {
-            ramp_limit: Some(limit),
-        })
-    }
-
-    /// The configured ramp limit, if any.
-    pub fn ramp_limit(&self) -> Option<u64> {
-        self.ramp_limit
-    }
-
-    /// Computes the next server count for one IDC given the current count
-    /// and the workload `lambda` it must absorb.
-    ///
-    /// The target is eq. 35 clamped to `[0, Mj]`; with a ramp limit the
-    /// result moves toward the target by at most the limit. Ramping *up*
-    /// never stops short of what stability requires if the limit allows;
-    /// when the target exceeds `Mj` the count saturates at `Mj`.
-    pub fn next_servers(&self, idc: &IdcConfig, current: u64, lambda: f64) -> u64 {
-        let target = match idc.required_servers(lambda.max(0.0)) {
-            Some(m) => m,
-            // Demand beyond installed capacity: all hands on deck.
-            None => idc.total_servers(),
-        };
-        let current = current.min(idc.total_servers());
-        match self.ramp_limit {
-            None => target,
-            Some(limit) => {
-                if target > current {
-                    (current + limit).min(target)
-                } else {
-                    current - limit.min(current - target)
-                }
-            }
-        }
-    }
-
-    /// Vector form of [`Self::next_servers`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ from the number of IDCs.
-    pub fn next_servers_all(
-        &self,
-        idcs: &[IdcConfig],
-        current: &[u64],
-        lambdas: &[f64],
-    ) -> Vec<u64> {
-        assert_eq!(current.len(), idcs.len(), "one current count per IDC");
-        assert_eq!(lambdas.len(), idcs.len(), "one workload per IDC");
-        idcs.iter()
-            .zip(current)
-            .zip(lambdas)
-            .map(|((idc, &m), &l)| self.next_servers(idc, m, l))
-            .collect()
-    }
-}
-
-impl Default for SleepController {
-    fn default() -> Self {
-        SleepController::unconstrained()
+/// One slow-loop move of a server count toward `target`, switching at most
+/// `limit` servers (ON or OFF). Lands exactly on `target` when it is within
+/// `limit` of `current`.
+pub fn ramp_toward(current: u64, target: u64, limit: u64) -> u64 {
+    if target > current {
+        (current + limit).min(target)
+    } else {
+        current - limit.min(current - target)
     }
 }
 
@@ -110,52 +38,15 @@ mod tests {
     use crate::idc::paper_idcs;
 
     #[test]
-    fn unconstrained_jumps_to_eq_35_target() {
-        let idc = &paper_idcs()[0]; // Michigan: µ=2, D=1ms
-        let c = SleepController::unconstrained();
-        // 15000/2 + 500 = 8000 regardless of the current count.
-        assert_eq!(c.next_servers(idc, 100, 15_000.0), 8000);
-        assert_eq!(c.next_servers(idc, 30_000, 15_000.0), 8000);
-    }
-
-    #[test]
     fn ramp_limit_moves_gradually() {
-        let idc = &paper_idcs()[0];
-        let c = SleepController::with_ramp_limit(1000).unwrap();
-        assert_eq!(c.ramp_limit(), Some(1000));
         // Up: 5000 → 6000 (target 8000).
-        assert_eq!(c.next_servers(idc, 5000, 15_000.0), 6000);
+        assert_eq!(ramp_toward(5000, 8000, 1000), 6000);
         // Down: 9500 → 8500 (target 8000).
-        assert_eq!(c.next_servers(idc, 9500, 15_000.0), 8500);
+        assert_eq!(ramp_toward(9500, 8000, 1000), 8500);
         // Within one step of target: lands exactly.
-        assert_eq!(c.next_servers(idc, 7500, 15_000.0), 8000);
-        assert_eq!(c.next_servers(idc, 8400, 15_000.0), 8000);
-    }
-
-    #[test]
-    fn saturates_at_installed_capacity() {
-        let idc = &paper_idcs()[2]; // Wisconsin: M = 20 000
-        let c = SleepController::unconstrained();
-        // Demand beyond what all servers can serve → Mj.
-        assert_eq!(c.next_servers(idc, 0, 1e9), 20_000);
-        // Current count above Mj (bad input) is clamped.
-        let r = SleepController::with_ramp_limit(10).unwrap();
-        assert!(r.next_servers(idc, 90_000, 0.0) <= 20_000);
-    }
-
-    #[test]
-    fn negative_workload_is_treated_as_zero() {
-        let idc = &paper_idcs()[0];
-        let c = SleepController::unconstrained();
-        // Only the latency head-room remains: 1/(µD) = 500.
-        assert_eq!(c.next_servers(idc, 1000, -50.0), 500);
-    }
-
-    #[test]
-    fn ramp_limit_constructor_validates() {
-        assert!(SleepController::with_ramp_limit(0).is_none());
-        assert!(SleepController::with_ramp_limit(1).is_some());
-        assert_eq!(SleepController::default(), SleepController::unconstrained());
+        assert_eq!(ramp_toward(7500, 8000, 1000), 8000);
+        assert_eq!(ramp_toward(8400, 8000, 1000), 8000);
+        assert_eq!(ramp_toward(8000, 8000, 1000), 8000);
     }
 
     #[test]
@@ -165,22 +56,5 @@ mod tests {
         assert!(is_sleep_controllable(&idcs, 100_000.0));
         assert!(is_sleep_controllable(&idcs, 142_000.0));
         assert!(!is_sleep_controllable(&idcs, 143_000.0));
-    }
-
-    #[test]
-    fn vector_form_matches_scalar_form() {
-        let idcs = paper_idcs();
-        let c = SleepController::unconstrained();
-        let all = c.next_servers_all(&idcs, &[0, 0, 0], &[15_000.0, 50_000.0, 10_000.0]);
-        assert_eq!(all[0], c.next_servers(&idcs[0], 0, 15_000.0));
-        assert_eq!(all[1], c.next_servers(&idcs[1], 0, 50_000.0));
-        assert_eq!(all[2], c.next_servers(&idcs[2], 0, 10_000.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "one workload per IDC")]
-    fn vector_form_validates_lengths() {
-        let idcs = paper_idcs();
-        SleepController::unconstrained().next_servers_all(&idcs, &[0, 0, 0], &[1.0]);
     }
 }

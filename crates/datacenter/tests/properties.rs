@@ -4,7 +4,7 @@ use idc_datacenter::allocation::Allocation;
 use idc_datacenter::idc::IdcConfig;
 use idc_datacenter::queueing;
 use idc_datacenter::server::ServerSpec;
-use idc_datacenter::sleep::SleepController;
+use idc_datacenter::sleep::ramp_toward;
 use proptest::prelude::*;
 
 fn idc_strategy() -> impl Strategy<Value = IdcConfig> {
@@ -87,23 +87,19 @@ proptest! {
         prop_assert_eq!(back, a);
     }
 
-    /// The ramp-limited sleep controller never moves more than the limit
-    /// and never overshoots the eq. 35 target.
+    /// The slow-loop ramp never moves more than the limit, never overshoots
+    /// the target, and lands on it once it is within the limit.
     #[test]
     fn sleep_ramp_respects_limit(
-        idc in idc_strategy(),
         current in 0u64..100_000,
-        frac in 0.0f64..1.2,
+        target in 0u64..100_000,
         limit in 1u64..10_000,
     ) {
-        let current = current.min(idc.total_servers());
-        let lambda = idc.max_workload() * frac;
-        let c = SleepController::with_ramp_limit(limit).unwrap();
-        let next = c.next_servers(&idc, current, lambda);
+        let next = ramp_toward(current, target, limit);
         prop_assert!(next.abs_diff(current) <= limit);
-        prop_assert!(next <= idc.total_servers());
-        // Moving toward the unconstrained target, never past it.
-        let target = SleepController::unconstrained().next_servers(&idc, current, lambda);
+        if target.abs_diff(current) <= limit {
+            prop_assert_eq!(next, target);
+        }
         if target >= current {
             prop_assert!(next <= target);
             prop_assert!(next >= current);

@@ -6,7 +6,6 @@ use idc_datacenter::fleet::IdcFleet;
 use idc_datacenter::idc::{paper_idcs, IdcConfig};
 use idc_datacenter::portal::FrontEndPortal;
 use idc_datacenter::server::{CurveFitModel, ServerSpec};
-use idc_datacenter::sleep::SleepController;
 
 fn roundtrip<T>(value: &T) -> T
 where
@@ -62,14 +61,6 @@ fn portal_and_allocation_roundtrip() {
     let back: Allocation = roundtrip(&a);
     assert_eq!(back, a);
     assert_eq!(back.idc_total(1), 10.0);
-}
-
-#[test]
-fn sleep_controller_roundtrips() {
-    let c = SleepController::with_ramp_limit(1500).unwrap();
-    assert_eq!(roundtrip(&c), c);
-    let u = SleepController::unconstrained();
-    assert_eq!(roundtrip(&u), u);
 }
 
 #[test]

@@ -14,11 +14,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Maximum absolute entry; 0 for an empty slice, and NaN entries are
 /// skipped. Runs on the [`simd`](crate::simd) paths, which return the
 /// serial fold's bits.
@@ -90,7 +85,6 @@ mod tests {
     #[test]
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
         assert_eq!(norm_inf(&[]), 0.0);
     }

@@ -4,8 +4,8 @@
 //! impose a peak power limit and "penalize those IDCs heavily if this limit
 //! is exceeded" \[10\], and sustained high peaks force subscription to a
 //! larger delivery capacity. [`PowerBudget`] carries the per-IDC budgets
-//! used as the MPC reference clamp (paper Sec. IV-D); [`PeakTariff`] prices
-//! violations so experiments can report the monetary effect.
+//! used as the MPC reference clamp (paper Sec. IV-D); [`DemandCharge`]
+//! bills the period's peak demand.
 
 use serde::{Deserialize, Serialize};
 
@@ -92,51 +92,6 @@ impl PowerBudget {
             .map(|(&p, &b)| (p - b).max(0.0))
             .collect()
     }
-}
-
-/// A peak-demand tariff: energy above the budget is charged at a penalty
-/// multiple of the spot price.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PeakTariff {
-    /// Multiplier applied to the spot price for energy drawn above budget
-    /// (≥ 1).
-    penalty_multiplier: f64,
-}
-
-impl PeakTariff {
-    /// Creates a tariff; returns `None` if the multiplier is below 1 or
-    /// non-finite.
-    pub fn new(penalty_multiplier: f64) -> Option<Self> {
-        if !(penalty_multiplier >= 1.0) || !penalty_multiplier.is_finite() {
-            return None;
-        }
-        Some(PeakTariff { penalty_multiplier })
-    }
-
-    /// The penalty multiplier.
-    pub fn penalty_multiplier(&self) -> f64 {
-        self.penalty_multiplier
-    }
-
-    /// Cost in $ of drawing `power_mw` for `hours` at spot price
-    /// `price_per_mwh`, against a `budget_mw` cap: energy below the cap at
-    /// spot, energy above at spot × multiplier.
-    pub fn interval_cost(
-        &self,
-        power_mw: f64,
-        budget_mw: f64,
-        price_per_mwh: f64,
-        hours: f64,
-    ) -> f64 {
-        let within = power_mw.min(budget_mw).max(0.0);
-        let excess = (power_mw - budget_mw).max(0.0);
-        (within + excess * self.penalty_multiplier) * price_per_mwh * hours
-    }
-}
-
-/// Plain spot energy cost in $: `price ($/MWh) × power (MW) × hours`.
-pub fn energy_cost(price_per_mwh: f64, power_mw: f64, hours: f64) -> f64 {
-    price_per_mwh * power_mw * hours
 }
 
 /// A demand charge: the utility bills the *maximum* power drawn over a
@@ -245,34 +200,6 @@ mod tests {
         let b = PowerBudget::unlimited(2);
         assert_eq!(b.clamp(&[1e9, 2e9]), vec![1e9, 2e9]);
         assert_eq!(b.violations(&[1e9, 2e9]), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn tariff_charges_penalty_only_above_budget() {
-        let t = PeakTariff::new(3.0).unwrap();
-        assert_eq!(t.penalty_multiplier(), 3.0);
-        // Under budget: plain energy cost.
-        assert_eq!(t.interval_cost(4.0, 5.0, 10.0, 1.0), 40.0);
-        // 2 MW over budget: 5 at spot + 2 at 3× spot.
-        assert_eq!(t.interval_cost(7.0, 5.0, 10.0, 1.0), 50.0 + 60.0);
-        // Fractional hours scale linearly.
-        assert_eq!(t.interval_cost(7.0, 5.0, 10.0, 0.5), 55.0);
-    }
-
-    #[test]
-    fn tariff_validates_multiplier() {
-        assert!(PeakTariff::new(0.5).is_none());
-        assert!(PeakTariff::new(f64::INFINITY).is_none());
-        assert!(PeakTariff::new(1.0).is_some());
-    }
-
-    #[test]
-    fn plain_energy_cost() {
-        assert_eq!(energy_cost(30.0, 2.0, 1.0), 60.0);
-        assert_eq!(energy_cost(30.0, 2.0, 0.0), 0.0);
-        // Negative prices (Fig. 2's Wisconsin dip) yield negative cost —
-        // the consumer is paid to draw power.
-        assert!(energy_cost(-20.0, 2.0, 1.0) < 0.0);
     }
 
     #[test]

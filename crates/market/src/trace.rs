@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::region::{Region, RegionId};
+use crate::region::Region;
 
 /// A 24-hour real-time price trace for one region, in $/MWh. Prices are a
 /// step function of the hour (RTP updates hourly in the paper's market).
@@ -45,11 +45,6 @@ impl PriceTrace {
     pub fn price_at_hour(&self, hour: f64) -> f64 {
         let h = hour.rem_euclid(24.0) as usize;
         self.hourly[h.min(23)]
-    }
-
-    /// Price at `seconds` past midnight.
-    pub fn price_at_seconds(&self, seconds: f64) -> f64 {
-        self.price_at_hour(seconds / 3600.0)
     }
 
     /// Borrow of the raw hourly values.
@@ -99,20 +94,10 @@ pub fn miso_oct3_2011() -> Vec<PriceTrace> {
     ]
 }
 
-/// A flat trace (useful for tests and ablations).
-pub fn constant_trace(region: Region, price: f64) -> PriceTrace {
-    PriceTrace::new(region, vec![price; 24]).expect("finite constant")
-}
-
 /// Prices of every trace at the given hour, in trace order — the `Prj`
 /// vector the controller consumes.
 pub fn prices_at_hour(traces: &[PriceTrace], hour: f64) -> Vec<f64> {
     traces.iter().map(|t| t.price_at_hour(hour)).collect()
-}
-
-/// Looks up a trace by region id.
-pub fn trace_for_region(traces: &[PriceTrace], id: RegionId) -> Option<&PriceTrace> {
-    traces.iter().find(|t| t.region.id() == id)
 }
 
 #[cfg(test)]
@@ -156,15 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn seconds_accessor_matches_hours() {
-        let traces = miso_oct3_2011();
-        assert_eq!(
-            traces[1].price_at_seconds(6.5 * 3600.0),
-            traces[1].price_at_hour(6.5)
-        );
-    }
-
-    #[test]
     fn wisconsin_has_negative_morning_dip_like_fig2() {
         let traces = miso_oct3_2011();
         let min = traces[2]
@@ -201,15 +177,8 @@ mod tests {
     #[test]
     fn helpers_work() {
         let traces = miso_oct3_2011();
-        assert_eq!(
-            trace_for_region(&traces, RegionId(1))
-                .unwrap()
-                .region()
-                .name(),
-            "Minnesota"
-        );
-        assert!(trace_for_region(&traces, RegionId(9)).is_none());
-        let flat = constant_trace(Region::new(5, "Flat"), 42.0);
+        assert_eq!(traces[1].region().name(), "Minnesota");
+        let flat = PriceTrace::new(Region::new(5, "Flat"), vec![42.0; 24]).unwrap();
         assert_eq!(flat.daily_mean(), 42.0);
         assert_eq!(flat.daily_volatility(), 0.0);
     }

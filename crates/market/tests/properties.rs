@@ -2,7 +2,7 @@
 
 use idc_market::region::Region;
 use idc_market::rtp::{DemandResponsivePricing, PricingModel, TracePricing};
-use idc_market::tariff::{PeakTariff, PowerBudget};
+use idc_market::tariff::PowerBudget;
 use idc_market::trace::PriceTrace;
 use proptest::prelude::*;
 
@@ -39,27 +39,6 @@ proptest! {
         }
         prop_assert_eq!(budgets.clamp(&clamped.clone()), clamped.clone());
         prop_assert!(budgets.violations(&clamped).iter().all(|&v| v == 0.0));
-    }
-
-    /// Peak-tariff cost is continuous at the budget boundary and weakly
-    /// increasing in the drawn power.
-    #[test]
-    fn tariff_cost_is_monotone_and_continuous(
-        budget in 1.0f64..20.0,
-        price in 1.0f64..100.0,
-        mult in 1.0f64..5.0,
-    ) {
-        let t = PeakTariff::new(mult).unwrap();
-        let below = t.interval_cost(budget - 1e-9, budget, price, 1.0);
-        let at = t.interval_cost(budget, budget, price, 1.0);
-        prop_assert!((below - at).abs() < 1e-5);
-        let mut prev = 0.0;
-        for k in 0..20 {
-            let p = budget * 0.15 * k as f64;
-            let c = t.interval_cost(p, budget, price, 1.0);
-            prop_assert!(c >= prev - 1e-9);
-            prev = c;
-        }
     }
 
     /// Demand-responsive prices are affine in the consumer's own load with

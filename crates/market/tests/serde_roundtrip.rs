@@ -1,7 +1,7 @@
 //! Round-trip tests for the market-layer serde derives.
 
 use idc_market::region::{Region, RegionId};
-use idc_market::tariff::{PeakTariff, PowerBudget};
+use idc_market::tariff::{DemandCharge, PowerBudget};
 use idc_market::trace::{miso_oct3_2011, PriceTrace};
 
 fn roundtrip<T>(value: &T) -> T
@@ -32,7 +32,7 @@ fn price_trace_roundtrips_with_exact_values() {
 fn budget_and_tariff_roundtrip() {
     let b = PowerBudget::paper_section_v_c();
     assert_eq!(roundtrip(&b), b);
-    let t = PeakTariff::new(3.0).unwrap();
+    let t = DemandCharge::typical_commercial();
     assert_eq!(roundtrip(&t), t);
 }
 

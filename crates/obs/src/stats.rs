@@ -192,15 +192,6 @@ impl SolveStats {
             self.seed_accepted as f64 / self.seed_offered as f64
         }
     }
-
-    /// Mean active-set iterations per solve (0 when no solves recorded).
-    pub fn iterations_per_solve(&self) -> f64 {
-        if self.solves == 0 {
-            0.0
-        } else {
-            self.iterations as f64 / self.solves as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -259,16 +250,5 @@ mod tests {
             ..SolveStats::default()
         };
         assert_eq!(s.seed_survival(), 0.75);
-    }
-
-    #[test]
-    fn iterations_per_solve_handles_zero() {
-        assert_eq!(SolveStats::default().iterations_per_solve(), 0.0);
-        let s = SolveStats {
-            solves: 4,
-            iterations: 10,
-            ..SolveStats::default()
-        };
-        assert_eq!(s.iterations_per_solve(), 2.5);
     }
 }

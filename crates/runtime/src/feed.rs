@@ -1,6 +1,6 @@
 //! Trace-backed feed adapters with deterministic fault injection.
 //!
-//! These implement [`idc_core::feed`]'s traits on top of a [`Scenario`]:
+//! These deliver [`idc_core::feed`]'s [`Observation`]s from a [`Scenario`]:
 //! the workload feed *publishes* one sample per fast tick (drawing workload
 //! noise at publish time, in the exact RNG order of the batch simulator),
 //! and the price feed publishes the scenario pricing evaluated at the
@@ -16,7 +16,7 @@
 //! while [`FeedFaults`] corrupts their *delivery* — the two layers model
 //! market-side and transport-side failures respectively.
 
-use idc_core::feed::{Observation, PriceFeed, WorkloadFeed};
+use idc_core::feed::Observation;
 use idc_core::scenario::{PricingSpec, Scenario};
 use idc_core::simulation::WorkloadProcess;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
@@ -406,10 +406,11 @@ impl TraceWorkloadFeed {
         feed.pending = pending_from_state(&state.pending);
         Ok(feed)
     }
-}
 
-impl WorkloadFeed for TraceWorkloadFeed {
-    fn poll(&mut self, tick: u64) -> Vec<Observation<Vec<f64>>> {
+    /// Returns the per-portal offered-workload vectors (req/s) arriving at
+    /// fast tick `tick` — possibly none, possibly a backlog of late ones,
+    /// in arbitrary stamp order.
+    pub fn poll(&mut self, tick: u64) -> Vec<Observation<Vec<f64>>> {
         while self.published <= tick {
             let k = self.published;
             let value = self.process.draw(k as usize, &mut self.rng);
@@ -466,10 +467,18 @@ impl TracePriceFeed {
         feed.pending = pending_from_state(&state.pending);
         feed
     }
-}
 
-impl PriceFeed for TracePriceFeed {
-    fn poll(&mut self, tick: u64, hour: f64, last_power_mw: &[f64]) -> Vec<Observation<Vec<f64>>> {
+    /// Returns the per-region price vectors ($/MWh) arriving at fast tick
+    /// `tick`. Demand-responsive tariffs price the consumer's own demand,
+    /// so the poll carries the hour and the previous step's per-IDC power
+    /// draw — the same feedback the batch simulator gives
+    /// [`PricingSpec::prices`].
+    pub fn poll(
+        &mut self,
+        tick: u64,
+        hour: f64,
+        last_power_mw: &[f64],
+    ) -> Vec<Observation<Vec<f64>>> {
         // Prices depend on the consumer's *current* power draw, so only the
         // present tick can be published (there is no future to pre-draw).
         if self.published == tick {

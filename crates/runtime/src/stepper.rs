@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use idc_core::clock::Clock;
-use idc_core::feed::{BoundedIngest, Observation, PriceFeed, WorkloadFeed};
+use idc_core::feed::{BoundedIngest, Observation};
 use idc_core::plant::Plant;
 use idc_core::policy::{MpcPolicy, MpcPolicyConfig, Policy, StepContext};
 use idc_core::scenario::Scenario;

@@ -278,7 +278,7 @@ impl StatusBoard {
     }
 }
 
-/// Per-tenant outcome of a soak, for reports and `BENCH_runtime.json`.
+/// Per-tenant outcome of a soak, for the soak checks and the status report.
 #[derive(Debug, Clone, Serialize)]
 pub struct TenantReport {
     /// Tenant id.

@@ -286,8 +286,9 @@ fn seeds_above_two_to_the_53_are_refused() {
 /// Integers read from a checkpoint are exact or refused: a real
 /// `smoothing` checkpoint whose step cursor is edited to `3.7` or `-1`,
 /// whose `num_steps` is `1e300`, or whose seed is `2⁵³ + 1` (which parses
-/// as `2⁵³`) fails `from_json` with an error naming `u64`, instead of
-/// restoring as step 3, step 0, `u64::MAX` steps or seed `2⁵³`.
+/// as `2⁵³`) fails `from_json` with an error naming `u64` and the refused
+/// field, instead of restoring as step 3, step 0, `u64::MAX` steps or seed
+/// `2⁵³`.
 #[test]
 fn checkpoint_integers_are_exact_or_refused() {
     let mut stepper = Stepper::new(config(0, 0, 3)).unwrap();
@@ -295,16 +296,20 @@ fn checkpoint_integers_are_exact_or_refused() {
         stepper.step_once().unwrap();
     }
     let json = stepper.snapshot().to_json().unwrap();
-    for (field, edited) in [
-        ("\"step\":3,", "\"step\":3.7,"),
-        ("\"step\":3,", "\"step\":-1,"),
-        ("\"num_steps\":25,", "\"num_steps\":1e300,"),
-        ("\"seed\":2012,", "\"seed\":9007199254740993,"),
+    for (name, field, edited) in [
+        ("step", "\"step\":3,", "\"step\":3.7,"),
+        ("step", "\"step\":3,", "\"step\":-1,"),
+        ("num_steps", "\"num_steps\":25,", "\"num_steps\":1e300,"),
+        ("seed", "\"seed\":2012,", "\"seed\":9007199254740993,"),
     ] {
         assert_eq!(json.matches(field).count(), 1, "{field} in {json}");
         match RuntimeSnapshot::from_json(&json.replacen(field, edited, 1)) {
             Err(Error::Snapshot(msg)) => {
-                assert!(msg.contains("is not an exact u64"), "{edited}: {msg}")
+                assert!(msg.contains("is not an exact u64"), "{edited}: {msg}");
+                assert!(
+                    msg.contains(&format!("field `{name}` of ")),
+                    "{edited}: {msg}"
+                );
             }
             Err(e) => panic!("{edited}: wrong error: {e}"),
             Ok(_) => panic!("{edited} must be refused"),

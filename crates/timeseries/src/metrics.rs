@@ -10,15 +10,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation; 0 for fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Root-mean-square error between two equal-length series.
 ///
 /// # Panics
@@ -66,11 +57,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_empty_and_nonempty() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        assert!((std_dev(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

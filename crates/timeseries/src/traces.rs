@@ -124,15 +124,6 @@ pub fn epa_like() -> DiurnalTrace {
         .bursts(0.02, 0.5)
 }
 
-/// A piecewise-constant profile: `levels[i]` held for `hold` samples each.
-/// Used to exercise controllers with step workload changes.
-pub fn step_profile(levels: &[f64], hold: usize) -> Vec<f64> {
-    levels
-        .iter()
-        .flat_map(|&v| std::iter::repeat_n(v, hold))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,12 +178,6 @@ mod tests {
         let night: f64 = day[120..180].iter().sum::<f64>() / 60.0; // ~02:00–03:00
         let noon: f64 = day[780..840].iter().sum::<f64>() / 60.0; // ~13:00–14:00
         assert!(noon > 3.0 * night, "noon {noon}, night {night}");
-    }
-
-    #[test]
-    fn step_profile_holds_levels() {
-        let p = step_profile(&[1.0, 2.0], 3);
-        assert_eq!(p, vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
