@@ -26,39 +26,14 @@ use idc_testkit::faults::{FaultKind, FaultPlan};
 
 const SEEDS: [u64; 3] = [7, 2012, 0xFEED];
 
-/// Reads the value of `--<flag> N` from `args`, if the flag is present.
-/// Exits with a message on an unparsable value.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("{flag} needs a numeric value");
-                std::process::exit(2);
-            })
-    })
-}
-
-/// Reads the value of `--trace-out PATH` and installs the global flight
-/// recorder when present.
-fn trace_flag(args: &[String]) -> Option<String> {
-    let i = args.iter().position(|a| a == "--trace-out")?;
-    let path = args.get(i + 1).cloned().unwrap_or_else(|| {
-        eprintln!("--trace-out needs a path");
-        std::process::exit(2);
-    });
-    idc_obs::install_global_recorder(1 << 20);
-    Some(path)
-}
-
 fn main() -> Result<(), idc_core::Error> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_out = trace_flag(&args);
-    let seeds: Vec<u64> = match flag_value(&args, "--seed") {
+    let args = idc_bench::parse_gate_args("fault_matrix");
+    let trace_out = args.trace_out;
+    let seeds: Vec<u64> = match args.seed {
         Some(s) => vec![s],
         None => SEEDS.to_vec(),
     };
-    let base = match flag_value::<usize>(&args, "--steps") {
+    let base = match args.steps {
         Some(n) => smoothing_scenario().with_num_steps(n),
         None => smoothing_scenario(),
     };

@@ -146,7 +146,7 @@ fn parse_args() -> Result<Args, String> {
                 print!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown flag '{other}' (see --help)")),
+            other => return Err(format!("unknown flag '{other}'")),
         }
     }
     if scenario_by_key(&args.scenario, 0, None).is_none() {
@@ -361,14 +361,16 @@ fn build_manager(
     resume: bool,
     kill_after: Option<u64>,
 ) -> Result<TenantManager, String> {
-    let mut manager = TenantManager::new(ManagerConfig {
-        workers: args.workers,
-        checkpoint_root: Some(root.to_path_buf()),
-        resume,
-        stop_after_total_steps: kill_after,
-        ..ManagerConfig::default()
-    });
-    manager.attach_metrics(Arc::clone(registry));
+    let mut manager = TenantManager::with_registry(
+        ManagerConfig {
+            workers: args.workers,
+            checkpoint_root: Some(root.to_path_buf()),
+            resume,
+            stop_after_total_steps: kill_after,
+            ..ManagerConfig::default()
+        },
+        Arc::clone(registry),
+    );
     for spec in specs {
         manager
             .add_tenant(spec.clone())
@@ -496,8 +498,8 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
         Err(msg) => {
-            eprintln!("runtime_soak: error: {msg}");
-            return ExitCode::FAILURE;
+            eprintln!("runtime_soak: {msg}\n\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
     if args.tenants > 0 {

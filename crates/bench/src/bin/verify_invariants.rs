@@ -49,21 +49,6 @@ fn scenarios(seed: u64, steps: Option<usize>) -> Vec<Scenario> {
     }
 }
 
-/// Reads the value of `--<flag> N` from `args`, or `default` when absent.
-/// Exits with a message on an unparsable value.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("{flag} needs a numeric value");
-                std::process::exit(2);
-            }),
-        None => default,
-    }
-}
-
 fn policies(scenario: &Scenario) -> Vec<(&'static str, Box<dyn Policy>)> {
     vec![
         (
@@ -79,26 +64,11 @@ fn policies(scenario: &Scenario) -> Vec<(&'static str, Box<dyn Policy>)> {
     ]
 }
 
-/// Reads `--trace-out PATH` and installs the global flight recorder when
-/// present.
-fn trace_flag(args: &[String]) -> Option<String> {
-    let i = args.iter().position(|a| a == "--trace-out")?;
-    let path = args.get(i + 1).cloned().unwrap_or_else(|| {
-        eprintln!("--trace-out needs a path");
-        std::process::exit(2);
-    });
-    idc_obs::install_global_recorder(1 << 20);
-    Some(path)
-}
-
 fn main() -> Result<(), idc_core::Error> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_out = trace_flag(&args);
-    let seed = flag_value(&args, "--seed", 2012u64);
-    let steps = args
-        .iter()
-        .any(|a| a == "--steps")
-        .then(|| flag_value(&args, "--steps", 0usize));
+    let args = idc_bench::parse_gate_args("verify_invariants");
+    let trace_out = args.trace_out;
+    let seed = args.seed.unwrap_or(2012);
+    let steps = args.steps;
     println!("## verify_invariants — invariant sweep, all scenarios × policies");
     println!(
         "{:<42} {:>8} {:>8} {:>6} {:>6} {:>16}",

@@ -1,15 +1,19 @@
 //! `idc-daemon`: the online two-time-scale control daemon.
 //!
-//! Replays a registered scenario as a long-running process: streaming
+//! Replays registered scenarios as a long-running process: streaming
 //! workload/price feeds (optionally faulty), the MPC fast loop and the
 //! eq. 35 slow loop paced by a wall clock at a configurable real-time
-//! speedup, periodic atomic checkpoints, and a Prometheus/JSON metrics
-//! endpoint. SIGTERM/SIGINT trigger a final checkpoint and a clean exit;
-//! `--resume` restarts from the checkpoint bit-for-bit.
+//! speedup, periodic checkpoints into per-tenant lineages, and a
+//! Prometheus/JSON metrics endpoint. One fleet or many, every control loop
+//! is a tenant of the same [`TenantManager`]: without `--tenants` the
+//! daemon hosts one tenant built from its flags, whose id is the scenario
+//! key. SIGTERM/SIGINT trigger a final checkpoint and a clean exit;
+//! `--resume` restarts from the lineages bit-for-bit, and a run without it
+//! empties its tenants' lineages first.
 //!
 //! ```text
 //! idc-daemon --scenario noisy_day --speedup 0 --listen 127.0.0.1:9184 \
-//!            --snapshot /tmp/idc.snap --snapshot-interval 50
+//!            --checkpoint-root /tmp/idc-ckpt --checkpoint-every 50
 //! ```
 
 use std::path::PathBuf;
@@ -17,14 +21,11 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use idc_core::clock::{Clock, WallClock};
 use idc_runtime::feed::{FeedFaults, OverloadFaults};
 use idc_runtime::http::MetricsServer;
-use idc_runtime::metrics::MetricsRegistry;
 use idc_runtime::registry::{scenario_by_key, SCENARIO_KEYS};
-use idc_runtime::snapshot::RuntimeSnapshot;
-use idc_runtime::stepper::{Stepper, StepperConfig};
-use idc_runtime::tenant::{derive_tenants, ManagerConfig, TenantManager};
+use idc_runtime::stepper::StepperConfig;
+use idc_runtime::tenant::{derive_tenants, ManagerConfig, TenantManager, TenantSpec};
 
 /// Set by the signal handler; checked between steps.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -53,8 +54,7 @@ struct Args {
     steps: Option<usize>,
     speedup: f64,
     listen: Option<String>,
-    snapshot: Option<PathBuf>,
-    snapshot_interval: u64,
+    checkpoint_every: u64,
     resume: bool,
     max_staleness: u64,
     fault_seed: u64,
@@ -62,7 +62,6 @@ struct Args {
     workload_delay: u64,
     price_drop: f64,
     price_delay: u64,
-    backend: Option<String>,
     ingest_bound: usize,
     trace_capacity: Option<usize>,
     anomaly_log: Option<PathBuf>,
@@ -80,8 +79,7 @@ impl Default for Args {
             steps: None,
             speedup: 0.0,
             listen: None,
-            snapshot: None,
-            snapshot_interval: 50,
+            checkpoint_every: 50,
             resume: false,
             max_staleness: 3,
             fault_seed: 7,
@@ -89,7 +87,6 @@ impl Default for Args {
             workload_delay: 0,
             price_drop: 0.0,
             price_delay: 0,
-            backend: None,
             ingest_bound: 0,
             trace_capacity: None,
             anomaly_log: None,
@@ -106,32 +103,38 @@ idc-daemon: online two-time-scale IDC control daemon
 
 USAGE: idc-daemon [OPTIONS]
 
+Without --tenants the daemon hosts one tenant, whose id is the scenario
+key, built from the scenario, seed, feed and checkpoint options.
+
 OPTIONS:
   --scenario KEY         scenario to run (default: noisy_day)
   --seed N               workload-noise seed (default: 2012)
   --steps N              run length override in sampling periods
   --speedup X            real-time speedup; 0 = as fast as possible (default: 0)
-  --listen ADDR          serve /metrics, /metrics.json, /healthz on ADDR
-  --snapshot PATH        checkpoint file (written atomically)
-  --snapshot-interval N  checkpoint every N steps (default: 50)
-  --resume               restore from --snapshot instead of starting fresh
+  --listen ADDR          serve /metrics, /metrics.json, /healthz, /tenants
+                         and /debug/trace on ADDR
+  --checkpoint-root DIR  checkpoint lineages under DIR/<tenant>/ (written
+                         atomically; default: no checkpoints)
+  --checkpoint-every N   one-tenant checkpoint interval in steps; 0 = only
+                         the final checkpoint (default: 50)
+  --keep-last K          checkpoints retained per tenant lineage (default: 4)
+  --resume               resume every tenant from its newest restorable
+                         checkpoint under --checkpoint-root (the one-tenant
+                         run fails without one); without it each tenant's
+                         lineage is emptied and its run starts fresh
   --max-staleness N      feed staleness budget in ticks (default: 3)
   --fault-seed N         seed for the fault schedules (default: 7)
   --workload-drop P      workload-feed drop probability in [0,1] (default: 0)
   --workload-delay N     workload-feed max delivery delay in ticks (default: 0)
   --price-drop P         price-feed drop probability in [0,1] (default: 0)
   --price-delay N        price-feed max delivery delay in ticks (default: 0)
-  --backend LABEL        solver backend: banded (default: banded)
   --ingest-bound N       per-tick, per-feed admission bound; overflow is
                          shed and counted (default: 0 = unbounded)
-  --tenants N            multi-tenant mode: host N heterogeneous control
-                         loops on a shared worker pool (default: 0 = the
-                         classic single-fleet loop)
-  --workers N            worker threads in multi-tenant mode
-                         (default: 0 = one per available CPU, capped at 8)
-  --checkpoint-root DIR  per-tenant checkpoint lineages under DIR/<tenant>/
-                         (multi-tenant mode; implies periodic checkpoints)
-  --keep-last K          checkpoints retained per tenant lineage (default: 4)
+  --tenants N            host N derived heterogeneous tenants instead of
+                         the one-tenant run (default: 0); they bring their
+                         own feed faults and checkpoint intervals
+  --workers N            worker threads (default: 0 = one per available
+                         CPU, capped at 8)
   --trace-capacity N     enable the span flight recorder, keeping the last
                          N spans (served at /debug/trace as a Chrome trace)
   --anomaly-log PATH     append JSONL anomaly records (solver failures,
@@ -145,95 +148,38 @@ fn parse_args() -> Result<Args, String> {
     fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
         it.next().ok_or_else(|| format!("{flag} needs a value"))
     }
+    fn parsed<T: std::str::FromStr>(
+        it: &mut impl Iterator<Item = String>,
+        flag: &str,
+    ) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        value(it, flag)?.parse().map_err(|e| format!("{flag}: {e}"))
+    }
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--scenario" => args.scenario = value(&mut it, "--scenario")?,
-            "--seed" => {
-                args.seed = value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--steps" => {
-                args.steps = Some(
-                    value(&mut it, "--steps")?
-                        .parse()
-                        .map_err(|e| format!("--steps: {e}"))?,
-                );
-            }
-            "--speedup" => {
-                args.speedup = value(&mut it, "--speedup")?
-                    .parse()
-                    .map_err(|e| format!("--speedup: {e}"))?;
-            }
+            "--seed" => args.seed = parsed(&mut it, "--seed")?,
+            "--steps" => args.steps = Some(parsed(&mut it, "--steps")?),
+            "--speedup" => args.speedup = parsed(&mut it, "--speedup")?,
             "--listen" => args.listen = Some(value(&mut it, "--listen")?),
-            "--snapshot" => args.snapshot = Some(PathBuf::from(value(&mut it, "--snapshot")?)),
-            "--snapshot-interval" => {
-                args.snapshot_interval = value(&mut it, "--snapshot-interval")?
-                    .parse()
-                    .map_err(|e| format!("--snapshot-interval: {e}"))?;
-            }
+            "--checkpoint-every" => args.checkpoint_every = parsed(&mut it, "--checkpoint-every")?,
             "--resume" => args.resume = true,
-            "--max-staleness" => {
-                args.max_staleness = value(&mut it, "--max-staleness")?
-                    .parse()
-                    .map_err(|e| format!("--max-staleness: {e}"))?;
-            }
-            "--fault-seed" => {
-                args.fault_seed = value(&mut it, "--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("--fault-seed: {e}"))?;
-            }
-            "--workload-drop" => {
-                args.workload_drop = value(&mut it, "--workload-drop")?
-                    .parse()
-                    .map_err(|e| format!("--workload-drop: {e}"))?;
-            }
-            "--workload-delay" => {
-                args.workload_delay = value(&mut it, "--workload-delay")?
-                    .parse()
-                    .map_err(|e| format!("--workload-delay: {e}"))?;
-            }
-            "--price-drop" => {
-                args.price_drop = value(&mut it, "--price-drop")?
-                    .parse()
-                    .map_err(|e| format!("--price-drop: {e}"))?;
-            }
-            "--price-delay" => {
-                args.price_delay = value(&mut it, "--price-delay")?
-                    .parse()
-                    .map_err(|e| format!("--price-delay: {e}"))?;
-            }
-            "--backend" => args.backend = Some(value(&mut it, "--backend")?),
-            "--ingest-bound" => {
-                args.ingest_bound = value(&mut it, "--ingest-bound")?
-                    .parse()
-                    .map_err(|e| format!("--ingest-bound: {e}"))?;
-            }
-            "--tenants" => {
-                args.tenants = value(&mut it, "--tenants")?
-                    .parse()
-                    .map_err(|e| format!("--tenants: {e}"))?;
-            }
-            "--workers" => {
-                args.workers = value(&mut it, "--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
+            "--max-staleness" => args.max_staleness = parsed(&mut it, "--max-staleness")?,
+            "--fault-seed" => args.fault_seed = parsed(&mut it, "--fault-seed")?,
+            "--workload-drop" => args.workload_drop = parsed(&mut it, "--workload-drop")?,
+            "--workload-delay" => args.workload_delay = parsed(&mut it, "--workload-delay")?,
+            "--price-drop" => args.price_drop = parsed(&mut it, "--price-drop")?,
+            "--price-delay" => args.price_delay = parsed(&mut it, "--price-delay")?,
+            "--ingest-bound" => args.ingest_bound = parsed(&mut it, "--ingest-bound")?,
+            "--tenants" => args.tenants = parsed(&mut it, "--tenants")?,
+            "--workers" => args.workers = parsed(&mut it, "--workers")?,
             "--checkpoint-root" => {
                 args.checkpoint_root = Some(PathBuf::from(value(&mut it, "--checkpoint-root")?));
             }
-            "--keep-last" => {
-                args.keep_last = value(&mut it, "--keep-last")?
-                    .parse()
-                    .map_err(|e| format!("--keep-last: {e}"))?;
-            }
-            "--trace-capacity" => {
-                args.trace_capacity = Some(
-                    value(&mut it, "--trace-capacity")?
-                        .parse()
-                        .map_err(|e| format!("--trace-capacity: {e}"))?,
-                );
-            }
+            "--keep-last" => args.keep_last = parsed(&mut it, "--keep-last")?,
+            "--trace-capacity" => args.trace_capacity = Some(parsed(&mut it, "--trace-capacity")?),
             "--anomaly-log" => {
                 args.anomaly_log = Some(PathBuf::from(value(&mut it, "--anomaly-log")?));
             }
@@ -241,7 +187,7 @@ fn parse_args() -> Result<Args, String> {
                 print!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown flag '{other}' (see --help)")),
+            other => return Err(format!("unknown flag '{other}'")),
         }
     }
     if scenario_by_key(&args.scenario, 0, None).is_none() {
@@ -251,33 +197,18 @@ fn parse_args() -> Result<Args, String> {
             SCENARIO_KEYS.join(", ")
         ));
     }
-    if args.resume && args.snapshot.is_none() && args.checkpoint_root.is_none() {
-        return Err(
-            "--resume needs --snapshot PATH (or --checkpoint-root in multi-tenant mode)"
-                .to_string(),
-        );
-    }
-    if args.tenants > 0 && args.resume && args.checkpoint_root.is_none() {
-        return Err("--resume with --tenants needs --checkpoint-root DIR".to_string());
+    if args.resume && args.checkpoint_root.is_none() {
+        return Err("--resume needs --checkpoint-root DIR".to_string());
     }
     Ok(args)
 }
 
-fn build_stepper(args: &Args) -> Result<Stepper, String> {
-    if args.resume {
-        let path = args.snapshot.as_deref().expect("validated in parse_args");
-        let snapshot = RuntimeSnapshot::read(path)
-            .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
-        eprintln!(
-            "idc-daemon: resuming '{}' at step {}/{} from {}",
-            snapshot.scenario_key,
-            snapshot.step,
-            snapshot.num_steps,
-            path.display()
-        );
-        Stepper::restore(&snapshot).map_err(|e| e.to_string())
-    } else {
-        Stepper::new(StepperConfig {
+/// The one tenant the daemon hosts without `--tenants`, built from its
+/// flags.
+fn one_tenant(args: &Args) -> TenantSpec {
+    TenantSpec {
+        id: args.scenario.clone(),
+        config: StepperConfig {
             scenario_key: args.scenario.clone(),
             seed: args.seed,
             num_steps: args.steps,
@@ -292,82 +223,27 @@ fn build_stepper(args: &Args) -> Result<Stepper, String> {
                 args.price_drop,
                 args.price_delay,
             ),
-            backend: args.backend.clone(),
+            backend: None,
             ingest_bound: args.ingest_bound,
             overload: OverloadFaults::none(),
-        })
-        .map_err(|e| e.to_string())
+        },
+        speedup: args.speedup,
+        checkpoint_every: args.checkpoint_every,
     }
 }
 
-fn write_snapshot(
-    stepper: &Stepper,
-    path: &std::path::Path,
-    m: &MetricsRegistry,
-) -> Result<(), String> {
-    stepper
-        .snapshot()
-        .write_atomic(path)
-        .map_err(|e| format!("checkpoint to {}: {e}", path.display()))?;
-    m.inc_counter("idc_snapshots_written_total", 1);
-    Ok(())
-}
-
-fn summary_json(stepper: &Stepper, interrupted: bool) -> String {
-    use serde::Value;
-    let per_idc_power = Value::Array(
-        stepper
-            .scenario()
-            .fleet()
-            .idcs()
-            .iter()
-            .enumerate()
-            .map(|(j, idc)| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(idc.name().to_string())),
-                    (
-                        "final_power_mw".to_string(),
-                        Value::Number(stepper.power_mw(j).last().copied().unwrap_or(0.0)),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    let root = Value::Object(vec![
-        (
-            "scenario".to_string(),
-            Value::String(stepper.scenario().name().to_string()),
-        ),
-        (
-            "steps_done".to_string(),
-            Value::Number(stepper.step() as f64),
-        ),
-        (
-            "steps_total".to_string(),
-            Value::Number(stepper.num_steps() as f64),
-        ),
-        ("interrupted".to_string(), Value::Bool(interrupted)),
-        (
-            "accumulated_cost_dollars".to_string(),
-            Value::Number(stepper.accumulated_cost()),
-        ),
-        (
-            "degraded_steps".to_string(),
-            Value::Number(stepper.degraded_steps() as f64),
-        ),
-        (
-            "latency_ok_fraction".to_string(),
-            Value::Number(stepper.latency_ok_fraction()),
-        ),
-        ("per_idc".to_string(), per_idc_power),
-    ]);
-    serde_json::to_string(&root).expect("summary is finite")
-}
-
-/// The multi-tenant daemon path: host `--tenants N` derived control loops
-/// on the shared worker pool, serve per-tenant metrics plus `/tenants`
-/// status, checkpoint into per-tenant lineages and resume from them.
-fn run_multi(args: &Args) -> Result<(), String> {
+/// Hosts the tenants, serves their metrics and `/tenants` status, and
+/// prints the run's report as JSON.
+fn run(args: &Args) -> Result<(), String> {
+    install_signal_handlers();
+    if let Some(capacity) = args.trace_capacity {
+        idc_obs::install_global_recorder(capacity);
+        eprintln!("idc-daemon: flight recorder enabled ({capacity} spans, /debug/trace)");
+    }
+    if let Some(path) = &args.anomaly_log {
+        idc_obs::set_anomaly_log(path)
+            .map_err(|e| format!("cannot open anomaly log {}: {e}", path.display()))?;
+    }
     let mut manager = TenantManager::new(ManagerConfig {
         workers: args.workers,
         checkpoint_root: args.checkpoint_root.clone(),
@@ -375,17 +251,32 @@ fn run_multi(args: &Args) -> Result<(), String> {
         resume: args.resume,
         ..ManagerConfig::default()
     });
-    let metrics = Arc::new(MetricsRegistry::new());
-    manager.attach_metrics(Arc::clone(&metrics));
+    let specs = if args.tenants > 0 {
+        let mut specs = derive_tenants(args.tenants, args.seed, args.steps);
+        for spec in &mut specs {
+            spec.speedup = args.speedup;
+        }
+        specs
+    } else {
+        vec![one_tenant(args)]
+    };
     let mut resumed = 0usize;
-    for mut spec in derive_tenants(args.tenants, args.seed, args.steps) {
-        spec.speedup = args.speedup;
+    for spec in specs {
         if manager.add_tenant(spec).map_err(|e| e.to_string())? {
             resumed += 1;
         }
     }
+    // A one-tenant resume with nothing to resume from names a wrong root
+    // or scenario; starting fresh would hide that.
+    if args.resume && args.tenants == 0 && resumed == 0 {
+        let root = args.checkpoint_root.clone().unwrap_or_default();
+        return Err(format!(
+            "cannot resume: {} holds no restorable checkpoint",
+            root.join(&args.scenario).display()
+        ));
+    }
     eprintln!(
-        "idc-daemon: hosting {} tenants ({resumed} resumed from checkpoints)",
+        "idc-daemon: hosting {} tenant(s) ({resumed} resumed from checkpoints)",
         manager.num_tenants()
     );
 
@@ -394,14 +285,8 @@ fn run_multi(args: &Args) -> Result<(), String> {
             let board = manager.status_board();
             let s = MetricsServer::start_with_status(
                 addr,
-                Arc::clone(&metrics),
-                Arc::new(move |id: &str| {
-                    if id.is_empty() {
-                        Some(board.render_json())
-                    } else {
-                        board.render_tenant_json(id)
-                    }
-                }),
+                manager.registry(),
+                Arc::new(move |id: &str| board.render(id)),
             )
             .map_err(|e| e.to_string())?;
             eprintln!(
@@ -424,66 +309,15 @@ fn run_multi(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    install_signal_handlers();
-    if let Some(capacity) = args.trace_capacity {
-        idc_obs::install_global_recorder(capacity);
-        eprintln!("idc-daemon: flight recorder enabled ({capacity} spans, /debug/trace)");
-    }
-    if let Some(path) = &args.anomaly_log {
-        idc_obs::set_anomaly_log(path)
-            .map_err(|e| format!("cannot open anomaly log {}: {e}", path.display()))?;
-    }
-    if args.tenants > 0 {
-        return run_multi(&args);
-    }
-
-    let mut stepper = build_stepper(&args)?;
-    let metrics = Arc::new(MetricsRegistry::new());
-    stepper.attach_metrics(Arc::clone(&metrics));
-
-    let server = match &args.listen {
-        Some(addr) => {
-            let s = MetricsServer::start(addr, Arc::clone(&metrics)).map_err(|e| e.to_string())?;
-            eprintln!("idc-daemon: metrics on http://{}/metrics", s.addr());
-            Some(s)
-        }
-        None => None,
-    };
-
-    let mut clock = WallClock::new(stepper.scenario().ts_hours(), args.speedup);
-    let mut interrupted = false;
-    while !stepper.is_finished() {
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            interrupted = true;
-            break;
-        }
-        clock.wait_for_step(stepper.step());
-        stepper.step_once().map_err(|e| e.to_string())?;
-        if let Some(path) = &args.snapshot {
-            let k = stepper.step();
-            if args.snapshot_interval > 0 && k.is_multiple_of(args.snapshot_interval) {
-                write_snapshot(&stepper, path, &metrics)?;
-            }
-        }
-    }
-
-    // Final checkpoint: on clean completion *and* on SIGTERM/SIGINT, so a
-    // restart with --resume continues (or confirms completion) either way.
-    if let Some(path) = &args.snapshot {
-        write_snapshot(&stepper, path, &metrics)?;
-        eprintln!("idc-daemon: checkpoint written to {}", path.display());
-    }
-    if let Some(server) = server {
-        server.shutdown();
-    }
-    println!("{}", summary_json(&stepper, interrupted));
-    Ok(())
-}
-
 fn main() -> ExitCode {
-    match run() {
+    let args = match parse_args() {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("idc-daemon: {msg}\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("idc-daemon: error: {msg}");

@@ -9,8 +9,7 @@
 //! * `GET /debug/trace` — the flight recorder as Chrome trace-event JSON
 //!   (open in Perfetto or `chrome://tracing`; empty unless the daemon ran
 //!   with `--trace-capacity`)
-//! * `GET /tenants` — per-tenant status JSON array, when the server was
-//!   started with [`MetricsServer::start_with_status`] (404 otherwise)
+//! * `GET /tenants` — per-tenant status JSON array
 //! * `GET /tenants/<id>` — one tenant's status object (step count, last
 //!   checkpoint step, shed counters); 404 for an unknown id
 //!
@@ -45,20 +44,12 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `listen` (use port 0 for an ephemeral port) and starts serving
-    /// `registry` on a background thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Io`] when the address cannot be bound.
-    pub fn start(listen: &str, registry: Arc<MetricsRegistry>) -> Result<Self> {
-        Self::serve(listen, registry, None)
-    }
-
-    /// Like [`start`](Self::start), plus `/tenants` and `/tenants/<id>`
-    /// routes whose bodies are produced by `status` on every request: it
-    /// is called with `""` for the board listing and with the tenant id
-    /// for the detail route, and returns `None` for an unknown id (a 404).
-    /// The multi-tenant daemon passes the status board's JSON renderers.
+    /// `registry` on a background thread, with `/tenants` and
+    /// `/tenants/<id>` routes whose bodies are produced by `status` on
+    /// every request: it is called with `""` for the board listing and
+    /// with the tenant id for the detail route, and returns `None` for an
+    /// unknown id (a 404). The daemon passes
+    /// [`StatusBoard::render`](crate::tenant::StatusBoard::render).
     ///
     /// # Errors
     ///
@@ -67,14 +58,6 @@ impl MetricsServer {
         listen: &str,
         registry: Arc<MetricsRegistry>,
         status: Arc<StatusRenderer>,
-    ) -> Result<Self> {
-        Self::serve(listen, registry, Some(status))
-    }
-
-    fn serve(
-        listen: &str,
-        registry: Arc<MetricsRegistry>,
-        status: Option<Arc<StatusRenderer>>,
     ) -> Result<Self> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
@@ -89,7 +72,7 @@ impl MetricsServer {
                     // A slow or dead scraper must not wedge the daemon.
                     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                    let _ = serve_one(stream, &registry, status.as_deref());
+                    let _ = serve_one(stream, &registry, &*status);
                 }
             }
         });
@@ -121,7 +104,7 @@ impl MetricsServer {
 fn serve_one(
     mut stream: TcpStream,
     registry: &MetricsRegistry,
-    status: Option<&StatusRenderer>,
+    status: &StatusRenderer,
 ) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
@@ -152,13 +135,8 @@ fn serve_one(
         "/healthz" => ("200 OK", "text/plain", "ok\n".to_string()),
         p if p == "/tenants" || p.starts_with("/tenants/") => {
             let id = p.strip_prefix("/tenants/").unwrap_or("");
-            match status.and_then(|render| render(id)) {
+            match status(id) {
                 Some(body) => ("200 OK", "application/json", body),
-                None if status.is_none() => (
-                    "404 Not Found",
-                    "text/plain",
-                    "no tenant manager\n".to_string(),
-                ),
                 None => (
                     "404 Not Found",
                     "text/plain",
@@ -196,7 +174,12 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         registry.inc_counter("idc_steps_total", 42);
         registry.set_gauge("idc_accumulated_cost_dollars", 3.5);
-        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let server = MetricsServer::start_with_status(
+            "127.0.0.1:0",
+            Arc::clone(&registry),
+            Arc::new(|_| None),
+        )
+        .unwrap();
         let addr = server.addr();
 
         let (status, body) = get(addr, "/metrics");
@@ -219,7 +202,7 @@ mod tests {
         let (status, _) = get(addr, "/nope");
         assert!(status.contains("404"), "{status}");
 
-        // No status callback wired: /tenants is a 404.
+        // A status callback that knows no tenant: /tenants is a 404.
         let (status, _) = get(addr, "/tenants");
         assert!(status.contains("404"), "{status}");
 

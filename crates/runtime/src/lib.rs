@@ -18,9 +18,10 @@
 //!   resumes the run bit-for-bit.
 //! * [`lineage`] — per-tenant checkpoint directories with keep-last-K
 //!   compaction and startup GC of torn/corrupt files.
-//! * [`tenant`] — the multi-tenant manager: N independent control loops
-//!   scheduled over a thread-per-shard worker pool off a time-ordered
-//!   ready queue, with admission control and per-tenant histograms.
+//! * [`tenant`] — the tenant manager: N independent control loops (one
+//!   for a single fleet) scheduled over a thread-per-shard worker pool off
+//!   a time-ordered ready queue, with admission control and per-tenant
+//!   metrics.
 //! * [`metrics`] / [`http`] — an embedded metrics registry served over
 //!   hand-rolled HTTP/1.1.
 //! * [`registry`] — stable string keys for the canned scenarios.

@@ -180,6 +180,27 @@ impl CheckpointLineage {
         Ok(path)
     }
 
+    /// Deletes every retained checkpoint, so a fresh run starts its own
+    /// lineage instead of compacting into an earlier run's. An empty
+    /// lineage touches no file.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures.
+    pub fn clear(&self) -> Result<()> {
+        let mut retained = self.retained();
+        let Some(&newest) = retained.back() else {
+            return Ok(());
+        };
+        for step in retained.drain(..) {
+            match fs::remove_file(self.path_for(step)) {
+                Err(err) if err.kind() == ErrorKind::NotFound => {}
+                other => other?,
+            }
+        }
+        sync_parent_dir(&self.path_for(newest))
+    }
+
     /// The newest snapshot on disk that parses and validates, with its
     /// step. Corrupt candidates are GC'd and logged, then older ones are
     /// tried — `None` only when nothing restorable remains.

@@ -7,7 +7,8 @@
 //! write to an existing key allocates nothing. Metric
 //! keys may carry a Prometheus label suffix directly in the name (e.g.
 //! `idc_power_mw{idc="Michigan"}`); the renderer emits one `# TYPE` line
-//! per base name.
+//! per base name, and writes a labelled histogram's labels into each of
+//! its `_bucket`, `_sum` and `_count` series.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -231,18 +232,25 @@ impl MetricsRegistry {
             typed = Some(base_name(key));
             out.push_str(&format!("{key} {v}\n"));
         }
+        typed = None;
         for (key, h) in &inner.histograms {
-            if let Some(help) = inner.help.get(base_name(key)) {
-                out.push_str(&format!("# HELP {key} {help}\n"));
-            }
-            out.push_str(&format!("# TYPE {key} histogram\n"));
+            type_line(&mut out, key, "histogram", &mut typed);
+            let base = base_name(key);
+            typed = Some(base);
+            // A labelled key's labels go inside each series' own braces,
+            // ahead of a bucket's `le`.
+            let labels = &key[base.len()..];
+            let inner_labels = labels.trim_start_matches('{').trim_end_matches('}');
+            let sep = if inner_labels.is_empty() { "" } else { "," };
             let mut cumulative = 0u64;
             for (i, &bound) in h.bounds.iter().enumerate() {
                 cumulative += h.counts[i];
-                out.push_str(&format!("{key}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
+                out.push_str(&format!(
+                    "{base}_bucket{{{inner_labels}{sep}le=\"{bound}\"}} {cumulative}\n"
+                ));
             }
             out.push_str(&format!(
-                "{key}_bucket{{le=\"+Inf\"}} {}\n{key}_sum {}\n{key}_count {}\n",
+                "{base}_bucket{{{inner_labels}{sep}le=\"+Inf\"}} {}\n{base}_sum{labels} {}\n{base}_count{labels} {}\n",
                 h.count, h.sum, h.count
             ));
         }
@@ -367,6 +375,32 @@ mod tests {
         m2.observe("h", &bounds, 100.0);
         let inner = m2.inner.lock().unwrap();
         assert_eq!(inner.histograms.get("h").unwrap().quantile(0.5), Some(4.0));
+    }
+
+    #[test]
+    fn labelled_histograms_render_their_labels_inside_each_series() {
+        let m = MetricsRegistry::new();
+        let key = "idc_tenant_step_duration_seconds{tenant=\"t-00\"}";
+        m.observe(key, &[0.001], 0.0005);
+        m.observe(key, &[0.001], 0.5);
+        m.observe("idc_tenant_step_duration_seconds", &[0.001], 0.5);
+        let text = m.render_prometheus();
+        assert_eq!(
+            text.matches("# TYPE idc_tenant_step_duration_seconds histogram\n")
+                .count(),
+            1,
+            "{text}"
+        );
+        for line in [
+            "idc_tenant_step_duration_seconds_bucket{le=\"0.001\"} 0\n",
+            "idc_tenant_step_duration_seconds_count 1\n",
+            "idc_tenant_step_duration_seconds_bucket{tenant=\"t-00\",le=\"0.001\"} 1\n",
+            "idc_tenant_step_duration_seconds_bucket{tenant=\"t-00\",le=\"+Inf\"} 2\n",
+            "idc_tenant_step_duration_seconds_sum{tenant=\"t-00\"} 0.5005\n",
+            "idc_tenant_step_duration_seconds_count{tenant=\"t-00\"} 2\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in:\n{text}");
+        }
     }
 
     #[test]

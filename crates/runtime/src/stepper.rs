@@ -1,6 +1,6 @@
 //! The event-driven online stepper: a thin loop around the shared
 //! [`Plant`] over streaming feeds, with held-last-value staleness
-//! handling, checkpoint/restore and metrics.
+//! handling and checkpoint/restore.
 //!
 //! # Batch equivalence
 //!
@@ -27,9 +27,6 @@
 //! capacity-proportional fallback via [`MpcPolicy::degrade`], counting the
 //! degradation. Observations never arrived count as infinitely stale.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use idc_core::clock::Clock;
 use idc_core::feed::{BoundedIngest, Observation};
 use idc_core::plant::Plant;
@@ -40,12 +37,8 @@ use idc_core::SolverBackend;
 
 use crate::error::Error;
 use crate::feed::{FeedFaults, OverloadFaults, TracePriceFeed, TraceWorkloadFeed};
-use crate::metrics::MetricsRegistry;
 use crate::snapshot::{seed_out_of_range, HeldSnap, RuntimeSnapshot, SNAPSHOT_VERSION};
 use crate::Result;
-
-/// Bucket bounds (seconds) for the per-step wall-clock histogram.
-const STEP_DURATION_BOUNDS: [f64; 8] = [0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1, 1.0];
 
 /// Configuration of an online run.
 #[derive(Debug, Clone)]
@@ -170,7 +163,6 @@ pub struct Stepper {
     power_mw: Vec<Vec<f64>>,
     servers: Vec<Vec<u64>>,
     cost_cumulative: Vec<f64>,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl Stepper {
@@ -222,131 +214,8 @@ impl Stepper {
             power_mw: vec![Vec::new(); n],
             servers: vec![Vec::new(); n],
             cost_cumulative: Vec::new(),
-            metrics: None,
             scenario,
         })
-    }
-
-    /// Attaches a metrics registry; every subsequent step updates it.
-    pub fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        for (base, help) in [
-            ("idc_steps_total", "Control steps completed."),
-            (
-                "idc_degraded_steps_total",
-                "Steps served by the staleness fallback instead of the solver.",
-            ),
-            (
-                "idc_fallback_steps_total",
-                "Steps where the policy fell back (infeasible QP or injected failure).",
-            ),
-            (
-                "idc_solver_warm_solves_total",
-                "MPC solves warm-started from the previous step.",
-            ),
-            ("idc_solver_cold_solves_total", "MPC solves from scratch."),
-            (
-                "idc_qp_iterations_total",
-                "Active-set QP iterations across all solves.",
-            ),
-            (
-                "idc_qp_constraints_added_total",
-                "Constraints activated by blocking ratio tests.",
-            ),
-            (
-                "idc_qp_constraints_dropped_total",
-                "Constraints deactivated on negative multipliers.",
-            ),
-            (
-                "idc_qp_readmissions_total",
-                "Constraints activated again after a drop in the same solve.",
-            ),
-            (
-                "idc_qp_bound_flips_total",
-                "Working bounds flipped onto their tight opposite bound instead of dropped.",
-            ),
-            (
-                "idc_qp_degenerate_pops_total",
-                "Constraints popped on singular KKT factorizations.",
-            ),
-            (
-                "idc_qp_bland_switches_total",
-                "Dantzig-to-Bland pivot rule switches (anti-cycling).",
-            ),
-            (
-                "idc_qp_refinement_passes_total",
-                "Iterative refinement passes inside KKT solves.",
-            ),
-            (
-                "idc_qp_step_updates_total",
-                "Active-set steps updated after a bound-only blocked step instead of a KKT solve.",
-            ),
-            (
-                "idc_qp_refactorizations_total",
-                "Full rebuilds of the working-set factor (cold builds and stability rebuilds).",
-            ),
-            (
-                "idc_qp_updates_applied_total",
-                "Incremental working-set factor updates (constraint adds absorbed in place).",
-            ),
-            (
-                "idc_qp_downdates_applied_total",
-                "Incremental working-set factor downdates (constraint drops absorbed in place).",
-            ),
-            (
-                "idc_qp_working_set_delta",
-                "Working-set churn: symmetric difference between warm seed and converged set (cumulative).",
-            ),
-            (
-                "idc_qp_cold_fallbacks_total",
-                "Warm-start attempts that failed and re-solved cold.",
-            ),
-            (
-                "idc_qp_warm_seed_survival",
-                "Fraction of offered warm-seed constraints accepted (cumulative).",
-            ),
-            (
-                "idc_accumulated_cost_dollars",
-                "Electricity cost accumulated over the run.",
-            ),
-            (
-                "idc_demand_charge_dollars",
-                "Amortized demand charge accrued over the run (tariffed scenarios only).",
-            ),
-            (
-                "idc_battery_soc_mwh",
-                "Per-IDC battery state of charge (storage scenarios only).",
-            ),
-            (
-                "idc_feed_staleness_ticks",
-                "Age of the oldest held feed value at the last step.",
-            ),
-            (
-                "idc_feed_shed_total",
-                "Observations shed by feed admission control.",
-            ),
-            (
-                "idc_latency_ok_fraction",
-                "Fraction of (IDC, step) pairs meeting the latency bound.",
-            ),
-            ("idc_step", "Next step index to execute."),
-            ("idc_power_mw", "Per-IDC electric power draw."),
-            ("idc_servers_on", "Per-IDC active server count."),
-            (
-                "idc_policy_phase_ns_total",
-                "Cumulative policy time per pipeline phase.",
-            ),
-            (
-                "idc_step_duration_seconds",
-                "Wall-clock duration of one control step.",
-            ),
-            (
-                "idc_snapshots_written_total",
-                "Checkpoints written by the daemon.",
-            ),
-        ] {
-            registry.describe(base, help);
-        }
-        self.metrics = Some(registry);
     }
 
     /// The scenario being run.
@@ -429,6 +298,19 @@ impl Stepper {
         self.plant.latency_ok() as f64 / denom as f64
     }
 
+    /// Age in ticks of the older held feed value at the last executed
+    /// step, the age its staleness gate compared (0 before the first step).
+    pub fn feed_staleness(&self) -> u64 {
+        self.step.checked_sub(1).map_or(0, |k| self.staleness_at(k))
+    }
+
+    /// Age of the older held feed value at `tick`.
+    fn staleness_at(&self, tick: u64) -> u64 {
+        self.held_offered
+            .staleness(tick)
+            .max(self.held_prices.staleness(tick))
+    }
+
     /// The controller driving this run.
     pub fn policy(&self) -> &MpcPolicy {
         &self.policy
@@ -447,7 +329,6 @@ impl Stepper {
             return Ok(false);
         }
         let _step_span = idc_obs::Span::enter_cat("runtime.step", "runtime");
-        let wall_start = Instant::now();
         let k = self.step;
         let fleet = self.scenario.fleet();
         let n = fleet.num_idcs();
@@ -470,11 +351,7 @@ impl Stepper {
         let prices = self.held_prices.value.clone();
 
         // ---- Staleness gate. ----
-        let staleness = self
-            .held_offered
-            .staleness(k)
-            .max(self.held_prices.staleness(k));
-        let degraded = staleness > self.config.max_staleness_ticks;
+        let degraded = self.staleness_at(k) > self.config.max_staleness_ticks;
 
         let ctx = StepContext {
             step: k as usize,
@@ -506,9 +383,6 @@ impl Stepper {
         self.cost_cumulative.push(self.plant.accumulated_cost());
         self.step += 1;
 
-        if let Some(m) = self.metrics.clone() {
-            self.publish_metrics(&m, staleness, wall_start.elapsed().as_secs_f64());
-        }
         Ok(true)
     }
 
@@ -523,83 +397,6 @@ impl Stepper {
             self.step_once()?;
         }
         Ok(())
-    }
-
-    fn publish_metrics(&self, m: &MetricsRegistry, staleness: u64, step_seconds: f64) {
-        m.inc_counter("idc_steps_total", 1);
-        m.set_counter("idc_degraded_steps_total", self.degraded_steps);
-        m.set_counter(
-            "idc_fallback_steps_total",
-            self.policy.fallback_steps().len() as u64,
-        );
-        let (warm, cold) = self.policy.controller().solve_counters();
-        m.set_counter("idc_solver_warm_solves_total", warm as u64);
-        m.set_counter("idc_solver_cold_solves_total", cold as u64);
-        let stats = self.policy.solve_stats();
-        m.set_counter("idc_qp_iterations_total", stats.iterations);
-        m.set_counter("idc_qp_constraints_added_total", stats.constraints_added);
-        m.set_counter(
-            "idc_qp_constraints_dropped_total",
-            stats.constraints_dropped,
-        );
-        m.set_counter("idc_qp_readmissions_total", stats.readmissions);
-        m.set_counter("idc_qp_bound_flips_total", stats.bound_flips);
-        m.set_counter("idc_qp_degenerate_pops_total", stats.degenerate_pops);
-        m.set_counter("idc_qp_bland_switches_total", stats.bland_switches);
-        m.set_counter("idc_qp_refinement_passes_total", stats.refinement_passes);
-        m.set_counter("idc_qp_step_updates_total", stats.step_updates);
-        m.set_counter("idc_qp_refactorizations_total", stats.refactorizations);
-        m.set_counter("idc_qp_updates_applied_total", stats.updates_applied);
-        m.set_counter("idc_qp_downdates_applied_total", stats.downdates_applied);
-        m.set_counter("idc_qp_working_set_delta", stats.working_set_delta);
-        m.set_counter("idc_qp_cold_fallbacks_total", stats.cold_fallbacks);
-        m.set_gauge("idc_qp_warm_seed_survival", stats.seed_survival());
-        m.set_gauge(
-            "idc_accumulated_cost_dollars",
-            self.plant.accumulated_cost(),
-        );
-        if let Some(dollars) = self.plant.demand_charge() {
-            m.set_gauge("idc_demand_charge_dollars", dollars);
-        }
-        m.set_gauge("idc_feed_staleness_ticks", staleness as f64);
-        let (w_shed, p_shed) = self.shed_observations();
-        m.set_counter("idc_feed_shed_total", w_shed + p_shed);
-        m.set_gauge("idc_latency_ok_fraction", self.latency_ok_fraction());
-        m.set_gauge("idc_step", self.step as f64);
-        for (j, idc) in self.scenario.fleet().idcs().iter().enumerate() {
-            m.set_gauge(
-                &format!("idc_power_mw{{idc=\"{}\"}}", idc.name()),
-                self.plant.last_power_mw()[j],
-            );
-            if let Some(battery) = self.plant.battery() {
-                m.set_gauge(
-                    &format!("idc_battery_soc_mwh{{idc=\"{}\"}}", idc.name()),
-                    battery.soc_mwh()[j],
-                );
-            }
-            m.set_gauge(
-                &format!("idc_servers_on{{idc=\"{}\"}}", idc.name()),
-                *self.servers[j].last().unwrap_or(&0) as f64,
-            );
-        }
-        let phases = self.policy.phase_breakdown();
-        for (phase, ns) in [
-            ("refresh", phases.refresh_ns),
-            ("factor", phases.factor_ns),
-            ("condense", phases.condense_ns),
-            ("solve", phases.solve_ns),
-            ("reference", phases.reference_ns),
-        ] {
-            m.set_counter(
-                &format!("idc_policy_phase_ns_total{{phase=\"{phase}\"}}"),
-                ns,
-            );
-        }
-        m.observe(
-            "idc_step_duration_seconds",
-            &STEP_DURATION_BOUNDS,
-            step_seconds,
-        );
     }
 
     /// Exports the complete resume state. `restore` on the result yields a
@@ -710,7 +507,6 @@ impl Stepper {
             power_mw: snapshot.power_mw.clone(),
             servers: snapshot.servers.clone(),
             cost_cumulative: snapshot.cost_cumulative.clone(),
-            metrics: None,
             scenario,
         })
     }

@@ -54,6 +54,14 @@
 //!   every exit — finish, kill switch, stop or failure — so the lineage
 //!   directories on return hold every checkpoint taken, exactly as if the
 //!   workers had written them themselves.
+//!
+//! # Metrics
+//!
+//! After every slice the worker publishes the tenant's whole metric set
+//! through a [`TenantMetrics`]: solver counters, cost, feed state, and
+//! per-IDC power, servers and battery charge, each series labelled with
+//! the tenant's id. The `idc-daemon` hosts even a single fleet as a
+//! one-tenant manager, so one fleet and a hundred publish the same names.
 
 use std::collections::BinaryHeap;
 use std::path::PathBuf;
@@ -187,7 +195,9 @@ pub struct ManagerConfig {
     /// this count (0 = unlimited).
     pub max_tenants: usize,
     /// Resume tenants from their newest restorable checkpoint when one
-    /// exists under the checkpoint root.
+    /// exists under the checkpoint root. Without it, admission empties a
+    /// tenant's lineage, so a fresh run never compacts into an earlier
+    /// run's checkpoints.
     pub resume: bool,
     /// Deterministic kill switch: stop the whole manager after this many
     /// steps summed across tenants, leaving checkpoints exactly as a
@@ -252,6 +262,17 @@ impl StatusBoard {
         serde_json::to_string(&self.statuses()).expect("statuses serialize")
     }
 
+    /// The `/tenants` body for `""`, and the `/tenants/<id>` body for a
+    /// tenant id (`None` for an unknown one): the metrics server's
+    /// [`StatusRenderer`](crate::http::StatusRenderer).
+    pub fn render(&self, id: &str) -> Option<String> {
+        if id.is_empty() {
+            Some(self.render_json())
+        } else {
+            self.render_tenant_json(id)
+        }
+    }
+
     /// The latest status of one tenant, by id.
     pub fn status_of(&self, id: &str) -> Option<TenantStatus> {
         self.inner
@@ -301,10 +322,23 @@ pub struct TenantReport {
     pub shed_workload: u64,
     /// Price observations shed by admission control.
     pub shed_price: u64,
+    /// Fraction of (IDC, step) pairs that met the latency bound.
+    pub latency_ok_fraction: f64,
+    /// Each IDC's power draw at the last step.
+    pub per_idc: Vec<IdcReport>,
     /// Median step latency (ms).
     pub p50_step_ms: f64,
     /// 99th-percentile step latency (ms).
     pub p99_step_ms: f64,
+}
+
+/// One IDC's line in a [`TenantReport`].
+#[derive(Debug, Clone, Serialize)]
+pub struct IdcReport {
+    /// IDC name.
+    pub name: String,
+    /// Power draw at the last executed step (MW; 0 before the first).
+    pub final_power_mw: f64,
 }
 
 /// Whole-soak outcome.
@@ -331,32 +365,8 @@ struct TenantCell {
     clock: WallClock,
     /// Shared with the writer a checkpoint is queued on.
     lineage: Option<Arc<CheckpointLineage>>,
-    keys: TenantKeys,
-}
-
-/// A tenant's labelled metric keys, formatted once at admission.
-#[derive(Debug)]
-struct TenantKeys {
     /// The `tenant.<id>` name of the tenant's slice span.
     span: String,
-    step_duration: String,
-    steps: String,
-    degraded: String,
-    shed: String,
-    cost: String,
-}
-
-impl TenantKeys {
-    fn new(id: &str) -> Self {
-        TenantKeys {
-            span: format!("tenant.{id}"),
-            step_duration: tenant_key("idc_tenant_step_duration_seconds", id),
-            steps: tenant_key("idc_tenant_steps_total", id),
-            degraded: tenant_key("idc_tenant_degraded_steps_total", id),
-            shed: tenant_key("idc_tenant_shed_total", id),
-            cost: tenant_key("idc_tenant_cost_dollars", id),
-        }
-    }
 }
 
 /// One checkpoint on its way from a worker to a writer.
@@ -448,26 +458,22 @@ pub struct TenantManager {
     board: StatusBoard,
 }
 
-/// Formats a per-tenant metric key with its `tenant` label.
-fn tenant_key(base: &str, id: &str) -> String {
-    format!("{base}{{tenant=\"{id}\"}}")
-}
-
 impl TenantManager {
-    /// An empty manager.
+    /// An empty manager publishing into a registry of its own.
     pub fn new(config: ManagerConfig) -> Self {
+        Self::with_registry(config, Arc::new(MetricsRegistry::new()))
+    }
+
+    /// An empty manager publishing into `registry`, which a second manager
+    /// may share (a resumed run's latency histograms then continue the
+    /// killed run's).
+    pub fn with_registry(config: ManagerConfig, registry: Arc<MetricsRegistry>) -> Self {
         TenantManager {
             config,
             cells: Vec::new(),
-            registry: Arc::new(MetricsRegistry::new()),
+            registry,
             board: StatusBoard::default(),
         }
-    }
-
-    /// Replaces the metrics registry (call before [`run`](Self::run), e.g.
-    /// with the registry the HTTP endpoint serves).
-    pub fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        self.registry = registry;
     }
 
     /// The registry the manager publishes into.
@@ -489,7 +495,8 @@ impl TenantManager {
     /// Admits a tenant. With a checkpoint root configured, opens (and
     /// garbage-collects) the tenant's lineage; with `resume` set and a
     /// restorable checkpoint present, the tenant resumes from it instead
-    /// of starting fresh. Returns whether it resumed.
+    /// of starting fresh, and without `resume` the lineage is emptied.
+    /// Returns whether it resumed.
     ///
     /// # Errors
     ///
@@ -515,6 +522,9 @@ impl TenantManager {
             )?)),
             None => None,
         };
+        if let Some(lineage) = lineage.as_ref().filter(|_| !self.config.resume) {
+            lineage.clear()?;
+        }
         let mut resumed = false;
         let stepper = match lineage
             .as_ref()
@@ -542,13 +552,13 @@ impl TenantManager {
             shed_price: stepper.shed_observations().1,
             last_checkpoint_step: resumed.then(|| stepper.step()),
         });
-        let keys = TenantKeys::new(&spec.id);
+        let span = format!("tenant.{}", spec.id);
         self.cells.push(TenantCell {
             spec,
             stepper,
             clock,
             lineage,
-            keys,
+            span,
         });
         Ok(resumed)
     }
@@ -584,31 +594,7 @@ impl TenantManager {
     ///
     /// Returns the first tenant or checkpoint failure.
     pub fn run_until(&mut self, stop: &AtomicBool) -> Result<SoakReport> {
-        for (base, help) in [
-            (
-                "idc_tenant_step_duration_seconds",
-                "Wall-clock duration of one tenant control step (aggregate and per tenant).",
-            ),
-            ("idc_tenant_steps_total", "Steps completed per tenant."),
-            (
-                "idc_tenant_degraded_steps_total",
-                "Steps served by the staleness fallback, per tenant.",
-            ),
-            (
-                "idc_tenant_shed_total",
-                "Observations shed by feed admission control, per tenant.",
-            ),
-            (
-                "idc_tenant_cost_dollars",
-                "Accumulated electricity cost per tenant.",
-            ),
-            (
-                "idc_tenant_checkpoints_total",
-                "Checkpoints recorded durably across all tenants.",
-            ),
-            ("idc_tenants_live", "Tenants still running."),
-            ("idc_tenants_hosted", "Tenants admitted."),
-        ] {
+        for (base, help) in HELP {
             self.registry.describe(base, help);
         }
         self.registry
@@ -706,13 +692,25 @@ impl TenantManager {
                 .histogram_quantile(key, q)
                 .map_or(0.0, |s| s * 1000.0)
         };
+        let mut key = String::new();
         let tenants = self
             .cells
             .iter()
             .map(|cell| {
                 let s = &cell.stepper;
                 let (shed_workload, shed_price) = s.shed_observations();
-                let key = &cell.keys.step_duration;
+                let key = labelled(&mut key, STEP_DURATION, &cell.spec.id, None);
+                let per_idc = s
+                    .scenario()
+                    .fleet()
+                    .idcs()
+                    .iter()
+                    .enumerate()
+                    .map(|(j, idc)| IdcReport {
+                        name: idc.name().to_string(),
+                        final_power_mw: s.power_mw(j).last().copied().unwrap_or(0.0),
+                    })
+                    .collect();
                 TenantReport {
                     id: cell.spec.id.clone(),
                     scenario_key: cell.spec.config.scenario_key.clone(),
@@ -724,6 +722,8 @@ impl TenantManager {
                     degraded_steps: s.degraded_steps(),
                     shed_workload,
                     shed_price,
+                    latency_ok_fraction: s.latency_ok_fraction(),
+                    per_idc,
                     p50_step_ms: quantile_ms(key, 0.50),
                     p99_step_ms: quantile_ms(key, 0.99),
                 }
@@ -733,8 +733,8 @@ impl TenantManager {
             tenants,
             total_steps,
             killed,
-            p50_step_ms: quantile_ms("idc_tenant_step_duration_seconds", 0.50),
-            p99_step_ms: quantile_ms("idc_tenant_step_duration_seconds", 0.99),
+            p50_step_ms: quantile_ms(STEP_DURATION, 0.50),
+            p99_step_ms: quantile_ms(STEP_DURATION, 0.99),
         }
     }
 }
@@ -746,6 +746,7 @@ fn worker_loop(
     registry: &MetricsRegistry,
     board: &StatusBoard,
 ) {
+    let mut metrics = TenantMetrics::new(registry);
     let mut guard = shared.state.lock().expect("scheduler mutex");
     loop {
         if guard.failure.is_some()
@@ -777,8 +778,8 @@ fn worker_loop(
             .expect("queued cell is present");
         drop(guard);
 
-        let outcome = run_slice(&mut cell, slot.idx, shared, writers, registry);
-        publish(&cell, slot.idx, registry, board);
+        let outcome = run_slice(&mut cell, slot.idx, shared, writers, &mut metrics);
+        publish(&cell, slot.idx, &mut metrics, board);
 
         guard = shared.state.lock().expect("scheduler mutex");
         guard.cells[slot.idx] = Some(cell);
@@ -807,10 +808,10 @@ fn run_slice(
     idx: usize,
     shared: &Shared<'_>,
     writers: &[SyncSender<Checkpoint>],
-    registry: &MetricsRegistry,
+    metrics: &mut TenantMetrics<'_>,
 ) -> Result<SliceOutcome> {
     let _tenant = idc_obs::tenant_scope(&cell.spec.id);
-    let _span = idc_obs::Span::enter_copied(&cell.keys.span, "tenant");
+    let _span = idc_obs::Span::enter_copied(&cell.span, "tenant");
     let mut executed = 0u64;
     while executed < SLICE_STEPS && !cell.stepper.is_finished() {
         if shared.stop.load(Ordering::SeqCst) {
@@ -824,9 +825,7 @@ fn run_slice(
         }
         let t0 = Instant::now();
         cell.stepper.step_once()?;
-        let dt = t0.elapsed().as_secs_f64();
-        registry.observe("idc_tenant_step_duration_seconds", &TENANT_STEP_BOUNDS, dt);
-        registry.observe(&cell.keys.step_duration, &TENANT_STEP_BOUNDS, dt);
+        metrics.observe_step(&cell.spec.id, t0.elapsed().as_secs_f64());
         shared.total.fetch_add(1, Ordering::Relaxed);
         executed += 1;
         let step = cell.stepper.step();
@@ -897,13 +896,10 @@ fn record(
 }
 
 /// Publishes a tenant's per-slice metrics and status-board entry.
-fn publish(cell: &TenantCell, idx: usize, registry: &MetricsRegistry, board: &StatusBoard) {
+fn publish(cell: &TenantCell, idx: usize, metrics: &mut TenantMetrics<'_>, board: &StatusBoard) {
     let s = &cell.stepper;
+    metrics.publish(&cell.spec.id, s);
     let (w, p) = s.shed_observations();
-    registry.set_counter(&cell.keys.steps, s.step());
-    registry.set_counter(&cell.keys.degraded, s.degraded_steps());
-    registry.set_counter(&cell.keys.shed, w + p);
-    registry.set_gauge(&cell.keys.cost, s.accumulated_cost());
     board.update(idx, |status| {
         status.step = s.step();
         status.finished = s.is_finished();
@@ -912,6 +908,271 @@ fn publish(cell: &TenantCell, idx: usize, registry: &MetricsRegistry, board: &St
         status.shed_workload = w;
         status.shed_price = p;
     });
+}
+
+/// The step-latency histogram: one aggregate series and one per tenant.
+const STEP_DURATION: &str = "idc_tenant_step_duration_seconds";
+
+/// `# HELP` text per series base name: a hosted tenant's metric set and
+/// the manager's own series.
+const HELP: [(&str, &str); 33] = [
+    ("idc_steps_total", "Control steps completed."),
+    (
+        "idc_degraded_steps_total",
+        "Steps served by the staleness fallback instead of the solver.",
+    ),
+    (
+        "idc_fallback_steps_total",
+        "Steps where the policy fell back (infeasible QP or injected failure).",
+    ),
+    (
+        "idc_solver_warm_solves_total",
+        "MPC solves warm-started from the previous step.",
+    ),
+    ("idc_solver_cold_solves_total", "MPC solves from scratch."),
+    (
+        "idc_qp_iterations_total",
+        "Active-set QP iterations across all solves.",
+    ),
+    (
+        "idc_qp_constraints_added_total",
+        "Constraints activated by blocking ratio tests.",
+    ),
+    (
+        "idc_qp_constraints_dropped_total",
+        "Constraints deactivated on negative multipliers.",
+    ),
+    (
+        "idc_qp_readmissions_total",
+        "Constraints activated again after a drop in the same solve.",
+    ),
+    (
+        "idc_qp_bound_flips_total",
+        "Working bounds flipped onto their tight opposite bound instead of dropped.",
+    ),
+    (
+        "idc_qp_degenerate_pops_total",
+        "Constraints popped on singular KKT factorizations.",
+    ),
+    (
+        "idc_qp_bland_switches_total",
+        "Dantzig-to-Bland pivot rule switches (anti-cycling).",
+    ),
+    (
+        "idc_qp_refinement_passes_total",
+        "Iterative refinement passes inside KKT solves.",
+    ),
+    (
+        "idc_qp_step_updates_total",
+        "Active-set steps updated after a bound-only blocked step instead of a KKT solve.",
+    ),
+    (
+        "idc_qp_refactorizations_total",
+        "Full rebuilds of the working-set factor (cold builds and stability rebuilds).",
+    ),
+    (
+        "idc_qp_updates_applied_total",
+        "Incremental working-set factor updates (constraint adds absorbed in place).",
+    ),
+    (
+        "idc_qp_downdates_applied_total",
+        "Incremental working-set factor downdates (constraint drops absorbed in place).",
+    ),
+    (
+        "idc_qp_working_set_delta",
+        "Working-set churn: symmetric difference between warm seed and converged set (cumulative).",
+    ),
+    (
+        "idc_qp_cold_fallbacks_total",
+        "Warm-start attempts that failed and re-solved cold.",
+    ),
+    (
+        "idc_qp_warm_seed_survival",
+        "Fraction of offered warm-seed constraints accepted (cumulative).",
+    ),
+    (
+        "idc_accumulated_cost_dollars",
+        "Electricity cost accumulated over the run.",
+    ),
+    (
+        "idc_demand_charge_dollars",
+        "Amortized demand charge accrued over the run (tariffed scenarios only).",
+    ),
+    (
+        "idc_battery_soc_mwh",
+        "Per-IDC battery state of charge (storage scenarios only).",
+    ),
+    (
+        "idc_feed_staleness_ticks",
+        "Age of the oldest held feed value at the last step.",
+    ),
+    (
+        "idc_feed_shed_total",
+        "Observations shed by feed admission control.",
+    ),
+    (
+        "idc_latency_ok_fraction",
+        "Fraction of (IDC, step) pairs meeting the latency bound.",
+    ),
+    ("idc_power_mw", "Per-IDC electric power draw."),
+    ("idc_servers_on", "Per-IDC active server count."),
+    (
+        "idc_policy_phase_ns_total",
+        "Cumulative policy time per pipeline phase.",
+    ),
+    (
+        STEP_DURATION,
+        "Wall-clock duration of one tenant control step (aggregate and per tenant).",
+    ),
+    (
+        "idc_tenant_checkpoints_total",
+        "Checkpoints recorded durably across all tenants.",
+    ),
+    ("idc_tenants_live", "Tenants still running."),
+    ("idc_tenants_hosted", "Tenants admitted."),
+];
+
+/// Formats `base{tenant="<tenant>"}`, or with a second label
+/// `base{tenant="<tenant>",<name>="<value>"}`, into `buf`.
+fn labelled<'k>(
+    buf: &'k mut String,
+    base: &str,
+    tenant: &str,
+    label: Option<(&str, &str)>,
+) -> &'k str {
+    buf.clear();
+    for part in [base, "{tenant=\"", tenant, "\""] {
+        buf.push_str(part);
+    }
+    if let Some((name, value)) = label {
+        for part in [",", name, "=\"", value, "\""] {
+            buf.push_str(part);
+        }
+    }
+    buf.push('}');
+    buf
+}
+
+/// Publishes hosted tenants' metrics into a registry. Every series
+/// carries a `tenant` label, and each key is formatted into one reused
+/// buffer, so no tenant keeps a copy of its keys and a write to an
+/// existing series allocates nothing. The manager runs one per worker.
+#[derive(Debug)]
+pub struct TenantMetrics<'r> {
+    registry: &'r MetricsRegistry,
+    key: String,
+}
+
+impl<'r> TenantMetrics<'r> {
+    /// A publisher into `registry`.
+    pub fn new(registry: &'r MetricsRegistry) -> Self {
+        TenantMetrics {
+            registry,
+            key: String::new(),
+        }
+    }
+
+    /// Records one step's wall-clock duration in the aggregate and the
+    /// tenant's latency histograms.
+    pub fn observe_step(&mut self, tenant: &str, seconds: f64) {
+        let key = labelled(&mut self.key, STEP_DURATION, tenant, None);
+        self.registry.observe(key, &TENANT_STEP_BOUNDS, seconds);
+        self.registry
+            .observe(STEP_DURATION, &TENANT_STEP_BOUNDS, seconds);
+    }
+
+    /// Writes `stepper`'s whole metric set under the label `tenant`.
+    pub fn publish(&mut self, tenant: &str, stepper: &Stepper) {
+        let policy = stepper.policy();
+        let stats = policy.solve_stats();
+        let (warm, cold) = policy.controller().solve_counters();
+        let (workload_shed, price_shed) = stepper.shed_observations();
+        for (base, v) in [
+            ("idc_steps_total", stepper.step()),
+            ("idc_degraded_steps_total", stepper.degraded_steps()),
+            (
+                "idc_fallback_steps_total",
+                policy.fallback_steps().len() as u64,
+            ),
+            ("idc_solver_warm_solves_total", warm as u64),
+            ("idc_solver_cold_solves_total", cold as u64),
+            ("idc_qp_iterations_total", stats.iterations),
+            ("idc_qp_constraints_added_total", stats.constraints_added),
+            (
+                "idc_qp_constraints_dropped_total",
+                stats.constraints_dropped,
+            ),
+            ("idc_qp_readmissions_total", stats.readmissions),
+            ("idc_qp_bound_flips_total", stats.bound_flips),
+            ("idc_qp_degenerate_pops_total", stats.degenerate_pops),
+            ("idc_qp_bland_switches_total", stats.bland_switches),
+            ("idc_qp_refinement_passes_total", stats.refinement_passes),
+            ("idc_qp_step_updates_total", stats.step_updates),
+            ("idc_qp_refactorizations_total", stats.refactorizations),
+            ("idc_qp_updates_applied_total", stats.updates_applied),
+            ("idc_qp_downdates_applied_total", stats.downdates_applied),
+            ("idc_qp_working_set_delta", stats.working_set_delta),
+            ("idc_qp_cold_fallbacks_total", stats.cold_fallbacks),
+            ("idc_feed_shed_total", workload_shed + price_shed),
+        ] {
+            let key = labelled(&mut self.key, base, tenant, None);
+            self.registry.set_counter(key, v);
+        }
+        let phases = policy.phase_breakdown();
+        for (phase, ns) in [
+            ("refresh", phases.refresh_ns),
+            ("factor", phases.factor_ns),
+            ("condense", phases.condense_ns),
+            ("solve", phases.solve_ns),
+            ("reference", phases.reference_ns),
+        ] {
+            let key = labelled(
+                &mut self.key,
+                "idc_policy_phase_ns_total",
+                tenant,
+                Some(("phase", phase)),
+            );
+            self.registry.set_counter(key, ns);
+        }
+        let plant = stepper.plant();
+        let gauges = [
+            ("idc_qp_warm_seed_survival", Some(stats.seed_survival())),
+            (
+                "idc_accumulated_cost_dollars",
+                Some(plant.accumulated_cost()),
+            ),
+            ("idc_demand_charge_dollars", plant.demand_charge()),
+            (
+                "idc_feed_staleness_ticks",
+                Some(stepper.feed_staleness() as f64),
+            ),
+            (
+                "idc_latency_ok_fraction",
+                Some(stepper.latency_ok_fraction()),
+            ),
+        ];
+        for (base, v) in gauges {
+            if let Some(v) = v {
+                let key = labelled(&mut self.key, base, tenant, None);
+                self.registry.set_gauge(key, v);
+            }
+        }
+        let soc = plant.battery().map(|b| b.soc_mwh());
+        for (j, idc) in stepper.scenario().fleet().idcs().iter().enumerate() {
+            let servers = stepper.servers(j).last().copied().unwrap_or(0);
+            let per_idc = [
+                ("idc_power_mw", Some(plant.last_power_mw()[j])),
+                ("idc_servers_on", Some(servers as f64)),
+                ("idc_battery_soc_mwh", soc.map(|soc| soc[j])),
+            ];
+            for (base, v) in per_idc {
+                if let Some(v) = v {
+                    let key = labelled(&mut self.key, base, tenant, Some(("idc", idc.name())));
+                    self.registry.set_gauge(key, v);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1041,6 +1302,41 @@ mod tests {
                 spec.id
             );
         }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A fresh run into a root that holds a finished run of the same
+    /// tenant starts its own lineage: after a kill, resume restores the new
+    /// run's progress, not the earlier run's last step.
+    #[test]
+    fn fresh_run_into_a_used_root_resumes_its_own_progress() {
+        let root = tmpdir("fresh-reuse");
+        let spec = || TenantSpec {
+            checkpoint_every: 4,
+            ..TenantSpec::max_speed("x", short("smoothing", 2012, 24))
+        };
+        let manager = |resume, stop_after_total_steps| {
+            TenantManager::new(ManagerConfig {
+                workers: 1,
+                checkpoint_root: Some(root.clone()),
+                resume,
+                stop_after_total_steps,
+                ..ManagerConfig::default()
+            })
+        };
+        let mut earlier = manager(false, None);
+        earlier.add_tenant(spec()).unwrap();
+        assert!(earlier.run().unwrap().tenants[0].finished);
+        drop(earlier);
+
+        let mut fresh = manager(false, Some(10));
+        assert!(!fresh.add_tenant(spec()).unwrap());
+        assert!(fresh.run().unwrap().killed);
+        drop(fresh);
+
+        let mut resumed = manager(true, None);
+        assert!(resumed.add_tenant(spec()).unwrap());
+        assert_eq!(resumed.snapshot("x").unwrap().step, 8);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

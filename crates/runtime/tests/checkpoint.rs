@@ -1,4 +1,5 @@
-//! Integration tests for checkpoint/restore and the metrics endpoint.
+//! Integration tests for checkpoint/restore and the metrics endpoint of
+//! hosted tenants.
 //!
 //! The property tests run the 25-step smoothing scenario (cheap enough for
 //! proptest's case counts) and assert that snapshotting at an *arbitrary*
@@ -15,9 +16,9 @@ use std::sync::Arc;
 use idc_core::snapshot::{factor_log_cap, FactorLogSnapshot, MpcPolicySnapshot};
 use idc_runtime::feed::{FeedFaults, MAX_DELAY_TICKS};
 use idc_runtime::http::MetricsServer;
-use idc_runtime::metrics::MetricsRegistry;
 use idc_runtime::snapshot::{RuntimeSnapshot, MAX_SEED, SNAPSHOT_VERSION};
 use idc_runtime::stepper::{Stepper, StepperConfig};
+use idc_runtime::tenant::{ManagerConfig, TenantManager, TenantSpec};
 use idc_runtime::Error;
 use idc_testkit::equivalence::bitwise_f64;
 use proptest::prelude::*;
@@ -433,90 +434,164 @@ fn v2_snapshot_with_sharded_era_fields_restores_or_names_the_label() {
     }
 }
 
-/// A stepper wired to a registry and served over HTTP exposes the expected
-/// keys with values consistent with the stepper's own accounting.
-#[test]
-fn metrics_endpoint_reflects_stepper_state() {
-    let mut stepper = Stepper::new(StepperConfig::fault_free("smoothing", 2012)).unwrap();
-    let registry = Arc::new(MetricsRegistry::new());
-    stepper.attach_metrics(Arc::clone(&registry));
-    for _ in 0..5 {
-        stepper.step_once().unwrap();
+/// A short fault-free run of `key`.
+fn short(key: &str, steps: usize) -> StepperConfig {
+    StepperConfig {
+        num_steps: Some(steps),
+        ..StepperConfig::fault_free(key, 2012)
     }
-    let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry)).unwrap();
-    let addr = server.addr();
+}
 
+/// The body of `GET path` from the server at `addr`.
+fn get(addr: std::net::SocketAddr, path: &str) -> String {
     use std::io::{Read as _, Write as _};
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+        .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
         .unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
-    server.shutdown();
+    response
+}
 
-    assert!(response.contains("idc_steps_total 5"), "{response}");
-    for key in [
+/// Hosts `(id, config)` tenants in one manager served over HTTP, runs it
+/// to the end, and returns it with its scraped `/metrics` page.
+fn hosted(tenants: &[(&str, StepperConfig)]) -> (TenantManager, String) {
+    let mut manager = TenantManager::new(ManagerConfig {
+        workers: 2,
+        ..ManagerConfig::default()
+    });
+    for (id, config) in tenants {
+        manager
+            .add_tenant(TenantSpec::max_speed(*id, config.clone()))
+            .unwrap();
+    }
+    let board = manager.status_board();
+    let server = MetricsServer::start_with_status(
+        "127.0.0.1:0",
+        manager.registry(),
+        Arc::new(move |id: &str| board.render(id)),
+    )
+    .unwrap();
+    let report = manager.run().unwrap();
+    assert!(report.tenants.iter().all(|t| t.finished));
+    let text = get(server.addr(), "/metrics");
+    for (id, _) in tenants {
+        let status = get(server.addr(), &format!("/tenants/{id}"));
+        assert!(status.contains("\"finished\":true"), "{status}");
+    }
+    server.shutdown();
+    (manager, text)
+}
+
+/// Hosted tenant `id`'s series on the `/metrics` page and in the registry
+/// agree with a solo run of its `config`: solver, feed, cost, power and
+/// latency series for every tenant; the per-IDC state of charge and the
+/// accrued demand charge, described, exactly when the plant has a battery
+/// and a tariff.
+fn check_tenant_series(manager: &TenantManager, text: &str, id: &str, config: &StepperConfig) {
+    let mut solo = Stepper::new(config.clone()).unwrap();
+    solo.run(&mut idc_core::clock::SimClock).unwrap();
+    let steps = solo.step();
+    let label = format!("{{tenant=\"{id}\"");
+    let mut expected = vec![
+        format!("idc_steps_total{label}}} {steps}\n"),
+        format!("idc_tenant_step_duration_seconds_count{label}}} {steps}\n"),
+        format!("idc_policy_phase_ns_total{label},phase=\"solve\"}}"),
+    ];
+    for base in [
         "idc_degraded_steps_total",
         "idc_fallback_steps_total",
         "idc_solver_warm_solves_total",
         "idc_solver_cold_solves_total",
+        "idc_qp_iterations_total",
         "idc_qp_readmissions_total",
         "idc_qp_bound_flips_total",
         "idc_qp_step_updates_total",
         "idc_accumulated_cost_dollars",
-        "idc_power_mw{idc=\"Michigan\"}",
-        "idc_step_duration_seconds_count 5",
-        "idc_policy_phase_ns_total{phase=\"solve\"}",
     ] {
-        assert!(response.contains(key), "missing {key} in:\n{response}");
+        expected.push(format!("{base}{label}}}"));
     }
-    // A storage-free, tariff-free tenant publishes no plant series.
-    for key in ["idc_battery_soc_mwh", "idc_demand_charge_dollars"] {
-        assert!(!response.contains(key), "unexpected {key} in:\n{response}");
+    for idc in solo.scenario().fleet().idcs() {
+        expected.push(format!("idc_power_mw{label},idc=\"{}\"}}", idc.name()));
     }
-    let cost_line = response
-        .lines()
-        .find(|l| l.starts_with("idc_accumulated_cost_dollars"))
-        .unwrap();
+    for key in &expected {
+        assert!(text.contains(key.as_str()), "missing {key} in:\n{text}");
+    }
+    let cost_key = format!("idc_accumulated_cost_dollars{label}}}");
+    let cost_line = text.lines().find(|l| l.starts_with(&cost_key)).unwrap();
     let cost: f64 = cost_line
         .split_whitespace()
         .nth(1)
         .unwrap()
         .parse()
         .unwrap();
-    assert_eq!(cost, stepper.accumulated_cost());
+    assert_eq!(cost, solo.accumulated_cost());
+
+    let registry = manager.registry();
+    let plant = solo.plant();
+    assert_eq!(
+        registry.gauge(&format!("idc_demand_charge_dollars{label}}}")),
+        plant.demand_charge(),
+        "{id}"
+    );
+    let soc = plant.battery().map(|b| b.soc_mwh());
+    for (j, idc) in solo.scenario().fleet().idcs().iter().enumerate() {
+        let key = format!("idc_battery_soc_mwh{label},idc=\"{}\"}}", idc.name());
+        assert_eq!(registry.gauge(&key), soc.map(|soc| soc[j]), "{key}");
+    }
+    for (base, published) in [
+        ("idc_battery_soc_mwh", soc.is_some()),
+        ("idc_demand_charge_dollars", plant.demand_charge().is_some()),
+    ] {
+        assert_eq!(
+            text.contains(&format!("{base}{label}")),
+            published,
+            "{base} of '{id}' in:\n{text}"
+        );
+        if published {
+            assert!(
+                text.contains(&format!("# HELP {base}")),
+                "{base} undescribed"
+            );
+        }
+    }
+}
+
+/// A one-tenant manager served over HTTP exposes the expected keys with
+/// values consistent with the stepper's own accounting, and a storage-free,
+/// tariff-free tenant publishes no plant series.
+#[test]
+fn metrics_endpoint_reflects_stepper_state() {
+    let config = short("smoothing", 5);
+    let (manager, text) = hosted(&[("smoothing", config.clone())]);
+    check_tenant_series(&manager, &text, "smoothing", &config);
+    for key in ["idc_battery_soc_mwh", "idc_demand_charge_dollars"] {
+        assert!(!text.contains(key), "unexpected {key} in:\n{text}");
+    }
 }
 
 /// A tenant with a battery and a tariff publishes its per-IDC state of
 /// charge and its accrued demand charge, described, at the plant's values.
 #[test]
 fn plant_tenant_publishes_battery_and_demand_charge_series() {
-    let mut stepper = Stepper::new(StepperConfig {
-        num_steps: Some(6),
-        ..StepperConfig::fault_free("storage_plus_shifting", 2012)
-    })
-    .unwrap();
-    let registry = Arc::new(MetricsRegistry::new());
-    stepper.attach_metrics(Arc::clone(&registry));
-    stepper.run(&mut idc_core::clock::SimClock).unwrap();
+    let config = short("storage_plus_shifting", 6);
+    let (manager, text) = hosted(&[("storage_plus_shifting", config.clone())]);
+    check_tenant_series(&manager, &text, "storage_plus_shifting", &config);
+}
 
-    let plant = stepper.plant();
-    assert_eq!(
-        registry.gauge("idc_demand_charge_dollars"),
-        plant.demand_charge()
-    );
-    let soc = plant.battery().unwrap().soc_mwh();
-    for (j, idc) in stepper.scenario().fleet().idcs().iter().enumerate() {
-        let key = format!("idc_battery_soc_mwh{{idc=\"{}\"}}", idc.name());
-        assert_eq!(registry.gauge(&key), Some(soc[j]), "{key}");
-    }
-    let text = registry.render_prometheus();
-    for base in ["idc_battery_soc_mwh", "idc_demand_charge_dollars"] {
-        assert!(
-            text.contains(&format!("# HELP {base}")),
-            "{base} undescribed"
-        );
+/// Beside a neighbour, each tenant of a manager publishes its whole
+/// metric set under its own label: the solver counters, and the plant
+/// series of the one with a battery and a tariff.
+#[test]
+fn every_hosted_tenant_publishes_the_whole_metric_set() {
+    let tenants = [
+        ("store", short("storage_plus_shifting", 6)),
+        ("plain", short("smoothing", 5)),
+    ];
+    let (manager, text) = hosted(&tenants);
+    for (id, config) in &tenants {
+        check_tenant_series(&manager, &text, id, config);
     }
 }
 

@@ -1,10 +1,11 @@
 //! Writes to existing metric keys allocate nothing: the registry looks a
-//! key up by `&str` and copies it only on first insert, so the per-step
-//! `observe` and the per-slice counter and gauge updates of the tenant
-//! manager stay off the allocator. Neither does a slice's tagging when no
-//! trace recorder is installed: the tenant scope reuses its per-thread
-//! buffer and the span name, formatted once at admission, is copied only
-//! for a recorder.
+//! key up by `&str` and copies it only on first insert, and a hosted
+//! tenant's publisher formats each labelled key into one reused buffer, so
+//! after a tenant's first slice the per-step `observe` and the per-slice
+//! publish of its whole metric set stay off the allocator. Neither does a
+//! slice's tagging when no trace recorder is installed: the tenant scope
+//! reuses its per-thread buffer and the span name, formatted once at
+//! admission, is copied only for a recorder.
 //!
 //! The whole binary runs under a counting global allocator; the count is
 //! per thread, so the test harness's own threads do not disturb it.
@@ -13,6 +14,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use idc_runtime::metrics::MetricsRegistry;
+use idc_runtime::stepper::{Stepper, StepperConfig};
+use idc_runtime::tenant::TenantMetrics;
 
 struct Counting;
 
@@ -61,8 +64,8 @@ static GLOBAL: Counting = Counting;
 const BOUNDS: [f64; 3] = [0.001, 0.01, 0.1];
 const HISTOGRAM: &str = "idc_tenant_step_duration_seconds{tenant=\"t-00\"}";
 const COUNTER: &str = "idc_tenant_checkpoints_total";
-const STEPS: &str = "idc_tenant_steps_total{tenant=\"t-00\"}";
-const COST: &str = "idc_tenant_cost_dollars{tenant=\"t-00\"}";
+const STEPS: &str = "idc_steps_total{tenant=\"t-00\"}";
+const COST: &str = "idc_accumulated_cost_dollars{tenant=\"t-00\"}";
 const TENANT: &str = "t-00";
 const SPAN: &str = "tenant.t-00";
 
@@ -96,6 +99,43 @@ fn steady_state_writes_to_existing_keys_allocate_nothing() {
         registry.histogram_stats(HISTOGRAM).map(|(n, _)| n),
         Some(100)
     );
+}
+
+#[test]
+fn hosted_tenant_publish_allocates_nothing_after_its_first_slice() {
+    let registry = MetricsRegistry::new();
+    let mut metrics = TenantMetrics::new(&registry);
+    // A battery and a tariff: every series a tenant can publish.
+    let mut stepper = Stepper::new(StepperConfig {
+        num_steps: Some(12),
+        ..StepperConfig::fault_free("storage_plus_shifting", 2012)
+    })
+    .unwrap();
+    // The first slice creates the tenant's series, and may allocate.
+    stepper.step_once().unwrap();
+    let before = allocations();
+    metrics.observe_step(TENANT, 0.001);
+    metrics.publish(TENANT, &stepper);
+    assert!(
+        allocations() > before,
+        "creating the series allocated nothing"
+    );
+
+    while stepper.step_once().unwrap() {
+        let before = allocations();
+        metrics.observe_step(TENANT, 0.002);
+        metrics.publish(TENANT, &stepper);
+        assert_eq!(allocations() - before, 0, "step {}", stepper.step());
+    }
+    assert_eq!(registry.counter(STEPS), Some(12));
+    assert_eq!(registry.gauge(COST), Some(stepper.accumulated_cost()));
+    assert_eq!(
+        registry.histogram_stats(HISTOGRAM).map(|(n, _)| n),
+        Some(12)
+    );
+    let soc = stepper.plant().battery().unwrap().soc_mwh()[0];
+    let key = format!("idc_battery_soc_mwh{{tenant=\"{TENANT}\",idc=\"Michigan\"}}");
+    assert_eq!(registry.gauge(&key), Some(soc));
 }
 
 #[test]
